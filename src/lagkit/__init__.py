@@ -6,16 +6,7 @@ projection), classifies isotropic / isoparametric inputs, and integrates
 the curvature-line frame system back to an explicit immersion.
 """
 
-from .charts import (
-    Chart,
-    CurvatureFrame,
-    FdConfig,
-    JetPoint,
-    curvature_line_check,
-    evaluate_jet,
-    fundamental_forms,
-    principal_decomposition,
-)
+from .charts import Chart, FdConfig, curvature_line_check
 from .construction import (
     ConstructedMaps,
     ConstructionConstants,
@@ -47,18 +38,12 @@ from .families import (
     tau_chart,
     torus_chart,
 )
-from .frames import LaguerreFrame, laguerre_metric, normal_map, position_vector
 from .invariants import (
     ClassificationResult,
     FieldSteps,
-    LaguerreInvariants,
     classify,
     identity_suite,
-    invariants_closed_form,
-    invariants_structural,
-    laguerre_frame,
     metric_geometry,
-    n_vector,
 )
 from .spaces import (
     SignatureSpace,

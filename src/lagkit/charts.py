@@ -17,19 +17,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .errors import ImmersionError, UmbilicError, VanishingCurvatureError
+from .errors import ImmersionError
 
 __all__ = [
     "FdConfig",
     "Chart",
-    "JetPoint",
-    "CurvatureFrame",
-    "evaluate_jet",
     "jet_arrays",
-    "fundamental_forms",
     "forms_arrays",
-    "principal_decomposition",
     "principal_arrays",
+    "irregular_masks",
     "curvature_line_check",
     "cross_normal",
 ]
@@ -89,34 +85,6 @@ class Chart:
     def orientation(self) -> str:
         base = "analytic-normal" if self.normal is not None else "cross-product"
         return base + (" (flipped)" if self.flip_normal else "")
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    """Value, first and second partials, and unit normal at one point."""
-
-    u: np.ndarray
-    x: np.ndarray
-    dx: np.ndarray
-    ddx: np.ndarray
-    xi: np.ndarray
-
-
-@dataclass(frozen=True)
-class CurvatureFrame:
-    """Principal curvatures (descending), directions and curvature radii.
-
-    ``e[i]`` holds the parameter-space coefficients of the i-th principal
-    direction, normalised in the first fundamental form with its first
-    nonzero component positive.  ``ties`` flags nearly equal curvatures.
-    """
-
-    k: np.ndarray
-    e: np.ndarray
-    r_i: np.ndarray
-    r: float
-    rho: float
-    ties: bool
 
 
 def cross_normal(dx: np.ndarray) -> np.ndarray:
@@ -179,13 +147,6 @@ def jet_arrays(chart: Chart, U: np.ndarray):
     return x, dx, ddx, xi
 
 
-def evaluate_jet(chart: Chart, u) -> JetPoint:
-    """Jet at a single parameter point (margin >= 2*step for fd charts)."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    x, dx, ddx, xi = jet_arrays(chart, u[None, :])
-    return JetPoint(u=u, x=x[0], dx=dx[0], ddx=ddx[0], xi=xi[0])
-
-
 def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     """Batched fundamental forms (I, II, III) from jet arrays."""
     I = np.einsum("mia,mja->mij", dx, dx)
@@ -198,16 +159,6 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     III = np.einsum("mij,mjk,mkl->mil", II, I_inv, II)
     III = 0.5 * (III + np.swapaxes(III, -1, -2))
     return I, II, III
-
-
-def fundamental_forms(jet: JetPoint):
-    """First, second and third fundamental forms at a jet point.
-
-    I_ij = dx_i . dx_j, II_ij = ddx_ij . xi (= -dx_i . dxi_j) and
-    III = II I^-1 II, the coordinate matrix of dxi . dxi.
-    """
-    I, II, III = forms_arrays(jet.dx[None], jet.ddx[None], jet.xi[None])
-    return I[0], II[0], III[0]
 
 
 def _fix_direction_signs(dirs: np.ndarray) -> np.ndarray:
@@ -225,7 +176,7 @@ def principal_arrays(I: np.ndarray, II: np.ndarray):
 
     Returns (k, dirs) with curvatures sorted descending and dirs[m, i, :]
     the I-orthonormal coefficient vector of the i-th direction.  The
-    umbilic / vanishing-curvature checks are left to the caller.
+    umbilic / vanishing-curvature test is ``irregular_masks``.
     """
     try:
         L = np.linalg.cholesky(I)
@@ -241,13 +192,17 @@ def principal_arrays(I: np.ndarray, II: np.ndarray):
     return k, _fix_direction_signs(dirs)
 
 
-def _check_k_regular(k: np.ndarray) -> None:
+def irregular_masks(k: np.ndarray):
+    """Masks (umbilic, vanishing) of the points the theory excludes.
+
+    ``k`` holds descending curvatures on its last axis.  A point is
+    umbilic when all curvatures coincide and vanishing when some
+    curvature is numerically zero, both relative to the largest |k_i|.
+    """
     kmax = np.max(np.abs(k), axis=-1)
-    spread = k[..., 0] - k[..., -1]
-    if np.any(spread < UMBILIC_TOL * kmax):
-        raise UmbilicError("umbilic point: principal curvatures coincide")
-    if np.any(np.min(np.abs(k), axis=-1) <= CURVATURE_FLOOR * kmax):
-        raise VanishingCurvatureError("a principal curvature vanishes")
+    umbilic = (k[..., 0] - k[..., -1]) < UMBILIC_TOL * kmax
+    vanishing = np.min(np.abs(k), axis=-1) <= CURVATURE_FLOOR * kmax
+    return umbilic, vanishing
 
 
 def frame_scalars(k: np.ndarray):
@@ -256,25 +211,6 @@ def frame_scalars(k: np.ndarray):
     r = np.mean(r_i, axis=-1)
     rho = np.sqrt(np.sum((r[..., None] - r_i) ** 2, axis=-1))
     return r_i, r, rho
-
-
-def principal_decomposition(jet: JetPoint) -> CurvatureFrame:
-    """Curvature frame at a jet point.
-
-    Solves the generalized symmetric eigenproblem II e = k I e, orders
-    the curvatures descending (ties broken by the direction-sign rule)
-    and fills the curvature radii r_i = 1/k_i, their mean r and
-    rho = sqrt(sum (r - r_i)^2).  Raises UmbilicError at umbilic points
-    and VanishingCurvatureError when some k_i is numerically zero.
-    """
-    I, II, _ = fundamental_forms(jet)
-    k, dirs = principal_arrays(I[None], II[None])
-    k, dirs = k[0], dirs[0]
-    _check_k_regular(k[None])
-    kmax = np.max(np.abs(k))
-    ties = bool(np.any(np.diff(k) > -UMBILIC_TOL * kmax))
-    r_i, r, rho = frame_scalars(k)
-    return CurvatureFrame(k=k, e=dirs, r_i=r_i, r=float(r), rho=float(rho), ties=ties)
 
 
 def curvature_line_check(chart: Chart, grid: np.ndarray, tol: float = 1e-8) -> bool:

@@ -224,11 +224,10 @@ def _cmd_verify(args, want_samples=False) -> int:
     cfg = _resolve(args)
     kind, chart = _build_surface(cfg)
     tol = _tolerances(cfg)
+    grid = _grid_for(chart.n, cfg)
     if kind == "degenerate-hilf":
-        grid = _grid_for(chart.n, cfg)
         report = degenerate_model_report(chart, grid, tol)
     else:
-        grid = _grid_for(chart.n, cfg)
         report = run_suite(chart, grid, tol)
     samples_path = cfg.get("output", {}).get("samples_path")
     if want_samples and samples_path:

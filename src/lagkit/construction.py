@@ -37,7 +37,6 @@ family with constants a_k = 1/b_k and phi-shift phi.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -460,11 +459,3 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, step: float = 1e-3
         "pipeline_n_constancy": nhat_spread,
         "pipeline_b_constancy": b_spread,
     }
-
-
-def constants_to_json(c: ConstructionConstants) -> str:
-    return json.dumps(c.to_json_dict(), indent=2, sort_keys=True)
-
-
-def constants_from_json(text: str) -> ConstructionConstants:
-    return ConstructionConstants.from_json_dict(json.loads(text))

@@ -43,7 +43,6 @@ __all__ = [
     "torus_chart",
     "sphere_chart",
     "CATALOG",
-    "catalog_chart",
 ]
 
 UNBOUNDED = (-np.inf, np.inf)
@@ -412,12 +411,3 @@ CATALOG = {
     "degenerate-hilf": _degenerate_from_params,
     "torus": _torus_from_params,
 }
-
-
-def catalog_chart(kind: str, params: dict):
-    """Instantiate a built-in surface by name with a parameter dict."""
-    if kind not in CATALOG:
-        raise ParameterError(
-            f"unknown surface {kind!r}; available: {sorted(CATALOG)}"
-        )
-    return CATALOG[kind](params or {})

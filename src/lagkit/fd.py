@@ -18,7 +18,6 @@ __all__ = [
     "FIRST_WEIGHTS",
     "SECOND_OFFSETS",
     "SECOND_WEIGHTS",
-    "stencil_reach",
     "check_margin",
     "grad_field",
     "hess_field",
@@ -34,11 +33,6 @@ SECOND_WEIGHTS = {
     2: (1.0, -2.0, 1.0),
     4: (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0),
 }
-
-
-def stencil_reach(order: int) -> int:
-    """Widest offset (in steps) used by a stencil of the given order."""
-    return 2 if order == 4 else 1
 
 
 def check_margin(domain, U: np.ndarray, reach: float) -> None:

@@ -102,12 +102,8 @@ def frame_connection(
 
 @dataclass(frozen=True)
 class MetricField:
-    """Metric, Christoffels and orthonormal-frame curvature over a grid."""
+    """Orthonormal-frame curvature tensor of a metric over a grid."""
 
-    grid: np.ndarray               # (m, n)
-    g: np.ndarray                  # (m, n, n)
-    gamma: np.ndarray              # (m, k, i, j)
-    riemann: np.ndarray            # coordinate indices (m, a, b, c, d)
     riemann_frame: np.ndarray      # orthonormal indices (m, i, j, k, l)
 
     def antisymmetry_residual(self) -> float:

@@ -1,4 +1,4 @@
-"""Light-cone lift of a curvature frame and the moving-frame objects.
+"""Light-cone lift of a curvature frame, batched over parameter points.
 
 For a hypersurface x with unit normal xi, curvature radii r_i, mean
 radius r and rho = sqrt(sum (r - r_i)^2), the lift into the light cone
@@ -21,25 +21,18 @@ import numpy as np
 
 from .charts import (
     Chart,
-    CurvatureFrame,
-    JetPoint,
     forms_arrays,
     frame_scalars,
+    irregular_masks,
     jet_arrays,
     principal_arrays,
-    UMBILIC_TOL,
-    CURVATURE_FLOOR,
 )
 from .errors import DegeneracyError, UmbilicError, VanishingCurvatureError
-from .spaces import SignatureSpace, SpaceVector, laguerre_space
+from .spaces import SignatureSpace, laguerre_space
 
 __all__ = [
     "LiftBatch",
-    "LaguerreFrame",
     "lift_arrays",
-    "position_vector",
-    "normal_map",
-    "laguerre_metric",
     "frame_coefficients",
 ]
 
@@ -58,11 +51,8 @@ class LiftBatch:
     r: np.ndarray        # (m,)
     rho: np.ndarray      # (m,)
     b: np.ndarray        # (m, n) Laguerre principal curvatures (r - r_i)/rho
-    y: np.ndarray        # (m, n+4) scaled position Y/rho
     Y: np.ndarray        # (m, n+4)
     eta: np.ndarray      # (m, n+4)
-    I: np.ndarray        # (m, n, n)
-    II: np.ndarray       # (m, n, n)
     III: np.ndarray      # (m, n, n)
     g: np.ndarray        # (m, n, n)
 
@@ -83,7 +73,7 @@ def _lift_from_scalars(x, xi, r, rho):
     eta[:, 2:-1] = x
     eta[:, -1] = 0.0
     eta = eta + r[:, None] * y
-    return y, Y, eta
+    return Y, eta
 
 
 def lift_arrays(chart: Chart, U: np.ndarray) -> LiftBatch:
@@ -98,22 +88,22 @@ def lift_arrays(chart: Chart, U: np.ndarray) -> LiftBatch:
     I, II, III = forms_arrays(dx, ddx, xi)
     k, e = principal_arrays(I, II)
 
-    kmax = np.max(np.abs(k), axis=-1)
-    if np.any(k[:, 0] - k[:, -1] < UMBILIC_TOL * kmax):
+    umbilic, vanishing = irregular_masks(k)
+    if np.any(umbilic):
         raise UmbilicError("umbilic point in the sampled batch")
-    if np.any(np.min(np.abs(k), axis=-1) <= CURVATURE_FLOOR * kmax):
+    if np.any(vanishing):
         raise VanishingCurvatureError("vanishing principal curvature in the batch")
 
     r_i, r, rho = frame_scalars(k)
     b = (r[:, None] - r_i) / rho[:, None]
-    y, Y, eta = _lift_from_scalars(x, xi, r, rho)
+    Y, eta = _lift_from_scalars(x, xi, r, rho)
     g = rho[:, None, None] ** 2 * III
     if np.any(np.diagonal(g, axis1=-2, axis2=-1) <= 0.0):
         raise DegeneracyError("invariant metric lost positive definiteness")
     return LiftBatch(
         space=laguerre_space(chart.n),
         u=U, x=x, xi=xi, k=k, e=e, r_i=r_i, r=r, rho=rho, b=b,
-        y=y, Y=Y, eta=eta, I=I, II=II, III=III, g=g,
+        Y=Y, eta=eta, III=III, g=g,
     )
 
 
@@ -129,65 +119,3 @@ def frame_coefficients(lift: LiftBatch) -> np.ndarray:
     """
     scale = lift.r_i / lift.rho[:, None]
     return scale[:, :, None] * lift.e
-
-
-@dataclass(frozen=True)
-class LaguerreFrame:
-    """The moving frame {Y, N, E_i(Y), eta, P} at a single point."""
-
-    Y: SpaceVector
-    N: SpaceVector
-    eta: SpaceVector
-    P: SpaceVector
-    EY: np.ndarray   # (n, n+4)
-    g: np.ndarray    # (n, n)
-    y: SpaceVector
-
-    def relation_residuals(self) -> dict:
-        """Residuals of the defining pairings of the frame."""
-        sp = self.Y.space
-        Y, N, eta = self.Y.coords, self.N.coords, self.eta.coords
-        P = self.P.coords
-        gram = np.einsum("ia,a,ja->ij", self.EY, sp.signs, self.EY)
-        return {
-            "position_lightlike": abs(float(sp.dot(Y, Y))),
-            "n_vector_lightlike": abs(float(sp.dot(N, N))),
-            "position_n_pairing": abs(float(sp.dot(Y, N)) + 1.0),
-            "normal_map_lightlike": abs(float(sp.dot(eta, eta))),
-            "normal_map_p_pairing": abs(float(sp.dot(eta, P)) + 1.0),
-            "position_normal_orthogonal": abs(float(sp.dot(Y, eta))),
-            "tangent_orthonormal": float(np.max(np.abs(gram - np.eye(gram.shape[0])))),
-        }
-
-
-def position_vector(jet: JetPoint, frame: CurvatureFrame) -> SpaceVector:
-    """Light-cone position vector Y = rho (x.xi, -x.xi, xi, 1)."""
-    if not frame.rho > 0:
-        raise UmbilicError("rho vanishes; position vector undefined")
-    space = laguerre_space(jet.u.shape[0])
-    _, Y, _ = _lift_from_scalars(
-        jet.x[None], jet.xi[None], np.array([frame.r]), np.array([frame.rho])
-    )
-    return space.vector(Y[0])
-
-
-def normal_map(jet: JetPoint, frame: CurvatureFrame) -> SpaceVector:
-    """The second lightlike map eta = ((1+|x|^2)/2, (1-|x|^2)/2, x, 0) + r y."""
-    space = laguerre_space(jet.u.shape[0])
-    _, _, eta = _lift_from_scalars(
-        jet.x[None], jet.xi[None], np.array([frame.r]), np.array([frame.rho])
-    )
-    return space.vector(eta[0])
-
-
-def laguerre_metric(frame: CurvatureFrame, III: np.ndarray) -> np.ndarray:
-    """Invariant metric g = rho^2 III in chart coordinates."""
-    if not frame.rho > 0:
-        raise UmbilicError("rho vanishes; metric undefined")
-    g = frame.rho**2 * np.asarray(III, dtype=float)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("invariant metric is not positive definite") from exc
-    return g
-

@@ -42,20 +42,15 @@ from .fields import (
     laplacian,
     lowered_riemann,
 )
-from .frames import LaguerreFrame, LiftBatch, frame_coefficients, lift_arrays
+from .frames import LiftBatch, frame_coefficients, lift_arrays
 from .spaces import laguerre_space, p_vector
 
 __all__ = [
     "FieldSteps",
-    "LaguerreInvariants",
     "ClassificationResult",
     "CheckEntry",
     "Analysis",
     "analyze",
-    "n_vector",
-    "laguerre_frame",
-    "invariants_closed_form",
-    "invariants_structural",
     "metric_geometry",
     "classify",
     "identity_suite",
@@ -78,19 +73,6 @@ class FieldSteps:
 
 
 DEFAULT_STEPS = FieldSteps()
-
-
-@dataclass(frozen=True)
-class LaguerreInvariants:
-    """Invariant tensors at one point, in the orthonormal principal frame."""
-
-    B: np.ndarray
-    C: np.ndarray
-    b: np.ndarray
-    L_closed_a: Optional[np.ndarray] = None
-    L_closed_b: Optional[np.ndarray] = None
-    L_structural: Optional[np.ndarray] = None
-    lambda_estimate: Optional[float] = None
 
 
 class _LiftPack:
@@ -190,7 +172,6 @@ class Analysis:
     grid: np.ndarray
     steps: FieldSteps
     lift: LiftBatch
-    w: np.ndarray              # (m, n, n) frame coefficients
     N: np.ndarray              # (m, n+4)
     delta_y: np.ndarray        # (m, n+4)
     E_Y: np.ndarray            # (m, i, n+4)
@@ -321,7 +302,7 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     )
 
     return Analysis(
-        chart=chart, grid=grid, steps=steps, lift=lift, w=w,
+        chart=chart, grid=grid, steps=steps, lift=lift,
         N=N, delta_y=delta_y, E_Y=E_Y, E_N=E_N, E2_Y=E2_Y,
         gamma_g=gamma_g, conn=conn,
         L_structural=L_structural, C_structural=C_structural,
@@ -332,61 +313,10 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     )
 
 
-def n_vector(chart: Chart, u, steps: FieldSteps = DEFAULT_STEPS):
-    """The frame vector N at one parameter point, as a SpaceVector."""
-    u = np.asarray(u, dtype=float).reshape(1, -1)
-    N = _n_field(chart, steps)(u)
-    return laguerre_space(chart.n).vector(N[0])
-
-
-def laguerre_frame(chart: Chart, u, steps: FieldSteps = DEFAULT_STEPS) -> LaguerreFrame:
-    """The complete moving frame {Y, N, E_i(Y), eta, P} at one point."""
-    a = analyze(chart, np.asarray(u, dtype=float).reshape(1, -1), steps)
-    space = a.lift.space
-    return LaguerreFrame(
-        Y=space.vector(a.lift.Y[0]),
-        N=space.vector(a.N[0]),
-        eta=space.vector(a.lift.eta[0]),
-        P=p_vector(space),
-        EY=a.E_Y[0],
-        g=a.lift.g[0],
-        y=space.vector(a.lift.y[0]),
-    )
-
-
-def invariants_closed_form(
-    chart: Chart, u, steps: FieldSteps = DEFAULT_STEPS
-) -> LaguerreInvariants:
-    """Closed-form invariants at a point (both L variants filled)."""
-    a = analyze(chart, np.asarray(u, dtype=float).reshape(1, -1), steps)
-    return LaguerreInvariants(
-        B=np.diag(a.lift.b[0]),
-        C=a.C_closed[0],
-        b=a.lift.b[0],
-        L_closed_a=a.L_closed_a[0],
-        L_closed_b=a.L_closed_b[0],
-    )
-
-
-def invariants_structural(
-    chart: Chart, u, steps: FieldSteps = DEFAULT_STEPS
-) -> LaguerreInvariants:
-    """Structure-equation invariants at a point."""
-    a = analyze(chart, np.asarray(u, dtype=float).reshape(1, -1), steps)
-    n = chart.n
-    return LaguerreInvariants(
-        B=a.B_structural[0],
-        C=a.C_structural[0],
-        b=a.lift.b[0],
-        L_structural=a.L_structural[0],
-        lambda_estimate=float(np.trace(a.L_structural[0]) / n),
-    )
-
-
 def metric_geometry(
     chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS
 ) -> MetricField:
-    """Christoffels and curvature of the invariant metric over a grid."""
+    """Orthonormal-frame curvature of the invariant metric over a grid."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
 
     def g_field(U):
@@ -394,15 +324,10 @@ def metric_geometry(
         return lift.g
 
     lift = lift_arrays(chart, grid)
-    w = frame_coefficients(lift)
     dg = fd.grad_field(g_field, grid, steps.first, 4)
     ddg = fd.hess_field(g_field, grid, steps.second, 4)
-    gamma = christoffels(lift.g, dg)
     riem = lowered_riemann(lift.g, dg, ddg)
-    return MetricField(
-        grid=grid, g=lift.g, gamma=gamma, riemann=riem,
-        riemann_frame=frame_riemann(riem, w),
-    )
+    return MetricField(riemann_frame=frame_riemann(riem, frame_coefficients(lift)))
 
 
 @dataclass(frozen=True)
@@ -515,16 +440,16 @@ def identity_suite(
     grid: np.ndarray,
     tol: float = 1e-5,
     steps: FieldSteps = DEFAULT_STEPS,
-    analysis: Optional[Analysis] = None,
     metric: Optional[MetricField] = None,
 ) -> tuple:
     """Residuals of every identity the invariants must satisfy.
 
     Returns (entries, classification, analysis).  Conditional checks are
     reported as skipped (never silently passed) when their hypotheses do
-    not hold on this chart.
+    not hold on this chart.  ``metric`` is the ``metric_geometry`` of the
+    same chart, grid and steps when the caller already has it.
     """
-    a = analysis if analysis is not None else analyze(chart, grid, steps)
+    a = analyze(chart, grid, steps)
     m, n = a.grid.shape
     cls = classify_analysis(a, tol)
     lam = cls.lambda_estimate

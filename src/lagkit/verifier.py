@@ -17,9 +17,8 @@ import numpy as np
 
 from .charts import (
     Chart,
-    CURVATURE_FLOOR,
-    UMBILIC_TOL,
     forms_arrays,
+    irregular_masks,
     jet_arrays,
     principal_arrays,
 )
@@ -155,9 +154,7 @@ def _regularity_mask(chart: Chart, grid: np.ndarray):
     x, dx, ddx, xi = jet_arrays(chart, grid)
     I, II, _ = forms_arrays(dx, ddx, xi)
     k, _ = principal_arrays(I, II)
-    kmax = np.max(np.abs(k), axis=-1)
-    umbilic = (k[:, 0] - k[:, -1]) < UMBILIC_TOL * kmax
-    vanishing = np.min(np.abs(k), axis=-1) <= CURVATURE_FLOOR * kmax
+    umbilic, vanishing = irregular_masks(k)
     errors = []
     for idx in np.nonzero(umbilic)[0]:
         errors.append(
@@ -251,7 +248,8 @@ def run_suite(
         )
         return report
 
-    entries, cls, a = identity_suite(chart, valid, tol.classification, steps)
+    mf = metric_geometry(chart, valid, steps)
+    entries, cls, a = identity_suite(chart, valid, tol.classification, steps, metric=mf)
     lift = a.lift
     space = lift.space
     report.classification = cls.to_dict()
@@ -333,7 +331,6 @@ def run_suite(
     )
 
     # Curvature tensor of the invariant metric.
-    mf = metric_geometry(chart, valid, steps)
     report.add(
         "curvature_antisymmetry",
         "index antisymmetries of the curvature tensor",

@@ -6,9 +6,10 @@ from lagkit.charts import (
     Chart,
     FdConfig,
     curvature_line_check,
-    evaluate_jet,
-    fundamental_forms,
-    principal_decomposition,
+    forms_arrays,
+    irregular_masks,
+    jet_arrays,
+    principal_arrays,
 )
 from lagkit.errors import (
     ImmersionError,
@@ -17,6 +18,7 @@ from lagkit.errors import (
     VanishingCurvatureError,
 )
 from lagkit.families import sphere_chart
+from lagkit.frames import lift_arrays
 from tests.conftest import graph_chart, mesh
 
 
@@ -42,6 +44,17 @@ def quadric(a1, a2, cross=0.0):
     return graph_chart(h, hg, hh)
 
 
+def point(u):
+    """A one-point batch of shape (1, n)."""
+    return np.asarray(u, dtype=float)[None, :]
+
+
+def forms(chart, U):
+    """(I, II, III) of a chart on a batch of points."""
+    _, dx, ddx, xi = jet_arrays(chart, U)
+    return forms_arrays(dx, ddx, xi)
+
+
 def black_box(chart, step=1e-4, scheme="central-4th-order"):
     """Strip the exact jet/normal so finite differences are exercised."""
     return Chart(
@@ -54,26 +67,26 @@ def black_box(chart, step=1e-4, scheme="central-4th-order"):
 
 
 def test_hilf_value_at_origin(hilf2):
-    jet = evaluate_jet(hilf2, [0.0, 0.0])
-    assert np.allclose(jet.x, 0.0)
-    assert np.allclose(jet.xi, [-1.0, 0.0, 0.0])
+    x, _, _, xi = jet_arrays(hilf2, point([0.0, 0.0]))
+    assert np.allclose(x[0], 0.0)
+    assert np.allclose(xi[0], [-1.0, 0.0, 0.0])
 
 
 def test_polynomial_second_partials_exact():
     chart = quadric(0.5, 0.0)  # x = (u1, u2, u1^2 / 2): dd x_3 = diag(1, 0)
-    jet = evaluate_jet(black_box(chart), [0.0, 0.0])
-    assert np.allclose(jet.ddx[..., 2], np.diag([1.0, 0.0]), atol=1e-7)
-    assert np.allclose(jet.ddx[..., :2], 0.0, atol=1e-7)
+    _, _, ddx, _ = jet_arrays(black_box(chart), point([0.0, 0.0]))
+    assert np.allclose(ddx[0, ..., 2], np.diag([1.0, 0.0]), atol=1e-7)
+    assert np.allclose(ddx[0, ..., :2], 0.0, atol=1e-7)
 
 
 def test_torus_value(torus21):
-    jet = evaluate_jet(torus21, [0.0, 0.0])
-    assert np.allclose(jet.x, [3.0, 0.0, 0.0])
+    x, _, _, _ = jet_arrays(torus21, point([0.0, 0.0]))
+    assert np.allclose(x[0], [3.0, 0.0, 0.0])
 
 
 def test_margin_error(torus21):
     with pytest.raises(MarginError):
-        evaluate_jet(black_box(torus21), [0.0, np.pi / 3 - 1e-6])
+        jet_arrays(black_box(torus21), point([0.0, np.pi / 3 - 1e-6]))
 
 
 def test_rank_deficient_jacobian_rejected():
@@ -84,85 +97,96 @@ def test_rank_deficient_jacobian_rejected():
 
     chart = Chart(n=2, domain=((-1, 1), (-1, 1)), evaluator=collapse)
     with pytest.raises(ImmersionError):
-        evaluate_jet(chart, [0.1, 0.2])
+        jet_arrays(chart, point([0.1, 0.2]))
 
 
 def test_paraboloid_forms_identity():
     chart = quadric(0.5, 0.5)
-    jet = evaluate_jet(chart, [0.0, 0.0])
-    I, II, III = fundamental_forms(jet)
-    assert np.allclose(I, np.eye(2), atol=1e-12)
-    assert np.allclose(np.abs(II), np.eye(2), atol=1e-12)
-    assert np.allclose(III, np.eye(2), atol=1e-12)
+    I, II, III = forms(chart, point([0.0, 0.0]))
+    assert np.allclose(I[0], np.eye(2), atol=1e-12)
+    assert np.allclose(np.abs(II[0]), np.eye(2), atol=1e-12)
+    assert np.allclose(III[0], np.eye(2), atol=1e-12)
 
 
 def test_torus_first_form(torus21):
-    jet = evaluate_jet(torus21, [0.0, 0.0])
-    I, II, _ = fundamental_forms(jet)
-    assert np.allclose(I, np.diag([9.0, 1.0]), atol=1e-12)
-    assert np.allclose(II, II.T, atol=1e-12)
+    I, II, _ = forms(torus21, point([0.0, 0.0]))
+    assert np.allclose(I[0], np.diag([9.0, 1.0]), atol=1e-12)
+    assert np.allclose(II[0], II[0].T, atol=1e-12)
 
 
 def test_second_form_symmetric_generic(generic_chart, generic_points):
-    for u in generic_points:
-        _, II, _ = fundamental_forms(evaluate_jet(generic_chart, u))
-        assert np.max(np.abs(II - II.T)) <= 1e-10
+    _, II, _ = forms(generic_chart, generic_points)
+    assert np.max(np.abs(II - np.swapaxes(II, -1, -2))) <= 1e-10
 
 
 def test_torus_principal_curvatures(torus21):
-    frame = principal_decomposition(evaluate_jet(torus21, [0.0, 0.0]))
-    assert np.allclose(sorted(frame.k), [1.0 / 3.0, 1.0], atol=1e-12)
+    I, II, _ = forms(torus21, point([0.0, 0.0]))
+    k, _ = principal_arrays(I, II)
+    assert np.allclose(sorted(k[0]), [1.0 / 3.0, 1.0], atol=1e-12)
 
 
 def test_frame_radii_arithmetic():
     # curvatures {1, 2} at the origin of a quadric graph
     chart = quadric(0.5, 1.0)
-    frame = principal_decomposition(evaluate_jet(chart, [0.0, 0.0]))
-    k = np.sort(np.abs(frame.k))
+    lift = lift_arrays(chart, point([0.0, 0.0]))
+    k = np.sort(np.abs(lift.k[0]))
     assert np.allclose(k, [1.0, 2.0], atol=1e-12)
-    r_i = np.sort(np.abs(frame.r_i))
+    r_i = np.sort(np.abs(lift.r_i[0]))
     assert np.allclose(r_i, [0.5, 1.0], atol=1e-12)
-    assert abs(abs(frame.r) - 0.75) <= 1e-12
-    assert abs(frame.rho - np.sqrt(0.125)) <= 1e-12
+    assert abs(abs(lift.r[0]) - 0.75) <= 1e-12
+    assert abs(lift.rho[0] - np.sqrt(0.125)) <= 1e-12
 
 
 def test_mean_radius_centers_radii(generic_chart, generic_points):
-    for u in generic_points:
-        frame = principal_decomposition(evaluate_jet(generic_chart, u))
-        assert abs(np.sum(frame.r - frame.r_i)) <= 1e-12 * np.sum(np.abs(frame.r_i))
+    lift = lift_arrays(generic_chart, generic_points)
+    centered = np.abs(np.sum(lift.r[:, None] - lift.r_i, axis=1))
+    assert np.all(centered <= 1e-12 * np.sum(np.abs(lift.r_i), axis=1))
 
 
 def test_directions_orthonormal_in_first_form(generic_chart, generic_points):
-    for u in generic_points:
-        jet = evaluate_jet(generic_chart, u)
-        I, _, _ = fundamental_forms(jet)
-        frame = principal_decomposition(jet)
-        gram = frame.e @ I @ frame.e.T
-        assert np.max(np.abs(gram - np.eye(2))) <= 1e-8
+    I, II, _ = forms(generic_chart, generic_points)
+    _, e = principal_arrays(I, II)
+    gram = np.einsum("mia,mab,mjb->mij", e, I, e)
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-8
 
 
 def test_principal_direction_derivative_relation(hilf3):
     # e_i(xi) = -k_i e_i(x) along every principal direction
     U = mesh(3, 0.3, 2)
-    for u in U:
-        jet = evaluate_jet(hilf3, u)
-        frame = principal_decomposition(jet)
-        dxi = fd.grad_field(hilf3.normal, u[None, :], 1e-5, 4)[0]
-        for i in range(3):
-            lhs = frame.e[i] @ dxi
-            rhs = -frame.k[i] * (frame.e[i] @ jet.dx)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8
+    _, dx, ddx, xi = jet_arrays(hilf3, U)
+    k, e = principal_arrays(*forms_arrays(dx, ddx, xi)[:2])
+    dxi = fd.grad_field(hilf3.normal, U, 1e-5, 4)
+    for i in range(3):
+        lhs = np.einsum("ma,mad->md", e[:, i], dxi)
+        rhs = -k[:, i, None] * np.einsum("ma,mad->md", e[:, i], dx)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
 def test_sphere_is_umbilic():
     with pytest.raises(UmbilicError):
-        principal_decomposition(evaluate_jet(sphere_chart(1.0), [0.05, -0.03]))
+        lift_arrays(sphere_chart(1.0), point([0.05, -0.03]))
 
 
 def test_vanishing_curvature_rejected():
     cylinder_like = quadric(0.5, 0.0)
     with pytest.raises(VanishingCurvatureError):
-        principal_decomposition(evaluate_jet(cylinder_like, [0.0, 0.0]))
+        lift_arrays(cylinder_like, point([0.0, 0.0]))
+
+
+def test_irregular_masks_thresholds():
+    # relative thresholds: spread < 1e-7 |k|max is umbilic,
+    # min |k_i| <= 1e-7 |k|max is vanishing
+    k = np.array([
+        [2.0, 1.0],
+        [1.0, 1.0 - 1e-9],
+        [1.0, 1.0 - 1e-6],
+        [1.0, 1e-9],
+        [1.0, -1.0],
+        [1e-8, -1e-8],
+    ])
+    umbilic, vanishing = irregular_masks(k)
+    assert umbilic.tolist() == [False, True, False, False, False, False]
+    assert vanishing.tolist() == [False, False, False, True, False, False]
 
 
 def test_curvature_lines_hilf(hilf3):
@@ -218,17 +242,15 @@ def test_second_derivative_convergence_order(torus21):
 
 
 def test_fd_jets_match_exact_jets(hilf3):
-    fd_chart = black_box(hilf3)
-    U = mesh(3, 0.3, 2)
-    for u in U[:4]:
-        exact = evaluate_jet(hilf3, u)
-        approx = evaluate_jet(fd_chart, u)
-        assert np.max(np.abs(exact.dx - approx.dx)) <= 1e-10
-        assert np.max(np.abs(exact.ddx - approx.ddx)) <= 1e-6
-        assert np.max(np.abs(np.abs(exact.xi @ approx.xi) - 1.0)) <= 1e-10
+    U = mesh(3, 0.3, 2)[:4]
+    _, dx, ddx, xi = jet_arrays(hilf3, U)
+    _, dx_fd, ddx_fd, xi_fd = jet_arrays(black_box(hilf3), U)
+    assert np.max(np.abs(dx - dx_fd)) <= 1e-10
+    assert np.max(np.abs(ddx - ddx_fd)) <= 1e-6
+    assert np.max(np.abs(np.abs(np.sum(xi * xi_fd, axis=1)) - 1.0)) <= 1e-10
 
 
 def test_unit_normal(hilf3):
-    jet = evaluate_jet(hilf3, [0.2, -0.1, 0.3])
-    assert abs(np.linalg.norm(jet.xi) - 1.0) <= 1e-10
-    assert np.max(np.abs(jet.dx @ jet.xi)) <= 1e-10
+    _, dx, _, xi = jet_arrays(hilf3, point([0.2, -0.1, 0.3]))
+    assert abs(np.linalg.norm(xi[0]) - 1.0) <= 1e-10
+    assert np.max(np.abs(dx[0] @ xi[0])) <= 1e-10

@@ -1,44 +1,41 @@
 import numpy as np
 import pytest
 
-from lagkit.charts import evaluate_jet, fundamental_forms, principal_decomposition
-from lagkit.errors import DegeneracyError
-from lagkit.frames import laguerre_metric, lift_arrays, normal_map, position_vector
-from lagkit.invariants import analyze, laguerre_frame, n_vector
+from lagkit.frames import lift_arrays
+from lagkit.invariants import analyze
 from lagkit.spaces import inner_product, laguerre_space, p_vector
 from lagkit import fd
 from tests.conftest import mesh
 
 
 @pytest.fixture(scope="module")
-def hilf2_frame(hilf2):
-    jet = evaluate_jet(hilf2, [0.1, -0.2])
-    return jet, principal_decomposition(jet)
+def hilf2_lift(hilf2):
+    return lift_arrays(hilf2, np.array([[0.1, -0.2]]))
 
 
-def test_position_vector_lightlike(hilf2_frame):
-    jet, frame = hilf2_frame
-    Y = position_vector(jet, frame)
+def vectors(lift):
+    """Y and eta of a one-point lift as space vectors."""
+    return lift.space.vector(lift.Y[0]), lift.space.vector(lift.eta[0])
+
+
+def test_position_vector_lightlike(hilf2_lift):
+    Y, _ = vectors(hilf2_lift)
     assert abs(inner_product(Y, Y)) <= 1e-14
 
 
-def test_position_vector_last_coordinate_is_rho(hilf2_frame):
-    jet, frame = hilf2_frame
-    Y = position_vector(jet, frame)
-    assert abs(Y.coords[-1] - frame.rho) <= 1e-15
+def test_position_vector_last_coordinate_is_rho(hilf2_lift):
+    Y, _ = vectors(hilf2_lift)
+    assert abs(Y.coords[-1] - hilf2_lift.rho[0]) <= 1e-15
 
 
-def test_position_vector_orthogonal_to_p(hilf2_frame):
-    jet, frame = hilf2_frame
-    Y = position_vector(jet, frame)
+def test_position_vector_orthogonal_to_p(hilf2_lift):
+    Y, _ = vectors(hilf2_lift)
     P = p_vector(laguerre_space(2))
     assert abs(inner_product(Y, P)) <= 1e-14
 
 
-def test_normal_map_relations(hilf2_frame):
-    jet, frame = hilf2_frame
-    eta = normal_map(jet, frame)
-    Y = position_vector(jet, frame)
+def test_normal_map_relations(hilf2_lift):
+    Y, eta = vectors(hilf2_lift)
     P = p_vector(laguerre_space(2))
     assert abs(inner_product(eta, eta)) <= 1e-10
     assert abs(inner_product(eta, P) + 1.0) <= 1e-14
@@ -48,27 +45,19 @@ def test_normal_map_relations(hilf2_frame):
 def test_rho_at_origin_two_curvature(hilf2):
     # a = (1, 2): curvatures +-(2, 4) at the origin, radii -+(1/2, 1/4),
     # so rho^2 = 2 (1/8)^2 = 1/32 -- independent arithmetic oracle.
-    frame = principal_decomposition(evaluate_jet(hilf2, [0.0, 0.0]))
-    assert abs(frame.rho**2 - 1.0 / 32.0) <= 1e-14
+    lift = lift_arrays(hilf2, np.zeros((1, 2)))
+    assert abs(lift.rho[0] ** 2 - 1.0 / 32.0) <= 1e-14
 
 
 def test_metric_is_scaled_third_form(hilf2):
-    jet = evaluate_jet(hilf2, [0.0, 0.0])
-    frame = principal_decomposition(jet)
-    _, _, III = fundamental_forms(jet)
-    g = laguerre_metric(frame, III)
-    assert np.allclose(g, frame.rho**2 * III, atol=1e-15)
+    lift = lift_arrays(hilf2, np.zeros((1, 2)))
+    III = lift.III[0]
+    assert np.allclose(lift.g[0], lift.rho[0] ** 2 * III, atol=1e-15)
     # oracle: III at the origin is the differential of the closed-form
     # normal, d xi . d xi = diag(4 a_i^2)
     dxi = fd.grad_field(hilf2.normal, np.zeros((1, 2)), 1e-5, 4)[0]
     third = dxi @ dxi.T
     assert np.max(np.abs(third - III)) <= 1e-9
-
-
-def test_metric_rejects_indefinite_input(hilf2_frame):
-    _, frame = hilf2_frame
-    with pytest.raises(DegeneracyError):
-        laguerre_metric(frame, -np.eye(2))
 
 
 def test_metric_equals_lift_gram(hilf3):
@@ -104,14 +93,29 @@ def test_n_minus_lambda_y_constant(hilf3, grid3):
 
 
 def test_single_point_n_vector(hilf3):
-    N = n_vector(hilf3, [0.1, 0.0, -0.1])
+    a = analyze(hilf3, np.array([[0.1, 0.0, -0.1]]))
+    N = a.lift.space.vector(a.N[0])
     assert N.coords.shape == (7,)
     assert abs(inner_product(N, N)) <= 1e-6
 
 
 def test_laguerre_frame_relations(hilf3):
-    frame = laguerre_frame(hilf3, [0.1, -0.15, 0.2])
-    residuals = frame.relation_residuals()
+    a = analyze(hilf3, np.array([[0.1, -0.15, 0.2]]))
+    sp = a.lift.space
+    Y, N, eta = a.lift.Y[0], a.N[0], a.lift.eta[0]
+    P = p_vector(sp).coords
+    EY = a.E_Y[0]
+    gram = np.einsum("ia,a,ja->ij", EY, sp.signs, EY)
+    residuals = {
+        "position_lightlike": abs(sp.dot(Y, Y)),
+        "n_vector_lightlike": abs(sp.dot(N, N)),
+        "position_n_pairing": abs(sp.dot(Y, N) + 1.0),
+        "normal_map_lightlike": abs(sp.dot(eta, eta)),
+        "normal_map_p_pairing": abs(sp.dot(eta, P) + 1.0),
+        "position_normal_orthogonal": abs(sp.dot(Y, eta)),
+        "tangent_orthonormal": np.max(np.abs(gram - np.eye(3))),
+    }
     assert max(residuals.values()) <= 1e-6
-    assert frame.EY.shape == (3, 7)
-    assert np.allclose(frame.y.coords * frame.Y.coords[-1], frame.Y.coords)
+    assert EY.shape == (3, 7)
+    # the scaled position Y / rho ends in 1
+    assert np.isclose(Y[-1] / a.lift.rho[0], 1.0)

@@ -9,8 +9,6 @@ from lagkit.invariants import (
     analyze,
     classify,
     identity_suite,
-    invariants_closed_form,
-    invariants_structural,
     metric_geometry,
 )
 from tests.conftest import mesh
@@ -200,11 +198,9 @@ def test_l_variant_arbitration(hilf3_analysis):
 
 
 def test_per_point_operations(hilf3):
-    u = [0.1, -0.2, 0.15]
-    closed = invariants_closed_form(hilf3, u)
-    structural = invariants_structural(hilf3, u)
-    assert np.max(np.abs(closed.C)) <= 1e-6
-    assert np.max(np.abs(structural.L_structural)) <= 1e-4
-    assert np.max(np.abs(closed.B - structural.B)) <= 1e-5
-    assert abs(structural.lambda_estimate) <= 1e-4
-    assert closed.L_closed_a is not None and closed.L_closed_b is not None
+    a = analyze(hilf3, np.array([[0.1, -0.2, 0.15]]))
+    assert np.max(np.abs(a.C_closed[0])) <= 1e-6
+    assert np.max(np.abs(a.L_structural[0])) <= 1e-4
+    assert np.max(np.abs(np.diag(a.lift.b[0]) - a.B_structural[0])) <= 1e-5
+    assert abs(np.trace(a.L_structural[0]) / 3) <= 1e-4
+    assert a.L_closed_a[0].shape == a.L_closed_b[0].shape == (3, 3)

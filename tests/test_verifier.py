@@ -95,3 +95,23 @@ def test_skipped_checks_are_not_failures(torus21, torus_points):
     skipped = [c for c in report.checks if c.status == "skip"]
     assert skipped
     assert report.passed
+
+
+def test_run_suite_computes_metric_curvature_once(hilf3, grid3, monkeypatch):
+    import lagkit.invariants
+    import lagkit.verifier
+
+    calls = []
+    original = lagkit.invariants.metric_geometry
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lagkit.invariants, "metric_geometry", counted)
+    monkeypatch.setattr(lagkit.verifier, "metric_geometry", counted)
+    report = run_suite(hilf3, grid3)
+    assert report.passed
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["isoparametric_curvature_sum"].status == "pass"
+    assert len(calls) == 1
