@@ -47,7 +47,6 @@ import numpy as np
 from . import fd
 from .charts import Chart
 from .errors import ParameterError
-from .frames import lift_arrays
 from .spaces import laguerre_space
 
 __all__ = [
@@ -442,11 +441,11 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, step: float = 1e-3
     eta_res = float(np.max(np.abs(deta - c.b[None, :, None] * dY)))
 
     # Pipeline checks on the derived curvature-line chart (vbar coords).
-    from .invariants import DEFAULT_STEPS, _n_field
+    from .invariants import DEFAULT_STEPS, _jets, _n_vector
 
     vbar = np.sqrt(2.0) * grid * c.b
-    lift = lift_arrays(maps.chart, vbar)
-    nhat = _n_field(maps.chart, DEFAULT_STEPS)(vbar)
+    lift, jets = _jets(maps.chart, vbar, DEFAULT_STEPS)
+    nhat = _n_vector(lift, jets)[0]
     nhat_spread = float(np.max(np.abs(nhat - nhat.mean(axis=0))))
     b_sorted = np.sort(lift.b, axis=1)
     b_spread = float(np.max(np.ptp(b_sorted, axis=0))) if m > 1 else 0.0

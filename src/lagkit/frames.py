@@ -15,7 +15,7 @@ the diagonal frame E_i = g_ii^(-1/2) d/du_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class LiftBatch:
     eta: np.ndarray      # (m, n+4)
     III: np.ndarray      # (m, n, n)
     g: np.ndarray        # (m, n, n)
+
+    def rows(self, index) -> "LiftBatch":
+        """The lift at the points ``index`` (a slice or index array) selects."""
+        return replace(self, **{
+            f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "space"
+        })
 
 
 def _lift_from_scalars(x, xi, r, rho):

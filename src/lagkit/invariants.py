@@ -20,8 +20,13 @@ consistent with <Y,N> = -1):
 
     N = Delta_g Y / n + <Delta_g Y, Delta_g Y> Y / (2 n^2).
 
-All derivative fields use central differences on pointwise-exact data;
-steps are configurable via ``FieldSteps``.
+Every partial comes from one stencil cloud per grid point (``fd.Cloud``):
+the lift is evaluated once on the cloud, and the first, second and third
+partials of its pointwise-exact fields are contracted from those values
+with 4th-order central stencils at the steps of ``FieldSteps``.  N, its
+partials d_c N (from third partials of Y and second partials of g), the
+Christoffel symbols and the curvature tensor of g are then assembled
+algebraically; nothing is differentiated twice.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .fields import (
     lowered_riemann,
 )
 from .frames import LiftBatch, frame_coefficients, lift_arrays
-from .spaces import laguerre_space, p_vector
+from .spaces import p_vector
 
 __all__ = [
     "FieldSteps",
@@ -59,125 +64,111 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldSteps:
-    """Steps for differentiating derived fields (all 4th-order central).
+    """Steps of the stencil cloud that differentiates the lift (all 4th-order central).
 
-    ``first`` differentiates pointwise-exact fields once; ``second``
-    is larger to keep second differences above the roundoff floor;
-    ``outer`` differentiates fields that are themselves fd-derived
-    (N, Christoffel symbols), where the inherited noise dominates.
+    ``first`` gives first partials; ``second`` is larger to keep second
+    differences above the roundoff floor; ``third`` gives the third
+    partials of Y that d N needs, where the roundoff of a third difference
+    grows like 1/h^3.  All three stencils share one evaluation of the lift.
     """
 
     first: float = 1e-4
     second: float = 1e-3
-    outer: float = 1e-3
+    third: float = 1.5e-3
 
 
 DEFAULT_STEPS = FieldSteps()
 
 
-class _LiftPack:
-    """Flattens the pointwise-exact lift quantities into one field.
+def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False):
+    """The lift at a grid and the partials of its pointwise-exact fields.
 
-    Packing Y, eta, g, III, log rho, r, b and the frame coefficients
-    into a single array lets one stencil evaluation feed every first
-    derivative the invariants need.
+    Y, eta, g, III, log rho, r, b and the frame coefficients are packed
+    into one field, so one evaluation of the lift on the stencil cloud
+    feeds every partial.  Returns (lift, jets) with ``jets[name]`` the
+    list [first, second(, third)] of partials of that field.
     """
-
-    def __init__(self, chart: Chart):
-        self.chart = chart
-        n = chart.n
-        d = n + 4
-        sizes = {
-            "Y": d, "eta": d, "g": n * n, "III": n * n,
-            "logrho": 1, "r": 1, "b": n, "w": n * n,
-        }
-        self.slices = {}
-        start = 0
-        for name, size in sizes.items():
-            self.slices[name] = slice(start, start + size)
-            start += size
-        self.width = start
-
-    def __call__(self, U: np.ndarray) -> np.ndarray:
-        lift = lift_arrays(self.chart, U)
-        m, n = lift.u.shape
-        w = frame_coefficients(lift)
-        return np.concatenate(
-            [
-                lift.Y,
-                lift.eta,
-                lift.g.reshape(m, -1),
-                lift.III.reshape(m, -1),
-                np.log(lift.rho)[:, None],
-                lift.r[:, None],
-                lift.b,
-                w.reshape(m, -1),
-            ],
-            axis=1,
-        )
-
-    def take(self, packed: np.ndarray, name: str, matrix: bool = False):
-        part = packed[..., self.slices[name]]
-        if matrix:
-            n = self.chart.n
-            return part.reshape(part.shape[:-1] + (n, n))
-        if part.shape[-1] == 1:
-            return part[..., 0]
-        return part
+    cloud = fd.Cloud(grid, (steps.first, steps.second, steps.third)[: 3 if third else 2])
+    lift = lift_arrays(chart, cloud.points)
+    fields = {
+        "Y": lift.Y, "eta": lift.eta, "g": lift.g, "III": lift.III,
+        "logrho": np.log(lift.rho), "r": lift.r, "b": lift.b, "w": frame_coefficients(lift),
+    }
+    m = lift.u.shape[0]
+    packed = np.concatenate([v.reshape(m, -1) for v in fields.values()], axis=1)
+    partials = cloud.partials(packed)[1:]
+    jets, start = {}, 0
+    for name, v in fields.items():
+        stop = start + v[0].size
+        jets[name] = [d[..., start:stop].reshape(d.shape[:-1] + v.shape[1:]) for d in partials]
+        start = stop
+    return lift.rows(cloud.centre), jets
 
 
-def _hess_pack(chart: Chart):
-    """Smaller pack (Y, log rho) for second derivatives."""
-
-    def f(U):
-        lift = lift_arrays(chart, U)
-        return np.concatenate([lift.Y, np.log(lift.rho)[:, None]], axis=1)
-
-    return f
-
-
-def _n_from_parts(space, lift: LiftBatch, dY, ddY, gamma_g):
-    delta_y = laplacian(lift.g, gamma_g, dY, ddY)
-    nsq = space.dot(delta_y, delta_y)
+def _n_vector(lift: LiftBatch, jets: dict):
+    """(N, Delta_g Y, Gamma^k_ab of g) at the grid."""
+    gamma = christoffels(lift.g, jets["g"][0])
+    delta_y = laplacian(lift.g, gamma, jets["Y"][0], jets["Y"][1])
+    nsq = lift.space.dot(delta_y, delta_y)
     n = lift.u.shape[1]
     N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * lift.Y
-    return N, delta_y
+    return N, delta_y, gamma
 
 
-def _n_field(chart: Chart, steps: FieldSteps):
-    """Vectorised field U -> N(U) for outer differentiation."""
-    pack = _LiftPack(chart)
-    hpack = _hess_pack(chart)
-    space = laguerre_space(chart.n)
-    d = chart.n + 4
+def _metric(lift: LiftBatch, jets: dict) -> MetricField:
+    riem = lowered_riemann(lift.g, jets["g"][0], jets["g"][1])
+    return MetricField(riemann_frame=frame_riemann(riem, frame_coefficients(lift)))
 
-    def f(U):
-        lift = lift_arrays(chart, U)
-        grads = fd.grad_field(pack, U, steps.first, 4)
-        dY = pack.take(grads, "Y")
-        dg = pack.take(grads, "g", matrix=True)
-        ddY = fd.hess_field(hpack, U, steps.second, 4)[..., :d]
-        gamma_g = christoffels(lift.g, dg)
-        N, _ = _n_from_parts(space, lift, dY, ddY, gamma_g)
-        return N
 
-    return f
+def _n_partials(lift: LiftBatch, jets: dict, delta_y: np.ndarray, gamma: np.ndarray):
+    """d_c N (m, c, n+4), assembled from partials of Y up to order 3 and of g up to order 2.
+
+        d_c Delta Y = d_c g^ab (Y_ab - G^k_ab Y_k)
+                      + g^ab (Y_abc - d_c G^k_ab Y_k - G^k_ab Y_kc),
+        d_c N = d_c Delta Y / n + <Delta Y, d_c Delta Y> Y / n^2
+                + |Delta Y|^2 Y_c / (2 n^2),
+
+    with d_c g^ab = -g^ai d_c g_ij g^jb and d_c G from d g and d d g.
+    """
+    n = lift.u.shape[1]
+    dY, ddY, dddY = jets["Y"]
+    dg, ddg = jets["g"][:2]
+    g_inv = np.linalg.inv(lift.g)
+    dg_inv = -np.einsum("mai,mcij,mjb->mcab", g_inv, dg, g_inv)
+    # d_c (d_i g_jl + d_j g_il - d_l g_ij), indexed [m, c, l, i, j]
+    dsym = np.einsum("mcijl->mclij", ddg) + np.einsum("mcjil->mclij", ddg) - ddg
+    dgamma = 0.5 * np.einsum("mkl,mclij->mckij", g_inv, dsym) - np.einsum(
+        "mkp,mcpq,mqij->mckij", g_inv, dg, gamma
+    )
+    hess_cov = ddY - np.einsum("mkab,mkl->mabl", gamma, dY)
+    third_cov = (
+        dddY
+        - np.einsum("mckab,mkl->mabcl", dgamma, dY)
+        - np.einsum("mkab,mkcl->mabcl", gamma, ddY)
+    )
+    d_delta = np.einsum("mcab,mabl->mcl", dg_inv, hess_cov) + np.einsum(
+        "mab,mabcl->mcl", g_inv, third_cov
+    )
+    nsq = lift.space.dot(delta_y, delta_y)
+    pair = np.einsum("ml,l,mcl->mc", delta_y, lift.space.signs, d_delta)
+    return (
+        d_delta / n
+        + np.einsum("mc,ml->mcl", pair, lift.Y) / n**2
+        + (nsq / (2.0 * n * n))[:, None, None] * dY
+    )
 
 
 @dataclass(frozen=True)
 class Analysis:
-    """Every invariant field over a grid, from one shared evaluation pass."""
+    """Every invariant field over a grid, from one stencil cloud."""
 
     chart: Chart
     grid: np.ndarray
-    steps: FieldSteps
     lift: LiftBatch
     N: np.ndarray              # (m, n+4)
     delta_y: np.ndarray        # (m, n+4)
     E_Y: np.ndarray            # (m, i, n+4)
-    E_N: np.ndarray            # (m, i, n+4)
     E2_Y: np.ndarray           # (m, i, j, n+4): E_j(E_i(Y))
-    gamma_g: np.ndarray        # coordinate Christoffels of g
     conn: np.ndarray           # frame connection (m, k, i, l) = Gamma^l_ik
     L_structural: np.ndarray   # (m, n, n)
     C_structural: np.ndarray   # (m, n)
@@ -186,9 +177,9 @@ class Analysis:
     L_closed_a: np.ndarray     # (m, n, n)
     L_closed_b: np.ndarray     # (m, n, n)
     cov_B: np.ndarray          # (m, i, j, k) frame covariant derivative
-    E_b: np.ndarray            # (m, k, i): E_k(b_i)
     laplace_iii_logrho: np.ndarray   # (m,)
     grad_iii_logrho_sq: np.ndarray   # (m,)
+    metric: MetricField        # curvature of g from the same cloud
 
     @property
     def lambda_estimate(self) -> float:
@@ -223,42 +214,29 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     m, n = grid.shape
     if n != chart.n:
         raise InputError(f"grid dimension {n} does not match chart n={chart.n}")
-    d = n + 4
-    space = laguerre_space(n)
-    signs = space.signs
-
-    lift = lift_arrays(chart, grid)
+    lift, jets = _jets(chart, grid, steps, third=True)
+    signs = lift.space.signs
     w = frame_coefficients(lift)
 
-    pack = _LiftPack(chart)
-    grads = fd.grad_field(pack, grid, steps.first, 4)
-    dY = pack.take(grads, "Y")              # (m, a, d)
-    dg = pack.take(grads, "g", matrix=True)  # (m, a, n, n)
-    dIII = pack.take(grads, "III", matrix=True)
-    dlogrho = pack.take(grads, "logrho")     # (m, a)
-    dr = pack.take(grads, "r")
-    db = pack.take(grads, "b")               # (m, a, i)
-    dw = pack.take(grads, "w", matrix=True)  # (m, a, i, b)
+    dY, ddY, _ = jets["Y"]                   # (m, a, d), (m, a, b, d)
+    dIII = jets["III"][0]
+    dlogrho, ddlogrho, _ = jets["logrho"]    # (m, a), (m, a, b)
+    dr = jets["r"][0]
+    db = jets["b"][0]                        # (m, a, i)
+    dw = jets["w"][0]                        # (m, a, i, b)
 
-    hess = fd.hess_field(_hess_pack(chart), grid, steps.second, 4)
-    ddY = hess[..., :d]                      # (m, a, b, d)
-    ddlogrho = hess[..., d]                  # (m, a, b)
-
-    gamma_g = christoffels(lift.g, dg)
-    N, delta_y = _n_from_parts(space, lift, dY, ddY, gamma_g)
+    N, delta_y, gamma_g = _n_vector(lift, jets)
+    dN = _n_partials(lift, jets, delta_y, gamma_g)
 
     E_Y = np.einsum("mia,mal->mil", w, dY)
     E2_Y = np.einsum("mja,maib,mbl->mijl", w, dw, dY) + np.einsum(
         "mja,mib,mabl->mijl", w, w, ddY
     )
-
-    dN = fd.grad_field(_n_field(chart, steps), grid, steps.outer, 4)
     E_N = np.einsum("mia,mal->mil", w, dN)
 
     L_structural = np.einsum("mil,l,mjl->mij", E_N, signs, E_Y)
     C_structural = -np.einsum("mil,l,ml->mi", E_N, signs, lift.eta)
     B_structural = -np.einsum("mijl,l,ml->mij", E2_Y, signs, lift.eta)
-
     # Directional derivatives along the III-orthonormal frame E'_i = rho E_i
     # and the unit principal directions e_i = E'_i / r_i.
     w_iii = lift.rho[:, None, None] * w
@@ -302,14 +280,14 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     )
 
     return Analysis(
-        chart=chart, grid=grid, steps=steps, lift=lift,
-        N=N, delta_y=delta_y, E_Y=E_Y, E_N=E_N, E2_Y=E2_Y,
-        gamma_g=gamma_g, conn=conn,
+        chart=chart, grid=grid, lift=lift,
+        N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y, conn=conn,
         L_structural=L_structural, C_structural=C_structural,
         B_structural=B_structural,
         C_closed=C_closed, L_closed_a=L_closed_a, L_closed_b=L_closed_b,
-        cov_B=cov_B, E_b=E_b,
+        cov_B=cov_B,
         laplace_iii_logrho=lap_iii, grad_iii_logrho_sq=grad_sq,
+        metric=_metric(lift, jets),
     )
 
 
@@ -317,17 +295,7 @@ def metric_geometry(
     chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS
 ) -> MetricField:
     """Orthonormal-frame curvature of the invariant metric over a grid."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-
-    def g_field(U):
-        lift = lift_arrays(chart, U)
-        return lift.g
-
-    lift = lift_arrays(chart, grid)
-    dg = fd.grad_field(g_field, grid, steps.first, 4)
-    ddg = fd.hess_field(g_field, grid, steps.second, 4)
-    riem = lowered_riemann(lift.g, dg, ddg)
-    return MetricField(riemann_frame=frame_riemann(riem, frame_coefficients(lift)))
+    return _metric(*_jets(chart, grid, steps))
 
 
 @dataclass(frozen=True)
@@ -440,14 +408,12 @@ def identity_suite(
     grid: np.ndarray,
     tol: float = 1e-5,
     steps: FieldSteps = DEFAULT_STEPS,
-    metric: Optional[MetricField] = None,
 ) -> tuple:
     """Residuals of every identity the invariants must satisfy.
 
     Returns (entries, classification, analysis).  Conditional checks are
     reported as skipped (never silently passed) when their hypotheses do
-    not hold on this chart.  ``metric`` is the ``metric_geometry`` of the
-    same chart, grid and steps when the caller already has it.
+    not hold on this chart.
     """
     a = analyze(chart, grid, steps)
     m, n = a.grid.shape
@@ -549,8 +515,7 @@ def identity_suite(
     if cls.is_isoparametric and n >= 3:
         groups = _b_groups(cls.b_hat, tol)
         if all(len(g) == 1 for g in groups) and len(groups) == n:
-            mf = metric if metric is not None else metric_geometry(chart, grid, steps)
-            rf = mf.riemann_frame
+            rf = a.metric.riemann_frame
             worst = 0.0
             for i in range(n):
                 total = np.zeros(m)

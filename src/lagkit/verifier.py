@@ -18,6 +18,7 @@ import numpy as np
 from .charts import (
     Chart,
     forms_arrays,
+    frame_scalars,
     irregular_masks,
     jet_arrays,
     principal_arrays,
@@ -29,7 +30,6 @@ from .invariants import (
     DEFAULT_STEPS,
     FieldSteps,
     identity_suite,
-    metric_geometry,
 )
 
 __all__ = [
@@ -248,8 +248,8 @@ def run_suite(
         )
         return report
 
-    mf = metric_geometry(chart, valid, steps)
-    entries, cls, a = identity_suite(chart, valid, tol.classification, steps, metric=mf)
+    entries, cls, a = identity_suite(chart, valid, tol.classification, steps)
+    mf = a.metric
     lift = a.lift
     space = lift.space
     report.classification = cls.to_dict()
@@ -467,13 +467,15 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
         np.max(np.abs(II - np.diag(coeffs))),
         tol.model_constraints,
     )
+    # rho^2 at each point from the radii of I^-1 II; its spread must vanish.
+    _, _, rho = frame_scalars(principal_arrays(I, II)[0])
     r_i = 1.0 / coeffs
     r = float(np.mean(r_i))
     rho2 = float(np.sum((r - r_i) ** 2))
     report.add(
         "rho_square_constant",
         "constant squared deviation of the curvature radii",
-        0.0,
+        float(np.ptp(rho**2)),
         tol.rho_constancy,
         note=f"rho^2 = {rho2!r} from constant radii",
     )

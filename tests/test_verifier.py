@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,21 +99,40 @@ def test_skipped_checks_are_not_failures(torus21, torus_points):
     assert report.passed
 
 
-def test_run_suite_computes_metric_curvature_once(hilf3, grid3, monkeypatch):
-    import lagkit.invariants
+def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
+    # One stencil cloud per grid point feeds the invariants and the metric
+    # curvature: 1 + 12 + 60 + 130 chart points at n=3, plus one each for
+    # the regularity pass and the two-curvature lift.
+    import lagkit.charts
+    import lagkit.frames
     import lagkit.verifier
 
-    calls = []
-    original = lagkit.invariants.metric_geometry
+    points = []
+    original = lagkit.charts.jet_arrays
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(chart, U):
+        points.append(np.atleast_2d(U).shape[0])
+        return original(chart, U)
 
-    monkeypatch.setattr(lagkit.invariants, "metric_geometry", counted)
-    monkeypatch.setattr(lagkit.verifier, "metric_geometry", counted)
-    report = run_suite(hilf3, grid3)
+    for module in (lagkit.charts, lagkit.frames, lagkit.verifier):
+        monkeypatch.setattr(module, "jet_arrays", counted)
+    grid = mesh(3, 0.4, 5)
+    report = run_suite(hilf3, grid)
     assert report.passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["isoparametric_curvature_sum"].status == "pass"
-    assert len(calls) == 1
+    assert sum(points) <= 205 * len(grid)
+
+
+def test_degenerate_rho_square_constant_can_fail():
+    deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
+
+    def bent_normal_jet(U):
+        # scales II by (1 + u_1 / 2), so the radii and rho^2 vary
+        return deg.normal_jet(U) * (1.0 + 0.5 * np.atleast_2d(U)[:, :1, None])
+
+    broken = dataclasses.replace(deg, normal_jet=bent_normal_jet)
+    report = degenerate_model_report(broken, mesh(2, 0.4, 5))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["rho_square_constant"].status == "fail"
+    assert not report.passed
