@@ -7,6 +7,23 @@ The unit normal is the normalised generalized cross product of the
 Jacobian rows taken in parameter order, unless the chart supplies its own
 normal field; ``flip_normal`` reverses either choice and all curvature
 signs are reported relative to the resulting orientation.
+
+The pointwise linear algebra rests on one factor per point: the first
+form I = dx dx^T is factored as I = L L^T in plain numpy over the whole
+batch (the loops run over the n columns only) and L^-1 is formed by
+forward substitution.  III = B^T B with B = L^-1 II, and the principal
+decomposition is the eigendecomposition of A = L^-1 II L^-T with
+directions L^-T Q, so ``eigh`` is the only LAPACK call made per matrix
+(``cross_normal`` adds ``det`` calls on charts without a normal field).
+Each kernel factors its own I and drops the factor on return.
+The same factor screens the conditioning: since lambda_min / lambda_max
+>= det(I) / tr(I)^n and det(I) = prod L_jj^2, a point with
+prod L_jj^2 / tr(I)^n > ``SCREEN`` (1e-8) has sigma_min / sigma_max > 1e-4
+and cannot fail the rank test sigma_min <= 1e-10 sigma_max.  Only the
+points the screen does not clear, including those with a NaN or
+non-positive pivot, go through the LAPACK call the kernel replaced (the
+SVD rank test, the LU inverse, the LAPACK Cholesky factor), so they
+raise exactly what that call raised.
 """
 
 from __future__ import annotations
@@ -36,6 +53,10 @@ SCHEMES = {"central-2nd-order": 2, "central-4th-order": 4}
 # points (all curvatures equal) and vanishing principal curvatures.
 UMBILIC_TOL = 1e-7
 CURVATURE_FLOOR = 1e-7
+
+# Lower bound on det(I) / tr(I)^n above which the Cholesky factor of I
+# serves a point; the points below it keep the LAPACK call and its test.
+SCREEN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -112,6 +133,58 @@ def _fd_jet(chart: Chart, U: np.ndarray):
     return x, dx, ddx
 
 
+def _cholesky(I: np.ndarray) -> np.ndarray:
+    """Lower factors L with I = L L^T, batched, looping over the n columns.
+
+    A pivot that is not positive leaves 0 or NaN on the diagonal of its
+    point's factor, and NaN below it.
+    """
+    L = np.zeros_like(I)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(I.shape[-1]):
+            row = L[:, j, :j]
+            L[:, j, j] = np.sqrt(I[:, j, j] - np.sum(row * row, axis=-1))
+            below = I[:, j + 1:, j] - np.sum(L[:, j + 1:, :j] * row[:, None, :], axis=-1)
+            L[:, j + 1:, j] = below / L[:, j, j, None]
+    return L
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 of a batch of lower-triangular factors, by forward substitution."""
+    n = L.shape[-1]
+    W = np.zeros_like(L)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(n):
+            W[:, i, :i] = -np.sum(L[:, i, :i, None] * W[:, :i, :i], axis=1) / L[:, i, i, None]
+            W[:, i, i] = 1.0 / L[:, i, i]
+    return W
+
+
+def _transpose(M: np.ndarray) -> np.ndarray:
+    """Contiguous transposes of a batch of matrices; matmul is several
+    times slower on the strided view."""
+    return np.ascontiguousarray(np.swapaxes(M, -1, -2))
+
+
+def _cleared(L: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """Points whose factor bounds the condition of I: prod L_jj^2 / tr(I)^n > SCREEN.
+
+    As lambda_min / lambda_max >= det(I) / tr(I)^n, a cleared point has
+    sigma_min / sigma_max > 1e-4 for the Jacobian with I = dx dx^T.  A
+    point with a non-positive or NaN pivot is never cleared.
+    """
+    tr = np.trace(I, axis1=-2, axis2=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.prod(np.diagonal(L, axis1=-2, axis2=-1) ** 2 / tr[:, None], axis=-1)
+    return ratio > SCREEN
+
+
+def _inverse_factor(I: np.ndarray):
+    """(L^-1, rest) for I = L L^T; ``rest`` marks the points the screen does not clear."""
+    L = _cholesky(I)
+    return _lower_inverse(L), ~_cleared(L, I)
+
+
 def jet_arrays(chart: Chart, U: np.ndarray):
     """Batched jets: returns (x, dx, ddx, xi) for U of shape (m, n).
 
@@ -133,9 +206,12 @@ def jet_arrays(chart: Chart, U: np.ndarray):
     else:
         x, dx, ddx = _fd_jet(chart, U)
 
-    sv = np.linalg.svd(dx, compute_uv=False)
-    if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
-        raise ImmersionError("Jacobian is rank deficient at a sampled point")
+    I = dx @ _transpose(dx)
+    rest = ~_cleared(_cholesky(I), I)
+    if np.any(rest):
+        sv = np.linalg.svd(dx[rest], compute_uv=False)
+        if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
+            raise ImmersionError("Jacobian is rank deficient at a sampled point")
 
     if chart.normal is not None:
         xi = np.asarray(chart.normal(U))
@@ -148,25 +224,34 @@ def jet_arrays(chart: Chart, U: np.ndarray):
 
 
 def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
-    """Batched fundamental forms (I, II, III) from jet arrays."""
-    I = np.einsum("mia,mja->mij", dx, dx)
+    """Batched fundamental forms (I, II, III) from jet arrays.
+
+    III = II I^-1 II = B^T B with B = L^-1 II, exactly symmetric.  Points
+    the conditioning screen does not clear take the LU inverse of I.
+    """
+    I = dx @ _transpose(dx)
     II = np.einsum("mija,ma->mij", ddx, xi)
     II = 0.5 * (II + np.swapaxes(II, -1, -2))
-    try:
-        I_inv = np.linalg.inv(I)
-    except np.linalg.LinAlgError as exc:
-        raise ImmersionError("singular first fundamental form") from exc
-    III = np.einsum("mij,mjk,mkl->mil", II, I_inv, II)
-    III = 0.5 * (III + np.swapaxes(III, -1, -2))
+    W, rest = _inverse_factor(I)
+    B = W @ II
+    III = _transpose(B) @ B
+    if np.any(rest):
+        try:
+            I_inv = np.linalg.inv(I[rest])
+        except np.linalg.LinAlgError as exc:
+            raise ImmersionError("singular first fundamental form") from exc
+        III_rest = II[rest] @ I_inv @ II[rest]
+        III[rest] = 0.5 * (III_rest + np.swapaxes(III_rest, -1, -2))
     return I, II, III
 
 
 def _fix_direction_signs(dirs: np.ndarray) -> np.ndarray:
     """Scale each direction so its first nonzero component is positive."""
     mags = np.abs(dirs)
-    thresh = 1e-12 * np.max(mags, axis=-1, keepdims=True)
-    first = np.argmax(mags > thresh, axis=-1)
-    lead = np.take_along_axis(dirs, first[..., None], axis=-1)[..., 0]
+    thresh = 1e-12 * np.max(mags, axis=-1)
+    lead = dirs[..., 0]
+    for c in reversed(range(dirs.shape[-1])):
+        lead = np.where(mags[..., c] > thresh, dirs[..., c], lead)
     sign = np.where(lead < 0, -1.0, 1.0)
     return dirs * sign[..., None]
 
@@ -178,15 +263,17 @@ def principal_arrays(I: np.ndarray, II: np.ndarray):
     the I-orthonormal coefficient vector of the i-th direction.  The
     umbilic / vanishing-curvature test is ``irregular_masks``.
     """
-    try:
-        L = np.linalg.cholesky(I)
-    except np.linalg.LinAlgError as exc:
-        raise ImmersionError("first fundamental form is not positive definite") from exc
-    B = np.linalg.solve(L, II)
-    A = np.swapaxes(np.linalg.solve(L, np.swapaxes(B, -1, -2)), -1, -2)
+    W, rest = _inverse_factor(I)
+    if np.any(rest):
+        try:
+            W[rest] = _lower_inverse(np.linalg.cholesky(I[rest]))
+        except np.linalg.LinAlgError as exc:
+            raise ImmersionError("first fundamental form is not positive definite") from exc
+    Wt = _transpose(W)
+    A = W @ II @ Wt
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     w, Q = np.linalg.eigh(A)
-    E = np.linalg.solve(np.swapaxes(L, -1, -2), Q)
+    E = Wt @ Q
     k = w[..., ::-1]
     dirs = np.swapaxes(E, -1, -2)[..., ::-1, :]
     return k, _fix_direction_signs(dirs)

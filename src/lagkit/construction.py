@@ -415,13 +415,8 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, step: float = 1e-3
     tangent_off = float(np.max(np.abs(gram_off)))
 
     gdiag = np.diagonal(gram, axis1=1, axis2=2)            # (m, i)
-
-    def gdiag_field(V):
-        dYv = fd.grad_field(maps.position, V, step, 4)
-        gv = np.einsum("mal,l,mal->ma", dYv, space.signs, dYv)
-        return gv
-
-    dgdiag = fd.grad_field(gdiag_field, grid, 10 * step, 4)   # (m, a, i)
+    # d_i g_ii = 2 <Y_,ii, Y_,i>
+    dgdiag = 2.0 * np.einsum("mil,l,mil->mi", ddY[:, idx, idx], space.signs, dY)
 
     N_const = np.zeros(n + 4)
     N_const[2] = 1.0
@@ -433,7 +428,7 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, step: float = 1e-3
     for i in range(n):
         lhs = (
             ddY[:, i, i, :] / gdiag[:, i, None]
-            - dgdiag[:, i, i, None] * dY[:, i, :] / (2.0 * gdiag[:, i, None] ** 2)
+            - dgdiag[:, i, None] * dY[:, i, :] / (2.0 * gdiag[:, i, None] ** 2)
         )
         rhs = N_const[None, :] + c.b[i] * P[None, :]
         second = max(second, float(np.max(np.abs(lhs - rhs))))

@@ -83,7 +83,7 @@ DEFAULT_STEPS = FieldSteps()
 def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False):
     """The lift at a grid and the partials of its pointwise-exact fields.
 
-    Y, eta, g, III, log rho, r, b and the frame coefficients are packed
+    Y, g, III, log rho, r, b and the frame coefficients are packed
     into one field, so one evaluation of the lift on the stencil cloud
     feeds every partial.  Returns (lift, jets) with ``jets[name]`` the
     list [first, second(, third)] of partials of that field.
@@ -91,7 +91,7 @@ def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False
     cloud = fd.Cloud(grid, (steps.first, steps.second, steps.third)[: 3 if third else 2])
     lift = lift_arrays(chart, cloud.points)
     fields = {
-        "Y": lift.Y, "eta": lift.eta, "g": lift.g, "III": lift.III,
+        "Y": lift.Y, "g": lift.g, "III": lift.III,
         "logrho": np.log(lift.rho), "r": lift.r, "b": lift.b, "w": frame_coefficients(lift),
     }
     m = lift.u.shape[0]

@@ -169,16 +169,14 @@ def _regularity_mask(chart: Chart, grid: np.ndarray):
     return ~(umbilic | vanishing), errors
 
 
-def _cluster_curvatures(k_row: np.ndarray, rel_tol: float = 1e-4):
-    """Split a descending curvature row into near-equal clusters."""
-    scale = np.max(np.abs(k_row))
-    sizes = [1]
-    for gap in -np.diff(k_row):
-        if gap <= rel_tol * scale:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-    return sizes
+def _cluster_breaks(k: np.ndarray, rel_tol: float = 1e-4) -> np.ndarray:
+    """Where descending curvature rows split into near-equal clusters.
+
+    ``breaks[m, j]`` is True when k[m, j] and k[m, j + 1] fall in
+    different clusters; NaN gaps count as breaks.
+    """
+    scale = np.max(np.abs(k), axis=-1, keepdims=True)
+    return ~(-np.diff(k, axis=-1) <= rel_tol * scale)
 
 
 def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
@@ -195,14 +193,14 @@ def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
 
     lift = lift_arrays(chart, grid)
     n = chart.n
-    sizes = _cluster_curvatures(lift.k[0])
-    if len(sizes) != 2:
+    breaks = _cluster_breaks(lift.k)
+    clusters = int(np.sum(breaks[0])) + 1
+    if clusters != 2:
         raise InputError(
-            f"expected exactly two distinct principal curvatures, found {len(sizes)}"
+            f"expected exactly two distinct principal curvatures, found {clusters}"
         )
-    for row in lift.k:
-        if _cluster_curvatures(row) != sizes:
-            raise InputError("curvature multiplicities vary across the grid")
+    if np.any(breaks != breaks[0]):
+        raise InputError("curvature multiplicities vary across the grid")
 
     def targets(m):
         b1 = np.sqrt((n - m) / (m * n))
@@ -210,7 +208,7 @@ def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
         return np.sort(np.concatenate([np.full(m, b1), np.full(n - m, b2)]))[::-1]
 
     b_desc = -np.sort(-lift.b, axis=1)
-    m1 = sizes[0]
+    m1 = int(np.argmax(breaks[0])) + 1
     dist_direct = np.max(np.abs(b_desc - targets(m1)[None, :]))
     # A normal flip negates every b_i and swaps the cluster roles.
     flipped_desc = -np.sort(lift.b, axis=1)

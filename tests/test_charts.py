@@ -254,3 +254,141 @@ def test_unit_normal(hilf3):
     _, dx, _, xi = jet_arrays(hilf3, point([0.2, -0.1, 0.3]))
     assert abs(np.linalg.norm(xi[0]) - 1.0) <= 1e-10
     assert np.max(np.abs(dx[0] @ xi[0])) <= 1e-10
+
+
+# The factor kernel: I = dx dx^T is factored as L L^T in plain numpy; a
+# point whose factor does not certify its conditioning keeps the LAPACK
+# call (SVD rank test, LU inverse, LAPACK Cholesky) and its error.
+
+
+def jacobians(rng, n, ratios, scale=1.0):
+    """Jacobians (m, n, n+1) with sigma_min / sigma_max equal to ``ratios``."""
+    m = len(ratios)
+    sv = np.empty((m, n))
+    sv[:, 0] = 1.0
+    sv[:, -1] = ratios
+    lo = np.asarray(ratios, dtype=float)[:, None]
+    sv[:, 1:-1] = lo + (1.0 - lo) * rng.uniform(0.0, 1.0, (m, n - 2))
+    left = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((m, n + 1, n)))[0]
+    return scale * np.einsum("mik,mk,mak->mia", left, sv, right)
+
+
+def prescribed_chart(dx):
+    """A chart whose exact jet is the given Jacobian batch."""
+    m, n, d = dx.shape
+
+    def jet(U):
+        return np.zeros((m, d)), dx, np.zeros((m, n, n, d))
+
+    def normal(U):
+        return np.tile(np.eye(d)[-1], (m, 1))
+
+    return Chart(n=n, domain=((-1.0, 1.0),) * n, evaluator=None, jet=jet, normal=normal)
+
+
+def svd_rank_deficient(dx):
+    """The plain criterion: sigma_min <= 1e-10 sigma_max."""
+    sv = np.linalg.svd(dx, compute_uv=False)
+    return sv[:, -1] <= 1e-10 * sv[:, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rank_screen_matches_svd_criterion(n):
+    rng = np.random.default_rng(400 + n)
+    ratios = np.concatenate([np.logspace(-14, 0, 57), [0.0, 0.0, 1e-10, 1.1e-10, 0.9e-10]])
+    for scale in (1e-3, 1.0, 1e3):
+        dx = jacobians(rng, n, ratios, scale)
+        dx[-6, 0] = dx[-6, 1]                 # sigma ratio 1 made exactly rank deficient
+        deficient = svd_rank_deficient(dx)
+        assert deficient.any() and not deficient.all()
+        for i, expected in enumerate(deficient):
+            chart = prescribed_chart(dx[i:i + 1])
+            if expected:
+                with pytest.raises(ImmersionError, match="rank deficient"):
+                    jet_arrays(chart, np.zeros((1, n)))
+            else:
+                jet_arrays(chart, np.zeros((1, n)))
+        with pytest.raises(ImmersionError, match="rank deficient"):
+            jet_arrays(prescribed_chart(dx), np.zeros((len(dx), n)))
+        healthy = dx[~deficient]
+        jet_arrays(prescribed_chart(healthy), np.zeros((len(healthy), n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rank_screen_one_bad_point_among_many(n):
+    rng = np.random.default_rng(410 + n)
+    ratios = np.exp(rng.uniform(np.log(1e-3), 0.0, 2000))
+    ratios[1234] = 1e-12
+    dx = jacobians(rng, n, ratios)
+    assert svd_rank_deficient(dx).tolist().count(True) == 1
+    with pytest.raises(ImmersionError, match="rank deficient"):
+        jet_arrays(prescribed_chart(dx), np.zeros((len(dx), n)))
+
+
+def spd_batch(rng, n, m=500):
+    """dx with singular values in [0.3, 3], ddx and unit normals xi."""
+    dx = jacobians(rng, n, rng.uniform(0.1, 1.0, m), scale=3.0)
+    ddx = rng.standard_normal((m, n, n, n + 1))
+    xi = rng.standard_normal((m, n + 1))
+    return dx, ddx, xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+
+
+def relative_error(got, want):
+    scale = np.max(np.abs(want), axis=tuple(range(1, want.ndim)), keepdims=True)
+    return np.max(np.abs(got - want) / scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_forms_match_inverse_reference(n):
+    dx, ddx, xi = spd_batch(np.random.default_rng(420 + n), n)
+    I, II, III = forms_arrays(dx, ddx, xi)
+    I_ref = np.einsum("mia,mja->mij", dx, dx)
+    II_ref = np.einsum("mija,ma->mij", ddx, xi)
+    II_ref = 0.5 * (II_ref + np.swapaxes(II_ref, -1, -2))
+    III_ref = np.einsum("mij,mjk,mkl->mil", II_ref, np.linalg.inv(I_ref), II_ref)
+    assert relative_error(I, I_ref) <= 1e-12
+    assert relative_error(II, II_ref) <= 1e-12
+    assert relative_error(III, III_ref) <= 1e-12
+    assert np.array_equal(III, np.swapaxes(III, -1, -2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_principal_match_eigh_reference(n):
+    dx, ddx, xi = spd_batch(np.random.default_rng(430 + n), n)
+    I, II, _ = forms_arrays(dx, ddx, xi)
+    k, dirs = principal_arrays(I, II)
+    lam, V = np.linalg.eigh(I)
+    root_inv = np.einsum("mik,mk,mjk->mij", V, lam**-0.5, V)
+    w, Q = np.linalg.eigh(root_inv @ II @ root_inv)
+    k_ref = w[:, ::-1]
+    dirs_ref = np.swapaxes(root_inv @ Q, -1, -2)[:, ::-1]
+    assert relative_error(k, k_ref) <= 1e-12
+    # Directions are defined up to sign; compare where curvatures are apart.
+    gaps = np.min(-np.diff(k_ref, axis=-1), axis=-1) / np.max(np.abs(k_ref), axis=-1)
+    apart = gaps > 1e-2
+    assert apart.sum() > len(k) // 2
+    sign = np.sign(np.sum(dirs * dirs_ref, axis=-1, keepdims=True))
+    assert relative_error(dirs[apart], (sign * dirs_ref)[apart]) <= 1e-12
+    gram = np.einsum("mia,mab,mjb->mij", dirs, I, dirs)
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+
+
+def test_unscreened_points_keep_lapack_path():
+    rng = np.random.default_rng(440)
+    dx, ddx, xi = spd_batch(rng, 3, m=50)
+    dx[7] = jacobians(rng, 3, [1e-6])[0]          # det(I) / tr(I)^3 ~ 1e-12
+    I, II, III = forms_arrays(dx, ddx, xi)
+    ref = II[7] @ np.linalg.inv(I[7]) @ II[7]
+    assert np.array_equal(III[7], 0.5 * (ref + ref.T))
+    k, dirs = principal_arrays(I, II)
+    assert np.all(np.isfinite(k)) and np.all(np.isfinite(dirs))
+
+    singular = dx.copy()
+    singular[3, 1] = singular[3, 0]
+    with pytest.raises(ImmersionError, match="singular first fundamental form"):
+        forms_arrays(singular, ddx, xi)
+    indefinite = I.copy()
+    indefinite[5] = np.diag([1.0, -1.0, 2.0])
+    with pytest.raises(ImmersionError, match="not positive definite"):
+        principal_arrays(indefinite, II)
