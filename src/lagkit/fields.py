@@ -82,7 +82,7 @@ def lowered_riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarra
 
 def frame_riemann(riemann: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Convert the coordinate curvature tensor to orthonormal-frame indices."""
-    return np.einsum("mia,mjb,mkc,mld,mabcd->mijkl", w, w, w, w, riemann)
+    return np.einsum("mia,mjb,mkc,mld,mabcd->mijkl", w, w, w, w, riemann, optimize=True)
 
 
 def frame_connection(
@@ -92,6 +92,10 @@ def frame_connection(
 
     ``dw[m, a, i, b]`` holds d_a of the frame coefficient w[i, b].
     These equal the structure-equation functions Gamma^l_ik.
+
+    Only the tests call this, as an independent route to ``cov_B`` on
+    charts with distinct curvatures; ``invariants`` avoids it because
+    eigenvector derivatives are ill-posed where curvatures repeat.
     """
     # nabla_{E_k} E_i = w_k^a (d_a w_i^b + w_i^c Gamma^b_ac) d_b
     cov = np.einsum("mka,maib->mkib", w, dw) + np.einsum(

@@ -53,6 +53,7 @@ class LiftBatch:
     b: np.ndarray        # (m, n) Laguerre principal curvatures (r - r_i)/rho
     Y: np.ndarray        # (m, n+4)
     eta: np.ndarray      # (m, n+4)
+    II: np.ndarray       # (m, n, n)
     III: np.ndarray      # (m, n, n)
     g: np.ndarray        # (m, n, n)
 
@@ -109,19 +110,16 @@ def lift_arrays(chart: Chart, U: np.ndarray) -> LiftBatch:
     return LiftBatch(
         space=laguerre_space(chart.n),
         u=U, x=x, xi=xi, k=k, e=e, r_i=r_i, r=r, rho=rho, b=b,
-        Y=Y, eta=eta, III=III, g=g,
+        Y=Y, eta=eta, II=II, III=III, g=g,
     )
 
 
 def frame_coefficients(lift: LiftBatch) -> np.ndarray:
     """Coordinate coefficients w[m, i, :] of the orthonormal fields E_i.
 
-    E_i = rho^-1 r_i e_i with e_i the unit principal directions; the
-    ordering follows the descending-curvature sort and the sign rule of
-    the directions, which keeps the frame field smooth wherever the
-    curvatures stay separated.  On a chart parametrized by curvature
-    lines this is numerically the diagonal realisation g_ii^(-1/2) d_i
-    up to the same ordering.
+    E_i = rho^-1 r_i e_i with e_i the unit principal directions in the
+    descending-curvature order.  It projects tensors at a point only: where
+    curvatures repeat, ``eigh`` picks the e_i of an eigenspace arbitrarily.
     """
     scale = lift.r_i / lift.rho[:, None]
     return scale[:, :, None] * lift.e

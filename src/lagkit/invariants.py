@@ -8,17 +8,22 @@ Closed forms (diagonal in the principal frame, with b_i = (r - r_i)/rho):
            constant term and direction-weight factors disagree); the
            structural computation below arbitrates between them.
 
-Structural values project derivatives of the moving frame:
+Structural values are coordinate tensors, projected on the principal
+frame E_i = w_i^a d_a only at a point:
 
     L_ij = <E_i(N), E_j(Y)>,   C_i = -<E_i(N), eta>,
-    B_ij = -<E_j(E_i(Y)), eta>,
+    B_ij = -<Hess Y(E_i, E_j), eta>,   Hess Y_ab = Y_ab - Gamma^k_ab Y_k,
 
-using <N,eta> = <Y,eta> = <E_j(Y),eta> = 0 and <eta,P> = -1.  The
+using <N,eta> = <Y,eta> = <d_a Y,eta> = 0 and <eta,P> = -1.  The
 second-order vector N is assembled from the Laplace-Beltrami operator of
 the invariant metric (divergence-of-gradient sign, which is the choice
 consistent with <Y,N> = -1):
 
     N = Delta_g Y / n + <Delta_g Y, Delta_g Y> Y / (2 n^2).
+
+nabla B is that of B_ab = rho (r III_ab - II_ab), b_i delta_ij on the
+frame.  No eigenvector is differentiated, so repeated curvatures, whose
+eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
 Every partial comes from one stencil cloud per grid point (``fd.Cloud``):
 the lift is evaluated once on the cloud, and the first, second and third
@@ -42,7 +47,6 @@ from .errors import InputError
 from .fields import (
     MetricField,
     christoffels,
-    frame_connection,
     frame_riemann,
     laplacian,
     lowered_riemann,
@@ -80,10 +84,15 @@ class FieldSteps:
 DEFAULT_STEPS = FieldSteps()
 
 
+def _b_tensor(lift: LiftBatch) -> np.ndarray:
+    """B_ab = rho (r III_ab - II_ab) (m, n, n), which is b_i delta_ij on the frame."""
+    return lift.rho[:, None, None] * (lift.r[:, None, None] * lift.III - lift.II)
+
+
 def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False):
     """The lift at a grid and the partials of its pointwise-exact fields.
 
-    Y, g, III, log rho, r, b and the frame coefficients are packed
+    Y, g, III, log rho, r and B (none needs an eigenvector) are packed
     into one field, so one evaluation of the lift on the stencil cloud
     feeds every partial.  Returns (lift, jets) with ``jets[name]`` the
     list [first, second(, third)] of partials of that field.
@@ -92,7 +101,7 @@ def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False
     lift = lift_arrays(chart, cloud.points)
     fields = {
         "Y": lift.Y, "g": lift.g, "III": lift.III,
-        "logrho": np.log(lift.rho), "r": lift.r, "b": lift.b, "w": frame_coefficients(lift),
+        "logrho": np.log(lift.rho), "r": lift.r, "B": _b_tensor(lift),
     }
     m = lift.u.shape[0]
     packed = np.concatenate([v.reshape(m, -1) for v in fields.values()], axis=1)
@@ -168,15 +177,14 @@ class Analysis:
     N: np.ndarray              # (m, n+4)
     delta_y: np.ndarray        # (m, n+4)
     E_Y: np.ndarray            # (m, i, n+4)
-    E2_Y: np.ndarray           # (m, i, j, n+4): E_j(E_i(Y))
-    conn: np.ndarray           # frame connection (m, k, i, l) = Gamma^l_ik
+    E2_Y: np.ndarray           # (m, i, j, n+4): Hess Y(E_i, E_j)
     L_structural: np.ndarray   # (m, n, n)
     C_structural: np.ndarray   # (m, n)
     B_structural: np.ndarray   # (m, n, n)
     C_closed: np.ndarray       # (m, n)
     L_closed_a: np.ndarray     # (m, n, n)
     L_closed_b: np.ndarray     # (m, n, n)
-    cov_B: np.ndarray          # (m, i, j, k) frame covariant derivative
+    cov_B: np.ndarray          # (m, i, j, k): B_ij,k = nabla B(E_i, E_j, E_k)
     laplace_iii_logrho: np.ndarray   # (m,)
     grad_iii_logrho_sq: np.ndarray   # (m,)
     metric: MetricField        # curvature of g from the same cloud
@@ -188,24 +196,15 @@ class Analysis:
         return float(np.median(traces))
 
     def structure_residual(self) -> float:
-        """Max norm of the second structure equation over the grid."""
+        """Max norm of Y_ab - Gamma^k_ab Y_k = L_ab Y + g_ab N + B_ab P on the frame."""
         m, n = self.grid.shape
-        space = self.lift.space
-        P = p_vector(space).coords
-        eye = np.eye(n)
+        P = p_vector(self.lift.space).coords
         rhs = (
             np.einsum("mij,ml->mijl", self.L_structural, self.lift.Y)
-            + np.einsum("ij,ml->mijl", eye, self.N)
-            + np.einsum("mijk,mkl->mijl", self.conn_proj, self.E_Y)
+            + np.einsum("ij,ml->mijl", np.eye(n), self.N)
             + np.einsum("mij,l->mijl", self.B_structural, P)
         )
         return float(np.max(np.abs(self.E2_Y - rhs)))
-
-    @property
-    def conn_proj(self) -> np.ndarray:
-        """Gamma^k_ij as projections <E_j(E_i(Y)), E_k(Y)> -> (m, i, j, k)."""
-        signs = self.lift.space.signs
-        return np.einsum("mijl,l,mkl->mijk", self.E2_Y, signs, self.E_Y)
 
 
 def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -> Analysis:
@@ -222,16 +221,14 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     dIII = jets["III"][0]
     dlogrho, ddlogrho, _ = jets["logrho"]    # (m, a), (m, a, b)
     dr = jets["r"][0]
-    db = jets["b"][0]                        # (m, a, i)
-    dw = jets["w"][0]                        # (m, a, i, b)
+    dB = jets["B"][0]                        # (m, c, a, b)
 
     N, delta_y, gamma_g = _n_vector(lift, jets)
     dN = _n_partials(lift, jets, delta_y, gamma_g)
 
     E_Y = np.einsum("mia,mal->mil", w, dY)
-    E2_Y = np.einsum("mja,maib,mbl->mijl", w, dw, dY) + np.einsum(
-        "mja,mib,mabl->mijl", w, w, ddY
-    )
+    hess_Y = ddY - np.einsum("mkab,mkl->mabl", gamma_g, dY)
+    E2_Y = np.einsum("mia,mjb,mabl->mijl", w, w, hess_Y)
     E_N = np.einsum("mia,mal->mil", w, dN)
 
     L_structural = np.einsum("mil,l,mjl->mij", E_N, signs, E_Y)
@@ -270,18 +267,14 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
         + 0.5 * grad_sq[:, None, None] * eye
     )
 
-    conn = frame_connection(w, dw, gamma_g, lift.g)
-    E_b = np.einsum("mka,mai->mki", w, db)
-    # B_ij,k = E_k(b_i) delta_ij - Gamma^j_ik b_j - Gamma^i_jk b_i
-    cov_B = (
-        np.einsum("mki,ij->mijk", E_b, eye)
-        - np.einsum("mkij,mj->mijk", conn, lift.b)
-        - np.einsum("mkji,mi->mijk", conn, lift.b)
-    )
+    # nabla_c B_ab = d_c B_ab - Gamma^k_ca B_kb - Gamma^k_cb B_ak, then B_ij,k
+    gamma_b = np.einsum("mkca,mkb->mcab", gamma_g, _b_tensor(lift))
+    cov_coord = dB - gamma_b - np.swapaxes(gamma_b, -1, -2)
+    cov_B = np.einsum("mia,mjb,mkc,mcab->mijk", w, w, w, cov_coord, optimize=True)
 
     return Analysis(
         chart=chart, grid=grid, lift=lift,
-        N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y, conn=conn,
+        N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y,
         L_structural=L_structural, C_structural=C_structural,
         B_structural=B_structural,
         C_closed=C_closed, L_closed_a=L_closed_a, L_closed_b=L_closed_b,

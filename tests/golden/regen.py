@@ -5,7 +5,8 @@
 Runs each example of ``tests/test_golden.py`` (all of them when no NAME
 is given) in-process through ``lagkit.cli.main`` with ``--no-timestamp``
 and prints every JSON or CSV path whose value moved beyond the golden
-tolerance of ``test_golden.assert_close``.  Without ``--diff`` the
+tolerance of ``test_golden.assert_close`` (or the file name, for an
+example that has no golden yet).  Without ``--diff`` the
 named golden files are rewritten with the new output; with ``--diff``
 nothing is written and the exit status is 1 when anything moved.
 """
@@ -82,7 +83,9 @@ def main_regen(argv=None) -> int:
         for name in args.names or sorted(EXAMPLES):
             for fname, path in run_example(name, Path(tmp)).items():
                 golden = GOLDEN / fname
-                if fname.endswith(".csv"):
+                if not golden.exists():
+                    paths = [f"{fname} (new)"]
+                elif fname.endswith(".csv"):
                     paths = list(moved(_read_csv(path), _read_csv(golden), fname))
                 else:
                     paths = list(moved(json.loads(path.read_text()),

@@ -25,6 +25,9 @@ EXAMPLES = {
     "verify-torus": ["verify", "--surface", "torus",
                      "--params", '{"R": 2, "r_tube": 1}',
                      "--grid", "5", "--half-width", "0.9"],
+    "verify-hilf-repeated": ["verify", "--surface", "hilf",
+                             "--params", '{"a":[1,2],"multiplicities":[2,1]}',
+                             "--grid", "3", "--half-width", "0.3"],
     "construct": ["construct", "--b-from-a", "1,2,3", "--seed", "1",
                   "--grid", "5", "--half-width", "0.5"],
     "tau": ["tau", "--a", "1,2", "--grid", "5", "--half-width", "0.4"],

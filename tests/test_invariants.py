@@ -3,9 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lagkit import fd
 from lagkit.errors import InputError, UmbilicError
 from lagkit.families import sphere_chart
+from lagkit.fields import christoffels, frame_connection
+from lagkit.frames import frame_coefficients, lift_arrays
 from lagkit.invariants import (
+    DEFAULT_STEPS,
+    _b_tensor,
     analyze,
     classify,
     identity_suite,
@@ -102,13 +107,47 @@ def test_structure_equation_residual(hilf3_analysis):
     assert hilf3_analysis.structure_residual() <= 1e-3
 
 
-def test_connection_routes_agree(hilf3_analysis, generic_chart, generic_points):
-    # Gamma^k_ij from frame projections of E_j(E_i(Y)) vs the covariant
-    # derivative of the frame coefficient field: independent computations
-    for a in (hilf3_analysis, analyze(generic_chart, generic_points)):
-        proj = np.einsum("mijk->mjik", a.conn_proj)
-        scale = max(1.0, np.max(np.abs(a.conn)))
-        assert np.max(np.abs(proj - a.conn)) / scale <= 1e-5
+def frame_route_cov_b(chart, points):
+    """B_ij,k by differentiating the eigenvector frame and b, then
+    ``frame_connection``: the reference route, valid where the principal
+    curvatures are distinct."""
+    m, n = points.shape
+    lift = lift_arrays(chart, points)
+    w = frame_coefficients(lift)
+
+    def pack(U):
+        cloud = lift_arrays(chart, U)
+        k = len(cloud.u)
+        return np.concatenate(
+            [frame_coefficients(cloud).reshape(k, -1), cloud.b, cloud.g.reshape(k, -1)],
+            axis=1,
+        )
+
+    d = fd.grad_field(pack, points, DEFAULT_STEPS.first)
+    dw = d[..., : n * n].reshape(m, n, n, n)
+    db = d[..., n * n : n * n + n]
+    dg = d[..., n * n + n :].reshape(m, n, n, n)
+    conn = frame_connection(w, dw, christoffels(lift.g, dg), lift.g)
+    E_b = np.einsum("mka,mai->mki", w, db)
+    # B_ij,k = E_k(b_i) delta_ij - Gamma^j_ik b_j - Gamma^i_jk b_i
+    return (
+        np.einsum("mki,ij->mijk", E_b, np.eye(n))
+        - np.einsum("mkij,mj->mijk", conn, lift.b)
+        - np.einsum("mkji,mi->mijk", conn, lift.b)
+    )
+
+
+@pytest.mark.parametrize("case", ["hilf3", "generic"])
+def test_covariant_b_matches_frame_route(case, hilf3, grid3, generic_chart, generic_points):
+    chart, points = (hilf3, grid3) if case == "hilf3" else (generic_chart, generic_points)
+    a = analyze(chart, points)
+    n = chart.n
+    w = frame_coefficients(a.lift)
+    on_frame = np.einsum("mia,mab,mjb->mij", w, _b_tensor(a.lift), w)
+    assert np.max(np.abs(on_frame - np.einsum("mi,ij->mij", a.lift.b, np.eye(n)))) <= 1e-12
+    reference = frame_route_cov_b(chart, points)
+    scale = max(1.0, np.max(np.abs(reference)))
+    assert np.max(np.abs(a.cov_B - reference)) / scale <= 1e-6
 
 
 def test_flat_invariant_metric(hilf3, grid3):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagkit.errors import InputError
-from lagkit.families import HilfParams, degenerate_example, sphere_chart
+from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart
 from lagkit.verifier import (
     Tolerances,
     degenerate_model_report,
@@ -136,3 +136,19 @@ def test_degenerate_rho_square_constant_can_fail():
     by_name = {c.name: c for c in report.checks}
     assert by_name["rho_square_constant"].status == "fail"
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "a, multiplicities",
+    [((1.0, 2.0), (2, 1)), ((1.0, 2.0), (1, 2)), ((1.0, 2.0, 3.0), (1, 2, 1))],
+    ids=["2-1", "1-2", "1-2-1"],
+)
+def test_repeated_curvatures_pass(a, multiplicities):
+    # Inside a repeated eigenspace eigh picks the frame arbitrarily; the
+    # checks on B must not depend on that choice.
+    chart = hilf_chart(HilfParams(a=a, multiplicities=multiplicities))
+    report = run_suite(chart, mesh(chart.n, 0.3, 3))
+    assert report.passed, [(c.name, c.residual) for c in report.checks if c.status == "fail"]
+    by_name = {c.name: c for c in report.checks}
+    for name in ("covariant_b_contraction", "covariant_b_square", "parallel_b_iff_lambda_zero"):
+        assert by_name[name].status == "pass"
