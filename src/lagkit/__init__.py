@@ -42,7 +42,6 @@ from .invariants import (
     ClassificationResult,
     FieldSteps,
     classify,
-    identity_suite,
     metric_geometry,
 )
 from .spaces import (

@@ -12,7 +12,8 @@ Subcommands:
 All randomness flows from the single ``seed``; reports are JSON with
 sorted keys so identical configurations produce byte-identical files
 (timestamps are suppressed with ``--no-timestamp``).  Exit status: 0 if
-every executed check passed, 1 if some check failed, 2 on bad input.
+every executed check passed, 1 if some check failed or stdout closed
+early, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -419,10 +421,17 @@ def main(argv=None) -> int:
         "tau": _cmd_tau,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except LagkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # final flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -57,12 +57,10 @@ from .spaces import p_vector
 __all__ = [
     "FieldSteps",
     "ClassificationResult",
-    "CheckEntry",
     "Analysis",
     "analyze",
     "metric_geometry",
     "classify",
-    "identity_suite",
 ]
 
 
@@ -115,13 +113,15 @@ def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False
 
 
 def _n_vector(lift: LiftBatch, jets: dict):
-    """(N, Delta_g Y, Gamma^k_ab of g) at the grid."""
+    """(N, Delta_g Y, Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k) at the grid."""
     gamma = christoffels(lift.g, jets["g"][0])
-    delta_y = laplacian(lift.g, gamma, jets["Y"][0], jets["Y"][1])
+    dY, ddY = jets["Y"][:2]
+    hess_y = ddY - np.einsum("mkab,mkl->mabl", gamma, dY)
+    delta_y = np.einsum("mab,mabl->ml", np.linalg.inv(lift.g), hess_y)
     nsq = lift.space.dot(delta_y, delta_y)
     n = lift.u.shape[1]
     N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * lift.Y
-    return N, delta_y, gamma
+    return N, delta_y, gamma, hess_y
 
 
 def _metric(lift: LiftBatch, jets: dict) -> MetricField:
@@ -129,7 +129,8 @@ def _metric(lift: LiftBatch, jets: dict) -> MetricField:
     return MetricField(riemann_frame=frame_riemann(riem, frame_coefficients(lift)))
 
 
-def _n_partials(lift: LiftBatch, jets: dict, delta_y: np.ndarray, gamma: np.ndarray):
+def _n_partials(lift: LiftBatch, jets: dict, delta_y: np.ndarray, gamma: np.ndarray,
+                hess_y: np.ndarray):
     """d_c N (m, c, n+4), assembled from partials of Y up to order 3 and of g up to order 2.
 
         d_c Delta Y = d_c g^ab (Y_ab - G^k_ab Y_k)
@@ -149,13 +150,12 @@ def _n_partials(lift: LiftBatch, jets: dict, delta_y: np.ndarray, gamma: np.ndar
     dgamma = 0.5 * np.einsum("mkl,mclij->mckij", g_inv, dsym) - np.einsum(
         "mkp,mcpq,mqij->mckij", g_inv, dg, gamma
     )
-    hess_cov = ddY - np.einsum("mkab,mkl->mabl", gamma, dY)
     third_cov = (
         dddY
         - np.einsum("mckab,mkl->mabcl", dgamma, dY)
         - np.einsum("mkab,mkcl->mabcl", gamma, ddY)
     )
-    d_delta = np.einsum("mcab,mabl->mcl", dg_inv, hess_cov) + np.einsum(
+    d_delta = np.einsum("mcab,mabl->mcl", dg_inv, hess_y) + np.einsum(
         "mab,mabcl->mcl", g_inv, third_cov
     )
     nsq = lift.space.dot(delta_y, delta_y)
@@ -217,18 +217,17 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     signs = lift.space.signs
     w = frame_coefficients(lift)
 
-    dY, ddY, _ = jets["Y"]                   # (m, a, d), (m, a, b, d)
+    dY = jets["Y"][0]                        # (m, a, d)
     dIII = jets["III"][0]
     dlogrho, ddlogrho, _ = jets["logrho"]    # (m, a), (m, a, b)
     dr = jets["r"][0]
     dB = jets["B"][0]                        # (m, c, a, b)
 
-    N, delta_y, gamma_g = _n_vector(lift, jets)
-    dN = _n_partials(lift, jets, delta_y, gamma_g)
+    N, delta_y, gamma_g, hess_y = _n_vector(lift, jets)
+    dN = _n_partials(lift, jets, delta_y, gamma_g, hess_y)
 
     E_Y = np.einsum("mia,mal->mil", w, dY)
-    hess_Y = ddY - np.einsum("mkab,mkl->mabl", gamma_g, dY)
-    E2_Y = np.einsum("mia,mjb,mabl->mijl", w, w, hess_Y)
+    E2_Y = np.einsum("mia,mjb,mabl->mijl", w, w, hess_y)
     E_N = np.einsum("mia,mal->mil", w, dN)
 
     L_structural = np.einsum("mil,l,mjl->mij", E_N, signs, E_Y)
@@ -371,168 +370,3 @@ def classify(
 ) -> ClassificationResult:
     """Classify a chart as L-isotropic / L-isoparametric over a grid."""
     return classify_analysis(analyze(chart, grid, steps), tol)
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    """One residual of the identity suite."""
-
-    name: str
-    residual: Optional[float]
-    note: str = ""
-    skipped: bool = False
-
-
-def _b_groups(b_hat: np.ndarray, tol: float) -> list:
-    """Group indices of b_hat whose values coincide within tol."""
-    groups = []
-    for i, val in enumerate(b_hat):
-        for grp in groups:
-            if abs(b_hat[grp[0]] - val) <= tol:
-                grp.append(i)
-                break
-        else:
-            groups.append([i])
-    return groups
-
-
-def identity_suite(
-    chart: Chart,
-    grid: np.ndarray,
-    tol: float = 1e-5,
-    steps: FieldSteps = DEFAULT_STEPS,
-) -> tuple:
-    """Residuals of every identity the invariants must satisfy.
-
-    Returns (entries, classification, analysis).  Conditional checks are
-    reported as skipped (never silently passed) when their hypotheses do
-    not hold on this chart.
-    """
-    a = analyze(chart, grid, steps)
-    m, n = a.grid.shape
-    cls = classify_analysis(a, tol)
-    lam = cls.lambda_estimate
-    space = a.lift.space
-    entries = []
-
-    b = a.lift.b
-    entries.append(CheckEntry("b_trace_zero", float(np.max(np.abs(b.sum(axis=1))))))
-    entries.append(
-        CheckEntry("b_square_one", float(np.max(np.abs((b**2).sum(axis=1) - 1.0))))
-    )
-
-    nsq = space.dot(a.delta_y, a.delta_y)
-    trace_l = np.trace(a.L_structural, axis1=-2, axis2=-1)
-    entries.append(
-        CheckEntry(
-            "l_trace_laplacian",
-            float(np.max(np.abs(trace_l + nsq / (2.0 * n)))),
-        )
-    )
-
-    sum_cov = np.einsum("miji->mj", a.cov_B)
-    entries.append(
-        CheckEntry(
-            "covariant_b_contraction",
-            float(np.max(np.abs(sum_cov - (n - 1) * a.C_closed))),
-        )
-    )
-
-    if cls.is_isotropic:
-        total = np.sum(a.cov_B**2, axis=(1, 2, 3))
-        entries.append(
-            CheckEntry(
-                "covariant_b_square", float(np.max(np.abs(total - 2.0 * n * lam)))
-            )
-        )
-        # Last coordinate of Delta_g Y = 2 n lambda Y + n alpha, converted
-        # through the conformal rescaling g = rho^2 III.  The conversion
-        # carries the gradient term and the alpha component; with the
-        # gauge alpha^(n+4) = 0 and grad rho = 0 it collapses to the bare
-        # Delta_III log rho = 2 n lambda rho^2.
-        alpha_last = cls.alpha[-1]
-        rho = a.lift.rho
-        coord_res = (
-            a.laplace_iii_logrho
-            + (n - 1) * a.grad_iii_logrho_sq
-            - 2.0 * n * lam * rho**2
-            - n * rho * alpha_last
-        )
-        entries.append(
-            CheckEntry("log_rho_laplacian", float(np.max(np.abs(coord_res))))
-        )
-        # Trace of the closed form of L with L = lambda I (gauge-free).
-        trace_res = (
-            a.laplace_iii_logrho
-            + 0.5 * (n - 2) * a.grad_iii_logrho_sq
-            - 0.5 * n
-            - n * lam * rho**2
-        )
-        entries.append(
-            CheckEntry("log_rho_trace_identity", float(np.max(np.abs(trace_res))))
-        )
-        grad_b = float(np.max(np.abs(a.cov_B)))
-        consistent = (grad_b <= 10 * tol) == (abs(lam) <= tol)
-        entries.append(
-            CheckEntry(
-                "parallel_b_iff_lambda_zero",
-                0.0 if consistent else max(grad_b, abs(lam)),
-                note=f"max|B_ij,k|={grad_b:.3e}, lambda={lam:.3e}",
-            )
-        )
-        if lam > tol:
-            rho2 = a.lift.rho**2
-            margin = float(np.max(rho2 - 1.0 / (2.0 * lam)))
-            entries.append(
-                CheckEntry("rho_square_bound", max(margin, 0.0))
-            )
-        else:
-            entries.append(
-                CheckEntry(
-                    "rho_square_bound", None,
-                    note="vacuous (lambda ~ 0)", skipped=True,
-                )
-            )
-    else:
-        for name in (
-            "covariant_b_square",
-            "log_rho_laplacian",
-            "log_rho_trace_identity",
-            "parallel_b_iff_lambda_zero",
-            "rho_square_bound",
-        ):
-            entries.append(
-                CheckEntry(name, None, note="requires isotropic input", skipped=True)
-            )
-
-    if cls.is_isoparametric and n >= 3:
-        groups = _b_groups(cls.b_hat, tol)
-        if all(len(g) == 1 for g in groups) and len(groups) == n:
-            rf = a.metric.riemann_frame
-            worst = 0.0
-            for i in range(n):
-                total = np.zeros(m)
-                for j in range(n):
-                    if j == i:
-                        continue
-                    total += rf[:, i, j, i, j] / (b[:, i] - b[:, j])
-                worst = max(worst, float(np.max(np.abs(total))))
-            entries.append(CheckEntry("isoparametric_curvature_sum", worst))
-        else:
-            entries.append(
-                CheckEntry(
-                    "isoparametric_curvature_sum", None,
-                    note="requires distinct Laguerre principal curvatures",
-                    skipped=True,
-                )
-            )
-    else:
-        reason = (
-            "requires isoparametric input" if n >= 3 else "requires n >= 3"
-        )
-        entries.append(
-            CheckEntry(
-                "isoparametric_curvature_sum", None, note=reason, skipped=True
-            )
-        )
-    return entries, cls, a

@@ -1,17 +1,20 @@
 """Full property suite over a chart, with a structured pass/fail report.
 
 Every check is a worst-case residual over the grid compared against a
-named tolerance.  Conditional checks whose hypotheses fail on the given
-chart are reported as *skipped* with the hypothesis named, never as
-vacuous passes.  Grid points violating the curvature-regularity
-preconditions become per-point error entries and the suite continues on
-the remaining points.
+named tolerance.  The checks form one table, ``CHECKS``, that
+``run_suite`` walks in report order; each row names the check, its
+anchor in the theory, its ``Tolerances`` field, its hypotheses and its
+residual.  Conditional checks whose hypotheses fail on the given chart
+are reported as *skipped* with the hypothesis named, never as vacuous
+passes.  Grid points violating the curvature-regularity preconditions
+become per-point error entries and the suite continues on the remaining
+points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,15 +28,19 @@ from .charts import (
 )
 from .errors import InputError
 from .families import DegenerateChart
+from .frames import LiftBatch, lift_arrays
 from .invariants import (
     Analysis,
     DEFAULT_STEPS,
     FieldSteps,
-    identity_suite,
+    analyze,
+    classify_analysis,
 )
 
 __all__ = [
     "Tolerances",
+    "Check",
+    "CHECKS",
     "CheckRecord",
     "PropertyReport",
     "run_suite",
@@ -179,20 +186,9 @@ def _cluster_breaks(k: np.ndarray, rel_tol: float = 1e-4) -> np.ndarray:
     return ~(-np.diff(k, axis=-1) <= rel_tol * scale)
 
 
-def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
-    """Distance of the computed Laguerre principal curvatures from the
-    two-curvature constants sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))).
-
-    Requires exactly two distinct principal-curvature clusters with the
-    same multiplicities at every grid point.  The distance is minimised
-    over the two orientation assignments (a normal flip negates every
-    b_i and swaps the cluster roles).
-    """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    from .frames import lift_arrays
-
-    lift = lift_arrays(chart, grid)
-    n = chart.n
+def _two_curvature(lift: LiftBatch) -> dict:
+    """``two_curvature_check`` on a lift already evaluated at the grid."""
+    n = lift.b.shape[1]
     breaks = _cluster_breaks(lift.k)
     clusters = int(np.sum(breaks[0])) + 1
     if clusters != 2:
@@ -223,13 +219,237 @@ def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
     }
 
 
+def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
+    """Distance of the computed Laguerre principal curvatures from the
+    two-curvature constants sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))).
+
+    Requires exactly two distinct principal-curvature clusters with the
+    same multiplicities at every grid point.  The distance is minimised
+    over the two orientation assignments (a normal flip negates every
+    b_i and swaps the cluster roles).
+    """
+    return _two_curvature(lift_arrays(chart, np.atleast_2d(np.asarray(grid, dtype=float))))
+
+
+def _l_variant(a: Analysis, tol: Tolerances) -> dict:
+    """Arbitration between the two closed forms of the tensor."""
+    L = a.L_structural
+    scale = max(1.0, float(np.max(np.abs(L))))
+    dev_a = float(np.max(np.abs(a.L_closed_a - L))) / scale
+    dev_b = float(np.max(np.abs(a.L_closed_b - L))) / scale
+    match_a = dev_a <= tol.l_variant
+    match_b = dev_b <= tol.l_variant
+    matched = "closed_a" if match_a and not match_b else (
+        "closed_b" if match_b and not match_a else ("both" if match_a else "none")
+    )
+    return {
+        "matched": matched,
+        "deviation_a": dev_a,
+        "deviation_b": dev_b,
+        "tolerance": tol.l_variant,
+    }
+
+
+def _log_rho_laplacian(a, cls, tol):
+    # Last coordinate of Delta_g Y = 2 n lambda Y + n alpha, converted
+    # through the conformal rescaling g = rho^2 III.  The conversion
+    # carries the gradient term and the alpha component; with the
+    # gauge alpha^(n+4) = 0 and grad rho = 0 it collapses to the bare
+    # Delta_III log rho = 2 n lambda rho^2.
+    n = a.grid.shape[1]
+    rho = a.lift.rho
+    coord_res = (
+        a.laplace_iii_logrho
+        + (n - 1) * a.grad_iii_logrho_sq
+        - 2.0 * n * cls.lambda_estimate * rho**2
+        - n * rho * cls.alpha[-1]
+    )
+    return float(np.max(np.abs(coord_res)))
+
+
+def _log_rho_trace_identity(a, cls, tol):
+    # Trace of the closed form of L with L = lambda I (gauge-free).
+    n = a.grid.shape[1]
+    trace_res = (
+        a.laplace_iii_logrho
+        + 0.5 * (n - 2) * a.grad_iii_logrho_sq
+        - 0.5 * n
+        - n * cls.lambda_estimate * a.lift.rho**2
+    )
+    return float(np.max(np.abs(trace_res)))
+
+
+def _parallel_b_iff_lambda_zero(a, cls, tol):
+    lam = cls.lambda_estimate
+    grad_b = float(np.max(np.abs(a.cov_B)))
+    consistent = (grad_b <= 10 * tol.classification) == (abs(lam) <= tol.classification)
+    residual = 0.0 if consistent else max(grad_b, abs(lam))
+    return residual, f"max|B_ij,k|={grad_b:.3e}, lambda={lam:.3e}"
+
+
+def _isoparametric_curvature_sum(a, cls, tol):
+    """max_i |sum_j R_ijij / (b_i - b_j)| over the j in other curvature clusters.
+
+    Cartan's identity sums over the other distinct curvature values, each
+    as often as it repeats, so pairs inside a cluster drop out.
+    """
+    b = a.lift.b
+    cluster = np.cumsum(np.pad(_cluster_breaks(a.lift.k), ((0, 0), (1, 0))), axis=1)
+    sectional = np.einsum("mijij->mij", a.metric.riemann_frame)
+    terms = np.divide(
+        sectional, b[:, :, None] - b[:, None, :], out=np.zeros_like(sectional),
+        where=cluster[:, :, None] != cluster[:, None, :],
+    )
+    total = np.zeros_like(b)
+    for j in range(b.shape[1]):  # in j order, not numpy's pairwise summation order
+        total += terms[:, :, j]
+    return float(np.max(np.abs(total)))
+
+
+def _curvature_relation(a, cls, tol):
+    L = a.L_structural
+    eye = np.eye(a.grid.shape[1])
+    rhs = (
+        np.einsum("mjk,il->mijkl", L, eye)
+        + np.einsum("mil,jk->mijkl", L, eye)
+        - np.einsum("mik,jl->mijkl", L, eye)
+        - np.einsum("mjl,ik->mijkl", L, eye)
+    )
+    return np.max(np.abs(a.metric.riemann_frame - rhs))
+
+
+def _isotropic_curvature_form(a, cls, tol):
+    eye = np.eye(a.grid.shape[1])
+    iso_form = 2.0 * cls.lambda_estimate * (
+        np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    )
+    return np.max(np.abs(a.metric.riemann_frame - iso_form[None]))
+
+
+def _l_variant_unique(a, cls, tol):
+    record = _l_variant(a, tol)
+    dev_a, dev_b = record["deviation_a"], record["deviation_b"]
+    if record["matched"] in ("closed_a", "closed_b"):
+        residual = min(dev_a, dev_b)
+    else:
+        residual = max(dev_a, dev_b, tol.l_variant * 2)
+    return residual, f"matched variant: {record['matched']}"
+
+
+def _two_curvature_constants(a, cls, tol):
+    two = _two_curvature(a.lift)
+    return max(two["residual"], two["constancy"]), f"multiplicity m={two['multiplicity']}"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the suite: a residual over the grid against a named tolerance.
+
+    ``tolerance`` names a field of ``Tolerances``.  ``residual(analysis,
+    classification, tolerances)`` returns the worst residual, or a
+    ``(residual, note)`` pair; an ``InputError`` it raises skips the check
+    with its message.  ``requires`` holds ``(note, predicate)`` pairs
+    taking the same arguments: the first predicate that fails skips the
+    check with its note.
+    """
+
+    name: str
+    anchor: str
+    tolerance: str
+    residual: Callable
+    requires: tuple = ()
+
+
+_ISOTROPIC = ("requires isotropic input", lambda a, cls, tol: cls.is_isotropic)
+_ISOPARAMETRIC = ("requires isoparametric input", lambda a, cls, tol: cls.is_isoparametric)
+_FRAME = "lightlike lift pairings and tangent-frame orthonormality"
+
+CHECKS = (
+    Check("position_lightlike", _FRAME, "frame_relations",
+          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.Y, a.lift.Y)))),
+    Check("n_vector_lightlike", _FRAME, "frame_relations",
+          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.N, a.N)))),
+    Check("position_n_pairing", _FRAME, "frame_relations",
+          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.Y, a.N) + 1.0))),
+    Check("normal_map_lightlike", _FRAME, "frame_relations",
+          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.eta, a.lift.eta)))),
+    Check("normal_map_p_pairing", _FRAME, "frame_relations",
+          lambda a, cls, tol: np.max(np.abs(a.lift.eta[:, 0] + a.lift.eta[:, 1] - 1.0))),
+    Check("position_normal_orthogonal", _FRAME, "frame_relations",
+          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.Y, a.lift.eta)))),
+    Check("tangent_orthonormality", _FRAME, "frame_relations",
+          lambda a, cls, tol: np.max(np.abs(
+              np.einsum("mil,l,mjl->mij", a.E_Y, a.lift.space.signs, a.E_Y)
+              - np.eye(a.grid.shape[1])))),
+    Check("b_trace_zero", "trace-free second fundamental form", "b_identities",
+          lambda a, cls, tol: float(np.max(np.abs(a.lift.b.sum(axis=1))))),
+    Check("b_square_one", "unit square-norm of the second fundamental form", "b_identities",
+          lambda a, cls, tol: float(np.max(np.abs((a.lift.b**2).sum(axis=1) - 1.0)))),
+    Check("l_trace_laplacian", "trace of the tensor vs the squared Laplacian of the lift",
+          "trace_identity",
+          lambda a, cls, tol: float(np.max(np.abs(
+              np.trace(a.L_structural, axis1=-2, axis2=-1)
+              + a.lift.space.dot(a.delta_y, a.delta_y) / (2.0 * a.grid.shape[1]))))),
+    Check("covariant_b_contraction", "contracted covariant derivative of B equals (n-1) C",
+          "covariant_identity",
+          lambda a, cls, tol: float(np.max(np.abs(
+              np.einsum("miji->mj", a.cov_B) - (a.grid.shape[1] - 1) * a.C_closed)))),
+    Check("covariant_b_square", "squared covariant derivative of B equals 2 n lambda",
+          "covariant_b_square",
+          lambda a, cls, tol: float(np.max(np.abs(
+              np.sum(a.cov_B**2, axis=(1, 2, 3))
+              - 2.0 * a.grid.shape[1] * cls.lambda_estimate))),
+          (_ISOTROPIC,)),
+    Check("log_rho_laplacian", "conformal-coordinate identity for the Laplacian of log rho",
+          "log_rho_identity", _log_rho_laplacian, (_ISOTROPIC,)),
+    Check("log_rho_trace_identity", "trace identity for the Laplacian of log rho",
+          "log_rho_identity", _log_rho_trace_identity, (_ISOTROPIC,)),
+    Check("parallel_b_iff_lambda_zero",
+          "parallel second fundamental form iff vanishing eigenvalue",
+          "classification", _parallel_b_iff_lambda_zero, (_ISOTROPIC,)),
+    Check("rho_square_bound", "upper bound rho^2 < 1/(2 lambda) for positive eigenvalue",
+          "classification",
+          lambda a, cls, tol: max(
+              float(np.max(a.lift.rho**2 - 1.0 / (2.0 * cls.lambda_estimate))), 0.0),
+          (_ISOTROPIC, ("vacuous (lambda ~ 0)",
+                        lambda a, cls, tol: cls.lambda_estimate > tol.classification))),
+    Check("isoparametric_curvature_sum",
+          "weighted sectional-curvature sums vanish on isoparametric inputs",
+          "covariant_identity", _isoparametric_curvature_sum,
+          (("requires n >= 3", lambda a, cls, tol: a.grid.shape[1] >= 3), _ISOPARAMETRIC)),
+    Check("b_cross_agreement", "closed-form vs structure-equation second fundamental form",
+          "b_cross_agreement",
+          lambda a, cls, tol: np.max(np.abs(
+              a.B_structural - np.einsum("mi,ij->mij", a.lift.b, np.eye(a.grid.shape[1]))))),
+    Check("structure_equation", "second-derivative frame decomposition",
+          "structure_equation", lambda a, cls, tol: a.structure_residual()),
+    Check("curvature_antisymmetry", "index antisymmetries of the curvature tensor",
+          "curvature_antisymmetry", lambda a, cls, tol: a.metric.antisymmetry_residual()),
+    Check("curvature_relation", "curvature tensor expressed through the Laguerre tensor",
+          "curvature_relation", _curvature_relation),
+    Check("isotropic_curvature_form", "constant-curvature form of the invariant metric",
+          "isotropic_curvature_form", _isotropic_curvature_form, (_ISOTROPIC,)),
+    Check("eigenvalue_sign", "nonnegativity of the tensor eigenvalue on isotropic inputs",
+          "prop_two_sign", lambda a, cls, tol: max(0.0, -cls.lambda_estimate), (_ISOTROPIC,)),
+    Check("isotropic_isoparametric_lambda_zero",
+          "isotropic + isoparametric forces a vanishing eigenvalue",
+          "classification", lambda a, cls, tol: abs(cls.lambda_estimate),
+          (_ISOTROPIC, _ISOPARAMETRIC)),
+    Check("l_variant_unique", "exactly one closed form of the tensor matches the structural one",
+          "l_variant", _l_variant_unique),
+    Check("two_curvature_constants",
+          "constant Laguerre principal curvatures for two-curvature inputs",
+          "two_curvature", _two_curvature_constants),
+)
+
+
 def run_suite(
     chart: Chart,
     grid: np.ndarray,
     tol: Tolerances = Tolerances(),
     steps: FieldSteps = DEFAULT_STEPS,
 ) -> PropertyReport:
-    """Run every applicable check of the invariant theory on one chart."""
+    """Run every check of ``CHECKS`` on one chart, skipping those whose hypotheses fail."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     report = PropertyReport(
         chart={"name": chart.name or "custom", "params": chart.params, "n": chart.n},
@@ -246,183 +466,25 @@ def run_suite(
         )
         return report
 
-    entries, cls, a = identity_suite(chart, valid, tol.classification, steps)
-    mf = a.metric
-    lift = a.lift
-    space = lift.space
+    a = analyze(chart, valid, steps)
+    cls = classify_analysis(a, tol.classification)
     report.classification = cls.to_dict()
     report.analysis = a
+    for check in CHECKS:
+        skip = next((note for note, holds in check.requires if not holds(a, cls, tol)), None)
+        if skip is None:
+            try:
+                value = check.residual(a, cls, tol)
+            except InputError as exc:
+                skip = str(exc)
+        if skip is not None:
+            report.skip(check.name, check.anchor, skip)
+            continue
+        residual, note = value if isinstance(value, tuple) else (value, "")
+        report.add(check.name, check.anchor, residual, getattr(tol, check.tolerance), note)
 
-    # Frame pairing relations of the lift.
-    anchor_frame = "lightlike lift pairings and tangent-frame orthonormality"
-    gram = np.einsum("mil,l,mjl->mij", a.E_Y, space.signs, a.E_Y)
-    n = chart.n
-    frame_residuals = {
-        "position_lightlike": np.max(np.abs(space.dot(lift.Y, lift.Y))),
-        "n_vector_lightlike": np.max(np.abs(space.dot(a.N, a.N))),
-        "position_n_pairing": np.max(np.abs(space.dot(lift.Y, a.N) + 1.0)),
-        "normal_map_lightlike": np.max(np.abs(space.dot(lift.eta, lift.eta))),
-        "normal_map_p_pairing": np.max(np.abs(lift.eta[:, 0] + lift.eta[:, 1] - 1.0)),
-        "position_normal_orthogonal": np.max(np.abs(space.dot(lift.Y, lift.eta))),
-        "tangent_orthonormality": np.max(np.abs(gram - np.eye(n))),
-    }
-    for name, res in frame_residuals.items():
-        report.add(name, anchor_frame, res, tol.frame_relations)
-
-    # Identity suite entries.
-    anchor_map = {
-        "b_trace_zero": ("trace-free second fundamental form", tol.b_identities),
-        "b_square_one": ("unit square-norm of the second fundamental form", tol.b_identities),
-        "l_trace_laplacian": (
-            "trace of the tensor vs the squared Laplacian of the lift",
-            tol.trace_identity,
-        ),
-        "covariant_b_contraction": (
-            "contracted covariant derivative of B equals (n-1) C",
-            tol.covariant_identity,
-        ),
-        "covariant_b_square": (
-            "squared covariant derivative of B equals 2 n lambda",
-            tol.covariant_b_square,
-        ),
-        "log_rho_laplacian": (
-            "conformal-coordinate identity for the Laplacian of log rho",
-            tol.log_rho_identity,
-        ),
-        "log_rho_trace_identity": (
-            "trace identity for the Laplacian of log rho",
-            tol.log_rho_identity,
-        ),
-        "parallel_b_iff_lambda_zero": (
-            "parallel second fundamental form iff vanishing eigenvalue",
-            tol.classification,
-        ),
-        "rho_square_bound": (
-            "upper bound rho^2 < 1/(2 lambda) for positive eigenvalue",
-            tol.classification,
-        ),
-        "isoparametric_curvature_sum": (
-            "weighted sectional-curvature sums vanish on isoparametric inputs",
-            tol.covariant_identity,
-        ),
-    }
-    for entry in entries:
-        anchor, tolerance = anchor_map[entry.name]
-        if entry.skipped:
-            report.skip(entry.name, anchor, entry.note)
-        else:
-            report.add(entry.name, anchor, entry.residual, tolerance, entry.note)
-
-    # Cross-oracle agreement and the structure equations.
-    b_diag = np.einsum("mi,ij->mij", lift.b, np.eye(n))
-    report.add(
-        "b_cross_agreement",
-        "closed-form vs structure-equation second fundamental form",
-        np.max(np.abs(a.B_structural - b_diag)),
-        tol.b_cross_agreement,
-    )
-    report.add(
-        "structure_equation",
-        "second-derivative frame decomposition",
-        a.structure_residual(),
-        tol.structure_equation,
-    )
-
-    # Curvature tensor of the invariant metric.
-    report.add(
-        "curvature_antisymmetry",
-        "index antisymmetries of the curvature tensor",
-        mf.antisymmetry_residual(),
-        tol.curvature_antisymmetry,
-    )
-    L = a.L_structural
-    eye = np.eye(n)
-    rhs = (
-        np.einsum("mjk,il->mijkl", L, eye)
-        + np.einsum("mil,jk->mijkl", L, eye)
-        - np.einsum("mik,jl->mijkl", L, eye)
-        - np.einsum("mjl,ik->mijkl", L, eye)
-    )
-    report.add(
-        "curvature_relation",
-        "curvature tensor expressed through the Laguerre tensor",
-        np.max(np.abs(mf.riemann_frame - rhs)),
-        tol.curvature_relation,
-    )
-    if cls.is_isotropic:
-        lam = cls.lambda_estimate
-        iso_form = 2.0 * lam * (
-            np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
-        )
-        report.add(
-            "isotropic_curvature_form",
-            "constant-curvature form of the invariant metric",
-            np.max(np.abs(mf.riemann_frame - iso_form[None])),
-            tol.isotropic_curvature_form,
-        )
-        report.add(
-            "eigenvalue_sign",
-            "nonnegativity of the tensor eigenvalue on isotropic inputs",
-            max(0.0, -lam),
-            tol.prop_two_sign,
-        )
-        if cls.is_isoparametric:
-            report.add(
-                "isotropic_isoparametric_lambda_zero",
-                "isotropic + isoparametric forces a vanishing eigenvalue",
-                abs(lam),
-                tol.classification,
-            )
-    else:
-        for name, anchor in (
-            ("isotropic_curvature_form", "constant-curvature form of the invariant metric"),
-            ("eigenvalue_sign", "nonnegativity of the tensor eigenvalue on isotropic inputs"),
-            ("isotropic_isoparametric_lambda_zero",
-             "isotropic + isoparametric forces a vanishing eigenvalue"),
-        ):
-            report.skip(name, anchor, "requires isotropic input")
-
-    # Arbitration between the two closed forms of the tensor.
-    scale = max(1.0, float(np.max(np.abs(L))))
-    dev_a = float(np.max(np.abs(a.L_closed_a - L))) / scale
-    dev_b = float(np.max(np.abs(a.L_closed_b - L))) / scale
-    match_a = dev_a <= tol.l_variant
-    match_b = dev_b <= tol.l_variant
-    matched = "closed_a" if match_a and not match_b else (
-        "closed_b" if match_b and not match_a else ("both" if match_a else "none")
-    )
-    report.l_variant = {
-        "matched": matched,
-        "deviation_a": dev_a,
-        "deviation_b": dev_b,
-        "tolerance": tol.l_variant,
-    }
-    report.add(
-        "l_variant_unique",
-        "exactly one closed form of the tensor matches the structural one",
-        min(dev_a, dev_b) if (match_a != match_b) else max(dev_a, dev_b, tol.l_variant * 2),
-        tol.l_variant,
-        note=f"matched variant: {matched}",
-    )
-
-    # Two-curvature constants, when applicable.
-    try:
-        two = two_curvature_check(chart, valid)
-        report.add(
-            "two_curvature_constants",
-            "constant Laguerre principal curvatures for two-curvature inputs",
-            max(two["residual"], two["constancy"]),
-            tol.two_curvature,
-            note=f"multiplicity m={two['multiplicity']}",
-        )
-    except InputError as exc:
-        report.skip(
-            "two_curvature_constants",
-            "constant Laguerre principal curvatures for two-curvature inputs",
-            str(exc),
-        )
-
-    if matched == "closed_b":
+    report.l_variant = _l_variant(a, tol)
+    if report.l_variant["matched"] == "closed_b":
         report.warnings.append(
             "structural tensor matched the variant without the constant "
             "offset; see arbitration record"

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import lagkit
 from lagkit.cli import main
 
 
@@ -183,3 +189,26 @@ def test_degenerate_surface_verify(tmp_path):
         "--no-timestamp", "--out", str(tmp_path / "deg.json"),
     ])
     assert code == 0
+
+
+def test_closed_stdout_exits_quietly():
+    # A one-page pipe holds less than the report, so the CLI is still
+    # writing when the reader closes it after the first line.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    src = str(Path(lagkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lagkit.cli", "verify", "--surface", "hilf", "--a", "1,2",
+         "--grid", "5", "--half-width", "0.3", "--no-timestamp"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb", buffering=0) as out:
+        assert out.readline() == b"{\n"
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1

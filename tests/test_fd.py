@@ -75,15 +75,15 @@ def test_cloud_orders_one_two_bitwise_equal_grad_hess(request, chart_name, point
 def test_n_derivative_vanishes_on_family(hilf3, grid3):
     # lambda = 0 and alpha constant make N constant on the explicit family
     lift, jets = _jets(hilf3, grid3, DEFAULT_STEPS, third=True)
-    _, delta_y, gamma = _n_vector(lift, jets)
-    assert np.max(np.abs(_n_partials(lift, jets, delta_y, gamma))) <= 1e-5
+    _, delta_y, gamma, hess_y = _n_vector(lift, jets)
+    assert np.max(np.abs(_n_partials(lift, jets, delta_y, gamma, hess_y))) <= 1e-5
 
 
 def test_n_derivative_matches_nested_difference(torus21, torus_points):
     steps = DEFAULT_STEPS
     lift, jets = _jets(torus21, torus_points, steps, third=True)
-    _, delta_y, gamma = _n_vector(lift, jets)
-    dN = _n_partials(lift, jets, delta_y, gamma)
+    _, delta_y, gamma, hess_y = _n_vector(lift, jets)
+    dN = _n_partials(lift, jets, delta_y, gamma, hess_y)
 
     def n_field(V):
         return _n_vector(*_jets(torus21, V, steps))[0]

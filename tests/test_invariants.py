@@ -13,9 +13,9 @@ from lagkit.invariants import (
     _b_tensor,
     analyze,
     classify,
-    identity_suite,
     metric_geometry,
 )
+from lagkit.verifier import run_suite
 from tests.conftest import mesh
 
 
@@ -207,8 +207,8 @@ def test_classify_sphere_umbilic():
 
 
 def test_identity_suite_explicit_family(hilf3, grid3):
-    entries, cls, _ = identity_suite(hilf3, grid3)
-    by_name = {e.name: e for e in entries}
+    report = run_suite(hilf3, grid3)
+    by_name = {c.name: c for c in report.checks}
     assert by_name["b_trace_zero"].residual <= 1e-9
     assert by_name["b_square_one"].residual <= 1e-9
     assert by_name["l_trace_laplacian"].residual <= 1e-4
@@ -216,16 +216,16 @@ def test_identity_suite_explicit_family(hilf3, grid3):
     assert by_name["log_rho_laplacian"].residual <= 1e-5
     assert by_name["log_rho_trace_identity"].residual <= 1e-5
     assert by_name["isoparametric_curvature_sum"].residual <= 1e-4
-    assert by_name["rho_square_bound"].skipped
+    assert by_name["rho_square_bound"].status == "skip"
     assert "vacuous" in by_name["rho_square_bound"].note
-    assert cls.lambda_estimate >= -1e-6
+    assert report.classification["lambda_estimate"] >= -1e-6
 
 
 def test_identity_suite_skips_on_torus(torus21, torus_points):
-    entries, cls, _ = identity_suite(torus21, torus_points)
-    by_name = {e.name: e for e in entries}
-    assert by_name["covariant_b_square"].skipped
-    assert by_name["isoparametric_curvature_sum"].skipped
+    report = run_suite(torus21, torus_points)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["covariant_b_square"].status == "skip"
+    assert by_name["isoparametric_curvature_sum"].status == "skip"
     assert "n >= 3" in by_name["isoparametric_curvature_sum"].note
 
 

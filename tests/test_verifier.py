@@ -100,9 +100,9 @@ def test_skipped_checks_are_not_failures(torus21, torus_points):
 
 
 def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
-    # One stencil cloud per grid point feeds the invariants and the metric
-    # curvature: 1 + 12 + 60 + 130 chart points at n=3, plus one each for
-    # the regularity pass and the two-curvature lift.
+    # One stencil cloud per grid point feeds the invariants, the metric
+    # curvature and the two-curvature check: 1 + 12 + 60 + 130 chart points
+    # at n=3, plus one for the regularity pass.
     import lagkit.charts
     import lagkit.frames
     import lagkit.verifier
@@ -121,7 +121,7 @@ def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
     assert report.passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["isoparametric_curvature_sum"].status == "pass"
-    assert sum(points) <= 205 * len(grid)
+    assert sum(points) <= 204 * len(grid)
 
 
 def test_degenerate_rho_square_constant_can_fail():
@@ -150,5 +150,23 @@ def test_repeated_curvatures_pass(a, multiplicities):
     report = run_suite(chart, mesh(chart.n, 0.3, 3))
     assert report.passed, [(c.name, c.residual) for c in report.checks if c.status == "fail"]
     by_name = {c.name: c for c in report.checks}
-    for name in ("covariant_b_contraction", "covariant_b_square", "parallel_b_iff_lambda_zero"):
+    for name in ("covariant_b_contraction", "covariant_b_square", "parallel_b_iff_lambda_zero",
+                 "isoparametric_curvature_sum"):
         assert by_name[name].status == "pass"
+
+
+def test_isotropic_non_isoparametric_skips_name_the_hypothesis(hilf3, grid3, monkeypatch):
+    import lagkit.verifier
+
+    classify_analysis = lagkit.verifier.classify_analysis
+
+    def not_isoparametric(a, tol):
+        return dataclasses.replace(classify_analysis(a, tol), is_isoparametric=False)
+
+    monkeypatch.setattr(lagkit.verifier, "classify_analysis", not_isoparametric)
+    report = run_suite(hilf3, grid3)
+    assert report.classification["is_isotropic"]
+    by_name = {c.name: c for c in report.checks}
+    for name in ("isotropic_isoparametric_lambda_zero", "isoparametric_curvature_sum"):
+        assert by_name[name].status == "skip"
+        assert by_name[name].note == "requires isoparametric input"
