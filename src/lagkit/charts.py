@@ -11,11 +11,15 @@ signs are reported relative to the resulting orientation.
 The pointwise linear algebra rests on one factor per point: the first
 form I = dx dx^T is factored as I = L L^T in plain numpy over the whole
 batch (the loops run over the n columns only) and L^-1 is formed by
-forward substitution.  III = B^T B with B = L^-1 II, and the principal
-decomposition is the eigendecomposition of A = L^-1 II L^-T with
-directions L^-T Q, so ``eigh`` is the only LAPACK call made per matrix
-(``cross_normal`` adds ``det`` calls on charts without a normal field).
-Each kernel factors its own I and drops the factor on return.
+forward substitution.  III = B^T B with B = L^-1 II.  The curvature
+radii r_i enter the lift only through their mean r and their spread
+rho, which ``radius_traces`` takes from traces of S = L3^-1 II L3^-T
+(III = L3 L3^T) with no LAPACK call; the same factors certify most
+points regular.  The principal decomposition, the eigendecomposition of
+A = L^-1 II L^-T with directions L^-T Q, runs ``eigh`` only where a
+frame or single curvature is read (``cross_normal`` adds ``det`` calls
+on charts without a normal field).  Each kernel factors its own I and
+drops the factor on return.
 The same factor screens the conditioning: since lambda_min / lambda_max
 >= det(I) / tr(I)^n and det(I) = prod L_jj^2, a point with
 prod L_jj^2 / tr(I)^n > ``SCREEN`` (1e-8) has sigma_min / sigma_max > 1e-4
@@ -41,6 +45,7 @@ __all__ = [
     "Chart",
     "jet_arrays",
     "forms_arrays",
+    "radius_traces",
     "principal_arrays",
     "irregular_masks",
     "curvature_line_check",
@@ -53,6 +58,10 @@ SCHEMES = {"central-2nd-order": 2, "central-4th-order": 4}
 # points (all curvatures equal) and vanishing principal curvatures.
 UMBILIC_TOL = 1e-7
 CURVATURE_FLOOR = 1e-7
+
+# Factor by which the trace bounds of ``radius_traces`` must beat both
+# thresholds before a point skips the principal decomposition.
+REGULAR_MARGIN = 10.0
 
 # Lower bound on det(I) / tr(I)^n above which the Cholesky factor of I
 # serves a point; the points below it keep the LAPACK call and its test.
@@ -106,6 +115,16 @@ class Chart:
     def orientation(self) -> str:
         base = "analytic-normal" if self.normal is not None else "cross-product"
         return base + (" (flipped)" if self.flip_normal else "")
+
+
+def points_first(M: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``M`` with its last axis, the points, moved first.
+
+    Exact jets build their partials with the points on the last axis, so
+    each broadcast runs its inner loop over the batch, and return them
+    through this.
+    """
+    return np.ascontiguousarray(np.moveaxis(M, -1, 0))
 
 
 def cross_normal(dx: np.ndarray) -> np.ndarray:
@@ -245,6 +264,46 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     return I, II, III
 
 
+def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
+    """(r, rho, cleared): mean radius, rho and the regularity screen, from traces.
+
+    The radii r_i are the eigenvalues of R = III^-1 II and so of the
+    symmetric S = L3^-1 II L3^-T with III = L3 L3^T.  Then r = tr S / n
+    and rho = |S - r Id|_F; centring before squaring keeps the relative
+    error of rho near eps |r| / rho.  As III has the k_i^2 as eigenvalues,
+    both also err by about eps kappa^2 with kappa = max |k_i| / min |k_i|
+    (``eigh`` errs by eps kappa).  With Rbar = sqrt(n r^2 + rho^2) >=
+    max |r_i| and |prod r_i| = sqrt(det I / det III),
+
+        min |k_i| / max |k_i| >= |prod r_i| / Rbar^n,
+        (k_0 - k_(n-1)) / max |k_i| >= (rho / sqrt n) |prod r_i| / Rbar^(n+1),
+
+    and ``cleared`` marks the points where both bounds beat
+    ``CURVATURE_FLOOR`` and ``UMBILIC_TOL`` by ``REGULAR_MARGIN``: no
+    such point is flagged by ``irregular_masks``.  A point with a NaN or
+    non-positive pivot of III is never cleared and has NaN r and rho.
+    """
+    n = I.shape[-1]
+    L3 = _cholesky(III)
+    W3 = _lower_inverse(L3)
+    S = W3 @ II @ _transpose(W3)
+    r = np.trace(S, axis1=-2, axis2=-1) / n
+    D = S - r[:, None, None] * np.eye(n)
+    rho = np.sqrt(np.sum(D * D, axis=(-2, -1)))
+    rbar = np.sqrt(n * r * r + rho * rho)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # |prod r_i| / Rbar^n, one column at a time so nothing overflows
+        ratio = np.prod(
+            np.diagonal(_cholesky(I), axis1=-2, axis2=-1)
+            / (np.diagonal(L3, axis1=-2, axis2=-1) * rbar[:, None]),
+            axis=-1,
+        )
+        cleared = (ratio > REGULAR_MARGIN * CURVATURE_FLOOR) & (
+            rho / (np.sqrt(n) * rbar) * ratio > REGULAR_MARGIN * UMBILIC_TOL
+        )
+    return r, rho, cleared
+
+
 def _fix_direction_signs(dirs: np.ndarray) -> np.ndarray:
     """Scale each direction so its first nonzero component is positive."""
     mags = np.abs(dirs)
@@ -290,14 +349,6 @@ def irregular_masks(k: np.ndarray):
     umbilic = (k[..., 0] - k[..., -1]) < UMBILIC_TOL * kmax
     vanishing = np.min(np.abs(k), axis=-1) <= CURVATURE_FLOOR * kmax
     return umbilic, vanishing
-
-
-def frame_scalars(k: np.ndarray):
-    """Radii, mean radius and rho from curvatures (batched on last axis)."""
-    r_i = 1.0 / k
-    r = np.mean(r_i, axis=-1)
-    rho = np.sqrt(np.sum((r[..., None] - r_i) ** 2, axis=-1))
-    return r_i, r, rho
 
 
 def curvature_line_check(chart: Chart, grid: np.ndarray, tol: float = 1e-8) -> bool:

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import fd
-from .charts import Chart
+from .charts import Chart, points_first
 from .errors import ParameterError
 from .spaces import laguerre_space
 
@@ -331,37 +331,39 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
         Vbar, rho, r = _scalars(Vbar)
         m = Vbar.shape[0]
         q = r / rho
-        dr = bbar * Vbar                     # d r / d vbar_i
-        drho = bbar**2 * Vbar
-        dq = dr / rho[:, None] - (r / rho**2)[:, None] * drho
+        # Points on the last axis, as in ``hilf_chart``'s jet.
+        V = np.ascontiguousarray(Vbar.T)
+        bb = bbar[:, None]
+        dr = bb * V                          # d r / d vbar_i
+        drho = bb**2 * V
+        dq = dr / rho - (r / rho**2) * drho
         eye = np.eye(n)
-        ddr = bbar * eye                     # constant diagonal second partials
-        ddrho = bbar**2 * eye
+        ddr = (bbar * eye)[..., None]        # constant diagonal second partials
+        ddrho = (bbar**2 * eye)[..., None]
         ddq = (
-            ddr[None] / rho[:, None, None]
-            - np.einsum("mi,mj->mij", dr, drho) / (rho**2)[:, None, None]
-            - np.einsum("mj,mi->mij", dr, drho) / (rho**2)[:, None, None]
-            - (r / rho**2)[:, None, None] * ddrho[None]
-            + 2.0 * (r / rho**3)[:, None, None] * np.einsum("mi,mj->mij", drho, drho)
+            ddr / rho
+            - dr[:, None] * drho[None, :] / rho**2
+            - dr[None, :] * drho[:, None] / rho**2
+            - (r / rho**2) * ddrho
+            + 2.0 * (r / rho**3) * (drho[:, None] * drho[None, :])
         )
         x = x_eval(Vbar)
         # w_k = vbar_k (1 - q bbar_k) + d_k, so
-        # dw[m, i, k] = delta_ik (1 - q bbar_k) - dq_i bbar_k vbar_k
-        dw = eye[None] * (1.0 - q[:, None, None] * bbar[None, None, :]) - np.einsum(
-            "mi,k,mk->mik", dq, bbar, Vbar
-        )
-        dx = np.empty((m, n, n + 1))
-        dx[:, :, 0] = dq
-        dx[:, :, 1:] = np.einsum("mik,ks->mis", dw, cmat)
-        ddw = (
-            -np.einsum("mj,ik,k->mijk", dq, eye, bbar)
-            - np.einsum("mi,jk,k->mijk", dq, eye, bbar)
-            - np.einsum("mij,k,mk->mijk", ddq, bbar, Vbar)
-        )
-        ddx = np.empty((m, n, n, n + 1))
-        ddx[:, :, :, 0] = ddq
-        ddx[:, :, :, 1:] = np.einsum("mijk,ks->mijs", ddw, cmat)
-        return x, dx, ddx
+        # dw[i, k] = delta_ik (1 - q bbar_k) - dq_i bbar_k vbar_k
+        dw = eye[..., None] * (1.0 - q * bb[None]) - (dq[:, None] * bb) * V[None]
+        dx = np.empty((n, n + 1, m))
+        dx[:, 0] = dq
+        dx[:, 1:] = cmat.T @ dw
+        # ddw[i, j, k] = -delta_ik dq_j bbar_k - delta_jk dq_i bbar_k - ddq_ij bbar_k vbar_k
+        ddw = -(ddq[:, :, None] * bb) * V
+        for k in range(n):
+            ddw[k, :, k] -= dq * bbar[k]
+            ddw[:, k, k] -= dq * bbar[k]
+        ddx = np.empty((n, n, n + 1, m))
+        ddx[:, :, 0] = ddq
+        ddx[:, :, 1:] = cmat.T @ ddw
+        del ddw  # freed before the copy below, which sets the peak memory of the lift
+        return x, points_first(dx), points_first(ddx)
 
     chart = Chart(
         n=n,

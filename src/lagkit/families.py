@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart
+from .charts import Chart, points_first
 from .errors import ImmersionError, ParameterError
 from .spaces import SignatureSpace, minkowski_space
 
@@ -107,40 +107,34 @@ def hilf_chart(params: HilfParams) -> Chart:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m = U.shape[0]
         T, S, Q, W = _hilf_pieces(A, phi, U)
-        # dT_i = 2 A_i u_i, dS_i = 2 A_i^2 u_i; Q = 1/(S+1)
-        dT = 2.0 * A * U
-        dS = 2.0 * A**2 * U
-        dQ = -dS * Q[:, None] ** 2
-        dW = dT * Q[:, None] + (T + phi)[:, None] * dQ
+        # The partials keep the points on the last axis, so each broadcast
+        # runs its inner loop over the batch.  dT_i = 2 A_i u_i,
+        # dS_i = 2 A_i^2 u_i; Q = 1/(S+1)
+        V = np.ascontiguousarray(U.T)
+        a = A[:, None]
+        dT = 2.0 * a * V
+        dS = 2.0 * a**2 * V
+        dQ = -dS * Q**2
+        dW = dT * Q + (T + phi) * dQ
         eye = np.eye(n)
-        ddT = 2.0 * A * eye
-        ddS = 2.0 * A**2 * eye
-        ddQ = (
-            -ddS[None] * Q[:, None, None] ** 2
-            + 2.0 * np.einsum("mi,mj,m->mij", dS, dS, Q**3)
-        )
-        ddW = (
-            ddT[None] * Q[:, None, None]
-            + np.einsum("mi,mj->mij", dT, dQ)
-            + np.einsum("mj,mi->mij", dT, dQ)
-            + (T + phi)[:, None, None] * ddQ
-        )
+        ddT = (2.0 * A * eye)[..., None]
+        ddS = (2.0 * A**2 * eye)[..., None]
+        ddQ = -ddS * Q**2 + 2.0 * (dS[:, None] * dS[None, :]) * Q**3
+        ddW = ddT * Q + dT[:, None] * dQ[None, :] + dT[None, :] * dQ[:, None] + (T + phi) * ddQ
         x = np.empty((m, n + 1))
         x[:, 0] = W
         x[:, 1:] = U * (1.0 - W[:, None] * A)
-        dx = np.empty((m, n, n + 1))
-        dx[:, :, 0] = dW
-        dx[:, :, 1:] = eye[None] * (1.0 - W[:, None, None] * A[None, None, :]) - np.einsum(
-            "mi,j,mj->mij", dW, A, U
-        )
-        ddx = np.empty((m, n, n, n + 1))
-        ddx[:, :, :, 0] = ddW
-        ddx[:, :, :, 1:] = (
-            -np.einsum("mik,j,mj->mikj", ddW, A, U)
-            - np.einsum("mi,j,kj->mikj", dW, A, eye)
-            - np.einsum("mk,j,ij->mikj", dW, A, eye)
-        )
-        return x, dx, ddx
+        dx = np.empty((n, n + 1, m))
+        dx[:, 0] = dW
+        dx[:, 1:] = eye[..., None] * (1.0 - W * a[None]) - (dW[:, None] * a) * V[None]
+        # d_ik x_(1+j) = -ddW_ik A_j u_j - delta_kj dW_i A_j - delta_ij dW_k A_j
+        ddx = np.empty((n, n, n + 1, m))
+        ddx[:, :, 0] = ddW
+        ddx[:, :, 1:] = -(ddW[:, :, None] * a) * V
+        for j in range(n):
+            ddx[:, j, 1 + j] -= dW * A[j]
+            ddx[j, :, 1 + j] -= dW * A[j]
+        return x, points_first(dx), points_first(ddx)
 
     def normal(U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -383,7 +377,19 @@ def sphere_chart(radius: float = 1.0) -> Chart:
     )
 
 
+def _accepted(params: dict, *keys: str) -> dict:
+    """``params`` itself; raises ParameterError naming any key not in ``keys``."""
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ParameterError(
+            f"unknown surface parameter(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(keys)}"
+        )
+    return params
+
+
 def _hilf_from_params(params: dict) -> Chart:
+    params = _accepted(params, "a", "multiplicities", "phi")
     return hilf_chart(
         HilfParams(
             a=tuple(params.get("a", (1.0, 2.0))),
@@ -394,6 +400,7 @@ def _hilf_from_params(params: dict) -> Chart:
 
 
 def _degenerate_from_params(params: dict):
+    params = _accepted(params, "a", "multiplicities")
     return degenerate_example(
         HilfParams(
             a=tuple(params.get("a", (1.0, 2.0))),
@@ -403,6 +410,7 @@ def _degenerate_from_params(params: dict):
 
 
 def _torus_from_params(params: dict) -> Chart:
+    params = _accepted(params, "R", "r_tube")
     return torus_chart(float(params.get("R", 2.0)), float(params.get("r_tube", 1.0)))
 
 

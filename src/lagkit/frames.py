@@ -7,7 +7,10 @@ of the signature-(n+2,2) space is
     Y   = rho * (x.xi, -x.xi, xi, 1),
     eta = ((1+|x|^2)/2, (1-|x|^2)/2, x, 0) + r * (x.xi, -x.xi, xi, 1),
 
-with invariant metric g = rho^2 * III in chart coordinates.  The frame
+with invariant metric g = rho^2 * III in chart coordinates.  r and rho
+come from traces (``radius_traces``), so the lift of a batch needs no
+eigendecomposition; the principal frame (k, e, r_i, b) is computed on
+first read, which ``invariants`` does on the grid rows only.  The frame
 tangent vectors E_i(Y) use the orthonormal realisation
 E_i = rho^-1 r_i e_i; on charts parametrized by curvature lines this is
 the diagonal frame E_i = g_ii^(-1/2) d/du_i.
@@ -16,16 +19,17 @@ the diagonal frame E_i = g_ii^(-1/2) d/du_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .charts import (
     Chart,
     forms_arrays,
-    frame_scalars,
     irregular_masks,
     jet_arrays,
     principal_arrays,
+    radius_traces,
 )
 from .errors import DegeneracyError, UmbilicError, VanishingCurvatureError
 from .spaces import SignatureSpace, laguerre_space
@@ -39,20 +43,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LiftBatch:
-    """Batched pointwise data of the lift over a set of parameter points."""
+    """Batched pointwise data of the lift over a set of parameter points.
+
+    The principal frame ``k``, ``e``, ``r_i`` and ``b`` is computed from
+    I and II on first read.
+    """
 
     space: SignatureSpace
     u: np.ndarray        # (m, n)
     x: np.ndarray        # (m, n+1)
     xi: np.ndarray       # (m, n+1)
-    k: np.ndarray        # (m, n) descending
-    e: np.ndarray        # (m, n, n) unit principal directions (rows)
-    r_i: np.ndarray      # (m, n)
     r: np.ndarray        # (m,)
     rho: np.ndarray      # (m,)
-    b: np.ndarray        # (m, n) Laguerre principal curvatures (r - r_i)/rho
     Y: np.ndarray        # (m, n+4)
     eta: np.ndarray      # (m, n+4)
+    I: np.ndarray        # (m, n, n)
     II: np.ndarray       # (m, n, n)
     III: np.ndarray      # (m, n, n)
     g: np.ndarray        # (m, n, n)
@@ -62,6 +67,30 @@ class LiftBatch:
         return replace(self, **{
             f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "space"
         })
+
+    @cached_property
+    def _principal(self):
+        return principal_arrays(self.I, self.II)
+
+    @property
+    def k(self) -> np.ndarray:
+        """(m, n) principal curvatures, descending."""
+        return self._principal[0]
+
+    @property
+    def e(self) -> np.ndarray:
+        """(m, n, n) unit principal directions (rows)."""
+        return self._principal[1]
+
+    @cached_property
+    def r_i(self) -> np.ndarray:
+        """(m, n) curvature radii 1/k_i."""
+        return 1.0 / self.k
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """(m, n) Laguerre principal curvatures (r - r_i)/rho."""
+        return (self.r[:, None] - self.r_i) / self.rho[:, None]
 
 
 def _lift_from_scalars(x, xi, r, rho):
@@ -88,29 +117,31 @@ def lift_arrays(chart: Chart, U: np.ndarray) -> LiftBatch:
 
     Raises UmbilicError / VanishingCurvatureError when a point violates
     the curvature-regularity assumptions, and DegeneracyError if the
-    invariant metric loses positive definiteness.
+    invariant metric loses positive definiteness or r, rho are not
+    finite.  Only the points ``radius_traces`` does not clear go through
+    the principal decomposition for the regularity test.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     x, dx, ddx, xi = jet_arrays(chart, U)
     I, II, III = forms_arrays(dx, ddx, xi)
-    k, e = principal_arrays(I, II)
+    r, rho, cleared = radius_traces(I, II, III)
 
-    umbilic, vanishing = irregular_masks(k)
-    if np.any(umbilic):
-        raise UmbilicError("umbilic point in the sampled batch")
-    if np.any(vanishing):
-        raise VanishingCurvatureError("vanishing principal curvature in the batch")
+    rest = ~cleared
+    if np.any(rest):
+        umbilic, vanishing = irregular_masks(principal_arrays(I[rest], II[rest])[0])
+        if np.any(umbilic):
+            raise UmbilicError("umbilic point in the sampled batch")
+        if np.any(vanishing):
+            raise VanishingCurvatureError("vanishing principal curvature in the batch")
 
-    r_i, r, rho = frame_scalars(k)
-    b = (r[:, None] - r_i) / rho[:, None]
     Y, eta = _lift_from_scalars(x, xi, r, rho)
     g = rho[:, None, None] ** 2 * III
-    if np.any(np.diagonal(g, axis1=-2, axis2=-1) <= 0.0):
+    positive = np.all(np.diagonal(g, axis1=-2, axis2=-1) > 0.0, axis=-1)
+    if not np.all(positive & np.isfinite(r) & np.isfinite(rho)):
         raise DegeneracyError("invariant metric lost positive definiteness")
     return LiftBatch(
         space=laguerre_space(chart.n),
-        u=U, x=x, xi=xi, k=k, e=e, r_i=r_i, r=r, rho=rho, b=b,
-        Y=Y, eta=eta, II=II, III=III, g=g,
+        u=U, x=x, xi=xi, r=r, rho=rho, Y=Y, eta=eta, I=I, II=II, III=III, g=g,
     )
 
 

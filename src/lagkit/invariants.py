@@ -26,9 +26,10 @@ frame.  No eigenvector is differentiated, so repeated curvatures, whose
 eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
 Every partial comes from one stencil cloud per grid point (``fd.Cloud``):
-the lift is evaluated once on the cloud, and the first, second and third
-partials of its pointwise-exact fields are contracted from those values
-with 4th-order central stencils at the steps of ``FieldSteps``.  N, its
+the lift is evaluated once on the cloud, with r and rho from traces and
+no eigendecomposition, and the first, second and third partials of its
+pointwise-exact fields are contracted from those values with 4th-order
+central stencils at the steps of ``FieldSteps``.  N, its
 partials d_c N (from third partials of Y and second partials of g), the
 Christoffel symbols and the curvature tensor of g are then assembled
 algebraically; nothing is differentiated twice.
@@ -93,7 +94,8 @@ def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False
     Y, g, III, log rho, r and B (none needs an eigenvector) are packed
     into one field, so one evaluation of the lift on the stencil cloud
     feeds every partial.  Returns (lift, jets) with ``jets[name]`` the
-    list [first, second(, third)] of partials of that field.
+    list [first, second(, third)] of partials of that field; ``lift`` holds
+    the grid rows only, so reading its frame runs ``eigh`` on m points.
     """
     cloud = fd.Cloud(grid, (steps.first, steps.second, steps.third)[: 3 if third else 2])
     lift = lift_arrays(chart, cloud.points)

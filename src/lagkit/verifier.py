@@ -21,10 +21,10 @@ import numpy as np
 from .charts import (
     Chart,
     forms_arrays,
-    frame_scalars,
     irregular_masks,
     jet_arrays,
     principal_arrays,
+    radius_traces,
 )
 from .errors import InputError
 from .families import DegenerateChart
@@ -527,8 +527,8 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
         np.max(np.abs(II - np.diag(coeffs))),
         tol.model_constraints,
     )
-    # rho^2 at each point from the radii of I^-1 II; its spread must vanish.
-    _, _, rho = frame_scalars(principal_arrays(I, II)[0])
+    # rho^2 at each point from the radii of III^-1 II; its spread must vanish.
+    _, rho, _ = radius_traces(I, II, II @ np.linalg.solve(I, II))
     r_i = 1.0 / coeffs
     r = float(np.mean(r_i))
     rho2 = float(np.sum((r - r_i) ** 2))

@@ -10,6 +10,7 @@ from lagkit.charts import (
     irregular_masks,
     jet_arrays,
     principal_arrays,
+    radius_traces,
 )
 from lagkit.errors import (
     ImmersionError,
@@ -392,3 +393,74 @@ def test_unscreened_points_keep_lapack_path():
     indefinite[5] = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(ImmersionError, match="not positive definite"):
         principal_arrays(indefinite, II)
+
+
+# The trace route: r and rho of the radii from S = L3^-1 II L3^-T, and the
+# regularity screen that lets a cloud point skip the principal decomposition.
+
+
+def assert_traces_match_eigh(I, II, III):
+    """``radius_traces`` against r and rho of the ``eigh`` radii."""
+    r, rho, _ = radius_traces(I, II, III)
+    k = principal_arrays(I, II)[0]
+    r_i = 1.0 / k
+    r_ref = np.mean(r_i, axis=-1)
+    rho_ref = np.sqrt(np.sum((r_ref[:, None] - r_i) ** 2, axis=-1))
+    kappa = np.max(np.abs(k), axis=-1) / np.min(np.abs(k), axis=-1)
+    # Relative to eps, the trace route errs by about kappa^2, since III has
+    # the k_i^2 as eigenvalues, and rho by |r| / rho as well, its own
+    # condition near an umbilic; eigh errs by about kappa.
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(r - r_ref) / np.abs(r_ref) <= 1e-10 + 8.0 * eps * kappa**2)
+    tol = 1e-10 + 8.0 * eps * (kappa**2 + np.abs(r_ref) / rho_ref)
+    assert np.all(np.abs(rho - rho_ref) / rho_ref <= tol)
+
+
+@pytest.mark.parametrize("cross", [0.0, 0.4, -1.3])
+def test_radius_traces_match_eigh_generic_quadric(cross):
+    U = np.random.default_rng(450).uniform(-0.8, 0.8, (50, 2))
+    assert_traces_match_eigh(*forms(quadric(1.0, 2.5, cross), U))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radius_traces_match_eigh_random_forms(n):
+    dx, ddx, xi = spd_batch(np.random.default_rng(460 + n), n)
+    assert_traces_match_eigh(*forms_arrays(dx, ddx, xi))
+
+
+@pytest.mark.parametrize("spread", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_radius_traces_match_eigh_near_umbilic(spread):
+    # Within 0.1 sqrt(spread) of the origin the relative curvature spread
+    # of the graph stays within 5% of its value at the origin.
+    chart = quadric(0.7, 0.7 * (1.0 + spread))
+    I, II, III = forms(chart, mesh(2, 0.1 * np.sqrt(spread), 5))
+    k = principal_arrays(I, II)[0]
+    gap = (k[:, 0] - k[:, -1]) / np.max(np.abs(k), axis=-1)
+    assert np.allclose(gap, spread, rtol=0.05)
+    assert_traces_match_eigh(I, II, III)
+
+
+def test_regularity_screen_clears_no_flagged_point():
+    # Relative curvature spreads, and curvature ratios of either sign, from
+    # 1e-9 to 1e-5 straddle UMBILIC_TOL and CURVATURE_FLOOR (both 1e-7).
+    # lift_arrays raises exactly where irregular_masks flags a point.
+    U = mesh(2, 1e-5, 3)
+    cleared_total = flagged_total = 0
+    for t in np.logspace(-9, -5, 17):
+        for a2 in (0.7 * (1.0 + t), 0.7 * t, -0.7 * t):
+            chart = quadric(0.7, a2)
+            I, II, III = forms(chart, U)
+            _, _, cleared = radius_traces(I, II, III)
+            umbilic, vanishing = irregular_masks(principal_arrays(I, II)[0])
+            assert not np.any(cleared & (umbilic | vanishing))
+            cleared_total += int(np.sum(cleared))
+            flagged_total += int(np.sum(umbilic | vanishing))
+            if np.any(umbilic):
+                with pytest.raises(UmbilicError):
+                    lift_arrays(chart, U)
+            elif np.any(vanishing):
+                with pytest.raises(VanishingCurvatureError):
+                    lift_arrays(chart, U)
+            else:
+                lift_arrays(chart, U)
+    assert cleared_total > 0 and flagged_total > 0

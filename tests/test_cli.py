@@ -59,6 +59,18 @@ def test_verify_rejects_unknown_surface(tmp_path):
     assert code == 2
 
 
+def test_verify_rejects_misspelled_surface_parameter(tmp_path, capsys):
+    # R_major is not a torus parameter: it must not fall back to R = 2.
+    code = run([
+        "verify", "--surface", "torus", "--params", '{"R_major": 5, "r_tube": 1}',
+        "--grid", "3", "--half-width", "0.5", "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'R_major'" in err and "accepted: R, r_tube" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_verify_rejects_bad_grid():
     assert run(["verify", "--surface", "hilf", "--a", "1,2", "--grid", "2"]) == 2
 

@@ -3,6 +3,7 @@ import pytest
 
 from lagkit.errors import ImmersionError, ParameterError
 from lagkit.families import (
+    CATALOG,
     HilfParams,
     degenerate_example,
     hilf_chart,
@@ -23,6 +24,16 @@ def test_params_validation():
     p = HilfParams(a=(1.0, 2.0), multiplicities=(2, 1))
     assert p.n == 3
     assert np.allclose(p.coeffs, [1.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("kind,params,unknown", [
+    ("hilf", {"a": [1, 2], "ph": 0.1}, "'ph'"),
+    ("degenerate-hilf", {"a": [1, 2], "phi": 0.0}, "'phi'"),
+    ("torus", {"R_major": 5, "r_tube": 1}, "'R_major'"),
+])
+def test_catalog_rejects_unknown_parameters(kind, params, unknown):
+    with pytest.raises(ParameterError, match=unknown):
+        CATALOG[kind](params)
 
 
 def test_hilf_hand_substitution(hilf2):

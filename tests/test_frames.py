@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lagkit.errors import DegeneracyError
 from lagkit.frames import lift_arrays
 from lagkit.invariants import analyze
 from lagkit.spaces import inner_product, laguerre_space, p_vector
@@ -58,6 +61,20 @@ def test_metric_is_scaled_third_form(hilf2):
     dxi = fd.grad_field(hilf2.normal, np.zeros((1, 2)), 1e-5, 4)[0]
     third = dxi @ dxi.T
     assert np.max(np.abs(third - III)) <= 1e-9
+
+
+def test_nan_second_partial_raises(hilf2):
+    # One NaN entry of ddx makes II, III, r and rho NaN at that point only;
+    # NaN compares false with every threshold, so the guard must test for
+    # a positive diagonal and finite r and rho, not for a non-positive one.
+    def jet(U):
+        x, dx, ddx = hilf2.jet(U)
+        ddx[4, 0, 1, 2] = np.nan
+        return x, dx, ddx
+
+    chart = dataclasses.replace(hilf2, jet=jet)
+    with pytest.raises(DegeneracyError):
+        lift_arrays(chart, mesh(2, 0.2, 3))
 
 
 def test_metric_equals_lift_gram(hilf3):

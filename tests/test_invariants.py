@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lagkit import fd
+from lagkit import charts, fd, frames
 from lagkit.errors import InputError, UmbilicError
 from lagkit.families import sphere_chart
 from lagkit.fields import christoffels, frame_connection
@@ -243,3 +244,34 @@ def test_per_point_operations(hilf3):
     assert np.max(np.abs(np.diag(a.lift.b[0]) - a.B_structural[0])) <= 1e-5
     assert abs(np.trace(a.L_structural[0]) / 3) <= 1e-4
     assert a.L_closed_a[0].shape == a.L_closed_b[0].shape == (3, 3)
+
+
+def count_rows(monkeypatch, fn, position):
+    """Wrap ``fn`` in every lagkit module that holds it by name.
+
+    Returns the list of the row counts of its argument ``position``, one
+    entry per call.
+    """
+    rows = []
+
+    def wrapper(*args, **kwargs):
+        rows.append(len(args[position]))
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lagkit" or name.startswith("lagkit."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return rows
+
+
+def test_eigh_runs_on_grid_rows_only(monkeypatch, hilf3):
+    # The verify-hilf3 inputs: 5^3 grid points, 203 cloud points each.  The
+    # lift takes r and rho from traces on the whole cloud; the principal
+    # decomposition runs on the grid rows that read the frame.
+    eigh_rows = count_rows(monkeypatch, charts.principal_arrays, 0)
+    lift_rows = count_rows(monkeypatch, frames.lift_arrays, 1)
+    analyze(hilf3, mesh(3, 0.4, 5))
+    assert sum(lift_rows) == 125 * 203 == 25375
+    assert sum(eigh_rows) == 125
