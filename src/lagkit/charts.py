@@ -27,7 +27,8 @@ and cannot fail the rank test sigma_min <= 1e-10 sigma_max.  Only the
 points the screen does not clear, including those with a NaN or
 non-positive pivot, go through the LAPACK call the kernel replaced (the
 SVD rank test, the LU inverse, the LAPACK Cholesky factor), so they
-raise exactly what that call raised.
+raise exactly what that call raised; a non-finite Jacobian raises
+ImmersionError before its SVD.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def jet_arrays(chart: Chart, U: np.ndarray):
     """Batched jets: returns (x, dx, ddx, xi) for U of shape (m, n).
 
     Raises MarginError if a finite-difference stencil would leave the
-    domain and ImmersionError on a rank-deficient Jacobian.
+    domain and ImmersionError on a rank-deficient or non-finite Jacobian.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != chart.n:
@@ -228,7 +229,10 @@ def jet_arrays(chart: Chart, U: np.ndarray):
     I = dx @ _transpose(dx)
     rest = ~_cleared(_cholesky(I), I)
     if np.any(rest):
-        sv = np.linalg.svd(dx[rest], compute_uv=False)
+        dx_rest = dx[rest]
+        if not np.all(np.isfinite(dx_rest)):
+            raise ImmersionError("Jacobian is not finite at a sampled point")
+        sv = np.linalg.svd(dx_rest, compute_uv=False)
         if np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
             raise ImmersionError("Jacobian is rank deficient at a sampled point")
 

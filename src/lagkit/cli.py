@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -45,7 +46,7 @@ from .families import (
     hilf_chart,
     laguerre_immersion_tau,
 )
-from .invariants import classify
+from .invariants import analyze, classify_analysis
 from .verifier import (
     PropertyReport,
     Tolerances,
@@ -58,6 +59,18 @@ SCHEMA_VERSION = 1
 
 def _parse_list(text: str):
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _parse_floats(text: str, flag: str):
+    try:
+        return [float(v) for v in _parse_list(text)]
+    except ValueError as exc:
+        raise LagkitError(f"{flag} takes comma-separated numbers: {exc}") from exc
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a finite JSON number (bool excluded)."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _mesh(center, half_width, points, n):
@@ -81,30 +94,37 @@ def _resolve(args) -> dict:
     cfg = {"surface": {}, "grid": {}, "fd": {}, "output": {}, "seed": 0}
     if getattr(args, "config", None):
         file_cfg = _load_config(args.config)
-        for key in cfg:
+        if not isinstance(file_cfg, dict):
+            raise LagkitError(f"config file {args.config}: not a JSON object")
+        for key in list(cfg) + ["tolerances"]:
             if key in file_cfg:
                 cfg[key] = file_cfg[key]
-        for key in ("tolerances",):
-            if key in file_cfg:
-                cfg[key] = file_cfg[key]
+    for key in ("surface", "grid", "fd", "output"):
+        if not isinstance(cfg[key], dict):
+            raise LagkitError(f"config section {key!r} must be a JSON object")
     if getattr(args, "surface", None):
         cfg["surface"]["kind"] = args.surface
     if getattr(args, "a", None):
         params = cfg["surface"].setdefault("params", {})
-        params["a"] = [float(v) for v in _parse_list(args.a)]
+        params["a"] = _parse_floats(args.a, "--a")
     if getattr(args, "phi", None) is not None:
         cfg["surface"].setdefault("params", {})["phi"] = args.phi
     if getattr(args, "params", None):
         try:
-            cfg["surface"].setdefault("params", {}).update(json.loads(args.params))
+            params = json.loads(args.params)
         except json.JSONDecodeError as exc:
             raise LagkitError(f"--params is not valid JSON: {exc}") from exc
+        if not isinstance(params, dict):
+            raise LagkitError("--params must be a JSON object")
+        cfg["surface"].setdefault("params", {}).update(params)
+    if not isinstance(cfg["surface"].get("params", {}), dict):
+        raise LagkitError("surface params must be a JSON object")
     if getattr(args, "grid", None) is not None:
         cfg["grid"]["points_per_axis"] = args.grid
     if getattr(args, "half_width", None) is not None:
         cfg["grid"]["half_width"] = args.half_width
     if getattr(args, "center", None):
-        cfg["grid"]["center"] = [float(v) for v in _parse_list(args.center)]
+        cfg["grid"]["center"] = _parse_floats(args.center, "--center")
     if getattr(args, "step", None) is not None:
         cfg["fd"]["step"] = args.step
     if getattr(args, "seed", None) is not None:
@@ -114,10 +134,21 @@ def _resolve(args) -> dict:
     if getattr(args, "samples", None):
         cfg["output"]["samples_path"] = args.samples
     grid = cfg["grid"]
-    if grid.setdefault("points_per_axis", 5) < 3:
-        raise LagkitError("grid needs at least 3 points per axis")
-    if grid.setdefault("half_width", 0.4) <= 0:
-        raise LagkitError("half_width must be positive")
+    points = grid.setdefault("points_per_axis", 5)
+    if not (type(points) is int and points >= 3):
+        raise LagkitError(f"grid needs an integer of at least 3 points per axis, got {points!r}")
+    half_width = grid.setdefault("half_width", 0.4)
+    if not (_is_real(half_width) and half_width > 0):
+        raise LagkitError(f"half_width must be a positive finite number, got {half_width!r}")
+    center = grid.get("center")
+    if center is not None and not (isinstance(center, list) and all(map(_is_real, center))):
+        raise LagkitError(f"grid center must be a list of finite numbers, got {center!r}")
+    step = cfg["fd"].get("step")
+    if step is not None and not (_is_real(step) and step > 0):
+        raise LagkitError(f"fd step must be a positive finite number, got {step!r}")
+    seed = cfg["seed"]
+    if not (type(seed) is int and seed >= 0):
+        raise LagkitError(f"seed must be a non-negative integer, got {seed!r}")
     return cfg
 
 
@@ -125,25 +156,31 @@ def _build_surface(cfg):
     surface = cfg.get("surface", {})
     kind = surface.get("kind", "hilf")
     params = dict(surface.get("params", {}))
-    if kind not in CATALOG:
+    if not isinstance(kind, str) or kind not in CATALOG:
         raise LagkitError(f"unknown surface {kind!r}; see `lagkit catalog`")
     chart = CATALOG[kind](params)
     step = cfg.get("fd", {}).get("step")
     scheme = cfg.get("fd", {}).get("scheme")
     if (step or scheme) and hasattr(chart, "fd"):
-        fdc = FdConfig(
-            step=step or 1e-4, scheme=scheme or "central-4th-order"
-        )
+        try:
+            fdc = FdConfig(step=step or 1e-4, scheme=scheme or "central-4th-order")
+        except ValueError as exc:
+            raise LagkitError(f"fd config: {exc}") from exc
         chart = dataclasses.replace(chart, fd=fdc)
     return kind, chart
 
 
 def _tolerances(cfg) -> Tolerances:
     overrides = cfg.get("tolerances", {})
-    try:
-        return Tolerances(**overrides)
-    except TypeError as exc:
-        raise LagkitError(f"unknown tolerance name: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise LagkitError("tolerances must be a JSON object")
+    names = {f.name for f in dataclasses.fields(Tolerances)}
+    for name, value in overrides.items():
+        if name not in names:
+            raise LagkitError(f"unknown tolerance name {name!r}")
+        if not (_is_real(value) and value > 0):
+            raise LagkitError(f"tolerance {name} must be a positive finite number, got {value!r}")
+    return Tolerances(**overrides)
 
 
 def _grid_for(chart_n: int, cfg) -> np.ndarray:
@@ -250,7 +287,7 @@ def _load_constants(args, cfg) -> ConstructionConstants:
         try:
             with open(args.constants, "r", encoding="utf-8") as fh:
                 return ConstructionConstants.from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, LagkitError) as exc:
             raise LagkitError(f"constants file {args.constants}: {exc}") from exc
     if not args.b_from_a:
         raise LagkitError("construct needs --constants or --b-from-a")
@@ -281,11 +318,12 @@ def _cmd_construct(args) -> int:
         grid={"points": int(v_grid.shape[0]), "half_width": half},
         orientation=maps.chart.orientation,
     )
+    analysis = analyze(maps.chart, vbar_grid)
     anchor = "integrability conditions of the curvature-line frame system"
-    for name, residual in frobenius_report(maps, v_grid).items():
+    for name, residual in frobenius_report(maps, v_grid, analysis).items():
         report.add(f"frobenius_{name}", anchor, residual, tol.frobenius)
 
-    cls = classify(maps.chart, vbar_grid, tol.classification)
+    cls = classify_analysis(analysis, tol.classification)
     report.classification = cls.to_dict()
     report.add(
         "constructed_isotropic_lambda",
@@ -333,8 +371,7 @@ def _cmd_tau(args) -> int:
     cfg = _resolve(args)
     tol = _tolerances(cfg)
     params = cfg.get("surface", {}).get("params", {})
-    a = tuple(params.get("a", (1.0, 2.0)))
-    hp = HilfParams(a=a, phi=0.0)
+    hp = HilfParams(a=params.get("a", (1.0, 2.0)), phi=0.0)
     deg = degenerate_example(hp)
     euclid = hilf_chart(hp)
     grid = _grid_for(deg.n, cfg)

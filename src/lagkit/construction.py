@@ -33,6 +33,9 @@ vbar_k = sqrt2 v_k b_k the immersion and its normal take the closed form
 
 with bbar_k = 1/b_k, which for C = I and d = 0 is exactly the explicit
 family with constants a_k = 1/b_k and phi-shift phi.
+
+``frobenius_report`` checks these equations on the output and reads N
+and b of the derived chart from the one ``Analysis`` that classifies it.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ import numpy as np
 
 from . import fd
 from .charts import Chart, points_first
-from .errors import ParameterError
-from .spaces import laguerre_space
+from .errors import InputError, ParameterError
+from .spaces import laguerre_space, p_vector
 
 __all__ = [
     "ConstructionConstants",
@@ -114,14 +117,29 @@ class ConstructionConstants:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionConstants":
-        n = len(data["b"])
-        return cls(
-            b=np.asarray(data["b"], dtype=float),
-            cmat=np.asarray(data["cmat"], dtype=float).reshape(n, n),
-            beta1=np.asarray(data.get("beta1", np.zeros(n)), dtype=float),
-            beta3=np.asarray(data.get("beta3", np.zeros(n)), dtype=float),
-            gamma1=np.asarray(data.get("gamma1", np.zeros(n)), dtype=float),
-        )
+        """Constants from their JSON form: ``b`` and ``cmat`` (n*n entries,
+        nested or flat) are required, beta1/beta3/gamma1 default to zero.
+        Raises ParameterError on anything but finite numbers."""
+        try:
+            b = np.asarray(data["b"], dtype=float)
+            cmat = np.asarray(data["cmat"], dtype=float)
+            vectors = {
+                name: np.asarray(data.get(name, np.zeros(b.size)), dtype=float)
+                for name in ("beta1", "beta3", "gamma1")
+            }
+        except KeyError as exc:
+            raise ParameterError(f"missing constant {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"constants must be arrays of numbers: {exc}") from exc
+        n = b.size
+        if b.ndim != 1 or cmat.size != n * n:
+            raise ParameterError(
+                f"need b as a list of n numbers and n*n cmat entries; got b of shape "
+                f"{b.shape} and {cmat.size} cmat entries"
+            )
+        if not all(np.all(np.isfinite(v)) for v in (b, cmat, *vectors.values())):
+            raise ParameterError("constants must be finite")
+        return cls(b=b, cmat=cmat.reshape(n, n), **vectors)
 
     @classmethod
     def simple(cls, b, cmat=None, beta1=None, beta3=None, gamma1=None):
@@ -206,7 +224,12 @@ def b_from_curvatures(a) -> np.ndarray:
     the differences are taken in exact rational arithmetic so that
     sum b = 0 and sum b^2 = 1 hold to the last float digit.
     """
-    fracs = [Fraction(str(v)) for v in a]
+    try:
+        fracs = [Fraction(str(v)) for v in a]
+    except ValueError as exc:
+        raise ParameterError(f"curvatures must be finite numbers: {exc}") from exc
+    if len(fracs) < 2:
+        raise ParameterError(f"need at least two curvatures, got {len(fracs)}")
     if any(f == 0 for f in fracs):
         raise ParameterError("curvatures must be nonzero")
     if len(set(fracs)) != len(fracs):
@@ -386,72 +409,45 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
     )
 
 
-def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, step: float = 1e-3) -> dict:
+def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis, step: float = 1e-3) -> dict:
     """Numerical residuals of the integrability conditions on the output.
 
-    Verifies, over the v-grid: vanishing mixed partials of Y, the
-    diagonal second-order equation Y_,ii/g_ii - g_ii,i Y_,i/(2 g_ii^2)
-    = N + b_i P with the constant N = (0,0,1,0...,1), the first-order
-    equation eta_,i = b_i Y_,i, diagonality of <Y_,i, Y_,j>, constancy
-    of the pipeline vector N over the derived chart, and constancy of
+    Verifies, over the v-grid and from one stencil cloud at ``step``:
+    vanishing mixed partials of Y, the diagonal second-order equation
+    Y_,ii/g_ii - g_ii,i Y_,i/(2 g_ii^2) = N + b_i P with the constant
+    N = (0,0,1,0...,1), the first-order equation eta_,i = b_i Y_,i and
+    diagonality of <Y_,i, Y_,j>.  ``analysis``, the Analysis of the
+    derived chart on the vbar grid sqrt(2) grid b (InputError for any
+    other grid), gives the constancy of the pipeline vector N and of
     the Laguerre principal curvatures.
     """
     c = maps.constants
     n = c.n
     space = laguerre_space(n)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    m = grid.shape[0]
+    if not np.array_equal(analysis.grid, np.sqrt(2.0) * grid * c.b):
+        raise InputError("the analysis is not of the vbar grid sqrt(2) grid b")
 
-    dY = fd.grad_field(maps.position, grid, step, 4)       # (m, a, n+4)
-    ddY = fd.hess_field(maps.position, grid, step, 4)      # (m, a, b, n+4)
-    deta = fd.grad_field(maps.normal_map, grid, step, 4)
+    cloud = fd.Cloud(grid, (step, step), 4)
+    _, dY, ddY = cloud.partials(maps.position(cloud.points))  # (m, a, n+4), (m, a, b, n+4)
+    deta = cloud.partials(maps.normal_map(cloud.points))[1]
 
-    off = ddY.copy()
+    off = ~np.eye(n, dtype=bool)
     idx = np.arange(n)
-    off[:, idx, idx] = 0.0
-    mixed = float(np.max(np.abs(off)))
-
     gram = np.einsum("mal,l,mbl->mab", dY, space.signs, dY)
-    gram_off = gram.copy()
-    gram_off[:, idx, idx] = 0.0
-    tangent_off = float(np.max(np.abs(gram_off)))
-
-    gdiag = np.diagonal(gram, axis1=1, axis2=2)            # (m, i)
+    gdiag = gram[:, idx, idx, None]                        # (m, i, 1)
     # d_i g_ii = 2 <Y_,ii, Y_,i>
-    dgdiag = 2.0 * np.einsum("mil,l,mil->mi", ddY[:, idx, idx], space.signs, dY)
-
+    dgdiag = 2.0 * np.einsum("mil,l,mil->mi", ddY[:, idx, idx], space.signs, dY)[..., None]
+    lhs = ddY[:, idx, idx] / gdiag - dgdiag * dY / (2.0 * gdiag**2)
     N_const = np.zeros(n + 4)
-    N_const[2] = 1.0
-    N_const[-1] = 1.0
-    P = np.zeros(n + 4)
-    P[0] = 1.0
-    P[1] = -1.0
-    second = 0.0
-    for i in range(n):
-        lhs = (
-            ddY[:, i, i, :] / gdiag[:, i, None]
-            - dgdiag[:, i, None] * dY[:, i, :] / (2.0 * gdiag[:, i, None] ** 2)
-        )
-        rhs = N_const[None, :] + c.b[i] * P[None, :]
-        second = max(second, float(np.max(np.abs(lhs - rhs))))
-
-    eta_res = float(np.max(np.abs(deta - c.b[None, :, None] * dY)))
-
-    # Pipeline checks on the derived curvature-line chart (vbar coords).
-    from .invariants import DEFAULT_STEPS, _jets, _n_vector
-
-    vbar = np.sqrt(2.0) * grid * c.b
-    lift, jets = _jets(maps.chart, vbar, DEFAULT_STEPS)
-    nhat = _n_vector(lift, jets)[0]
-    nhat_spread = float(np.max(np.abs(nhat - nhat.mean(axis=0))))
-    b_sorted = np.sort(lift.b, axis=1)
-    b_spread = float(np.max(np.ptp(b_sorted, axis=0))) if m > 1 else 0.0
-
+    N_const[[2, -1]] = 1.0
+    rhs = N_const + c.b[:, None] * p_vector(space).coords
+    b_sorted = np.sort(analysis.lift.b, axis=1)
     return {
-        "mixed_partials": mixed,
-        "second_equation": second,
-        "eta_derivative": eta_res,
-        "tangent_diagonality": tangent_off,
-        "pipeline_n_constancy": nhat_spread,
-        "pipeline_b_constancy": b_spread,
+        "mixed_partials": float(np.max(np.abs(ddY[:, off]))),
+        "second_equation": float(np.max(np.abs(lhs - rhs))),
+        "eta_derivative": float(np.max(np.abs(deta - c.b[None, :, None] * dY))),
+        "tangent_diagonality": float(np.max(np.abs(gram[:, off]))),
+        "pipeline_n_constancy": float(np.max(np.abs(analysis.N - analysis.N.mean(axis=0)))),
+        "pipeline_b_constancy": float(np.max(np.ptp(b_sorted, axis=0))) if len(grid) > 1 else 0.0,
     }

@@ -58,18 +58,28 @@ class HilfParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
-        mult = tuple(int(m) for m in self.multiplicities) or (1,) * len(a)
-        if len(mult) != len(a):
+        try:
+            a = np.asarray(self.a, dtype=float)
+            mult = np.asarray(tuple(self.multiplicities) or (1,) * a.size, dtype=float)
+            phi = float(self.phi)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"family parameters must be numbers: {exc}") from exc
+        if a.ndim != 1 or a.size == 0:
+            raise ParameterError(f"constants a_i must be a nonempty list, got {self.a!r}")
+        if not (np.all(np.isfinite(a)) and np.isfinite(phi)):
+            raise ParameterError("constants a_i and the shift phi must be finite")
+        if mult.shape != a.shape:
             raise ParameterError("need one multiplicity per constant")
-        if any(m < 1 for m in mult):
-            raise ParameterError("multiplicities must be positive")
+        if np.any((mult < 1) | (mult != np.floor(mult))):
+            raise ParameterError("multiplicities must be positive integers")
+        a, mult = tuple(a.tolist()), tuple(int(m) for m in mult)
         if any(v == 0.0 for v in a):
             raise ParameterError("constants a_i must be nonzero")
         if len(set(a)) != len(a):
             raise ParameterError("constants a_i must be pairwise distinct")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "multiplicities", mult)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def n(self) -> int:
@@ -316,7 +326,7 @@ def torus_chart(R: float, r_tube: float) -> Chart:
     curvatures positive on the restricted domain: 1/r_tube along the tube
     and cos v / (R + r_tube cos v) along the axis of revolution.
     """
-    if not R > r_tube > 0:
+    if not (np.isfinite(R) and R > r_tube > 0):
         raise ParameterError(f"need R > r_tube > 0, got R={R}, r_tube={r_tube}")
 
     def evaluate(U):
@@ -388,13 +398,22 @@ def _accepted(params: dict, *keys: str) -> dict:
     return params
 
 
+def _number(params: dict, key: str, default: float) -> float:
+    """``params[key]`` (or ``default``) as a float; ParameterError if it is not a number."""
+    value = params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"surface parameter {key!r} must be a number, got {value!r}") from exc
+
+
 def _hilf_from_params(params: dict) -> Chart:
     params = _accepted(params, "a", "multiplicities", "phi")
     return hilf_chart(
         HilfParams(
-            a=tuple(params.get("a", (1.0, 2.0))),
-            multiplicities=tuple(params.get("multiplicities", ())),
-            phi=float(params.get("phi", 0.0)),
+            a=params.get("a", (1.0, 2.0)),
+            multiplicities=params.get("multiplicities", ()),
+            phi=params.get("phi", 0.0),
         )
     )
 
@@ -402,16 +421,13 @@ def _hilf_from_params(params: dict) -> Chart:
 def _degenerate_from_params(params: dict):
     params = _accepted(params, "a", "multiplicities")
     return degenerate_example(
-        HilfParams(
-            a=tuple(params.get("a", (1.0, 2.0))),
-            multiplicities=tuple(params.get("multiplicities", ())),
-        )
+        HilfParams(a=params.get("a", (1.0, 2.0)), multiplicities=params.get("multiplicities", ()))
     )
 
 
 def _torus_from_params(params: dict) -> Chart:
     params = _accepted(params, "R", "r_tube")
-    return torus_chart(float(params.get("R", 2.0)), float(params.get("r_tube", 1.0)))
+    return torus_chart(_number(params, "R", 2.0), _number(params, "r_tube", 1.0))
 
 
 CATALOG = {

@@ -61,6 +61,7 @@ __all__ = [
     "Analysis",
     "analyze",
     "metric_geometry",
+    "classify_analysis",
     "classify",
 ]
 

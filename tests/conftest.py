@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,26 @@ def mesh(n, half_width, points, center=None):
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     axes = [np.linspace(c - half_width, c + half_width, points) for c in center]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def count_rows(monkeypatch, fn, position):
+    """Wrap ``fn`` in every lagkit module that holds it by name.
+
+    Returns the list of the row counts of its argument ``position``, one
+    entry per call.
+    """
+    rows = []
+
+    def wrapper(*args, **kwargs):
+        rows.append(len(args[position]))
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lagkit" or name.startswith("lagkit."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return rows
 
 
 @pytest.fixture(scope="session")

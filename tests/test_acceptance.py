@@ -26,7 +26,7 @@ from lagkit.families import (
     hilf_chart,
     laguerre_immersion_tau,
 )
-from lagkit.invariants import classify, metric_geometry
+from lagkit.invariants import analyze, classify, classify_analysis, metric_geometry
 from lagkit.spaces import is_laguerre_transform, random_lg_rotation
 from lagkit.verifier import run_suite, two_curvature_check
 from tests.conftest import mesh
@@ -169,10 +169,11 @@ def test_criterion_5_construction_roundtrip():
     # seeded orthogonal matrix: classify the output end to end
     c_rand = ConstructionConstants.simple(b, cmat=random_orthogonal(3, seed=1))
     maps = build_immersion(c_rand)
-    v_grid = mesh(3, 0.5, 5)
-    cls = classify(maps.chart, np.sqrt(2.0) * v_grid[::5] * b)
+    v_grid = mesh(3, 0.5, 5)[::5]
+    analysis = analyze(maps.chart, np.sqrt(2.0) * v_grid * b)
+    cls = classify_analysis(analysis)
     b_dev = b_distance(cls.b_hat, np.sort(b))
-    frob = frobenius_report(maps, v_grid[::5])
+    frob = frobenius_report(maps, v_grid, analysis)
     worst_frob = max(frob.values())
 
     ok = (

@@ -327,6 +327,17 @@ def test_rank_screen_one_bad_point_among_many(n):
         jet_arrays(prescribed_chart(dx), np.zeros((len(dx), n)))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_finite_jacobian_raises_immersion_error(n):
+    # A NaN row has a NaN pivot, so the screen never clears it; the rest
+    # of the batch is cleared and skips the SVD.
+    dx = jacobians(np.random.default_rng(420 + n), n, np.full(50, 0.5))
+    dx[17, 1] = np.nan
+    with pytest.raises(ImmersionError, match="not finite"):
+        jet_arrays(prescribed_chart(dx), np.zeros((len(dx), n)))
+    jet_arrays(prescribed_chart(np.delete(dx, 17, axis=0)), np.zeros((len(dx) - 1, n)))
+
+
 def spd_batch(rng, n, m=500):
     """dx with singular values in [0.3, 3], ddx and unit normals xi."""
     dx = jacobians(rng, n, rng.uniform(0.1, 1.0, m), scale=3.0)

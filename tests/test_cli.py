@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import lagkit
+from lagkit import frames
 from lagkit.cli import main
+from tests.conftest import count_rows
 
 
 def run(args):
@@ -138,6 +140,19 @@ def test_construct_seeded(tmp_path):
     assert payload["classification"]["is_isotropic"] is True
 
 
+def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
+    # frobenius_report and the classification share one analysis: one lift
+    # of the 203-point stencil cloud of each of the 5^3 vbar grid points.
+    lift_rows = count_rows(monkeypatch, frames.lift_arrays, 1)
+    code = run([
+        "construct", "--b-from-a", "1,2,3", "--seed", "1",
+        "--grid", "5", "--half-width", "0.5",
+        "--no-timestamp", "--out", str(tmp_path / "con.json"),
+    ])
+    assert code == 0
+    assert lift_rows == [125 * 203] == [25375]
+
+
 def test_construct_rejects_tampered_matrix(tmp_path):
     bad = tmp_path / "constants.json"
     cmat = np.eye(3)
@@ -224,3 +239,51 @@ def test_closed_stdout_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 1
+
+
+# Bad input of every kind the CLI reads: each exits 2 with one ``error:``
+# line naming the input.  "{file}" is replaced by the path of a JSON file
+# holding the probe's data.
+B3 = [-0.79, 0.22, 0.56]
+BAD_INPUT = {
+    "a-not-number": (["verify", "--surface", "hilf", "--a", "1,x"], None, "--a"),
+    "params-not-object": (["verify", "--params", "[1,2]"], None, "--params"),
+    "torus-R-not-number": (
+        ["verify", "--surface", "torus", "--params", '{"R":"x"}'], None, "'R'"),
+    "a-empty": (["verify", "--params", '{"a":[]}'], None, "nonempty"),
+    "multiplicity-fraction": (
+        ["verify", "--params", '{"a":[1,2],"multiplicities":[1.5,1]}'], None, "integers"),
+    "phi-nan": (["verify", "--a", "1,2", "--phi", "nan"], None, "finite"),
+    "a-nan": (["verify", "--a", "1,nan"], None, "finite"),
+    "a-inf": (["verify", "--a", "1,inf"], None, "finite"),
+    "half-width-nan": (["verify", "--a", "1,2", "--half-width", "nan"], None, "half_width"),
+    "center-nan": (["verify", "--a", "1,2", "--center", "0.1,nan"], None, "center"),
+    "tolerance-negative": (
+        ["verify", "--config", "{file}"], {"tolerances": {"frobenius": -1}},
+        "tolerance frobenius"),
+    "tolerance-not-number": (
+        ["verify", "--config", "{file}"], {"tolerances": {"frobenius": "abc"}},
+        "tolerance frobenius"),
+    "points-not-integer": (
+        ["verify", "--config", "{file}"], {"grid": {"points_per_axis": "5"}},
+        "points per axis"),
+    "b-from-a-not-number": (["construct", "--b-from-a", "1,x"], None, "curvatures"),
+    "b-from-a-one-value": (["construct", "--b-from-a", "1"], None, "two curvatures"),
+    "cmat-wrong-size": (
+        ["construct", "--constants", "{file}"], {"b": B3, "cmat": [1, 0, 0, 1]},
+        "4 cmat entries"),
+    "tau-a-not-number": (["tau", "--a", "1,x"], None, "--a"),
+}
+
+
+@pytest.mark.parametrize("argv,data,fragment", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exits_2_with_one_error_line(argv, data, fragment, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    assert run(argv + ["--no-timestamp", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+    assert not (tmp_path / "r.json").exists()

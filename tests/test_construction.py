@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from lagkit.construction import (
     random_orthogonal,
     validate_constants,
 )
-from lagkit.errors import ParameterError
+from lagkit.errors import InputError, ParameterError
 from lagkit.families import HilfParams, hilf_chart
-from lagkit.invariants import classify
+from lagkit.invariants import analyze, classify
 from lagkit.spaces import laguerre_space
 from tests.conftest import mesh
 
@@ -179,12 +181,40 @@ def test_full_pipeline_roundtrip(seeded_constants):
 def test_frobenius_report(seeded_constants):
     maps = build_immersion(seeded_constants)
     grid = mesh(3, 0.5, 3)
-    res = frobenius_report(maps, grid)
+    analysis = analyze(maps.chart, np.sqrt(2.0) * grid * seeded_constants.b)
+    res = frobenius_report(maps, grid, analysis)
     assert res["mixed_partials"] <= 1e-8
     assert res["second_equation"] <= 1e-6
     assert res["eta_derivative"] <= 1e-8
     assert res["pipeline_n_constancy"] <= 1e-6
     assert res["pipeline_b_constancy"] <= 1e-6
+
+
+def test_frobenius_report_evaluates_each_map_once(seeded_constants):
+    maps = build_immersion(seeded_constants)
+    grid = mesh(3, 0.5, 3)
+    analysis = analyze(maps.chart, np.sqrt(2.0) * grid * seeded_constants.b)
+    calls = []
+
+    def counted(name, f):
+        def wrapper(V):
+            calls.append((name, len(V)))
+            return f(V)
+        return wrapper
+
+    counted_maps = dataclasses.replace(
+        maps,
+        position=counted("position", maps.position),
+        normal_map=counted("normal_map", maps.normal_map),
+    )
+    assert frobenius_report(counted_maps, grid, analysis) == frobenius_report(maps, grid, analysis)
+    points = len(fd.Cloud(grid, (1e-3, 1e-3), 4).points)
+    assert calls == [("position", points), ("normal_map", points)]
+    # an analysis of any other grid than sqrt(2) grid b is refused
+    with pytest.raises(InputError, match="vbar grid"):
+        frobenius_report(maps, grid[:-1], analysis)
+    with pytest.raises(InputError, match="vbar grid"):
+        frobenius_report(maps, grid, analyze(maps.chart, grid))
 
 
 def test_equivalence_across_orthogonal_choices():

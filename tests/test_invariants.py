@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,7 @@ from lagkit.invariants import (
     metric_geometry,
 )
 from lagkit.verifier import run_suite
-from tests.conftest import mesh
+from tests.conftest import count_rows, mesh
 
 
 def expected_b(curvatures):
@@ -244,26 +243,6 @@ def test_per_point_operations(hilf3):
     assert np.max(np.abs(np.diag(a.lift.b[0]) - a.B_structural[0])) <= 1e-5
     assert abs(np.trace(a.L_structural[0]) / 3) <= 1e-4
     assert a.L_closed_a[0].shape == a.L_closed_b[0].shape == (3, 3)
-
-
-def count_rows(monkeypatch, fn, position):
-    """Wrap ``fn`` in every lagkit module that holds it by name.
-
-    Returns the list of the row counts of its argument ``position``, one
-    entry per call.
-    """
-    rows = []
-
-    def wrapper(*args, **kwargs):
-        rows.append(len(args[position]))
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "lagkit" or name.startswith("lagkit."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
-    return rows
 
 
 def test_eigh_runs_on_grid_rows_only(monkeypatch, hilf3):
