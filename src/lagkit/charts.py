@@ -1,34 +1,29 @@
 """Parametrized hypersurfaces, derivative jets and the curvature frame.
 
 A ``Chart`` evaluates a hypersurface x: U in R^n -> R^(n+1) on batches of
-parameter points.  Built-in charts carry exact analytic jets; black-box
-charts fall back to central finite differences configured by ``FdConfig``.
-The unit normal is the normalised generalized cross product of the
-Jacobian rows taken in parameter order, unless the chart supplies its own
-normal field; ``flip_normal`` reverses either choice and all curvature
-signs are reported relative to the resulting orientation.
+parameter points.  A closed-form chart writes its map once, for float
+points and ``taylor.Taylor`` seeds alike (``closed_form``), so its jet
+is the map's exact Taylor polynomial; black-box charts fall back to
+central finite differences (``FdConfig``).  The unit normal is the
+normalised generalized cross product of the Jacobian rows in parameter
+order unless the chart supplies a normal field; ``flip_normal``
+reverses either, and curvature signs follow the resulting orientation.
 
-The pointwise linear algebra rests on one factor per point: the first
-form I = dx dx^T is factored as I = L L^T in plain numpy over the whole
-batch (the loops run over the n columns only) and L^-1 is formed by
-forward substitution.  III = B^T B with B = L^-1 II.  The curvature
-radii r_i enter the lift only through their mean r and their spread
-rho, which ``radius_traces`` takes from traces of S = L3^-1 II L3^-T
-(III = L3 L3^T) with no LAPACK call; the same factors certify most
-points regular.  The principal decomposition, the eigendecomposition of
-A = L^-1 II L^-T with directions L^-T Q, runs ``eigh`` only where a
-frame or single curvature is read (``cross_normal`` adds ``det`` calls
-on charts without a normal field).  Each kernel factors its own I and
-drops the factor on return.
-The factor in ``forms_arrays`` screens the conditioning: since lambda_min / lambda_max
->= det(I) / tr(I)^n and det(I) = prod L_jj^2, a point with
-prod L_jj^2 / tr(I)^n > ``SCREEN`` (1e-8) has sigma_min / sigma_max > 1e-4
-and cannot fail the rank test sigma_min <= 1e-10 sigma_max.  Only the
-points the screen does not clear, including those with a NaN or
-non-positive pivot, take the SVD, and the rank-deficient ones are
-masked.  Cholesky is backward stable on every matrix it completes, so
-the factor serves every other point.  ``regularity`` gives each point
-one reason from ``IRREGULAR``; the lift raises it, the suite reports it.
+Each kernel factors I = dx dx^T = L L^T once per point in plain batched
+numpy (loops over the n columns), forms L^-1 by forward substitution
+and drops the factor on return.  III = B^T B with B = L^-1 II.  The
+lift needs the radii only through r and rho, which ``radius_traces``
+takes from traces of S = L3^-1 II L3^-T (III = L3 L3^T); the same
+factors certify most points regular, so ``eigh`` of L^-1 II L^-T runs
+only where a frame or single curvature is read.  As lambda_min /
+lambda_max >= det(I) / tr(I)^n = prod L_jj^2 / tr(I)^n, a point above
+``SCREEN`` (1e-8) has sigma_min / sigma_max > 1e-4 and passes the rank
+test sigma_min <= 1e-10 sigma_max; only the other points take the SVD.
+Those that fail it, and those whose factor meets a NaN or non-positive
+pivot, are masked; Cholesky is backward stable on every matrix it
+completes, so the factor serves every other point.  ``regularity``
+gives each point one reason from ``IRREGULAR``; the lift raises it,
+the suite reports it.
 """
 
 from __future__ import annotations
@@ -38,12 +33,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import fd
-from .errors import ImmersionError
+from . import fd, taylor
+from .errors import ImmersionError, InputError
 
 __all__ = [
     "FdConfig",
     "Chart",
+    "closed_form",
     "jet_arrays",
     "forms_arrays",
     "radius_traces",
@@ -101,8 +97,9 @@ class Chart:
     """A parametrized hypersurface with optional exact derivative data.
 
     ``evaluator`` maps parameter batches (m, n) to points (m, n+1).
-    ``jet`` if present returns (x, dx, ddx) exactly, with dx of shape
-    (m, n, n+1) and ddx of shape (m, n, n, n+1).  ``normal`` if present
+    ``jet(U, degree)`` if present returns the Taylor polynomial of x about
+    the points U to total degree ``degree`` (a ``taylor.Taylor`` of value
+    shape (m, n+1)); ``closed_form`` makes it.  ``normal`` if present
     returns the unit normal field (m, n+1).
     """
 
@@ -122,14 +119,11 @@ class Chart:
         return base + (" (flipped)" if self.flip_normal else "")
 
 
-def points_first(M: np.ndarray) -> np.ndarray:
-    """A contiguous copy of ``M`` with its last axis, the points, moved first.
-
-    Exact jets build their partials with the points on the last axis, so
-    each broadcast runs its inner loop over the batch, and return them
-    through this.
-    """
-    return np.ascontiguousarray(np.moveaxis(M, -1, 0))
+def closed_form(x_map: Callable):
+    """(evaluator, jet) of a chart whose map ``x_map`` takes float points
+    (m, n) and Taylor seeds alike; the jet is the map of ``taylor.variables``."""
+    return (lambda U: x_map(np.atleast_2d(np.asarray(U, dtype=float))),
+            lambda U, degree: x_map(taylor.variables(U, degree)))
 
 
 def cross_normal(dx: np.ndarray) -> np.ndarray:
@@ -190,9 +184,12 @@ def _transpose(M: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(M, -1, -2))
 
 
-def jet_arrays(chart: Chart, U: np.ndarray):
-    """Batched jets: returns (x, dx, ddx, xi) for U of shape (m, n).
+def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
+    """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x (m, n+1), dx
+    (m, n, n+1), ddx (m, n, n, n+1) and the unit normal xi (m, n+1).
 
+    Above ``degree`` 2, which needs a chart with a jet, x, dx and ddx are
+    Taylor polynomials about U of degrees degree, degree-1 and degree-2.
     Raises MarginError if a finite-difference stencil would leave the
     domain; ``forms_arrays`` tests the rank of the Jacobian.
     """
@@ -201,20 +198,19 @@ def jet_arrays(chart: Chart, U: np.ndarray):
         raise ImmersionError(
             f"parameter points of dimension {U.shape[1]} on an n={chart.n} chart"
         )
-    reach = 0.0
-    if chart.jet is None:
-        reach = 2 * chart.fd.step
-    fd.check_margin(chart.domain, U, reach)
-
+    fd.check_margin(chart.domain, U, 0.0 if chart.jet is not None else 2 * chart.fd.step)
     if chart.jet is not None:
-        x, dx, ddx = chart.jet(U)
-    else:
+        x = chart.jet(U, degree)
+        x, dx, ddx = x.partials() if degree == 2 else (x, x.grad(), x.grad().grad())
+    elif degree == 2:
         x, dx, ddx = _fd_jet(chart, U)
+    else:
+        raise InputError("a chart without a jet has partials of order 2 only")
 
     if chart.normal is not None:
         xi = np.asarray(chart.normal(U))
     else:
-        xi = cross_normal(dx)
+        xi = cross_normal(dx if degree == 2 else dx.value)
     with np.errstate(invalid="ignore", divide="ignore"):
         xi = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
     if chart.flip_normal:
@@ -227,16 +223,18 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
 
     ``deficient`` marks sigma_min <= 1e-10 sigma_max, tested by SVD only
     where the screen prod L_jj^2 / tr(I)^n > SCREEN fails (a non-finite
-    Jacobian there raises ImmersionError).  III = B^T B with B = L^-1 II
+    Jacobian there raises ImmersionError), and every point whose factor
+    of I meets a NaN or non-positive pivot.  III = B^T B with B = L^-1 II
     is exactly symmetric, and NaN on deficient rows.
     """
     I = dx @ _transpose(dx)
     II = np.einsum("mija,ma->mij", ddx, xi)
     II = 0.5 * (II + np.swapaxes(II, -1, -2))
     L = _cholesky(I)
+    pivots = np.diagonal(L, axis1=-2, axis2=-1)
     tr = np.trace(I, axis1=-2, axis2=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.prod(np.diagonal(L, axis1=-2, axis2=-1) ** 2 / tr[:, None], axis=-1)
+        ratio = np.prod(pivots**2 / tr[:, None], axis=-1)
         B = _lower_inverse(L) @ II
         III = _transpose(B) @ B
     rest = ~(ratio > SCREEN)
@@ -244,7 +242,7 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
         raise ImmersionError("Jacobian is not finite at a sampled point")
     sv = np.linalg.svd(dx[rest], compute_uv=False)
     deficient = rest.copy()
-    deficient[rest] = sv[:, -1] <= 1e-10 * sv[:, 0]
+    deficient[rest] = (sv[:, -1] <= 1e-10 * sv[:, 0]) | ~np.all(pivots[rest] > 0.0, axis=-1)
     III[deficient] = np.nan
     return I, II, III, deficient
 
@@ -271,7 +269,8 @@ def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
     n = I.shape[-1]
     L3 = _cholesky(III)
     W3 = _lower_inverse(L3)
-    S = W3 @ II @ _transpose(W3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        S = W3 @ II @ _transpose(W3)
     r = np.trace(S, axis1=-2, axis2=-1) / n
     D = S - r[:, None, None] * np.eye(n)
     rho = np.sqrt(np.sum(D * D, axis=(-2, -1)))

@@ -34,8 +34,11 @@ vbar_k = sqrt2 v_k b_k the immersion and its normal take the closed form
 with bbar_k = 1/b_k, which for C = I and d = 0 is exactly the explicit
 family with constants a_k = 1/b_k and phi-shift phi.
 
-``frobenius_report`` checks these equations on the output and reads N
-and b of the derived chart from the one ``Analysis`` that classifies it.
+The chart's map x is written once, so its jet is the exact Taylor
+polynomial of the same code.  ``frobenius_report`` checks these
+equations on the output by finite differences of ``position`` and
+``normal_map`` and reads N and b of the derived chart from the one
+``Analysis`` that classifies it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from . import fd
-from .charts import Chart, points_first
+from .charts import Chart, closed_form
 from .errors import InputError, ParameterError
 from .spaces import laguerre_space, p_vector
 
@@ -315,7 +318,8 @@ class ConstructedMaps:
 
 
 def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
-    """Assemble every closed-form map, with exact jets for the chart."""
+    """Assemble every closed-form map; the chart's jet is the Taylor
+    polynomial of its map."""
     _require_valid(c)
     b, cmat, ck = c.b, c.cmat, c.diag
     dconst = ck * (c.beta1 - c.beta3 * b)
@@ -331,66 +335,18 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
         V = np.atleast_2d(np.asarray(V, dtype=float))
         return np.sum(V**2 * b, axis=1) + 0.5 * phi
 
-    def _scalars(Vbar):
-        Vbar = np.atleast_2d(np.asarray(Vbar, dtype=float))
-        rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=1))
-        r = 0.5 * np.sum(Vbar**2 * bbar, axis=1) + 0.5 * phi
-        return Vbar, rho, r
-
-    def x_eval(Vbar):
-        Vbar, rho, r = _scalars(Vbar)
-        q = r / rho
-        w = Vbar * (1.0 - q[:, None] * bbar) + dconst
-        out = np.empty((Vbar.shape[0], n + 1))
-        out[:, 0] = q
-        out[:, 1:] = w @ cmat
-        return out
+    def x_map(Vbar):
+        rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=-1))
+        q = (0.5 * np.sum(Vbar**2 * bbar, axis=-1) + 0.5 * phi) / rho
+        w = Vbar * (1.0 - q[..., None] * bbar) + dconst
+        return np.concatenate([q[..., None], w @ cmat], axis=-1)
 
     def xi_eval(Vbar):
-        Vbar, rho, _ = _scalars(Vbar)
-        out = np.empty((Vbar.shape[0], n + 1))
-        out[:, 0] = (rho - 1.0) / rho
-        out[:, 1:] = (Vbar * bbar) @ cmat / rho[:, None]
-        return out
+        Vbar = np.atleast_2d(np.asarray(Vbar, dtype=float))
+        rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=1))
+        return np.concatenate([(rho - 1.0)[:, None], (Vbar * bbar) @ cmat], axis=1) / rho[:, None]
 
-    def x_jet(Vbar):
-        Vbar, rho, r = _scalars(Vbar)
-        m = Vbar.shape[0]
-        q = r / rho
-        # Points on the last axis, as in ``hilf_chart``'s jet.
-        V = np.ascontiguousarray(Vbar.T)
-        bb = bbar[:, None]
-        dr = bb * V                          # d r / d vbar_i
-        drho = bb**2 * V
-        dq = dr / rho - (r / rho**2) * drho
-        eye = np.eye(n)
-        ddr = (bbar * eye)[..., None]        # constant diagonal second partials
-        ddrho = (bbar**2 * eye)[..., None]
-        ddq = (
-            ddr / rho
-            - dr[:, None] * drho[None, :] / rho**2
-            - dr[None, :] * drho[:, None] / rho**2
-            - (r / rho**2) * ddrho
-            + 2.0 * (r / rho**3) * (drho[:, None] * drho[None, :])
-        )
-        x = x_eval(Vbar)
-        # w_k = vbar_k (1 - q bbar_k) + d_k, so
-        # dw[i, k] = delta_ik (1 - q bbar_k) - dq_i bbar_k vbar_k
-        dw = eye[..., None] * (1.0 - q * bb[None]) - (dq[:, None] * bb) * V[None]
-        dx = np.empty((n, n + 1, m))
-        dx[:, 0] = dq
-        dx[:, 1:] = cmat.T @ dw
-        # ddw[i, j, k] = -delta_ik dq_j bbar_k - delta_jk dq_i bbar_k - ddq_ij bbar_k vbar_k
-        ddw = -(ddq[:, :, None] * bb) * V
-        for k in range(n):
-            ddw[k, :, k] -= dq * bbar[k]
-            ddw[:, k, k] -= dq * bbar[k]
-        ddx = np.empty((n, n, n + 1, m))
-        ddx[:, :, 0] = ddq
-        ddx[:, :, 1:] = cmat.T @ ddw
-        del ddw  # freed before the copy below, which sets the peak memory of the lift
-        return x, points_first(dx), points_first(ddx)
-
+    x_eval, x_jet = closed_form(x_map)
     chart = Chart(
         n=n,
         domain=tuple(UNBOUNDED for _ in range(n)),

@@ -19,7 +19,10 @@
 * ``torus_chart`` -- a torus of revolution restricted to |v| < pi/3,
   the standard two-curvature sanity surface.
 
-All evaluators are vectorised over point batches.
+All evaluators are vectorised over point batches.  The maps of hilf,
+the torus and the degenerate model are written once, for float points
+and Taylor seeds alike (``charts.closed_form``), so their jets are exact
+Taylor polynomials of any degree; ``tau_chart`` is a black box.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart, points_first
+from .charts import Chart, closed_form
 from .errors import ImmersionError, ParameterError
 from .spaces import SignatureSpace, minkowski_space
 
@@ -91,69 +94,22 @@ class HilfParams:
         return np.repeat(self.a, self.multiplicities).astype(float)
 
 
-def _hilf_pieces(A: np.ndarray, phi: float, U: np.ndarray):
-    T = np.sum(A * U**2, axis=-1)
-    S = np.sum(A**2 * U**2, axis=-1)
-    Q = 1.0 / (S + 1.0)
-    W = (T + phi) * Q
-    return T, S, Q, W
-
-
 def hilf_chart(params: HilfParams) -> Chart:
-    """Chart of the explicit family with exact jets and analytic normal."""
+    """Chart of the explicit family, with Taylor jets and analytic normal."""
     A = params.coeffs
     phi = float(params.phi)
     n = params.n
 
-    def evaluate(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        _, _, _, W = _hilf_pieces(A, phi, U)
-        x = np.empty((U.shape[0], n + 1))
-        x[:, 0] = W
-        x[:, 1:] = U * (1.0 - W[:, None] * A)
-        return x
-
-    def jet(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = U.shape[0]
-        T, S, Q, W = _hilf_pieces(A, phi, U)
-        # The partials keep the points on the last axis, so each broadcast
-        # runs its inner loop over the batch.  dT_i = 2 A_i u_i,
-        # dS_i = 2 A_i^2 u_i; Q = 1/(S+1)
-        V = np.ascontiguousarray(U.T)
-        a = A[:, None]
-        dT = 2.0 * a * V
-        dS = 2.0 * a**2 * V
-        dQ = -dS * Q**2
-        dW = dT * Q + (T + phi) * dQ
-        eye = np.eye(n)
-        ddT = (2.0 * A * eye)[..., None]
-        ddS = (2.0 * A**2 * eye)[..., None]
-        ddQ = -ddS * Q**2 + 2.0 * (dS[:, None] * dS[None, :]) * Q**3
-        ddW = ddT * Q + dT[:, None] * dQ[None, :] + dT[None, :] * dQ[:, None] + (T + phi) * ddQ
-        x = np.empty((m, n + 1))
-        x[:, 0] = W
-        x[:, 1:] = U * (1.0 - W[:, None] * A)
-        dx = np.empty((n, n + 1, m))
-        dx[:, 0] = dW
-        dx[:, 1:] = eye[..., None] * (1.0 - W * a[None]) - (dW[:, None] * a) * V[None]
-        # d_ik x_(1+j) = -ddW_ik A_j u_j - delta_kj dW_i A_j - delta_ij dW_k A_j
-        ddx = np.empty((n, n, n + 1, m))
-        ddx[:, :, 0] = ddW
-        ddx[:, :, 1:] = -(ddW[:, :, None] * a) * V
-        for j in range(n):
-            ddx[:, j, 1 + j] -= dW * A[j]
-            ddx[j, :, 1 + j] -= dW * A[j]
-        return x, points_first(dx), points_first(ddx)
+    def x_map(U):
+        W = (np.sum(A * U**2, axis=-1) + phi) / (np.sum(A**2 * U**2, axis=-1) + 1.0)
+        return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
 
     def normal(U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        _, S, Q, _ = _hilf_pieces(A, phi, U)
-        xi = np.empty((U.shape[0], n + 1))
-        xi[:, 0] = (S - 1.0) * Q
-        xi[:, 1:] = 2.0 * A * U * Q[:, None]
-        return xi
+        S = np.sum(A**2 * U**2, axis=-1)
+        return np.concatenate([(S - 1.0)[:, None], 2.0 * A * U], axis=1) / (S + 1.0)[:, None]
 
+    evaluate, jet = closed_form(x_map)
     return Chart(
         n=n,
         domain=tuple(UNBOUNDED for _ in range(n)),
@@ -168,7 +124,11 @@ def hilf_chart(params: HilfParams) -> Chart:
 @dataclass(frozen=True, eq=False)
 class DegenerateChart:
     """A spacelike hypersurface in the degenerate hyperplane <x, nu> = 0
-    of Minkowski space, together with its lightlike normal field."""
+    of Minkowski space, together with its lightlike normal field.
+
+    ``jet(U, degree)`` is the Taylor polynomial of x, as on a ``Chart``;
+    ``normal_jet(U)`` gives the first partials of the normal (m, n, n+2).
+    """
 
     n: int
     space: SignatureSpace
@@ -181,7 +141,7 @@ class DegenerateChart:
     def constraint_residuals(self, U: np.ndarray):
         """Max residuals of <x,nu>=0, <xi,xi>=0, <xi,nu>=1, <xi,dx>=0."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        x, dx, _ = self.jet(U)
+        x, dx = self.jet(U, 1).partials()
         xi = self.normal(U)
         nu = np.zeros(self.space.dimension)
         nu[0] = nu[-1] = 1.0
@@ -199,7 +159,7 @@ class DegenerateChart:
     def fundamental_forms(self, U: np.ndarray):
         """Minkowski first and second fundamental forms I, -<dx, dxi>."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        _, dx, _ = self.jet(U)
+        dx = self.jet(U, 1).grad().value
         dxi = self.normal_jet(U)
         signs = self.space.signs
         I = np.einsum("mia,a,mja->mij", dx, signs, dx)
@@ -219,45 +179,19 @@ def degenerate_example(params: HilfParams) -> DegenerateChart:
     n = params.n
     space = minkowski_space(n)
 
-    def evaluate(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        T = np.sum(A * U**2, axis=-1)
-        x = np.empty((U.shape[0], n + 2))
-        x[:, 0] = 0.5 * T
-        x[:, 1:-1] = U
-        x[:, -1] = 0.5 * T
-        return x
+    def x_map(U):
+        T = 0.5 * np.sum(A * U**2, axis=-1)[..., None]
+        return np.concatenate([T, U, T], axis=-1)
 
-    def jet(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = U.shape[0]
-        x = evaluate(U)
-        dx = np.zeros((m, n, n + 2))
-        dx[:, :, 0] = A * U
-        dx[:, :, 1:-1] = np.eye(n)[None]
-        dx[:, :, -1] = A * U
-        ddx = np.zeros((m, n, n, n + 2))
-        ddx[:, :, :, 0] = (A * np.eye(n))[None]
-        ddx[:, :, :, -1] = (A * np.eye(n))[None]
-        return x, dx, ddx
+    def xi_map(U):
+        S = np.sum(A**2 * U**2, axis=-1)[..., None]
+        return np.concatenate([0.5 * (1.0 - S), -A * U, -0.5 * (1.0 + S)], axis=-1)
 
-    def normal(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        S = np.sum(A**2 * U**2, axis=-1)
-        xi = np.empty((U.shape[0], n + 2))
-        xi[:, 0] = 0.5 * (1.0 - S)
-        xi[:, 1:-1] = -A * U
-        xi[:, -1] = -0.5 * (1.0 + S)
-        return xi
+    evaluate, jet = closed_form(x_map)
+    normal, normal_taylor = closed_form(xi_map)
 
     def normal_jet(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = U.shape[0]
-        dxi = np.zeros((m, n, n + 2))
-        dxi[:, :, 0] = -(A**2) * U
-        dxi[:, :, 1:-1] = -(A * np.eye(n))[None]
-        dxi[:, :, -1] = -(A**2) * U
-        return dxi
+        return normal_taylor(U, 1).grad().value
 
     return DegenerateChart(
         n=n,
@@ -320,7 +254,7 @@ def tau_chart(deg: DegenerateChart) -> Chart:
 
 
 def torus_chart(R: float, r_tube: float) -> Chart:
-    """Torus of revolution with exact jets; domain restricted to |v| < pi/3.
+    """Torus of revolution with Taylor jets; domain restricted to |v| < pi/3.
 
     The analytic normal points into the tube, which makes both principal
     curvatures positive on the restricted domain: 1/r_tube along the tube
@@ -329,35 +263,17 @@ def torus_chart(R: float, r_tube: float) -> Chart:
     if not (np.isfinite(R) and R > r_tube > 0):
         raise ParameterError(f"need R > r_tube > 0, got R={R}, r_tube={r_tube}")
 
-    def evaluate(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        u, v = U[:, 0], U[:, 1]
+    def x_map(U):
+        u, v = U[..., 0], U[..., 1]
         w = R + r_tube * np.cos(v)
         return np.stack([w * np.cos(u), w * np.sin(u), r_tube * np.sin(v)], axis=-1)
-
-    def jet(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = U.shape[0]
-        u, v = U[:, 0], U[:, 1]
-        cu, su = np.cos(u), np.sin(u)
-        cv, sv = np.cos(v), np.sin(v)
-        w = R + r_tube * cv
-        x = np.stack([w * cu, w * su, r_tube * sv], axis=-1)
-        dx = np.empty((m, 2, 3))
-        dx[:, 0] = np.stack([-w * su, w * cu, np.zeros(m)], axis=-1)
-        dx[:, 1] = np.stack([-r_tube * sv * cu, -r_tube * sv * su, r_tube * cv], axis=-1)
-        ddx = np.empty((m, 2, 2, 3))
-        ddx[:, 0, 0] = np.stack([-w * cu, -w * su, np.zeros(m)], axis=-1)
-        ddx[:, 0, 1] = np.stack([r_tube * sv * su, -r_tube * sv * cu, np.zeros(m)], axis=-1)
-        ddx[:, 1, 0] = ddx[:, 0, 1]
-        ddx[:, 1, 1] = np.stack([-r_tube * cv * cu, -r_tube * cv * su, -r_tube * sv], axis=-1)
-        return x, dx, ddx
 
     def normal(U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         u, v = U[:, 0], U[:, 1]
         return -np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=-1)
 
+    evaluate, jet = closed_form(x_map)
     return Chart(
         n=2,
         domain=((-np.pi, np.pi), (-np.pi / 3.0, np.pi / 3.0)),

@@ -36,6 +36,7 @@ from .spaces import SignatureSpace, laguerre_space
 
 __all__ = [
     "LiftBatch",
+    "lift_vector",
     "lift_arrays",
     "frame_coefficients",
 ]
@@ -100,42 +101,35 @@ class LiftBatch:
         return (self.r[:, None] - self.r_i) / self.rho[:, None]
 
 
-def _lift_from_scalars(x, xi, r, rho):
-    m, d = x.shape
-    dot = np.sum(x * xi, axis=-1)
-    y = np.empty((m, d + 3))
-    y[:, 0] = dot
-    y[:, 1] = -dot
-    y[:, 2:-1] = xi
-    y[:, -1] = 1.0
-    Y = rho[:, None] * y
-    eta = np.empty_like(y)
-    sq = np.sum(x * x, axis=-1)
-    eta[:, 0] = 0.5 * (1.0 + sq)
-    eta[:, 1] = 0.5 * (1.0 - sq)
-    eta[:, 2:-1] = x
-    eta[:, -1] = 0.0
-    eta = eta + r[:, None] * y
-    return Y, eta
+def lift_vector(x, xi):
+    """y = (x.xi, -x.xi, xi, 1), so that Y = rho y and eta = eta_0 + r y;
+    ``x`` and ``xi`` (m, n+1) may be arrays or Taylor polynomials."""
+    dot = np.sum(x * xi, axis=-1)[..., None]
+    return np.concatenate([dot, -dot, xi, 0.0 * dot + 1.0], axis=-1)
 
 
-def lift_arrays(chart: Chart, U: np.ndarray) -> LiftBatch:
+def lift_arrays(chart: Chart, U: np.ndarray, jets=None) -> LiftBatch:
     """Evaluate the full pointwise lift on a batch of parameter points.
 
-    Raises ImmersionError / UmbilicError / VanishingCurvatureError for
-    the first reason of ``IRREGULAR`` that ``regularity`` finds in the
+    ``jets`` is the (x, dx, ddx, xi) of ``jet_arrays`` at U if it is at
+    hand.  Raises ImmersionError / UmbilicError / VanishingCurvatureError
+    for the first reason of ``IRREGULAR`` that ``regularity`` finds in the
     batch, and DegeneracyError if the invariant metric loses positive
     definiteness or r, rho are not finite.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    x, dx, ddx, xi = jet_arrays(chart, U)
+    x, dx, ddx, xi = jet_arrays(chart, U) if jets is None else jets
     I, II, III, deficient = forms_arrays(dx, ddx, xi)
     r, rho, reason = regularity(I, II, III, deficient)
     for name, (error, message) in zip(IRREGULAR, _ERRORS):
         if np.any(reason == name):
             raise error(message)
 
-    Y, eta = _lift_from_scalars(x, xi, r, rho)
+    y = lift_vector(x, xi)
+    Y = rho[:, None] * y
+    sq = np.sum(x * x, axis=-1)
+    eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x,
+                          np.zeros((len(x), 1))], axis=1) + r[:, None] * y
     g = rho[:, None, None] ** 2 * III
     positive = np.all(np.diagonal(g, axis1=-2, axis2=-1) > 0.0, axis=-1)
     if not np.all(positive & np.isfinite(r) & np.isfinite(rho)):

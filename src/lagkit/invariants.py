@@ -25,14 +25,16 @@ nabla B is that of B_ab = rho (r III_ab - II_ab), b_i delta_ij on the
 frame.  No eigenvector is differentiated, so repeated curvatures, whose
 eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
-Every partial comes from one stencil cloud per grid point (``fd.Cloud``):
-the lift is evaluated once on the cloud, with r and rho from traces and
-no eigendecomposition, and the first, second and third partials of its
-pointwise-exact fields are contracted from those values with 4th-order
-central stencils at the steps of ``FieldSteps``.  N, its
-partials d_c N (from third partials of Y and second partials of g), the
-Christoffel symbols and the curvature tensor of g are then assembled
-algebraically; nothing is differentiated twice.
+On a chart with a jet every partial is exact: the chart gives x at each
+grid point as a Taylor polynomial of degree 5 (``taylor``), and I, II,
+III, r and rho (traces of II^-1 I), Y, g, B and log rho follow as
+polynomials of degree 3 whose coefficients are the partials.  A
+black-box chart takes them from one stencil cloud per grid point
+(``fd.Cloud``): the lift is evaluated once on the cloud and the partials
+are contracted with 4th-order central stencils at the steps of
+``FieldSteps``.  N, its partials d_c N (from third partials of Y and
+second partials of g), the Christoffel symbols and the curvature tensor
+of g are then assembled algebraically; nothing is differentiated twice.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import fd
-from .charts import Chart
+from . import fd, taylor
+from .charts import Chart, jet_arrays
 from .errors import InputError
 from .fields import (
     MetricField,
@@ -52,7 +54,7 @@ from .fields import (
     laplacian,
     lowered_riemann,
 )
-from .frames import LiftBatch, frame_coefficients, lift_arrays
+from .frames import LiftBatch, frame_coefficients, lift_arrays, lift_vector
 from .spaces import p_vector
 
 __all__ = [
@@ -68,7 +70,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldSteps:
-    """Steps of the stencil cloud that differentiates the lift (all 4th-order central).
+    """Steps of the stencil cloud that differentiates the lift of a chart
+    without a jet (all 4th-order central).
 
     ``first`` gives first partials; ``second`` is larger to keep second
     differences above the roundoff floor; ``third`` gives the third
@@ -84,25 +87,56 @@ class FieldSteps:
 DEFAULT_STEPS = FieldSteps()
 
 
-def _b_tensor(lift: LiftBatch) -> np.ndarray:
+def _b_tensor(r, rho, III, II):
     """B_ab = rho (r III_ab - II_ab) (m, n, n), which is b_i delta_ij on the frame."""
-    return lift.rho[:, None, None] * (lift.r[:, None, None] * lift.III - lift.II)
+    return rho[..., None, None] * (r[..., None, None] * III - II)
+
+
+def _taylor_fields(x, dx, ddx, xi0):
+    """Y, g, III, log rho, r and B as Taylor polynomials of degree 3 from
+    x, dx, ddx of degrees 5, 4 and 3 and the unit normal xi0 at the points.
+    xi is xi0 less its tangential part, normalised; III = II I^-1 II; the
+    radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
+    rho^2 = tr (M - r Id)^2."""
+    n = dx.shape[1]
+    dx = dx.truncate(3)
+    I = taylor.einsum("mia,mja->mij", dx, dx)
+    I_inv = taylor.inv(I)
+    tangential = taylor.einsum("mij,mj->mi", I_inv, taylor.einsum("mia,ma->mi", dx, xi0))
+    v = xi0 - taylor.einsum("mi,mia->ma", tangential, dx)
+    xi = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
+    II = taylor.einsum("mija,ma->mij", ddx, xi)
+    III = taylor.matmul(II, taylor.matmul(I_inv, II))
+    M = taylor.matmul(taylor.inv(II), I)
+    idx = np.arange(n)
+    r = np.sum(M[:, idx, idx], axis=-1) / n
+    D = M - r[..., None, None] * np.eye(n)
+    rho2 = taylor.einsum("mij,mji->m", D, D)
+    rho = np.sqrt(rho2)
+    return {
+        "Y": rho[..., None] * lift_vector(x.truncate(3), xi), "g": rho2[..., None, None] * III,
+        "III": III, "logrho": 0.5 * np.log(rho2), "r": r, "B": _b_tensor(r, rho, III, II),
+    }
 
 
 def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False):
     """The lift at a grid and the partials of its pointwise-exact fields.
 
-    Y, g, III, log rho, r and B (none needs an eigenvector) are packed
-    into one field, so one evaluation of the lift on the stencil cloud
-    feeds every partial.  Returns (lift, jets) with ``jets[name]`` the
-    list [first, second(, third)] of partials of that field; ``lift`` holds
-    the grid rows only, so reading its frame runs ``eigh`` on m points.
+    Returns (lift, jets) with ``jets[name]`` the list [first, second(,
+    third)] of partials of Y, g, III, log rho, r or B (none needs an
+    eigenvector); ``lift`` holds the grid rows.  On a chart with a jet
+    they are the coefficients of ``_taylor_fields``; a black-box chart
+    packs the fields into one and lifts one stencil cloud.
     """
+    if chart.jet is not None:
+        x, dx, ddx, xi = jet_arrays(chart, grid, 5)
+        lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
+        return lift, {k: f.partials()[1:] for k, f in _taylor_fields(x, dx, ddx, xi).items()}
     cloud = fd.Cloud(grid, (steps.first, steps.second, steps.third)[: 3 if third else 2])
     lift = lift_arrays(chart, cloud.points)
     fields = {
-        "Y": lift.Y, "g": lift.g, "III": lift.III,
-        "logrho": np.log(lift.rho), "r": lift.r, "B": _b_tensor(lift),
+        "Y": lift.Y, "g": lift.g, "III": lift.III, "logrho": np.log(lift.rho), "r": lift.r,
+        "B": _b_tensor(lift.r, lift.rho, lift.III, lift.II),
     }
     m = lift.u.shape[0]
     packed = np.concatenate([v.reshape(m, -1) for v in fields.values()], axis=1)
@@ -172,7 +206,7 @@ def _n_partials(lift: LiftBatch, jets: dict, delta_y: np.ndarray, gamma: np.ndar
 
 @dataclass(frozen=True)
 class Analysis:
-    """Every invariant field over a grid, from one stencil cloud."""
+    """Every invariant field over a grid, from one jet of the grid."""
 
     chart: Chart
     grid: np.ndarray
@@ -190,7 +224,7 @@ class Analysis:
     cov_B: np.ndarray          # (m, i, j, k): B_ij,k = nabla B(E_i, E_j, E_k)
     laplace_iii_logrho: np.ndarray   # (m,)
     grad_iii_logrho_sq: np.ndarray   # (m,)
-    metric: MetricField        # curvature of g from the same cloud
+    metric: MetricField        # curvature of g from the same jets
 
     @property
     def lambda_estimate(self) -> float:
@@ -270,7 +304,7 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     )
 
     # nabla_c B_ab = d_c B_ab - Gamma^k_ca B_kb - Gamma^k_cb B_ak, then B_ij,k
-    gamma_b = np.einsum("mkca,mkb->mcab", gamma_g, _b_tensor(lift))
+    gamma_b = np.einsum("mkca,mkb->mcab", gamma_g, _b_tensor(lift.r, lift.rho, lift.III, lift.II))
     cov_coord = dB - gamma_b - np.swapaxes(gamma_b, -1, -2)
     cov_B = np.einsum("mia,mjb,mkc,mcab->mijk", w, w, w, cov_coord, optimize=True)
 

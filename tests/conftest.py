@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from lagkit.charts import Chart
+from lagkit.charts import Chart, closed_form
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 
 
@@ -61,25 +61,10 @@ def torus_points():
     )
 
 
-def graph_chart(height, height_grad, height_hess, domain_half=1.0):
-    """Graph chart u -> (u, h(u)) over R^2 with exact jets."""
-
-    def evaluate(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.concatenate([U, height(U)[:, None]], axis=1)
-
-    def jet(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = U.shape[0]
-        x = evaluate(U)
-        dx = np.zeros((m, 2, 3))
-        dx[:, 0, 0] = 1.0
-        dx[:, 1, 1] = 1.0
-        dx[:, :, 2] = height_grad(U)
-        ddx = np.zeros((m, 2, 2, 3))
-        ddx[:, :, :, 2] = height_hess(U)
-        return x, dx, ddx
-
+def graph_chart(height, domain_half=1.0):
+    """Graph chart u -> (u, h(u)) over R^2; ``height`` takes float points
+    and Taylor seeds alike, so the jet is exact."""
+    evaluate, jet = closed_form(lambda U: np.concatenate([U, height(U)[..., None]], axis=-1))
     return Chart(
         n=2,
         domain=((-domain_half, domain_half), (-domain_half, domain_half)),
@@ -101,23 +86,7 @@ def generic_chart():
             + c["c30"] * u**3 + c["c03"] * v**3 + c["c21"] * u**2 * v
         )
 
-    def hg(U):
-        u, v = U[..., 0], U[..., 1]
-        du = 2 * c["c20"] * u + c["c11"] * v + 3 * c["c30"] * u**2 + 2 * c["c21"] * u * v
-        dv = 2 * c["c02"] * v + c["c11"] * u + 3 * c["c03"] * v**2 + c["c21"] * u**2
-        return np.stack([du, dv], axis=-1)
-
-    def hh(U):
-        u, v = U[..., 0], U[..., 1]
-        m = U.shape[0]
-        out = np.empty((m, 2, 2))
-        out[:, 0, 0] = 2 * c["c20"] + 6 * c["c30"] * u + 2 * c["c21"] * v
-        out[:, 1, 1] = 2 * c["c02"] + 6 * c["c03"] * v
-        out[:, 0, 1] = c["c11"] + 2 * c["c21"] * u
-        out[:, 1, 0] = out[:, 0, 1]
-        return out
-
-    return graph_chart(h, hg, hh)
+    return graph_chart(h)
 
 
 @pytest.fixture(scope="session")

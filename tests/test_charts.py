@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from lagkit import fd
 from lagkit.charts import (
     Chart,
+    _cholesky,
     FdConfig,
     curvature_line_check,
     forms_arrays,
@@ -13,6 +15,7 @@ from lagkit.charts import (
     jet_arrays,
     principal_arrays,
     radius_traces,
+    regularity,
 )
 from lagkit.errors import (
     ImmersionError,
@@ -29,22 +32,7 @@ def quadric(a1, a2, cross=0.0):
     def h(U):
         return a1 * U[..., 0] ** 2 + a2 * U[..., 1] ** 2 + cross * U[..., 0] * U[..., 1]
 
-    def hg(U):
-        return np.stack(
-            [2 * a1 * U[..., 0] + cross * U[..., 1],
-             2 * a2 * U[..., 1] + cross * U[..., 0]],
-            axis=-1,
-        )
-
-    def hh(U):
-        m = U.shape[0]
-        out = np.empty((m, 2, 2))
-        out[:, 0, 0] = 2 * a1
-        out[:, 1, 1] = 2 * a2
-        out[:, 0, 1] = out[:, 1, 0] = cross
-        return out
-
-    return graph_chart(h, hg, hh)
+    return graph_chart(h)
 
 
 def point(u):
@@ -238,7 +226,7 @@ def test_rotated_chart_fails_curvature_lines(hilf3):
 )
 def test_first_derivative_convergence_order(torus21, scheme, nominal):
     u = np.array([[0.4, 0.3]])
-    _, dx_exact, _ = torus21.jet(u)
+    _, dx_exact, _ = torus21.jet(u, 2).partials()
     steps = [0.04, 0.02, 0.01]
     errs = []
     for h in steps:
@@ -251,7 +239,7 @@ def test_first_derivative_convergence_order(torus21, scheme, nominal):
 
 def test_second_derivative_convergence_order(torus21):
     u = np.array([[0.4, 0.3]])
-    _, _, ddx_exact = torus21.jet(u)
+    _, _, ddx_exact = torus21.jet(u, 2).partials()
     steps = [0.04, 0.02, 0.01]
     errs = []
     for h in steps:
@@ -308,6 +296,9 @@ def svd_rank_deficient(dx):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_rank_screen_matches_svd_criterion(n):
+    # The mask is the SVD criterion plus the points whose factor of
+    # I = dx dx^T meets a NaN or non-positive pivot; I squares the
+    # condition, so only sigma ratios below 1e-7 can add any.
     rng = np.random.default_rng(400 + n)
     ratios = np.concatenate([np.logspace(-14, 0, 57), [0.0, 0.0, 1e-10, 1.1e-10, 0.9e-10]])
     for scale in (1e-3, 1.0, 1e3):
@@ -315,9 +306,14 @@ def test_rank_screen_matches_svd_criterion(n):
         dx[-6, 0] = dx[-6, 1]                 # sigma ratio 1 made exactly rank deficient
         deficient = svd_rank_deficient(dx)
         assert deficient.any() and not deficient.all()
-        assert np.array_equal(rank_mask(dx), deficient)
-        for i, expected in enumerate(deficient):
-            assert rank_mask(dx[i:i + 1]).tolist() == [expected]
+        pivots = np.diagonal(_cholesky(dx @ np.swapaxes(dx, -1, -2)), axis1=-2, axis2=-1)
+        failed = ~np.all(pivots > 0.0, axis=-1)
+        sv = np.linalg.svd(dx, compute_uv=False)
+        assert not np.any(failed & (sv[:, -1] >= 1e-7 * sv[:, 0]))
+        expected = deficient | failed
+        assert np.array_equal(rank_mask(dx), expected)
+        for i, want in enumerate(expected):
+            assert rank_mask(dx[i:i + 1]).tolist() == [want]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -431,6 +427,24 @@ def test_unscreened_points_share_the_factor():
     indefinite[5] = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(ImmersionError, match="not positive definite"):
         principal_arrays(indefinite, II)
+
+
+def test_failed_factor_is_a_rank_deficient_point():
+    # sigma ratios of 1e-9 pass the SVD test, yet I = dx dx^T has cond
+    # 1e18 and its factor meets NaN pivots on about half the points: those
+    # are masked, with no warning, and ``regularity`` gives them a reason
+    # instead of raising.
+    rng = np.random.default_rng(470)
+    dx = jacobians(rng, 3, np.full(200, 1e-9))
+    ddx = rng.standard_normal((200, 3, 3, 4))
+    xi = rng.standard_normal((200, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        I, II, III, deficient = forms_arrays(dx, ddx, xi / np.linalg.norm(xi, axis=-1)[:, None])
+        reason = regularity(I, II, III, deficient)[2]
+    assert 0 < np.sum(deficient) < 200
+    assert np.all(deficient == ~np.all(np.isfinite(III), axis=(-2, -1)))
+    assert np.all(reason[deficient] == "rank-deficient Jacobian")
 
 
 # The trace route: r and rho of the radii from S = L3^-1 II L3^-T, and the

@@ -126,6 +126,22 @@ def test_construct_identity(tmp_path):
     assert by_name["constructed_b_roundtrip"]["status"] == "pass"
 
 
+def test_verify_next_to_the_singular_line(tmp_path):
+    # The column u_1 = -0.998 lies 2e-3 from the singular line u_1 = -1 of
+    # hilf (1,2): a stencil of differences around it would cross the line,
+    # the Taylor jet needs the grid points alone.
+    report = tmp_path / "near.json"
+    code = run([
+        "verify", "--surface", "hilf", "--a", "1,2", "--grid", "5",
+        "--center=-0.798,0.3", "--half-width", "0.2",
+        "--no-timestamp", "--out", str(report),
+    ])
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert payload["passed"] is True and payload["errors"] == []
+    assert payload["classification"]["is_isotropic"] is True
+
+
 def test_construct_seeded(tmp_path):
     report = tmp_path / "con.json"
     code = run([
@@ -142,7 +158,7 @@ def test_construct_seeded(tmp_path):
 
 def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
     # frobenius_report and the classification share one analysis: one lift
-    # of the 203-point stencil cloud of each of the 5^3 vbar grid points.
+    # of the 5^3 vbar grid points, whose partials come from one Taylor jet.
     lift_rows = count_rows(monkeypatch, frames.lift_arrays, 1)
     code = run([
         "construct", "--b-from-a", "1,2,3", "--seed", "1",
@@ -150,7 +166,7 @@ def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
         "--no-timestamp", "--out", str(tmp_path / "con.json"),
     ])
     assert code == 0
-    assert lift_rows == [125 * 203] == [25375]
+    assert lift_rows == [125]
 
 
 def test_construct_rejects_tampered_matrix(tmp_path):

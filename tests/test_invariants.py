@@ -143,7 +143,7 @@ def test_covariant_b_matches_frame_route(case, hilf3, grid3, generic_chart, gene
     a = analyze(chart, points)
     n = chart.n
     w = frame_coefficients(a.lift)
-    on_frame = np.einsum("mia,mab,mjb->mij", w, _b_tensor(a.lift), w)
+    on_frame = np.einsum("mia,mab,mjb->mij", w, _b_tensor(a.lift.r, a.lift.rho, a.lift.III, a.lift.II), w)
     assert np.max(np.abs(on_frame - np.einsum("mi,ij->mij", a.lift.b, np.eye(n)))) <= 1e-12
     reference = frame_route_cov_b(chart, points)
     scale = max(1.0, np.max(np.abs(reference)))
@@ -246,11 +246,11 @@ def test_per_point_operations(hilf3):
 
 
 def test_eigh_runs_on_grid_rows_only(monkeypatch, hilf3):
-    # The verify-hilf3 inputs: 5^3 grid points, 203 cloud points each.  The
-    # lift takes r and rho from traces on the whole cloud; the principal
-    # decomposition runs on the grid rows that read the frame.
+    # The verify-hilf3 inputs: 5^3 grid points.  The partials come from one
+    # Taylor jet of the grid, so the lift runs on the grid rows only, and
+    # the principal decomposition on the rows that read the frame.
     eigh_rows = count_rows(monkeypatch, charts.principal_arrays, 0)
     lift_rows = count_rows(monkeypatch, frames.lift_arrays, 1)
     analyze(hilf3, mesh(3, 0.4, 5))
-    assert sum(lift_rows) == 125 * 203 == 25375
+    assert sum(lift_rows) == 125
     assert sum(eigh_rows) == 125

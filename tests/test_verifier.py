@@ -45,6 +45,23 @@ def test_rank_deficient_grid_points_are_errors(a, center, half_width, points, er
     assert report.passed and report.analysis.grid.shape == (len(grid) - errors, n)
 
 
+@pytest.mark.parametrize("a, center, half_width, points", [
+    ((1, 2, 3), (0.9, 0.9, 0.9), 0.3, 5),
+    ((1, 2, 3), (1.5, 1.5, 1.5), 0.3, 5),
+    ((1, 2), (0.0, 0.0), 2.0, 8),
+    ((1, 2), (2.5, 2.5), 0.8, 5),
+])
+def test_family_is_isotropic_away_from_the_origin(a, center, half_width, points):
+    # The family is L-isotropic with lambda = 0 everywhere, also where rho
+    # is 5-11: there the roundoff of third differences alone would push
+    # max|L - lambda I| past the classification tolerance.
+    report = run_suite(hilf_chart(HilfParams(a=a)), mesh(len(a), half_width, points, center))
+    cls = report.classification
+    assert cls["is_isotropic"] and cls["l_identity_deviation"] <= 1e-9
+    assert report.passed and not report.errors
+    assert not [c.name for c in report.checks if c.note == "requires isotropic input"]
+
+
 def test_every_check_has_anchor(hilf_report):
     for check in hilf_report.checks:
         assert check.anchor
@@ -117,28 +134,29 @@ def test_skipped_checks_are_not_failures(torus21, torus_points):
 
 
 def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
-    # One stencil cloud per grid point feeds the invariants, the metric
-    # curvature and the two-curvature check: 1 + 12 + 60 + 130 chart points
-    # at n=3, plus one for the regularity pass.
+    # One degree-5 Taylor jet per grid point feeds the invariants, the
+    # metric curvature and the two-curvature check, plus one degree-2 jet
+    # for the regularity pass.
     import lagkit.charts
     import lagkit.frames
+    import lagkit.invariants
     import lagkit.verifier
 
     points = []
     original = lagkit.charts.jet_arrays
 
-    def counted(chart, U):
+    def counted(chart, U, *args):
         points.append(np.atleast_2d(U).shape[0])
-        return original(chart, U)
+        return original(chart, U, *args)
 
-    for module in (lagkit.charts, lagkit.frames, lagkit.verifier):
+    for module in (lagkit.charts, lagkit.frames, lagkit.invariants, lagkit.verifier):
         monkeypatch.setattr(module, "jet_arrays", counted)
     grid = mesh(3, 0.4, 5)
     report = run_suite(hilf3, grid)
     assert report.passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["isoparametric_curvature_sum"].status == "pass"
-    assert sum(points) <= 204 * len(grid)
+    assert sum(points) == 2 * len(grid)
 
 
 def test_degenerate_rho_square_constant_can_fail():
