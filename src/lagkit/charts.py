@@ -188,11 +188,13 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x (m, n+1), dx
     (m, n, n+1), ddx (m, n, n, n+1) and the unit normal xi (m, n+1).
 
-    Above ``degree`` 2, which needs a chart with a jet, x, dx and ddx are
+    ``degree`` is 2, or more on a chart with a jet: then x, dx and ddx are
     Taylor polynomials about U of degrees degree, degree-1 and degree-2.
     Raises MarginError if a finite-difference stencil would leave the
     domain; ``forms_arrays`` tests the rank of the Jacobian.
     """
+    if degree < 2 or (degree > 2 and chart.jet is None):
+        raise InputError(f"jets have degree 2, or more on a chart with a jet; not {degree}")
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != chart.n:
         raise ImmersionError(
@@ -202,10 +204,8 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     if chart.jet is not None:
         x = chart.jet(U, degree)
         x, dx, ddx = x.partials() if degree == 2 else (x, x.grad(), x.grad().grad())
-    elif degree == 2:
-        x, dx, ddx = _fd_jet(chart, U)
     else:
-        raise InputError("a chart without a jet has partials of order 2 only")
+        x, dx, ddx = _fd_jet(chart, U)
 
     if chart.normal is not None:
         xi = np.asarray(chart.normal(U))

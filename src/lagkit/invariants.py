@@ -26,13 +26,13 @@ frame.  No eigenvector is differentiated, so repeated curvatures, whose
 eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
 On a chart with a jet every partial is exact: the chart gives x at each
-grid point as a Taylor polynomial of degree 5 (``taylor``), and I, II,
-III, r and rho (traces of II^-1 I), Y, g, B and log rho follow as
-polynomials of degree 3 whose coefficients are the partials.  A
-black-box chart takes them from one stencil cloud per grid point
-(``fd.Cloud``): the lift is evaluated once on the cloud and the partials
-are contracted with 4th-order central stencils at the steps of
-``FieldSteps``.  N, its partials d_c N (from third partials of Y and
+grid point as a Taylor polynomial of degree 5 (``taylor``; 4 where no
+third partial is read), and I, II, III, r and rho (traces of II^-1 I),
+Y, g, B and log rho follow as polynomials of degree 3 (2) whose
+coefficients are the partials.  A black-box chart takes them from one
+stencil cloud per grid point (``fd.Cloud``): the lift is evaluated once
+on the cloud and the partials are contracted with 4th-order central
+stencils at the steps of ``FieldSteps``.  N, its partials d_c N (from third partials of Y and
 second partials of g), the Christoffel symbols and the curvature tensor
 of g are then assembled algebraically; nothing is differentiated twice.
 """
@@ -93,13 +93,13 @@ def _b_tensor(r, rho, III, II):
 
 
 def _taylor_fields(x, dx, ddx, xi0):
-    """Y, g, III, log rho, r and B as Taylor polynomials of degree 3 from
-    x, dx, ddx of degrees 5, 4 and 3 and the unit normal xi0 at the points.
+    """Y, g, III, log rho, r and B as Taylor polynomials of degree k from
+    x, dx, ddx of degrees k+2, k+1 and k and the unit normal xi0 at the points.
     xi is xi0 less its tangential part, normalised; III = II I^-1 II; the
     radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
     rho^2 = tr (M - r Id)^2."""
-    n = dx.shape[1]
-    dx = dx.truncate(3)
+    n, k = dx.shape[1], ddx.d
+    dx = dx.truncate(k)
     I = taylor.einsum("mia,mja->mij", dx, dx)
     I_inv = taylor.inv(I)
     tangential = taylor.einsum("mij,mj->mi", I_inv, taylor.einsum("mia,ma->mi", dx, xi0))
@@ -108,13 +108,12 @@ def _taylor_fields(x, dx, ddx, xi0):
     II = taylor.einsum("mija,ma->mij", ddx, xi)
     III = taylor.matmul(II, taylor.matmul(I_inv, II))
     M = taylor.matmul(taylor.inv(II), I)
-    idx = np.arange(n)
-    r = np.sum(M[:, idx, idx], axis=-1) / n
+    r = np.sum(M[:, np.arange(n), np.arange(n)], axis=-1) / n
     D = M - r[..., None, None] * np.eye(n)
     rho2 = taylor.einsum("mij,mji->m", D, D)
     rho = np.sqrt(rho2)
     return {
-        "Y": rho[..., None] * lift_vector(x.truncate(3), xi), "g": rho2[..., None, None] * III,
+        "Y": rho[..., None] * lift_vector(x.truncate(k), xi), "g": rho2[..., None, None] * III,
         "III": III, "logrho": 0.5 * np.log(rho2), "r": r, "B": _b_tensor(r, rho, III, II),
     }
 
@@ -125,11 +124,12 @@ def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False
     Returns (lift, jets) with ``jets[name]`` the list [first, second(,
     third)] of partials of Y, g, III, log rho, r or B (none needs an
     eigenvector); ``lift`` holds the grid rows.  On a chart with a jet
-    they are the coefficients of ``_taylor_fields``; a black-box chart
-    packs the fields into one and lifts one stencil cloud.
+    they are the coefficients of ``_taylor_fields`` from x of degree 5
+    (4 without ``third``); a black-box chart packs the fields into one
+    and lifts one stencil cloud.
     """
     if chart.jet is not None:
-        x, dx, ddx, xi = jet_arrays(chart, grid, 5)
+        x, dx, ddx, xi = jet_arrays(chart, grid, 5 if third else 4)
         lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
         return lift, {k: f.partials()[1:] for k, f in _taylor_fields(x, dx, ddx, xi).items()}
     cloud = fd.Cloud(grid, (steps.first, steps.second, steps.third)[: 3 if third else 2])

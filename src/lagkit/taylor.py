@@ -204,18 +204,19 @@ class Taylor:
         if not isinstance(axis, int) or func not in (np.sum, np.stack, np.concatenate):
             return NotImplemented
         axis = axis + 1 if axis >= 0 else axis
-        if func is np.sum:
-            return self._new(args[0].c.sum(axis=axis))
-        return self._new(func([p.c for p in args[0]], axis=axis))
+        parts = args[0].c if func is np.sum else [p.c for p in args[0]]
+        return self._new(func(parts, axis=axis))
 
 
 def variables(U: np.ndarray, d: int) -> Taylor:
-    """The coordinates u + h as Taylors of degree d about the points U (m, n)."""
+    """The coordinates u + h as Taylors of degree d >= 1 about the points U (m, n)."""
+    if d < 1:
+        raise ValueError(f"coordinate seeds need degree >= 1, not {d}")
     U = np.atleast_2d(np.asarray(U, dtype=float))
     m, n = U.shape
     c = np.zeros((comb(n + d, d), m, n))
     c[0] = U
-    c[1 + np.arange(n), :, np.arange(n)] = 1.0 if d else 0.0
+    c[1 + np.arange(n), :, np.arange(n)] = 1.0
     return Taylor(c, n, d)
 
 
@@ -244,8 +245,7 @@ def inv(A: Taylor) -> Taylor:
     """Inverse of a batch of Taylor matrices (..., k, k):
     A^-1 = A_0^-1 sum_j (-N A_0^-1)^j with N = A - A_0 nilpotent."""
     A0inv = np.linalg.inv(A.value)
-    P = -matmul(A - A.value, A0inv)
-    S = P + np.eye(A.shape[-1])
-    for _ in range(A.d - 1):
+    P, S = -matmul(A - A.value, A0inv), np.eye(A.shape[-1])
+    for _ in range(A.d):
         S = matmul(P, S) + np.eye(A.shape[-1])
     return matmul(A0inv, S)

@@ -7,7 +7,6 @@ import pytest
 from lagkit import fd
 from lagkit.charts import (
     Chart,
-    _cholesky,
     FdConfig,
     curvature_line_check,
     forms_arrays,
@@ -282,10 +281,15 @@ def jacobians(rng, n, ratios, scale=1.0):
     return scale * np.einsum("mik,mk,mak->mia", left, sv, right)
 
 
+def rank_forms(dx):
+    """(III, deficient) of ``forms_arrays`` for a Jacobian batch with II = 0."""
+    m, n, d = dx.shape
+    return forms_arrays(dx, np.zeros((m, n, n, d)), np.tile(np.eye(d)[-1], (m, 1)))[2:]
+
+
 def rank_mask(dx):
     """The ``deficient`` mask of ``forms_arrays`` for a Jacobian batch."""
-    m, n, d = dx.shape
-    return forms_arrays(dx, np.zeros((m, n, n, d)), np.tile(np.eye(d)[-1], (m, 1)))[3]
+    return rank_forms(dx)[1]
 
 
 def svd_rank_deficient(dx):
@@ -296,9 +300,9 @@ def svd_rank_deficient(dx):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_rank_screen_matches_svd_criterion(n):
-    # The mask is the SVD criterion plus the points whose factor of
-    # I = dx dx^T meets a NaN or non-positive pivot; I squares the
-    # condition, so only sigma ratios below 1e-7 can add any.
+    # The mask is the SVD criterion, plus points whose I = dx dx^T cannot
+    # be factored.  I squares the condition, so such points have sigma
+    # ratios below 1e-7; every point left unmasked has a finite III.
     rng = np.random.default_rng(400 + n)
     ratios = np.concatenate([np.logspace(-14, 0, 57), [0.0, 0.0, 1e-10, 1.1e-10, 0.9e-10]])
     for scale in (1e-3, 1.0, 1e3):
@@ -306,13 +310,13 @@ def test_rank_screen_matches_svd_criterion(n):
         dx[-6, 0] = dx[-6, 1]                 # sigma ratio 1 made exactly rank deficient
         deficient = svd_rank_deficient(dx)
         assert deficient.any() and not deficient.all()
-        pivots = np.diagonal(_cholesky(dx @ np.swapaxes(dx, -1, -2)), axis1=-2, axis2=-1)
-        failed = ~np.all(pivots > 0.0, axis=-1)
         sv = np.linalg.svd(dx, compute_uv=False)
-        assert not np.any(failed & (sv[:, -1] >= 1e-7 * sv[:, 0]))
-        expected = deficient | failed
-        assert np.array_equal(rank_mask(dx), expected)
-        for i, want in enumerate(expected):
+        band = sv[:, -1] < 1e-7 * sv[:, 0]
+        III, mask = rank_forms(dx)
+        assert np.array_equal(mask & ~band, deficient & ~band)
+        assert np.all(mask[deficient])
+        assert np.all(np.isfinite(III[~mask])) and np.all(np.isnan(III[mask]))
+        for i, want in enumerate(mask):
             assert rank_mask(dx[i:i + 1]).tolist() == [want]
 
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from lagkit import taylor
 from lagkit.charts import jet_arrays
 from lagkit.construction import (
     ConstructionConstants,
@@ -31,6 +32,7 @@ from lagkit.construction import (
     build_immersion,
     random_orthogonal,
 )
+from lagkit.errors import InputError
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 from lagkit.invariants import _taylor_fields
 
@@ -126,15 +128,25 @@ def oracle_function(x, u, constants, order):
 
 
 def assert_x_coefficients_match(chart, x, u, constants, order=2):
-    """``chart.jet`` against the sympy partials of ``x`` in ``u`` up to ``order``."""
+    """``chart.jet`` against the sympy partials of ``x`` in ``u`` up to
+    ``order``: the partials d^alpha x = alpha! c_alpha of each order k are
+    bounded by REL_TOL times the largest partial of that order, so x, dx
+    and ddx each keep their own bound."""
     n = len(u)
     f = oracle_function(x, u, constants, order)
+    basis = monomials(n, order)
+    scale = np.array([reduce(lambda acc, e: acc * factorial(e), alpha, 1) for alpha in basis])
+    degree = np.array([sum(alpha) for alpha in basis])
     U = np.array([p[:n] for p in POINTS])
-    got = chart.jet(U, order).c                                # (K, m, n+1)
+    got = chart.jet(U, order).c * scale[:, None, None]        # (K, m, n+1)
     for row, point in enumerate(U):
         with mpmath.workdps(40):
             want = np.array(f(*[mpmath.mpf(float(v)) for v in point]), dtype=float)
-        assert np.max(np.abs(got[:, row] - want)) <= REL_TOL * np.max(np.abs(want))
+        want = want * scale[:, None]
+        for k in range(order + 1):
+            block = degree == k
+            error = np.max(np.abs(got[block, row] - want[block]))
+            assert error <= REL_TOL * np.max(np.abs(want[block])), (k, row)
 
 
 @pytest.mark.parametrize("a,multiplicities", [
@@ -164,6 +176,13 @@ def test_jet_arrays_partials_are_the_coefficients(hilf3):
                       (ddx[:, 0, 1], X.c[5]), (ddx[:, 0, 0], 2 * X.c[4])):
         # d_0 d_1 x is the coefficient of h_0 h_1, d_0^2 x twice that of h_0^2
         assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_degrees_below_the_range_are_rejected(hilf3):
+    with pytest.raises(ValueError, match="degree >= 1"):
+        taylor.variables(np.array(POINTS), 0)
+    with pytest.raises(InputError, match="jets have degree 2"):
+        jet_arrays(hilf3, np.array(POINTS), 1)
 
 
 # The lift oracle.
