@@ -6,7 +6,7 @@ projection), classifies isotropic / isoparametric inputs, and integrates
 the curvature-line frame system back to an explicit immersion.
 """
 
-from .charts import Chart, FdConfig, curvature_line_check
+from .charts import Chart, curvature_line_check
 from .construction import (
     ConstructedMaps,
     ConstructionConstants,
@@ -40,7 +40,6 @@ from .families import (
 )
 from .invariants import (
     ClassificationResult,
-    FieldSteps,
     classify,
     metric_geometry,
 )

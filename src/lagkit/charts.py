@@ -3,11 +3,11 @@
 A ``Chart`` evaluates a hypersurface x: U in R^n -> R^(n+1) on batches of
 parameter points.  A closed-form chart writes its map once, for float
 points and ``taylor.Taylor`` seeds alike (``closed_form``), so its jet
-is the map's exact Taylor polynomial; black-box charts fall back to
-central finite differences (``FdConfig``).  The unit normal is the
-normalised generalized cross product of the Jacobian rows in parameter
-order unless the chart supplies a normal field; ``flip_normal``
-reverses either, and curvature signs follow the resulting orientation.
+is the map's exact Taylor polynomial; ``jet_arrays`` refuses a chart
+without a jet.  The unit normal is the normalised generalized cross
+product of the Jacobian rows in parameter order unless the chart
+supplies a normal field; ``flip_normal`` reverses either, and curvature
+signs follow the resulting orientation.
 
 Each kernel factors I = dx dx^T = L L^T once per point in plain batched
 numpy (loops over the n columns), forms L^-1 by forward substitution
@@ -33,11 +33,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import fd, taylor
-from .errors import ImmersionError, InputError
+from . import taylor
+from .errors import ImmersionError, InputError, MarginError
 
 __all__ = [
-    "FdConfig",
     "Chart",
     "closed_form",
     "jet_arrays",
@@ -50,8 +49,6 @@ __all__ = [
     "curvature_line_check",
     "cross_normal",
 ]
-
-SCHEMES = {"central-2nd-order": 2, "central-4th-order": 4}
 
 # Relative thresholds flagging the regimes the theory excludes: umbilic
 # points (all curvatures equal) and vanishing principal curvatures.
@@ -69,38 +66,16 @@ SCREEN = 1e-8
 IRREGULAR = ("rank-deficient Jacobian", "umbilic point", "vanishing principal curvature")
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """Step and scheme for finite-difference jets.
-
-    First partials use the scheme's order at ``step``; second partials
-    always use the 2nd-order stencils at the same step, which balances
-    truncation against roundoff for O(1)-scaled charts.
-    """
-
-    step: float = 1e-4
-    scheme: str = "central-4th-order"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError("fd step must be a positive finite number")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    @property
-    def first_order(self) -> int:
-        return SCHEMES[self.scheme]
-
-
 @dataclass(frozen=True, eq=False)
 class Chart:
-    """A parametrized hypersurface with optional exact derivative data.
+    """A parametrized hypersurface and its exact derivative data.
 
     ``evaluator`` maps parameter batches (m, n) to points (m, n+1).
-    ``jet(U, degree)`` if present returns the Taylor polynomial of x about
-    the points U to total degree ``degree`` (a ``taylor.Taylor`` of value
-    shape (m, n+1)); ``closed_form`` makes it.  ``normal`` if present
-    returns the unit normal field (m, n+1).
+    ``jet(U, degree)`` returns the Taylor polynomial of x about the points
+    U to total degree ``degree`` (a ``taylor.Taylor`` of value shape
+    (m, n+1)); ``closed_form`` makes both, and ``jet_arrays`` refuses a
+    chart without a jet.  ``normal`` if present returns the unit normal
+    field (m, n+1).
     """
 
     n: int
@@ -109,7 +84,6 @@ class Chart:
     jet: Optional[Callable] = None
     normal: Optional[Callable] = None
     flip_normal: bool = False
-    fd: FdConfig = field(default_factory=FdConfig)
     name: str = ""
     params: dict = field(default_factory=dict)
 
@@ -140,15 +114,6 @@ def cross_normal(dx: np.ndarray) -> np.ndarray:
         minor = dx[:, :, cols != a]
         out[:, a] = (-1) ** (n + a) * np.linalg.det(minor)
     return out
-
-
-def _fd_jet(chart: Chart, U: np.ndarray):
-    h = chart.fd.step
-    order = chart.fd.first_order
-    x = np.asarray(chart.evaluator(U))
-    dx = fd.grad_field(chart.evaluator, U, h, order)
-    ddx = fd.hess_field(chart.evaluator, U, h, 2)
-    return x, dx, ddx
 
 
 def _cholesky(I: np.ndarray) -> np.ndarray:
@@ -188,24 +153,29 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x (m, n+1), dx
     (m, n, n+1), ddx (m, n, n, n+1) and the unit normal xi (m, n+1).
 
-    ``degree`` is 2, or more on a chart with a jet: then x, dx and ddx are
-    Taylor polynomials about U of degrees degree, degree-1 and degree-2.
-    Raises MarginError if a finite-difference stencil would leave the
-    domain; ``forms_arrays`` tests the rank of the Jacobian.
+    ``degree`` is at least 2; above 2, x, dx and ddx are Taylor
+    polynomials about U of degrees degree, degree-1 and degree-2.  Raises
+    InputError on a chart without a jet and MarginError at a point outside
+    ``chart.domain``; ``forms_arrays`` tests the rank of the Jacobian.
     """
-    if degree < 2 or (degree > 2 and chart.jet is None):
-        raise InputError(f"jets have degree 2, or more on a chart with a jet; not {degree}")
+    if chart.jet is None:
+        raise InputError(
+            f"chart {chart.name or 'custom'!r} has no jet: write its map once for float "
+            "points and Taylor seeds and build it with charts.closed_form"
+        )
+    if degree < 2:
+        raise InputError(f"jets have degree 2 or more, not {degree}")
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != chart.n:
         raise ImmersionError(
             f"parameter points of dimension {U.shape[1]} on an n={chart.n} chart"
         )
-    fd.check_margin(chart.domain, U, 0.0 if chart.jet is not None else 2 * chart.fd.step)
-    if chart.jet is not None:
-        x = chart.jet(U, degree)
-        x, dx, ddx = x.partials() if degree == 2 else (x, x.grad(), x.grad().grad())
-    else:
-        x, dx, ddx = _fd_jet(chart, U)
+    lo, hi = np.array(chart.domain, dtype=float).T
+    outside = np.any((U < lo) | (U > hi), axis=1)
+    if np.any(outside):
+        raise MarginError(f"point {U[outside][0].tolist()} lies outside the chart domain")
+    x = chart.jet(U, degree)
+    x, dx, ddx = x.partials() if degree == 2 else (x, x.grad(), x.grad().grad())
 
     if chart.normal is not None:
         xi = np.asarray(chart.normal(U))

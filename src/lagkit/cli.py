@@ -29,7 +29,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .charts import FdConfig
 from .construction import (
     ConstructionConstants,
     b_from_curvatures,
@@ -90,15 +89,20 @@ def _load_config(path):
 
 def _resolve(args) -> dict:
     """Merge the config file (if any) with flag overrides."""
-    cfg = {"surface": {}, "grid": {}, "fd": {}, "output": {}, "seed": 0}
+    cfg = {"surface": {}, "grid": {}, "output": {}, "seed": 0}
     if getattr(args, "config", None):
         file_cfg = _load_config(args.config)
         if not isinstance(file_cfg, dict):
             raise LagkitError(f"config file {args.config}: not a JSON object")
-        for key in list(cfg) + ["tolerances"]:
-            if key in file_cfg:
-                cfg[key] = file_cfg[key]
-    for key in ("surface", "grid", "fd", "output"):
+        known = list(cfg) + ["tolerances"]
+        unknown = sorted(set(file_cfg) - set(known))
+        if unknown:
+            raise LagkitError(
+                f"config file {args.config}: unknown section(s) "
+                f"{', '.join(map(repr, unknown))}; known: {', '.join(known)}"
+            )
+        cfg.update(file_cfg)
+    for key in ("surface", "grid", "output"):
         if not isinstance(cfg[key], dict):
             raise LagkitError(f"config section {key!r} must be a JSON object")
     if getattr(args, "surface", None):
@@ -124,8 +128,6 @@ def _resolve(args) -> dict:
         cfg["grid"]["half_width"] = args.half_width
     if getattr(args, "center", None):
         cfg["grid"]["center"] = _parse_floats(args.center, "--center")
-    if getattr(args, "step", None) is not None:
-        cfg["fd"]["step"] = args.step
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
@@ -142,9 +144,6 @@ def _resolve(args) -> dict:
     center = grid.get("center")
     if center is not None and not (isinstance(center, list) and all(map(_is_real, center))):
         raise LagkitError(f"grid center must be a list of finite numbers, got {center!r}")
-    step = cfg["fd"].get("step")
-    if step is not None and not (_is_real(step) and step > 0):
-        raise LagkitError(f"fd step must be a positive finite number, got {step!r}")
     seed = cfg["seed"]
     if not (type(seed) is int and seed >= 0):
         raise LagkitError(f"seed must be a non-negative integer, got {seed!r}")
@@ -157,16 +156,7 @@ def _build_surface(cfg):
     params = dict(surface.get("params", {}))
     if not isinstance(kind, str) or kind not in CATALOG:
         raise LagkitError(f"unknown surface {kind!r}; see `lagkit catalog`")
-    chart = CATALOG[kind](params)
-    step = cfg.get("fd", {}).get("step")
-    scheme = cfg.get("fd", {}).get("scheme")
-    if (step or scheme) and hasattr(chart, "fd"):
-        try:
-            fdc = FdConfig(step=step or 1e-4, scheme=scheme or "central-4th-order")
-        except ValueError as exc:
-            raise LagkitError(f"fd config: {exc}") from exc
-        chart = dataclasses.replace(chart, fd=fdc)
-    return kind, chart
+    return kind, CATALOG[kind](params)
 
 
 def _tolerances(cfg) -> Tolerances:
@@ -317,8 +307,7 @@ def _cmd_construct(args) -> int:
     )
     analysis = analyze(maps.chart, vbar_grid)
     anchor = "integrability conditions of the curvature-line frame system"
-    step = cfg["fd"].get("step", 1e-3)
-    for name, residual in frobenius_report(maps, v_grid, analysis, step).items():
+    for name, residual in frobenius_report(maps, v_grid, analysis).items():
         report.add(f"frobenius_{name}", anchor, residual, tol.frobenius)
 
     cls = classify_analysis(analysis, tol.classification)
@@ -404,7 +393,6 @@ def _add_common(parser, with_surface=True):
     parser.add_argument("--grid", type=int, help="points per axis (>= 3)")
     parser.add_argument("--half-width", dest="half_width", type=float)
     parser.add_argument("--center", help="comma-separated grid center")
-    parser.add_argument("--step", type=float, help="finite-difference step")
     parser.add_argument("--seed", type=int, help="seed for all randomness")
     parser.add_argument("--out", help="report JSON path (default: stdout)")
     parser.add_argument("--samples", help="per-point CSV path")
@@ -414,8 +402,15 @@ def _add_common(parser, with_surface=True):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are bad input: one ``error:`` line and exit status 2."""
+
+    def error(self, message):
+        raise LagkitError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagkit",
         description="Laguerre-geometry invariants of hypersurfaces: compute and verify.",
     )
@@ -447,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "catalog": _cmd_catalog,
         "verify": _cmd_verify,
@@ -457,6 +450,7 @@ def main(argv=None) -> int:
         "tau": _cmd_tau,
     }
     try:
+        args = build_parser().parse_args(argv)
         status = handlers[args.command](args)
         sys.stdout.flush()
         return status

@@ -34,11 +34,12 @@ vbar_k = sqrt2 v_k b_k the immersion and its normal take the closed form
 with bbar_k = 1/b_k, which for C = I and d = 0 is exactly the explicit
 family with constants a_k = 1/b_k and phi-shift phi.
 
-The chart's map x is written once, so its jet is the exact Taylor
-polynomial of the same code.  ``frobenius_report`` checks these
-equations on the output by finite differences of ``position`` and
-``normal_map`` and reads N and b of the derived chart from the one
-``Analysis`` that classifies it.
+Every map is written once, for float points and Taylor seeds alike, so
+the chart's jet is the exact Taylor polynomial of the same code.
+``frobenius_report`` checks these equations on the output from the
+degree-2 Taylor polynomials of ``position`` and ``normal_map`` and reads
+N and b of the derived chart from the one ``Analysis`` that classifies
+it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fd
+from . import taylor
 from .charts import Chart, closed_form
 from .errors import InputError, ParameterError
 from .spaces import laguerre_space, p_vector
@@ -249,51 +250,37 @@ def b_from_curvatures(a) -> np.ndarray:
 
 
 def build_position(c: ConstructionConstants) -> Callable:
-    """Evaluator v -> Y(v) in R^(n+4), vectorised over batches."""
+    """The map v -> Y(v) in R^(n+4) of point batches (..., n), float
+    arrays and Taylor seeds alike."""
     _require_valid(c)
     b, cmat, ck = c.b, c.cmat, c.diag
     d = ck * (c.beta1 - c.beta3 * b)
     const1 = float(np.sum(ck**2 * c.beta3 * (0.5 * c.beta3 * b - c.beta1) + c.gamma1))
-    n = c.n
 
     def position(V):
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        m = V.shape[0]
-        Y = np.empty((m, n + 4))
-        y1 = np.sum(V**2 * b, axis=1) + np.sqrt(2.0) * V @ d + const1
-        vsq = np.sum(V**2, axis=1)
-        Y[:, 0] = y1
-        Y[:, 1] = -y1
-        Y[:, 2] = vsq - 0.5
-        Y[:, 3:-1] = np.sqrt(2.0) * V @ cmat
-        Y[:, -1] = vsq + 0.5
-        return Y
+        y1 = (np.sum(V**2 * b, axis=-1) + np.sqrt(2.0) * V @ d + const1)[..., None]
+        vsq = np.sum(V**2, axis=-1)[..., None]
+        return np.concatenate([y1, -y1, vsq - 0.5, np.sqrt(2.0) * V @ cmat, vsq + 0.5], axis=-1)
 
     return position
 
 
 def build_normal_map(c: ConstructionConstants) -> Callable:
-    """Evaluator v -> eta(v) in R^(n+4), vectorised over batches."""
+    """The map v -> eta(v) in R^(n+4) of point batches (..., n), float
+    arrays and Taylor seeds alike."""
     _require_valid(c)
     b, cmat, ck = c.b, c.cmat, c.diag
     d = ck * (c.beta1 - c.beta3 * b)
     const3 = -float(
         np.sum(ck**2 * c.beta3 * (0.5 * c.beta3 * b - c.beta1) + c.gamma1)
     )
-    n = c.n
 
     def normal_map(V):
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        m = V.shape[0]
-        eta = np.empty((m, n + 4))
-        A = np.sum(V**2 * b**2, axis=1) + np.sqrt(2.0) * V @ (b * d) + 0.5 * np.sum(d**2)
-        r = np.sum(V**2 * b, axis=1) + const3
-        eta[:, 0] = A + 0.5
-        eta[:, 1] = -A + 0.5
-        eta[:, 2] = r
-        eta[:, 3:-1] = (np.sqrt(2.0) * V * b) @ cmat + np.broadcast_to(d @ cmat, (m, n))
-        eta[:, -1] = r
-        return eta
+        A = (np.sum(V**2 * b**2, axis=-1) + np.sqrt(2.0) * V @ (b * d)
+             + 0.5 * np.sum(d**2))[..., None]
+        r = (np.sum(V**2 * b, axis=-1) + const3)[..., None]
+        spatial = (np.sqrt(2.0) * V * b) @ cmat + d @ cmat
+        return np.concatenate([A + 0.5, -A + 0.5, r, spatial, r], axis=-1)
 
     return normal_map
 
@@ -368,11 +355,12 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
     )
 
 
-def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis, step: float = 1e-3) -> dict:
+def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis) -> dict:
     """Numerical residuals of the integrability conditions on the output.
 
-    Verifies, over the v-grid and from one stencil cloud at ``step``:
-    vanishing mixed partials of Y, the diagonal second-order equation
+    Verifies, over the v-grid and from the degree-2 Taylor polynomials of
+    ``position`` and ``normal_map`` about it: vanishing mixed partials of
+    Y, the diagonal second-order equation
     Y_,ii/g_ii - g_ii,i Y_,i/(2 g_ii^2) = N + b_i P with the constant
     N = (0,0,1,0...,1), the first-order equation eta_,i = b_i Y_,i and
     diagonality of <Y_,i, Y_,j>.  ``analysis``, the Analysis of the
@@ -387,9 +375,9 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis, step: fl
     if not np.array_equal(analysis.grid, np.sqrt(2.0) * grid * c.b):
         raise InputError("the analysis is not of the vbar grid sqrt(2) grid b")
 
-    cloud = fd.Cloud(grid, (step, step), 4)
-    _, dY, ddY = cloud.partials(maps.position(cloud.points))  # (m, a, n+4), (m, a, b, n+4)
-    deta = cloud.partials(maps.normal_map(cloud.points))[1]
+    V = taylor.variables(grid, 2)
+    _, dY, ddY = maps.position(V).partials()  # (m, a, n+4), (m, a, b, n+4)
+    deta = maps.normal_map(V).partials()[1]
 
     off = ~np.eye(n, dtype=bool)
     idx = np.arange(n)

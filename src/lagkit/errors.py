@@ -14,7 +14,7 @@ class ParameterError(LagkitError):
 
 
 class MarginError(LagkitError):
-    """A finite-difference stencil would leave the chart domain."""
+    """A parameter point lies outside the chart domain."""
 
 
 class ImmersionError(LagkitError):

@@ -19,10 +19,9 @@
 * ``torus_chart`` -- a torus of revolution restricted to |v| < pi/3,
   the standard two-curvature sanity surface.
 
-All evaluators are vectorised over point batches.  The maps of hilf,
-the torus and the degenerate model are written once, for float points
-and Taylor seeds alike (``charts.closed_form``), so their jets are exact
-Taylor polynomials of any degree; ``tau_chart`` is a black box.
+All evaluators are vectorised over point batches.  Every map is written
+once, for float points and Taylor seeds alike (``charts.closed_form``),
+so every chart's jet is the exact Taylor polynomial of any degree.
 """
 
 from __future__ import annotations
@@ -126,12 +125,15 @@ class DegenerateChart:
     """A spacelike hypersurface in the degenerate hyperplane <x, nu> = 0
     of Minkowski space, together with its lightlike normal field.
 
+    ``x_map`` and ``xi_map`` take float points and Taylor seeds alike;
     ``jet(U, degree)`` is the Taylor polynomial of x, as on a ``Chart``;
     ``normal_jet(U)`` gives the first partials of the normal (m, n, n+2).
     """
 
     n: int
     space: SignatureSpace
+    x_map: Callable
+    xi_map: Callable
     evaluator: Callable
     normal: Callable
     jet: Callable
@@ -196,6 +198,8 @@ def degenerate_example(params: HilfParams) -> DegenerateChart:
     return DegenerateChart(
         n=n,
         space=space,
+        x_map=x_map,
+        xi_map=xi_map,
         evaluator=evaluate,
         normal=normal,
         jet=jet,
@@ -204,7 +208,7 @@ def degenerate_example(params: HilfParams) -> DegenerateChart:
     )
 
 
-def laguerre_immersion_tau(x: np.ndarray, xi: np.ndarray):
+def laguerre_immersion_tau(x, xi):
     """Map (x, xi) on the degenerate model to (x', xi') in R^(n+1) x S^n.
 
     With x = (x1, x0, x1) and xi = (xi1 + 1, xi0, xi1) in coordinates,
@@ -212,41 +216,35 @@ def laguerre_immersion_tau(x: np.ndarray, xi: np.ndarray):
         x'  = (-x1/xi1, x0 - (x1/xi1) xi0),
         xi' = (1 + 1/xi1, xi0/xi1).
 
-    Requires xi1 != 0 (guaranteed on the model, where xi1 <= -1/2).
+    ``x`` and ``xi`` (..., n+2) are float arrays or Taylor polynomials.
+    Requires xi1 != 0 (guaranteed on the model, where xi1 <= -1/2),
+    which is checked on float input.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    x1 = x[:, -1]
-    x0 = x[:, 1:-1]
-    xi1 = xi[:, -1]
-    xi0 = xi[:, 1:-1]
-    if np.any(np.abs(xi1) < 1e-14):
+    xi1, xi0 = xi[..., -1:], xi[..., 1:-1]
+    if isinstance(xi1, np.ndarray) and np.any(np.abs(xi1) < 1e-14):
         raise ImmersionError("tau undefined where the normal component xi1 vanishes")
-    ratio = (x1 / xi1)[:, None]
-    x_out = np.concatenate([-ratio, x0 - ratio * xi0], axis=1)
-    xi_out = np.concatenate([(1.0 + 1.0 / xi1)[:, None], xi0 / xi1[:, None]], axis=1)
+    ratio = x[..., -1:] / xi1
+    x_out = np.concatenate([-ratio, x[..., 1:-1] - ratio * xi0], axis=-1)
+    xi_out = np.concatenate([1.0 + 1.0 / xi1, xi0 / xi1], axis=-1)
     return x_out, xi_out
 
 
 def tau_chart(deg: DegenerateChart) -> Chart:
-    """Euclidean chart obtained by pushing a degenerate chart through tau.
+    """Euclidean chart obtained by pushing a degenerate chart through tau;
+    its map is the composition, so its jet is exact."""
 
-    Values and the unit normal are closed-form; jets fall back to finite
-    differences of the composed evaluator.
-    """
-
-    def evaluate(U):
-        x, _ = laguerre_immersion_tau(deg.evaluator(U), deg.normal(U))
-        return x
+    def x_map(U):
+        return laguerre_immersion_tau(deg.x_map(U), deg.xi_map(U))[0]
 
     def normal(U):
-        _, xi = laguerre_immersion_tau(deg.evaluator(U), deg.normal(U))
-        return xi
+        return laguerre_immersion_tau(deg.evaluator(U), deg.normal(U))[1]
 
+    evaluate, jet = closed_form(x_map)
     return Chart(
         n=deg.n,
         domain=tuple(UNBOUNDED for _ in range(deg.n)),
         evaluator=evaluate,
+        jet=jet,
         normal=normal,
         name="tau-image",
         params=dict(deg.params),
@@ -288,16 +286,17 @@ def torus_chart(R: float, r_tube: float) -> Chart:
 def sphere_chart(radius: float = 1.0) -> Chart:
     """Round sphere in graph coordinates; umbilic everywhere (for tests)."""
 
-    def evaluate(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
+    def x_map(U):
         h = np.sqrt(radius**2 - np.sum(U**2, axis=-1))
-        return np.concatenate([U, h[:, None]], axis=1)
+        return np.concatenate([U, h[..., None]], axis=-1)
 
     half = radius / 2.0
+    evaluate, jet = closed_form(x_map)
     return Chart(
         n=2,
         domain=((-half, half), (-half, half)),
         evaluator=evaluate,
+        jet=jet,
         name="sphere",
         params={"radius": float(radius)},
     )

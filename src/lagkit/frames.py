@@ -18,7 +18,7 @@ the diagonal frame E_i = g_ii^(-1/2) d/du_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,12 +69,6 @@ class LiftBatch:
     II: np.ndarray       # (m, n, n)
     III: np.ndarray      # (m, n, n)
     g: np.ndarray        # (m, n, n)
-
-    def rows(self, index) -> "LiftBatch":
-        """The lift at the points ``index`` (a slice or index array) selects."""
-        return replace(self, **{
-            f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "space"
-        })
 
     @cached_property
     def _principal(self):

@@ -25,16 +25,13 @@ nabla B is that of B_ab = rho (r III_ab - II_ab), b_i delta_ij on the
 frame.  No eigenvector is differentiated, so repeated curvatures, whose
 eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
-On a chart with a jet every partial is exact: the chart gives x at each
-grid point as a Taylor polynomial of degree 5 (``taylor``; 4 where no
-third partial is read), and I, II, III, r and rho (traces of II^-1 I),
-Y, g, B and log rho follow as polynomials of degree 3 (2) whose
-coefficients are the partials.  A black-box chart takes them from one
-stencil cloud per grid point (``fd.Cloud``): the lift is evaluated once
-on the cloud and the partials are contracted with 4th-order central
-stencils at the steps of ``FieldSteps``.  N, its partials d_c N (from third partials of Y and
-second partials of g), the Christoffel symbols and the curvature tensor
-of g are then assembled algebraically; nothing is differentiated twice.
+Every partial is exact: the chart gives x at each grid point as a
+Taylor polynomial of degree 5 (``taylor``; 4 where no third partial is
+read), and I, II, III, r and rho (traces of II^-1 I), Y, g, B and log
+rho follow as polynomials of degree 3 (2) whose coefficients are the
+partials.  N, its partials d_c N (from third partials of Y and second
+partials of g), the Christoffel symbols and the curvature tensor of g
+are then assembled algebraically; nothing is differentiated twice.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import fd, taylor
+from . import taylor
 from .charts import Chart, jet_arrays
 from .errors import InputError
 from .fields import (
@@ -58,7 +55,6 @@ from .frames import LiftBatch, frame_coefficients, lift_arrays, lift_vector
 from .spaces import p_vector
 
 __all__ = [
-    "FieldSteps",
     "ClassificationResult",
     "Analysis",
     "analyze",
@@ -66,25 +62,6 @@ __all__ = [
     "classify_analysis",
     "classify",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSteps:
-    """Steps of the stencil cloud that differentiates the lift of a chart
-    without a jet (all 4th-order central).
-
-    ``first`` gives first partials; ``second`` is larger to keep second
-    differences above the roundoff floor; ``third`` gives the third
-    partials of Y that d N needs, where the roundoff of a third difference
-    grows like 1/h^3.  All three stencils share one evaluation of the lift.
-    """
-
-    first: float = 1e-4
-    second: float = 1e-3
-    third: float = 1.5e-3
-
-
-DEFAULT_STEPS = FieldSteps()
 
 
 def _b_tensor(r, rho, III, II):
@@ -118,35 +95,17 @@ def _taylor_fields(x, dx, ddx, xi0):
     }
 
 
-def _jets(chart: Chart, grid: np.ndarray, steps: FieldSteps, third: bool = False):
+def _jets(chart: Chart, grid: np.ndarray, third: bool = False):
     """The lift at a grid and the partials of its pointwise-exact fields.
 
     Returns (lift, jets) with ``jets[name]`` the list [first, second(,
     third)] of partials of Y, g, III, log rho, r or B (none needs an
-    eigenvector); ``lift`` holds the grid rows.  On a chart with a jet
-    they are the coefficients of ``_taylor_fields`` from x of degree 5
-    (4 without ``third``); a black-box chart packs the fields into one
-    and lifts one stencil cloud.
+    eigenvector): the coefficients of ``_taylor_fields`` from x of degree
+    5 (4 without ``third``).
     """
-    if chart.jet is not None:
-        x, dx, ddx, xi = jet_arrays(chart, grid, 5 if third else 4)
-        lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
-        return lift, {k: f.partials()[1:] for k, f in _taylor_fields(x, dx, ddx, xi).items()}
-    cloud = fd.Cloud(grid, (steps.first, steps.second, steps.third)[: 3 if third else 2])
-    lift = lift_arrays(chart, cloud.points)
-    fields = {
-        "Y": lift.Y, "g": lift.g, "III": lift.III, "logrho": np.log(lift.rho), "r": lift.r,
-        "B": _b_tensor(lift.r, lift.rho, lift.III, lift.II),
-    }
-    m = lift.u.shape[0]
-    packed = np.concatenate([v.reshape(m, -1) for v in fields.values()], axis=1)
-    partials = cloud.partials(packed)[1:]
-    jets, start = {}, 0
-    for name, v in fields.items():
-        stop = start + v[0].size
-        jets[name] = [d[..., start:stop].reshape(d.shape[:-1] + v.shape[1:]) for d in partials]
-        start = stop
-    return lift.rows(cloud.centre), jets
+    x, dx, ddx, xi = jet_arrays(chart, grid, 5 if third else 4)
+    lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
+    return lift, {k: f.partials()[1:] for k, f in _taylor_fields(x, dx, ddx, xi).items()}
 
 
 def _n_vector(lift: LiftBatch, jets: dict):
@@ -244,13 +203,13 @@ class Analysis:
         return float(np.max(np.abs(self.E2_Y - rhs)))
 
 
-def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -> Analysis:
+def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     """Evaluate every invariant field of the lift over a grid of points."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     m, n = grid.shape
     if n != chart.n:
         raise InputError(f"grid dimension {n} does not match chart n={chart.n}")
-    lift, jets = _jets(chart, grid, steps, third=True)
+    lift, jets = _jets(chart, grid, third=True)
     signs = lift.space.signs
     w = frame_coefficients(lift)
 
@@ -320,11 +279,9 @@ def analyze(chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS) -
     )
 
 
-def metric_geometry(
-    chart: Chart, grid: np.ndarray, steps: FieldSteps = DEFAULT_STEPS
-) -> MetricField:
+def metric_geometry(chart: Chart, grid: np.ndarray) -> MetricField:
     """Orthonormal-frame curvature of the invariant metric over a grid."""
-    return _metric(*_jets(chart, grid, steps))
+    return _metric(*_jets(chart, grid))
 
 
 @dataclass(frozen=True)
@@ -401,9 +358,6 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
     )
 
 
-def classify(
-    chart: Chart, grid: np.ndarray, tol: float = 1e-5,
-    steps: FieldSteps = DEFAULT_STEPS,
-) -> ClassificationResult:
+def classify(chart: Chart, grid: np.ndarray, tol: float = 1e-5) -> ClassificationResult:
     """Classify a chart as L-isotropic / L-isoparametric over a grid."""
-    return classify_analysis(analyze(chart, grid, steps), tol)
+    return classify_analysis(analyze(chart, grid), tol)

@@ -105,7 +105,7 @@ class Taylor:
 
     def partials(self) -> list:
         """[f, df, ddf, ...] at the expansion points, order k of shape
-        (m, n, ..., n, ...) with k axes of length n, as ``fd.Cloud.partials``."""
+        (m, n, ..., n, ...) with k axes of length n."""
         out, t = [self.value], self
         while t.d:
             t = t.grad()

@@ -29,13 +29,7 @@ from .charts import (
 from .errors import InputError
 from .families import DegenerateChart
 from .frames import LiftBatch, lift_arrays
-from .invariants import (
-    Analysis,
-    DEFAULT_STEPS,
-    FieldSteps,
-    analyze,
-    classify_analysis,
-)
+from .invariants import Analysis, analyze, classify_analysis
 
 __all__ = [
     "Tolerances",
@@ -435,12 +429,7 @@ CHECKS = (
 )
 
 
-def run_suite(
-    chart: Chart,
-    grid: np.ndarray,
-    tol: Tolerances = Tolerances(),
-    steps: FieldSteps = DEFAULT_STEPS,
-) -> PropertyReport:
+def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) -> PropertyReport:
     """Run every check of ``CHECKS`` on one chart, skipping those whose hypotheses fail."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     report = PropertyReport(
@@ -458,7 +447,7 @@ def run_suite(
         )
         return report
 
-    a = analyze(chart, valid, steps)
+    a = analyze(chart, valid)
     cls = classify_analysis(a, tol.classification)
     report.classification = cls.to_dict()
     report.analysis = a

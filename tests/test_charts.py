@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lagkit import fd
 from lagkit.charts import (
     Chart,
-    FdConfig,
+    closed_form,
+    cross_normal,
     curvature_line_check,
     forms_arrays,
     irregular_masks,
@@ -24,6 +24,7 @@ from lagkit.errors import (
 )
 from lagkit.families import sphere_chart
 from lagkit.frames import lift_arrays
+from tests import central
 from tests.conftest import graph_chart, mesh
 
 
@@ -47,23 +48,6 @@ def forms(chart, U):
     return I, II, III
 
 
-def black_box(chart, step=1e-4, scheme="central-4th-order"):
-    """Strip the exact jet/normal so finite differences are exercised."""
-    return Chart(
-        n=chart.n,
-        domain=chart.domain,
-        evaluator=chart.evaluator,
-        fd=FdConfig(step=step, scheme=scheme),
-        name=chart.name + "-fd",
-    )
-
-
-@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1e-4])
-def test_fd_step_must_be_positive_and_finite(step):
-    with pytest.raises(ValueError, match="positive finite"):
-        FdConfig(step=step)
-
-
 def test_hilf_value_at_origin(hilf2):
     x, _, _, xi = jet_arrays(hilf2, point([0.0, 0.0]))
     assert np.allclose(x[0], 0.0)
@@ -72,9 +56,9 @@ def test_hilf_value_at_origin(hilf2):
 
 def test_polynomial_second_partials_exact():
     chart = quadric(0.5, 0.0)  # x = (u1, u2, u1^2 / 2): dd x_3 = diag(1, 0)
-    _, _, ddx, _ = jet_arrays(black_box(chart), point([0.0, 0.0]))
-    assert np.allclose(ddx[0, ..., 2], np.diag([1.0, 0.0]), atol=1e-7)
-    assert np.allclose(ddx[0, ..., :2], 0.0, atol=1e-7)
+    _, _, ddx, _ = jet_arrays(chart, point([0.0, 0.0]))
+    assert np.array_equal(ddx[0, ..., 2], np.diag([1.0, 0.0]))
+    assert not np.any(ddx[0, ..., :2])
 
 
 def test_torus_value(torus21):
@@ -83,18 +67,20 @@ def test_torus_value(torus21):
 
 
 def test_margin_error(torus21):
-    with pytest.raises(MarginError):
-        jet_arrays(black_box(torus21), point([0.0, np.pi / 3 - 1e-6]))
+    # the torus chart is restricted to |v| <= pi/3; its boundary is inside
+    jet_arrays(torus21, point([np.pi, np.pi / 3]))
+    with pytest.raises(MarginError, match="outside the chart domain"):
+        jet_arrays(torus21, np.array([[0.0, 0.0], [0.0, np.pi / 3 + 1e-9]]))
 
 
 def collapse_chart():
-    """A black-box chart whose Jacobian has rank 1 everywhere."""
+    """A chart whose Jacobian has rank 1 everywhere."""
     def collapse(U):
-        U = np.atleast_2d(U)
-        s = U[:, 0] + U[:, 1]
+        s = U[..., 0] + U[..., 1]
         return np.stack([s, s, s**2], axis=-1)
 
-    return Chart(n=2, domain=((-1, 1), (-1, 1)), evaluator=collapse)
+    evaluate, jet = closed_form(collapse)
+    return Chart(n=2, domain=((-1, 1), (-1, 1)), evaluator=evaluate, jet=jet)
 
 
 def test_rank_deficient_jacobian_rejected():
@@ -162,7 +148,7 @@ def test_principal_direction_derivative_relation(hilf3):
     U = mesh(3, 0.3, 2)
     _, dx, ddx, xi = jet_arrays(hilf3, U)
     k, e = principal_arrays(*forms_arrays(dx, ddx, xi)[:2])
-    dxi = fd.grad_field(hilf3.normal, U, 1e-5, 4)
+    dxi = central.grad(hilf3.normal, U, 1e-5)
     for i in range(3):
         lhs = np.einsum("ma,mad->md", e[:, i], dxi)
         rhs = -k[:, i, None] * np.einsum("ma,mad->md", e[:, i], dx)
@@ -211,49 +197,29 @@ def test_rotated_chart_fails_curvature_lines(hilf3):
          [np.sin(theta), np.cos(theta), 0.0],
          [0.0, 0.0, 1.0]]
     )
-    rotated = Chart(
-        n=3,
-        domain=hilf3.domain,
-        evaluator=lambda U: hilf3.evaluator(np.atleast_2d(U) @ R.T),
-        name="rotated",
-    )
+    A = np.array([1.0, 2.0, 3.0])
+
+    def hilf_map(U):   # hilf (1,2,3) in the rotated coordinates U R^T
+        U = U @ R.T
+        W = np.sum(A * U**2, axis=-1) / (np.sum(A**2 * U**2, axis=-1) + 1.0)
+        return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
+
+    evaluate, jet = closed_form(hilf_map)
+    grid = mesh(3, 0.2, 3)
+    assert np.max(np.abs(evaluate(grid) - hilf3.evaluator(grid @ R.T))) <= 1e-15
+    rotated = Chart(n=3, domain=hilf3.domain, evaluator=evaluate, jet=jet, name="rotated")
     assert not curvature_line_check(rotated, mesh(3, 0.2, 3), 1e-8)
 
 
-@pytest.mark.parametrize(
-    "scheme,nominal", [("central-2nd-order", 2.0), ("central-4th-order", 4.0)]
-)
-def test_first_derivative_convergence_order(torus21, scheme, nominal):
-    u = np.array([[0.4, 0.3]])
-    _, dx_exact, _ = torus21.jet(u, 2).partials()
-    steps = [0.04, 0.02, 0.01]
-    errs = []
-    for h in steps:
-        chart = black_box(torus21, step=h, scheme=scheme)
-        dx = fd.grad_field(chart.evaluator, u, h, chart.fd.first_order)
-        errs.append(np.max(np.abs(dx - dx_exact)))
-    slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
-    assert abs(slope - nominal) <= 0.5
-
-
-def test_second_derivative_convergence_order(torus21):
-    u = np.array([[0.4, 0.3]])
-    _, _, ddx_exact = torus21.jet(u, 2).partials()
-    steps = [0.04, 0.02, 0.01]
-    errs = []
-    for h in steps:
-        ddx = fd.hess_field(torus21.evaluator, u, h, 2)
-        errs.append(np.max(np.abs(ddx - ddx_exact)))
-    slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
-    assert abs(slope - 2.0) <= 0.5
-
-
 def test_fd_jets_match_exact_jets(hilf3):
+    # the central-difference oracle of tests/central.py against the Taylor jet
     U = mesh(3, 0.3, 2)[:4]
     _, dx, ddx, xi = jet_arrays(hilf3, U)
-    _, dx_fd, ddx_fd, xi_fd = jet_arrays(black_box(hilf3), U)
+    dx_fd = central.grad(hilf3.evaluator, U, 1e-4)
     assert np.max(np.abs(dx - dx_fd)) <= 1e-10
-    assert np.max(np.abs(ddx - ddx_fd)) <= 1e-6
+    assert np.max(np.abs(ddx - central.hess(hilf3.evaluator, U, 1e-3))) <= 1e-6
+    xi_fd = cross_normal(dx_fd)
+    xi_fd /= np.linalg.norm(xi_fd, axis=1, keepdims=True)
     assert np.max(np.abs(np.abs(np.sum(xi * xi_fd, axis=1)) - 1.0)) <= 1e-10
 
 

@@ -289,6 +289,9 @@ BAD_INPUT = {
         ["construct", "--constants", "{file}"], {"b": B3, "cmat": [1, 0, 0, 1]},
         "4 cmat entries"),
     "tau-a-not-number": (["tau", "--a", "1,x"], None, "--a"),
+    "step-flag": (["verify", "--a", "1,2", "--step", "1e-3"], None, "--step"),
+    "config-unknown-section": (
+        ["verify", "--config", "{file}"], {"fd": {"step": 1e-3}}, "unknown section(s) 'fd'"),
 }
 
 
@@ -316,7 +319,8 @@ ECHOED = {
     "tau-multiplicities": (["tau", "--a", "1,2"], ["--params", '{"multiplicities": [2, 1]}'], None),
     "construct-center": (
         ["construct", "--b-from-a", "1,2,3", "--identity"], ["--center", "0.1,0,-0.1"], None),
-    "construct-step": (["construct", "--b-from-a", "1,2,3", "--identity"], ["--step", "2e-3"], None),
+    "construct-step": (
+        ["construct", "--b-from-a", "1,2,3", "--identity"], ["--step", "2e-3"], "--step"),
 }
 
 

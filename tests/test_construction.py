@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lagkit import fd
 from lagkit.construction import (
     ConstructionConstants,
     b_from_curvatures,
@@ -18,6 +17,8 @@ from lagkit.errors import InputError, ParameterError
 from lagkit.families import HilfParams, hilf_chart
 from lagkit.invariants import analyze, classify
 from lagkit.spaces import laguerre_space
+from lagkit.verifier import Tolerances
+from tests import central
 from tests.conftest import mesh
 
 B123 = b_from_curvatures([1, 2, 3])
@@ -117,7 +118,7 @@ def test_position_tangents_diagonal(seeded_constants):
     Y = build_position(seeded_constants)
     sp = laguerre_space(3)
     grid = mesh(3, 0.5, 3)
-    dY = fd.grad_field(Y, grid, 1e-4, 4)
+    dY = central.grad(Y, grid, 1e-4)
     gram = np.einsum("mal,l,mbl->mab", dY, sp.signs, dY)
     off = gram.copy()
     idx = np.arange(3)
@@ -146,8 +147,8 @@ def test_normal_map_derivative_relation(seeded_constants):
     eta = build_normal_map(seeded_constants)
     Y = build_position(seeded_constants)
     grid = mesh(3, 0.5, 3)
-    dY = fd.grad_field(Y, grid, 1e-4, 4)
-    deta = fd.grad_field(eta, grid, 1e-4, 4)
+    dY = central.grad(Y, grid, 1e-4)
+    deta = central.grad(eta, grid, 1e-4)
     b = seeded_constants.b
     assert np.max(np.abs(deta - b[None, :, None] * dY)) <= 1e-8
 
@@ -170,8 +171,8 @@ def test_constructed_chart_jets_exact(seeded_constants):
     rng = np.random.default_rng(8)
     G = rng.uniform(-0.5, 0.5, size=(20, 3))
     _, dx, ddx = maps.chart.jet(G, 2).partials()
-    dx_fd = fd.grad_field(maps.chart.evaluator, G, 1e-5, 4)
-    ddx_fd = fd.hess_field(maps.chart.evaluator, G, 1e-4, 4)
+    dx_fd = central.grad(maps.chart.evaluator, G, 1e-5)
+    ddx_fd = central.hess(maps.chart.evaluator, G, 1e-4)
     assert np.max(np.abs(dx - dx_fd)) <= 1e-9
     assert np.max(np.abs(ddx - ddx_fd)) <= 1e-6
 
@@ -197,9 +198,11 @@ def test_frobenius_report(seeded_constants):
     grid = mesh(3, 0.5, 3)
     analysis = analyze(maps.chart, np.sqrt(2.0) * grid * seeded_constants.b)
     res = frobenius_report(maps, grid, analysis)
-    assert res["mixed_partials"] <= 1e-8
-    assert res["second_equation"] <= 1e-6
-    assert res["eta_derivative"] <= 1e-8
+    # exact partials: Y has no mixed terms, and the rest is roundoff
+    assert res["mixed_partials"] == 0.0
+    assert res["second_equation"] <= 1e-12
+    assert res["eta_derivative"] <= 1e-12
+    assert res["tangent_diagonality"] <= 1e-12
     assert res["pipeline_n_constancy"] <= 1e-6
     assert res["pipeline_b_constancy"] <= 1e-6
 
@@ -212,7 +215,7 @@ def test_frobenius_report_evaluates_each_map_once(seeded_constants):
 
     def counted(name, f):
         def wrapper(V):
-            calls.append((name, len(V)))
+            calls.append((name, V.shape[0]))
             return f(V)
         return wrapper
 
@@ -222,13 +225,42 @@ def test_frobenius_report_evaluates_each_map_once(seeded_constants):
         normal_map=counted("normal_map", maps.normal_map),
     )
     assert frobenius_report(counted_maps, grid, analysis) == frobenius_report(maps, grid, analysis)
-    points = len(fd.Cloud(grid, (1e-3, 1e-3), 4).points)
-    assert calls == [("position", points), ("normal_map", points)]
+    # once each, on the Taylor seeds of the grid points
+    assert calls == [("position", len(grid)), ("normal_map", len(grid))]
     # an analysis of any other grid than sqrt(2) grid b is refused
     with pytest.raises(InputError, match="vbar grid"):
         frobenius_report(maps, grid[:-1], analysis)
     with pytest.raises(InputError, match="vbar grid"):
         frobenius_report(maps, grid, analyze(maps.chart, grid))
+
+
+def _unit(k, dim=7):
+    e = np.zeros(dim)
+    e[k] = 1.0
+    return e
+
+
+# One mutant of the constructed maps per integrability residual: the map
+# it perturbs and the term it adds, of size 1e-5 on the grid.
+FROBENIUS_MUTANTS = {
+    "mixed_partials": ("position", lambda V: 1e-5 * (V[..., 0] * V[..., 1])[..., None] * _unit(3)),
+    "second_equation": ("position", lambda V: 1e-5 * (V[..., 0] ** 3)[..., None] * _unit(3)),
+    "eta_derivative": ("normal_map", lambda V: 1e-5 * V[..., :1] * _unit(3)),
+    "tangent_diagonality": ("position", lambda V: 1e-5 * V[..., 1:2] * _unit(3)),
+}
+
+
+@pytest.mark.parametrize("residual", FROBENIUS_MUTANTS)
+def test_frobenius_residual_can_fail(residual, seeded_constants):
+    maps = build_immersion(seeded_constants)
+    grid = mesh(3, 0.5, 3)
+    analysis = analyze(maps.chart, np.sqrt(2.0) * grid * seeded_constants.b)
+    tol = Tolerances().frobenius
+    assert all(v <= tol for v in frobenius_report(maps, grid, analysis).values())
+    name, term = FROBENIUS_MUTANTS[residual]
+    original = getattr(maps, name)
+    mutant = dataclasses.replace(maps, **{name: lambda V: original(V) + term(V)})
+    assert frobenius_report(mutant, grid, analysis)[residual] > tol
 
 
 def test_equivalence_across_orthogonal_choices():

@@ -8,9 +8,11 @@ from lagkit.families import (
     degenerate_example,
     hilf_chart,
     laguerre_immersion_tau,
+    sphere_chart,
     tau_chart,
     torus_chart,
 )
+from lagkit.verifier import run_suite
 from tests.conftest import mesh
 
 
@@ -132,6 +134,42 @@ def test_tau_chart_matches_values():
     grid = mesh(2, 0.4, 5)
     assert np.max(np.abs(chart.evaluator(grid) - euclid.evaluator(grid))) <= 1e-12
     assert np.max(np.abs(chart.normal(grid) - euclid.normal(grid))) <= 1e-12
+
+
+@pytest.mark.parametrize("a,points", [((1.0, 2.0), 5), ((1.0, 2.0, 3.0), 3)],
+                         ids=["a12-5x5", "a123-3x3x3"])
+def test_tau_chart_passes_suite(a, points):
+    # Its jets are the Taylor polynomials of the composed map, so the image
+    # of the degenerate model passes as the explicit family does.
+    chart = tau_chart(degenerate_example(HilfParams(a=a)))
+    report = run_suite(chart, mesh(len(a), 0.3, points))
+    assert report.passed and not report.errors
+    assert report.classification["is_isotropic"]
+
+
+@pytest.mark.parametrize("a", [(1.0, 2.0), (1.0, 2.0, 3.0)], ids=["a12", "a123"])
+def test_tau_chart_jet_is_the_family_jet(a):
+    # tau carries the degenerate model onto the explicit family, so the
+    # two charts have the same Taylor polynomial, coefficient by coefficient.
+    params = HilfParams(a=a)
+    grid = mesh(len(a), 0.3, 3, center=[0.05] * len(a))
+    got = tau_chart(degenerate_example(params)).jet(grid, 5).c
+    want = hilf_chart(params).jet(grid, 5).c
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["sphere", "tau"])
+def test_order_zero_jet_is_the_evaluator(kind):
+    if kind == "sphere":
+        chart = sphere_chart(1.0)
+    else:
+        chart = tau_chart(degenerate_example(HilfParams(a=(1.0, 2.0))))
+    grid = mesh(2, 0.3, 5, center=[0.1, -0.05])
+    x = chart.evaluator(grid)
+    # a quotient's value is a0 * (1/b0) in Taylor arithmetic: within 2 ulp
+    bound = 4.0 * np.finfo(float).eps * np.max(np.abs(x))
+    for degree in (1, 3):
+        assert np.max(np.abs(chart.jet(grid, degree).value - x)) <= bound
 
 
 def test_torus_parameter_error():

@@ -8,7 +8,7 @@ from lagkit.families import HilfParams, hilf_chart
 from lagkit.frames import lift_arrays
 from lagkit.invariants import analyze
 from lagkit.spaces import inner_product, laguerre_space, p_vector
-from lagkit import fd
+from tests import central
 from tests.conftest import mesh
 
 
@@ -59,7 +59,7 @@ def test_metric_is_scaled_third_form(hilf2):
     assert np.allclose(lift.g[0], lift.rho[0] ** 2 * III, atol=1e-15)
     # oracle: III at the origin is the differential of the closed-form
     # normal, d xi . d xi = diag(4 a_i^2)
-    dxi = fd.grad_field(hilf2.normal, np.zeros((1, 2)), 1e-5, 4)[0]
+    dxi = central.grad(hilf2.normal, np.zeros((1, 2)), 1e-5)[0]
     third = dxi @ dxi.T
     assert np.max(np.abs(third - III)) <= 1e-9
 
@@ -94,7 +94,7 @@ def test_metric_equals_lift_gram(hilf3):
         return lift_arrays(hilf3, U).Y
 
     lift = lift_arrays(hilf3, grid)
-    dY = fd.grad_field(y_field, grid, 1e-4, 4)
+    dY = central.grad(y_field, grid, 1e-4)
     gram = np.einsum("mal,l,mbl->mab", dY, lift.space.signs, dY)
     assert np.max(np.abs(gram - lift.g)) <= 1e-8
 

@@ -3,19 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lagkit import charts, fd, frames
+from lagkit import charts, frames
 from lagkit.errors import InputError, UmbilicError
 from lagkit.families import sphere_chart
 from lagkit.fields import christoffels, frame_connection
 from lagkit.frames import frame_coefficients, lift_arrays
 from lagkit.invariants import (
-    DEFAULT_STEPS,
     _b_tensor,
     analyze,
     classify,
     metric_geometry,
 )
 from lagkit.verifier import run_suite
+from tests import central
 from tests.conftest import count_rows, mesh
 
 
@@ -123,7 +123,7 @@ def frame_route_cov_b(chart, points):
             axis=1,
         )
 
-    d = fd.grad_field(pack, points, DEFAULT_STEPS.first)
+    d = central.grad(pack, points, 1e-4)
     dw = d[..., : n * n].reshape(m, n, n, n)
     db = d[..., n * n : n * n + n]
     dg = d[..., n * n + n :].reshape(m, n, n, n)

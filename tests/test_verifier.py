@@ -3,8 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lagkit.charts import Chart, curvature_line_check
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart
+from lagkit.frames import lift_arrays
+from lagkit.invariants import analyze, classify, metric_geometry
 from lagkit.verifier import (
     Tolerances,
     degenerate_model_report,
@@ -83,6 +86,17 @@ def test_torus_suite(torus21, torus_points):
     # the closed-form Laguerre form cancels identically on a torus of
     # revolution, so it is isoparametric (verified two independent ways)
     assert report.classification["is_isoparametric"]
+
+
+@pytest.mark.parametrize("entry", [
+    analyze, run_suite, classify, metric_geometry, lift_arrays, curvature_line_check,
+], ids=lambda f: f.__name__)
+def test_chart_without_jet_is_refused(entry, hilf2):
+    # jet_arrays is the one gate: every entry point that differentiates
+    # a chart refuses one that has only an evaluator.
+    jetless = Chart(n=2, domain=hilf2.domain, evaluator=hilf2.evaluator, name="black-box")
+    with pytest.raises(InputError, match=r"charts\.closed_form"):
+        entry(jetless, mesh(2, 0.3, 3))
 
 
 def test_sphere_reports_only_umbilic_errors():
