@@ -9,21 +9,22 @@ product of the Jacobian rows in parameter order unless the chart
 supplies a normal field; ``flip_normal`` reverses either, and curvature
 signs follow the resulting orientation.
 
-Each kernel factors I = dx dx^T = L L^T once per point in plain batched
-numpy (loops over the n columns), forms L^-1 by forward substitution
-and drops the factor on return.  III = B^T B with B = L^-1 II.  The
-lift needs the radii only through r and rho, which ``radius_traces``
-takes from traces of S = L3^-1 II L3^-T (III = L3 L3^T); the same
-factors certify most points regular, so ``eigh`` of L^-1 II L^-T runs
-only where a frame or single curvature is read.  As lambda_min /
-lambda_max >= det(I) / tr(I)^n = prod L_jj^2 / tr(I)^n, a point above
+``forms_arrays`` factors I = dx dx^T = L L^T once per point in plain
+batched numpy (loops over the n columns) and returns the factor with
+the forms; ``radius_traces`` and ``principal_arrays`` reuse it.  III =
+B^T B with B = L^-1 II, L^-1 by forward substitution.  The lift needs
+the radii only through r and rho, which ``radius_traces`` takes from
+traces of S = L3^-1 II L3^-T (III = L3 L3^T); the same factors certify
+most points regular, so ``eigh`` of L^-1 II L^-T runs only where a
+frame or single curvature is read.  As lambda_min / lambda_max >= det(I) / tr(I)^n = prod L_jj^2 / tr(I)^n, a point above
 ``SCREEN`` (1e-8) has sigma_min / sigma_max > 1e-4 and passes the rank
 test sigma_min <= 1e-10 sigma_max; only the other points take the SVD.
 Those that fail it, and those whose factor meets a NaN or non-positive
 pivot, are masked; Cholesky is backward stable on every matrix it
 completes, so the factor serves every other point.  ``regularity``
-gives each point one reason from ``IRREGULAR``; the lift raises it,
-the suite reports it.
+gives each point one reason from ``IRREGULAR``, the last of them an
+invariant metric rho^2 III that is not positive definite; the lift
+raises it, the suite reports it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ REGULAR_MARGIN = 10.0
 SCREEN = 1e-8
 
 # The reasons ``regularity`` gives an irregular point, the first that holds.
-IRREGULAR = ("rank-deficient Jacobian", "umbilic point", "vanishing principal curvature")
+IRREGULAR = ("rank-deficient Jacobian", "umbilic point", "vanishing principal curvature",
+             "invariant metric not positive definite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +191,14 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
 
 
 def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
-    """Batched fundamental forms and rank mask (I, II, III, deficient).
+    """Batched fundamental forms, rank mask and factor (I, II, III, deficient, L).
 
     ``deficient`` marks sigma_min <= 1e-10 sigma_max, tested by SVD only
     where the screen prod L_jj^2 / tr(I)^n > SCREEN fails (a non-finite
     Jacobian there raises ImmersionError), and every point whose factor
-    of I meets a NaN or non-positive pivot.  III = B^T B with B = L^-1 II
-    is exactly symmetric, and NaN on deficient rows.
+    of I meets a NaN or non-positive pivot.  I = L L^T with L lower;
+    III = B^T B with B = L^-1 II is exactly symmetric, and NaN on
+    deficient rows.
     """
     I = dx @ _transpose(dx)
     II = np.einsum("mija,ma->mij", ddx, xi)
@@ -214,11 +217,14 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     deficient = rest.copy()
     deficient[rest] = (sv[:, -1] <= 1e-10 * sv[:, 0]) | ~np.all(pivots[rest] > 0.0, axis=-1)
     III[deficient] = np.nan
-    return I, II, III, deficient
+    return I, II, III, deficient, L
 
 
-def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
+def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray, factor=None):
     """(r, rho, cleared): mean radius, rho and the regularity screen, from traces.
+
+    ``factor`` is the lower factor of I from ``forms_arrays``; without
+    it I is factored here.
 
     The radii r_i are the eigenvalues of R = III^-1 II and so of the
     symmetric S = L3^-1 II L3^-T with III = L3 L3^T.  Then r = tr S / n
@@ -248,7 +254,7 @@ def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
     with np.errstate(invalid="ignore", divide="ignore"):
         # |prod r_i| / Rbar^n, one column at a time so nothing overflows
         ratio = np.prod(
-            np.diagonal(_cholesky(I), axis1=-2, axis2=-1)
+            np.diagonal(_cholesky(I) if factor is None else factor, axis1=-2, axis2=-1)
             / (np.diagonal(L3, axis1=-2, axis2=-1) * rbar[:, None]),
             axis=-1,
         )
@@ -258,20 +264,29 @@ def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
     return r, rho, cleared
 
 
-def regularity(I: np.ndarray, II: np.ndarray, III: np.ndarray, deficient: np.ndarray):
+def regularity(I: np.ndarray, II: np.ndarray, III: np.ndarray, deficient: np.ndarray,
+               factor: np.ndarray):
     """(r, rho, reason): r and rho from ``radius_traces``, and one reason per point.
 
-    ``reason`` is "" at a regular point, else the first entry of
-    ``IRREGULAR`` that holds there.  ``irregular_masks`` runs only on the
-    points that are neither cleared by the traces nor ``deficient``.
+    The arguments are those ``forms_arrays`` returns.  ``reason`` is ""
+    at a regular point, else the first entry of ``IRREGULAR`` that holds
+    there.  ``irregular_masks`` runs only on the points that are neither
+    cleared by the traces nor ``deficient``; the invariant metric rho^2
+    III counts as positive definite where its diagonal is positive and r
+    and rho are finite.
     """
-    r, rho, cleared = radius_traces(I, II, III)
+    r, rho, cleared = radius_traces(I, II, III, factor)
     reason = np.where(deficient, IRREGULAR[0], "").astype(object)
     rest = np.flatnonzero(~(cleared | deficient))
     if rest.size:
-        umbilic, vanishing = irregular_masks(principal_arrays(I[rest], II[rest])[0])
+        k = principal_arrays(I[rest], II[rest], factor[rest])[0]
+        umbilic, vanishing = irregular_masks(k)
         reason[rest[vanishing]] = IRREGULAR[2]
         reason[rest[umbilic]] = IRREGULAR[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        g_diagonal = rho[:, None] ** 2 * np.diagonal(III, axis1=-2, axis2=-1)
+    positive = np.all(g_diagonal > 0.0, axis=-1) & np.isfinite(r) & np.isfinite(rho)
+    reason[(reason == "") & ~positive] = IRREGULAR[3]
     return r, rho, reason
 
 
@@ -286,15 +301,17 @@ def _fix_direction_signs(dirs: np.ndarray) -> np.ndarray:
     return dirs * sign[..., None]
 
 
-def principal_arrays(I: np.ndarray, II: np.ndarray):
+def principal_arrays(I: np.ndarray, II: np.ndarray, factor=None):
     """Batched principal decomposition II e = k I e.
 
     Returns (k, dirs) with curvatures sorted descending and dirs[m, i, :]
-    the I-orthonormal coefficient vector of the i-th direction.  Raises
-    ImmersionError where the factor of I meets a non-positive or NaN
-    pivot.  The umbilic / vanishing-curvature test is ``irregular_masks``.
+    the I-orthonormal coefficient vector of the i-th direction.
+    ``factor`` is the lower factor of I from ``forms_arrays``; without it
+    I is factored here.  Raises ImmersionError where the factor meets a
+    non-positive or NaN pivot.  The umbilic / vanishing-curvature test is
+    ``irregular_masks``.
     """
-    L = _cholesky(I)
+    L = _cholesky(I) if factor is None else factor
     if not np.all(np.diagonal(L, axis1=-2, axis2=-1) > 0.0):
         raise ImmersionError("first fundamental form is not positive definite")
     W = _lower_inverse(L)
@@ -329,7 +346,7 @@ def curvature_line_check(chart: Chart, grid: np.ndarray, tol: float = 1e-8) -> b
     rank-deficient Jacobian.
     """
     _, dx, ddx, xi = jet_arrays(chart, grid)
-    I, II, _, deficient = forms_arrays(dx, ddx, xi)
+    I, II, _, deficient, _ = forms_arrays(dx, ddx, xi)
     if np.any(deficient):
         raise ImmersionError("Jacobian is rank deficient at a sampled point")
     idx = np.arange(chart.n)

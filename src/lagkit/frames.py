@@ -10,15 +10,18 @@ of the signature-(n+2,2) space is
 with invariant metric g = rho^2 * III in chart coordinates.  r and rho
 come from traces (``radius_traces``), so the lift of a batch needs no
 eigendecomposition; the principal frame (k, e, r_i, b) is computed on
-first read, which ``invariants`` does on the grid rows only.  The frame
-tangent vectors E_i(Y) use the orthonormal realisation
+first read, from the factor of I that ``forms_arrays`` made, which
+``invariants`` does on the grid rows only.  ``lift_batch`` decides the
+regularity of every point once, from the values of a jet, and
+``lift_arrays`` raises for the first irregular point of its batch.  The
+frame tangent vectors E_i(Y) use the orthonormal realisation
 E_i = rho^-1 r_i e_i; on charts parametrized by curvature lines this is
 the diagonal frame E_i = g_ii^(-1/2) d/du_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +40,7 @@ from .spaces import SignatureSpace, laguerre_space
 __all__ = [
     "LiftBatch",
     "lift_vector",
+    "lift_batch",
     "lift_arrays",
     "frame_coefficients",
 ]
@@ -46,6 +50,7 @@ _ERRORS = (
     (ImmersionError, "Jacobian is rank deficient at a sampled point"),
     (UmbilicError, "umbilic point in the sampled batch"),
     (VanishingCurvatureError, "vanishing principal curvature in the batch"),
+    (DegeneracyError, "invariant metric lost positive definiteness"),
 )
 
 
@@ -53,8 +58,10 @@ _ERRORS = (
 class LiftBatch:
     """Batched pointwise data of the lift over a set of parameter points.
 
+    ``reason`` is "" at a regular point, else the first reason of
+    ``IRREGULAR`` that holds there; ``lift[rows]`` keeps the given rows.
     The principal frame ``k``, ``e``, ``r_i`` and ``b`` is computed from
-    I and II on first read.
+    I, II and the factor of I on first read.
     """
 
     space: SignatureSpace
@@ -69,10 +76,16 @@ class LiftBatch:
     II: np.ndarray       # (m, n, n)
     III: np.ndarray      # (m, n, n)
     g: np.ndarray        # (m, n, n)
+    factor: np.ndarray   # (m, n, n): I = factor factor^T, factor lower
+    reason: np.ndarray   # (m,)
+
+    def __getitem__(self, rows) -> "LiftBatch":
+        return replace(self, **{f.name: getattr(self, f.name)[rows]
+                                for f in fields(self) if f.name != "space"})
 
     @cached_property
     def _principal(self):
-        return principal_arrays(self.I, self.II)
+        return principal_arrays(self.I, self.II, self.factor)
 
     @property
     def k(self) -> np.ndarray:
@@ -102,36 +115,38 @@ def lift_vector(x, xi):
     return np.concatenate([dot, -dot, xi, 0.0 * dot + 1.0], axis=-1)
 
 
-def lift_arrays(chart: Chart, U: np.ndarray, jets=None) -> LiftBatch:
-    """Evaluate the full pointwise lift on a batch of parameter points.
+def lift_batch(chart: Chart, U: np.ndarray, jets) -> LiftBatch:
+    """The lift at every point of U (m, n), with one ``regularity`` reason
+    per point; ``jets`` is the (x, dx, ddx, xi) of ``jet_arrays`` at U,
+    as values."""
+    x, dx, ddx, xi = jets
+    I, II, III, deficient, L = forms_arrays(dx, ddx, xi)
+    r, rho, reason = regularity(I, II, III, deficient, L)
+    y = lift_vector(x, xi)
+    sq = np.sum(x * x, axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):   # at irregular points
+        Y = rho[:, None] * y
+        eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x,
+                              np.zeros((len(x), 1))], axis=1) + r[:, None] * y
+        g = rho[:, None, None] ** 2 * III
+    return LiftBatch(space=laguerre_space(chart.n), u=U, x=x, xi=xi, r=r, rho=rho, Y=Y,
+                     eta=eta, I=I, II=II, III=III, g=g, factor=L, reason=reason)
 
-    ``jets`` is the (x, dx, ddx, xi) of ``jet_arrays`` at U if it is at
-    hand.  Raises ImmersionError / UmbilicError / VanishingCurvatureError
-    for the first reason of ``IRREGULAR`` that ``regularity`` finds in the
-    batch, and DegeneracyError if the invariant metric loses positive
-    definiteness or r, rho are not finite.
+
+def lift_arrays(chart: Chart, U: np.ndarray, jets=None) -> LiftBatch:
+    """The lift on a batch of parameter points, every one regular.
+
+    ``jets`` is the (x, dx, ddx, xi) of ``jet_arrays`` at U, as values, if
+    it is at hand.  Raises ImmersionError / UmbilicError /
+    VanishingCurvatureError / DegeneracyError for the first reason of
+    ``IRREGULAR`` that ``regularity`` finds in the batch.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    x, dx, ddx, xi = jet_arrays(chart, U) if jets is None else jets
-    I, II, III, deficient = forms_arrays(dx, ddx, xi)
-    r, rho, reason = regularity(I, II, III, deficient)
+    lift = lift_batch(chart, U, jet_arrays(chart, U) if jets is None else jets)
     for name, (error, message) in zip(IRREGULAR, _ERRORS):
-        if np.any(reason == name):
+        if np.any(lift.reason == name):
             raise error(message)
-
-    y = lift_vector(x, xi)
-    Y = rho[:, None] * y
-    sq = np.sum(x * x, axis=-1)
-    eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x,
-                          np.zeros((len(x), 1))], axis=1) + r[:, None] * y
-    g = rho[:, None, None] ** 2 * III
-    positive = np.all(np.diagonal(g, axis1=-2, axis2=-1) > 0.0, axis=-1)
-    if not np.all(positive & np.isfinite(r) & np.isfinite(rho)):
-        raise DegeneracyError("invariant metric lost positive definiteness")
-    return LiftBatch(
-        space=laguerre_space(chart.n),
-        u=U, x=x, xi=xi, r=r, rho=rho, Y=Y, eta=eta, I=I, II=II, III=III, g=g,
-    )
+    return lift
 
 
 def frame_coefficients(lift: LiftBatch) -> np.ndarray:

@@ -25,13 +25,16 @@ nabla B is that of B_ab = rho (r III_ab - II_ab), b_i delta_ij on the
 frame.  No eigenvector is differentiated, so repeated curvatures, whose
 eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
-Every partial is exact: the chart gives x at each grid point as a
-Taylor polynomial of degree 5 (``taylor``; 4 where no third partial is
-read), and I, II, III, r and rho (traces of II^-1 I), Y, g, B and log
-rho follow as polynomials of degree 3 (2) whose coefficients are the
-partials.  N, its partials d_c N (from third partials of Y and second
-partials of g), the Christoffel symbols and the curvature tensor of g
-are then assembled algebraically; nothing is differentiated twice.
+Every partial is exact: one jet of the grid gives x at each grid point
+as a Taylor polynomial of degree 5 (``taylor``; 4 where no third
+partial is read), and I, II, III, r and rho (traces of II^-1 I), Y, g,
+B and log rho follow as polynomials of degree 3 (2) whose coefficients
+are the partials.  The lift reads the jet's values, and ``run_suite``
+decides the regularity of the grid from the same jet before it passes
+the regular rows here.  N, its partials d_c N (from third partials of
+Y and second partials of g), the Christoffel symbols and the curvature
+tensor of g are then assembled algebraically; nothing is differentiated
+twice.
 """
 
 from __future__ import annotations
@@ -95,17 +98,19 @@ def _taylor_fields(x, dx, ddx, xi0):
     }
 
 
-def _jets(chart: Chart, grid: np.ndarray, third: bool = False):
+def _jets(chart: Chart, grid: np.ndarray, third: bool = False, jet=None, lift=None):
     """The lift at a grid and the partials of its pointwise-exact fields.
 
     Returns (lift, jets) with ``jets[name]`` the list [first, second(,
     third)] of partials of Y, g, III, log rho, r or B (none needs an
-    eigenvector): the coefficients of ``_taylor_fields`` from x of degree
-    5 (4 without ``third``).
+    eigenvector): the coefficients of ``_taylor_fields`` of one jet of
+    the grid, x of degree 5 (4 without ``third``), which ``jet`` and
+    ``lift`` are if the caller has them.
     """
-    x, dx, ddx, xi = jet_arrays(chart, grid, 5 if third else 4)
-    lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
-    return lift, {k: f.partials()[1:] for k, f in _taylor_fields(x, dx, ddx, xi).items()}
+    if jet is None:
+        x, dx, ddx, xi = jet = jet_arrays(chart, grid, 5 if third else 4)
+        lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
+    return lift, {k: f.partials()[1:] for k, f in _taylor_fields(*jet).items()}
 
 
 def _n_vector(lift: LiftBatch, jets: dict):
@@ -203,13 +208,19 @@ class Analysis:
         return float(np.max(np.abs(self.E2_Y - rhs)))
 
 
-def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
-    """Evaluate every invariant field of the lift over a grid of points."""
+def analyze(chart: Chart, grid: np.ndarray, jet=None, lift=None) -> Analysis:
+    """Evaluate every invariant field of the lift over a grid of points.
+
+    ``jet`` is ``jet_arrays(chart, grid, 5)`` and ``lift`` its
+    ``lift_batch``, every point regular, if the caller has them; else
+    the grid's jet is taken here and ``lift_arrays`` raises at an
+    irregular point.
+    """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     m, n = grid.shape
     if n != chart.n:
         raise InputError(f"grid dimension {n} does not match chart n={chart.n}")
-    lift, jets = _jets(chart, grid, third=True)
+    lift, jets = _jets(chart, grid, True, jet, lift)
     signs = lift.space.signs
     w = frame_coefficients(lift)
 

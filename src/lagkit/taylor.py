@@ -7,10 +7,13 @@ order, so a lower degree's basis is a prefix: the truncated power series
 algebra of M. Berz, *Modern Map Methods in Particle Beam Physics*
 (1999).  Through ``__array_ufunc__`` and ``__array_function__`` a map
 written for float points runs unchanged on the seeds of ``variables``.
-A product sums the coefficient pairs of a table built on first use per
-(n, d); sqrt, log, sin, cos and 1/x are f(a) = sum_k f^(k)(a_0) h^k / k!,
-d products as h = a - a_0 is nilpotent (R. D. Neidinger, SIAM Review 52,
-2010).
+A product of two Taylors sums the coefficient pairs of each product
+monomial one rank group at a time, straight into its K outputs (the
+groups of a table built on first use per (n, d)), so it never holds all
+C(2n+d, d) pairs at once; sqrt, log, sin, cos and 1/x are f(a) = sum_k
+f^(k)(a_0) h^k / k!, d products as h = a - a_0 is nilpotent (R. D.
+Neidinger, SIAM Review 52, 2010).  ``partials`` reads the order-k
+partials off the coefficients as alpha! c_alpha.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ def _index(n: int, d: int, exps: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _product_table(n: int, d: int):
-    """(I, J, groups): the pairs c_I c_J of degree <= d; the first K hold
-    each product monomial once, in order, and each later group (start,
-    stop, targets) at most once, so the sum by monomial is a few adds in
-    an order that does not depend on the batch (a BLAS product's does)."""
+    """The pairs c_I c_J of degree <= d as rank groups (I, J, targets):
+    group r holds the r-th pair of every product monomial that has one,
+    so group 0 holds each monomial once, in order (``targets`` None), and
+    the sum by monomial is a few adds in an order that does not depend on
+    the batch (a BLAS product's does)."""
     exps = _basis(n, d)
     I, J = np.nonzero(exps.sum(1)[:, None] + exps.sum(1) <= d)
     target = _index(n, d, exps[I] + exps[J])
@@ -53,15 +57,18 @@ def _product_table(n: int, d: int):
     rank = np.arange(len(target)) - np.searchsorted(target, target)
     order = np.lexsort((target, rank))
     I, J, target, rank = I[order], J[order], target[order], rank[order]
-    stops = np.searchsorted(rank, np.arange(1, rank.max() + 2))
-    return I, J, [(a, b, target[a:b]) for a, b in zip(stops[:-1], stops[1:])]
+    stops = np.searchsorted(rank, np.arange(rank.max() + 2))
+    return [(I[a:b], J[a:b], target[a:b] if r else None)
+            for r, (a, b) in enumerate(zip(stops[:-1], stops[1:]))]
 
 
-def _sum_pairs(groups, prod: np.ndarray) -> np.ndarray:
-    out = prod[:groups[0][0]] if groups else prod
-    for start, stop, targets in groups:
-        out[targets] += prod[start:stop]
-    return out
+@lru_cache(maxsize=None)
+def _partial_table(n: int, k: int):
+    """(index, factor), each (n,) * k: the position of e_i1 + ... + e_ik
+    in ``_basis`` and its alpha!, so d_i1 ... d_ik f = alpha! c_alpha."""
+    exps = np.eye(n, dtype=int)[np.indices((n,) * k).reshape(k, -1).T].sum(1)
+    factor = np.prod([[factorial(a) for a in alpha] for alpha in exps], axis=1)
+    return _index(n, k, exps).reshape((n,) * k), factor.reshape((n,) * k).astype(float)
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +101,14 @@ class Taylor:
     def __getitem__(self, key) -> "Taylor":
         return self._new(self.c[(slice(None),) + (key if isinstance(key, tuple) else (key,))])
 
+    def take(self, rows) -> "Taylor":
+        """The points ``rows`` of the first batch axis, laid out in memory as
+        ``c`` is, so that a later sum over a strided axis runs in the order it
+        would on the jet of those points alone."""
+        perm = np.argsort([-s for s in self.c.strides], kind="stable")
+        c = np.take(self.c.transpose(perm), rows, axis=int(np.flatnonzero(perm == 1)[0]))
+        return self._new(c.transpose(np.argsort(perm)))
+
     def truncate(self, d: int) -> "Taylor":
         return Taylor(self.c[:comb(self.n + d, d)], self.n, d)
 
@@ -106,10 +121,11 @@ class Taylor:
     def partials(self) -> list:
         """[f, df, ddf, ...] at the expansion points, order k of shape
         (m, n, ..., n, ...) with k axes of length n."""
-        out, t = [self.value], self
-        while t.d:
-            t = t.grad()
-            out.append(t.value)
+        out = [self.value]
+        for k in range(1, self.d + 1):
+            index, factor = _partial_table(self.n, k)
+            c = self.c[index] * factor.reshape(factor.shape + (1,) * self.ndim)
+            out.append(np.moveaxis(c, tuple(range(k)), tuple(range(1, k + 1))))
         return out
 
     def _shaped(self, other) -> tuple:
@@ -226,8 +242,11 @@ def _product(op, a, b) -> Taylor:
         return a._new(op(a.c, np.asarray(b)[None]))
     if not isinstance(a, Taylor):
         return b._new(op(np.asarray(a)[None], b.c))
-    I, J, groups = _product_table(a.n, a.d)
-    return a._new(_sum_pairs(groups, op(a.c[I], b.c[J])))
+    (I, J, _), *groups = _product_table(a.n, a.d)
+    out = op(a.c[I], b.c[J])
+    for I, J, targets in groups:
+        out[targets] += op(a.c[I], b.c[J])
+    return a._new(out)
 
 
 def einsum(spec: str, a, b) -> Taylor:

@@ -18,17 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import (
-    IRREGULAR,
-    Chart,
-    forms_arrays,
-    jet_arrays,
-    radius_traces,
-    regularity,
-)
+from .charts import IRREGULAR, Chart, jet_arrays, radius_traces
 from .errors import InputError
 from .families import DegenerateChart
-from .frames import LiftBatch, lift_arrays
+from .frames import LiftBatch, lift_arrays, lift_batch
 from .invariants import Analysis, analyze, classify_analysis
 
 __all__ = [
@@ -150,16 +143,13 @@ def _grid_descriptor(grid: np.ndarray) -> dict:
     }
 
 
-def _regularity_mask(chart: Chart, grid: np.ndarray):
-    """Mask of regular grid points, with one error per other point."""
-    _, dx, ddx, xi = jet_arrays(chart, grid)
-    reason = regularity(*forms_arrays(dx, ddx, xi))[2]
-    errors = [
+def _point_errors(grid: np.ndarray, reason: np.ndarray) -> list:
+    """One error per irregular grid point, grouped in the order of ``IRREGULAR``."""
+    return [
         {"index": int(idx), "point": [float(v) for v in grid[idx]], "reason": name}
         for name in IRREGULAR
         for idx in np.flatnonzero(reason == name)
     ]
-    return reason == "", errors
 
 
 def _cluster_breaks(k: np.ndarray, rel_tol: float = 1e-4) -> np.ndarray:
@@ -438,16 +428,19 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
         orientation=chart.orientation,
     )
 
-    mask, point_errors = _regularity_mask(chart, grid)
-    report.errors.extend(point_errors)
-    valid = grid[mask]
-    if valid.shape[0] < 2:
+    jet = jet_arrays(chart, grid, 5)
+    lift = lift_batch(chart, grid, (*(t.value for t in jet[:3]), jet[3]))
+    report.errors.extend(_point_errors(grid, lift.reason))
+    regular = lift.reason == ""
+    if np.sum(regular) < 2:
         report.warnings.append(
             "fewer than two curvature-regular grid points; no checks executed"
         )
         return report
-
-    a = analyze(chart, valid)
+    if not np.all(regular):
+        rows = np.flatnonzero(regular)
+        jet, lift = [t.take(rows) for t in jet[:3]] + [jet[3][rows]], lift[rows]
+    a = analyze(chart, lift.u, jet, lift)
     cls = classify_analysis(a, tol.classification)
     report.classification = cls.to_dict()
     report.analysis = a

@@ -43,7 +43,7 @@ def point(u):
 def forms(chart, U):
     """(I, II, III) of a chart on a batch of points of full rank."""
     _, dx, ddx, xi = jet_arrays(chart, U)
-    I, II, III, deficient = forms_arrays(dx, ddx, xi)
+    I, II, III, deficient, _ = forms_arrays(dx, ddx, xi)
     assert not np.any(deficient)
     return I, II, III
 
@@ -250,7 +250,7 @@ def jacobians(rng, n, ratios, scale=1.0):
 def rank_forms(dx):
     """(III, deficient) of ``forms_arrays`` for a Jacobian batch with II = 0."""
     m, n, d = dx.shape
-    return forms_arrays(dx, np.zeros((m, n, n, d)), np.tile(np.eye(d)[-1], (m, 1)))[2:]
+    return forms_arrays(dx, np.zeros((m, n, n, d)), np.tile(np.eye(d)[-1], (m, 1)))[2:4]
 
 
 def rank_mask(dx):
@@ -323,7 +323,7 @@ def relative_error(got, want):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_forms_match_inverse_reference(n):
     dx, ddx, xi = spd_batch(np.random.default_rng(420 + n), n)
-    I, II, III, deficient = forms_arrays(dx, ddx, xi)
+    I, II, III, deficient, _ = forms_arrays(dx, ddx, xi)
     assert not np.any(deficient)
     I_ref = np.einsum("mia,mja->mij", dx, dx)
     II_ref = np.einsum("mija,ma->mij", ddx, xi)
@@ -380,7 +380,7 @@ def test_unscreened_points_share_the_factor():
     rng = np.random.default_rng(440)
     dx, ddx, xi = spd_batch(rng, 3, m=50)
     dx[7] = jacobians(rng, 3, [1e-6])[0]          # det(I) / tr(I)^3 ~ 1e-12
-    I, II, III, deficient = forms_arrays(dx, ddx, xi)
+    I, II, III, deficient, _ = forms_arrays(dx, ddx, xi)
     assert not np.any(deficient)
     exact = exact_third_form(I[7], II[7])
     bound = 10.0 * np.finfo(float).eps * np.linalg.cond(I[7])
@@ -390,7 +390,7 @@ def test_unscreened_points_share_the_factor():
 
     singular = dx.copy()
     singular[3, 1] = singular[3, 0]
-    _, _, III_s, deficient = forms_arrays(singular, ddx, xi)
+    _, _, III_s, deficient, _ = forms_arrays(singular, ddx, xi)
     assert np.flatnonzero(deficient).tolist() == [3]
     assert np.all(np.isnan(III_s[3])) and np.all(np.isfinite(np.delete(III_s, 3, axis=0)))
     indefinite = I.copy()
@@ -410,8 +410,9 @@ def test_failed_factor_is_a_rank_deficient_point():
     xi = rng.standard_normal((200, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        I, II, III, deficient = forms_arrays(dx, ddx, xi / np.linalg.norm(xi, axis=-1)[:, None])
-        reason = regularity(I, II, III, deficient)[2]
+        forms = forms_arrays(dx, ddx, xi / np.linalg.norm(xi, axis=-1)[:, None])
+        reason = regularity(*forms)[2]
+    I, II, III, deficient, _ = forms
     assert 0 < np.sum(deficient) < 200
     assert np.all(deficient == ~np.all(np.isfinite(III), axis=(-2, -1)))
     assert np.all(reason[deficient] == "rank-deficient Jacobian")

@@ -1,0 +1,104 @@
+"""The Taylor product kernel and the partials read off the coefficients.
+
+A product of two Taylors sums the coefficient pairs of each product
+monomial one rank group at a time, straight into the output.  Its
+coefficients must equal those of a naive double loop over the monomials
+bit for bit, because that loop adds each monomial's pairs in the same
+order; and it must not hold all C(2n+d, d) pairs at once.
+"""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+
+from lagkit import taylor
+from lagkit.taylor import Taylor, _basis, _index, _product_table
+
+CASES = [(n, d) for n in range(1, 6) for d in range(1, 6)]
+OPS = {
+    "multiply": (lambda a, b: a * b, np.multiply, (3, 2, 2)),
+    "matmul": (taylor.matmul, np.matmul, (3, 2, 2)),
+    "einsum": (lambda a, b: taylor.einsum("mij,mjk->mik", a, b),
+               lambda A, B: np.einsum("Zmij,Zmjk->Zmik", A, B), (3, 2, 2)),
+}
+
+
+def naive_product(op, a: np.ndarray, b: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Coefficients of the truncated product: for each monomial i, then
+    each monomial j, add op(a_i, b_j) to the monomial of i + j."""
+    exps = _basis(n, d)
+    out = [None] * len(exps)
+    for i, j in product(range(len(exps)), repeat=2):
+        if exps[i].sum() + exps[j].sum() > d:
+            continue
+        k = int(_index(n, d, (exps[i] + exps[j])[None])[0])
+        term = op(a[i:i + 1], b[j:j + 1])[0]
+        out[k] = term if out[k] is None else out[k] + term
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("n,d", CASES)
+def test_product_table_sums_in_double_loop_order(n, d):
+    # Rank group r holds the r-th pair (i, j), in the order of the double
+    # loop, of every monomial that has one; group 0 holds each monomial once.
+    exps = _basis(n, d)
+    pairs = {}
+    for i, j in product(range(len(exps)), repeat=2):
+        if exps[i].sum() + exps[j].sum() <= d:
+            k = int(_index(n, d, (exps[i] + exps[j])[None])[0])
+            pairs.setdefault(k, []).append((i, j))
+    groups = _product_table(n, d)
+    first_I, first_J, first_targets = groups[0]
+    assert first_targets is None
+    assert [pairs[k][0] for k in range(len(exps))] == list(zip(first_I, first_J))
+    for rank, (I, J, targets) in enumerate(groups[1:], start=1):
+        assert np.all(np.diff(targets) > 0)
+        assert [pairs[k][rank] for k in targets] == list(zip(I, J))
+    assert sum(len(g[0]) for g in groups) == sum(len(p) for p in pairs.values())
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+@pytest.mark.parametrize("n,d", CASES)
+def test_products_equal_naive_double_loop(name, n, d):
+    kernel, op, shape = OPS[name]
+    rng = np.random.default_rng(1000 * n + d)
+    K = len(_basis(n, d))
+    a = rng.standard_normal((K,) + shape)
+    b = rng.standard_normal((K,) + shape)
+    got = kernel(Taylor(a, n, d), Taylor(b, n, d)).c
+    assert np.array_equal(got, naive_product(op, a, b, n, d))
+
+
+@pytest.mark.parametrize("n,d", CASES)
+def test_partials_equal_grad_chain(n, d):
+    # alpha! c_alpha equals the grad() chain's product of the factors
+    # (beta_i + 1) bit for bit while alpha! has at most one odd factor
+    # above 1, which holds through order 3 (and 4).
+    rng = np.random.default_rng(2000 * n + d)
+    t = Taylor(rng.standard_normal((len(_basis(n, d)), 4, 3)), n, d)
+    partials = t.partials()
+    assert len(partials) == d + 1
+    chain = t
+    for k in range(1, min(d, 3) + 1):
+        chain = chain.grad()
+        assert partials[k].shape == (4,) + (n,) * k + (3,)
+        assert np.array_equal(partials[k], chain.value)
+
+
+def test_product_memory_stays_near_its_output():
+    # n = 3, d = 5 over 125 points: 56 output coefficients from 462 pairs.
+    # Gathering every pair of both factors, as a kernel that sums all pairs
+    # at the end must, peaks near 25 outputs; rank groups near 5.
+    rng = np.random.default_rng(3)
+    a = Taylor(rng.standard_normal((56, 125, 3, 3)), 3, 5)
+    b = Taylor(rng.standard_normal((56, 125, 3, 3)), 3, 5)
+    taylor.matmul(a, b)      # builds the (3, 5) table outside the trace
+    tracemalloc.start()
+    try:
+        out = taylor.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * out.c.nbytes

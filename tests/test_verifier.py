@@ -48,6 +48,61 @@ def test_rank_deficient_grid_points_are_errors(a, center, half_width, points, er
     assert report.passed and report.analysis.grid.shape == (len(grid) - errors, n)
 
 
+@pytest.mark.parametrize("a, center, half_width, points, indices", [
+    ((1, 2, 3), 0.5, 0.3, 5, [60, 61, 62, 63, 64]),
+    ((1, 2), 0.0, 1.5, 7, [7, 8, 9, 10, 11, 12, 13, 35, 36, 37, 38, 39, 40, 41]),
+])
+def test_d2_grid_errors_are_pinned(a, center, half_width, points, indices):
+    # The two D2 grids of the ROADMAP: the error list, in index, point and
+    # reason, that the suite gave when it took a separate jet to decide
+    # regularity, and gives from its one jet of the grid.
+    n = len(a)
+    grid = mesh(n, half_width, points, center=[center] * n)
+    report = run_suite(hilf_chart(HilfParams(a=a)), grid)
+    assert report.errors == [
+        {"index": i, "point": grid[i].tolist(), "reason": "rank-deficient Jacobian"}
+        for i in indices
+    ]
+    assert report.passed
+
+
+@pytest.mark.parametrize("a, center, half_width, points", [
+    ((1, 2, 3), 0.0, 0.4, 5),
+    ((1, 2, 3), 0.5, 0.3, 5),
+    ((1, 2), 0.0, 1.5, 7),
+])
+def test_run_suite_takes_one_jet_of_the_grid(a, center, half_width, points):
+    # One chart evaluation per grid point: one degree-5 jet of every grid
+    # point decides regularity and feeds the analysis of the regular ones.
+    chart = hilf_chart(HilfParams(a=a))
+    calls = []
+
+    def jet(U, degree):
+        calls.append((len(U), degree))
+        return chart.jet(U, degree)
+
+    grid = mesh(len(a), half_width, points, center=[center] * len(a))
+    report = run_suite(dataclasses.replace(chart, jet=jet), grid)
+    assert report.passed and calls == [(len(grid), 5)]
+
+
+def test_metric_not_positive_definite_is_a_point_error(hilf2):
+    # A NaN second partial at the centre of the grid makes II, III, r and
+    # rho NaN there: the lift raises DegeneracyError, the suite reports the
+    # point and runs the checks on the other eight.
+    def jet(U, degree):
+        x = hilf2.jet(U, degree)
+        x.c[4, 4, 2] = np.nan    # the coefficient of h_0 h_1 at point 4
+        return x
+
+    grid = mesh(2, 0.2, 3)
+    report = run_suite(dataclasses.replace(hilf2, jet=jet), grid)
+    assert report.errors == [
+        {"index": 4, "point": grid[4].tolist(), "reason": "invariant metric not positive definite"}
+    ]
+    assert report.passed and report.analysis.grid.shape == (8, 2)
+
+
 @pytest.mark.parametrize("a, center, half_width, points", [
     ((1, 2, 3), (0.9, 0.9, 0.9), 0.3, 5),
     ((1, 2, 3), (1.5, 1.5, 1.5), 0.3, 5),
@@ -148,9 +203,8 @@ def test_skipped_checks_are_not_failures(torus21, torus_points):
 
 
 def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
-    # One degree-5 Taylor jet per grid point feeds the invariants, the
-    # metric curvature and the two-curvature check, plus one degree-2 jet
-    # for the regularity pass.
+    # One degree-5 Taylor jet per grid point feeds the regularity pass, the
+    # invariants, the metric curvature and the two-curvature check.
     import lagkit.charts
     import lagkit.frames
     import lagkit.invariants
@@ -170,7 +224,7 @@ def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
     assert report.passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["isoparametric_curvature_sum"].status == "pass"
-    assert sum(points) == 2 * len(grid)
+    assert sum(points) == len(grid)
 
 
 def test_degenerate_rho_square_constant_can_fail():
