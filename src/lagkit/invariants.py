@@ -26,15 +26,16 @@ frame.  No eigenvector is differentiated, so repeated curvatures, whose
 eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
 Every partial is exact: one jet of the grid gives x at each grid point
-as a Taylor polynomial of degree 5 (``taylor``; 4 where no third
-partial is read), and I, II, III, r and rho (traces of II^-1 I), Y, g,
-B and log rho follow as polynomials of degree 3 (2) whose coefficients
-are the partials.  The lift reads the jet's values, and ``run_suite``
-decides the regularity of the grid from the same jet before it passes
-the regular rows here.  N, its partials d_c N (from third partials of
-Y and second partials of g), the Christoffel symbols and the curvature
-tensor of g are then assembled algebraically; nothing is differentiated
-twice.
+as a Taylor polynomial of degree 5 (``taylor``), and I, II, III, r and
+rho (traces of II^-1 I), Y, g, B and log rho follow as polynomials of
+degree 3 whose coefficients are the partials.  The lift reads the jet's
+values, and ``run_suite`` decides the regularity of the grid from the
+same jet before it passes the regular rows here.  N is formed once, in
+the same Taylor arithmetic, as a polynomial of degree 1 from Y of
+degree 3 and g of degree 2 (Gamma, Hess Y and Delta_g Y on the way), so
+its coefficients of degree 1 are d_c N; the curvature tensor of g is
+assembled from the partials of g.  No chain rule is written by hand,
+and nothing is differentiated twice.
 """
 
 from __future__ import annotations
@@ -98,74 +99,49 @@ def _taylor_fields(x, dx, ddx, xi0):
     }
 
 
-def _jets(chart: Chart, grid: np.ndarray, third: bool = False, jet=None, lift=None):
-    """The lift at a grid and the partials of its pointwise-exact fields.
+# The order of the partials of each field that ``analyze`` reads.
+_ORDERS = {"Y": 1, "g": 2, "III": 1, "logrho": 2, "r": 1, "B": 1}
 
-    Returns (lift, jets) with ``jets[name]`` the list [first, second(,
-    third)] of partials of Y, g, III, log rho, r or B (none needs an
-    eigenvector): the coefficients of ``_taylor_fields`` of one jet of
-    the grid, x of degree 5 (4 without ``third``), which ``jet`` and
-    ``lift`` are if the caller has them.
+
+def _n_taylor(Y, g, space):
+    """(N, Delta_g Y, Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k) as
+    Taylor polynomials of degree 1, from Y of degree 3 and g of degree 2."""
+    n = g.n
+    g_inv, dg = taylor.inv(g.truncate(1)), g.grad()
+    # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, A_lij = d_i g_jl
+    A = dg.swapaxes(-3, -2)
+    gamma = 0.5 * taylor.einsum("mkl,mlij->mkij", g_inv, A + A.swapaxes(-2, -1) - dg)
+    dY = Y.grad()
+    hess_y = dY.grad() - taylor.einsum("mkab,mkl->mabl", gamma, dY.truncate(1))
+    delta_y = taylor.einsum("mab,mabl->ml", g_inv, hess_y)
+    nsq = np.sum(space.signs * delta_y * delta_y, axis=-1)
+    N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * Y.truncate(1)
+    return N, delta_y, gamma, hess_y
+
+
+def _jets(chart: Chart, grid: np.ndarray, jet=None, lift=None):
+    """The lift at a grid, the partials of its pointwise-exact fields and N.
+
+    Returns (lift, jets, n_block): ``jets[name]`` is the list [first,
+    ...] of partials of Y, g, III, log rho, r or B (none needs an
+    eigenvector) to the order of ``_ORDERS``, and ``n_block`` is
+    ``_n_taylor``, whose coefficients of degree 1 are the first partials
+    of N.  All come from ``_taylor_fields`` of one degree-5 jet of the
+    grid, which ``jet`` and ``lift`` are if the caller has them.
     """
     if jet is None:
-        x, dx, ddx, xi = jet = jet_arrays(chart, grid, 5 if third else 4)
+        x, dx, ddx, xi = jet = jet_arrays(chart, grid, 5)
         lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
-    return lift, {k: f.partials()[1:] for k, f in _taylor_fields(*jet).items()}
-
-
-def _n_vector(lift: LiftBatch, jets: dict):
-    """(N, Delta_g Y, Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k) at the grid."""
-    gamma = christoffels(lift.g, jets["g"][0])
-    dY, ddY = jets["Y"][:2]
-    hess_y = ddY - np.einsum("mkab,mkl->mabl", gamma, dY)
-    delta_y = np.einsum("mab,mabl->ml", np.linalg.inv(lift.g), hess_y)
-    nsq = lift.space.dot(delta_y, delta_y)
-    n = lift.u.shape[1]
-    N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * lift.Y
-    return N, delta_y, gamma, hess_y
+    fields = _taylor_fields(*jet)
+    Y, g = fields["Y"], fields["g"].truncate(2)
+    # Popped, each field is freed once its partials are read.
+    jets = {k: fields.pop(k).truncate(d).partials()[1:] for k, d in _ORDERS.items()}
+    return lift, jets, _n_taylor(Y, g, lift.space)
 
 
 def _metric(lift: LiftBatch, jets: dict) -> MetricField:
     riem = lowered_riemann(lift.g, jets["g"][0], jets["g"][1])
     return MetricField(riemann_frame=frame_riemann(riem, frame_coefficients(lift)))
-
-
-def _n_partials(lift: LiftBatch, jets: dict, delta_y: np.ndarray, gamma: np.ndarray,
-                hess_y: np.ndarray):
-    """d_c N (m, c, n+4), assembled from partials of Y up to order 3 and of g up to order 2.
-
-        d_c Delta Y = d_c g^ab (Y_ab - G^k_ab Y_k)
-                      + g^ab (Y_abc - d_c G^k_ab Y_k - G^k_ab Y_kc),
-        d_c N = d_c Delta Y / n + <Delta Y, d_c Delta Y> Y / n^2
-                + |Delta Y|^2 Y_c / (2 n^2),
-
-    with d_c g^ab = -g^ai d_c g_ij g^jb and d_c G from d g and d d g.
-    """
-    n = lift.u.shape[1]
-    dY, ddY, dddY = jets["Y"]
-    dg, ddg = jets["g"][:2]
-    g_inv = np.linalg.inv(lift.g)
-    dg_inv = -np.einsum("mai,mcij,mjb->mcab", g_inv, dg, g_inv)
-    # d_c (d_i g_jl + d_j g_il - d_l g_ij), indexed [m, c, l, i, j]
-    dsym = np.einsum("mcijl->mclij", ddg) + np.einsum("mcjil->mclij", ddg) - ddg
-    dgamma = 0.5 * np.einsum("mkl,mclij->mckij", g_inv, dsym) - np.einsum(
-        "mkp,mcpq,mqij->mckij", g_inv, dg, gamma
-    )
-    third_cov = (
-        dddY
-        - np.einsum("mckab,mkl->mabcl", dgamma, dY)
-        - np.einsum("mkab,mkcl->mabcl", gamma, ddY)
-    )
-    d_delta = np.einsum("mcab,mabl->mcl", dg_inv, hess_y) + np.einsum(
-        "mab,mabcl->mcl", g_inv, third_cov
-    )
-    nsq = lift.space.dot(delta_y, delta_y)
-    pair = np.einsum("ml,l,mcl->mc", delta_y, lift.space.signs, d_delta)
-    return (
-        d_delta / n
-        + np.einsum("mc,ml->mcl", pair, lift.Y) / n**2
-        + (nsq / (2.0 * n * n))[:, None, None] * dY
-    )
 
 
 @dataclass(frozen=True)
@@ -220,18 +196,18 @@ def analyze(chart: Chart, grid: np.ndarray, jet=None, lift=None) -> Analysis:
     m, n = grid.shape
     if n != chart.n:
         raise InputError(f"grid dimension {n} does not match chart n={chart.n}")
-    lift, jets = _jets(chart, grid, True, jet, lift)
+    lift, jets, n_block = _jets(chart, grid, jet, lift)
     signs = lift.space.signs
     w = frame_coefficients(lift)
 
     dY = jets["Y"][0]                        # (m, a, d)
     dIII = jets["III"][0]
-    dlogrho, ddlogrho, _ = jets["logrho"]    # (m, a), (m, a, b)
+    dlogrho, ddlogrho = jets["logrho"]       # (m, a), (m, a, b)
     dr = jets["r"][0]
     dB = jets["B"][0]                        # (m, c, a, b)
 
-    N, delta_y, gamma_g, hess_y = _n_vector(lift, jets)
-    dN = _n_partials(lift, jets, delta_y, gamma_g, hess_y)
+    dN = n_block[0].partials()[1]            # (m, c, n+4)
+    N, delta_y, gamma_g, hess_y = (t.value for t in n_block)
 
     E_Y = np.einsum("mia,mal->mil", w, dY)
     E2_Y = np.einsum("mia,mjb,mabl->mijl", w, w, hess_y)
@@ -292,7 +268,7 @@ def analyze(chart: Chart, grid: np.ndarray, jet=None, lift=None) -> Analysis:
 
 def metric_geometry(chart: Chart, grid: np.ndarray) -> MetricField:
     """Orthonormal-frame curvature of the invariant metric over a grid."""
-    return _metric(*_jets(chart, grid))
+    return _metric(*_jets(chart, grid)[:2])
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,9 @@ class Taylor:
         return self.c.reshape(self.c.shape[:1] + (1,) * (ndim - self.ndim) + self.shape)
 
     def __getitem__(self, key) -> "Taylor":
+        """Indexing of the batch; a 1-D integer or boolean array is ``take``."""
+        if isinstance(key, np.ndarray) and key.ndim == 1:
+            return self.take(np.flatnonzero(key) if key.dtype == bool else key)
         return self._new(self.c[(slice(None),) + (key if isinstance(key, tuple) else (key,))])
 
     def take(self, rows) -> "Taylor":
@@ -108,6 +111,10 @@ class Taylor:
         perm = np.argsort([-s for s in self.c.strides], kind="stable")
         c = np.take(self.c.transpose(perm), rows, axis=int(np.flatnonzero(perm == 1)[0]))
         return self._new(c.transpose(np.argsort(perm)))
+
+    def swapaxes(self, a: int, b: int) -> "Taylor":
+        """Two batch axes swapped, each counted from the end (a, b < 0)."""
+        return self._new(np.swapaxes(self.c, a, b))
 
     def truncate(self, d: int) -> "Taylor":
         return Taylor(self.c[:comb(self.n + d, d)], self.n, d)

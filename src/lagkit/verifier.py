@@ -181,17 +181,15 @@ def _two_curvature(lift: LiftBatch) -> dict:
 
     b_desc = -np.sort(-lift.b, axis=1)
     m1 = int(np.argmax(breaks[0])) + 1
-    dist_direct = np.max(np.abs(b_desc - targets(m1)[None, :]))
-    # A normal flip negates every b_i and swaps the cluster roles.
-    flipped_desc = -np.sort(lift.b, axis=1)
-    dist_flipped = np.max(np.abs(flipped_desc - targets(n - m1)[None, :]))
-    residual = float(min(dist_direct, dist_flipped))
+    # b_i = (r - 1/k_i)/rho is positive on the cluster of the largest
+    # curvatures when all share a sign, and on the other one when they do not.
+    m = m1 if abs(np.sum(np.sign(lift.k[0]))) == n else n - m1
     spread = float(np.max(np.ptp(np.sort(lift.b, axis=1), axis=0)))
     return {
-        "residual": residual,
+        "residual": float(np.max(np.abs(b_desc - targets(m)[None, :]))),
         "constancy": spread,
-        "multiplicity": int(m1 if dist_direct <= dist_flipped else n - m1),
-        "targets": [float(v) for v in targets(m1)],
+        "multiplicity": m,
+        "targets": [float(v) for v in targets(m)],
     }
 
 
@@ -200,9 +198,9 @@ def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
     two-curvature constants sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))).
 
     Requires exactly two distinct principal-curvature clusters with the
-    same multiplicities at every grid point.  The distance is minimised
-    over the two orientation assignments (a normal flip negates every
-    b_i and swaps the cluster roles).
+    same multiplicities at every grid point.  The positive constant
+    belongs to the cluster of the largest curvatures when all curvatures
+    share a sign, and to the other cluster when they do not.
     """
     return _two_curvature(lift_arrays(chart, np.atleast_2d(np.asarray(grid, dtype=float))))
 
@@ -438,8 +436,7 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
         )
         return report
     if not np.all(regular):
-        rows = np.flatnonzero(regular)
-        jet, lift = [t.take(rows) for t in jet[:3]] + [jet[3][rows]], lift[rows]
+        jet, lift = [t[regular] for t in jet], lift[regular]
     a = analyze(chart, lift.u, jet, lift)
     cls = classify_analysis(a, tol.classification)
     report.classification = cls.to_dict()

@@ -274,3 +274,22 @@ def test_lift_taylor_coefficients_match_oracle(name):
     for key, exact in want.items():
         got = fields[key].c[:, 0].reshape(len(exact), -1)
         assert np.max(np.abs(got - exact)) <= LIFT_TOL * np.max(np.abs(exact)), key
+
+
+@pytest.mark.parametrize("route", [
+    lambda t, rows: t.take(rows),
+    lambda t, rows: t[rows],
+    lambda t, rows: t[np.isin(np.arange(len(t.value)), rows)],
+], ids=["take", "index", "mask"])
+def test_rows_of_a_jet_give_the_fields_of_their_own_jet(route):
+    # run_suite passes the regular rows of the grid's jet to analyze: their
+    # fields must be those of a jet of those rows alone, bit for bit.
+    chart = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0)))
+    axis = np.linspace(-0.4, 0.4, 5)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    rows = np.flatnonzero(np.arange(len(grid)) % 7 != 3)
+    x, dx, ddx, xi = jet_arrays(chart, grid, 5)
+    got = _taylor_fields(*(route(t, rows) for t in (x, dx, ddx)), xi[rows])
+    want = _taylor_fields(*jet_arrays(chart, grid[rows], 5))
+    for key, field in want.items():
+        assert np.array_equal(got[key].c, field.c), key

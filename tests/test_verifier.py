@@ -273,3 +273,14 @@ def test_isotropic_non_isoparametric_skips_name_the_hypothesis(hilf3, grid3, mon
     for name in ("isotropic_isoparametric_lambda_zero", "isoparametric_curvature_sum"):
         assert by_name[name].status == "skip"
         assert by_name[name].note == "requires isoparametric input"
+
+
+def test_two_curvature_constants_with_curvatures_of_both_signs():
+    # a = (-1, 1) gives one principal curvature of each sign, so the cluster
+    # of the largest curvature holds the negative b_i, not the positive.
+    report = run_suite(hilf_chart(HilfParams(a=(-1.0, 1.0), multiplicities=(1, 2))),
+                       mesh(3, 0.5, 3))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["two_curvature_constants"].status == "pass"
+    assert by_name["two_curvature_constants"].note == "multiplicity m=2"
+    assert report.passed and not report.errors
