@@ -19,15 +19,12 @@ from .construction import (
     validate_constants,
 )
 from .errors import (
-    DegeneracyError,
     DimensionError,
     ImmersionError,
     InputError,
     LagkitError,
     MarginError,
     ParameterError,
-    UmbilicError,
-    VanishingCurvatureError,
 )
 from .families import (
     DegenerateChart,
@@ -38,11 +35,7 @@ from .families import (
     tau_chart,
     torus_chart,
 )
-from .invariants import (
-    ClassificationResult,
-    classify,
-    metric_geometry,
-)
+from .invariants import ClassificationResult, analyze, classify_analysis
 from .spaces import (
     SignatureSpace,
     SpaceVector,
@@ -60,7 +53,6 @@ from .verifier import (
     Tolerances,
     degenerate_model_report,
     run_suite,
-    two_curvature_check,
 )
 
 __version__ = "0.1.0"

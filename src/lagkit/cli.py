@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -306,6 +307,10 @@ def _cmd_construct(args) -> int:
         orientation=maps.chart.orientation,
     )
     analysis = analyze(maps.chart, vbar_grid)
+    irregular = np.flatnonzero(analysis.reason != "")
+    if len(irregular):
+        i = irregular[0]
+        raise LagkitError(f"irregular vbar point {vbar_grid[i].tolist()}: {analysis.reason[i]}")
     anchor = "integrability conditions of the curvature-line frame system"
     for name, residual in frobenius_report(maps, v_grid, analysis).items():
         report.add(f"frobenius_{name}", anchor, residual, tol.frobenius)
@@ -335,8 +340,8 @@ def _cmd_construct(args) -> int:
     )
     if identity_like and abs(constants.phi) < 1e-14:
         reference = hilf_chart(HilfParams(a=tuple(1.0 / constants.b)))
-        dx = np.max(np.abs(maps.x(vbar_grid) - reference.evaluator(vbar_grid)))
-        dxi = np.max(np.abs(maps.xi(vbar_grid) - reference.normal(vbar_grid)))
+        dx = np.max(np.abs(maps.chart.evaluator(vbar_grid) - reference.evaluator(vbar_grid)))
+        dxi = np.max(np.abs(maps.chart.normal(vbar_grid) - reference.normal(vbar_grid)))
         report.add(
             "explicit_family_roundtrip",
             "identity-matrix constants reproduce the explicit family",
@@ -402,6 +407,22 @@ def _add_common(parser, with_surface=True):
     )
 
 
+# Flags that take a comma list.  argparse reads a value such as "-1,2",
+# which is no number it knows, as an option.
+_LIST_FLAGS = ("--a", "--center", "--b-from-a")
+
+
+def _join_lists(argv):
+    """``--a -1,2`` as ``--a=-1,2``, so that a list may start with a negative number."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _LIST_FLAGS and re.match(r"-\.?\d", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 class _Parser(argparse.ArgumentParser):
     """Bad arguments are bad input: one ``error:`` line and exit status 2."""
 
@@ -450,7 +471,7 @@ def main(argv=None) -> int:
         "tau": _cmd_tau,
     }
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_lists(sys.argv[1:] if argv is None else argv))
         status = handlers[args.command](args)
         sys.stdout.flush()
         return status

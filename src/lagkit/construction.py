@@ -54,6 +54,7 @@ import numpy as np
 from . import taylor
 from .charts import Chart, closed_form
 from .errors import InputError, ParameterError
+from .families import UNBOUNDED
 from .spaces import laguerre_space, p_vector
 
 __all__ = [
@@ -68,9 +69,6 @@ __all__ = [
     "build_immersion",
     "frobenius_report",
 ]
-
-UNBOUNDED = (-np.inf, np.inf)
-
 
 @dataclass(frozen=True)
 class ConstructionConstants:
@@ -290,8 +288,9 @@ class ConstructedMaps:
     """Closed-form maps of one admissible constant set.
 
     ``position``, ``normal_map``, ``rho`` and ``mean_radius`` take the
-    privileged coordinates v; ``x`` and ``xi`` (and the derived chart)
-    take the reparametrized curvature-line coordinates vbar.
+    privileged coordinates v; the derived chart, whose ``evaluator`` and
+    ``normal`` are x and xi, takes the reparametrized curvature-line
+    coordinates vbar.
     """
 
     constants: ConstructionConstants
@@ -299,8 +298,6 @@ class ConstructedMaps:
     normal_map: Callable
     rho: Callable
     mean_radius: Callable
-    x: Callable
-    xi: Callable
     chart: Chart
 
 
@@ -349,8 +346,6 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
         normal_map=build_normal_map(c),
         rho=rho_v,
         mean_radius=r_v,
-        x=x_eval,
-        xi=xi_eval,
         chart=chart,
     )
 

@@ -21,17 +21,5 @@ class ImmersionError(LagkitError):
     """Rank-deficient Jacobian or singular first fundamental form."""
 
 
-class UmbilicError(LagkitError):
-    """All principal curvatures coincide; the invariants are undefined."""
-
-
-class VanishingCurvatureError(LagkitError):
-    """A principal curvature is (numerically) zero; radii are undefined."""
-
-
-class DegeneracyError(LagkitError):
-    """A derived quantity lost definiteness (e.g. non-positive metric)."""
-
-
 class InputError(LagkitError):
     """Unusable input to a grid-level operation (e.g. too few points)."""

@@ -11,12 +11,12 @@ with invariant metric g = rho^2 * III in chart coordinates.  r and rho
 come from traces (``radius_traces``), so the lift of a batch needs no
 eigendecomposition; the principal frame (k, e, r_i, b) is computed on
 first read, from the factor of I that ``forms_arrays`` made, which
-``invariants`` does on the grid rows only.  ``lift_batch`` decides the
-regularity of every point once, from the values of a jet, and
-``lift_arrays`` raises for the first irregular point of its batch.  The
-frame tangent vectors E_i(Y) use the orthonormal realisation
-E_i = rho^-1 r_i e_i; on charts parametrized by curvature lines this is
-the diagonal frame E_i = g_ii^(-1/2) d/du_i.
+``invariants`` does on the regular rows only.  ``lift_batch`` decides the
+regularity of every point once, from the values of a jet, and gives each
+point its reason; ``invariants.analyze``, its one caller, keeps the
+regular rows.  The frame tangent vectors E_i(Y) use the orthonormal
+realisation E_i = rho^-1 r_i e_i; on charts parametrized by curvature
+lines this is the diagonal frame E_i = g_ii^(-1/2) d/du_i.
 """
 
 from __future__ import annotations
@@ -26,32 +26,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import (
-    IRREGULAR,
-    Chart,
-    forms_arrays,
-    jet_arrays,
-    principal_arrays,
-    regularity,
-)
-from .errors import DegeneracyError, ImmersionError, UmbilicError, VanishingCurvatureError
+from .charts import Chart, forms_arrays, principal_arrays, regularity
 from .spaces import SignatureSpace, laguerre_space
 
 __all__ = [
     "LiftBatch",
     "lift_vector",
     "lift_batch",
-    "lift_arrays",
     "frame_coefficients",
 ]
-
-# What ``lift_arrays`` raises for each reason of ``IRREGULAR``, in its order.
-_ERRORS = (
-    (ImmersionError, "Jacobian is rank deficient at a sampled point"),
-    (UmbilicError, "umbilic point in the sampled batch"),
-    (VanishingCurvatureError, "vanishing principal curvature in the batch"),
-    (DegeneracyError, "invariant metric lost positive definiteness"),
-)
 
 
 @dataclass(frozen=True)
@@ -131,22 +114,6 @@ def lift_batch(chart: Chart, U: np.ndarray, jets) -> LiftBatch:
         g = rho[:, None, None] ** 2 * III
     return LiftBatch(space=laguerre_space(chart.n), u=U, x=x, xi=xi, r=r, rho=rho, Y=Y,
                      eta=eta, I=I, II=II, III=III, g=g, factor=L, reason=reason)
-
-
-def lift_arrays(chart: Chart, U: np.ndarray, jets=None) -> LiftBatch:
-    """The lift on a batch of parameter points, every one regular.
-
-    ``jets`` is the (x, dx, ddx, xi) of ``jet_arrays`` at U, as values, if
-    it is at hand.  Raises ImmersionError / UmbilicError /
-    VanishingCurvatureError / DegeneracyError for the first reason of
-    ``IRREGULAR`` that ``regularity`` finds in the batch.
-    """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    lift = lift_batch(chart, U, jet_arrays(chart, U) if jets is None else jets)
-    for name, (error, message) in zip(IRREGULAR, _ERRORS):
-        if np.any(lift.reason == name):
-            raise error(message)
-    return lift
 
 
 def frame_coefficients(lift: LiftBatch) -> np.ndarray:

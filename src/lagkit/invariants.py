@@ -25,17 +25,18 @@ nabla B is that of B_ab = rho (r III_ab - II_ab), b_i delta_ij on the
 frame.  No eigenvector is differentiated, so repeated curvatures, whose
 eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
-Every partial is exact: one jet of the grid gives x at each grid point
-as a Taylor polynomial of degree 5 (``taylor``), and I, II, III, r and
-rho (traces of II^-1 I), Y, g, B and log rho follow as polynomials of
-degree 3 whose coefficients are the partials.  The lift reads the jet's
-values, and ``run_suite`` decides the regularity of the grid from the
-same jet before it passes the regular rows here.  N is formed once, in
-the same Taylor arithmetic, as a polynomial of degree 1 from Y of
-degree 3 and g of degree 2 (Gamma, Hess Y and Delta_g Y on the way), so
-its coefficients of degree 1 are d_c N; the curvature tensor of g is
-assembled from the partials of g.  No chain rule is written by hand,
-and nothing is differentiated twice.
+``analyze(chart, grid)`` is the one way in.  Every partial is exact: one
+jet of the grid gives x at each grid point as a Taylor polynomial of
+degree 5 (``taylor``).  The lift reads the jet's values and decides the
+regularity of every point once; an irregular point gets its ``reason``
+and no fields, and on the regular rows I, II, III, r and rho (traces of
+II^-1 I), Y, g, B and log rho follow as polynomials of degree 3 whose
+coefficients are the partials.  N is formed once, in the same Taylor
+arithmetic, as a polynomial of degree 1 from Y of degree 3 and g of
+degree 2 (Gamma, Hess Y and Delta_g Y on the way), so its coefficients
+of degree 1 are d_c N; the curvature tensor of g is assembled from the
+partials of g.  No chain rule is written by hand, and nothing is
+differentiated twice.
 """
 
 from __future__ import annotations
@@ -55,16 +56,14 @@ from .fields import (
     laplacian,
     lowered_riemann,
 )
-from .frames import LiftBatch, frame_coefficients, lift_arrays, lift_vector
+from .frames import LiftBatch, frame_coefficients, lift_batch, lift_vector
 from .spaces import p_vector
 
 __all__ = [
     "ClassificationResult",
     "Analysis",
     "analyze",
-    "metric_geometry",
     "classify_analysis",
-    "classify",
 ]
 
 
@@ -119,37 +118,14 @@ def _n_taylor(Y, g, space):
     return N, delta_y, gamma, hess_y
 
 
-def _jets(chart: Chart, grid: np.ndarray, jet=None, lift=None):
-    """The lift at a grid, the partials of its pointwise-exact fields and N.
-
-    Returns (lift, jets, n_block): ``jets[name]`` is the list [first,
-    ...] of partials of Y, g, III, log rho, r or B (none needs an
-    eigenvector) to the order of ``_ORDERS``, and ``n_block`` is
-    ``_n_taylor``, whose coefficients of degree 1 are the first partials
-    of N.  All come from ``_taylor_fields`` of one degree-5 jet of the
-    grid, which ``jet`` and ``lift`` are if the caller has them.
-    """
-    if jet is None:
-        x, dx, ddx, xi = jet = jet_arrays(chart, grid, 5)
-        lift = lift_arrays(chart, grid, (x.value, dx.value, ddx.value, xi))
-    fields = _taylor_fields(*jet)
-    Y, g = fields["Y"], fields["g"].truncate(2)
-    # Popped, each field is freed once its partials are read.
-    jets = {k: fields.pop(k).truncate(d).partials()[1:] for k, d in _ORDERS.items()}
-    return lift, jets, _n_taylor(Y, g, lift.space)
-
-
-def _metric(lift: LiftBatch, jets: dict) -> MetricField:
-    riem = lowered_riemann(lift.g, jets["g"][0], jets["g"][1])
-    return MetricField(riemann_frame=frame_riemann(riem, frame_coefficients(lift)))
-
-
 @dataclass(frozen=True)
 class Analysis:
-    """Every invariant field over a grid, from one jet of the grid."""
+    """Every invariant field over the regular points of a grid, from one
+    jet of the grid; ``grid`` and the fields hold the regular rows only."""
 
     chart: Chart
     grid: np.ndarray
+    reason: np.ndarray         # (M,) per input point: "" or its ``IRREGULAR`` reason
     lift: LiftBatch
     N: np.ndarray              # (m, n+4)
     delta_y: np.ndarray        # (m, n+4)
@@ -184,19 +160,25 @@ class Analysis:
         return float(np.max(np.abs(self.E2_Y - rhs)))
 
 
-def analyze(chart: Chart, grid: np.ndarray, jet=None, lift=None) -> Analysis:
-    """Evaluate every invariant field of the lift over a grid of points.
+def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
+    """Every invariant field of the lift over the regular points of a grid.
 
-    ``jet`` is ``jet_arrays(chart, grid, 5)`` and ``lift`` its
-    ``lift_batch``, every point regular, if the caller has them; else
-    the grid's jet is taken here and ``lift_arrays`` raises at an
-    irregular point.
+    One degree-5 jet of the grid gives the lift, which decides the
+    regularity of every point once, and the Taylor fields of its regular
+    rows; ``reason`` names what fails at each other point.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    m, n = grid.shape
-    if n != chart.n:
-        raise InputError(f"grid dimension {n} does not match chart n={chart.n}")
-    lift, jets, n_block = _jets(chart, grid, jet, lift)
+    jet = jet_arrays(chart, grid, 5)
+    lift = lift_batch(chart, grid, (*(t.value for t in jet[:3]), jet[3]))
+    reason = lift.reason
+    if np.any(reason != ""):
+        regular = reason == ""
+        jet, lift = [t[regular] for t in jet], lift[regular]
+    fields = _taylor_fields(*jet)
+    Y, g = fields["Y"], fields["g"].truncate(2)
+    # Popped, each field is freed once its partials are read.
+    jets = {k: fields.pop(k).truncate(d).partials()[1:] for k, d in _ORDERS.items()}
+    n_block = _n_taylor(Y, g, lift.space)
     signs = lift.space.signs
     w = frame_coefficients(lift)
 
@@ -236,7 +218,7 @@ def analyze(chart: Chart, grid: np.ndarray, jet=None, lift=None) -> Analysis:
     grad_sq = np.einsum("mab,ma,mb->m", iii_inv, dlogrho, dlogrho)
     lap_iii = laplacian(lift.III, gamma_iii, dlogrho, ddlogrho)
 
-    eye = np.eye(n)
+    eye = np.eye(chart.n)
     inv_rho2 = rho**-2
     L_closed_a = inv_rho2[:, None, None] * (
         hess_frame
@@ -255,20 +237,15 @@ def analyze(chart: Chart, grid: np.ndarray, jet=None, lift=None) -> Analysis:
     cov_B = np.einsum("mia,mjb,mkc,mcab->mijk", w, w, w, cov_coord, optimize=True)
 
     return Analysis(
-        chart=chart, grid=grid, lift=lift,
+        chart=chart, grid=lift.u, reason=reason, lift=lift,
         N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y,
         L_structural=L_structural, C_structural=C_structural,
         B_structural=B_structural,
         C_closed=C_closed, L_closed_a=L_closed_a, L_closed_b=L_closed_b,
         cov_B=cov_B,
         laplace_iii_logrho=lap_iii, grad_iii_logrho_sq=grad_sq,
-        metric=_metric(lift, jets),
+        metric=MetricField(riemann_frame=frame_riemann(lowered_riemann(lift.g, *jets["g"]), w)),
     )
-
-
-def metric_geometry(chart: Chart, grid: np.ndarray) -> MetricField:
-    """Orthonormal-frame curvature of the invariant metric over a grid."""
-    return _metric(*_jets(chart, grid)[:2])
 
 
 @dataclass(frozen=True)
@@ -344,7 +321,3 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
         prop7_consistent=prop7,
     )
 
-
-def classify(chart: Chart, grid: np.ndarray, tol: float = 1e-5) -> ClassificationResult:
-    """Classify a chart as L-isotropic / L-isoparametric over a grid."""
-    return classify_analysis(analyze(chart, grid), tol)

@@ -6,9 +6,9 @@ named tolerance.  The checks form one table, ``CHECKS``, that
 anchor in the theory, its ``Tolerances`` field, its hypotheses and its
 residual.  Conditional checks whose hypotheses fail on the given chart
 are reported as *skipped* with the hypothesis named, never as vacuous
-passes.  Grid points violating the curvature-regularity preconditions
-become per-point error entries and the suite continues on the remaining
-points.
+passes.  ``run_suite`` takes one ``analyze`` of the grid: each point it
+gives a ``reason`` becomes a per-point error entry, and the checks run on
+the remaining points.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import IRREGULAR, Chart, jet_arrays, radius_traces
+from .charts import IRREGULAR, Chart, radius_traces
 from .errors import InputError
 from .families import DegenerateChart
-from .frames import LiftBatch, lift_arrays, lift_batch
+from .frames import LiftBatch
 from .invariants import Analysis, analyze, classify_analysis
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "CheckRecord",
     "PropertyReport",
     "run_suite",
-    "two_curvature_check",
     "degenerate_model_report",
 ]
 
@@ -163,7 +162,9 @@ def _cluster_breaks(k: np.ndarray, rel_tol: float = 1e-4) -> np.ndarray:
 
 
 def _two_curvature(lift: LiftBatch) -> dict:
-    """``two_curvature_check`` on a lift already evaluated at the grid."""
+    """Distance of the lift's b_i from the two-curvature constants
+    sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))); InputError unless every grid
+    point has the same two clusters of principal curvatures."""
     n = lift.b.shape[1]
     breaks = _cluster_breaks(lift.k)
     clusters = int(np.sum(breaks[0])) + 1
@@ -191,18 +192,6 @@ def _two_curvature(lift: LiftBatch) -> dict:
         "multiplicity": m,
         "targets": [float(v) for v in targets(m)],
     }
-
-
-def two_curvature_check(chart: Chart, grid: np.ndarray) -> dict:
-    """Distance of the computed Laguerre principal curvatures from the
-    two-curvature constants sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))).
-
-    Requires exactly two distinct principal-curvature clusters with the
-    same multiplicities at every grid point.  The positive constant
-    belongs to the cluster of the largest curvatures when all curvatures
-    share a sign, and to the other cluster when they do not.
-    """
-    return _two_curvature(lift_arrays(chart, np.atleast_2d(np.asarray(grid, dtype=float))))
 
 
 def _l_variant(a: Analysis, tol: Tolerances) -> dict:
@@ -426,18 +415,13 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
         orientation=chart.orientation,
     )
 
-    jet = jet_arrays(chart, grid, 5)
-    lift = lift_batch(chart, grid, (*(t.value for t in jet[:3]), jet[3]))
-    report.errors.extend(_point_errors(grid, lift.reason))
-    regular = lift.reason == ""
-    if np.sum(regular) < 2:
+    a = analyze(chart, grid)
+    report.errors.extend(_point_errors(grid, a.reason))
+    if len(a.grid) < 2:
         report.warnings.append(
             "fewer than two curvature-regular grid points; no checks executed"
         )
         return report
-    if not np.all(regular):
-        jet, lift = [t[regular] for t in jet], lift[regular]
-    a = analyze(chart, lift.u, jet, lift)
     cls = classify_analysis(a, tol.classification)
     report.classification = cls.to_dict()
     report.analysis = a

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lagkit.charts import (
+    IRREGULAR,
     Chart,
     closed_form,
     cross_normal,
@@ -16,14 +17,9 @@ from lagkit.charts import (
     radius_traces,
     regularity,
 )
-from lagkit.errors import (
-    ImmersionError,
-    MarginError,
-    UmbilicError,
-    VanishingCurvatureError,
-)
+from lagkit.errors import ImmersionError, MarginError
 from lagkit.families import sphere_chart
-from lagkit.frames import lift_arrays
+from lagkit.frames import lift_batch
 from tests import central
 from tests.conftest import graph_chart, mesh
 
@@ -38,6 +34,11 @@ def quadric(a1, a2, cross=0.0):
 def point(u):
     """A one-point batch of shape (1, n)."""
     return np.asarray(u, dtype=float)[None, :]
+
+
+def lift(chart, U):
+    """The lift at U, with one ``regularity`` reason per point."""
+    return lift_batch(chart, U, jet_arrays(chart, U))
 
 
 def forms(chart, U):
@@ -84,8 +85,7 @@ def collapse_chart():
 
 
 def test_rank_deficient_jacobian_rejected():
-    with pytest.raises(ImmersionError, match="rank deficient"):
-        lift_arrays(collapse_chart(), point([0.1, 0.2]))
+    assert lift(collapse_chart(), point([0.1, 0.2])).reason.tolist() == [IRREGULAR[0]]
 
 
 def test_curvature_line_check_rejects_rank_deficient_point():
@@ -121,19 +121,19 @@ def test_torus_principal_curvatures(torus21):
 def test_frame_radii_arithmetic():
     # curvatures {1, 2} at the origin of a quadric graph
     chart = quadric(0.5, 1.0)
-    lift = lift_arrays(chart, point([0.0, 0.0]))
-    k = np.sort(np.abs(lift.k[0]))
+    batch = lift(chart, point([0.0, 0.0]))
+    k = np.sort(np.abs(batch.k[0]))
     assert np.allclose(k, [1.0, 2.0], atol=1e-12)
-    r_i = np.sort(np.abs(lift.r_i[0]))
+    r_i = np.sort(np.abs(batch.r_i[0]))
     assert np.allclose(r_i, [0.5, 1.0], atol=1e-12)
-    assert abs(abs(lift.r[0]) - 0.75) <= 1e-12
-    assert abs(lift.rho[0] - np.sqrt(0.125)) <= 1e-12
+    assert abs(abs(batch.r[0]) - 0.75) <= 1e-12
+    assert abs(batch.rho[0] - np.sqrt(0.125)) <= 1e-12
 
 
 def test_mean_radius_centers_radii(generic_chart, generic_points):
-    lift = lift_arrays(generic_chart, generic_points)
-    centered = np.abs(np.sum(lift.r[:, None] - lift.r_i, axis=1))
-    assert np.all(centered <= 1e-12 * np.sum(np.abs(lift.r_i), axis=1))
+    batch = lift(generic_chart, generic_points)
+    centered = np.abs(np.sum(batch.r[:, None] - batch.r_i, axis=1))
+    assert np.all(centered <= 1e-12 * np.sum(np.abs(batch.r_i), axis=1))
 
 
 def test_directions_orthonormal_in_first_form(generic_chart, generic_points):
@@ -156,14 +156,12 @@ def test_principal_direction_derivative_relation(hilf3):
 
 
 def test_sphere_is_umbilic():
-    with pytest.raises(UmbilicError):
-        lift_arrays(sphere_chart(1.0), point([0.05, -0.03]))
+    assert lift(sphere_chart(1.0), point([0.05, -0.03])).reason.tolist() == [IRREGULAR[1]]
 
 
 def test_vanishing_curvature_rejected():
     cylinder_like = quadric(0.5, 0.0)
-    with pytest.raises(VanishingCurvatureError):
-        lift_arrays(cylinder_like, point([0.0, 0.0]))
+    assert lift(cylinder_like, point([0.0, 0.0])).reason.tolist() == [IRREGULAR[2]]
 
 
 def test_irregular_masks_thresholds():
@@ -466,7 +464,7 @@ def test_radius_traces_match_eigh_near_umbilic(spread):
 def test_regularity_screen_clears_no_flagged_point():
     # Relative curvature spreads, and curvature ratios of either sign, from
     # 1e-9 to 1e-5 straddle UMBILIC_TOL and CURVATURE_FLOOR (both 1e-7).
-    # lift_arrays raises exactly where irregular_masks flags a point.
+    # The lift gives a point a reason exactly where irregular_masks flags it.
     U = mesh(2, 1e-5, 3)
     cleared_total = flagged_total = 0
     for t in np.logspace(-9, -5, 17):
@@ -478,12 +476,8 @@ def test_regularity_screen_clears_no_flagged_point():
             assert not np.any(cleared & (umbilic | vanishing))
             cleared_total += int(np.sum(cleared))
             flagged_total += int(np.sum(umbilic | vanishing))
-            if np.any(umbilic):
-                with pytest.raises(UmbilicError):
-                    lift_arrays(chart, U)
-            elif np.any(vanishing):
-                with pytest.raises(VanishingCurvatureError):
-                    lift_arrays(chart, U)
-            else:
-                lift_arrays(chart, U)
+            reason = lift(chart, U).reason
+            assert np.array_equal(reason == IRREGULAR[1], umbilic)
+            assert np.array_equal(reason == IRREGULAR[2], vanishing & ~umbilic)
+            assert np.array_equal(reason != "", umbilic | vanishing)
     assert cleared_total > 0 and flagged_total > 0

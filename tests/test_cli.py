@@ -159,7 +159,7 @@ def test_construct_seeded(tmp_path):
 def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
     # frobenius_report and the classification share one analysis: one lift
     # of the 5^3 vbar grid points, whose partials come from one Taylor jet.
-    lift_rows = count_rows(monkeypatch, frames.lift_arrays, 1)
+    lift_rows = count_rows(monkeypatch, frames.lift_batch, 1)
     code = run([
         "construct", "--b-from-a", "1,2,3", "--seed", "1",
         "--grid", "5", "--half-width", "0.5",
@@ -167,6 +167,46 @@ def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
     ])
     assert code == 0
     assert lift_rows == [125]
+
+
+def test_construct_names_an_irregular_point(monkeypatch, tmp_path, capsys):
+    # No constructed grid tried has an irregular point, so one is planted.
+    regularity = frames.regularity
+
+    def one_umbilic(*forms):
+        r, rho, reason = regularity(*forms)
+        reason[4] = "umbilic point"
+        return r, rho, reason
+
+    monkeypatch.setattr(frames, "regularity", one_umbilic)
+    out = tmp_path / "con.json"
+    code = run(["construct", "--b-from-a", "1,2,3", "--grid", "3", "--no-timestamp",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.rstrip().endswith(": umbilic point")
+    assert not out.exists()
+
+
+# A comma list may start with a negative number also when its value is a
+# separate argument; argparse alone reads such a value as an option.
+NEGATIVE_LISTS = {
+    "a": ["verify", "--surface", "hilf", "--a", "-1,2"],
+    "center": ["verify", "--surface", "hilf", "--a", "1,2", "--center", "-0.5,0.1"],
+    "b-from-a": ["construct", "--b-from-a", "-1,2,3"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_LISTS.values(), ids=NEGATIVE_LISTS.keys())
+def test_list_flag_takes_a_negative_first_value(argv, tmp_path, capsys):
+    def report(argv):
+        out = tmp_path / "r.json"
+        assert run(argv + ["--grid", "3", "--no-timestamp", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert report(argv) == report(joined)
+    assert not capsys.readouterr().err
 
 
 def test_construct_rejects_tampered_matrix(tmp_path):

@@ -15,7 +15,7 @@ from lagkit.construction import (
 )
 from lagkit.errors import InputError, ParameterError
 from lagkit.families import HilfParams, hilf_chart
-from lagkit.invariants import analyze, classify
+from lagkit.invariants import analyze, classify_analysis
 from lagkit.spaces import laguerre_space
 from lagkit.verifier import Tolerances
 from tests import central
@@ -162,8 +162,18 @@ def test_identity_constants_reproduce_family(identity_constants):
     maps = build_immersion(identity_constants)
     reference = hilf_chart(HilfParams(a=tuple(1.0 / identity_constants.b)))
     grid = mesh(3, 0.6, 5)
-    assert np.max(np.abs(maps.x(grid) - reference.evaluator(grid))) <= 1e-9
-    assert np.max(np.abs(maps.xi(grid) - reference.normal(grid))) <= 1e-9
+    assert np.max(np.abs(maps.chart.evaluator(grid) - reference.evaluator(grid))) <= 1e-9
+    assert np.max(np.abs(maps.chart.normal(grid) - reference.normal(grid))) <= 1e-9
+
+
+def test_closed_form_rho_and_mean_radius_match_the_pipeline(seeded_constants):
+    # rho(v) = 1/2 + |v|^2 and r(v) = sum v_k^2 b_k + phi/2 are closed forms;
+    # the lift reads rho and r off the traces of the derived chart at vbar.
+    maps = build_immersion(seeded_constants)
+    v = np.random.default_rng(12).uniform(-0.5, 0.5, size=(20, 3))
+    lift = analyze(maps.chart, np.sqrt(2.0) * v * seeded_constants.b).lift
+    assert np.max(np.abs(lift.rho - maps.rho(v))) <= 1e-12
+    assert np.max(np.abs(lift.r - maps.mean_radius(v))) <= 1e-12
 
 
 def test_constructed_chart_jets_exact(seeded_constants):
@@ -181,7 +191,7 @@ def test_full_pipeline_roundtrip(seeded_constants):
     maps = build_immersion(seeded_constants)
     v_grid = mesh(3, 0.5, 3)
     vbar = np.sqrt(2.0) * v_grid * seeded_constants.b
-    cls = classify(maps.chart, vbar)
+    cls = classify_analysis(analyze(maps.chart, vbar))
     assert cls.is_isotropic
     assert abs(cls.lambda_estimate) <= 1e-5
     assert cls.is_isoparametric
@@ -270,7 +280,7 @@ def test_equivalence_across_orthogonal_choices():
         c = ConstructionConstants.simple(B123, cmat=random_orthogonal(3, seed))
         maps = build_immersion(c)
         vbar = np.sqrt(2.0) * mesh(3, 0.4, 3) * c.b
-        cls = classify(maps.chart, vbar)
+        cls = classify_analysis(analyze(maps.chart, vbar))
         assert cls.is_isotropic and cls.is_isoparametric
         b_hat = np.sort(cls.b_hat)
         if b_hat[0] * np.sort(B123)[0] < 0:
@@ -283,7 +293,7 @@ def test_phi_invariance_of_classification():
     outputs = []
     for phi in (0.0, 0.7):
         chart = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0), phi=phi))
-        cls = classify(chart, mesh(3, 0.4, 3))
+        cls = classify_analysis(analyze(chart, mesh(3, 0.4, 3)))
         b_hat = np.sort(cls.b_hat)
         if b_hat[0] > 0:
             b_hat = np.sort(-b_hat)

@@ -282,7 +282,7 @@ def test_lift_taylor_coefficients_match_oracle(name):
     lambda t, rows: t[np.isin(np.arange(len(t.value)), rows)],
 ], ids=["take", "index", "mask"])
 def test_rows_of_a_jet_give_the_fields_of_their_own_jet(route):
-    # run_suite passes the regular rows of the grid's jet to analyze: their
+    # analyze keeps the regular rows of the grid's jet: their
     # fields must be those of a jet of those rows alone, bit for bit.
     chart = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0)))
     axis = np.linspace(-0.4, 0.4, 5)

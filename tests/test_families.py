@@ -178,8 +178,8 @@ def test_torus_parameter_error():
 
 
 def test_torus_curvatures_distinct_on_domain(torus21, torus_points):
-    from lagkit.frames import lift_arrays
+    from lagkit.invariants import analyze
 
-    k = lift_arrays(torus21, torus_points[:8]).k
+    k = analyze(torus21, torus_points[:8]).lift.k
     assert np.min(np.abs(k)) > 0.1
     assert np.min(k[:, 0] - k[:, 1]) > 0.1

@@ -13,8 +13,10 @@ from math import factorial
 
 import numpy as np
 
+from lagkit.charts import jet_arrays
 from lagkit.families import torus_chart
-from lagkit.invariants import _jets
+from lagkit.invariants import _n_taylor, _taylor_fields, analyze
+from lagkit.spaces import laguerre_space
 from tests import central
 
 # Degree-4 polynomial field on R^3 with two components: every 4th-order
@@ -35,8 +37,10 @@ def quartic(U, alpha=(0, 0, 0)):
 
 
 def n_taylor(chart, U):
-    """N at the points U as a Taylor polynomial of degree 1."""
-    return _jets(chart, U)[2][0]
+    """N at the points U as a Taylor polynomial of degree 1, formed as
+    ``analyze`` forms it from the degree-5 jet of U."""
+    fields = _taylor_fields(*jet_arrays(chart, U, 5))
+    return _n_taylor(fields["Y"], fields["g"].truncate(2), laguerre_space(chart.n))[0]
 
 
 def test_central_partials_exact_on_quartic():
@@ -58,7 +62,9 @@ def test_n_derivative_vanishes_on_family(hilf3, grid3):
 
 
 def assert_n_derivative_matches_nested_difference(chart, points):
-    dN = n_taylor(chart, points).partials()[1]
+    N = n_taylor(chart, points)
+    assert np.array_equal(N.value, analyze(chart, points).N)
+    dN = N.partials()[1]
     nested = central.grad(lambda V: n_taylor(chart, V).value, points, 1e-3)
     # The difference is within 2.6e-11 on both tori, so an error of 1e-9 in dN shows.
     assert np.max(np.abs(dN - nested)) <= 1e-9 * np.max(np.abs(nested))

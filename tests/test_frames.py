@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lagkit.errors import DegeneracyError, ImmersionError
+from lagkit.charts import IRREGULAR
 from lagkit.families import HilfParams, hilf_chart
-from lagkit.frames import lift_arrays
 from lagkit.invariants import analyze
 from lagkit.spaces import inner_product, laguerre_space, p_vector
 from tests import central
@@ -14,7 +13,7 @@ from tests.conftest import mesh
 
 @pytest.fixture(scope="module")
 def hilf2_lift(hilf2):
-    return lift_arrays(hilf2, np.array([[0.1, -0.2]]))
+    return analyze(hilf2, np.array([[0.1, -0.2]])).lift
 
 
 def vectors(lift):
@@ -49,12 +48,12 @@ def test_normal_map_relations(hilf2_lift):
 def test_rho_at_origin_two_curvature(hilf2):
     # a = (1, 2): curvatures +-(2, 4) at the origin, radii -+(1/2, 1/4),
     # so rho^2 = 2 (1/8)^2 = 1/32 -- independent arithmetic oracle.
-    lift = lift_arrays(hilf2, np.zeros((1, 2)))
+    lift = analyze(hilf2, np.zeros((1, 2))).lift
     assert abs(lift.rho[0] ** 2 - 1.0 / 32.0) <= 1e-14
 
 
 def test_metric_is_scaled_third_form(hilf2):
-    lift = lift_arrays(hilf2, np.zeros((1, 2)))
+    lift = analyze(hilf2, np.zeros((1, 2))).lift
     III = lift.III[0]
     assert np.allclose(lift.g[0], lift.rho[0] ** 2 * III, atol=1e-15)
     # oracle: III at the origin is the differential of the closed-form
@@ -68,22 +67,25 @@ def test_nan_second_partial_raises(hilf2):
     # One NaN entry of ddx makes II, III, r and rho NaN at that point only;
     # NaN compares false with every threshold, so the guard must test for
     # a positive diagonal and finite r and rho, not for a non-positive one.
+    # (Named for the lift that raised here before analyze gave reasons.)
     def jet(U, degree):
         x = hilf2.jet(U, degree)
         x.c[4, 4, 2] = np.nan    # the coefficient of h_0 h_1, so ddx[4, 0, 1, 2]
         return x
 
-    chart = dataclasses.replace(hilf2, jet=jet)
-    with pytest.raises(DegeneracyError):
-        lift_arrays(chart, mesh(2, 0.2, 3))
+    a = analyze(dataclasses.replace(hilf2, jet=jet), mesh(2, 0.2, 3))
+    assert list(a.reason) == [""] * 4 + [IRREGULAR[3]] + [""] * 4
+    assert a.grid.shape == (8, 2) and np.all(np.isfinite(a.N))
 
 
 def test_rank_deficient_grid_point_raises():
     # hilf (1,2,3) on 5^3 at centre 0.5 and half-width 0.3 meets five
-    # points of rank-deficient Jacobian; the suite reports them, the lift raises.
+    # points of rank-deficient Jacobian and no other irregular point.
+    # (Named for the lift that raised here before analyze gave reasons.)
     chart = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0)))
-    with pytest.raises(ImmersionError, match="^Jacobian is rank deficient at a sampled point$"):
-        lift_arrays(chart, mesh(3, 0.3, 5, center=[0.5] * 3))
+    a = analyze(chart, mesh(3, 0.3, 5, center=[0.5] * 3))
+    assert set(a.reason) == {"", IRREGULAR[0]} and list(a.reason).count(IRREGULAR[0]) == 5
+    assert len(a.grid) == 120
 
 
 def test_metric_equals_lift_gram(hilf3):
@@ -91,9 +93,9 @@ def test_metric_equals_lift_gram(hilf3):
     grid = mesh(3, 0.3, 2)
 
     def y_field(U):
-        return lift_arrays(hilf3, U).Y
+        return analyze(hilf3, U).lift.Y
 
-    lift = lift_arrays(hilf3, grid)
+    lift = analyze(hilf3, grid).lift
     dY = central.grad(y_field, grid, 1e-4)
     gram = np.einsum("mal,l,mbl->mab", dY, lift.space.signs, dY)
     assert np.max(np.abs(gram - lift.g)) <= 1e-8

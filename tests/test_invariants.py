@@ -1,19 +1,16 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lagkit import charts, frames
-from lagkit.errors import InputError, UmbilicError
-from lagkit.families import sphere_chart
+from lagkit.charts import IRREGULAR, jet_arrays
+from lagkit.errors import InputError
+from lagkit.families import HilfParams, hilf_chart, sphere_chart
 from lagkit.fields import christoffels, frame_connection
-from lagkit.frames import frame_coefficients, lift_arrays
-from lagkit.invariants import (
-    _b_tensor,
-    analyze,
-    classify,
-    metric_geometry,
-)
+from lagkit.frames import frame_coefficients, lift_batch
+from lagkit.invariants import Analysis, _b_tensor, analyze, classify_analysis
 from lagkit.verifier import run_suite
 from tests import central
 from tests.conftest import count_rows, mesh
@@ -112,11 +109,11 @@ def frame_route_cov_b(chart, points):
     ``frame_connection``: the reference route, valid where the principal
     curvatures are distinct."""
     m, n = points.shape
-    lift = lift_arrays(chart, points)
+    lift = lift_batch(chart, points, jet_arrays(chart, points))
     w = frame_coefficients(lift)
 
     def pack(U):
-        cloud = lift_arrays(chart, U)
+        cloud = lift_batch(chart, U, jet_arrays(chart, U))
         k = len(cloud.u)
         return np.concatenate(
             [frame_coefficients(cloud).reshape(k, -1), cloud.b, cloud.g.reshape(k, -1)],
@@ -150,15 +147,15 @@ def test_covariant_b_matches_frame_route(case, hilf3, grid3, generic_chart, gene
     assert np.max(np.abs(a.cov_B - reference)) / scale <= 1e-6
 
 
-def test_flat_invariant_metric(hilf3, grid3):
-    mf = metric_geometry(hilf3, grid3)
+def test_flat_invariant_metric(hilf3_analysis):
+    mf = hilf3_analysis.metric
     assert np.max(np.abs(mf.riemann_frame)) <= 1e-4
     assert mf.antisymmetry_residual() <= 1e-10
 
 
 def test_curvature_relation_generic(generic_chart, generic_points):
     a = analyze(generic_chart, generic_points)
-    mf = metric_geometry(generic_chart, generic_points)
+    mf = a.metric
     L = a.L_structural
     eye = np.eye(2)
     rhs = (
@@ -172,7 +169,7 @@ def test_curvature_relation_generic(generic_chart, generic_points):
 
 
 def test_classify_explicit_family(hilf3, grid3):
-    cls = classify(hilf3, grid3)
+    cls = classify_analysis(analyze(hilf3, grid3))
     assert cls.is_isotropic
     assert cls.is_isoparametric
     assert abs(cls.lambda_estimate) <= 1e-5
@@ -183,7 +180,7 @@ def test_classify_explicit_family(hilf3, grid3):
 
 
 def test_classify_torus(torus21, torus_points):
-    cls = classify(torus21, torus_points)
+    cls = classify_analysis(analyze(torus21, torus_points))
     assert not cls.is_isotropic          # L has eigenvalues +-1/4
     assert cls.is_isoparametric          # C = 0 and constant b
     assert cls.b_spread <= 1e-9
@@ -191,19 +188,21 @@ def test_classify_torus(torus21, torus_points):
 
 
 def test_classify_generic_chart_negative(generic_chart, generic_points):
-    cls = classify(generic_chart, generic_points)
+    cls = classify_analysis(analyze(generic_chart, generic_points))
     assert not cls.is_isotropic
     assert not cls.is_isoparametric
 
 
 def test_classify_needs_two_points(hilf3):
     with pytest.raises(InputError):
-        classify(hilf3, np.zeros((1, 3)))
+        classify_analysis(analyze(hilf3, np.zeros((1, 3))))
 
 
 def test_classify_sphere_umbilic():
-    with pytest.raises(UmbilicError):
-        classify(sphere_chart(1.0), mesh(2, 0.1, 3))
+    a = analyze(sphere_chart(1.0), mesh(2, 0.1, 3))
+    assert a.reason.tolist() == [IRREGULAR[1]] * 9 and len(a.grid) == 0
+    with pytest.raises(InputError, match="two grid points"):
+        classify_analysis(a)
 
 
 def test_identity_suite_explicit_family(hilf3, grid3):
@@ -250,7 +249,29 @@ def test_eigh_runs_on_grid_rows_only(monkeypatch, hilf3):
     # Taylor jet of the grid, so the lift runs on the grid rows only, and
     # the principal decomposition on the rows that read the frame.
     eigh_rows = count_rows(monkeypatch, charts.principal_arrays, 0)
-    lift_rows = count_rows(monkeypatch, frames.lift_arrays, 1)
+    lift_rows = count_rows(monkeypatch, frames.lift_batch, 1)
     analyze(hilf3, mesh(3, 0.4, 5))
     assert sum(lift_rows) == 125
     assert sum(eigh_rows) == 125
+
+
+def test_irregular_points_leave_the_regular_rows_unchanged():
+    # hilf (1,2) on 7^2 at half-width 1.5 meets its rank-deficient set: every
+    # point gets a reason, and the fields are those of the regular rows alone.
+    chart = hilf_chart(HilfParams(a=(1.0, 2.0)))
+    grid = mesh(2, 1.5, 7)
+    a = analyze(chart, grid)
+    regular = a.reason == ""
+    assert a.reason.shape == (49,) and set(a.reason) == {"", IRREGULAR[0]}
+    assert 2 <= np.sum(regular) < 49
+    alone = analyze(chart, grid[regular])
+    assert np.all(alone.reason == "") and np.array_equal(a.grid, grid[regular])
+    for field in dataclasses.fields(Analysis):
+        got, want = getattr(a, field.name), getattr(alone, field.name)
+        if field.name == "lift":
+            for name in [f.name for f in dataclasses.fields(got) if f.name != "space"] + ["k", "e"]:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        elif field.name == "metric":
+            assert np.array_equal(got.riemann_frame, want.riemann_frame)
+        elif field.name not in ("chart", "reason"):
+            assert np.array_equal(got, want), field.name

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagkit.errors import DimensionError
-from lagkit.frames import lift_arrays
+from lagkit.invariants import analyze
 from lagkit.spaces import (
     apply_transform,
     inner_product,
@@ -140,7 +140,7 @@ def test_group_elements_preserve_inner_products(a, b, seed):
 
 
 def test_transformed_lift_stays_lightlike(hilf3):
-    lift = lift_arrays(hilf3, np.array([[0.1, -0.2, 0.05]]))
+    lift = analyze(hilf3, np.array([[0.1, -0.2, 0.05]])).lift
     Y = laguerre_space(3).vector(lift.Y[0])
     T = random_lg_rotation(3, np.random.default_rng(42))
     image = apply_transform(T, Y)
@@ -149,8 +149,6 @@ def test_transformed_lift_stays_lightlike(hilf3):
 
 def test_pipeline_y_n_pairing(hilf3, grid3):
     # oracle: evaluate the lift and its Laplacian-based partner numerically
-    from lagkit.invariants import analyze
-
     a = analyze(hilf3, grid3[:5])
     pairing = a.lift.space.dot(a.lift.Y, a.N)
     assert np.max(np.abs(pairing + 1.0)) <= 1e-6

@@ -6,14 +6,8 @@ import pytest
 from lagkit.charts import Chart, curvature_line_check
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart
-from lagkit.frames import lift_arrays
-from lagkit.invariants import analyze, classify, metric_geometry
-from lagkit.verifier import (
-    Tolerances,
-    degenerate_model_report,
-    run_suite,
-    two_curvature_check,
-)
+from lagkit.invariants import analyze
+from lagkit.verifier import Tolerances, degenerate_model_report, run_suite
 from tests.conftest import mesh
 
 
@@ -88,7 +82,7 @@ def test_run_suite_takes_one_jet_of_the_grid(a, center, half_width, points):
 
 def test_metric_not_positive_definite_is_a_point_error(hilf2):
     # A NaN second partial at the centre of the grid makes II, III, r and
-    # rho NaN there: the lift raises DegeneracyError, the suite reports the
+    # rho NaN there: the lift gives it a reason, the suite reports the
     # point and runs the checks on the other eight.
     def jet(U, degree):
         x = hilf2.jet(U, degree)
@@ -144,7 +138,7 @@ def test_torus_suite(torus21, torus_points):
 
 
 @pytest.mark.parametrize("entry", [
-    analyze, run_suite, classify, metric_geometry, lift_arrays, curvature_line_check,
+    analyze, run_suite, curvature_line_check,
 ], ids=lambda f: f.__name__)
 def test_chart_without_jet_is_refused(entry, hilf2):
     # jet_arrays is the one gate: every entry point that differentiates
@@ -163,16 +157,21 @@ def test_sphere_reports_only_umbilic_errors():
 
 
 def test_two_curvature_targets(torus21, torus_points):
-    result = two_curvature_check(torus21, torus_points)
-    assert result["residual"] <= 1e-6
-    assert result["constancy"] <= 1e-6
-    target = 0.7071067811865476
-    assert np.allclose(sorted(np.abs(result["targets"])), [target, target])
+    # n = 2, m = 1: the constants are +-sqrt(1/2), the b_i of every point.
+    report = run_suite(torus21, torus_points)
+    record = {c.name: c for c in report.checks}["two_curvature_constants"]
+    assert record.status == "pass" and record.residual <= 1e-6
+    assert record.note == "multiplicity m=1"
+    b = np.sort(report.analysis.lift.b, axis=1)
+    assert np.max(np.abs(b - [-np.sqrt(0.5), np.sqrt(0.5)])) <= 1e-6
 
 
 def test_two_curvature_precondition(hilf3, grid3):
-    with pytest.raises(InputError):
-        two_curvature_check(hilf3, grid3[:4])
+    # Three distinct curvatures: the check's InputError skips it with its message.
+    report = run_suite(hilf3, grid3[:4])
+    record = {c.name: c for c in report.checks}["two_curvature_constants"]
+    assert record.status == "skip"
+    assert record.note == "expected exactly two distinct principal curvatures, found 3"
 
 
 def test_degenerate_model_report():
@@ -206,9 +205,7 @@ def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
     # One degree-5 Taylor jet per grid point feeds the regularity pass, the
     # invariants, the metric curvature and the two-curvature check.
     import lagkit.charts
-    import lagkit.frames
     import lagkit.invariants
-    import lagkit.verifier
 
     points = []
     original = lagkit.charts.jet_arrays
@@ -217,7 +214,7 @@ def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
         points.append(np.atleast_2d(U).shape[0])
         return original(chart, U, *args)
 
-    for module in (lagkit.charts, lagkit.frames, lagkit.invariants, lagkit.verifier):
+    for module in (lagkit.charts, lagkit.invariants):
         monkeypatch.setattr(module, "jet_arrays", counted)
     grid = mesh(3, 0.4, 5)
     report = run_suite(hilf3, grid)
