@@ -177,7 +177,11 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     if np.any(outside):
         raise MarginError(f"point {U[outside][0].tolist()} lies outside the chart domain")
     x = chart.jet(U, degree)
-    x, dx, ddx = x.partials() if degree == 2 else (x, x.grad(), x.grad().grad())
+    if degree == 2:
+        x, dx, ddx = x.partials()
+    else:
+        dx = x.grad()
+        ddx = dx.grad()
 
     if chart.normal is not None:
         xi = np.asarray(chart.normal(U))

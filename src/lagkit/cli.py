@@ -424,7 +424,11 @@ def _join_lists(argv):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Bad arguments are bad input: one ``error:`` line and exit status 2."""
+    """Bad arguments are bad input: one ``error:`` line and exit status 2.
+    Flags are spelt out in full, as ``_join_lists`` knows no abbreviation."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise LagkitError(message)

@@ -29,9 +29,11 @@ eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 jet of the grid gives x at each grid point as a Taylor polynomial of
 degree 5 (``taylor``).  The lift reads the jet's values and decides the
 regularity of every point once; an irregular point gets its ``reason``
-and no fields, and on the regular rows I, II, III, r and rho (traces of
-II^-1 I), Y, g, B and log rho follow as polynomials of degree 3 whose
-coefficients are the partials.  N is formed once, in the same Taylor
+and no fields.  On the regular rows each field is a polynomial of the
+degree to which its partials are read, from degree-3 copies of x and
+dx: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g and
+log rho of degree 2, III, r and B of degree 1, each intermediate freed
+after its last read.  N is formed once, in the same Taylor
 arithmetic, as a polynomial of degree 1 from Y of degree 3 and g of
 degree 2 (Gamma, Hess Y and Delta_g Y on the way), so its coefficients
 of degree 1 are d_c N; the curvature tensor of g is assembled from the
@@ -72,12 +74,15 @@ def _b_tensor(r, rho, III, II):
     return rho[..., None, None] * (r[..., None, None] * III - II)
 
 
-def _taylor_fields(x, dx, ddx, xi0):
-    """Y, g, III, log rho, r and B as Taylor polynomials of degree k from
-    x, dx, ddx of degrees k+2, k+1 and k and the unit normal xi0 at the points.
-    xi is xi0 less its tangential part, normalised; III = II I^-1 II; the
-    radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
+def _taylor_fields(jet):
+    """Y of degree k, g and log rho of degree k-1, III, r and B of degree
+    k-2, from ``jet`` = [x, dx, ddx, xi0] (ddx of degree k, xi0 the unit
+    normal), which is emptied so that each array is freed after its last
+    read.  xi is xi0 less its tangential part, normalised; III = II I^-1
+    II; the radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
     rho^2 = tr (M - r Id)^2."""
+    x, dx, ddx, xi0 = jet
+    jet.clear()
     n, k = dx.shape[1], ddx.d
     dx = dx.truncate(k)
     I = taylor.einsum("mia,mja->mij", dx, dx)
@@ -85,21 +90,21 @@ def _taylor_fields(x, dx, ddx, xi0):
     tangential = taylor.einsum("mij,mj->mi", I_inv, taylor.einsum("mia,ma->mi", dx, xi0))
     v = xi0 - taylor.einsum("mi,mia->ma", tangential, dx)
     xi = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
+    del dx, tangential, v
     II = taylor.einsum("mija,ma->mij", ddx, xi)
-    III = taylor.matmul(II, taylor.matmul(I_inv, II))
+    del ddx
     M = taylor.matmul(taylor.inv(II), I)
     r = np.sum(M[:, np.arange(n), np.arange(n)], axis=-1) / n
     D = M - r[..., None, None] * np.eye(n)
     rho2 = taylor.einsum("mij,mji->m", D, D)
+    del I, M, D
     rho = np.sqrt(rho2)
-    return {
-        "Y": rho[..., None] * lift_vector(x.truncate(k), xi), "g": rho2[..., None, None] * III,
-        "III": III, "logrho": 0.5 * np.log(rho2), "r": r, "B": _b_tensor(r, rho, III, II),
-    }
-
-
-# The order of the partials of each field that ``analyze`` reads.
-_ORDERS = {"Y": 1, "g": 2, "III": 1, "logrho": 2, "r": 1, "B": 1}
+    Y = rho[..., None] * lift_vector(x.truncate(k), xi)
+    II, I_inv, rho2 = II.truncate(k - 1), I_inv.truncate(k - 1), rho2.truncate(k - 1)
+    III = taylor.matmul(II, taylor.matmul(I_inv, II))
+    low = [t.truncate(k - 2) for t in (r, rho, III, II)]
+    return {"Y": Y, "g": rho2[..., None, None] * III, "logrho": 0.5 * np.log(rho2),
+            "III": low[2], "r": low[0], "B": _b_tensor(*low)}
 
 
 def _n_taylor(Y, g, space):
@@ -171,18 +176,18 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     jet = jet_arrays(chart, grid, 5)
     lift = lift_batch(chart, grid, (*(t.value for t in jet[:3]), jet[3]))
     reason = lift.reason
-    if np.any(reason != ""):
-        regular = reason == ""
-        jet, lift = [t[regular] for t in jet], lift[regular]
-    fields = _taylor_fields(*jet)
-    Y, g = fields["Y"], fields["g"].truncate(2)
+    # Copies of the regular rows, the jet's in its own layout and x and dx
+    # to degree 3 only, the degree read: no view keeps the degree-5 jet.
+    rows = np.flatnonzero(reason == "")
+    lift, jet = lift[rows], [t.truncate(3).take(rows) for t in jet[:3]] + [jet[3][rows]]
+    fields = _taylor_fields(jet)
+    dY = fields["Y"].truncate(1).partials()[1]        # (m, a, d)
+    n_block = _n_taylor(fields.pop("Y"), fields["g"], lift.space)
     # Popped, each field is freed once its partials are read.
-    jets = {k: fields.pop(k).truncate(d).partials()[1:] for k, d in _ORDERS.items()}
-    n_block = _n_taylor(Y, g, lift.space)
+    jets = {k: fields.pop(k).partials()[1:] for k in list(fields)}
     signs = lift.space.signs
     w = frame_coefficients(lift)
 
-    dY = jets["Y"][0]                        # (m, a, d)
     dIII = jets["III"][0]
     dlogrho, ddlogrho = jets["logrho"]       # (m, a), (m, a, b)
     dr = jets["r"][0]

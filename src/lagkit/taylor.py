@@ -12,8 +12,11 @@ monomial one rank group at a time, straight into its K outputs (the
 groups of a table built on first use per (n, d)), so it never holds all
 C(2n+d, d) pairs at once; sqrt, log, sin, cos and 1/x are f(a) = sum_k
 f^(k)(a_0) h^k / k!, d products as h = a - a_0 is nilpotent (R. D.
-Neidinger, SIAM Review 52, 2010).  ``partials`` reads the order-k
-partials off the coefficients as alpha! c_alpha.
+Neidinger, SIAM Review 52, 2010).  As h has no constant term, step k of
+Horner's rule is formed to degree d - k + 1 only, and step k of the
+Neumann series of ``inv`` to degree k: each coefficient sums the pairs of
+full degree, in their order, less those that meet h_0 = 0.  ``partials``
+reads the order-k partials off the coefficients as alpha! c_alpha.
 """
 
 from __future__ import annotations
@@ -43,14 +46,18 @@ def _index(n: int, d: int, exps: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_table(n: int, d: int):
-    """The pairs c_I c_J of degree <= d as rank groups (I, J, targets):
-    group r holds the r-th pair of every product monomial that has one,
-    so group 0 holds each monomial once, in order (``targets`` None), and
-    the sum by monomial is a few adds in an order that does not depend on
-    the batch (a BLAS product's does)."""
+def _product_table(n: int, da: int, db: int):
+    """The pairs c_I c_J, |I| <= da, |J| <= db, of degree <= d = max(da,
+    db) as rank groups (I, J, targets): group r holds the r-th pair of
+    every product monomial that has one, so group 0 holds each monomial
+    once, in order (``targets`` None), and the sum by monomial is a few
+    adds in an order that does not depend on the batch (a BLAS product's
+    does).  A monomial's pairs are those, in the same order, of every
+    table of higher degree, less the pairs past da or db."""
+    d = max(da, db)
     exps = _basis(n, d)
-    I, J = np.nonzero(exps.sum(1)[:, None] + exps.sum(1) <= d)
+    deg = exps.sum(1)
+    I, J = np.nonzero((deg[:, None] + deg <= d) & (deg[:, None] <= da) & (deg <= db))
     target = _index(n, d, exps[I] + exps[J])
     order = np.argsort(target, kind="stable")
     I, J, target = I[order], J[order], target[order]
@@ -152,7 +159,7 @@ class Taylor:
 
     def __mul__(self, other) -> "Taylor":
         a, b = self._shaped(other)
-        b = self._new(b) if isinstance(other, Taylor) else b
+        b = other._new(b) if isinstance(other, Taylor) else b
         return _product(np.multiply, self._new(a), b)
 
     __radd__, __rmul__ = __add__, __mul__
@@ -160,7 +167,10 @@ class Taylor:
     def __neg__(self) -> "Taylor":
         return self._new(-self.c)
 
-    def __sub__(self, other) -> "Taylor":
+    def __sub__(self, other) -> "Taylor":   # a - b: a + (-b) in IEEE, less one copy
+        if isinstance(other, Taylor):
+            a, b = self._shaped(other)
+            return self._new(a - b)
         return self + (-other)
 
     def __rsub__(self, other) -> "Taylor":
@@ -182,11 +192,12 @@ class Taylor:
         return self._new(self.c @ np.asarray(M, dtype=float))
 
     def _compose(self, coeffs) -> "Taylor":
-        """f(self) from coeffs[k] = f^(k)(a_0) / k!, k = 0..d, by Horner's rule."""
+        """f(self) from coeffs[k] = f^(k)(a_0) / k!, k = 0..d, by Horner's
+        rule; h has no constant term, so step k is read to degree d - k + 1."""
         h = self - self.value
-        out = h * coeffs[self.d]
+        out = h.truncate(1) * coeffs[self.d]
         for k in range(self.d - 1, 0, -1):
-            out = (out + coeffs[k]) * h
+            out = (out + coeffs[k]) * h.truncate(self.d - k + 1)
         return out + coeffs[0]
 
     def reciprocal(self) -> "Taylor":
@@ -244,16 +255,18 @@ def variables(U: np.ndarray, d: int) -> Taylor:
 
 
 def _product(op, a, b) -> Taylor:
-    """op(a, b) for a bilinear ``op`` of coefficient arrays, a or b or both Taylor."""
+    """op(a, b) for a bilinear ``op`` of coefficient arrays, a or b or both
+    Taylor.  Two Taylors of unequal degree multiply to the higher one,
+    exact only where the other factor has no constant term."""
     if not isinstance(b, Taylor):
         return a._new(op(a.c, np.asarray(b)[None]))
     if not isinstance(a, Taylor):
         return b._new(op(np.asarray(a)[None], b.c))
-    (I, J, _), *groups = _product_table(a.n, a.d)
+    (I, J, _), *groups = _product_table(a.n, a.d, b.d)
     out = op(a.c[I], b.c[J])
     for I, J, targets in groups:
         out[targets] += op(a.c[I], b.c[J])
-    return a._new(out)
+    return Taylor(out, a.n, max(a.d, b.d))
 
 
 def einsum(spec: str, a, b) -> Taylor:
@@ -272,6 +285,6 @@ def inv(A: Taylor) -> Taylor:
     A^-1 = A_0^-1 sum_j (-N A_0^-1)^j with N = A - A_0 nilpotent."""
     A0inv = np.linalg.inv(A.value)
     P, S = -matmul(A - A.value, A0inv), np.eye(A.shape[-1])
-    for _ in range(A.d):
-        S = matmul(P, S) + np.eye(A.shape[-1])
+    for j in range(1, A.d + 1):       # P has no constant term: S_j to degree j
+        S = matmul(P.truncate(j), S) + np.eye(A.shape[-1])
     return matmul(A0inv, S)

@@ -330,6 +330,12 @@ BAD_INPUT = {
         "4 cmat entries"),
     "tau-a-not-number": (["tau", "--a", "1,x"], None, "--a"),
     "step-flag": (["verify", "--a", "1,2", "--step", "1e-3"], None, "--step"),
+    # Flags are spelt out in full, a list flag with a negative value too.
+    "abbreviated-flag": (["verify", "--surf", "hilf", "--a", "1,2"], None, "--surf"),
+    "abbreviated-list-flag": (
+        ["verify", "--surface", "hilf", "--a", "1,2", "--cent", "-0.5,0.1"], None, "--cent"),
+    "abbreviated-list-flag-joined": (
+        ["verify", "--surface", "hilf", "--a", "1,2", "--cent=-0.5,0.1"], None, "--cent"),
     "config-unknown-section": (
         ["verify", "--config", "{file}"], {"fd": {"step": 1e-3}}, "unknown section(s) 'fd'"),
 }

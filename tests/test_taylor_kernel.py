@@ -4,7 +4,9 @@ A product of two Taylors sums the coefficient pairs of each product
 monomial one rank group at a time, straight into the output.  Its
 coefficients must equal those of a naive double loop over the monomials
 bit for bit, because that loop adds each monomial's pairs in the same
-order; and it must not hold all C(2n+d, d) pairs at once.
+order; and it must not hold all C(2n+d, d) pairs at once.  Horner's rule
+and the Neumann series of ``inv``, each step formed only to the degree
+that is read, must equal their full-degree loops bit for bit.
 """
 
 import tracemalloc
@@ -49,7 +51,7 @@ def test_product_table_sums_in_double_loop_order(n, d):
         if exps[i].sum() + exps[j].sum() <= d:
             k = int(_index(n, d, (exps[i] + exps[j])[None])[0])
             pairs.setdefault(k, []).append((i, j))
-    groups = _product_table(n, d)
+    groups = _product_table(n, d, d)
     first_I, first_J, first_targets = groups[0]
     assert first_targets is None
     assert [pairs[k][0] for k in range(len(exps))] == list(zip(first_I, first_J))
@@ -102,3 +104,53 @@ def test_product_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * out.c.nbytes
+
+
+# Full-degree references: Horner's rule and the Neumann series as they ran
+# before each step was cut to the degree that is read.
+
+def full_compose(self, coeffs):
+    h = self - self.value
+    out = h * coeffs[self.d]
+    for k in range(self.d - 1, 0, -1):
+        out = (out + coeffs[k]) * h
+    return out + coeffs[0]
+
+
+def full_inv(A):
+    A0inv = np.linalg.inv(A.value)
+    P, S = -taylor.matmul(A - A.value, A0inv), np.eye(A.shape[-1])
+    for _ in range(A.d):
+        S = taylor.matmul(P, S) + np.eye(A.shape[-1])
+    return taylor.matmul(A0inv, S)
+
+
+GRADED = [(n, d) for n in range(1, 5) for d in range(1, 6)]
+
+
+@pytest.mark.parametrize("name", ["reciprocal", "sqrt", "log", "sin", "cos"])
+@pytest.mark.parametrize("n,d", GRADED)
+def test_graded_horner_equals_full_degree(name, n, d, monkeypatch):
+    # Step k of Horner's rule is read to degree d - k + 1 only; the terms it
+    # drops meet the constant term of h = a - a_0, which is 0.
+    rng = np.random.default_rng(3000 * n + d)
+    c = rng.standard_normal((len(_basis(n, d)), 4, 3))
+    c[0] = rng.uniform(0.5, 2.0, (4, 3))
+    t = Taylor(c, n, d)
+    got = getattr(t, name)()
+    monkeypatch.setattr(Taylor, "_compose", full_compose)
+    want = getattr(t, name)()
+    assert got.d == want.d == d
+    assert np.array_equal(got.c, want.c)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n,d", GRADED)
+def test_graded_neumann_inverse_equals_full_degree(k, n, d):
+    rng = np.random.default_rng(4000 * n + 10 * d + k)
+    c = rng.standard_normal((len(_basis(n, d)), 5, k, k))
+    c[0] += 3.0 * np.eye(k)
+    A = Taylor(c, n, d)
+    got, want = taylor.inv(A), full_inv(A)
+    assert got.d == want.d == d
+    assert np.array_equal(got.c, want.c)
