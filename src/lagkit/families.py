@@ -52,8 +52,9 @@ UNBOUNDED = (-np.inf, np.inf)
 
 @dataclass(frozen=True)
 class HilfParams:
-    """Parameters of the explicit family: distinct nonzero constants
-    a_1..a_s with multiplicities summing to n, plus the shift phi."""
+    """Parameters of the explicit family: s >= 2 distinct nonzero
+    constants a_1..a_s with multiplicities summing to n, plus the shift
+    phi."""
 
     a: tuple
     multiplicities: tuple = ()
@@ -79,6 +80,10 @@ class HilfParams:
             raise ParameterError("constants a_i must be nonzero")
         if len(set(a)) != len(a):
             raise ParameterError("constants a_i must be pairwise distinct")
+        if len(a) < 2:
+            raise ParameterError(
+                f"need at least two distinct constants a_i, got {list(a)}: one constant "
+                "gives a totally umbilic hypersurface")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "multiplicities", mult)
         object.__setattr__(self, "phi", phi)

@@ -33,12 +33,13 @@ and no fields.  On the regular rows each field is a polynomial of the
 degree to which its partials are read, from degree-3 copies of x and
 dx: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g and
 log rho of degree 2, III, r and B of degree 1, each intermediate freed
-after its last read.  N is formed once, in the same Taylor
-arithmetic, as a polynomial of degree 1 from Y of degree 3 and g of
-degree 2 (Gamma, Hess Y and Delta_g Y on the way), so its coefficients
-of degree 1 are d_c N; the curvature tensor of g is assembled from the
-partials of g.  No chain rule is written by hand, and nothing is
-differentiated twice.
+after its last read; a truncation that outlives its parent is a copy
+(``Taylor.copy``), as a view would keep the parent's buffer alive.  N
+is formed once, in the same Taylor arithmetic, as a polynomial of
+degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
+Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
+curvature tensor of g is assembled from the partials of g.  No chain
+rule is written by hand, and nothing is differentiated twice.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def _taylor_fields(jet):
     I_inv = taylor.inv(I)
     tangential = taylor.einsum("mij,mj->mi", I_inv, taylor.einsum("mia,ma->mi", dx, xi0))
     v = xi0 - taylor.einsum("mi,mia->ma", tangential, dx)
+    del dx, tangential
     xi = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
-    del dx, tangential, v
+    del v
     II = taylor.einsum("mija,ma->mij", ddx, xi)
     del ddx
     M = taylor.matmul(taylor.inv(II), I)
@@ -103,8 +105,9 @@ def _taylor_fields(jet):
     II, I_inv, rho2 = II.truncate(k - 1), I_inv.truncate(k - 1), rho2.truncate(k - 1)
     III = taylor.matmul(II, taylor.matmul(I_inv, II))
     low = [t.truncate(k - 2) for t in (r, rho, III, II)]
+    # III and r outlive the degree-2 III and degree-3 r: copies, not views.
     return {"Y": Y, "g": rho2[..., None, None] * III, "logrho": 0.5 * np.log(rho2),
-            "III": low[2], "r": low[0], "B": _b_tensor(*low)}
+            "III": low[2].copy(), "r": low[0].copy(), "B": _b_tensor(*low)}
 
 
 def _n_taylor(Y, g, space):
@@ -115,11 +118,15 @@ def _n_taylor(Y, g, space):
     # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, A_lij = d_i g_jl
     A = dg.swapaxes(-3, -2)
     gamma = 0.5 * taylor.einsum("mkl,mlij->mkij", g_inv, A + A.swapaxes(-2, -1) - dg)
-    dY = Y.grad()
-    hess_y = dY.grad() - taylor.einsum("mkab,mkl->mabl", gamma, dY.truncate(1))
+    # Y and dY to degree 1 as copies, so that the degree-3 Y and the
+    # degree-2 dY are freed once their partials are taken.
+    dY, Y = Y.grad(), Y.truncate(1).copy()
+    hess_y, dY = dY.grad(), dY.truncate(1).copy()
+    hess_y.c -= taylor.einsum("mkab,mkl->mabl", gamma, dY).c
+    del dY
     delta_y = taylor.einsum("mab,mabl->ml", g_inv, hess_y)
     nsq = np.sum(space.signs * delta_y * delta_y, axis=-1)
-    N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * Y.truncate(1)
+    N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * Y
     return N, delta_y, gamma, hess_y
 
 
@@ -176,10 +183,15 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     jet = jet_arrays(chart, grid, 5)
     lift = lift_batch(chart, grid, (*(t.value for t in jet[:3]), jet[3]))
     reason = lift.reason
-    # Copies of the regular rows, the jet's in its own layout and x and dx
-    # to degree 3 only, the degree read: no view keeps the degree-5 jet.
+    # Copies of the regular rows in the jet's own layout, x and dx to
+    # degree 3 only, the degree read: no view keeps the degree-5 jet.  ddx
+    # is of degree 3 already and is copied only when a row is irregular.
     rows = np.flatnonzero(reason == "")
-    lift, jet = lift[rows], [t.truncate(3).take(rows) for t in jet[:3]] + [jet[3][rows]]
+    x, dx, ddx, xi0 = jet
+    if rows.size < len(grid):
+        ddx, xi0 = ddx.take(rows), xi0[rows]
+    lift, jet = lift[rows], [x.truncate(3).take(rows), dx.truncate(3).take(rows), ddx, xi0]
+    del x, dx, ddx, xi0
     fields = _taylor_fields(jet)
     dY = fields["Y"].truncate(1).partials()[1]        # (m, a, d)
     n_block = _n_taylor(fields.pop("Y"), fields["g"], lift.space)

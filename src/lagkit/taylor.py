@@ -8,9 +8,16 @@ algebra of M. Berz, *Modern Map Methods in Particle Beam Physics*
 (1999).  Through ``__array_ufunc__`` and ``__array_function__`` a map
 written for float points runs unchanged on the seeds of ``variables``.
 A product of two Taylors sums the coefficient pairs of each product
-monomial one rank group at a time, straight into its K outputs (the
-groups of a table built on first use per (n, d)), so it never holds all
-C(2n+d, d) pairs at once; sqrt, log, sin, cos and 1/x are f(a) = sum_k
+monomial one rank group at a time, straight into its K outputs, each
+group cut where its monomials change degree (the blocks of a table
+built on first use per (n, da, db)), so it holds no more than one
+degree's pairs of a group.  ``multiply`` and ``matmul`` read group 0's
+pairs (0, j) as views, a.c[:1] against b.c (``einsum`` gathers them: a
+broadcast operand reorders its sums), and a later block is added to
+its targets in its own buffer.  Each coefficient sums the same pairs in
+the same order as when every pair is gathered, so the bits do not
+change (A. Griewank and A. Walther, *Evaluating Derivatives*, 2nd ed.,
+SIAM 2008, ch. 13).  sqrt, log, sin, cos and 1/x are f(a) = sum_k
 f^(k)(a_0) h^k / k!, d products as h = a - a_0 is nilpotent (R. D.
 Neidinger, SIAM Review 52, 2010).  As h has no constant term, step k of
 Horner's rule is formed to degree d - k + 1 only, and step k of the
@@ -48,12 +55,16 @@ def _index(n: int, d: int, exps: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _product_table(n: int, da: int, db: int):
     """The pairs c_I c_J, |I| <= da, |J| <= db, of degree <= d = max(da,
-    db) as rank groups (I, J, targets): group r holds the r-th pair of
-    every product monomial that has one, so group 0 holds each monomial
-    once, in order (``targets`` None), and the sum by monomial is a few
-    adds in an order that does not depend on the batch (a BLAS product's
-    does).  A monomial's pairs are those, in the same order, of every
-    table of higher degree, less the pairs past da or db."""
+    db), as blocks (I, J, targets) in two lists, ``first`` and ``rest``.
+    Rank group r holds the r-th pair of every product monomial that has
+    one, so group 0 (``first``) holds each monomial once, in order, and
+    the groups of rank >= 1 (``rest``, in rank order) add each monomial's
+    pairs in an order that does not depend on the batch (a BLAS
+    product's does).  Each group is cut where its targets change degree,
+    so no block gathers more pairs than there are monomials of one
+    degree; targets that run without a gap, as in every block of group
+    0, are a slice.  A monomial's pairs are those, in the same order, of
+    every table of higher degree, less the pairs past da or db."""
     d = max(da, db)
     exps = _basis(n, d)
     deg = exps.sum(1)
@@ -64,9 +75,16 @@ def _product_table(n: int, da: int, db: int):
     rank = np.arange(len(target)) - np.searchsorted(target, target)
     order = np.lexsort((target, rank))
     I, J, target, rank = I[order], J[order], target[order], rank[order]
-    stops = np.searchsorted(rank, np.arange(rank.max() + 2))
-    return [(I[a:b], J[a:b], target[a:b] if r else None)
-            for r, (a, b) in enumerate(zip(stops[:-1], stops[1:]))]
+    cuts = np.flatnonzero(np.diff(rank) | np.diff(deg[target])) + 1
+    blocks = [(I[a:b], J[a:b], _as_slice(target[a:b]))
+              for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(target)])]
+    return blocks[:d + 1], blocks[d + 1:]
+
+
+def _as_slice(t: np.ndarray):
+    """``t`` as a slice where it is a run of consecutive indices, so that
+    indexing with it is a view and not a gather."""
+    return slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +142,13 @@ class Taylor:
         return self._new(np.swapaxes(self.c, a, b))
 
     def truncate(self, d: int) -> "Taylor":
+        """The terms of degree <= d, a view of ``c``."""
         return Taylor(self.c[:comb(self.n + d, d)], self.n, d)
+
+    def copy(self) -> "Taylor":
+        """A copy in the same memory layout: a truncation that outlives its
+        parent, copied, does not keep the parent's buffer alive."""
+        return self._new(self.c.copy(order="K"))
 
     def grad(self) -> "Taylor":
         """First partials, degree d-1, the partial's axis after the batch axis."""
@@ -262,11 +286,23 @@ def _product(op, a, b) -> Taylor:
         return a._new(op(a.c, np.asarray(b)[None]))
     if not isinstance(a, Taylor):
         return b._new(op(np.asarray(a)[None], b.c))
-    (I, J, _), *groups = _product_table(a.n, a.d, b.d)
-    out = op(a.c[I], b.c[J])
-    for I, J, targets in groups:
-        out[targets] += op(a.c[I], b.c[J])
-    return Taylor(out, a.n, max(a.d, b.d))
+    d = max(a.d, b.d)
+    first, rest = _product_table(a.n, a.d, b.d)
+    batch = op(a.c[:0], b.c[:0]).shape[1:]      # op on no coefficients: the shape only
+    out = np.empty((comb(a.n + d, d),) + batch)
+    if op in (np.multiply, np.matmul):
+        # Group 0 opens with the pairs (0, j), j < len(b.c): a.c[:1]
+        # broadcasts over them, without a gather.
+        op(a.c[:1], b.c, out=out[:len(b.c)])
+        first = [block for block in first if block[2].start >= len(b.c)]
+    for I, J, t in first:
+        out[t] = op(a.c[I], b.c[J])
+    for I, J, t in rest:
+        part = op(a.c[I], b.c[J])
+        np.add(out[t], part, out=part)
+        out[t] = part
+        del part                    # before the next block's gathers
+    return Taylor(out, a.n, d)
 
 
 def einsum(spec: str, a, b) -> Taylor:

@@ -307,6 +307,10 @@ BAD_INPUT = {
     "torus-R-not-number": (
         ["verify", "--surface", "torus", "--params", '{"R":"x"}'], None, "'R'"),
     "a-empty": (["verify", "--params", '{"a":[]}'], None, "nonempty"),
+    "a-one-constant": (
+        ["verify", "--params", '{"a":[-0.5],"multiplicities":[2],"phi":-1.9999999999999998}',
+         "--grid", "3", "--half-width", "0.05"], None, "two distinct constants"),
+    "tau-a-one-constant": (["tau", "--a", "2"], None, "two distinct constants"),
     "multiplicity-fraction": (
         ["verify", "--params", '{"a":[1,2],"multiplicities":[1.5,1]}'], None, "integers"),
     "phi-nan": (["verify", "--a", "1,2", "--phi", "nan"], None, "finite"),

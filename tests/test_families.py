@@ -23,6 +23,14 @@ def test_params_validation():
         HilfParams(a=(1.0, 0.0))
     with pytest.raises(ParameterError):
         HilfParams(a=(1.0, 2.0), multiplicities=(1,))
+    # One constant gives a totally umbilic hypersurface, which the theory
+    # excludes; this one (phi one ulp from 1/a) has a Jacobian of pure
+    # rounding that the rank test passes as regular.
+    with pytest.raises(ParameterError, match="two distinct constants"):
+        HilfParams(a=(-0.5,), multiplicities=(2,), phi=-1.9999999999999998)
+    for kind in ("hilf", "degenerate-hilf"):
+        with pytest.raises(ParameterError, match="two distinct constants"):
+            CATALOG[kind]({"a": [1.0], "multiplicities": [3]})
     p = HilfParams(a=(1.0, 2.0), multiplicities=(2, 1))
     assert p.n == 3
     assert np.allclose(p.coeffs, [1.0, 1.0, 2.0])

@@ -11,6 +11,7 @@ that is read, must equal their full-degree loops bit for bit.
 
 import tracemalloc
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -45,20 +46,26 @@ def naive_product(op, a: np.ndarray, b: np.ndarray, n: int, d: int) -> np.ndarra
 def test_product_table_sums_in_double_loop_order(n, d):
     # Rank group r holds the r-th pair (i, j), in the order of the double
     # loop, of every monomial that has one; group 0 holds each monomial once.
+    # Each group is cut into blocks of one target degree, in rank order.
     exps = _basis(n, d)
     pairs = {}
     for i, j in product(range(len(exps)), repeat=2):
         if exps[i].sum() + exps[j].sum() <= d:
             k = int(_index(n, d, (exps[i] + exps[j])[None])[0])
             pairs.setdefault(k, []).append((i, j))
-    groups = _product_table(n, d, d)
-    first_I, first_J, first_targets = groups[0]
-    assert first_targets is None
-    assert [pairs[k][0] for k in range(len(exps))] == list(zip(first_I, first_J))
-    for rank, (I, J, targets) in enumerate(groups[1:], start=1):
-        assert np.all(np.diff(targets) > 0)
-        assert [pairs[k][rank] for k in targets] == list(zip(I, J))
-    assert sum(len(g[0]) for g in groups) == sum(len(p) for p in pairs.values())
+    first, rest = _product_table(n, d, d)
+    assert [t for _, _, t in first] == [slice(comb(n + k - 1, k - 1) if k else 0, comb(n + k, k))
+                                        for k in range(d + 1)]
+    assert [pairs[k][0] for k in range(len(exps))] == [
+        p for I, J, _ in first for p in zip(I, J)]
+    seen = {k: 1 for k in pairs}
+    for I, J, t in rest:
+        targets = np.arange(len(exps))[t]
+        assert np.all(np.diff(targets) > 0) and len(set(exps[targets].sum(1))) == 1
+        for k, pair in zip(targets, zip(I, J)):
+            assert pairs[k][seen[k]] == pair
+            seen[k] += 1
+    assert seen == {k: len(p) for k, p in pairs.items()}
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -71,6 +78,55 @@ def test_products_equal_naive_double_loop(name, n, d):
     b = rng.standard_normal((K,) + shape)
     got = kernel(Taylor(a, n, d), Taylor(b, n, d)).c
     assert np.array_equal(got, naive_product(op, a, b, n, d))
+
+
+def gathered_product(op, a: Taylor, b: Taylor) -> np.ndarray:
+    """The product with every pair gathered, group 0 at once, then each
+    block of rank >= 1 scattered into its targets with ``+=``."""
+    first, rest = _product_table(a.n, a.d, b.d)
+    I = np.concatenate([I for I, _, _ in first])
+    J = np.concatenate([J for _, J, _ in first])
+    out = op(a.c[I], b.c[J])
+    for I, J, targets in rest:
+        out[targets] += op(a.c[I], b.c[J])
+    return out
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapped"])
+@pytest.mark.parametrize("name", ["multiply", "matmul"])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_view_path_equals_gathered_product(n, name, layout):
+    # multiply and matmul read group 0's pairs (0, j) as views of a.c[:1]
+    # and b.c; the bits must be those of the gathered pairs, for factors of
+    # equal and unequal degree and for operands that are strided views.
+    kernel, op, shape = OPS[name]
+    rng = np.random.default_rng(5000 * n + len(layout))
+    for da, db in product(range(6), repeat=2):
+        if layout == "swapped":   # (K, 3, 2, 2) with its first batch axis innermost
+            a, b = (np.moveaxis(rng.standard_normal((len(_basis(n, k)), 2, 2, 3)), -1, 1)
+                    for k in (da, db))
+        else:
+            a, b = (rng.standard_normal((len(_basis(n, k)),) + shape) for k in (da, db))
+        a, b = Taylor(a, n, da), Taylor(b, n, db)
+        got = kernel(a, b)
+        assert got.d == max(da, db)
+        assert np.array_equal(got.c, gathered_product(op, a, b)), (da, db)
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_products_and_truncated_copies_own_their_memory(name):
+    # A product's output, and a truncation copied with ``copy``, share no
+    # memory with an operand, so neither keeps a freed operand alive.
+    kernel, _, shape = OPS[name]
+    rng = np.random.default_rng(6)
+    for n, (da, db) in product((2, 3), [(1, 3), (3, 1), (2, 2), (3, 3)]):
+        a, b = (Taylor(rng.standard_normal((len(_basis(n, k)),) + shape), n, k)
+                for k in (da, db))
+        out = kernel(a, b)
+        assert not np.shares_memory(out.c, a.c) and not np.shares_memory(out.c, b.c)
+        low = out.truncate(1).copy()
+        assert not np.shares_memory(low.c, out.c)
+        assert np.array_equal(low.c, out.c[:n + 1]) and low.d == 1
 
 
 @pytest.mark.parametrize("n,d", CASES)
