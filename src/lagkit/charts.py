@@ -155,8 +155,9 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x (m, n+1), dx
     (m, n, n+1), ddx (m, n, n, n+1) and the unit normal xi (m, n+1).
 
-    ``degree`` is at least 2; above 2, x, dx and ddx are Taylor
-    polynomials about U of degrees degree, degree-1 and degree-2.  Raises
+    ``degree`` is at least 2; above 2, x is the Taylor polynomial of that
+    degree about U, and dx and ddx are still the values (its partials
+    up to order 2), the only ones the lift reads.  Raises
     InputError on a chart without a jet and MarginError at a point outside
     ``chart.domain``; ``forms_arrays`` tests the rank of the Jacobian.
     """
@@ -177,16 +178,14 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     if np.any(outside):
         raise MarginError(f"point {U[outside][0].tolist()} lies outside the chart domain")
     x = chart.jet(U, degree)
+    value, dx, ddx = x.truncate(2).partials()
     if degree == 2:
-        x, dx, ddx = x.partials()
-    else:
-        dx = x.grad()
-        ddx = dx.grad()
+        x = value
 
     if chart.normal is not None:
         xi = np.asarray(chart.normal(U))
     else:
-        xi = cross_normal(dx if degree == 2 else dx.value)
+        xi = cross_normal(dx)
     with np.errstate(invalid="ignore", divide="ignore"):
         xi = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
     if chart.flip_normal:

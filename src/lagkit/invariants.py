@@ -27,19 +27,23 @@ eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
 ``analyze(chart, grid)`` is the one way in.  Every partial is exact: one
 jet of the grid gives x at each grid point as a Taylor polynomial of
-degree 5 (``taylor``).  The lift reads the jet's values and decides the
-regularity of every point once; an irregular point gets its ``reason``
-and no fields.  On the regular rows each field is a polynomial of the
-degree to which its partials are read, from degree-3 copies of x and
-dx: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g and
-log rho of degree 2, III, r and B of degree 1, each intermediate freed
-after its last read; a truncation that outlives its parent is a copy
-(``Taylor.copy``), as a view would keep the parent's buffer alive.  N
-is formed once, in the same Taylor arithmetic, as a polynomial of
+degree 5 (``taylor``).  The lift reads only the values of x, dx and ddx
+and decides the regularity of every point once; an irregular point
+gets its ``reason`` and no fields.  On the regular rows x alone is kept,
+at degree 5, until II: dx of degree 3 is taken from it for I, I^-1 and
+xi, and ddx of degree 3 only then, when x is cut to a degree-3 copy.
+Each field is a polynomial of the degree to which its partials are
+read: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g
+and log rho of degree 2, III, r and B of degree 1, each intermediate
+freed after its last read; a truncation that outlives its parent is a
+copy (``Taylor.copy``), as a view would keep the parent's buffer alive.
+N is formed once, in the same Taylor arithmetic, as a polynomial of
 degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
 Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
-curvature tensor of g is assembled from the partials of g.  No chain
-rule is written by hand, and nothing is differentiated twice.
+curvature tensor of g is assembled from the partials of g as soon as
+the frame is known.  The returned ``Analysis`` holds copies of the
+values it keeps, no view of a Taylor.  No chain rule is written by
+hand, and nothing is differentiated twice.
 """
 
 from __future__ import annotations
@@ -77,15 +81,15 @@ def _b_tensor(r, rho, III, II):
 
 def _taylor_fields(jet):
     """Y of degree k, g and log rho of degree k-1, III, r and B of degree
-    k-2, from ``jet`` = [x, dx, ddx, xi0] (ddx of degree k, xi0 the unit
-    normal), which is emptied so that each array is freed after its last
-    read.  xi is xi0 less its tangential part, normalised; III = II I^-1
+    k-2, from ``jet`` = [x, xi0] (x of degree k+2, xi0 the unit normal),
+    which is emptied so that x is freed once dx and ddx are taken from
+    it.  xi is xi0 less its tangential part, normalised; III = II I^-1
     II; the radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
     rho^2 = tr (M - r Id)^2."""
-    x, dx, ddx, xi0 = jet
+    x, xi0 = jet
     jet.clear()
-    n, k = dx.shape[1], ddx.d
-    dx = dx.truncate(k)
+    n, k = x.n, x.d - 2
+    dx = x.truncate(k + 1).grad()
     I = taylor.einsum("mia,mja->mij", dx, dx)
     I_inv = taylor.inv(I)
     tangential = taylor.einsum("mij,mj->mi", I_inv, taylor.einsum("mia,ma->mi", dx, xi0))
@@ -93,6 +97,8 @@ def _taylor_fields(jet):
     del dx, tangential
     xi = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
     del v
+    # ddx only now; then x is kept to degree k alone.
+    ddx, x = x.grad(2), x.truncate(k).copy()
     II = taylor.einsum("mija,ma->mij", ddx, xi)
     del ddx
     M = taylor.matmul(taylor.inv(II), I)
@@ -101,7 +107,7 @@ def _taylor_fields(jet):
     rho2 = taylor.einsum("mij,mji->m", D, D)
     del I, M, D
     rho = np.sqrt(rho2)
-    Y = rho[..., None] * lift_vector(x.truncate(k), xi)
+    Y = rho[..., None] * lift_vector(x, xi)
     II, I_inv, rho2 = II.truncate(k - 1), I_inv.truncate(k - 1), rho2.truncate(k - 1)
     III = taylor.matmul(II, taylor.matmul(I_inv, II))
     low = [t.truncate(k - 2) for t in (r, rho, III, II)]
@@ -118,10 +124,10 @@ def _n_taylor(Y, g, space):
     # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, A_lij = d_i g_jl
     A = dg.swapaxes(-3, -2)
     gamma = 0.5 * taylor.einsum("mkl,mlij->mkij", g_inv, A + A.swapaxes(-2, -1) - dg)
-    # Y and dY to degree 1 as copies, so that the degree-3 Y and the
-    # degree-2 dY are freed once their partials are taken.
-    dY, Y = Y.grad(), Y.truncate(1).copy()
-    hess_y, dY = dY.grad(), dY.truncate(1).copy()
+    del A, dg
+    # Y to degree 1 as a copy, so that the degree-3 Y is freed once its
+    # partials are taken.
+    hess_y, dY, Y = Y.grad(2), Y.truncate(2).grad(), Y.truncate(1).copy()
     hess_y.c -= taylor.einsum("mkab,mkl->mabl", gamma, dY).c
     del dY
     delta_y = taylor.einsum("mab,mabl->ml", g_inv, hess_y)
@@ -180,18 +186,16 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     rows; ``reason`` names what fails at each other point.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    jet = jet_arrays(chart, grid, 5)
-    lift = lift_batch(chart, grid, (*(t.value for t in jet[:3]), jet[3]))
+    x, dx, ddx, xi0 = jet_arrays(chart, grid, 5)
+    lift = lift_batch(chart, grid, (x.value, dx, ddx, xi0))
+    del dx, ddx
     reason = lift.reason
-    # Copies of the regular rows in the jet's own layout, x and dx to
-    # degree 3 only, the degree read: no view keeps the degree-5 jet.  ddx
-    # is of degree 3 already and is copied only when a row is irregular.
+    # The regular rows of x in its own layout, copied only when a row is
+    # irregular; ``lift[rows]`` is a copy, as lift.x views x.
     rows = np.flatnonzero(reason == "")
-    x, dx, ddx, xi0 = jet
-    if rows.size < len(grid):
-        ddx, xi0 = ddx.take(rows), xi0[rows]
-    lift, jet = lift[rows], [x.truncate(3).take(rows), dx.truncate(3).take(rows), ddx, xi0]
-    del x, dx, ddx, xi0
+    jet = [x, xi0] if rows.size == len(grid) else [x.take(rows), xi0[rows]]
+    lift = lift[rows]
+    del x, xi0
     fields = _taylor_fields(jet)
     dY = fields["Y"].truncate(1).partials()[1]        # (m, a, d)
     n_block = _n_taylor(fields.pop("Y"), fields["g"], lift.space)
@@ -199,6 +203,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     jets = {k: fields.pop(k).partials()[1:] for k in list(fields)}
     signs = lift.space.signs
     w = frame_coefficients(lift)
+    metric = MetricField(riemann_frame=frame_riemann(lowered_riemann(lift.g, *jets.pop("g")), w))
 
     dIII = jets["III"][0]
     dlogrho, ddlogrho = jets["logrho"]       # (m, a), (m, a, b)
@@ -206,14 +211,18 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     dB = jets["B"][0]                        # (m, c, a, b)
 
     dN = n_block[0].partials()[1]            # (m, c, n+4)
-    N, delta_y, gamma_g, hess_y = (t.value for t in n_block)
+    # Copies, so that the returned Analysis keeps no degree-1 Taylor alive.
+    N, delta_y, gamma_g, hess_y = (t.value.copy(order="K") for t in n_block)
+    del n_block
 
     E_Y = np.einsum("mia,mal->mil", w, dY)
     E2_Y = np.einsum("mia,mjb,mabl->mijl", w, w, hess_y)
     E_N = np.einsum("mia,mal->mil", w, dN)
+    del dY, hess_y, dN
 
     L_structural = np.einsum("mil,l,mjl->mij", E_N, signs, E_Y)
     C_structural = -np.einsum("mil,l,ml->mi", E_N, signs, lift.eta)
+    del E_N
     B_structural = -np.einsum("mijl,l,ml->mij", E2_Y, signs, lift.eta)
     # Directional derivatives along the III-orthonormal frame E'_i = rho E_i
     # and the unit principal directions e_i = E'_i / r_i.
@@ -261,7 +270,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
         C_closed=C_closed, L_closed_a=L_closed_a, L_closed_b=L_closed_b,
         cov_B=cov_B,
         laplace_iii_logrho=lap_iii, grad_iii_logrho_sq=grad_sq,
-        metric=MetricField(riemann_frame=frame_riemann(lowered_riemann(lift.g, *jets["g"]), w)),
+        metric=metric,
     )
 
 

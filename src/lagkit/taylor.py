@@ -7,23 +7,32 @@ order, so a lower degree's basis is a prefix: the truncated power series
 algebra of M. Berz, *Modern Map Methods in Particle Beam Physics*
 (1999).  Through ``__array_ufunc__`` and ``__array_function__`` a map
 written for float points runs unchanged on the seeds of ``variables``.
-A product of two Taylors sums the coefficient pairs of each product
-monomial one rank group at a time, straight into its K outputs, each
-group cut where its monomials change degree (the blocks of a table
-built on first use per (n, da, db)), so it holds no more than one
-degree's pairs of a group.  ``multiply`` and ``matmul`` read group 0's
-pairs (0, j) as views, a.c[:1] against b.c (``einsum`` gathers them: a
-broadcast operand reorders its sums), and a later block is added to
-its targets in its own buffer.  Each coefficient sums the same pairs in
-the same order as when every pair is gathered, so the bits do not
-change (A. Griewank and A. Walther, *Evaluating Derivatives*, 2nd ed.,
-SIAM 2008, ch. 13).  sqrt, log, sin, cos and 1/x are f(a) = sum_k
-f^(k)(a_0) h^k / k!, d products as h = a - a_0 is nilpotent (R. D.
-Neidinger, SIAM Review 52, 2010).  As h has no constant term, step k of
-Horner's rule is formed to degree d - k + 1 only, and step k of the
-Neumann series of ``inv`` to degree k: each coefficient sums the pairs of
-full degree, in their order, less those that meet h_0 = 0.  ``partials``
-reads the order-k partials off the coefficients as alpha! c_alpha.
+A product of two Taylors runs one step per coefficient i of a and run of
+degree blocks of b (a table built on first use per (n, da, db)):
+a.c[i:i+1] times that run of b.c, both views, into one buffer no larger
+than the output's top degree block.  The steps run in ascending i, so
+each product monomial sums its pairs in ascending I, the order of the
+double loop over the monomials: its first pair is copied from a step's
+buffer, and each later one added in place.  The targets of a step rise
+with j, as multiplication keeps the monomial order, so each run of
+consecutive targets is a slice and nothing is gathered: a product holds
+its output and one degree block.  (Writing the first pairs with
+``out=`` would save the buffer, but an einsum into a C-ordered output
+takes a loop order several times slower.)  In ``einsum``, a broadcast
+a.c[i:i+1] gives the bits of the gathered pairs for every contraction
+that keeps an axis; a full contraction (as tr D^2) sums in another
+order, so there each pair is its own call.  Each coefficient sums the
+same pairs in the same order as when every pair is gathered, so the
+bits do not change (A. Griewank and A. Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).  sqrt, log, sin, cos and 1/x
+are f(a) = sum_k f^(k)(a_0) h^k / k!, d products as h = a - a_0 is
+nilpotent (R. D. Neidinger, SIAM Review 52, 2010).  As h has no
+constant term, step k of Horner's rule is formed to degree d - k + 1
+only, and step k of the Neumann series of ``inv`` to degree k: each
+coefficient sums the pairs of full degree, in their order, less those
+that meet h_0 = 0.  ``partials`` reads the order-k partials off the
+coefficients as alpha! c_alpha, and ``grad(k)`` the k-th partials as a
+Taylor, by one gather scaled in place.
 """
 
 from __future__ import annotations
@@ -54,37 +63,37 @@ def _index(n: int, d: int, exps: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _product_table(n: int, da: int, db: int):
-    """The pairs c_I c_J, |I| <= da, |J| <= db, of degree <= d = max(da,
-    db), as blocks (I, J, targets) in two lists, ``first`` and ``rest``.
-    Rank group r holds the r-th pair of every product monomial that has
-    one, so group 0 (``first``) holds each monomial once, in order, and
-    the groups of rank >= 1 (``rest``, in rank order) add each monomial's
-    pairs in an order that does not depend on the batch (a BLAS
-    product's does).  Each group is cut where its targets change degree,
-    so no block gathers more pairs than there are monomials of one
-    degree; targets that run without a gap, as in every block of group
-    0, are a slice.  A monomial's pairs are those, in the same order, of
-    every table of higher degree, less the pairs past da or db."""
+    """The product of a degree-da and a degree-db Taylor, to degree d =
+    max(da, db), as steps (i, j, runs) in ascending i: coefficient i of a
+    times b.c[j], a run of whole degree blocks of b that spans no more
+    than the output's top degree block.  The targets of a step rise with
+    j (a monomial order is kept by multiplication) and are cut into runs
+    (s, t, opens) of consecutive targets, s and t slices.  A product
+    monomial is opened at the first step that reaches it, so each one
+    sums its pairs c_I c_J in ascending I."""
     d = max(da, db)
     exps = _basis(n, d)
     deg = exps.sum(1)
-    I, J = np.nonzero((deg[:, None] + deg <= d) & (deg[:, None] <= da) & (deg <= db))
-    target = _index(n, d, exps[I] + exps[J])
-    order = np.argsort(target, kind="stable")
-    I, J, target = I[order], J[order], target[order]
-    rank = np.arange(len(target)) - np.searchsorted(target, target)
-    order = np.lexsort((target, rank))
-    I, J, target, rank = I[order], J[order], target[order], rank[order]
-    cuts = np.flatnonzero(np.diff(rank) | np.diff(deg[target])) + 1
-    blocks = [(I[a:b], J[a:b], _as_slice(target[a:b]))
-              for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(target)])]
-    return blocks[:d + 1], blocks[d + 1:]
-
-
-def _as_slice(t: np.ndarray):
-    """``t`` as a slice where it is a run of consecutive indices, so that
-    indexing with it is a view and not a gather."""
-    return slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
+    start = np.searchsorted(deg, np.arange(d + 2))
+    limit = start[d + 1] - start[d]
+    opened = np.zeros(len(exps), dtype=bool)
+    steps = []
+    for i in range(comb(n + da, da)):
+        top = min(db, d - deg[i]) + 1          # b's degree blocks 0 .. top - 1
+        lo = 0
+        while lo < top:
+            hi = lo + 1
+            while hi < top and start[hi + 1] - start[lo] <= limit:
+                hi += 1
+            j = slice(start[lo], start[hi])
+            t = _index(n, d, exps[i] + exps[j])
+            new = ~opened[t]
+            opened[t] = True
+            cuts = np.flatnonzero((np.diff(t) != 1) | (np.diff(new) != 0)) + 1
+            steps.append((i, j, [(slice(a, b), slice(t[a], t[b - 1] + 1), bool(new[a]))
+                                 for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(t)])]))
+            lo = hi
+    return steps
 
 
 @lru_cache(maxsize=None)
@@ -97,11 +106,20 @@ def _partial_table(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _grad_table(n: int, d: int):
-    """(source, factor), (K(n, d-1), n): d_i h^(beta+e_i) = (beta_i + 1) h^beta."""
+def _grad_table(n: int, d: int, k: int = 1):
+    """(source, factors) of k grads: source (K(n, d-k), n, ..., n), the
+    last grad's axis first, holds the position of beta + e_i1 + ... +
+    e_ik in ``_basis(n, d)``, and factors the scalings of each grad in
+    turn, d_i h^(beta+e_i) = (beta_i + 1) h^beta."""
     exps = _basis(n, d - 1)
     shifted = (exps[:, None, :] + np.eye(n, dtype=int)).reshape(-1, n)
-    return _index(n, d, shifted).reshape(-1, n), exps + 1.0
+    source, factor = _index(n, d, shifted).reshape(-1, n), exps + 1.0
+    if k == 1:
+        return source, [factor]
+    inner, factors = _grad_table(n, d, k - 1)
+    outer, last = _grad_table(n, d - k + 1)
+    last = last[0].reshape(last[0].shape + (1,) * (k - 1))
+    return inner[outer], [f[outer] for f in factors] + [last]
 
 
 class Taylor:
@@ -150,11 +168,15 @@ class Taylor:
         parent, copied, does not keep the parent's buffer alive."""
         return self._new(self.c.copy(order="K"))
 
-    def grad(self) -> "Taylor":
-        """First partials, degree d-1, the partial's axis after the batch axis."""
-        source, factor = _grad_table(self.n, self.d)
-        c = self.c[source] * factor.reshape(factor.shape + (1,) * self.ndim)
-        return Taylor(np.moveaxis(c, 1, 2), self.n, self.d - 1)
+    def grad(self, k: int = 1) -> "Taylor":
+        """The k-th partials, degree d-k, their k axes after the first batch
+        axis, the last grad's first: one gather, then each grad's scaling in
+        place, in turn, so the bits are those of k calls of ``grad()``."""
+        source, factors = _grad_table(self.n, self.d, k)
+        c = self.c[source]
+        for factor in factors:
+            c *= factor.reshape(factor.shape + (1,) * self.ndim)
+        return Taylor(np.moveaxis(c, k + 1, 1), self.n, self.d - k)
 
     def partials(self) -> list:
         """[f, df, ddf, ...] at the expansion points, order k of shape
@@ -162,7 +184,8 @@ class Taylor:
         out = [self.value]
         for k in range(1, self.d + 1):
             index, factor = _partial_table(self.n, k)
-            c = self.c[index] * factor.reshape(factor.shape + (1,) * self.ndim)
+            c = self.c[index]
+            c *= factor.reshape(factor.shape + (1,) * self.ndim)
             out.append(np.moveaxis(c, tuple(range(k)), tuple(range(1, k + 1))))
         return out
 
@@ -177,7 +200,8 @@ class Taylor:
         a, b = self._shaped(other)
         if isinstance(other, Taylor):
             return self._new(a + b)
-        c = a + np.zeros(b.shape)
+        # a + 0.0, not a copy: a sum turns -0.0 into 0.0, and so must this
+        c = np.add(a, 0.0, out=np.empty(np.broadcast_shapes(a.shape, b.shape)))
         c[0] += b
         return self._new(c)
 
@@ -287,28 +311,35 @@ def _product(op, a, b) -> Taylor:
     if not isinstance(a, Taylor):
         return b._new(op(np.asarray(a)[None], b.c))
     d = max(a.d, b.d)
-    first, rest = _product_table(a.n, a.d, b.d)
     batch = op(a.c[:0], b.c[:0]).shape[1:]      # op on no coefficients: the shape only
     out = np.empty((comb(a.n + d, d),) + batch)
-    if op in (np.multiply, np.matmul):
-        # Group 0 opens with the pairs (0, j), j < len(b.c): a.c[:1]
-        # broadcasts over them, without a gather.
-        op(a.c[:1], b.c, out=out[:len(b.c)])
-        first = [block for block in first if block[2].start >= len(b.c)]
-    for I, J, t in first:
-        out[t] = op(a.c[I], b.c[J])
-    for I, J, t in rest:
-        part = op(a.c[I], b.c[J])
-        np.add(out[t], part, out=part)
-        out[t] = part
-        del part                    # before the next block's gathers
+    ac, bc = a.c, b.c
+    for i, j, runs in _product_table(a.n, a.d, b.d):
+        part = op(ac[i:i + 1], bc[j])
+        for s, t, opens in runs:
+            target = out[t]
+            if opens:               # the first pair of each target
+                target[...] = part[s]
+            else:
+                np.add(target, part[s], out=target)
+        del part                    # before the next step's buffer
     return Taylor(out, a.n, d)
 
 
 def einsum(spec: str, a, b) -> Taylor:
-    """``np.einsum(spec, a, b)``; ``spec`` names its output and no axis Z."""
-    (left, right), out = spec.split("->")[0].split(","), spec.split("->")[1]
-    return _product(lambda A, B: np.einsum(f"Z{left},Z{right}->Z{out}", A, B), a, b)
+    """``np.einsum(spec, a, b)``; ``spec`` names its output and no axis Z.
+    A full contraction (an output of one axis) sums in another order when
+    a coefficient of ``a`` broadcasts over a block of ``b``, so there each
+    pair is its own call."""
+    (left, right), keep = spec.split("->")[0].split(","), spec.split("->")[1]
+    full = f"Z{left},Z{right}->Z{keep}"
+
+    def op(A, B):
+        if len(keep) > 1 or len(A) >= len(B):
+            return np.einsum(full, A, B)
+        return np.concatenate([np.einsum(full, A, B[k:k + 1]) for k in range(len(B))])
+
+    return _product(op, a, b)
 
 
 def matmul(a, b) -> Taylor:
@@ -319,8 +350,12 @@ def matmul(a, b) -> Taylor:
 def inv(A: Taylor) -> Taylor:
     """Inverse of a batch of Taylor matrices (..., k, k):
     A^-1 = A_0^-1 sum_j (-N A_0^-1)^j with N = A - A_0 nilpotent."""
-    A0inv = np.linalg.inv(A.value)
-    P, S = -matmul(A - A.value, A0inv), np.eye(A.shape[-1])
+    A0inv, eye = np.linalg.inv(A.value), np.eye(A.shape[-1])
+    P = A._new(np.matmul(A.c, A0inv))        # P = -N A_0^-1, formed in place
+    P.c[0] = 0.0
+    np.negative(P.c, out=P.c)
+    S = eye
     for j in range(1, A.d + 1):       # P has no constant term: S_j to degree j
-        S = matmul(P.truncate(j), S) + np.eye(A.shape[-1])
+        S = matmul(P.truncate(j), S)
+        S.c[0] += eye
     return matmul(A0inv, S)

@@ -2,8 +2,9 @@
 
     python tests/golden/report_hashes.py [--src DIR]
 
-Runs every example of ``tests/test_golden.py`` and a few larger cases
-(hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2) in-process
+Runs every example of ``tests/test_golden.py``, a few larger cases
+(hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2) and the
+benchmark's construct path at seeds 0, 7 and 1000 in-process
 through ``lagkit.cli.main`` with ``--no-timestamp`` and prints one line
 ``NAME SHA1`` per case, sorted by name, the hash taken over everything
 the call writes to stdout.  ``--src`` imports ``lagkit`` from another
@@ -32,6 +33,11 @@ EXTRA = {
     "verify-torus-wide": ["verify", "--surface", "torus",
                           "--params", '{"R": 2, "r_tube": 1}',
                           "--grid", "33", "--half-width", "0.9"],
+    # construct-hilf3 of perfbench, whose worst margin reads the Taylor N:
+    # seed s * 1000 + call is the matrix of call ``call`` at seed s.
+    **{f"construct-hilf3-{seed}": ["construct", "--b-from-a", "1,2,3", "--grid", "5",
+                                   "--half-width", "0.5", "--seed", str(seed)]
+       for seed in (0, 7, 1000)},
 }
 
 

@@ -1,22 +1,35 @@
-"""Peak and retained memory of ``invariants.analyze``.
+"""Peak and retained memory of ``invariants.analyze``, and the transient
+of each Taylor product inside it.
 
-Each bound is the tracemalloc figure measured when the Taylor products
-stopped copying their operands, plus 5%.  A product that gathers an
-operand it could read as a view, a truncation that keeps its parent's
-buffer alive, or a jet kept past its last read shows here first.  The
-product tables are built by a first call outside the trace.
+Each bound on ``analyze`` is the tracemalloc figure measured when the
+degree-5 jet was kept as x alone and the products stopped gathering
+their operands, plus 5%.  A product that gathers an operand it could
+read as a view, a truncation that keeps its parent's buffer alive, or a
+jet kept past its last read shows here first.  The product tables are
+built by a first call outside the trace.
 """
 
 import gc
 import tracemalloc
+from math import comb
 
+import numpy as np
 import pytest
 
+from lagkit import taylor
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 from lagkit.invariants import analyze
 from tests.conftest import mesh
 
 MB = 1e6
+# numpy's ufunc and einsum iterators may hold a buffer of np.getbufsize()
+# elements per operand: a fixed cost that does not grow with the batch.
+NUMPY_BUFFERS = 3 * np.getbufsize() * 8
+
+CASES = {
+    "torus-33": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 33)),
+    "hilf3-5": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)),
+}
 
 
 def traced_analyze(chart, grid):
@@ -35,17 +48,49 @@ def traced_analyze(chart, grid):
 
 
 @pytest.mark.parametrize("case,peak_mb,retained_mb", [
-    # 5.29 MB peak before, 1.50 MB retained.
-    ("torus-33", 4.10 * 1.05, 1.50 * 1.05),
-    # 2.61 MB peak before.
-    ("hilf3-5", 2.15 * 1.05, None),
+    # 4.10 MB peak before (5.29 MB one change earlier), 1.50 MB retained.
+    pytest.param("torus-33", 3.46 * 1.05, 1.29 * 1.05, id="torus-33"),
+    # 2.15 MB peak before (2.61 MB one change earlier), 0.40 MB retained.
+    pytest.param("hilf3-5", 1.65 * 1.05, 0.356 * 1.05, id="hilf3-5"),
 ])
 def test_analyze_memory_is_bounded(case, peak_mb, retained_mb):
-    chart, grid = {
-        "torus-33": (torus_chart(2.0, 1.0), mesh(2, 0.9, 33)),
-        "hilf3-5": (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)),
-    }[case]
-    peak, retained = traced_analyze(chart, grid)
+    peak, retained = traced_analyze(*CASES[case]())
     assert peak <= peak_mb * MB, f"peak {peak / MB:.3f} MB"
-    if retained_mb is not None:
-        assert retained <= retained_mb * MB, f"retained {retained / MB:.3f} MB"
+    assert retained <= retained_mb * MB, f"retained {retained / MB:.3f} MB"
+
+
+def product_transients(monkeypatch, call):
+    """[(extra, block)] for each ``taylor._product`` made by ``call()``:
+    the bytes it held at its peak beyond its inputs and its output, and
+    the bytes of the output's top degree block."""
+    product, calls = taylor._product, []
+
+    def traced(op, a, b):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = product(op, a, b)
+        extra = tracemalloc.get_traced_memory()[1] - before - out.c.nbytes
+        calls.append((extra, out.c.nbytes // len(out.c) * comb(out.n + out.d - 1, out.d)))
+        return out
+
+    monkeypatch.setattr(taylor, "_product", traced)
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_product_holds_its_output_and_one_degree_block(case, monkeypatch):
+    # Every product in analyze reads its operands as views: beyond what it
+    # returns it holds one buffer of at most one degree block of its
+    # output, and numpy's iterator buffers.  A gather of an operand's
+    # coefficients, as a rank-group kernel makes, is larger.
+    chart, grid = CASES[case]()
+    analyze(chart, grid)
+    calls = product_transients(monkeypatch, lambda: analyze(chart, grid))
+    assert len(calls) > 50
+    extra, block = max(calls, key=lambda c: c[0] - c[1])
+    assert extra <= block + NUMPY_BUFFERS, f"{extra} bytes beyond a {block}-byte block"

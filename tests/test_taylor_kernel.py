@@ -1,15 +1,18 @@
 """The Taylor product kernel and the partials read off the coefficients.
 
-A product of two Taylors sums the coefficient pairs of each product
-monomial one rank group at a time, straight into the output.  Its
-coefficients must equal those of a naive double loop over the monomials
-bit for bit, because that loop adds each monomial's pairs in the same
-order; and it must not hold all C(2n+d, d) pairs at once.  Horner's rule
-and the Neumann series of ``inv``, each step formed only to the degree
-that is read, must equal their full-degree loops bit for bit.
+A product of two Taylors runs one step per coefficient i of a and run of
+degree blocks of b, a product of views into one buffer whose slices are
+copied or added in place to their targets.  Its coefficients must equal
+those of a naive double loop over the monomials, and of every pair
+gathered, bit for bit, because both add each monomial's pairs in the
+same order, ascending I; and it must hold no more than its output and
+one degree block.  Horner's rule and the Neumann series of ``inv``,
+each step formed only to the degree that is read, must equal their
+full-degree loops bit for bit.
 """
 
 import tracemalloc
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -18,6 +21,7 @@ import pytest
 
 from lagkit import taylor
 from lagkit.taylor import Taylor, _basis, _index, _product_table
+from tests.test_memory import NUMPY_BUFFERS
 
 CASES = [(n, d) for n in range(1, 6) for d in range(1, 6)]
 OPS = {
@@ -42,30 +46,41 @@ def naive_product(op, a: np.ndarray, b: np.ndarray, n: int, d: int) -> np.ndarra
     return np.stack(out)
 
 
+@lru_cache(maxsize=None)
+def double_loop_pairs(n: int, da: int, db: int) -> dict:
+    """{target: [(i, j), ...]}: the pairs |i| <= da, |j| <= db of degree
+    <= max(da, db) of each product monomial, in double-loop order."""
+    exps, d = _basis(n, max(da, db)), max(da, db)
+    deg = exps.sum(1)
+    I, J = np.nonzero((deg[:, None] <= da) & (deg <= db) & (deg[:, None] + deg <= d))
+    pairs = {}
+    for k, i, j in zip(_index(n, d, exps[I] + exps[J]).tolist(), I.tolist(), J.tolist()):
+        pairs.setdefault(k, []).append((i, j))
+    return pairs
+
+
 @pytest.mark.parametrize("n,d", CASES)
 def test_product_table_sums_in_double_loop_order(n, d):
-    # Rank group r holds the r-th pair (i, j), in the order of the double
-    # loop, of every monomial that has one; group 0 holds each monomial once.
-    # Each group is cut into blocks of one target degree, in rank order.
+    # Each step multiplies coefficient i of a by whole degree blocks of b,
+    # no more than the output's top block, steps in ascending i, so each
+    # monomial sums its pairs in ascending I, the order of the double
+    # loop; a run opens its targets exactly when it holds their first
+    # pairs.  Factors of degree d and of any lower degree.
     exps = _basis(n, d)
-    pairs = {}
-    for i, j in product(range(len(exps)), repeat=2):
-        if exps[i].sum() + exps[j].sum() <= d:
-            k = int(_index(n, d, (exps[i] + exps[j])[None])[0])
-            pairs.setdefault(k, []).append((i, j))
-    first, rest = _product_table(n, d, d)
-    assert [t for _, _, t in first] == [slice(comb(n + k - 1, k - 1) if k else 0, comb(n + k, k))
-                                        for k in range(d + 1)]
-    assert [pairs[k][0] for k in range(len(exps))] == [
-        p for I, J, _ in first for p in zip(I, J)]
-    seen = {k: 1 for k in pairs}
-    for I, J, t in rest:
-        targets = np.arange(len(exps))[t]
-        assert np.all(np.diff(targets) > 0) and len(set(exps[targets].sum(1))) == 1
-        for k, pair in zip(targets, zip(I, J)):
-            assert pairs[k][seen[k]] == pair
-            seen[k] += 1
-    assert seen == {k: len(p) for k, p in pairs.items()}
+    deg, top = exps.sum(1), comb(n + d - 1, d)
+    blocks = set(np.searchsorted(deg, np.arange(d + 2)).tolist())
+    for da, db in {(d, k) for k in range(d + 1)} | {(k, d) for k in range(d + 1)}:
+        seen = {}
+        for i, j, runs in _product_table(n, da, db):
+            assert {j.start, j.stop} <= blocks and j.stop - j.start <= top
+            for s, t, opens in runs:
+                js, ts = np.arange(len(exps))[j][s], np.arange(len(exps))[t]
+                assert len(js) == len(ts) > 0
+                assert np.array_equal(_index(n, d, exps[i] + exps[js]), ts)
+                for k, jk in zip(ts.tolist(), js.tolist()):
+                    assert (k not in seen) == opens, (da, db, i, k)
+                    seen.setdefault(k, []).append((i, jk))
+        assert seen == double_loop_pairs(n, da, db), (da, db)
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -81,36 +96,62 @@ def test_products_equal_naive_double_loop(name, n, d):
 
 
 def gathered_product(op, a: Taylor, b: Taylor) -> np.ndarray:
-    """The product with every pair gathered, group 0 at once, then each
-    block of rank >= 1 scattered into its targets with ``+=``."""
-    first, rest = _product_table(a.n, a.d, b.d)
-    I = np.concatenate([I for I, _, _ in first])
-    J = np.concatenate([J for _, J, _ in first])
+    """The product with every pair gathered: rank group r holds the r-th
+    pair of each monomial that has one; group 0 is computed at once, then
+    each later group is added to its targets with ``+=``."""
+    pairs = double_loop_pairs(a.n, a.d, b.d)
+    ranks = [[(k, p[r]) for k, p in sorted(pairs.items()) if len(p) > r]
+             for r in range(max(map(len, pairs.values())))]
+    I, J = (np.array([pair[x] for _, pair in ranks[0]]) for x in (0, 1))
     out = op(a.c[I], b.c[J])
-    for I, J, targets in rest:
-        out[targets] += op(a.c[I], b.c[J])
+    for group in ranks[1:]:
+        t, I, J = (np.array(v) for v in zip(*((k, i, j) for k, (i, j) in group)))
+        out[t] += op(a.c[I], b.c[J])
     return out
 
 
+# Every spec that ``invariants`` runs through ``taylor.einsum``, with the
+# shapes of its operands at n (the batch axis m first).
+SPECS = {
+    "mia,mja->mij": lambda n: ((n, n + 1), (n, n + 1)),
+    "mij,mj->mi": lambda n: ((n, n), (n,)),
+    "mia,ma->mi": lambda n: ((n, n + 1), (n + 1,)),
+    "mi,mia->ma": lambda n: ((n,), (n, n + 1)),
+    "mija,ma->mij": lambda n: ((n, n, n + 1), (n + 1,)),
+    "mij,mji->m": lambda n: ((n, n), (n, n)),
+    "mkl,mlij->mkij": lambda n: ((n, n), (n, n, n)),
+    "mkab,mkl->mabl": lambda n: ((n, n, n), (n, n + 4)),
+    "mab,mabl->ml": lambda n: ((n, n), (n, n, n + 4)),
+}
+KERNELS = {
+    "multiply": (OPS["multiply"][0], np.multiply, lambda n: ((3, 2, 2), (3, 2, 2))),
+    "matmul": (OPS["matmul"][0], np.matmul, lambda n: ((3, 2, 2), (3, 2, 2))),
+    **{spec: ((lambda a, b, spec=spec: taylor.einsum(spec, a, b)),
+              (lambda A, B, spec=spec: np.einsum("Z" + spec.replace(",", ",Z").replace(">", ">Z"),
+                                                 A, B)), shapes)
+       for spec, shapes in SPECS.items()},
+}
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "swapped"])
-@pytest.mark.parametrize("name", ["multiply", "matmul"])
+@pytest.mark.parametrize("name", list(KERNELS))
 @pytest.mark.parametrize("n", range(2, 6))
 def test_view_path_equals_gathered_product(n, name, layout):
-    # multiply and matmul read group 0's pairs (0, j) as views of a.c[:1]
-    # and b.c; the bits must be those of the gathered pairs, for factors of
-    # equal and unequal degree and for operands that are strided views.
-    kernel, op, shape = OPS[name]
-    rng = np.random.default_rng(5000 * n + len(layout))
+    # The kernel reads each pair as views, a.c[i:i+1] against a block of
+    # b.c (one pair at a time in a full contraction); the bits, signed
+    # zeros included, must be those of the gathered pairs, for factors of
+    # equal and unequal degree and for operands whose batch axis m is
+    # innermost in memory.
+    kernel, op, shapes = KERNELS[name]
+    rng = np.random.default_rng(5000 * n + len(layout) + len(name))
     for da, db in product(range(6), repeat=2):
-        if layout == "swapped":   # (K, 3, 2, 2) with its first batch axis innermost
-            a, b = (np.moveaxis(rng.standard_normal((len(_basis(n, k)), 2, 2, 3)), -1, 1)
-                    for k in (da, db))
-        else:
-            a, b = (rng.standard_normal((len(_basis(n, k)),) + shape) for k in (da, db))
-        a, b = Taylor(a, n, da), Taylor(b, n, db)
+        a, b = (Taylor(np.moveaxis(rng.standard_normal((len(_basis(n, k)),) + shape + (3,)), -1, 1)
+                       if layout == "swapped" else
+                       rng.standard_normal((len(_basis(n, k)), 3) + shape), n, k)
+                for k, shape in zip((da, db), shapes(n)))
         got = kernel(a, b)
         assert got.d == max(da, db)
-        assert np.array_equal(got.c, gathered_product(op, a, b)), (da, db)
+        assert got.c.tobytes() == gathered_product(op, a, b).tobytes(), (da, db)
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -148,18 +189,20 @@ def test_partials_equal_grad_chain(n, d):
 def test_product_memory_stays_near_its_output():
     # n = 3, d = 5 over 125 points: 56 output coefficients from 462 pairs.
     # Gathering every pair of both factors, as a kernel that sums all pairs
-    # at the end must, peaks near 25 outputs; rank groups near 5.
+    # at the end must, peaks near 25 outputs; reading each pair as views
+    # holds one buffer of at most one degree block (21 coefficients).
     rng = np.random.default_rng(3)
     a = Taylor(rng.standard_normal((56, 125, 3, 3)), 3, 5)
     b = Taylor(rng.standard_normal((56, 125, 3, 3)), 3, 5)
-    taylor.matmul(a, b)      # builds the (3, 5) table outside the trace
-    tracemalloc.start()
-    try:
-        out = taylor.matmul(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * out.c.nbytes
+    for name, (kernel, _, _) in OPS.items():
+        kernel(a, b)         # builds the (3, 5, 5) table outside the trace
+        tracemalloc.start()
+        try:
+            out = kernel(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.c.nbytes <= out.c.nbytes * 21 // 56 + NUMPY_BUFFERS, name
 
 
 # Full-degree references: Horner's rule and the Neumann series as they ran
