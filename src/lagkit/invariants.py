@@ -29,9 +29,12 @@ eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 jet of the grid gives x at each grid point as a Taylor polynomial of
 degree 5 (``taylor``).  The lift reads only the values of x, dx and ddx
 and decides the regularity of every point once; an irregular point
-gets its ``reason`` and no fields.  On the regular rows x alone is kept,
-at degree 5, until II: dx of degree 3 is taken from it for I, I^-1 and
-xi, and ddx of degree 3 only then, when x is cut to a degree-3 copy.
+gets its ``reason`` and no fields.  The regular rows of x and xi are
+then laid out once with the batch axis innermost in memory
+(``taylor.batch_inner``), which every field keeps, so each product step
+is one loop over the points.  x alone is kept, at degree 5, until II:
+dx of degree 3 is taken from it for I, I^-1 and xi, and ddx of degree 3
+only then, when x is cut to a degree-3 copy.
 Each field is a polynomial of the degree to which its partials are
 read: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g
 and log rho of degree 2, III, r and B of degree 1, each intermediate
@@ -89,6 +92,10 @@ def _taylor_fields(jet):
     x, xi0 = jet
     jet.clear()
     n, k = x.n, x.d - 2
+    # Laid out once with the batch axis innermost in memory, which every
+    # field then keeps, so that each product step is one loop over the
+    # points; the lift has read x and xi0 in the chart jet's C order.
+    x, xi0 = taylor.Taylor(taylor.batch_inner(x.c, 1), n, x.d), taylor.batch_inner(xi0)
     dx = x.truncate(k + 1).grad()
     I = taylor.einsum("mia,mja->mij", dx, dx)
     I_inv = taylor.inv(I)
@@ -101,15 +108,16 @@ def _taylor_fields(jet):
     ddx, x = x.grad(2), x.truncate(k).copy()
     II = taylor.einsum("mija,ma->mij", ddx, xi)
     del ddx
-    M = taylor.matmul(taylor.inv(II), I)
+    M = taylor.einsum("mij,mjk->mik", taylor.inv(II), I)
     r = np.sum(M[:, np.arange(n), np.arange(n)], axis=-1) / n
-    D = M - r[..., None, None] * np.eye(n)
+    eye = taylor.batch_inner(np.broadcast_to(np.eye(n), M.shape))   # laid out as M
+    D = M - r[..., None, None] * eye
     rho2 = taylor.einsum("mij,mji->m", D, D)
-    del I, M, D
+    del I, M, D, eye
     rho = np.sqrt(rho2)
     Y = rho[..., None] * lift_vector(x, xi)
     II, I_inv, rho2 = II.truncate(k - 1), I_inv.truncate(k - 1), rho2.truncate(k - 1)
-    III = taylor.matmul(II, taylor.matmul(I_inv, II))
+    III = taylor.einsum("mij,mjk->mik", II, taylor.einsum("mij,mjk->mik", I_inv, II))
     low = [t.truncate(k - 2) for t in (r, rho, III, II)]
     # III and r outlive the degree-2 III and degree-3 r: copies, not views.
     return {"Y": Y, "g": rho2[..., None, None] * III, "logrho": 0.5 * np.log(rho2),
@@ -118,7 +126,8 @@ def _taylor_fields(jet):
 
 def _n_taylor(Y, g, space):
     """(N, Delta_g Y, Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k) as
-    Taylor polynomials of degree 1, from Y of degree 3 and g of degree 2."""
+    Taylor polynomials of degree 1, from Y of degree 3 and g of degree 2;
+    Gamma^k_ab Y_k is subtracted from Y_ab pair by pair, never built."""
     n = g.n
     g_inv, dg = taylor.inv(g.truncate(1)), g.grad()
     # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, A_lij = d_i g_jl
@@ -128,7 +137,7 @@ def _n_taylor(Y, g, space):
     # Y to degree 1 as a copy, so that the degree-3 Y is freed once its
     # partials are taken.
     hess_y, dY, Y = Y.grad(2), Y.truncate(2).grad(), Y.truncate(1).copy()
-    hess_y.c -= taylor.einsum("mkab,mkl->mabl", gamma, dY).c
+    taylor.einsum("mkab,mkl->mabl", gamma, dY, subtract_from=hess_y)
     del dY
     delta_y = taylor.einsum("mab,mabl->ml", g_inv, hess_y)
     nsq = np.sum(space.signs * delta_y * delta_y, axis=-1)

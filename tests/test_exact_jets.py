@@ -36,6 +36,7 @@ from lagkit.construction import (
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 from lagkit.invariants import _taylor_fields
+from tests.test_taylor_kernel import is_batch_inner
 
 POINTS = ((0.3, -0.2, 0.25), (-0.45, 0.1, 0.35), (0.05, 0.4, -0.3))
 REL_TOL = 1e-12
@@ -298,3 +299,19 @@ def test_rows_of_a_jet_give_the_fields_of_their_own_jet(route):
     want = _taylor_fields([x, xi])
     for key, field in want.items():
         assert np.array_equal(got[key].c, field.c), key
+
+
+def test_taylor_fields_are_batch_inner_and_the_lift_inputs_are_not():
+    # Every field of _taylor_fields keeps the batch axis innermost in
+    # memory, so each product step runs one loop over the points.  What
+    # the lift reads keeps the chart jet's layout, as its bits depend on
+    # it: x's coefficients and xi C-contiguous, dx and ddx (partials read
+    # off those coefficients) with the ambient axis innermost.
+    chart = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0)))
+    axis = np.linspace(-0.4, 0.4, 3)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    x, dx, ddx, xi = jet_arrays(chart, grid, 5)
+    assert x.c.flags.c_contiguous and xi.flags.c_contiguous
+    assert dx.strides[-1] == ddx.strides[-1] == 8
+    for key, field in _taylor_fields([x, xi]).items():
+        assert is_batch_inner(field.c), key

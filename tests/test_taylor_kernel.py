@@ -6,9 +6,11 @@ copied or added in place to their targets.  Its coefficients must equal
 those of a naive double loop over the monomials, and of every pair
 gathered, bit for bit, because both add each monomial's pairs in the
 same order, ascending I; and it must hold no more than its output and
-one degree block.  Horner's rule and the Neumann series of ``inv``,
-each step formed only to the degree that is read, must equal their
-full-degree loops bit for bit.
+one degree block.  Operands whose batch axis is innermost in memory,
+as ``invariants`` lays out its Taylor fields, must give a product, an
+inverse, partials and copies laid out the same way.  Horner's rule and
+the Neumann series of ``inv``, each step formed only to the degree that
+is read, must equal their full-degree loops bit for bit.
 """
 
 import tracemalloc
@@ -24,12 +26,22 @@ from lagkit.taylor import Taylor, _basis, _index, _product_table
 from tests.test_memory import NUMPY_BUFFERS
 
 CASES = [(n, d) for n in range(1, 6) for d in range(1, 6)]
+# name: (kernel, op of one pair, batch shape, layout of the coefficients).
+# "matmul" is the matrix product as ``inv`` and ``invariants`` form it,
+# ``einsum("mij,mjk->mik")`` on operands laid out batch-innermost.
+MATRIX_PRODUCT = (lambda a, b: taylor.einsum("mij,mjk->mik", a, b),
+                  lambda A, B: np.einsum("Zmij,Zmjk->Zmik", A, B), (3, 2, 2))
 OPS = {
-    "multiply": (lambda a, b: a * b, np.multiply, (3, 2, 2)),
-    "matmul": (taylor.matmul, np.matmul, (3, 2, 2)),
-    "einsum": (lambda a, b: taylor.einsum("mij,mjk->mik", a, b),
-               lambda A, B: np.einsum("Zmij,Zmjk->Zmik", A, B), (3, 2, 2)),
+    "multiply": (lambda a, b: a * b, np.multiply, (3, 2, 2), np.asarray),
+    "matmul": MATRIX_PRODUCT + (lambda c: taylor.batch_inner(c, 1),),
+    "einsum": MATRIX_PRODUCT + (np.asarray,),
 }
+
+
+def is_batch_inner(c: np.ndarray) -> bool:
+    """Whether the batch axis 1 of coefficients ``c`` has the smallest
+    stride of the batch axes longer than 1."""
+    return c.strides[1] == min(s for s, k in zip(c.strides[1:], c.shape[1:]) if k > 1)
 
 
 def naive_product(op, a: np.ndarray, b: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -86,11 +98,11 @@ def test_product_table_sums_in_double_loop_order(n, d):
 @pytest.mark.parametrize("name", sorted(OPS))
 @pytest.mark.parametrize("n,d", CASES)
 def test_products_equal_naive_double_loop(name, n, d):
-    kernel, op, shape = OPS[name]
+    kernel, op, shape, layout = OPS[name]
     rng = np.random.default_rng(1000 * n + d)
     K = len(_basis(n, d))
-    a = rng.standard_normal((K,) + shape)
-    b = rng.standard_normal((K,) + shape)
+    a = layout(rng.standard_normal((K,) + shape))
+    b = layout(rng.standard_normal((K,) + shape))
     got = kernel(Taylor(a, n, d), Taylor(b, n, d)).c
     assert np.array_equal(got, naive_product(op, a, b, n, d))
 
@@ -125,7 +137,7 @@ SPECS = {
 }
 KERNELS = {
     "multiply": (OPS["multiply"][0], np.multiply, lambda n: ((3, 2, 2), (3, 2, 2))),
-    "matmul": (OPS["matmul"][0], np.matmul, lambda n: ((3, 2, 2), (3, 2, 2))),
+    "matmul": (MATRIX_PRODUCT[0], MATRIX_PRODUCT[1], lambda n: ((n, n), (n, n))),
     **{spec: ((lambda a, b, spec=spec: taylor.einsum(spec, a, b)),
               (lambda A, B, spec=spec: np.einsum("Z" + spec.replace(",", ",Z").replace(">", ">Z"),
                                                  A, B)), shapes)
@@ -133,7 +145,15 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "swapped"])
+LAYOUTS = {
+    "contiguous": lambda rng, shape: rng.standard_normal(shape),
+    "swapped": lambda rng, shape: np.moveaxis(
+        rng.standard_normal(shape[:1] + shape[2:] + shape[1:2]), -1, 1),
+    "batch-inner": lambda rng, shape: taylor.batch_inner(rng.standard_normal(shape), 1),
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
 @pytest.mark.parametrize("name", list(KERNELS))
 @pytest.mark.parametrize("n", range(2, 6))
 def test_view_path_equals_gathered_product(n, name, layout):
@@ -141,27 +161,49 @@ def test_view_path_equals_gathered_product(n, name, layout):
     # b.c (one pair at a time in a full contraction); the bits, signed
     # zeros included, must be those of the gathered pairs, for factors of
     # equal and unequal degree and for operands whose batch axis m is
-    # innermost in memory.
+    # innermost in memory, laid out by hand or by ``taylor.batch_inner``,
+    # whose products keep that layout.
     kernel, op, shapes = KERNELS[name]
     rng = np.random.default_rng(5000 * n + len(layout) + len(name))
     for da, db in product(range(6), repeat=2):
-        a, b = (Taylor(np.moveaxis(rng.standard_normal((len(_basis(n, k)),) + shape + (3,)), -1, 1)
-                       if layout == "swapped" else
-                       rng.standard_normal((len(_basis(n, k)), 3) + shape), n, k)
+        a, b = (Taylor(LAYOUTS[layout](rng, (len(_basis(n, k)), 3) + shape), n, k)
                 for k, shape in zip((da, db), shapes(n)))
         got = kernel(a, b)
         assert got.d == max(da, db)
         assert got.c.tobytes() == gathered_product(op, a, b).tobytes(), (da, db)
+        assert layout == "contiguous" or is_batch_inner(got.c), (da, db)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_subtracted_product_takes_each_pair_in_double_loop_order(n):
+    # Hess Y = Y_ab - Gamma^k_ab Y_k subtracts each pair from Y_ab in
+    # place, in ascending I, and builds no product: the bits are those of
+    # one subtraction per pair in double-loop order.
+    spec, (sa, sb) = "mkab,mkl->mabl", SPECS["mkab,mkl->mabl"](n)
+    rng = np.random.default_rng(8000 + n)
+    for da, db in [(1, 1), (2, 2), (1, 2), (2, 1)]:
+        a, b = (Taylor(taylor.batch_inner(rng.standard_normal((len(_basis(n, k)), 4) + shape), 1),
+                       n, k) for k, shape in ((da, sa), (db, sb)))
+        d = max(da, db)
+        minuend = Taylor(taylor.batch_inner(rng.standard_normal((len(_basis(n, d)), 4, n, n, n + 4)),
+                                            1), n, d)
+        want = minuend.c.copy()
+        for k, pairs in double_loop_pairs(n, da, db).items():
+            for i, j in pairs:
+                want[k] -= np.einsum("Zmkab,Zmkl->Zmabl", a.c[i:i + 1], b.c[j:j + 1])[0]
+        got = taylor.einsum(spec, a, b, subtract_from=minuend)
+        assert got.c is minuend.c
+        assert got.c.tobytes() == want.tobytes(), (da, db)
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_products_and_truncated_copies_own_their_memory(name):
     # A product's output, and a truncation copied with ``copy``, share no
     # memory with an operand, so neither keeps a freed operand alive.
-    kernel, _, shape = OPS[name]
+    kernel, _, shape, layout = OPS[name]
     rng = np.random.default_rng(6)
     for n, (da, db) in product((2, 3), [(1, 3), (3, 1), (2, 2), (3, 3)]):
-        a, b = (Taylor(rng.standard_normal((len(_basis(n, k)),) + shape), n, k)
+        a, b = (Taylor(layout(rng.standard_normal((len(_basis(n, k)),) + shape)), n, k)
                 for k in (da, db))
         out = kernel(a, b)
         assert not np.shares_memory(out.c, a.c) and not np.shares_memory(out.c, b.c)
@@ -192,9 +234,9 @@ def test_product_memory_stays_near_its_output():
     # at the end must, peaks near 25 outputs; reading each pair as views
     # holds one buffer of at most one degree block (21 coefficients).
     rng = np.random.default_rng(3)
-    a = Taylor(rng.standard_normal((56, 125, 3, 3)), 3, 5)
-    b = Taylor(rng.standard_normal((56, 125, 3, 3)), 3, 5)
-    for name, (kernel, _, _) in OPS.items():
+    for name, (kernel, _, _, layout) in OPS.items():
+        a = Taylor(layout(rng.standard_normal((56, 125, 3, 3))), 3, 5)
+        b = Taylor(layout(rng.standard_normal((56, 125, 3, 3))), 3, 5)
         kernel(a, b)         # builds the (3, 5, 5) table outside the trace
         tracemalloc.start()
         try:
@@ -217,11 +259,12 @@ def full_compose(self, coeffs):
 
 
 def full_inv(A):
-    A0inv = np.linalg.inv(A.value)
-    P, S = -taylor.matmul(A - A.value, A0inv), np.eye(A.shape[-1])
+    A0inv = taylor.batch_inner(np.linalg.inv(A.value))
+    P = -taylor.einsum("mij,mjk->mik", A - A.value, A0inv)
+    S = taylor.batch_inner(np.broadcast_to(np.eye(A.shape[-1]), A.shape))
     for _ in range(A.d):
-        S = taylor.matmul(P, S) + np.eye(A.shape[-1])
-    return taylor.matmul(A0inv, S)
+        S = taylor.einsum("mij,mjk->mik", P, S) + np.eye(A.shape[-1])
+    return taylor.einsum("mij,mjk->mik", A0inv, S)
 
 
 GRADED = [(n, d) for n in range(1, 5) for d in range(1, 6)]
@@ -253,3 +296,16 @@ def test_graded_neumann_inverse_equals_full_degree(k, n, d):
     got, want = taylor.inv(A), full_inv(A)
     assert got.d == want.d == d
     assert np.array_equal(got.c, want.c)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batch_inner_operands_give_batch_inner_coefficients(n):
+    # Every product step runs one loop over the points only while each
+    # Taylor it reads keeps the batch axis innermost.  Products keep it
+    # (test_view_path_equals_gathered_product); so must inv, grad(k), copy
+    # and arithmetic with a value.
+    rng = np.random.default_rng(7000 + n)
+    a = Taylor(taylor.batch_inner(rng.standard_normal((len(_basis(n, 3)), 9, n, n)), 1), n, 3)
+    A = a + 3.0 * np.eye(n)
+    for t in (taylor.inv(A), a.grad(), a.grad(2), a.truncate(1).copy(), a * 2.0, a + 1.0, A):
+        assert is_batch_inner(t.c), t.c.strides
