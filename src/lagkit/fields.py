@@ -1,8 +1,12 @@
 """Metric field geometry: Christoffel symbols, Laplacians, curvature.
 
 These helpers are generic over any positive-definite coordinate metric
-supplied as arrays; chart-specific assembly lives in `invariants`.
-Index conventions:
+supplied as arrays; chart-specific assembly lives in `invariants`.  They
+take the inverse metric from their caller and invert nothing, so a
+caller that knows g^-1 (``invariants`` has III^-1, and g = rho^2 III)
+inverts each metric once.  ``frame_components`` projects a tensor on
+a frame one index at a time, each step an einsum of two operands that
+keeps the memory layout of its inputs.  Index conventions:
 
 * ``gamma[m, k, i, j]`` is Gamma^k_ij (symmetric in i, j),
 * ``riemann[m, a, b, c, d]`` stores <R(d_a, d_b) d_c, d_d> with the
@@ -24,18 +28,18 @@ __all__ = [
     "christoffels",
     "laplacian",
     "lowered_riemann",
+    "frame_components",
     "frame_riemann",
     "frame_connection",
     "MetricField",
 ]
 
 
-def christoffels(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij from the metric and its first partials.
+def christoffels(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij from the inverse metric and the metric's first partials.
 
     ``dg[m, a, i, j]`` holds d_a g_ij.  Returns (m, k, i, j).
     """
-    g_inv = np.linalg.inv(g)
     # d_i g_jl + d_j g_il - d_l g_ij, indexed [m, l, i, j]
     sym = (
         np.einsum("mijl->mlij", dg)
@@ -45,19 +49,20 @@ def christoffels(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("mkl,mlij->mkij", g_inv, sym)
 
 
-def laplacian(g: np.ndarray, gamma: np.ndarray, grad_f: np.ndarray, hess_f: np.ndarray):
+def laplacian(g_inv: np.ndarray, gamma: np.ndarray, grad_f: np.ndarray, hess_f: np.ndarray):
     """Laplace-Beltrami of a (possibly vector-valued) function.
 
-    grad_f: (m, a, ...), hess_f: (m, a, b, ...).  Implements
-    g^ab (d_a d_b f - Gamma^k_ab d_k f), the divergence-of-gradient sign.
+    g_inv: (m, a, b), the inverse metric; grad_f: (m, a, ...), hess_f:
+    (m, a, b, ...).  Implements g^ab (d_a d_b f - Gamma^k_ab d_k f), the
+    divergence-of-gradient sign.
     """
-    g_inv = np.linalg.inv(g)
     correction = np.einsum("mkab,mk...->mab...", gamma, grad_f)
     return np.einsum("mab,mab...->m...", g_inv, hess_f - correction)
 
 
-def lowered_riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """Fully covariant curvature tensor from g and its partials.
+def lowered_riemann(g: np.ndarray, g_inv: np.ndarray, dg: np.ndarray,
+                    ddg: np.ndarray) -> np.ndarray:
+    """Fully covariant curvature tensor from g, its inverse and its partials.
 
     ``ddg[m, a, b, i, j]`` holds d_a d_b g_ij.  Uses (do Carmo sign)
 
@@ -66,7 +71,7 @@ def lowered_riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarra
 
     where Gamma_{m,ij} = g_mk Gamma^k_ij.
     """
-    gamma = christoffels(g, dg)
+    gamma = christoffels(g_inv, dg)
     gamma_low = np.einsum("mkl,mlij->mkij", g, gamma)
     second = 0.5 * (
         np.einsum("macbd->mabcd", ddg)
@@ -80,9 +85,18 @@ def lowered_riemann(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarra
     return -(second + quad)
 
 
+def frame_components(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Frame components t_ij... = w_i^a w_j^b ... t_ab... of a coordinate
+    tensor t (m, a, b, ...), one index at a time in index order: each step
+    is one einsum of two operands, and no contraction path is searched."""
+    for axis in range(1, t.ndim):
+        t = np.moveaxis(np.einsum("mia,m...a->m...i", w, np.moveaxis(t, axis, -1)), -1, axis)
+    return t
+
+
 def frame_riemann(riemann: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Convert the coordinate curvature tensor to orthonormal-frame indices."""
-    return np.einsum("mia,mjb,mkc,mld,mabcd->mijkl", w, w, w, w, riemann, optimize=True)
+    return frame_components(riemann, w)
 
 
 def frame_connection(

@@ -44,9 +44,16 @@ N is formed once, in the same Taylor arithmetic, as a polynomial of
 degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
 Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
 curvature tensor of g is assembled from the partials of g as soon as
-the frame is known.  The returned ``Analysis`` holds copies of the
-values it keeps, no view of a Taylor.  No chain rule is written by
-hand, and nothing is differentiated twice.
+the frame is known.  The principal frame is read in the lift's C order,
+so the lift and b keep their bits; the frame coefficients and the lift
+arrays the projection reads are then laid out once as the partials
+are, so the layout carries through the projection and every array of
+the returned ``Analysis`` has the points innermost.  III is inverted
+once, for Gamma of III, the III Laplacian, |grad log rho|^2 and g^-1 =
+III^-1 / rho^2; nabla B and the curvature of g are projected on the
+frame one index at a time (``fields.frame_components``).  The returned
+``Analysis`` holds copies of the values it keeps, no view of a Taylor.
+No chain rule is written by hand, and nothing is differentiated twice.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from .errors import InputError
 from .fields import (
     MetricField,
     christoffels,
+    frame_components,
     frame_riemann,
     laplacian,
     lowered_riemann,
@@ -116,7 +124,9 @@ def _taylor_fields(jet):
     del I, M, D, eye
     rho = np.sqrt(rho2)
     Y = rho[..., None] * lift_vector(x, xi)
-    II, I_inv, rho2 = II.truncate(k - 1), I_inv.truncate(k - 1), rho2.truncate(k - 1)
+    del x, xi
+    # Copies, so that the degree-k buffers are freed here, not at the return.
+    II, I_inv, rho2 = (t.truncate(k - 1).copy() for t in (II, I_inv, rho2))
     III = taylor.einsum("mij,mjk->mik", II, taylor.einsum("mij,mjk->mik", I_inv, II))
     low = [t.truncate(k - 2) for t in (r, rho, III, II)]
     # III and r outlive the degree-2 III and degree-3 r: copies, not views.
@@ -211,8 +221,17 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     # Popped, each field is freed once its partials are read.
     jets = {k: fields.pop(k).partials()[1:] for k in list(fields)}
     signs = lift.space.signs
-    w = frame_coefficients(lift)
-    metric = MetricField(riemann_frame=frame_riemann(lowered_riemann(lift.g, *jets.pop("g")), w))
+    # The principal frame is read in the lift's own C order, so that lift.b
+    # keeps its bits; the frame and the lift arrays read below are then laid
+    # out once as the partials are, batch axis innermost, and III inverted
+    # once: g^-1 = III^-1 / rho^2.
+    w, eta, III, II, g, r_i = (taylor.batch_inner(t) for t in (
+        frame_coefficients(lift), lift.eta, lift.III, lift.II, lift.g, lift.r_i))
+    r, rho = lift.r, lift.rho
+    iii_inv = taylor.batch_inner(np.linalg.inv(lift.III))
+    inv_rho2 = rho**-2
+    g_inv = inv_rho2[:, None, None] * iii_inv
+    metric = MetricField(riemann_frame=frame_riemann(lowered_riemann(g, g_inv, *jets.pop("g")), w))
 
     dIII = jets["III"][0]
     dlogrho, ddlogrho = jets["logrho"]       # (m, a), (m, a, b)
@@ -230,31 +249,26 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     del dY, hess_y, dN
 
     L_structural = np.einsum("mil,l,mjl->mij", E_N, signs, E_Y)
-    C_structural = -np.einsum("mil,l,ml->mi", E_N, signs, lift.eta)
+    C_structural = -np.einsum("mil,l,ml->mi", E_N, signs, eta)
     del E_N
-    B_structural = -np.einsum("mijl,l,ml->mij", E2_Y, signs, lift.eta)
+    B_structural = -np.einsum("mijl,l,ml->mij", E2_Y, signs, eta)
     # Directional derivatives along the III-orthonormal frame E'_i = rho E_i
     # and the unit principal directions e_i = E'_i / r_i.
-    w_iii = lift.rho[:, None, None] * w
+    w_iii = rho[:, None, None] * w
     Ep_logrho = np.einsum("mia,ma->mi", w_iii, dlogrho)
     Ep_r = np.einsum("mia,ma->mi", w_iii, dr)
-    e_logrho = Ep_logrho / lift.r_i
-    e_r = Ep_r / lift.r_i
+    e_logrho = Ep_logrho / r_i
+    e_r = Ep_r / r_i
 
-    rho = lift.rho
-    C_closed = -(rho[:, None] ** -2) * lift.r_i * (
-        e_r - (lift.r[:, None] - lift.r_i) * e_logrho
-    )
+    C_closed = -inv_rho2[:, None] * r_i * (e_r - (r[:, None] - r_i) * e_logrho)
 
-    gamma_iii = christoffels(lift.III, dIII)
+    gamma_iii = christoffels(iii_inv, dIII)
     hess_coord = ddlogrho - np.einsum("mkab,mk->mab", gamma_iii, dlogrho)
     hess_frame = np.einsum("mia,mjb,mab->mij", w_iii, w_iii, hess_coord)
-    iii_inv = np.linalg.inv(lift.III)
     grad_sq = np.einsum("mab,ma,mb->m", iii_inv, dlogrho, dlogrho)
-    lap_iii = laplacian(lift.III, gamma_iii, dlogrho, ddlogrho)
+    lap_iii = laplacian(iii_inv, gamma_iii, dlogrho, ddlogrho)
 
-    eye = np.eye(chart.n)
-    inv_rho2 = rho**-2
+    eye = taylor.batch_inner(np.broadcast_to(np.eye(chart.n), hess_frame.shape))
     L_closed_a = inv_rho2[:, None, None] * (
         hess_frame
         - np.einsum("mi,mj->mij", Ep_logrho, Ep_logrho)
@@ -267,9 +281,9 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     )
 
     # nabla_c B_ab = d_c B_ab - Gamma^k_ca B_kb - Gamma^k_cb B_ak, then B_ij,k
-    gamma_b = np.einsum("mkca,mkb->mcab", gamma_g, _b_tensor(lift.r, lift.rho, lift.III, lift.II))
+    gamma_b = np.einsum("mkca,mkb->mcab", gamma_g, _b_tensor(r, rho, III, II))
     cov_coord = dB - gamma_b - np.swapaxes(gamma_b, -1, -2)
-    cov_B = np.einsum("mia,mjb,mkc,mcab->mijk", w, w, w, cov_coord, optimize=True)
+    cov_B = frame_components(np.moveaxis(cov_coord, 1, -1), w)
 
     return Analysis(
         chart=chart, grid=lift.u, reason=reason, lift=lift,

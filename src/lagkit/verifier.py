@@ -112,6 +112,20 @@ class PropertyReport:
     def skip(self, name, anchor, reason):
         self.checks.append(CheckRecord(name, anchor, None, None, "skip", reason))
 
+    def run(self, check: Check, a, cls, tol: Tolerances) -> None:
+        """Record one row of ``CHECKS`` on an analysis and its classification."""
+        skip = next((note for note, holds in check.requires if not holds(a, cls, tol)), None)
+        if skip is None:
+            try:
+                value = check.residual(a, cls, tol)
+            except InputError as exc:
+                skip = str(exc)
+        if skip is not None:
+            self.skip(check.name, check.anchor, skip)
+            return
+        residual, note = value if isinstance(value, tuple) else (value, "")
+        self.add(check.name, check.anchor, residual, getattr(tol, check.tolerance), note)
+
     @property
     def passed(self) -> bool:
         executed = [c for c in self.checks if c.status != "skip"]
@@ -426,17 +440,7 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
     report.classification = cls.to_dict()
     report.analysis = a
     for check in CHECKS:
-        skip = next((note for note, holds in check.requires if not holds(a, cls, tol)), None)
-        if skip is None:
-            try:
-                value = check.residual(a, cls, tol)
-            except InputError as exc:
-                skip = str(exc)
-        if skip is not None:
-            report.skip(check.name, check.anchor, skip)
-            continue
-        residual, note = value if isinstance(value, tuple) else (value, "")
-        report.add(check.name, check.anchor, residual, getattr(tol, check.tolerance), note)
+        report.run(check, a, cls, tol)
 
     report.l_variant = _l_variant(a, tol)
     if report.l_variant["matched"] == "closed_b":

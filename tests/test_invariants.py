@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lagkit import charts, frames
+from lagkit import charts, frames, taylor
 from lagkit.charts import IRREGULAR, jet_arrays
 from lagkit.errors import InputError
-from lagkit.families import HilfParams, hilf_chart, sphere_chart
-from lagkit.fields import christoffels, frame_connection
+from lagkit.families import HilfParams, hilf_chart, sphere_chart, torus_chart
+from lagkit.fields import christoffels, frame_components, frame_connection, frame_riemann
 from lagkit.frames import frame_coefficients, lift_batch
 from lagkit.invariants import Analysis, _b_tensor, analyze, classify_analysis
 from lagkit.verifier import run_suite
@@ -126,7 +126,7 @@ def frame_route_cov_b(chart, points):
     dw = d[..., : n * n].reshape(m, n, n, n)
     db = d[..., n * n : n * n + n]
     dg = d[..., n * n + n :].reshape(m, n, n, n)
-    conn = frame_connection(w, dw, christoffels(lift.g, dg), lift.g)
+    conn = frame_connection(w, dw, christoffels(np.linalg.inv(lift.g), dg), lift.g)
     E_b = np.einsum("mka,mai->mki", w, db)
     # B_ij,k = E_k(b_i) delta_ij - Gamma^j_ik b_j - Gamma^i_jk b_i
     return (
@@ -296,3 +296,56 @@ def test_analyze_peak_memory(torus21):
     finally:
         tracemalloc.stop()
     assert peak / 1e6 <= PEAK_BOUND_MB
+
+
+TAIL_CASES = {
+    "torus-33": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 33)),
+    "hilf3-5": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_analysis_arrays_are_point_innermost(case):
+    # The frame and the lift arrays are laid out as the Taylor partials, so
+    # every field of the Analysis keeps the point axis innermost in memory.
+    a = analyze(*TAIL_CASES[case]())
+    arrays = {f.name: getattr(a, f.name) for f in dataclasses.fields(Analysis)
+              if f.name not in ("chart", "grid", "reason", "lift", "metric")}
+    arrays["riemann_frame"] = a.metric.riemann_frame
+    for name, array in arrays.items():
+        assert array.strides[0] == array.itemsize, name
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_analyze_inverts_four_matrix_batches(case, monkeypatch):
+    # A_0^-1 of I, II and g in ``taylor.inv``, and III^-1 once for the
+    # Christoffel symbols of III and of g, the III Laplacian and |grad|^2.
+    chart, grid = TAIL_CASES[case]()
+    shapes, inv = [], np.linalg.inv
+
+    def counted(A):
+        shapes.append(A.shape)
+        return inv(A)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    analyze(chart, grid)
+    assert shapes == [(len(grid), chart.n, chart.n)] * 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_frame_projections_match_einsum(n):
+    # One frame index at a time against the one-call einsum, on arrays laid
+    # out as analyze lays them out.
+    rng = np.random.default_rng(n)
+    m = 17
+    w = taylor.batch_inner(rng.standard_normal((m, n, n)))
+    cov = taylor.batch_inner(rng.standard_normal((m, n, n, n)))          # [m, c, a, b]
+    riemann = taylor.batch_inner(rng.standard_normal((m,) + (n,) * 4))
+    pairs = [
+        (frame_components(np.moveaxis(cov, 1, -1), w),
+         np.einsum("mia,mjb,mkc,mcab->mijk", w, w, w, cov, optimize=True)),
+        (frame_riemann(riemann, w),
+         np.einsum("mia,mjb,mkc,mld,mabcd->mijkl", w, w, w, w, riemann, optimize=True)),
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -3,13 +3,14 @@ of each Taylor product inside it.
 
 Each bound on ``analyze`` is the tracemalloc figure measured when the
 degree-5 jet was kept as x alone, the products stopped gathering their
-operands and Hess Y took Gamma Y_k pair by pair (the peaks; the
-retained figures from before the fields were laid out batch-innermost,
-which retains about 9 KB more in small allocations on 125 and on 1089
-points alike), plus 5%.  A product that gathers an operand it could
-read as a view, a truncation that keeps its parent's buffer alive, or a
-jet kept past its last read shows here first.  The product tables are
-built by a first call outside the trace.
+operands, Hess Y took Gamma Y_k pair by pair and ``_taylor_fields``
+freed x, xi and the degree-3 buffers of II, I^-1 and rho^2 once Y was
+formed (the peaks; the retained figures from before the fields were
+laid out batch-innermost, which retains about 9 KB more in small
+allocations on 125 and on 1089 points alike), plus 5%.  A product that
+gathers an operand it could read as a view, a truncation that keeps its
+parent's buffer alive, or a jet kept past its last read shows here
+first.  The product tables are built by a first call outside the trace.
 """
 
 import gc
@@ -51,9 +52,10 @@ def traced_analyze(chart, grid):
 
 
 @pytest.mark.parametrize("case,peak_mb,retained_mb", [
-    # 3.46 MB peak before Hess Y took Gamma Y_k pair by pair (4.10 MB one
-    # change earlier), 1.29 MB retained.
-    pytest.param("torus-33", 3.39 * 1.05, 1.29 * 1.05, id="torus-33"),
+    # 3.39 MB peak before x and xi were freed once Y is formed and the
+    # degree-2 II, I^-1 and rho^2 copied (3.46 MB before Hess Y took
+    # Gamma Y_k pair by pair), 1.29 MB retained.
+    pytest.param("torus-33", 3.25 * 1.05, 1.29 * 1.05, id="torus-33"),
     # 1.65 MB peak before (2.15 MB one change earlier), 0.356 MB retained.
     pytest.param("hilf3-5", 1.62 * 1.05, 0.356 * 1.05, id="hilf3-5"),
 ])

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from lagkit.charts import Chart, curvature_line_check
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart
 from lagkit.invariants import analyze
-from lagkit.verifier import Tolerances, degenerate_model_report, run_suite
+from lagkit.verifier import (
+    CHECKS,
+    PropertyReport,
+    Tolerances,
+    degenerate_model_report,
+    run_suite,
+)
 from tests.conftest import mesh
 
 
@@ -281,3 +288,25 @@ def test_two_curvature_constants_with_curvatures_of_both_signs():
     assert by_name["two_curvature_constants"].status == "pass"
     assert by_name["two_curvature_constants"].note == "multiplicity m=2"
     assert report.passed and not report.errors
+
+
+@pytest.mark.parametrize("lam, rho_sq_max, status", [
+    (0.5, 1.0 - 1e-6, "pass"),
+    (0.5, 1.0 + 2 * Tolerances().classification, "fail"),
+    (Tolerances().classification, 1.0 - 1e-6, "skip"),
+], ids=["below", "above", "vacuous"])
+def test_rho_square_bound_row(lam, rho_sq_max, status):
+    # Every golden has lambda ~ 0, where the bound rho^2 < 1/(2 lambda) is
+    # vacuous: drive the row on a synthetic analysis with lambda = 1/2, whose
+    # bound is rho^2 < 1.
+    row = next(check for check in CHECKS if check.name == "rho_square_bound")
+    a = SimpleNamespace(lift=SimpleNamespace(rho=np.sqrt([0.25, rho_sq_max, 0.5])))
+    cls = SimpleNamespace(is_isotropic=True, lambda_estimate=lam)
+    report = PropertyReport(chart={}, grid={}, orientation="")
+    report.run(row, a, cls, Tolerances())
+    (record,) = report.checks
+    assert record.status == status
+    if status == "skip":
+        assert record.note == "vacuous (lambda ~ 0)"
+    else:
+        assert record.residual == pytest.approx(max(rho_sq_max - 1.0, 0.0), abs=1e-15)
