@@ -11,20 +11,21 @@ signs follow the resulting orientation.
 
 ``forms_arrays`` factors I = dx dx^T = L L^T once per point in plain
 batched numpy (loops over the n columns) and returns the factor with
-the forms; ``radius_traces`` and ``principal_arrays`` reuse it.  III =
-B^T B with B = L^-1 II, L^-1 by forward substitution.  The lift needs
-the radii only through r and rho, which ``radius_traces`` takes from
-traces of S = L3^-1 II L3^-T (III = L3 L3^T); the same factors certify
-most points regular, so ``eigh`` of L^-1 II L^-T runs only where a
-frame or single curvature is read.  As lambda_min / lambda_max >= det(I) / tr(I)^n = prod L_jj^2 / tr(I)^n, a point above
-``SCREEN`` (1e-8) has sigma_min / sigma_max > 1e-4 and passes the rank
-test sigma_min <= 1e-10 sigma_max; only the other points take the SVD.
+the forms; ``principal_arrays`` reuses it.  III = B^T B with B = L^-1
+II, L^-1 by forward substitution.  ``radius_traces`` takes r and rho
+from traces of S = L3^-1 II L3^-T (III = L3 L3^T), independently of
+``eigh``.  As lambda_min / lambda_max >= det(I) / tr(I)^n = prod L_jj^2
+/ tr(I)^n, a point above ``SCREEN`` (1e-8) has sigma_min / sigma_max >
+1e-4 and passes the rank test sigma_min <= 1e-10 sigma_max; only the
+other points take the SVD.
 Those that fail it, and those whose factor meets a NaN or non-positive
 pivot, are masked; Cholesky is backward stable on every matrix it
 completes, so the factor serves every other point.  ``regularity``
-gives each point one reason from ``IRREGULAR``, the last of them an
-invariant metric rho^2 III that is not positive definite; the lift
-raises it, the suite reports it.
+runs ``eigh`` of L^-1 II L^-T once on every other point, which gives
+the principal frame and, through ``irregular_masks``, each point one
+reason from ``IRREGULAR``, the last of them an invariant metric rho^2
+III that is not positive definite; the lift raises it, the suite
+reports it.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ __all__ = [
 # points (all curvatures equal) and vanishing principal curvatures.
 UMBILIC_TOL = 1e-7
 CURVATURE_FLOOR = 1e-7
-
-# Factor by which the trace bounds of ``radius_traces`` must beat both
-# thresholds before a point skips the principal decomposition.
-REGULAR_MARGIN = 10.0
 
 # Lower bound on det(I) / tr(I)^n above which a point skips the SVD rank test.
 SCREEN = 1e-8
@@ -223,74 +220,54 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     return I, II, III, deficient, L
 
 
-def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray, factor=None):
-    """(r, rho, cleared): mean radius, rho and the regularity screen, from traces.
-
-    ``factor`` is the lower factor of I from ``forms_arrays``; without
-    it I is factored here.
+def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
+    """(r, rho): mean radius and rho = |r - r_i|, from traces.
 
     The radii r_i are the eigenvalues of R = III^-1 II and so of the
     symmetric S = L3^-1 II L3^-T with III = L3 L3^T.  Then r = tr S / n
     and rho = |S - r Id|_F; centring before squaring keeps the relative
     error of rho near eps |r| / rho.  As III has the k_i^2 as eigenvalues,
     both also err by about eps kappa^2 with kappa = max |k_i| / min |k_i|
-    (``eigh`` errs by eps kappa).  With Rbar = sqrt(n r^2 + rho^2) >=
-    max |r_i| and |prod r_i| = sqrt(det I / det III),
-
-        min |k_i| / max |k_i| >= |prod r_i| / Rbar^n,
-        (k_0 - k_(n-1)) / max |k_i| >= (rho / sqrt n) |prod r_i| / Rbar^(n+1),
-
-    and ``cleared`` marks the points where both bounds beat
-    ``CURVATURE_FLOOR`` and ``UMBILIC_TOL`` by ``REGULAR_MARGIN``: no
-    such point is flagged by ``irregular_masks``.  A point with a NaN or
-    non-positive pivot of III is never cleared and has NaN r and rho.
+    (``eigh`` errs by eps kappa).  The route is independent of ``eigh``,
+    so the checks that read b = (r - r_i) / rho compare the two.  A point
+    with a NaN or non-positive pivot of III has NaN r and rho.
     """
     n = I.shape[-1]
-    L3 = _cholesky(III)
-    W3 = _lower_inverse(L3)
+    W3 = _lower_inverse(_cholesky(III))
     with np.errstate(invalid="ignore", over="ignore"):
         S = W3 @ II @ _transpose(W3)
     r = np.trace(S, axis1=-2, axis2=-1) / n
     D = S - r[:, None, None] * np.eye(n)
     rho = np.sqrt(np.sum(D * D, axis=(-2, -1)))
-    rbar = np.sqrt(n * r * r + rho * rho)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # |prod r_i| / Rbar^n, one column at a time so nothing overflows
-        ratio = np.prod(
-            np.diagonal(_cholesky(I) if factor is None else factor, axis1=-2, axis2=-1)
-            / (np.diagonal(L3, axis1=-2, axis2=-1) * rbar[:, None]),
-            axis=-1,
-        )
-        cleared = (ratio > REGULAR_MARGIN * CURVATURE_FLOOR) & (
-            rho / (np.sqrt(n) * rbar) * ratio > REGULAR_MARGIN * UMBILIC_TOL
-        )
-    return r, rho, cleared
+    return r, rho
 
 
 def regularity(I: np.ndarray, II: np.ndarray, III: np.ndarray, deficient: np.ndarray,
                factor: np.ndarray):
-    """(r, rho, reason): r and rho from ``radius_traces``, and one reason per point.
+    """(r, rho, k, e, reason): r and rho from ``radius_traces``, the
+    principal frame and one reason per point.
 
-    The arguments are those ``forms_arrays`` returns.  ``reason`` is ""
-    at a regular point, else the first entry of ``IRREGULAR`` that holds
-    there.  ``irregular_masks`` runs only on the points that are neither
-    cleared by the traces nor ``deficient``; the invariant metric rho^2
-    III counts as positive definite where its diagonal is positive and r
-    and rho are finite.
+    The arguments are those ``forms_arrays`` returns.  ``principal_arrays``
+    runs once on every point that is not ``deficient``; k and e are NaN
+    on the others.  ``reason`` is "" at a regular point, else the first
+    entry of ``IRREGULAR`` that holds there, ``irregular_masks`` deciding
+    the second and third; the invariant metric rho^2 III counts as
+    positive definite where its diagonal is positive and r and rho are
+    finite.
     """
-    r, rho, cleared = radius_traces(I, II, III, factor)
+    r, rho = radius_traces(I, II, III)
+    k, e = np.full(I.shape[:2], np.nan), np.full(I.shape, np.nan)
+    rest = ~deficient
+    k[rest], e[rest] = principal_arrays(I[rest], II[rest], factor[rest])
+    umbilic, vanishing = irregular_masks(k)
     reason = np.where(deficient, IRREGULAR[0], "").astype(object)
-    rest = np.flatnonzero(~(cleared | deficient))
-    if rest.size:
-        k = principal_arrays(I[rest], II[rest], factor[rest])[0]
-        umbilic, vanishing = irregular_masks(k)
-        reason[rest[vanishing]] = IRREGULAR[2]
-        reason[rest[umbilic]] = IRREGULAR[1]
+    reason[vanishing] = IRREGULAR[2]
+    reason[umbilic] = IRREGULAR[1]
     with np.errstate(invalid="ignore", over="ignore"):
         g_diagonal = rho[:, None] ** 2 * np.diagonal(III, axis1=-2, axis2=-1)
     positive = np.all(g_diagonal > 0.0, axis=-1) & np.isfinite(r) & np.isfinite(rho)
     reason[(reason == "") & ~positive] = IRREGULAR[3]
-    return r, rho, reason
+    return r, rho, k, e, reason
 
 
 def _fix_direction_signs(dirs: np.ndarray) -> np.ndarray:

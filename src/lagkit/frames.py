@@ -8,15 +8,15 @@ of the signature-(n+2,2) space is
     eta = ((1+|x|^2)/2, (1-|x|^2)/2, x, 0) + r * (x.xi, -x.xi, xi, 1),
 
 with invariant metric g = rho^2 * III in chart coordinates.  r and rho
-come from traces (``radius_traces``), so the lift of a batch needs no
-eigendecomposition; the principal frame (k, e, r_i, b) is computed on
-first read, from the factor of I that ``forms_arrays`` made, which
-``invariants`` does on the regular rows only.  ``lift_batch`` decides the
-regularity of every point once, from the values of a jet, and gives each
-point its reason; ``invariants.analyze``, its one caller, keeps the
-regular rows.  The frame tangent vectors E_i(Y) use the orthonormal
-realisation E_i = rho^-1 r_i e_i; on charts parametrized by curvature
-lines this is the diagonal frame E_i = g_ii^(-1/2) d/du_i.
+come from traces (``radius_traces``); the principal frame k, e comes
+from the one ``eigh`` per point that decides its regularity
+(``regularity``), and r_i and b from k on first read.  ``lift_batch``
+decides the regularity of every point once, from the values of a jet,
+and gives each point its reason; ``invariants.analyze``, its one
+caller, keeps the regular rows.  The frame tangent vectors E_i(Y) use
+the orthonormal realisation E_i = rho^-1 r_i e_i; on charts
+parametrized by curvature lines this is the diagonal frame E_i =
+g_ii^(-1/2) d/du_i.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import Chart, forms_arrays, principal_arrays, regularity
+from .charts import Chart, forms_arrays, regularity
 from .spaces import SignatureSpace, laguerre_space
 
 __all__ = [
@@ -43,42 +43,26 @@ class LiftBatch:
 
     ``reason`` is "" at a regular point, else the first reason of
     ``IRREGULAR`` that holds there; ``lift[rows]`` keeps the given rows.
-    The principal frame ``k``, ``e``, ``r_i`` and ``b`` is computed from
-    I, II and the factor of I on first read.
+    ``k`` and ``e`` are NaN on rank-deficient rows.
     """
 
     space: SignatureSpace
     u: np.ndarray        # (m, n)
     x: np.ndarray        # (m, n+1)
-    xi: np.ndarray       # (m, n+1)
     r: np.ndarray        # (m,)
     rho: np.ndarray      # (m,)
     Y: np.ndarray        # (m, n+4)
     eta: np.ndarray      # (m, n+4)
-    I: np.ndarray        # (m, n, n)
     II: np.ndarray       # (m, n, n)
     III: np.ndarray      # (m, n, n)
     g: np.ndarray        # (m, n, n)
-    factor: np.ndarray   # (m, n, n): I = factor factor^T, factor lower
+    k: np.ndarray        # (m, n): principal curvatures, descending
+    e: np.ndarray        # (m, n, n): unit principal directions (rows)
     reason: np.ndarray   # (m,)
 
     def __getitem__(self, rows) -> "LiftBatch":
         return replace(self, **{f.name: getattr(self, f.name)[rows]
                                 for f in fields(self) if f.name != "space"})
-
-    @cached_property
-    def _principal(self):
-        return principal_arrays(self.I, self.II, self.factor)
-
-    @property
-    def k(self) -> np.ndarray:
-        """(m, n) principal curvatures, descending."""
-        return self._principal[0]
-
-    @property
-    def e(self) -> np.ndarray:
-        """(m, n, n) unit principal directions (rows)."""
-        return self._principal[1]
 
     @cached_property
     def r_i(self) -> np.ndarray:
@@ -104,7 +88,7 @@ def lift_batch(chart: Chart, U: np.ndarray, jets) -> LiftBatch:
     as values."""
     x, dx, ddx, xi = jets
     I, II, III, deficient, L = forms_arrays(dx, ddx, xi)
-    r, rho, reason = regularity(I, II, III, deficient, L)
+    r, rho, k, e, reason = regularity(I, II, III, deficient, L)
     y = lift_vector(x, xi)
     sq = np.sum(x * x, axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):   # at irregular points
@@ -112,8 +96,8 @@ def lift_batch(chart: Chart, U: np.ndarray, jets) -> LiftBatch:
         eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x,
                               np.zeros((len(x), 1))], axis=1) + r[:, None] * y
         g = rho[:, None, None] ** 2 * III
-    return LiftBatch(space=laguerre_space(chart.n), u=U, x=x, xi=xi, r=r, rho=rho, Y=Y,
-                     eta=eta, I=I, II=II, III=III, g=g, factor=L, reason=reason)
+    return LiftBatch(space=laguerre_space(chart.n), u=U, x=x, r=r, rho=rho, Y=Y, eta=eta,
+                     II=II, III=III, g=g, k=k, e=e, reason=reason)
 
 
 def frame_coefficients(lift: LiftBatch) -> np.ndarray:

@@ -401,28 +401,35 @@ def test_failed_factor_is_a_rank_deficient_point():
     # sigma ratios of 1e-9 pass the SVD test, yet I = dx dx^T has cond
     # 1e18 and its factor meets NaN pivots on about half the points: those
     # are masked, with no warning, and ``regularity`` gives them a reason
-    # instead of raising.
+    # instead of raising.  The lift of the whole batch holds NaN k and e
+    # on those points, again with no warning.
     rng = np.random.default_rng(470)
     dx = jacobians(rng, 3, np.full(200, 1e-9))
     ddx = rng.standard_normal((200, 3, 3, 4))
     xi = rng.standard_normal((200, 4))
+    xi = xi / np.linalg.norm(xi, axis=-1)[:, None]
+    chart = Chart(n=3, domain=((-1.0, 1.0),) * 3, evaluator=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        forms = forms_arrays(dx, ddx, xi / np.linalg.norm(xi, axis=-1)[:, None])
-        reason = regularity(*forms)[2]
+        forms = forms_arrays(dx, ddx, xi)
+        reason = regularity(*forms)[4]
+        batch = lift_batch(chart, np.zeros((200, 3)), (rng.standard_normal((200, 4)), dx, ddx, xi))
     I, II, III, deficient, _ = forms
     assert 0 < np.sum(deficient) < 200
     assert np.all(deficient == ~np.all(np.isfinite(III), axis=(-2, -1)))
     assert np.all(reason[deficient] == "rank-deficient Jacobian")
+    assert np.array_equal(batch.reason, reason)
+    assert np.all(np.isnan(batch.k[deficient])) and np.all(np.isnan(batch.e[deficient]))
+    assert np.all(np.isfinite(batch.k[~deficient])) and np.all(np.isfinite(batch.e[~deficient]))
 
 
-# The trace route: r and rho of the radii from S = L3^-1 II L3^-T, and the
-# regularity screen that lets a cloud point skip the principal decomposition.
+# The trace route: r and rho of the radii from S = L3^-1 II L3^-T, against
+# the principal decomposition.
 
 
 def assert_traces_match_eigh(I, II, III):
     """``radius_traces`` against r and rho of the ``eigh`` radii."""
-    r, rho, _ = radius_traces(I, II, III)
+    r, rho = radius_traces(I, II, III)
     k = principal_arrays(I, II)[0]
     r_i = 1.0 / k
     r_ref = np.mean(r_i, axis=-1)
@@ -461,23 +468,20 @@ def test_radius_traces_match_eigh_near_umbilic(spread):
     assert_traces_match_eigh(I, II, III)
 
 
-def test_regularity_screen_clears_no_flagged_point():
+def test_lift_reasons_match_irregular_masks():
     # Relative curvature spreads, and curvature ratios of either sign, from
     # 1e-9 to 1e-5 straddle UMBILIC_TOL and CURVATURE_FLOOR (both 1e-7).
     # The lift gives a point a reason exactly where irregular_masks flags it.
     U = mesh(2, 1e-5, 3)
-    cleared_total = flagged_total = 0
+    flagged_total = 0
     for t in np.logspace(-9, -5, 17):
         for a2 in (0.7 * (1.0 + t), 0.7 * t, -0.7 * t):
             chart = quadric(0.7, a2)
-            I, II, III = forms(chart, U)
-            _, _, cleared = radius_traces(I, II, III)
+            I, II, _ = forms(chart, U)
             umbilic, vanishing = irregular_masks(principal_arrays(I, II)[0])
-            assert not np.any(cleared & (umbilic | vanishing))
-            cleared_total += int(np.sum(cleared))
             flagged_total += int(np.sum(umbilic | vanishing))
             reason = lift(chart, U).reason
             assert np.array_equal(reason == IRREGULAR[1], umbilic)
             assert np.array_equal(reason == IRREGULAR[2], vanishing & ~umbilic)
             assert np.array_equal(reason != "", umbilic | vanishing)
-    assert cleared_total > 0 and flagged_total > 0
+    assert 0 < flagged_total < 17 * 3 * 9

@@ -174,9 +174,9 @@ def test_construct_names_an_irregular_point(monkeypatch, tmp_path, capsys):
     regularity = frames.regularity
 
     def one_umbilic(*forms):
-        r, rho, reason = regularity(*forms)
+        r, rho, k, e, reason = regularity(*forms)
         reason[4] = "umbilic point"
-        return r, rho, reason
+        return r, rho, k, e, reason
 
     monkeypatch.setattr(frames, "regularity", one_umbilic)
     out = tmp_path / "con.json"
