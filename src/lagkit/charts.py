@@ -220,7 +220,7 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     return I, II, III, deficient, L
 
 
-def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
+def radius_traces(II: np.ndarray, III: np.ndarray):
     """(r, rho): mean radius and rho = |r - r_i|, from traces.
 
     The radii r_i are the eigenvalues of R = III^-1 II and so of the
@@ -232,7 +232,7 @@ def radius_traces(I: np.ndarray, II: np.ndarray, III: np.ndarray):
     so the checks that read b = (r - r_i) / rho compare the two.  A point
     with a NaN or non-positive pivot of III has NaN r and rho.
     """
-    n = I.shape[-1]
+    n = II.shape[-1]
     W3 = _lower_inverse(_cholesky(III))
     with np.errstate(invalid="ignore", over="ignore"):
         S = W3 @ II @ _transpose(W3)
@@ -255,7 +255,7 @@ def regularity(I: np.ndarray, II: np.ndarray, III: np.ndarray, deficient: np.nda
     positive definite where its diagonal is positive and r and rho are
     finite.
     """
-    r, rho = radius_traces(I, II, III)
+    r, rho = radius_traces(II, III)
     k, e = np.full(I.shape[:2], np.nan), np.full(I.shape, np.nan)
     rest = ~deficient
     k[rest], e[rest] = principal_arrays(I[rest], II[rest], factor[rest])

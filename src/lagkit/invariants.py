@@ -103,7 +103,7 @@ def _taylor_fields(jet):
     # Laid out once with the batch axis innermost in memory, which every
     # field then keeps, so that each product step is one loop over the
     # points; the lift has read x and xi0 in the chart jet's C order.
-    x, xi0 = taylor.Taylor(taylor.batch_inner(x.c, 1), n, x.d), taylor.batch_inner(xi0)
+    x, xi0 = taylor.Taylor(taylor.batch_inner(x.c, 1), n, x.d, x.zero), taylor.batch_inner(xi0)
     dx = x.truncate(k + 1).grad()
     I = taylor.einsum("mia,mja->mij", dx, dx)
     I_inv = taylor.inv(I)

@@ -34,6 +34,20 @@ that meet h_0 = 0.  ``partials`` reads the order-k partials off the
 coefficients as alpha! c_alpha, and ``grad(k)`` the k-th partials as a
 Taylor, by one gather scaled in place.
 
+``zero`` masks the degree blocks known to be exactly zero (bit k for
+block k; 0 knows nothing): ``variables`` flags the seeds' blocks >= 2,
+``_compose`` the constant block of h and ``inv`` that of P.  A product's
+table skips each step whose coefficient of a, and each block of b, is
+flagged, and fills with 0.0 the blocks no kept pair reaches, which form
+the product's mask.  A sum of Taylors, ``np.stack`` and
+``np.concatenate`` keep the blocks flagged in all operands, adding a
+value clears block 0, ``truncate`` and ``grad(k)`` cut and shift the
+mask, and views, copies, negation, ``@``, products with a value and
+``np.sum`` keep it.  Code that writes into ``c`` in place must set the
+mask to match.  Each skipped pair has an exact zero factor and the kept
+ones sum in the same order, so a coefficient can differ only when it is
+zero, and then only in its sign.
+
 The logical shape of ``c`` is fixed; its memory layout is not.  With the
 batch axis innermost in memory (``batch_inner``), each step of a product
 runs one vectorised loop over the points, where a C-ordered ``c`` runs
@@ -49,9 +63,10 @@ same way.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import comb, factorial
+from operator import and_
 
 import numpy as np
 
@@ -74,15 +89,21 @@ def _index(n: int, d: int, exps: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_table(n: int, da: int, db: int):
+def _product_table(n: int, da: int, db: int, za: int = 0, zb: int = 0):
     """The product of a degree-da and a degree-db Taylor, to degree d =
-    max(da, db), as steps (i, j, runs) in ascending i: coefficient i of a
-    times b.c[j], a run of whole degree blocks of b that spans no more
-    than the output's top degree block.  The targets of a step rise with
-    j (a monomial order is kept by multiplication) and are cut into runs
-    (s, t, opens) of consecutive targets, s and t slices.  A product
-    monomial is opened at the first step that reaches it, so each one
-    sums its pairs c_I c_J in ascending I."""
+    max(da, db), whose degree blocks flagged in the masks za and zb are
+    zero, as (steps, fill, zero).  steps (i, j, runs), in ascending i:
+    coefficient i of a, outside a's zero blocks, times b.c[j], a run of
+    whole nonzero degree blocks of b that spans no more than the output's
+    top degree block.  The targets of a step rise with j (a monomial
+    order is kept by multiplication) and are cut into runs (s, t, opens)
+    of consecutive targets, s and t slices.  A product monomial is opened
+    at the first step that reaches it, so each one sums its pairs c_I c_J
+    in ascending I.  Whether a pair is kept depends on its degrees alone,
+    so the targets no pair opens are whole blocks: fill holds their
+    slices, to be written 0.0, and zero their mask.  A table with no step
+    would leave nothing to lay the output out by; there the masks are
+    dropped."""
     d = max(da, db)
     exps = _basis(n, d)
     deg = exps.sum(1)
@@ -91,11 +112,16 @@ def _product_table(n: int, da: int, db: int):
     opened = np.zeros(len(exps), dtype=bool)
     steps = []
     for i in range(comb(n + da, da)):
+        if za >> deg[i] & 1:
+            continue
         top = min(db, d - deg[i]) + 1          # b's degree blocks 0 .. top - 1
         lo = 0
         while lo < top:
+            if zb >> lo & 1:
+                lo += 1
+                continue
             hi = lo + 1
-            while hi < top and start[hi + 1] - start[lo] <= limit:
+            while hi < top and not zb >> hi & 1 and start[hi + 1] - start[lo] <= limit:
                 hi += 1
             j = slice(start[lo], start[hi])
             t = _index(n, d, exps[i] + exps[j])
@@ -105,7 +131,10 @@ def _product_table(n: int, da: int, db: int):
             steps.append((i, j, [(slice(a, b), slice(t[a], t[b - 1] + 1), bool(new[a]))
                                  for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(t)])]))
             lo = hi
-    return steps
+    if not steps:
+        return _product_table(n, da, db)
+    empty = [k for k in range(d + 1) if not opened[start[k]]]
+    return steps, [slice(start[k], start[k + 1]) for k in empty], sum(1 << k for k in empty)
 
 
 @lru_cache(maxsize=None)
@@ -136,19 +165,21 @@ def _grad_table(n: int, d: int, k: int = 1):
 
 class Taylor:
     """Polynomials of total degree ``d`` in ``n`` variables, coefficients
-    on the first axis of ``c`` and the batch of values on the rest."""
+    on the first axis of ``c`` and the batch of values on the rest;
+    ``zero`` flags the degree blocks known to be zero."""
 
-    __slots__ = ("c", "n", "d")
+    __slots__ = ("c", "n", "d", "zero")
 
-    def __init__(self, c: np.ndarray, n: int, d: int):
-        self.c, self.n, self.d = c, n, d
+    def __init__(self, c: np.ndarray, n: int, d: int, zero: int = 0):
+        self.c, self.n, self.d, self.zero = c, n, d, zero
 
     value = property(lambda self: self.c[0])
     shape = property(lambda self: self.c.shape[1:])
     ndim = property(lambda self: self.c.ndim - 1)
 
-    def _new(self, c) -> "Taylor":
-        return Taylor(c, self.n, self.d)
+    def _new(self, c, keep: int = -1) -> "Taylor":
+        """A Taylor of coefficients c whose zero blocks are self's in ``keep``."""
+        return Taylor(c, self.n, self.d, self.zero & keep)
 
     def _aligned(self, ndim: int) -> np.ndarray:
         return self.c.reshape(self.c.shape[:1] + (1,) * (ndim - self.ndim) + self.shape)
@@ -173,7 +204,7 @@ class Taylor:
 
     def truncate(self, d: int) -> "Taylor":
         """The terms of degree <= d, a view of ``c``."""
-        return Taylor(self.c[:comb(self.n + d, d)], self.n, d)
+        return Taylor(self.c[:comb(self.n + d, d)], self.n, d, self.zero & ((2 << d) - 1))
 
     def copy(self) -> "Taylor":
         """A copy in the same memory layout: a truncation that outlives its
@@ -188,7 +219,7 @@ class Taylor:
         c = self.c[source]
         for factor in factors:
             c *= factor.reshape(factor.shape + (1,) * self.ndim)
-        return Taylor(np.moveaxis(c, k + 1, 1), self.n, self.d - k)
+        return Taylor(np.moveaxis(c, k + 1, 1), self.n, self.d - k, self.zero >> k)
 
     def partials(self) -> list:
         """[f, df, ddf, ...] at the expansion points, order k of shape
@@ -211,11 +242,11 @@ class Taylor:
     def __add__(self, other) -> "Taylor":
         a, b = self._shaped(other)
         if isinstance(other, Taylor):
-            return self._new(a + b)
+            return self._new(a + b, other.zero)
         # a + 0.0, not a copy: a sum turns -0.0 into 0.0, and so must this
         c = np.add(a, 0.0, out=np.empty_like(a, shape=np.broadcast_shapes(a.shape, b.shape)))
         c[0] += b
-        return self._new(c)
+        return self._new(c, ~1)
 
     def __mul__(self, other) -> "Taylor":
         a, b = self._shaped(other)
@@ -230,7 +261,7 @@ class Taylor:
     def __sub__(self, other) -> "Taylor":   # a - b: a + (-b) in IEEE, less one copy
         if isinstance(other, Taylor):
             a, b = self._shaped(other)
-            return self._new(a - b)
+            return self._new(a - b, other.zero)
         return self + (-other)
 
     def __rsub__(self, other) -> "Taylor":
@@ -255,6 +286,7 @@ class Taylor:
         """f(self) from coeffs[k] = f^(k)(a_0) / k!, k = 0..d, by Horner's
         rule; h has no constant term, so step k is read to degree d - k + 1."""
         h = self - self.value
+        h.zero |= 1
         out = h.truncate(1) * coeffs[self.d]
         for k in range(self.d - 1, 0, -1):
             out = (out + coeffs[k]) * h.truncate(self.d - k + 1)
@@ -298,8 +330,10 @@ class Taylor:
         if not isinstance(axis, int) or func not in (np.sum, np.stack, np.concatenate):
             return NotImplemented
         axis = axis + 1 if axis >= 0 else axis
-        parts = args[0].c if func is np.sum else [p.c for p in args[0]]
-        return self._new(func(parts, axis=axis))
+        if func is np.sum:
+            return self._new(func(args[0].c, axis=axis))
+        return self._new(func([p.c for p in args[0]], axis=axis),
+                         reduce(and_, (p.zero for p in args[0])))
 
 
 def variables(U: np.ndarray, d: int) -> Taylor:
@@ -311,7 +345,7 @@ def variables(U: np.ndarray, d: int) -> Taylor:
     c = np.zeros((comb(n + d, d), m, n))
     c[0] = U
     c[1 + np.arange(n), :, np.arange(n)] = 1.0
-    return Taylor(c, n, d)
+    return Taylor(c, n, d, (2 << d) - 4)
 
 
 def _product(op, a, b, subtract_from=None) -> Taylor:
@@ -329,7 +363,8 @@ def _product(op, a, b, subtract_from=None) -> Taylor:
     d = max(a.d, b.d)
     out = None if subtract_from is None else subtract_from.c
     ac, bc = a.c, b.c
-    for i, j, runs in _product_table(a.n, a.d, b.d):
+    steps, fill, zero = _product_table(a.n, a.d, b.d, a.zero, b.zero)
+    for i, j, runs in steps:
         part = op(ac[i:i + 1], bc[j])
         if out is None:             # part's axes, outermost first in memory
             axes = [0] + sorted(range(1, part.ndim), key=lambda k: -part.strides[k])
@@ -344,7 +379,12 @@ def _product(op, a, b, subtract_from=None) -> Taylor:
             else:
                 np.add(target, part[s], out=target)
         del part                    # before the next step's buffer
-    return Taylor(out, a.n, d)
+    if subtract_from is not None:
+        subtract_from.zero &= zero
+        return subtract_from
+    for t in fill:
+        out[t] = 0.0
+    return Taylor(out, a.n, d, zero)
 
 
 def einsum(spec: str, a, b, subtract_from=None) -> Taylor:
@@ -376,10 +416,12 @@ def inv(A: Taylor) -> Taylor:
     A0inv = batch_inner(np.linalg.inv(A.value))
     P = einsum("mij,mjk->mik", A, A0inv)     # P = -N A_0^-1, formed in place
     P.c[0] = 0.0
+    P.zero |= 1
     np.negative(P.c, out=P.c)
     eye = np.eye(A.shape[-1])
     S = batch_inner(np.broadcast_to(eye, A.shape))
     for j in range(1, A.d + 1):       # P has no constant term: S_j to degree j
         S = einsum("mij,mjk->mik", P.truncate(j), S)
         S.c[0] += eye
+        S.zero &= ~1
     return einsum("mij,mjk->mik", A0inv, S)

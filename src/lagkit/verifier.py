@@ -487,7 +487,7 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
         tol.model_constraints,
     )
     # rho^2 at each point from the radii of III^-1 II; its spread must vanish.
-    _, rho = radius_traces(I, II, II @ np.linalg.solve(I, II))
+    _, rho = radius_traces(II, II @ np.linalg.solve(I, II))
     r_i = 1.0 / coeffs
     r = float(np.mean(r_i))
     rho2 = float(np.sum((r - r_i) ** 2))

@@ -429,7 +429,7 @@ def test_failed_factor_is_a_rank_deficient_point():
 
 def assert_traces_match_eigh(I, II, III):
     """``radius_traces`` against r and rho of the ``eigh`` radii."""
-    r, rho = radius_traces(I, II, III)
+    r, rho = radius_traces(II, III)
     k = principal_arrays(I, II)[0]
     r_i = 1.0 / k
     r_ref = np.mean(r_i, axis=-1)

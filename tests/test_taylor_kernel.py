@@ -22,7 +22,17 @@ import numpy as np
 import pytest
 
 from lagkit import taylor
+from lagkit.construction import (
+    ConstructionConstants,
+    b_from_curvatures,
+    build_immersion,
+    random_orthogonal,
+)
+from lagkit.families import HilfParams, degenerate_example, hilf_chart, tau_chart, torus_chart
+from lagkit.invariants import analyze
 from lagkit.taylor import Taylor, _basis, _index, _product_table
+from tests.conftest import mesh
+from tests.test_memory import CASES as MEMORY_CASES
 from tests.test_memory import NUMPY_BUFFERS
 
 CASES = [(n, d) for n in range(1, 6) for d in range(1, 6)]
@@ -71,28 +81,39 @@ def double_loop_pairs(n: int, da: int, db: int) -> dict:
     return pairs
 
 
-@pytest.mark.parametrize("n,d", CASES)
-def test_product_table_sums_in_double_loop_order(n, d):
-    # Each step multiplies coefficient i of a by whole degree blocks of b,
-    # no more than the output's top block, steps in ascending i, so each
-    # monomial sums its pairs in ascending I, the order of the double
-    # loop; a run opens its targets exactly when it holds their first
-    # pairs.  Factors of degree d and of any lower degree.
+def table_pairs(n: int, da: int, db: int, za: int = 0, zb: int = 0):
+    """({target: [(i, j), ...]}, filled targets, zero mask) of the masked
+    product table, asserting that each step multiplies coefficient i of a
+    by whole degree blocks of b, no more than the output's top block, and
+    that a run opens its targets exactly when it holds their first pairs."""
+    d = max(da, db)
     exps = _basis(n, d)
     deg, top = exps.sum(1), comb(n + d - 1, d)
     blocks = set(np.searchsorted(deg, np.arange(d + 2)).tolist())
+    steps, fill, zero = _product_table(n, da, db, za, zb)
+    seen = {}
+    for i, j, runs in steps:
+        assert {j.start, j.stop} <= blocks and j.stop - j.start <= top
+        for s, t, opens in runs:
+            js, ts = np.arange(len(exps))[j][s], np.arange(len(exps))[t]
+            assert len(js) == len(ts) > 0
+            assert np.array_equal(_index(n, d, exps[i] + exps[js]), ts)
+            for k, jk in zip(ts.tolist(), js.tolist()):
+                assert (k not in seen) == opens, (da, db, i, k)
+                seen.setdefault(k, []).append((i, jk))
+    filled = [k for t in fill for k in range(len(exps))[t]]
+    return seen, filled, zero
+
+
+@pytest.mark.parametrize("n,d", CASES)
+def test_product_table_sums_in_double_loop_order(n, d):
+    # Each monomial sums its pairs in ascending I, the order of the double
+    # loop.  Factors of degree d and of any lower degree, no block known
+    # zero: every target is opened by a pair, none is filled.
     for da, db in {(d, k) for k in range(d + 1)} | {(k, d) for k in range(d + 1)}:
-        seen = {}
-        for i, j, runs in _product_table(n, da, db):
-            assert {j.start, j.stop} <= blocks and j.stop - j.start <= top
-            for s, t, opens in runs:
-                js, ts = np.arange(len(exps))[j][s], np.arange(len(exps))[t]
-                assert len(js) == len(ts) > 0
-                assert np.array_equal(_index(n, d, exps[i] + exps[js]), ts)
-                for k, jk in zip(ts.tolist(), js.tolist()):
-                    assert (k not in seen) == opens, (da, db, i, k)
-                    seen.setdefault(k, []).append((i, jk))
+        seen, filled, zero = table_pairs(n, da, db)
         assert seen == double_loop_pairs(n, da, db), (da, db)
+        assert filled == [] and zero == 0
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -172,6 +193,54 @@ def test_view_path_equals_gathered_product(n, name, layout):
         assert got.d == max(da, db)
         assert got.c.tobytes() == gathered_product(op, a, b).tobytes(), (da, db)
         assert layout == "contiguous" or is_batch_inner(got.c), (da, db)
+
+
+def masked_operands(rng, n: int, da: int, db: int, shapes, layout):
+    """Taylors a, b of degrees da, db laid out by ``layout``, each with a
+    random zero mask whose blocks are zeroed in the data."""
+    out = []
+    for k, shape in zip((da, db), shapes):
+        c = LAYOUTS[layout](rng, (len(_basis(n, k)), 3) + shape)
+        zero = int(rng.integers(0, 2 << k))
+        deg = _basis(n, k).sum(1)
+        c[zero >> deg & 1 == 1] = 0.0
+        out.append(Taylor(c, n, k, zero))
+    return out
+
+
+@pytest.mark.parametrize("name,layout", [("multiply", "contiguous"), ("matmul", "batch-inner"),
+                                         ("mij,mji->m", "batch-inner")])
+@pytest.mark.parametrize("seed", range(12))
+def test_masked_product_equals_unmasked_where_nonzero(seed, name, layout):
+    # Random n <= 5, degrees <= 5 and zero masks: the masked table keeps
+    # exactly the double-loop pairs whose two blocks are not flagged, in
+    # their order; each target is opened by one run or filled with 0.0,
+    # once; the flagged output blocks are the filled ones.  So every
+    # coefficient the unmasked kernel gives nonzero keeps its bits, and
+    # the others are zero.
+    kernel, op, shapes = KERNELS[name]
+    rng = np.random.default_rng(9000 + seed)
+    for _ in range(6):
+        n, da, db = (int(v) for v in rng.integers(1, 6, 3))
+        da, db = da - int(rng.integers(0, 2)), db - int(rng.integers(0, 2))
+        a, b = masked_operands(rng, n, da, db, shapes(n), layout)
+        deg = _basis(n, max(da, db)).sum(1)
+        seen, filled, zero = table_pairs(n, da, db, a.zero, b.zero)
+        kept = {k: [(i, j) for i, j in pairs
+                    if not (a.zero >> deg[i] & 1 or b.zero >> deg[j] & 1)]
+                for k, pairs in double_loop_pairs(n, da, db).items()}
+        if not any(kept.values()):        # a table with no step drops the masks
+            kept = double_loop_pairs(n, da, db)
+        assert seen == {k: p for k, p in kept.items() if p}, (n, da, db, a.zero, b.zero)
+        assert sorted(filled) == sorted(k for k, p in kept.items() if not p)
+        assert zero == sum(1 << k for k in set(deg[filled].tolist()))
+        got = kernel(a, b)
+        want = gathered_product(op, a, b)
+        assert got.zero == zero
+        nonzero = want != 0.0
+        assert np.array_equal(got.c[nonzero], want[nonzero]), (n, da, db, a.zero, b.zero)
+        assert np.all(got.c[~nonzero] == 0.0)
+        assert np.all(got.c[zero >> deg & 1 == 1] == 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 5))
@@ -309,3 +378,120 @@ def test_batch_inner_operands_give_batch_inner_coefficients(n):
     A = a + 3.0 * np.eye(n)
     for t in (taylor.inv(A), a.grad(), a.grad(2), a.truncate(1).copy(), a * 2.0, a + 1.0, A):
         assert is_batch_inner(t.c), t.c.strides
+
+
+# Known-zero blocks: ``variables`` flags the seeds' blocks >= 2, _compose
+# the constant block of h, ``inv`` that of P; every operation passes the
+# mask on.  A flag on a block that is not zero would drop nonzero pairs.
+
+def seeded_inverse():
+    # A = 3 Id + U U^T of degree 3 from the seeds: P of ``inv`` has no
+    # constant block, and S_j has one again after S.c[0] += Id.
+    U = taylor.variables(np.random.default_rng(10).uniform(-0.5, 0.5, (7, 3)), 3)
+    return taylor.inv(U[..., :, None] * U[..., None, :] + 3.0 * np.eye(3))
+
+
+def constructed_case():
+    b = b_from_curvatures([1, 2, 3])
+    c = ConstructionConstants.simple(b, cmat=random_orthogonal(3, seed=1),
+                                     beta1=np.array([0.3, -0.1, 0.2]))
+    return build_immersion(c).chart, mesh(3, 0.3, 3) * b
+
+
+MASK_CASES = {
+    "hilf123": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)),
+    "hilf1-2phi": lambda: (hilf_chart(HilfParams(a=(1.0, -2.0), phi=0.3)), mesh(2, 0.3, 5) + 0.2),
+    "torus": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 9)),
+    "tau": lambda: (tau_chart(degenerate_example(HilfParams(a=(1.0, 2.0, 3.0)))),
+                    mesh(3, 0.3, 3) + 0.3),
+    "constructed": constructed_case,
+}
+
+
+def flagged_blocks(t: Taylor) -> np.ndarray:
+    """The coefficients of ``t`` in the degree blocks its mask flags zero."""
+    return t.c[t.zero >> _basis(t.n, t.d).sum(1) & 1 == 1]
+
+
+def test_masks_follow_each_operation():
+    # t has blocks 0 and 2 of degree 3 flagged (and zeroed), u blocks 0
+    # and 1: a scalar add clears block 0, a sum of Taylors keeps the
+    # blocks zero in both, truncate keeps those at or below its degree,
+    # grad(k) shifts the mask down by k, the seeds flag blocks >= 2, and
+    # views, copies and linear maps keep the mask.
+    rng = np.random.default_rng(11)
+    deg = _basis(2, 3).sum(1)
+    t, u = (Taylor(np.where((zero >> deg & 1 == 1)[:, None, None], 0.0,
+                            rng.standard_normal((10, 4, 3))), 2, 3, zero) for zero in (0b101, 0b011))
+    seeds = taylor.variables(rng.standard_normal((4, 2)), 3)
+    cases = {
+        "scalar add": (t + 1.0, 0b100), "add": (t + u, 0b001), "sub": (t - u, 0b001),
+        "rsub": (1.0 - t, 0b100), "neg": (-t, 0b101), "scale": (2.0 * t, 0b101),
+        "matmul": (t @ np.ones((3, 2)), 0b101), "view": (t[1:, ::2], 0b101),
+        "take": (t.take([2, 0]), 0b101), "copy": (t.copy(), 0b101),
+        "swapaxes": (t.swapaxes(-1, -2), 0b101), "truncate": (t.truncate(1), 0b01),
+        "grad": (t.grad(), 0b10), "grad2": (t.grad(2), 0b1), "sum": (np.sum(t, axis=-1), 0b101),
+        "stack": (np.stack([t, u], axis=0), 0b001), "concatenate": (np.concatenate([t, t], -1), 0b101),
+        "seeds": (seeds, 0b1100), "seeds grad": (seeds.grad(), 0b110),
+        "seeds square": (seeds * seeds, 0b1000),
+    }
+    for name, (got, zero) in cases.items():
+        assert got.zero == zero, name
+        assert np.all(flagged_blocks(got) == 0.0), name
+
+
+@pytest.mark.parametrize("case", list(MASK_CASES) + ["generic", "inverse"])
+def test_blocks_flagged_zero_are_zero(case, monkeypatch, request):
+    # Every operand and every output of every product, through analyze on
+    # each chart (``conftest``'s generic graph too) or ``inv`` of a matrix
+    # of seeds, holds exactly 0.0 in each block its mask flags; and some
+    # blocks are flagged.
+    product, flags = taylor._product, []
+
+    def checked(op, a, b, subtract_from=None):
+        out = product(op, a, b, subtract_from)
+        for t in (a, b, out):
+            if isinstance(t, Taylor):
+                assert np.all(flagged_blocks(t) == 0.0), (t.n, t.d, t.zero)
+                flags.append(t.zero)
+        return out
+
+    monkeypatch.setattr(taylor, "_product", checked)
+    if case == "inverse":
+        assert np.all(flagged_blocks(seeded_inverse()) == 0.0)
+    elif case == "generic":
+        analyze(request.getfixturevalue("generic_chart"), request.getfixturevalue("generic_points"))
+    else:
+        analyze(*MASK_CASES[case]())
+    assert any(flags)
+
+
+def product_counts(chart, grid) -> tuple:
+    """(steps, runs) of the product tables run by one ``analyze``."""
+    table, counts = taylor._product_table, [0, 0]
+
+    def counted(*args):
+        out = table(*args)
+        counts[0] += len(out[0])
+        counts[1] += sum(len(runs) for _, _, runs in out[0])
+        return out
+
+    taylor._product_table = counted
+    try:
+        analyze(chart, grid)
+    finally:
+        taylor._product_table = table
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("case,steps,runs", [
+    # 716 steps and 1,967 runs before blocks known zero were skipped.
+    ("hilf3-5", 489, 1115),
+    # 571 steps and 870 runs before.
+    ("torus-33", 465, 667),
+])
+def test_analyze_runs_bounded_product_steps(case, steps, runs):
+    # Machine-independent cost of the Taylor products of one analyze: the
+    # seeds' blocks >= 2, h's and P's constant blocks are skipped.
+    got = product_counts(*MEMORY_CASES[case]())
+    assert got[0] <= steps and got[1] <= runs, got
