@@ -27,6 +27,7 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -434,7 +435,10 @@ class _Parser(argparse.ArgumentParser):
         raise LagkitError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, so each ``main`` call reuses it."""
     parser = _Parser(
         prog="lagkit",
         description="Laguerre-geometry invariants of hypersurfaces: compute and verify.",

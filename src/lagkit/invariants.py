@@ -33,8 +33,10 @@ gets its ``reason`` and no fields.  The regular rows of x and xi are
 then laid out once with the batch axis innermost in memory
 (``taylor.batch_inner``), which every field keeps, so each product step
 is one loop over the points.  x alone is kept, at degree 5, until II:
-dx of degree 3 is taken from it for I, I^-1 and xi, and ddx of degree 3
-only then, when x is cut to a degree-3 copy.
+dx of degree 3 is taken from it for I, I^-1 and xi, and II = ddx . xi
+reads the degree-3 ddx one coefficient per product step
+(``taylor.Grad``), so ddx is never formed; x is then cut to a degree-3
+copy.
 Each field is a polynomial of the degree to which its partials are
 read: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g
 and log rho of degree 2, III, r and B of degree 1, each intermediate
@@ -93,7 +95,7 @@ def _b_tensor(r, rho, III, II):
 def _taylor_fields(jet):
     """Y of degree k, g and log rho of degree k-1, III, r and B of degree
     k-2, from ``jet`` = [x, xi0] (x of degree k+2, xi0 the unit normal),
-    which is emptied so that x is freed once dx and ddx are taken from
+    which is emptied so that x is freed once dx and II are taken from
     it.  xi is xi0 less its tangential part, normalised; III = II I^-1
     II; the radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
     rho^2 = tr (M - r Id)^2."""
@@ -112,10 +114,10 @@ def _taylor_fields(jet):
     del dx, tangential
     xi = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
     del v
-    # ddx only now; then x is kept to degree k alone.
-    ddx, x = x.grad(2), x.truncate(k).copy()
-    II = taylor.einsum("mija,ma->mij", ddx, xi)
-    del ddx
+    # II reads ddx one coefficient per product step, so ddx is never
+    # formed; then x is kept to degree k alone.
+    II = taylor.einsum("mija,ma->mij", taylor.Grad(x, 2), xi)
+    x = x.truncate(k).copy()
     M = taylor.einsum("mij,mjk->mik", taylor.inv(II), I)
     r = np.sum(M[:, np.arange(n), np.arange(n)], axis=-1) / n
     eye = taylor.batch_inner(np.broadcast_to(np.eye(n), M.shape))   # laid out as M

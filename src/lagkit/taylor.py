@@ -9,8 +9,9 @@ algebra of M. Berz, *Modern Map Methods in Particle Beam Physics*
 written for float points runs unchanged on the seeds of ``variables``.
 A product of two Taylors runs one step per coefficient i of a and run of
 degree blocks of b (a table built on first use per (n, da, db)):
-a.c[i:i+1] times that run of b.c, both views, into one buffer no larger
-than the output's top degree block.  The steps run in ascending i, so
+a.c[i:i+1] times that run of b.c, both views (or a's coefficient i
+gathered, for a ``Grad``), into one buffer no larger than the output's
+top degree block.  The steps run in ascending i, so
 each product monomial sums its pairs in ascending I, the order of the
 double loop over the monomials: its first pair is copied from a step's
 buffer, and each later one added in place.  The targets of a step rise
@@ -32,7 +33,13 @@ only, and step k of the Neumann series of ``inv`` to degree k: each
 coefficient sums the pairs of full degree, in their order, less those
 that meet h_0 = 0.  ``partials`` reads the order-k partials off the
 coefficients as alpha! c_alpha, and ``grad(k)`` the k-th partials as a
-Taylor, by one gather scaled in place.
+Taylor, by one gather scaled in place.  ``Grad(t, k)`` is those partials
+unformed, for the first operand of a product: each step gathers and
+scales its one coefficient i as ``grad(k)`` does all of them, so the
+product has the bits and layout it has with ``t.grad(k)`` and holds one
+coefficient of the partials, not all of them (the degree-3 second
+partials of x are 3.2 times the degree-5 x at n = 3, and 5.6 times at
+n = 5).
 
 ``zero`` masks the degree blocks known to be exactly zero (bit k for
 block k; 0 knows nothing): ``variables`` flags the seeds' blocks >= 2,
@@ -70,7 +77,7 @@ from operator import and_
 
 import numpy as np
 
-__all__ = ["Taylor", "variables", "einsum", "batch_inner", "inv"]
+__all__ = ["Taylor", "Grad", "variables", "einsum", "batch_inner", "inv"]
 
 
 @lru_cache(maxsize=None)
@@ -211,15 +218,15 @@ class Taylor:
         parent, copied, does not keep the parent's buffer alive."""
         return self._new(self.c.copy(order="K"))
 
+    def coefficients(self, rows: slice) -> np.ndarray:
+        """The coefficients ``rows``, a view; ``Grad`` answers the same call."""
+        return self.c[rows]
+
     def grad(self, k: int = 1) -> "Taylor":
         """The k-th partials, degree d-k, their k axes after the first batch
-        axis, the last grad's first: one gather, then each grad's scaling in
-        place, in turn, so the bits are those of k calls of ``grad()``."""
-        source, factors = _grad_table(self.n, self.d, k)
-        c = self.c[source]
-        for factor in factors:
-            c *= factor.reshape(factor.shape + (1,) * self.ndim)
-        return Taylor(np.moveaxis(c, k + 1, 1), self.n, self.d - k, self.zero >> k)
+        axis, the last grad's first (``Grad``, gathered whole)."""
+        partials = Grad(self, k)
+        return Taylor(partials.coefficients(slice(None)), self.n, partials.d, partials.zero)
 
     def partials(self) -> list:
         """[f, df, ddf, ...] at the expansion points, order k of shape
@@ -336,6 +343,32 @@ class Taylor:
                          reduce(and_, (p.zero for p in args[0])))
 
 
+class Grad:
+    """The k-th partials of the Taylor ``t``, of degree t.d - k, as the
+    first operand of a product, which reads them one coefficient per
+    step: ``einsum(spec, Grad(t, k), b)`` equals ``einsum(spec,
+    t.grad(k), b)`` in its bits and layout, and no array of the size of
+    ``t.grad(k)`` is made.  It holds ``t`` and nothing that refers back
+    to itself, so ``t`` is freed with its last other reference."""
+
+    __slots__ = ("t", "k", "n", "d", "zero")
+
+    def __init__(self, t: Taylor, k: int = 1):
+        self.t, self.k, self.n, self.d, self.zero = t, k, t.n, t.d - k, t.zero >> k
+
+    def coefficients(self, rows: slice) -> np.ndarray:
+        """The coefficients ``rows`` of ``t.grad(k)``: one gather of their
+        rows of ``_grad_table``, laid out in memory as ``t.c`` is, then each
+        grad's scaling in place, in turn, so the bits are those of k calls
+        of ``grad()``."""
+        source, factors = _grad_table(self.n, self.t.d, self.k)
+        c = self.t.c[source[rows]]
+        for factor in factors:
+            factor = factor[rows]
+            c *= factor.reshape(factor.shape + (1,) * self.t.ndim)
+        return np.moveaxis(c, self.k + 1, 1)
+
+
 def variables(U: np.ndarray, d: int) -> Taylor:
     """The coordinates u + h as Taylors of degree d >= 1 about the points U (m, n)."""
     if d < 1:
@@ -350,22 +383,23 @@ def variables(U: np.ndarray, d: int) -> Taylor:
 
 def _product(op, a, b, subtract_from=None) -> Taylor:
     """op(a, b) for a bilinear ``op`` of coefficient arrays, a or b or both
-    Taylor.  Two Taylors of unequal degree multiply to the higher one,
-    exact only where the other factor has no constant term.  The output
-    is laid out as ``op`` lays out the first step's buffer: its batch axis
-    is innermost in memory when the operands' is.  With ``subtract_from``,
-    a Taylor of the output's shape and degree, each pair is subtracted
-    from it in place, and it is returned."""
+    Taylor, or a a ``Grad`` and b a Taylor.  Two Taylors of unequal degree
+    multiply to the higher one, exact only where the other factor has no
+    constant term.  The output is laid out as ``op`` lays out the first
+    step's buffer: its batch axis is innermost in memory when the
+    operands' is.  With ``subtract_from``, a Taylor of the output's shape
+    and degree, each pair is subtracted from it in place, and it is
+    returned."""
     if not isinstance(b, Taylor):
         return a._new(op(a.c, np.asarray(b)[None]))
-    if not isinstance(a, Taylor):
+    if not isinstance(a, (Taylor, Grad)):
         return b._new(op(np.asarray(a)[None], b.c))
     d = max(a.d, b.d)
     out = None if subtract_from is None else subtract_from.c
-    ac, bc = a.c, b.c
+    bc = b.c
     steps, fill, zero = _product_table(a.n, a.d, b.d, a.zero, b.zero)
     for i, j, runs in steps:
-        part = op(ac[i:i + 1], bc[j])
+        part = op(a.coefficients(slice(i, i + 1)), bc[j])
         if out is None:             # part's axes, outermost first in memory
             axes = [0] + sorted(range(1, part.ndim), key=lambda k: -part.strides[k])
             out = np.empty((comb(a.n + d, d),) + tuple(part.shape[k] for k in axes[1:]))

@@ -10,7 +10,7 @@ import pytest
 
 import lagkit
 from lagkit import frames
-from lagkit.cli import main
+from lagkit.cli import build_parser, main
 from tests.conftest import count_rows
 
 
@@ -391,3 +391,23 @@ def test_commands_run_the_configuration_they_echo(base, setting, fragment, tmp_p
     assert status == 0 and payload["passed"]
     _, plain = report(base)
     assert [c["residual"] for c in payload["checks"]] != [c["residual"] for c in plain["checks"]]
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main parses with one parser per process; calls through it, a rejected
+    # flag among them, exit and write as calls through a fresh parser do.
+    verify = ["verify", "--surface", "hilf", "--a", "1,2,3", "--grid", "3",
+              "--half-width", "0.4", "--no-timestamp"]
+    calls = [verify, verify + ["--bogus"],
+             ["construct", "--b-from-a", "1,2,3", "--grid", "3", "--half-width", "0.5",
+              "--seed", "0", "--no-timestamp"],
+             verify]
+    reused = [(run(argv), capsys.readouterr()) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append((run(argv), capsys.readouterr()))
+    assert [status for status, _ in reused] == [0, 2, 0, 0]
+    assert reused == fresh
+    assert reused[0] == reused[3] and reused[0][1].out.startswith("{")
+    assert build_parser() is build_parser()

@@ -5,12 +5,14 @@ Each bound on ``analyze`` is the tracemalloc figure measured when the
 degree-5 jet was kept as x alone, the products stopped gathering their
 operands, Hess Y took Gamma Y_k pair by pair and ``_taylor_fields``
 freed x, xi and the degree-3 buffers of II, I^-1 and rho^2 once Y was
-formed (the peaks; the retained figures from before the fields were
-laid out batch-innermost, which retains about 9 KB more in small
-allocations on 125 and on 1089 points alike), plus 5%.  A product that
-gathers an operand it could read as a view, a truncation that keeps its
-parent's buffer alive, or a jet kept past its last read shows here
-first.  The product tables are built by a first call outside the trace.
+formed (the peaks, the n >= 3 ones once II read ddx one coefficient per
+step; the retained figures from before the fields were laid out
+batch-innermost, which retains about 9 KB more in small allocations on
+125 and on 1089 points alike), plus 5%.  A product that gathers an
+operand it could read as a view, a partials operand formed whole, a
+truncation that keeps its parent's buffer alive, or a jet kept past its
+last read shows here first.  The product tables are built by a first
+call outside the trace.
 """
 
 import gc
@@ -33,6 +35,8 @@ NUMPY_BUFFERS = 3 * np.getbufsize() * 8
 CASES = {
     "torus-33": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 33)),
     "hilf3-5": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)),
+    "hilf5-3": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0, 4.0, 5.0))),
+                        mesh(5, 0.3, 3, center=[0.3] * 5)),
 }
 
 
@@ -56,8 +60,11 @@ def traced_analyze(chart, grid):
     # degree-2 II, I^-1 and rho^2 copied (3.46 MB before Hess Y took
     # Gamma Y_k pair by pair), 1.29 MB retained.
     pytest.param("torus-33", 3.25 * 1.05, 1.29 * 1.05, id="torus-33"),
-    # 1.65 MB peak before (2.15 MB one change earlier), 0.356 MB retained.
-    pytest.param("hilf3-5", 1.62 * 1.05, 0.356 * 1.05, id="hilf3-5"),
+    # 1.36 MB peak since II reads ddx one coefficient per step (1.62 MB
+    # before, 1.65 and 2.15 MB earlier), 0.356 MB retained.
+    pytest.param("hilf3-5", 1.36 * 1.05, 0.356 * 1.05, id="hilf3-5"),
+    # 18.1 MB peak (27.8 MB with ddx formed whole), 2.54 MB retained.
+    pytest.param("hilf5-3", 18.1 * 1.05, 2.54 * 1.05, id="hilf5-3"),
 ])
 def test_analyze_memory_is_bounded(case, peak_mb, retained_mb):
     peak, retained = traced_analyze(*CASES[case]())
@@ -66,19 +73,22 @@ def test_analyze_memory_is_bounded(case, peak_mb, retained_mb):
 
 
 def product_transients(monkeypatch, call):
-    """[(extra, block)] for each ``taylor._product`` made by ``call()``:
-    the bytes it held at its peak beyond its inputs and its output (none,
-    for a product subtracted from a Taylor it was given), and the bytes
-    of the output's top degree block."""
+    """[(extra, block, read)] for each ``taylor._product`` made by
+    ``call()``: the bytes it held at its peak beyond its inputs and its
+    output (none, for a product subtracted from a Taylor it was given),
+    the bytes of the output's top degree block, and those of one
+    coefficient of a first operand it gathers (a ``taylor.Grad``; 0 for
+    a view)."""
     product, calls = taylor._product, []
 
     def traced(op, a, b, subtract_from=None):
+        read = a.coefficients(slice(0, 1)).nbytes if isinstance(a, taylor.Grad) else 0
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = product(op, a, b, subtract_from)
         made = 0 if subtract_from is not None else out.c.nbytes
         extra = tracemalloc.get_traced_memory()[1] - before - made
-        calls.append((extra, out.c.nbytes // len(out.c) * comb(out.n + out.d - 1, out.d)))
+        calls.append((extra, out.c.nbytes // len(out.c) * comb(out.n + out.d - 1, out.d), read))
         return out
 
     monkeypatch.setattr(taylor, "_product", traced)
@@ -92,13 +102,15 @@ def product_transients(monkeypatch, call):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_each_product_holds_its_output_and_one_degree_block(case, monkeypatch):
-    # Every product in analyze reads its operands as views: beyond what it
+    # Every product in analyze reads its operands as views, or gathers
+    # one coefficient of a partials operand at a time: beyond what it
     # returns it holds one buffer of at most one degree block of its
-    # output, and numpy's iterator buffers.  A gather of an operand's
-    # coefficients, as a rank-group kernel makes, is larger.
+    # output, that coefficient, and numpy's iterator buffers.  A gather of
+    # an operand's coefficients, as a rank-group kernel makes, is larger.
     chart, grid = CASES[case]()
     analyze(chart, grid)
     calls = product_transients(monkeypatch, lambda: analyze(chart, grid))
     assert len(calls) > 50
-    extra, block = max(calls, key=lambda c: c[0] - c[1])
-    assert extra <= block + NUMPY_BUFFERS, f"{extra} bytes beyond a {block}-byte block"
+    extra, block, read = max(calls, key=lambda c: c[0] - c[1] - c[2])
+    assert extra <= block + read + NUMPY_BUFFERS, \
+        f"{extra} bytes beyond a {block}-byte block and a {read}-byte read"

@@ -8,7 +8,10 @@ gathered, bit for bit, because both add each monomial's pairs in the
 same order, ascending I; and it must hold no more than its output and
 one degree block.  Operands whose batch axis is innermost in memory,
 as ``invariants`` lays out its Taylor fields, must give a product, an
-inverse, partials and copies laid out the same way.  Horner's rule and
+inverse, partials and copies laid out the same way.  A product whose
+first operand is the partials of x, read one coefficient per step
+(``taylor.Grad``), must equal the product of the formed partials in its
+bits and layout without holding them.  Horner's rule and
 the Neumann series of ``inv``, each step formed only to the degree that
 is read, must equal their full-degree loops bit for bit.
 """
@@ -33,7 +36,7 @@ from lagkit.invariants import analyze
 from lagkit.taylor import Taylor, _basis, _index, _product_table
 from tests.conftest import mesh
 from tests.test_memory import CASES as MEMORY_CASES
-from tests.test_memory import NUMPY_BUFFERS
+from tests.test_memory import NUMPY_BUFFERS, product_transients
 
 CASES = [(n, d) for n in range(1, 6) for d in range(1, 6)]
 # name: (kernel, op of one pair, batch shape, layout of the coefficients).
@@ -195,12 +198,12 @@ def test_view_path_equals_gathered_product(n, name, layout):
         assert layout == "contiguous" or is_batch_inner(got.c), (da, db)
 
 
-def masked_operands(rng, n: int, da: int, db: int, shapes, layout):
-    """Taylors a, b of degrees da, db laid out by ``layout``, each with a
-    random zero mask whose blocks are zeroed in the data."""
+def masked_operands(rng, n: int, da: int, db: int, shapes, layout, m: int = 3):
+    """Taylors a, b of degrees da, db over m points laid out by ``layout``,
+    each with a random zero mask whose blocks are zeroed in the data."""
     out = []
     for k, shape in zip((da, db), shapes):
-        c = LAYOUTS[layout](rng, (len(_basis(n, k)), 3) + shape)
+        c = LAYOUTS[layout](rng, (len(_basis(n, k)), m) + shape)
         zero = int(rng.integers(0, 2 << k))
         deg = _basis(n, k).sum(1)
         c[zero >> deg & 1 == 1] = 0.0
@@ -241,6 +244,38 @@ def test_masked_product_equals_unmasked_where_nonzero(seed, name, layout):
         assert np.array_equal(got.c[nonzero], want[nonzero]), (n, da, db, a.zero, b.zero)
         assert np.all(got.c[~nonzero] == 0.0)
         assert np.all(got.c[zero >> deg & 1 == 1] == 0.0)
+
+
+# Products whose first operand is the k-th partials of x, as II is formed
+# from x's second partials, and the shape of b at n.
+GRAD_SPECS = {1: {"mia,ma->mi": lambda n: (n + 1,), "mia,mja->mij": lambda n: (n, n + 1)},
+              2: {"mija,ma->mij": lambda n: (n + 1,)}}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "batch-inner"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_grad_operand_equals_formed_partials(n, k, layout, monkeypatch):
+    # A product that reads the k-th partials of x one coefficient per
+    # step, each gathered from x.c, gives the bits, the memory layout and
+    # the mask of the same product of x.grad(k), for random masks; beyond
+    # its output it holds one degree block and one gathered coefficient,
+    # never an array the size of x.grad(k).
+    rng = np.random.default_rng(700 * n + 10 * k + len(layout))
+    d, m = (5 if n <= 3 else 4), 600 // (n - 1)
+    for spec, shape in GRAD_SPECS[k].items():
+        for _ in range(3):
+            db = int(rng.integers(1, d - k + 1))
+            x, b = masked_operands(rng, n, d, db, ((n + 1,), shape(n)), layout, m)
+            want, got = taylor.einsum(spec, x.grad(k), b), []
+            with monkeypatch.context() as patch:
+                (extra, block, read), = product_transients(
+                    patch, lambda: got.append(taylor.einsum(spec, taylor.Grad(x, k), b)))
+            got, = got
+            assert got.c.tobytes() == want.c.tobytes(), (spec, x.zero, b.zero)
+            assert got.c.strides == want.c.strides and (got.d, got.zero) == (want.d, want.zero)
+            assert layout == "contiguous" or is_batch_inner(got.c)
+            assert extra <= block + read + NUMPY_BUFFERS < x.grad(k).c.nbytes, (spec, extra)
 
 
 @pytest.mark.parametrize("n", range(2, 5))
