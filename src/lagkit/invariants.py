@@ -1,12 +1,12 @@
 """Invariants of the light-cone lift, computed two independent ways.
 
-Closed forms (diagonal in the principal frame, with b_i = (r - r_i)/rho):
+Closed forms, with b_i = (r - r_i)/rho, f = log rho, and Hess and grad
+those of III on the III-orthonormal frame E'_i = rho E_i:
 
     B_ij = b_i delta_ij,
-    C_i  = -rho^-2 r_i { e_i(r) - (r - r_i) e_i(log rho) },
-    L    = two closed-form variants computed side by side (their
-           constant term and direction-weight factors disagree); the
-           structural computation below arbitrates between them.
+    C_i  = -rho^-2 r_i { e_i(r) - (r - r_i) e_i(f) },
+    L_ij = rho^-2 ( Hess f(E'_i, E'_j) - E'_i(f) E'_j(f)
+                    + (|grad f|^2 - 1) delta_ij / 2 ).
 
 Structural values are coordinate tensors, projected on the principal
 frame E_i = w_i^a d_a only at a point:
@@ -20,6 +20,17 @@ the invariant metric (divergence-of-gradient sign, which is the choice
 consistent with <Y,N> = -1):
 
     N = Delta_g Y / n + <Delta_g Y, Delta_g Y> Y / (2 n^2).
+
+The closed form of L is the structural one written out.  With Y = rho y,
+y = (x.xi, -x.xi, xi, 1): <y, y> = 0, <dy, dy> = III, and Hess_III y is
+normal to dy, P and (0, ..., 0, 1), with <y, Hess_III y> = -III.  So N,
+lightlike with <N, Y> = -1 and orthogonal to dY, P and eta, is
+
+    rho N = (|grad f|^2 - 1) y / 2 + (0, ..., 0, 1) + E'_k(f) dy(E'_k) - r P,
+
+rho <N, Hess_III y> = (1 - |grad f|^2) III / 2, and, as <N, dY> = 0 and
+g = rho^2 III, L_ij = -<N, Hess_g Y(E_i, E_j)> = rho^-2 (Hess f - df df
+- rho <N, Hess_III y>)(E'_i, E'_j).
 
 nabla B is that of B_ab = rho (r III_ab - II_ab), b_i delta_ij on the
 frame.  No eigenvector is differentiated, so repeated curvatures, whose
@@ -90,6 +101,13 @@ __all__ = [
 def _b_tensor(r, rho, III, II):
     """B_ab = rho (r III_ab - II_ab) (m, n, n), which is b_i delta_ij on the frame."""
     return rho[..., None, None] * (r[..., None, None] * III - II)
+
+
+def _l_closed(inv_rho2, hess, Ep_f, grad_sq):
+    """The closed form of L (module docstring) on the frame E'_i, f = log rho."""
+    eye = taylor.batch_inner(np.broadcast_to(np.eye(hess.shape[-1]), hess.shape))
+    outer = np.einsum("mi,mj->mij", Ep_f, Ep_f)
+    return inv_rho2[:, None, None] * (hess - outer + 0.5 * (grad_sq - 1.0)[:, None, None] * eye)
 
 
 def _taylor_fields(jet):
@@ -174,8 +192,7 @@ class Analysis:
     C_structural: np.ndarray   # (m, n)
     B_structural: np.ndarray   # (m, n, n)
     C_closed: np.ndarray       # (m, n)
-    L_closed_a: np.ndarray     # (m, n, n)
-    L_closed_b: np.ndarray     # (m, n, n)
+    L_closed: np.ndarray       # (m, n, n)
     cov_B: np.ndarray          # (m, i, j, k): B_ij,k = nabla B(E_i, E_j, E_k)
     laplace_iii_logrho: np.ndarray   # (m,)
     grad_iii_logrho_sq: np.ndarray   # (m,)
@@ -270,17 +287,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     grad_sq = np.einsum("mab,ma,mb->m", iii_inv, dlogrho, dlogrho)
     lap_iii = laplacian(iii_inv, gamma_iii, dlogrho, ddlogrho)
 
-    eye = taylor.batch_inner(np.broadcast_to(np.eye(chart.n), hess_frame.shape))
-    L_closed_a = inv_rho2[:, None, None] * (
-        hess_frame
-        - np.einsum("mi,mj->mij", Ep_logrho, Ep_logrho)
-        + 0.5 * (grad_sq - 1.0)[:, None, None] * eye
-    )
-    L_closed_b = inv_rho2[:, None, None] * (
-        hess_frame
-        - np.einsum("mi,mj->mij", e_logrho, e_logrho)
-        + 0.5 * grad_sq[:, None, None] * eye
-    )
+    L_closed = _l_closed(inv_rho2, hess_frame, Ep_logrho, grad_sq)
 
     # nabla_c B_ab = d_c B_ab - Gamma^k_ca B_kb - Gamma^k_cb B_ak, then B_ij,k
     gamma_b = np.einsum("mkca,mkb->mcab", gamma_g, _b_tensor(r, rho, III, II))
@@ -292,8 +299,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
         N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y,
         L_structural=L_structural, C_structural=C_structural,
         B_structural=B_structural,
-        C_closed=C_closed, L_closed_a=L_closed_a, L_closed_b=L_closed_b,
-        cov_B=cov_B,
+        C_closed=C_closed, L_closed=L_closed, cov_B=cov_B,
         laplace_iii_logrho=lap_iii, grad_iii_logrho_sq=grad_sq,
         metric=metric,
     )

@@ -52,7 +52,7 @@ class Tolerances:
     log_rho_identity: float = 1e-5
     classification: float = 1e-5
     prop_two_sign: float = 1e-6
-    l_variant: float = 1e-3
+    l_closed_form: float = 1e-3
     two_curvature: float = 1e-6
     tau_equivalence: float = 1e-12
     construction_roundtrip: float = 1e-9
@@ -97,7 +97,6 @@ class PropertyReport:
     orientation: str
     checks: list = field(default_factory=list)
     classification: Optional[dict] = None
-    l_variant: Optional[dict] = None
     warnings: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     # carried for callers that sample further; never serialized
@@ -140,7 +139,6 @@ class PropertyReport:
             "orientation": self.orientation,
             "checks": [c.to_dict() for c in self.checks],
             "classification": self.classification,
-            "l_variant": self.l_variant,
             "warnings": self.warnings,
             "errors": self.errors,
             "passed": self.passed,
@@ -205,25 +203,6 @@ def _two_curvature(lift: LiftBatch) -> dict:
         "constancy": spread,
         "multiplicity": m,
         "targets": [float(v) for v in targets(m)],
-    }
-
-
-def _l_variant(a: Analysis, tol: Tolerances) -> dict:
-    """Arbitration between the two closed forms of the tensor."""
-    L = a.L_structural
-    scale = max(1.0, float(np.max(np.abs(L))))
-    dev_a = float(np.max(np.abs(a.L_closed_a - L))) / scale
-    dev_b = float(np.max(np.abs(a.L_closed_b - L))) / scale
-    match_a = dev_a <= tol.l_variant
-    match_b = dev_b <= tol.l_variant
-    matched = "closed_a" if match_a and not match_b else (
-        "closed_b" if match_b and not match_a else ("both" if match_a else "none")
-    )
-    return {
-        "matched": matched,
-        "deviation_a": dev_a,
-        "deviation_b": dev_b,
-        "tolerance": tol.l_variant,
     }
 
 
@@ -303,14 +282,10 @@ def _isotropic_curvature_form(a, cls, tol):
     return np.max(np.abs(a.metric.riemann_frame - iso_form[None]))
 
 
-def _l_variant_unique(a, cls, tol):
-    record = _l_variant(a, tol)
-    dev_a, dev_b = record["deviation_a"], record["deviation_b"]
-    if record["matched"] in ("closed_a", "closed_b"):
-        residual = min(dev_a, dev_b)
-    else:
-        residual = max(dev_a, dev_b, tol.l_variant * 2)
-    return residual, f"matched variant: {record['matched']}"
+def _l_closed_form(a, cls, tol):
+    """max|L_closed - L_structural| relative to max(1, max|L_structural|)."""
+    L = a.L_structural
+    return float(np.max(np.abs(a.L_closed - L))) / max(1.0, float(np.max(np.abs(L))))
 
 
 def _two_curvature_constants(a, cls, tol):
@@ -412,8 +387,8 @@ CHECKS = (
           "isotropic + isoparametric forces a vanishing eigenvalue",
           "classification", lambda a, cls, tol: abs(cls.lambda_estimate),
           (_ISOTROPIC, _ISOPARAMETRIC)),
-    Check("l_variant_unique", "exactly one closed form of the tensor matches the structural one",
-          "l_variant", _l_variant_unique),
+    Check("l_closed_form", "closed form of the tensor vs the structural one",
+          "l_closed_form", _l_closed_form),
     Check("two_curvature_constants",
           "constant Laguerre principal curvatures for two-curvature inputs",
           "two_curvature", _two_curvature_constants),
@@ -441,13 +416,6 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
     report.analysis = a
     for check in CHECKS:
         report.run(check, a, cls, tol)
-
-    report.l_variant = _l_variant(a, tol)
-    if report.l_variant["matched"] == "closed_b":
-        report.warnings.append(
-            "structural tensor matched the variant without the constant "
-            "offset; see arbitration record"
-        )
     return report
 
 

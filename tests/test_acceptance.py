@@ -193,19 +193,16 @@ def test_criterion_5_construction_roundtrip():
     )
 
 
-def test_criterion_6_l_variant_arbitration(family_suite):
+def test_criterion_6_closed_form_matches_structural(family_suite):
     report, _ = family_suite
-    arb = report.l_variant
-    matched_one = arb["matched"] in ("closed_a", "closed_b")
-    ok = (
-        matched_one
-        and min(arb["deviation_a"], arb["deviation_b"]) <= 1e-3
-        and max(arb["deviation_a"], arb["deviation_b"]) > 1e-3
-    )
+    a = report.analysis
+    check = next(c for c in report.checks if c.name == "l_closed_form")
+    scale = max(1.0, float(np.max(np.abs(a.L_structural))))
+    deviation = float(np.max(np.abs(a.L_closed - a.L_structural))) / scale
+    ok = check.status == "pass" and check.residual == deviation and deviation <= 1e-3
     report_line(
-        6, "tensor closed-form arbitration", ok,
-        f"(matched {arb['matched']}, dev_a {arb['deviation_a']:.1e}, "
-        f"dev_b {arb['deviation_b']:.1e})",
+        6, "closed form of L matches the structural one", ok,
+        f"(relative deviation {deviation:.1e})",
     )
 
 

@@ -321,6 +321,9 @@ BAD_INPUT = {
     "tolerance-negative": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": -1}},
         "tolerance frobenius"),
+    "tolerance-old-name": (
+        ["verify", "--config", "{file}"], {"tolerances": {"l_variant": 1e-3}},
+        "unknown tolerance name 'l_variant'"),
     "tolerance-not-number": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": "abc"}},
         "tolerance frobenius"),

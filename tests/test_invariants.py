@@ -61,7 +61,7 @@ def test_structural_tensor_vanishes_on_family(hilf3_analysis):
     assert np.max(np.abs(hilf3_analysis.L_structural)) <= 1e-4
 
 
-def test_structural_matches_closed_b(hilf3_analysis):
+def test_structural_b_matches_diag_b(hilf3_analysis):
     n = 3
     diag_b = np.einsum("mi,ij->mij", hilf3_analysis.lift.b, np.eye(n))
     assert np.max(np.abs(hilf3_analysis.B_structural - diag_b)) <= 1e-5
@@ -93,7 +93,7 @@ def test_cross_oracle_agreement_generic(generic_chart, generic_points):
     """Closed forms and structural projections agree on a generic chart."""
     a = analyze(generic_chart, generic_points)
     scale_l = max(1.0, np.max(np.abs(a.L_structural)))
-    assert np.max(np.abs(a.L_closed_a - a.L_structural)) / scale_l <= 1e-3
+    assert np.max(np.abs(a.L_closed - a.L_structural)) / scale_l <= 1e-3
     scale_c = max(1.0, np.max(np.abs(a.C_closed)))
     assert np.max(np.abs(a.C_closed - a.C_structural)) / scale_c <= 1e-3
     diag_b = np.einsum("mi,ij->mij", a.lift.b, np.eye(2))
@@ -228,20 +228,13 @@ def test_identity_suite_skips_on_torus(torus21, torus_points):
     assert "n >= 3" in by_name["isoparametric_curvature_sum"].note
 
 
-def test_l_variant_arbitration(hilf3_analysis):
-    dev_a = np.max(np.abs(hilf3_analysis.L_closed_a - hilf3_analysis.L_structural))
-    dev_b = np.max(np.abs(hilf3_analysis.L_closed_b - hilf3_analysis.L_structural))
-    assert dev_a <= 1e-3
-    assert dev_b > 1e-3
-
-
 def test_per_point_operations(hilf3):
     a = analyze(hilf3, np.array([[0.1, -0.2, 0.15]]))
     assert np.max(np.abs(a.C_closed[0])) <= 1e-6
     assert np.max(np.abs(a.L_structural[0])) <= 1e-4
     assert np.max(np.abs(np.diag(a.lift.b[0]) - a.B_structural[0])) <= 1e-5
     assert abs(np.trace(a.L_structural[0]) / 3) <= 1e-4
-    assert a.L_closed_a[0].shape == a.L_closed_b[0].shape == (3, 3)
+    assert a.L_closed[0].shape == (3, 3)
 
 
 def test_eigh_runs_on_grid_rows_only(monkeypatch, hilf3):

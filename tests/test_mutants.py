@@ -1,0 +1,72 @@
+"""Mutants that the checks of the suite must kill.
+
+``MUTANTS`` maps a check name to mutants of the pipeline, each with the
+input it runs on.  A mutant takes pytest's ``monkeypatch``, a chart and
+a grid, and returns the mutated ``Analysis``; the check must pass on the
+unmutated pipeline and fail on the mutant, at the default tolerances.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from lagkit import invariants
+from lagkit.families import HilfParams, hilf_chart
+from lagkit.invariants import analyze, classify_analysis
+from lagkit.verifier import CHECKS, PropertyReport, Tolerances
+from tests.conftest import mesh
+
+TOL = Tolerances()
+
+
+def hilf3():
+    """hilf (1,2,3) on 5^3 at half-width 0.4, the verify-hilf3 input."""
+    return hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)
+
+
+def l_constant_term(monkeypatch, chart, grid):
+    # rho^-2 I / 2 added to L_closed: the constant term read as
+    # |grad f|^2 / 2 instead of (|grad f|^2 - 1) / 2.  Relative deviation
+    # 8.3 on hilf3.
+    a = analyze(chart, grid)
+    shift = 0.5 * a.lift.rho[:, None, None] ** -2 * np.eye(a.grid.shape[1])
+    return dataclasses.replace(a, L_closed=a.L_closed + shift)
+
+
+def l_direction_weight(monkeypatch, chart, grid):
+    # grad log rho taken along the unit principal directions e_i = E'_i / r_i
+    # instead of E'_i = rho E_i in the outer-product term.  Relative
+    # deviation 631 on hilf3.
+    r_i = analyze(chart, grid).lift.r_i
+    closed = invariants._l_closed
+    monkeypatch.setattr(invariants, "_l_closed", lambda inv_rho2, hess, Ep_f, grad_sq: closed(
+        inv_rho2, hess, Ep_f / r_i, grad_sq))
+    return analyze(chart, grid)
+
+
+MUTANTS = {
+    "l_closed_form": (
+        ("constant-term", hilf3, l_constant_term),
+        ("direction-weight", hilf3, l_direction_weight),
+    ),
+}
+
+
+def record(name, a):
+    """The suite's record of check ``name`` on the analysis ``a``."""
+    report = PropertyReport(chart={}, grid={}, orientation="")
+    check = next(c for c in CHECKS if c.name == name)
+    report.run(check, a, classify_analysis(a, TOL.classification), TOL)
+    return report.checks[-1]
+
+
+@pytest.mark.parametrize("name, inputs, mutant", [
+    pytest.param(name, inputs, mutant, id=f"{name}-{label}")
+    for name, rows in MUTANTS.items() for label, inputs, mutant in rows
+])
+def test_mutant_fails_a_check_the_pipeline_passes(name, inputs, mutant, monkeypatch):
+    chart, grid = inputs()
+    assert record(name, analyze(chart, grid)).status == "pass"
+    mutated = record(name, mutant(monkeypatch, chart, grid))
+    assert mutated.status == "fail", mutated

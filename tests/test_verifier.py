@@ -126,12 +126,6 @@ def test_every_check_has_anchor(hilf_report):
         assert check.anchor
 
 
-def test_l_variant_named(hilf_report):
-    assert hilf_report.l_variant["matched"] == "closed_a"
-    assert hilf_report.l_variant["deviation_a"] <= 1e-3
-    assert hilf_report.l_variant["deviation_b"] > 1e-3
-
-
 def test_torus_suite(torus21, torus_points):
     report = run_suite(torus21, torus_points)
     assert report.passed
