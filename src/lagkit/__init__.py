@@ -38,14 +38,9 @@ from .families import (
 from .invariants import ClassificationResult, analyze, classify_analysis
 from .spaces import (
     SignatureSpace,
-    SpaceVector,
-    apply_transform,
-    inner_product,
     is_laguerre_transform,
-    is_lightlike,
     laguerre_space,
     minkowski_space,
-    nu_vector,
     p_vector,
 )
 from .verifier import (

@@ -149,14 +149,12 @@ def _transpose(M: np.ndarray) -> np.ndarray:
 
 
 def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
-    """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x (m, n+1), dx
-    (m, n, n+1), ddx (m, n, n, n+1) and the unit normal xi (m, n+1).
-
-    ``degree`` is at least 2; above 2, x is the Taylor polynomial of that
-    degree about U, and dx and ddx are still the values (its partials
-    up to order 2), the only ones the lift reads.  Raises
-    InputError on a chart without a jet and MarginError at a point outside
-    ``chart.domain``; ``forms_arrays`` tests the rank of the Jacobian.
+    """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x the Taylor
+    polynomial of degree ``degree`` (at least 2) about U, of value shape
+    (m, n+1); its partials dx (m, n, n+1) and ddx (m, n, n, n+1) as
+    values, the only ones the lift reads; the unit normal xi (m, n+1).
+    Raises InputError on a chart without a jet and MarginError at a point
+    outside ``chart.domain``; ``forms_arrays`` tests the rank of the Jacobian.
     """
     if chart.jet is None:
         raise InputError(
@@ -175,9 +173,7 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     if np.any(outside):
         raise MarginError(f"point {U[outside][0].tolist()} lies outside the chart domain")
     x = chart.jet(U, degree)
-    value, dx, ddx = x.truncate(2).partials()
-    if degree == 2:
-        x = value
+    _, dx, ddx = x.truncate(2).partials()
 
     if chart.normal is not None:
         xi = np.asarray(chart.normal(U))

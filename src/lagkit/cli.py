@@ -401,7 +401,6 @@ def _add_common(parser, with_surface=True):
     parser.add_argument("--center", help="comma-separated grid center")
     parser.add_argument("--seed", type=int, help="seed for all randomness")
     parser.add_argument("--out", help="report JSON path (default: stdout)")
-    parser.add_argument("--samples", help="per-point CSV path")
     parser.add_argument(
         "--no-timestamp", action="store_true",
         help="omit the timestamp for byte-reproducible reports",
@@ -452,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="dump per-point invariants")
     _add_common(p_inv)
+    p_inv.add_argument("--samples", help="per-point CSV path")
 
     p_con = sub.add_parser("construct", help="integrate the frame system from constants")
     _add_common(p_con, with_surface=False)

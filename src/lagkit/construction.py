@@ -160,7 +160,6 @@ class ConstructionConstants:
 class ValidationReport:
     ok: bool
     failures: tuple
-    values: dict
 
 
 def validate_constants(c: ConstructionConstants) -> ValidationReport:
@@ -199,7 +198,7 @@ def validate_constants(c: ConstructionConstants) -> ValidationReport:
         )
     if values["min_abs_diag"] <= 1e-12:
         failures.append("matrix has a vanishing diagonal entry")
-    return ValidationReport(ok=not failures, failures=tuple(failures), values=values)
+    return ValidationReport(ok=not failures, failures=tuple(failures))
 
 
 def _require_valid(c: ConstructionConstants) -> None:
@@ -383,7 +382,7 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis) -> dict:
     lhs = ddY[:, idx, idx] / gdiag - dgdiag * dY / (2.0 * gdiag**2)
     N_const = np.zeros(n + 4)
     N_const[[2, -1]] = 1.0
-    rhs = N_const + c.b[:, None] * p_vector(space).coords
+    rhs = N_const + c.b[:, None] * p_vector(space)
     b_sorted = np.sort(analysis.lift.b, axis=1)
     return {
         "mixed_partials": float(np.max(np.abs(ddY[:, off]))),

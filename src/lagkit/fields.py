@@ -1,12 +1,14 @@
 """Metric field geometry: Christoffel symbols, Laplacians, curvature.
 
 These helpers are generic over any positive-definite coordinate metric
-supplied as arrays; chart-specific assembly lives in `invariants`.  They
-take the inverse metric from their caller and invert nothing, so a
-caller that knows g^-1 (``invariants`` has III^-1, and g = rho^2 III)
-inverts each metric once.  ``frame_components`` projects a tensor on
-a frame one index at a time, each step an einsum of two operands that
-keeps the memory layout of its inputs.  Index conventions:
+supplied as arrays, and return plain arrays; chart-specific assembly
+lives in `invariants`.  They take the inverse metric from their caller
+and invert nothing, so a caller that knows g^-1 (``invariants`` has
+III^-1, and g = rho^2 III) inverts each metric once.
+``frame_components`` projects a tensor on a frame one index at a time,
+each step an einsum of two operands that keeps the memory layout of its
+inputs; the curvature on a frame w is ``frame_components(lowered_riemann(
+...), w)``.  Index conventions:
 
 * ``gamma[m, k, i, j]`` is Gamma^k_ij (symmetric in i, j),
 * ``riemann[m, a, b, c, d]`` stores <R(d_a, d_b) d_c, d_d> with the
@@ -20,8 +22,6 @@ keeps the memory layout of its inputs.  Index conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
     "laplacian",
     "lowered_riemann",
     "frame_components",
-    "frame_riemann",
-    "frame_connection",
-    "MetricField",
 ]
 
 
@@ -92,43 +89,3 @@ def frame_components(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     for axis in range(1, t.ndim):
         t = np.moveaxis(np.einsum("mia,m...a->m...i", w, np.moveaxis(t, axis, -1)), -1, axis)
     return t
-
-
-def frame_riemann(riemann: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convert the coordinate curvature tensor to orthonormal-frame indices."""
-    return frame_components(riemann, w)
-
-
-def frame_connection(
-    w: np.ndarray, dw: np.ndarray, gamma: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Frame connection coefficients <nabla_{E_k} E_i, E_l> -> (m, k, i, l).
-
-    ``dw[m, a, i, b]`` holds d_a of the frame coefficient w[i, b].
-    These equal the structure-equation functions Gamma^l_ik.
-
-    Only the tests call this, as an independent route to ``cov_B`` on
-    charts with distinct curvatures; ``invariants`` avoids it because
-    eigenvector derivatives are ill-posed where curvatures repeat.
-    """
-    # nabla_{E_k} E_i = w_k^a (d_a w_i^b + w_i^c Gamma^b_ac) d_b
-    cov = np.einsum("mka,maib->mkib", w, dw) + np.einsum(
-        "mka,mic,mbac->mkib", w, w, gamma
-    )
-    return np.einsum("mkib,mbc,mlc->mkil", cov, g, w)
-
-
-@dataclass(frozen=True)
-class MetricField:
-    """Orthonormal-frame curvature tensor of a metric over a grid."""
-
-    riemann_frame: np.ndarray      # orthonormal indices (m, i, j, k, l)
-
-    def antisymmetry_residual(self) -> float:
-        r = self.riemann_frame
-        return float(
-            max(
-                np.max(np.abs(r + np.swapaxes(r, 1, 2))),
-                np.max(np.abs(r + np.swapaxes(r, 3, 4))),
-            )
-        )

@@ -85,8 +85,9 @@ def lift_vector(x, xi):
 def lift_batch(chart: Chart, U: np.ndarray, jets) -> LiftBatch:
     """The lift at every point of U (m, n), with one ``regularity`` reason
     per point; ``jets`` is the (x, dx, ddx, xi) of ``jet_arrays`` at U,
-    as values."""
+    of which the lift reads the value of x."""
     x, dx, ddx, xi = jets
+    x = x.value
     I, II, III, deficient, L = forms_arrays(dx, ddx, xi)
     r, rho, k, e, reason = regularity(I, II, III, deficient, L)
     y = lift_vector(x, xi)

@@ -79,14 +79,7 @@ import numpy as np
 from . import taylor
 from .charts import Chart, jet_arrays
 from .errors import InputError
-from .fields import (
-    MetricField,
-    christoffels,
-    frame_components,
-    frame_riemann,
-    laplacian,
-    lowered_riemann,
-)
+from .fields import christoffels, frame_components, laplacian, lowered_riemann
 from .frames import LiftBatch, frame_coefficients, lift_batch, lift_vector
 from .spaces import p_vector
 
@@ -196,7 +189,7 @@ class Analysis:
     cov_B: np.ndarray          # (m, i, j, k): B_ij,k = nabla B(E_i, E_j, E_k)
     laplace_iii_logrho: np.ndarray   # (m,)
     grad_iii_logrho_sq: np.ndarray   # (m,)
-    metric: MetricField        # curvature of g from the same jets
+    riemann_frame: np.ndarray  # (m, i, j, k, l): curvature of g on the frame
 
     @property
     def lambda_estimate(self) -> float:
@@ -207,7 +200,7 @@ class Analysis:
     def structure_residual(self) -> float:
         """Max norm of Y_ab - Gamma^k_ab Y_k = L_ab Y + g_ab N + B_ab P on the frame."""
         m, n = self.grid.shape
-        P = p_vector(self.lift.space).coords
+        P = p_vector(self.lift.space)
         rhs = (
             np.einsum("mij,ml->mijl", self.L_structural, self.lift.Y)
             + np.einsum("ij,ml->mijl", np.eye(n), self.N)
@@ -225,7 +218,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     x, dx, ddx, xi0 = jet_arrays(chart, grid, 5)
-    lift = lift_batch(chart, grid, (x.value, dx, ddx, xi0))
+    lift = lift_batch(chart, grid, (x, dx, ddx, xi0))
     del dx, ddx
     reason = lift.reason
     # The regular rows of x in its own layout, copied only when a row is
@@ -250,7 +243,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     iii_inv = taylor.batch_inner(np.linalg.inv(lift.III))
     inv_rho2 = rho**-2
     g_inv = inv_rho2[:, None, None] * iii_inv
-    metric = MetricField(riemann_frame=frame_riemann(lowered_riemann(g, g_inv, *jets.pop("g")), w))
+    riemann_frame = frame_components(lowered_riemann(g, g_inv, *jets.pop("g")), w)
 
     dIII = jets["III"][0]
     dlogrho, ddlogrho = jets["logrho"]       # (m, a), (m, a, b)
@@ -301,7 +294,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
         B_structural=B_structural,
         C_closed=C_closed, L_closed=L_closed, cov_B=cov_B,
         laplace_iii_logrho=lap_iii, grad_iii_logrho_sq=grad_sq,
-        metric=metric,
+        riemann_frame=riemann_frame,
     )
 
 

@@ -1,4 +1,4 @@
-"""Indefinite inner products, light-cone predicates and Laguerre-group tests.
+"""Indefinite inner products, the vector P and Laguerre-group tests.
 
 Two signature conventions are used throughout:
 
@@ -7,8 +7,9 @@ Two signature conventions are used throughout:
 * ``minkowski_space(n)`` is R^(n+2) with a minus sign on the last axis,
   the ambient space of the degenerate-hyperplane model.
 
-Group elements act on ROW vectors from the right, ``v -> v @ T``.  All
-signature matrices are stored explicitly as diagonal +-1 arrays.
+Vectors are plain coordinate arrays.  Group elements act on ROW vectors
+from the right, ``v -> v @ T``.  A space stores its signature as the
+diagonal +-1 array ``signs``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,10 @@ from .errors import DimensionError
 
 __all__ = [
     "SignatureSpace",
-    "SpaceVector",
     "laguerre_space",
     "minkowski_space",
     "p_vector",
-    "nu_vector",
-    "inner_product",
-    "is_lightlike",
     "is_laguerre_transform",
-    "apply_transform",
     "random_lg_rotation",
 ]
 
@@ -61,10 +57,6 @@ class SignatureSpace:
         signs.flags.writeable = False
         object.__setattr__(self, "signs", signs)
 
-    @property
-    def signature_matrix(self) -> np.ndarray:
-        return np.diag(self.signs)
-
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Batched inner product of raw coordinate arrays (..., dimension)."""
         u = np.asarray(u, dtype=float)
@@ -75,26 +67,6 @@ class SignatureSpace:
                 f"{self.dimension}-dimensional space"
             )
         return np.sum(self.signs * u * v, axis=-1)
-
-    def vector(self, coords) -> "SpaceVector":
-        return SpaceVector(np.asarray(coords, dtype=float), self)
-
-
-@dataclass(frozen=True)
-class SpaceVector:
-    """An immutable vector tied to its signature space."""
-
-    coords: np.ndarray
-    space: SignatureSpace
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.shape[0] != self.space.dimension:
-            raise DimensionError(
-                f"expected {self.space.dimension} coordinates, got shape {coords.shape}"
-            )
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
 
 
 def laguerre_space(n: int) -> SignatureSpace:
@@ -107,40 +79,12 @@ def minkowski_space(n: int) -> SignatureSpace:
     return SignatureSpace(n + 2, (n + 2,))
 
 
-def p_vector(space: SignatureSpace) -> SpaceVector:
+def p_vector(space: SignatureSpace) -> np.ndarray:
     """The distinguished lightlike vector P = (1, -1, 0, ..., 0)."""
     coords = np.zeros(space.dimension)
     coords[0] = 1.0
     coords[1] = -1.0
-    return space.vector(coords)
-
-
-def nu_vector(space: SignatureSpace) -> SpaceVector:
-    """The lightlike vector nu = (1, 0, ..., 0, 1) of the Minkowski model."""
-    coords = np.zeros(space.dimension)
-    coords[0] = 1.0
-    coords[-1] = 1.0
-    return space.vector(coords)
-
-
-def inner_product(u: SpaceVector, v: SpaceVector) -> float:
-    """Signed inner product sum_a eps_a u_a v_a; symmetric and bilinear."""
-    if u.space != v.space:
-        raise DimensionError("inner product of vectors from different spaces")
-    return float(u.space.dot(u.coords, v.coords))
-
-
-def is_lightlike(v: SpaceVector, tol: float = 1e-12) -> bool:
-    """Whether |<v,v>| <= tol * (1 + sum v_a^2).
-
-    The normaliser keeps the test meaningful for both tiny and huge
-    vectors: near zero it degrades to an absolute test, at large norm it
-    becomes relative to the squared Euclidean size.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    q = inner_product(v, v)
-    return abs(q) <= tol * (1.0 + float(np.sum(v.coords**2)))
+    return coords
 
 
 def is_laguerre_transform(T: np.ndarray, tol: float = 1e-10) -> bool:
@@ -157,22 +101,11 @@ def is_laguerre_transform(T: np.ndarray, tol: float = 1e-10) -> bool:
     if dim < 5:
         raise DimensionError(f"group matrices have size >= 5, got {dim}")
     space = laguerre_space(dim - 4)
-    G = space.signature_matrix
+    G = np.diag(space.signs)
     if not np.all(np.abs(T.T @ G @ T - G) <= tol):
         return False
-    P = p_vector(space).coords
+    P = p_vector(space)
     return bool(np.all(np.abs(P @ T - P) <= tol))
-
-
-def apply_transform(T: np.ndarray, v: SpaceVector) -> SpaceVector:
-    """Row-vector action v -> v @ T."""
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 2 or T.shape[0] != v.space.dimension or T.shape[1] != v.space.dimension:
-        raise DimensionError(
-            f"matrix of shape {T.shape} cannot act on a "
-            f"{v.space.dimension}-dimensional vector"
-        )
-    return v.space.vector(v.coords @ T)
 
 
 def random_lg_rotation(n: int, rng: np.random.Generator) -> np.ndarray:

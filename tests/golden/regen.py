@@ -5,8 +5,9 @@
 Runs each example of ``tests/test_golden.py`` (all of them when no NAME
 is given) in-process through ``lagkit.cli.main`` with ``--no-timestamp``
 and prints every JSON or CSV path whose value moved beyond the golden
-tolerance of ``test_golden.assert_close`` (or the file name, for an
-example that has no golden yet).  Without ``--diff`` the
+tolerance of ``test_golden.assert_close``, every key a report gained or
+lost (``path.key (added)``, ``path.key (removed)``), or the file name
+for an example that has no golden yet.  Without ``--diff`` the
 named golden files are rewritten with the new output; with ``--diff``
 nothing is written and the exit status is 1 when anything moved.
 """
@@ -31,10 +32,17 @@ from tests.test_golden import EXAMPLES, GOLDEN, assert_close  # noqa: E402
 
 
 def moved(got, want, path="$"):
-    """Yield every path where ``got`` leaves the golden tolerance of ``want``."""
-    if isinstance(want, dict) and isinstance(got, dict) and sorted(got) == sorted(want):
+    """Yield every path where ``got`` leaves the golden tolerance of ``want``,
+    and each key of a dict on one side only, marked added or removed."""
+    if isinstance(want, dict) and isinstance(got, dict):
         for key in want:
-            yield from moved(got[key], want[key], f"{path}.{key}")
+            if key in got:
+                yield from moved(got[key], want[key], f"{path}.{key}")
+            else:
+                yield f"{path}.{key} (removed)"
+        for key in got:
+            if key not in want:
+                yield f"{path}.{key} (added)"
     elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         for i, (g, w) in enumerate(zip(got, want)):
             label = w["name"] if isinstance(w, dict) and "name" in w else i

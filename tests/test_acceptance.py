@@ -121,8 +121,7 @@ def test_criterion_2_two_curvature_constants(torus21):
 def test_criterion_3_curvature_relation(family_suite):
     report, _ = family_suite
     a = report.analysis
-    mf = a.metric
-    flatness = float(np.max(np.abs(mf.riemann_frame)))
+    flatness = float(np.max(np.abs(a.riemann_frame)))
     L = a.L_structural
     eye = np.eye(3)
     rhs = (
@@ -131,7 +130,7 @@ def test_criterion_3_curvature_relation(family_suite):
         - np.einsum("mik,jl->mijkl", L, eye)
         - np.einsum("mjl,ik->mijkl", L, eye)
     )
-    relation = float(np.max(np.abs(mf.riemann_frame - rhs)))
+    relation = float(np.max(np.abs(a.riemann_frame - rhs)))
     ok = flatness <= 1e-4 and relation <= 1e-3
     report_line(
         3, "flatness and curvature relation", ok,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lagkit import taylor
 from lagkit.charts import (
     IRREGULAR,
     Chart,
@@ -51,7 +52,7 @@ def forms(chart, U):
 
 def test_hilf_value_at_origin(hilf2):
     x, _, _, xi = jet_arrays(hilf2, point([0.0, 0.0]))
-    assert np.allclose(x[0], 0.0)
+    assert np.allclose(x.value[0], 0.0)
     assert np.allclose(xi[0], [-1.0, 0.0, 0.0])
 
 
@@ -64,7 +65,7 @@ def test_polynomial_second_partials_exact():
 
 def test_torus_value(torus21):
     x, _, _, _ = jet_arrays(torus21, point([0.0, 0.0]))
-    assert np.allclose(x[0], [3.0, 0.0, 0.0])
+    assert np.allclose(x.value[0], [3.0, 0.0, 0.0])
 
 
 def test_margin_error(torus21):
@@ -413,7 +414,8 @@ def test_failed_factor_is_a_rank_deficient_point():
         warnings.simplefilter("error")
         forms = forms_arrays(dx, ddx, xi)
         reason = regularity(*forms)[4]
-        batch = lift_batch(chart, np.zeros((200, 3)), (rng.standard_normal((200, 4)), dx, ddx, xi))
+        x = taylor.Taylor(rng.standard_normal((1, 200, 4)), 3, 0)     # constant polynomials
+        batch = lift_batch(chart, np.zeros((200, 3)), (x, dx, ddx, xi))
     I, II, III, deficient, _ = forms
     assert 0 < np.sum(deficient) < 200
     assert np.all(deficient == ~np.all(np.isfinite(III), axis=(-2, -1)))

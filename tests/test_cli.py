@@ -345,6 +345,11 @@ BAD_INPUT = {
         ["verify", "--surface", "hilf", "--a", "1,2", "--cent=-0.5,0.1"], None, "--cent"),
     "config-unknown-section": (
         ["verify", "--config", "{file}"], {"fd": {"step": 1e-3}}, "unknown section(s) 'fd'"),
+    # Only ``invariants`` writes per-point samples.
+    "verify-samples": (["verify", "--a", "1,2", "--samples", "s.csv"], None, "--samples"),
+    "construct-samples": (
+        ["construct", "--b-from-a", "1,2,3", "--samples", "s.csv"], None, "--samples"),
+    "tau-samples": (["tau", "--a", "1,2", "--samples", "s.csv"], None, "--samples"),
 }
 
 

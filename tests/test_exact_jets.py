@@ -173,8 +173,9 @@ def test_degree_five_jet_matches_sympy(name):
 def test_jet_arrays_partials_are_the_coefficients(hilf3):
     U = np.array(POINTS)
     x, dx, ddx, _ = jet_arrays(hilf3, U)
+    assert isinstance(x, taylor.Taylor) and x.d == 2      # x is its polynomial at every degree
     X = hilf3.jet(U, 5)
-    for got, want in ((x, X.value), (dx, X.grad().value), (ddx, X.grad().grad().value),
+    for got, want in ((x.value, X.value), (dx, X.grad().value), (ddx, X.grad().grad().value),
                       (ddx[:, 0, 1], X.c[5]), (ddx[:, 0, 0], 2 * X.c[4])):
         # d_0 d_1 x is the coefficient of h_0 h_1, d_0^2 x twice that of h_0^2
         assert np.allclose(got, want, rtol=1e-14, atol=1e-15)

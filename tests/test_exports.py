@@ -2,10 +2,13 @@
 
 import importlib
 import pkgutil
+from dataclasses import fields
 
 import pytest
 
 import lagkit
+from lagkit.invariants import Analysis
+from lagkit.spaces import SignatureSpace
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(lagkit.__path__, "lagkit.")
@@ -23,3 +26,25 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), f"duplicate names in {name}.__all__"
     missing = [item for item in exported if not hasattr(module, item)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+# Names that served only tests: arrays and ``SignatureSpace.dot`` replace them.
+GONE = {
+    "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
+               "MetricField", "frame_riemann", "frame_connection"),
+    "lagkit.spaces": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike",
+                      "nu_vector"),
+    "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GONE))
+def test_test_only_names_are_gone(name):
+    module = importlib.import_module(name)
+    assert [item for item in GONE[name] if hasattr(module, item)] == []
+
+
+def test_analysis_holds_the_frame_curvature_as_an_array():
+    names = {f.name for f in fields(Analysis)}
+    assert "riemann_frame" in names and "metric" not in names
+    assert not hasattr(SignatureSpace, "vector") and not hasattr(SignatureSpace, "signature_matrix")

@@ -6,7 +6,7 @@ import pytest
 from lagkit.charts import IRREGULAR
 from lagkit.families import HilfParams, hilf_chart
 from lagkit.invariants import analyze
-from lagkit.spaces import inner_product, laguerre_space, p_vector
+from lagkit.spaces import p_vector
 from tests import central
 from tests.conftest import mesh
 
@@ -16,33 +16,25 @@ def hilf2_lift(hilf2):
     return analyze(hilf2, np.array([[0.1, -0.2]])).lift
 
 
-def vectors(lift):
-    """Y and eta of a one-point lift as space vectors."""
-    return lift.space.vector(lift.Y[0]), lift.space.vector(lift.eta[0])
-
-
 def test_position_vector_lightlike(hilf2_lift):
-    Y, _ = vectors(hilf2_lift)
-    assert abs(inner_product(Y, Y)) <= 1e-14
+    Y = hilf2_lift.Y[0]
+    assert abs(hilf2_lift.space.dot(Y, Y)) <= 1e-14
 
 
 def test_position_vector_last_coordinate_is_rho(hilf2_lift):
-    Y, _ = vectors(hilf2_lift)
-    assert abs(Y.coords[-1] - hilf2_lift.rho[0]) <= 1e-15
+    assert abs(hilf2_lift.Y[0, -1] - hilf2_lift.rho[0]) <= 1e-15
 
 
 def test_position_vector_orthogonal_to_p(hilf2_lift):
-    Y, _ = vectors(hilf2_lift)
-    P = p_vector(laguerre_space(2))
-    assert abs(inner_product(Y, P)) <= 1e-14
+    sp = hilf2_lift.space
+    assert abs(sp.dot(hilf2_lift.Y[0], p_vector(sp))) <= 1e-14
 
 
 def test_normal_map_relations(hilf2_lift):
-    Y, eta = vectors(hilf2_lift)
-    P = p_vector(laguerre_space(2))
-    assert abs(inner_product(eta, eta)) <= 1e-10
-    assert abs(inner_product(eta, P) + 1.0) <= 1e-14
-    assert abs(inner_product(Y, eta)) <= 1e-10
+    sp, Y, eta = hilf2_lift.space, hilf2_lift.Y[0], hilf2_lift.eta[0]
+    assert abs(sp.dot(eta, eta)) <= 1e-10
+    assert abs(sp.dot(eta, p_vector(sp)) + 1.0) <= 1e-14
+    assert abs(sp.dot(Y, eta)) <= 1e-10
 
 
 def test_rho_at_origin_two_curvature(hilf2):
@@ -122,16 +114,16 @@ def test_n_minus_lambda_y_constant(hilf3, grid3):
 
 def test_single_point_n_vector(hilf3):
     a = analyze(hilf3, np.array([[0.1, 0.0, -0.1]]))
-    N = a.lift.space.vector(a.N[0])
-    assert N.coords.shape == (7,)
-    assert abs(inner_product(N, N)) <= 1e-6
+    N = a.N[0]
+    assert N.shape == (7,)
+    assert abs(a.lift.space.dot(N, N)) <= 1e-6
 
 
 def test_laguerre_frame_relations(hilf3):
     a = analyze(hilf3, np.array([[0.1, -0.15, 0.2]]))
     sp = a.lift.space
     Y, N, eta = a.lift.Y[0], a.N[0], a.lift.eta[0]
-    P = p_vector(sp).coords
+    P = p_vector(sp)
     EY = a.E_Y[0]
     gram = np.einsum("ia,a,ja->ij", EY, sp.signs, EY)
     residuals = {

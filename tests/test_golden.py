@@ -77,3 +77,12 @@ def test_readme_example_matches_golden(name, tmp_path, capsys):
             [[float(v) for v in row] for row in rows[1:]],
             [[float(v) for v in row] for row in expected[1:]],
         )
+
+
+def test_regen_diff_names_added_and_removed_keys():
+    from tests.golden.regen import moved
+
+    want = {"a": 1.0, "b": {"c": "x", "d": 2.0}, "gone": 0}
+    got = {"a": 1.0, "b": {"c": "y", "d": 2.0, "e": []}, "new": 1}
+    assert list(moved(got, want)) == [
+        "$.b.c", "$.b.e (added)", "$.gone (removed)", "$.new (added)"]

@@ -8,7 +8,7 @@ from lagkit import charts, frames, taylor
 from lagkit.charts import IRREGULAR, jet_arrays
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, hilf_chart, sphere_chart, torus_chart
-from lagkit.fields import christoffels, frame_components, frame_connection, frame_riemann
+from lagkit.fields import christoffels, frame_components
 from lagkit.frames import frame_coefficients, lift_batch
 from lagkit.invariants import Analysis, _b_tensor, analyze, classify_analysis
 from lagkit.verifier import run_suite
@@ -104,6 +104,21 @@ def test_structure_equation_residual(hilf3_analysis):
     assert hilf3_analysis.structure_residual() <= 1e-3
 
 
+def frame_connection(w, dw, gamma, g):
+    """Frame connection coefficients <nabla_{E_k} E_i, E_l> -> (m, k, i, l).
+
+    ``dw[m, a, i, b]`` holds d_a of the frame coefficient w[i, b].  These
+    equal the structure-equation functions Gamma^l_ik.  ``analyze`` avoids
+    this route, as eigenvector derivatives are ill-posed where curvatures
+    repeat.
+    """
+    # nabla_{E_k} E_i = w_k^a (d_a w_i^b + w_i^c Gamma^b_ac) d_b
+    cov = np.einsum("mka,maib->mkib", w, dw) + np.einsum(
+        "mka,mic,mbac->mkib", w, w, gamma
+    )
+    return np.einsum("mkib,mbc,mlc->mkil", cov, g, w)
+
+
 def frame_route_cov_b(chart, points):
     """B_ij,k by differentiating the eigenvector frame and b, then
     ``frame_connection``: the reference route, valid where the principal
@@ -148,14 +163,14 @@ def test_covariant_b_matches_frame_route(case, hilf3, grid3, generic_chart, gene
 
 
 def test_flat_invariant_metric(hilf3_analysis):
-    mf = hilf3_analysis.metric
-    assert np.max(np.abs(mf.riemann_frame)) <= 1e-4
-    assert mf.antisymmetry_residual() <= 1e-10
+    r = hilf3_analysis.riemann_frame
+    assert np.max(np.abs(r)) <= 1e-4
+    assert np.max(np.abs(r + np.swapaxes(r, 1, 2))) <= 1e-10
+    assert np.max(np.abs(r + np.swapaxes(r, 3, 4))) <= 1e-10
 
 
 def test_curvature_relation_generic(generic_chart, generic_points):
     a = analyze(generic_chart, generic_points)
-    mf = a.metric
     L = a.L_structural
     eye = np.eye(2)
     rhs = (
@@ -165,7 +180,7 @@ def test_curvature_relation_generic(generic_chart, generic_points):
         - np.einsum("mjl,ik->mijkl", L, eye)
     )
     scale = max(1.0, np.max(np.abs(rhs)))
-    assert np.max(np.abs(mf.riemann_frame - rhs)) / scale <= 1e-3
+    assert np.max(np.abs(a.riemann_frame - rhs)) / scale <= 1e-3
 
 
 def test_classify_explicit_family(hilf3, grid3):
@@ -303,8 +318,7 @@ def test_analysis_arrays_are_point_innermost(case):
     # every field of the Analysis keeps the point axis innermost in memory.
     a = analyze(*TAIL_CASES[case]())
     arrays = {f.name: getattr(a, f.name) for f in dataclasses.fields(Analysis)
-              if f.name not in ("chart", "grid", "reason", "lift", "metric")}
-    arrays["riemann_frame"] = a.metric.riemann_frame
+              if f.name not in ("chart", "grid", "reason", "lift")}
     for name, array in arrays.items():
         assert array.strides[0] == array.itemsize, name
 
@@ -337,7 +351,7 @@ def test_frame_projections_match_einsum(n):
     pairs = [
         (frame_components(np.moveaxis(cov, 1, -1), w),
          np.einsum("mia,mjb,mkc,mcab->mijk", w, w, w, cov, optimize=True)),
-        (frame_riemann(riemann, w),
+        (frame_components(riemann, w),
          np.einsum("mia,mjb,mkc,mld,mabcd->mijkl", w, w, w, w, riemann, optimize=True)),
     ]
     for got, want in pairs:

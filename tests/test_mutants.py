@@ -45,10 +45,30 @@ def l_direction_weight(monkeypatch, chart, grid):
     return analyze(chart, grid)
 
 
+def riemann_pair_broken(pair):
+    # The pipeline builds R antisymmetric in both index pairs, so these are
+    # data mutants: 1e-8 is added at R_0101 and taken off at its image under
+    # the swap of the other pair, so that R stays antisymmetric there and
+    # breaks in ``pair`` alone.
+    image = {(1, 2): (0, 1, 1, 0), (3, 4): (1, 0, 0, 1)}[pair]
+
+    def mutant(monkeypatch, chart, grid):
+        a = analyze(chart, grid)
+        r = a.riemann_frame.copy()
+        r[:, 0, 1, 0, 1] += 1e-8
+        r[(slice(None),) + image] -= 1e-8
+        return dataclasses.replace(a, riemann_frame=r)
+    return mutant
+
+
 MUTANTS = {
     "l_closed_form": (
         ("constant-term", hilf3, l_constant_term),
         ("direction-weight", hilf3, l_direction_weight),
+    ),
+    "curvature_antisymmetry": (
+        ("pair-12", hilf3, riemann_pair_broken((1, 2))),
+        ("pair-34", hilf3, riemann_pair_broken((3, 4))),
     ),
 }
 

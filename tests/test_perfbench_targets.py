@@ -31,12 +31,15 @@ TARGETS = traced_targets()
 # Targets that ``perfbench/spans.py`` still lists although lagkit has
 # dropped them: the finite-difference module went when every chart
 # became closed-form, and the raising lift and the wrappers of ``analyze``
-# went when ``analyze`` became the one way into the pipeline.  The
-# benchmark's list changes with the benchmark.
+# went when ``analyze`` became the one way into the pipeline, and the
+# frame-curvature alias and the frame connection left ``fields`` (the
+# connection is now a helper of the tests).  The benchmark's list
+# changes with the benchmark.
 REMOVED = (
     ("fd", "grad_field"), ("fd", "hess_field"),
     ("frames", "lift_arrays"), ("invariants", "classify"),
     ("invariants", "metric_geometry"), ("verifier", "two_curvature_check"),
+    ("fields", "frame_riemann"), ("fields", "frame_connection"),
 )
 
 
