@@ -6,8 +6,7 @@ points and ``taylor.Taylor`` seeds alike (``closed_form``), so its jet
 is the map's exact Taylor polynomial; ``jet_arrays`` refuses a chart
 without a jet.  The unit normal is the normalised generalized cross
 product of the Jacobian rows in parameter order unless the chart
-supplies a normal field; ``flip_normal`` reverses either, and curvature
-signs follow the resulting orientation.
+supplies a normal field, and curvature signs follow that orientation.
 
 ``forms_arrays`` factors I = dx dx^T = L L^T once per point in plain
 batched numpy (loops over the n columns) and returns the factor with
@@ -82,14 +81,12 @@ class Chart:
     evaluator: Callable
     jet: Optional[Callable] = None
     normal: Optional[Callable] = None
-    flip_normal: bool = False
     name: str = ""
     params: dict = field(default_factory=dict)
 
     @property
     def orientation(self) -> str:
-        base = "analytic-normal" if self.normal is not None else "cross-product"
-        return base + (" (flipped)" if self.flip_normal else "")
+        return "analytic-normal" if self.normal is not None else "cross-product"
 
 
 def closed_form(x_map: Callable):
@@ -181,8 +178,6 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
         xi = cross_normal(dx)
     with np.errstate(invalid="ignore", divide="ignore"):
         xi = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
-    if chart.flip_normal:
-        xi = -xi
     return x, dx, ddx, xi
 
 

@@ -91,7 +91,7 @@ def _load_config(path):
 
 def _resolve(args) -> dict:
     """Merge the config file (if any) with flag overrides."""
-    cfg = {"surface": {}, "grid": {}, "output": {}, "seed": 0}
+    cfg = {"surface": {}, "grid": {}, "seed": 0}
     if getattr(args, "config", None):
         file_cfg = _load_config(args.config)
         if not isinstance(file_cfg, dict):
@@ -104,7 +104,7 @@ def _resolve(args) -> dict:
                 f"{', '.join(map(repr, unknown))}; known: {', '.join(known)}"
             )
         cfg.update(file_cfg)
-    for key in ("surface", "grid", "output"):
+    for key in ("surface", "grid"):
         if not isinstance(cfg[key], dict):
             raise LagkitError(f"config section {key!r} must be a JSON object")
     if getattr(args, "surface", None):
@@ -132,10 +132,6 @@ def _resolve(args) -> dict:
         cfg["grid"]["center"] = _parse_floats(args.center, "--center")
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "out", None):
-        cfg["output"]["report_path"] = args.out
-    if getattr(args, "samples", None):
-        cfg["output"]["samples_path"] = args.samples
     grid = cfg["grid"]
     points = grid.setdefault("points_per_axis", 5)
     if not (type(points) is int and points >= 3):
@@ -184,21 +180,21 @@ def _grid_for(chart_n: int, cfg) -> np.ndarray:
     return _mesh(center, grid_cfg["half_width"], grid_cfg["points_per_axis"], chart_n)
 
 
-def _write_report(report_dict: dict, cfg: dict, args) -> None:
-    # output paths do not affect the computation; keeping them out of the
-    # echo preserves byte-identical reports across directories
-    echo = {k: v for k, v in cfg.items() if k != "output"}
-    payload = {"schema_version": SCHEMA_VERSION, "config_echo": echo}
-    payload.update(report_dict)
+def _finish(report: PropertyReport, cfg: dict, args) -> int:
+    """Write the report to ``--out`` (default stdout), print its summary
+    and return the exit status.  The output path comes from the flag
+    alone, so the config echo, and the report, do not depend on it."""
+    payload = {"schema_version": SCHEMA_VERSION, "config_echo": cfg, **report.to_dict()}
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    path = cfg.get("output", {}).get("report_path")
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    _print_summary(report)
+    return 0 if report.passed else 1
 
 
 def _json_default(value):
@@ -259,14 +255,11 @@ def _cmd_verify(args, want_samples=False) -> int:
         report = degenerate_model_report(chart, grid, tol)
     else:
         report = run_suite(chart, grid, tol)
-    samples_path = cfg.get("output", {}).get("samples_path")
-    if want_samples and samples_path:
+    if want_samples and args.samples:
         if report.analysis is None:
             raise LagkitError("no invariant samples available for this surface")
-        _write_samples(samples_path, report.analysis)
-    _write_report(report.to_dict(), cfg, args)
-    _print_summary(report)
-    return 0 if report.passed else 1
+        _write_samples(args.samples, report.analysis)
+    return _finish(report, cfg, args)
 
 
 def _cmd_invariants(args) -> int:
@@ -292,9 +285,9 @@ def _cmd_construct(args) -> int:
     cfg = _resolve(args)
     tol = _tolerances(cfg)
     constants = _load_constants(args, cfg)
-    validation = validate_constants(constants)
-    if not validation.ok:
-        print("invalid constants:", "; ".join(validation.failures), file=sys.stderr)
+    failures = validate_constants(constants)
+    if failures:
+        print("invalid constants:", "; ".join(failures), file=sys.stderr)
         return 2
 
     maps = build_immersion(constants)
@@ -336,9 +329,7 @@ def _cmd_construct(args) -> int:
         tol.classification,
         note="compared up to a global orientation sign",
     )
-    identity_like = np.allclose(constants.cmat, np.eye(n)) and np.allclose(
-        constants.diag * (constants.beta1 - constants.beta3 * constants.b), 0.0
-    )
+    identity_like = np.allclose(constants.cmat, np.eye(n)) and np.allclose(constants.shift, 0.0)
     if identity_like and abs(constants.phi) < 1e-14:
         reference = hilf_chart(HilfParams(a=tuple(1.0 / constants.b)))
         dx = np.max(np.abs(maps.chart.evaluator(vbar_grid) - reference.evaluator(vbar_grid)))
@@ -355,9 +346,7 @@ def _cmd_construct(args) -> int:
             "identity-matrix constants reproduce the explicit family",
             "requires the identity matrix, cancelled shifts and phi = 0",
         )
-    _write_report(report.to_dict(), cfg, args)
-    _print_summary(report)
-    return 0 if report.passed else 1
+    return _finish(report, cfg, args)
 
 
 def _cmd_tau(args) -> int:
@@ -384,9 +373,7 @@ def _cmd_tau(args) -> int:
         float(np.max(np.abs(xi_img - euclid.normal(grid)))),
         tol.tau_equivalence,
     )
-    _write_report(report.to_dict(), cfg, args)
-    _print_summary(report)
-    return 0 if report.passed else 1
+    return _finish(report, cfg, args)
 
 
 def _add_common(parser, with_surface=True):

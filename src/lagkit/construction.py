@@ -14,7 +14,7 @@ vector are, in the privileged coordinates v,
     eta^3 = eta^(n+4) = r(v),
     eta^(s+3) = sum_k (sqrt2 v_k b_k + d_k) C[k, s],
 
-with c_k = C[k, k], d_k = c_k (beta1_k - beta3_k b_k) and
+with c_k = C[k, k], the shift d_k = c_k (beta1_k - beta3_k b_k) and
 A = sum_k [ v_k^2 b_k^2 + sqrt2 v_k b_k d_k + d_k^2 / 2 ].  The scalar
 invariants are rho(v) = 1/2 + sum v_k^2 and r(v) = sum v_k^2 b_k + phi/2
 where
@@ -60,7 +60,6 @@ from .spaces import laguerre_space, p_vector
 __all__ = [
     "ConstructionConstants",
     "ConstructedMaps",
-    "ValidationReport",
     "validate_constants",
     "random_orthogonal",
     "b_from_curvatures",
@@ -96,6 +95,11 @@ class ConstructionConstants:
     @property
     def diag(self) -> np.ndarray:
         return np.diagonal(self.cmat)
+
+    @property
+    def shift(self) -> np.ndarray:
+        """d_k = c_kk (beta1_k - beta3_k b_k)."""
+        return self.diag * (self.beta1 - self.beta3 * self.b)
 
     @property
     def phi(self) -> float:
@@ -156,14 +160,9 @@ class ConstructionConstants:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple
-
-
-def validate_constants(c: ConstructionConstants) -> ValidationReport:
-    """Check every admissibility condition; failures are enumerated."""
+def validate_constants(c: ConstructionConstants) -> tuple:
+    """The admissibility conditions that fail, as messages; empty when
+    the constants are admissible."""
     failures = []
     b = c.b
     n = c.n
@@ -198,13 +197,13 @@ def validate_constants(c: ConstructionConstants) -> ValidationReport:
         )
     if values["min_abs_diag"] <= 1e-12:
         failures.append("matrix has a vanishing diagonal entry")
-    return ValidationReport(ok=not failures, failures=tuple(failures))
+    return tuple(failures)
 
 
 def _require_valid(c: ConstructionConstants) -> None:
-    report = validate_constants(c)
-    if not report.ok:
-        raise ParameterError("; ".join(report.failures))
+    failures = validate_constants(c)
+    if failures:
+        raise ParameterError("; ".join(failures))
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -250,9 +249,7 @@ def build_position(c: ConstructionConstants) -> Callable:
     """The map v -> Y(v) in R^(n+4) of point batches (..., n), float
     arrays and Taylor seeds alike."""
     _require_valid(c)
-    b, cmat, ck = c.b, c.cmat, c.diag
-    d = ck * (c.beta1 - c.beta3 * b)
-    const1 = float(np.sum(ck**2 * c.beta3 * (0.5 * c.beta3 * b - c.beta1) + c.gamma1))
+    b, cmat, d, const1 = c.b, c.cmat, c.shift, -0.5 * c.phi
 
     def position(V):
         y1 = (np.sum(V**2 * b, axis=-1) + np.sqrt(2.0) * V @ d + const1)[..., None]
@@ -266,11 +263,7 @@ def build_normal_map(c: ConstructionConstants) -> Callable:
     """The map v -> eta(v) in R^(n+4) of point batches (..., n), float
     arrays and Taylor seeds alike."""
     _require_valid(c)
-    b, cmat, ck = c.b, c.cmat, c.diag
-    d = ck * (c.beta1 - c.beta3 * b)
-    const3 = -float(
-        np.sum(ck**2 * c.beta3 * (0.5 * c.beta3 * b - c.beta1) + c.gamma1)
-    )
+    b, cmat, d, const3 = c.b, c.cmat, c.shift, 0.5 * c.phi
 
     def normal_map(V):
         A = (np.sum(V**2 * b**2, axis=-1) + np.sqrt(2.0) * V @ (b * d)
@@ -304,8 +297,7 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
     """Assemble every closed-form map; the chart's jet is the Taylor
     polynomial of its map."""
     _require_valid(c)
-    b, cmat, ck = c.b, c.cmat, c.diag
-    dconst = ck * (c.beta1 - c.beta3 * b)
+    b, cmat, dconst = c.b, c.cmat, c.shift
     bbar = 1.0 / b
     phi = c.phi
     n = c.n

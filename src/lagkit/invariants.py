@@ -71,7 +71,7 @@ No chain rule is written by hand, and nothing is differentiated twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -130,11 +130,11 @@ def _taylor_fields(jet):
     II = taylor.einsum("mija,ma->mij", taylor.Grad(x, 2), xi)
     x = x.truncate(k).copy()
     M = taylor.einsum("mij,mjk->mik", taylor.inv(II), I)
-    r = np.sum(M[:, np.arange(n), np.arange(n)], axis=-1) / n
-    eye = taylor.batch_inner(np.broadcast_to(np.eye(n), M.shape))   # laid out as M
-    D = M - r[..., None, None] * eye
-    rho2 = taylor.einsum("mij,mji->m", D, D)
-    del I, M, D, eye
+    idx = np.arange(n)
+    r = np.sum(M[:, idx, idx], axis=-1) / n
+    M.c[:, :, idx, idx] -= r.c[..., None]     # M - r Id; r has M's zero blocks
+    rho2 = taylor.einsum("mij,mji->m", M, M)
+    del I, M
     rho = np.sqrt(rho2)
     Y = rho[..., None] * lift_vector(x, xi)
     del x, xi
@@ -173,7 +173,6 @@ class Analysis:
     """Every invariant field over the regular points of a grid, from one
     jet of the grid; ``grid`` and the fields hold the regular rows only."""
 
-    chart: Chart
     grid: np.ndarray
     reason: np.ndarray         # (M,) per input point: "" or its ``IRREGULAR`` reason
     lift: LiftBatch
@@ -288,7 +287,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     cov_B = frame_components(np.moveaxis(cov_coord, 1, -1), w)
 
     return Analysis(
-        chart=chart, grid=lift.u, reason=reason, lift=lift,
+        grid=lift.u, reason=reason, lift=lift,
         N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y,
         L_structural=L_structural, C_structural=C_structural,
         B_structural=B_structural,
@@ -315,19 +314,8 @@ class ClassificationResult:
     prop7_consistent: Optional[bool]
 
     def to_dict(self) -> dict:
-        return {
-            "is_isotropic": self.is_isotropic,
-            "lambda_estimate": self.lambda_estimate,
-            "is_isoparametric": self.is_isoparametric,
-            "alpha": None if self.alpha is None else list(self.alpha),
-            "b_hat": list(self.b_hat),
-            "max_abs_c": self.max_abs_c,
-            "l_identity_deviation": self.l_identity_deviation,
-            "b_spread": self.b_spread,
-            "alpha_spread": self.alpha_spread,
-            "prop2_sign_ok": self.prop2_sign_ok,
-            "prop7_consistent": self.prop7_consistent,
-        }
+        return {**asdict(self), "alpha": None if self.alpha is None else list(self.alpha),
+                "b_hat": list(self.b_hat)}
 
 
 def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:

@@ -31,9 +31,10 @@ nilpotent (R. D. Neidinger, SIAM Review 52, 2010).  As h has no
 constant term, step k of Horner's rule is formed to degree d - k + 1
 only, and step k of the Neumann series of ``inv`` to degree k: each
 coefficient sums the pairs of full degree, in their order, less those
-that meet h_0 = 0.  ``partials`` reads the order-k partials off the
-coefficients as alpha! c_alpha, and ``grad(k)`` the k-th partials as a
-Taylor, by one gather scaled in place.  ``Grad(t, k)`` is those partials
+that meet h_0 = 0.  ``grad(k)`` gives the k-th partials as a Taylor,
+by one gather scaled in place, and ``partials`` reads the order-k
+partials off the constant term of the k-th grad of the degree-k
+truncation.  ``Grad(t, k)`` is the k-th partials
 unformed, for the first operand of a product: each step gathers and
 scales its one coefficient i as ``grad(k)`` does all of them, so the
 product has the bits and layout it has with ``t.grad(k)`` and holds one
@@ -145,15 +146,6 @@ def _product_table(n: int, da: int, db: int, za: int = 0, zb: int = 0):
 
 
 @lru_cache(maxsize=None)
-def _partial_table(n: int, k: int):
-    """(index, factor), each (n,) * k: the position of e_i1 + ... + e_ik
-    in ``_basis`` and its alpha!, so d_i1 ... d_ik f = alpha! c_alpha."""
-    exps = np.eye(n, dtype=int)[np.indices((n,) * k).reshape(k, -1).T].sum(1)
-    factor = np.prod([[factorial(a) for a in alpha] for alpha in exps], axis=1)
-    return _index(n, k, exps).reshape((n,) * k), factor.reshape((n,) * k).astype(float)
-
-
-@lru_cache(maxsize=None)
 def _grad_table(n: int, d: int, k: int = 1):
     """(source, factors) of k grads: source (K(n, d-k), n, ..., n), the
     last grad's axis first, holds the position of beta + e_i1 + ... +
@@ -231,13 +223,8 @@ class Taylor:
     def partials(self) -> list:
         """[f, df, ddf, ...] at the expansion points, order k of shape
         (m, n, ..., n, ...) with k axes of length n."""
-        out = [self.value]
-        for k in range(1, self.d + 1):
-            index, factor = _partial_table(self.n, k)
-            c = self.c[index]
-            c *= factor.reshape(factor.shape + (1,) * self.ndim)
-            out.append(np.moveaxis(c, tuple(range(k)), tuple(range(1, k + 1))))
-        return out
+        return [self.value] + [Grad(self.truncate(k), k).coefficients(slice(1))[0]
+                               for k in range(1, self.d + 1)]
 
     def _shaped(self, other) -> tuple:
         if isinstance(other, Taylor):

@@ -20,8 +20,7 @@ import numpy as np
 
 from .charts import IRREGULAR, Chart, radius_traces
 from .errors import InputError
-from .families import DegenerateChart
-from .frames import LiftBatch
+from .families import DegenerateChart, HilfParams
 from .invariants import Analysis, analyze, classify_analysis
 
 __all__ = [
@@ -77,16 +76,6 @@ class CheckRecord:
     status: str            # "pass" | "fail" | "skip"
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "note": self.note,
-        }
-
 
 @dataclass
 class PropertyReport:
@@ -137,7 +126,7 @@ class PropertyReport:
             "chart": self.chart,
             "grid": self.grid,
             "orientation": self.orientation,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "classification": self.classification,
             "warnings": self.warnings,
             "errors": self.errors,
@@ -173,10 +162,12 @@ def _cluster_breaks(k: np.ndarray, rel_tol: float = 1e-4) -> np.ndarray:
     return ~(-np.diff(k, axis=-1) <= rel_tol * scale)
 
 
-def _two_curvature(lift: LiftBatch) -> dict:
+def _two_curvature_constants(a, cls, tol):
     """Distance of the lift's b_i from the two-curvature constants
-    sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))); InputError unless every grid
-    point has the same two clusters of principal curvatures."""
+    sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))), or their spread over the grid
+    if larger; InputError unless every grid point has the same two
+    clusters of principal curvatures."""
+    lift = a.lift
     n = lift.b.shape[1]
     breaks = _cluster_breaks(lift.k)
     clusters = int(np.sum(breaks[0])) + 1
@@ -187,23 +178,17 @@ def _two_curvature(lift: LiftBatch) -> dict:
     if np.any(breaks != breaks[0]):
         raise InputError("curvature multiplicities vary across the grid")
 
-    def targets(m):
-        b1 = np.sqrt((n - m) / (m * n))
-        b2 = -np.sqrt(m / (n * (n - m)))
-        return np.sort(np.concatenate([np.full(m, b1), np.full(n - m, b2)]))[::-1]
-
     b_desc = -np.sort(-lift.b, axis=1)
     m1 = int(np.argmax(breaks[0])) + 1
     # b_i = (r - 1/k_i)/rho is positive on the cluster of the largest
     # curvatures when all share a sign, and on the other one when they do not.
     m = m1 if abs(np.sum(np.sign(lift.k[0]))) == n else n - m1
+    b1 = np.sqrt((n - m) / (m * n))
+    b2 = -np.sqrt(m / (n * (n - m)))
+    targets = np.sort(np.concatenate([np.full(m, b1), np.full(n - m, b2)]))[::-1]
+    residual = float(np.max(np.abs(b_desc - targets[None, :])))
     spread = float(np.max(np.ptp(np.sort(lift.b, axis=1), axis=0)))
-    return {
-        "residual": float(np.max(np.abs(b_desc - targets(m)[None, :]))),
-        "constancy": spread,
-        "multiplicity": m,
-        "targets": [float(v) for v in targets(m)],
-    }
+    return max(residual, spread), f"multiplicity m={m}"
 
 
 def _log_rho_laplacian(a, cls, tol):
@@ -286,11 +271,6 @@ def _l_closed_form(a, cls, tol):
     """max|L_closed - L_structural| relative to max(1, max|L_structural|)."""
     L = a.L_structural
     return float(np.max(np.abs(a.L_closed - L))) / max(1.0, float(np.max(np.abs(L))))
-
-
-def _two_curvature_constants(a, cls, tol):
-    two = _two_curvature(a.lift)
-    return max(two["residual"], two["constancy"]), f"multiplicity m={two['multiplicity']}"
 
 
 @dataclass(frozen=True)
@@ -442,8 +422,7 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
 
     I, II = deg.fundamental_forms(grid)
     n = deg.n
-    coeffs = np.asarray(deg.params["a"], dtype=float)
-    coeffs = np.repeat(coeffs, deg.params.get("multiplicities", [1] * len(coeffs)))
+    coeffs = HilfParams(**deg.params).coeffs
     report.add(
         "first_form_euclidean",
         "first fundamental form is the flat Euclidean metric",

@@ -345,6 +345,10 @@ BAD_INPUT = {
         ["verify", "--surface", "hilf", "--a", "1,2", "--cent=-0.5,0.1"], None, "--cent"),
     "config-unknown-section": (
         ["verify", "--config", "{file}"], {"fd": {"step": 1e-3}}, "unknown section(s) 'fd'"),
+    # Report and sample paths come from --out and --samples alone.
+    "config-output-section": (
+        ["verify", "--config", "{file}"], {"output": {"report_path": "x.json"}},
+        "unknown section(s) 'output'"),
     # Only ``invariants`` writes per-point samples.
     "verify-samples": (["verify", "--a", "1,2", "--samples", "s.csv"], None, "--samples"),
     "construct-samples": (

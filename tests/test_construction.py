@@ -34,24 +34,21 @@ def test_b_from_curvatures_exact():
 
 
 def test_validate_good_constants():
-    report = validate_constants(ConstructionConstants.simple(B123))
-    assert report.ok and not report.failures
+    assert validate_constants(ConstructionConstants.simple(B123)) == ()
 
 
 def test_validate_scaled_row_fails():
     cmat = np.eye(3)
     cmat[1] *= 2.0
-    report = validate_constants(ConstructionConstants.simple(B123, cmat=cmat))
-    assert not report.ok
-    assert any("orthogonal" in msg for msg in report.failures)
+    failures = validate_constants(ConstructionConstants.simple(B123, cmat=cmat))
+    assert any("orthogonal" in msg for msg in failures)
 
 
 def test_validate_repeated_b_fails():
     bad = np.array([0.5, 0.5, -1.0])
     bad = bad / np.sqrt(np.sum(bad**2))
-    report = validate_constants(ConstructionConstants.simple(bad))
-    assert not report.ok
-    assert any("distinct" in msg for msg in report.failures)
+    failures = validate_constants(ConstructionConstants.simple(bad))
+    assert any("distinct" in msg for msg in failures)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -61,9 +58,7 @@ def test_validate_repeated_b_fails():
 ])
 def test_validate_rejects_non_finite_constants(name, value):
     constants = ConstructionConstants.simple(**{"b": B123, name: np.asarray(value)})
-    report = validate_constants(constants)
-    assert not report.ok
-    assert "constants must be finite" in report.failures
+    assert "constants must be finite" in validate_constants(constants)
     with pytest.raises(ParameterError, match="constants must be finite"):
         build_immersion(constants)
 

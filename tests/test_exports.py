@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 import lagkit
+from lagkit.charts import Chart
 from lagkit.invariants import Analysis
 from lagkit.spaces import SignatureSpace
 
@@ -35,6 +36,10 @@ GONE = {
     "lagkit.spaces": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike",
                       "nu_vector"),
     "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection"),
+    # Nothing read these: ``validate_constants`` returns its failures, and
+    # ``Taylor.partials`` reads the grads' table.
+    "lagkit.construction": ("ValidationReport",),
+    "lagkit.taylor": ("_partial_table",),
 }
 
 
@@ -48,3 +53,8 @@ def test_analysis_holds_the_frame_curvature_as_an_array():
     names = {f.name for f in fields(Analysis)}
     assert "riemann_frame" in names and "metric" not in names
     assert not hasattr(SignatureSpace, "vector") and not hasattr(SignatureSpace, "signature_matrix")
+
+
+def test_unread_fields_are_gone():
+    assert "chart" not in {f.name for f in fields(Analysis)}
+    assert "flip_normal" not in {f.name for f in fields(Chart)}

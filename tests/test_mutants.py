@@ -61,7 +61,39 @@ def riemann_pair_broken(pair):
     return mutant
 
 
+def n_plus_y(monkeypatch, chart, grid):
+    # 1e-5 Y added to N: <N, N> reads 2e-5 on hilf3.  position_n_pairing
+    # does not see it, as Y is lightlike: <Y, N + e Y> = <Y, N>.
+    a = analyze(chart, grid)
+    return dataclasses.replace(a, N=a.N + 1e-5 * a.lift.Y)
+
+
+def patched(name, mutate):
+    """A mutant that runs ``analyze`` with ``invariants.<name>`` replaced
+    by ``mutate`` of the original; the patch holds while the check runs."""
+    def mutant(monkeypatch, chart, grid):
+        monkeypatch.setattr(invariants, name, mutate(getattr(invariants, name)))
+        return analyze(chart, grid)
+    return mutant
+
+
 MUTANTS = {
+    "n_vector_lightlike": (("n-plus-y", hilf3, n_plus_y),),
+    # The frame scaled by 1 + 1e-5: E_Y . E_Y - I reads 2e-5 on hilf3.
+    "tangent_orthonormality": (
+        ("frame-scaled", hilf3, patched(
+            "frame_coefficients", lambda f: lambda lift: (1 + 1e-5) * f(lift))),),
+    # P read as 2P in the structure equation: 0.79 on hilf3.
+    "structure_equation": (
+        ("p-doubled", hilf3, patched("p_vector", lambda f: lambda space: 2.0 * f(space))),),
+    # rho dropped from B_ab = rho (r III_ab - II_ab): 3.9 on hilf3.
+    "covariant_b_contraction": (
+        ("b-without-rho", hilf3, patched(
+            "_b_tensor", lambda f: lambda r, rho, III, II: r[..., None, None] * III - II)),),
+    # The Christoffel symbols of III negated: 4.48 on hilf3.
+    "log_rho_trace_identity": (
+        ("christoffels-negated", hilf3, patched(
+            "christoffels", lambda f: lambda *args: -f(*args))),),
     "l_closed_form": (
         ("constant-term", hilf3, l_constant_term),
         ("direction-weight", hilf3, l_direction_weight),
