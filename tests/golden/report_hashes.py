@@ -2,16 +2,17 @@
 
     python tests/golden/report_hashes.py [--src DIR]
 
-Runs every example of ``tests/test_golden.py``, a few larger cases
-(hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2) and the
-benchmark's construct path at seeds 0, 7 and 1000 in-process
-through ``lagkit.cli.main`` with ``--no-timestamp`` and prints one line
-``NAME SHA1`` per case, sorted by name, the hash taken over everything
-the call writes to stdout.  ``--src`` imports ``lagkit`` from another
-source tree (for example a checkout of the base commit), so two runs
-of this script compare the bytes of two versions of the code on the
-same cases.  A refactor that keeps every hash is byte-identical; the
-golden tests only hold floats to 1e-9.
+Runs every example of ``tests/test_golden.py`` and a few larger cases
+(hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, the
+benchmark's construct path at seeds 0, 7 and 1000, and construct with
+the identity matrix) in-process through ``lagkit.cli.main`` with
+``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
+name, the hash taken over everything the call writes to stdout.
+``--src`` imports ``lagkit`` from another source tree (for example a
+checkout of the base commit), so two runs of this script compare the
+bytes of two versions of the code on the same cases.  A refactor that
+keeps every hash is byte-identical; the golden tests only hold floats
+to 1e-9.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ EXTRA = {
     **{f"construct-hilf3-{seed}": ["construct", "--b-from-a", "1,2,3", "--grid", "5",
                                    "--half-width", "0.5", "--seed", str(seed)]
        for seed in (0, 7, 1000)},
+    # The one construct input on which explicit_family_roundtrip runs, not skips.
+    "construct-identity": ["construct", "--b-from-a", "1,2,3", "--identity", "--grid", "3",
+                           "--half-width", "0.5"],
 }
 
 
