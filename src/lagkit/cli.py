@@ -31,27 +31,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .construction import (
-    ConstructionConstants,
-    b_from_curvatures,
-    build_immersion,
-    frobenius_report,
-    random_orthogonal,
-    validate_constants,
-)
+from .construction import ConstructionConstants, b_from_curvatures, random_orthogonal
 from .errors import LagkitError
-from .families import (
-    CATALOG,
-    HilfParams,
-    hilf_chart,
-    laguerre_immersion_tau,
-)
-from .invariants import analyze, classify_analysis
+from .families import CATALOG
 from .verifier import (
     PropertyReport,
     Tolerances,
+    construct_suite,
     degenerate_model_report,
     run_suite,
+    tau_suite,
 )
 
 SCHEMA_VERSION = 1
@@ -246,24 +235,20 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _cmd_verify(args, want_samples=False) -> int:
+def _cmd_verify(args) -> int:
+    """``verify``, and ``invariants``, the one command with ``--samples``."""
     cfg = _resolve(args)
     kind, chart = _build_surface(cfg)
     tol = _tolerances(cfg)
     grid = _grid_for(chart.n, cfg)
-    if kind == "degenerate-hilf":
-        report = degenerate_model_report(chart, grid, tol)
-    else:
-        report = run_suite(chart, grid, tol)
-    if want_samples and args.samples:
+    suite = degenerate_model_report if kind == "degenerate-hilf" else run_suite
+    report = suite(chart, grid, tol)
+    samples = getattr(args, "samples", None)
+    if samples:
         if report.analysis is None:
             raise LagkitError("no invariant samples available for this surface")
-        _write_samples(args.samples, report.analysis)
+        _write_samples(samples, report.analysis)
     return _finish(report, cfg, args)
-
-
-def _cmd_invariants(args) -> int:
-    return _cmd_verify(args, want_samples=True)
 
 
 def _load_constants(args, cfg) -> ConstructionConstants:
@@ -285,68 +270,8 @@ def _cmd_construct(args) -> int:
     cfg = _resolve(args)
     tol = _tolerances(cfg)
     constants = _load_constants(args, cfg)
-    failures = validate_constants(constants)
-    if failures:
-        print("invalid constants:", "; ".join(failures), file=sys.stderr)
-        return 2
-
-    maps = build_immersion(constants)
-    n = constants.n
-    v_grid = _grid_for(n, cfg)
-    vbar_grid = np.sqrt(2.0) * v_grid * constants.b
-
-    report = PropertyReport(
-        chart={"name": "constructed", "params": constants.to_json_dict(), "n": n},
-        grid={"points": int(v_grid.shape[0]), "half_width": cfg["grid"]["half_width"]},
-        orientation=maps.chart.orientation,
-    )
-    analysis = analyze(maps.chart, vbar_grid)
-    irregular = np.flatnonzero(analysis.reason != "")
-    if len(irregular):
-        i = irregular[0]
-        raise LagkitError(f"irregular vbar point {vbar_grid[i].tolist()}: {analysis.reason[i]}")
-    anchor = "integrability conditions of the curvature-line frame system"
-    for name, residual in frobenius_report(maps, v_grid, analysis).items():
-        report.add(f"frobenius_{name}", anchor, residual, tol.frobenius)
-
-    cls = classify_analysis(analysis, tol.classification)
-    report.classification = cls.to_dict()
-    report.add(
-        "constructed_isotropic_lambda",
-        "constructed immersion has vanishing tensor eigenvalue",
-        abs(cls.lambda_estimate),
-        tol.classification,
-    )
-    b_in = np.sort(constants.b)
-    b_match = min(
-        float(np.max(np.abs(np.sort(cls.b_hat) - b_in))),
-        float(np.max(np.abs(np.sort(-cls.b_hat) - b_in))),
-    )
-    report.add(
-        "constructed_b_roundtrip",
-        "recovered Laguerre principal curvatures match the input constants",
-        b_match,
-        tol.classification,
-        note="compared up to a global orientation sign",
-    )
-    identity_like = np.allclose(constants.cmat, np.eye(n)) and np.allclose(constants.shift, 0.0)
-    if identity_like and abs(constants.phi) < 1e-14:
-        reference = hilf_chart(HilfParams(a=tuple(1.0 / constants.b)))
-        dx = np.max(np.abs(maps.chart.evaluator(vbar_grid) - reference.evaluator(vbar_grid)))
-        dxi = np.max(np.abs(maps.chart.normal(vbar_grid) - reference.normal(vbar_grid)))
-        report.add(
-            "explicit_family_roundtrip",
-            "identity-matrix constants reproduce the explicit family",
-            max(float(dx), float(dxi)),
-            tol.construction_roundtrip,
-        )
-    else:
-        report.skip(
-            "explicit_family_roundtrip",
-            "identity-matrix constants reproduce the explicit family",
-            "requires the identity matrix, cancelled shifts and phi = 0",
-        )
-    return _finish(report, cfg, args)
+    grid = _grid_for(constants.n, cfg)
+    return _finish(construct_suite(constants, grid, tol, cfg["grid"]["half_width"]), cfg, args)
 
 
 def _cmd_tau(args) -> int:
@@ -356,24 +281,7 @@ def _cmd_tau(args) -> int:
     if kind != "hilf":
         raise LagkitError(f"tau maps the degenerate model onto hilf, not {kind!r}")
     deg = CATALOG["degenerate-hilf"](cfg["surface"].get("params", {}))
-    euclid = hilf_chart(HilfParams(**deg.params))
-    grid = _grid_for(deg.n, cfg)
-
-    report = degenerate_model_report(deg, grid, tol)
-    x_img, xi_img = laguerre_immersion_tau(deg.evaluator(grid), deg.normal(grid))
-    report.add(
-        "tau_position_equivalence",
-        "the degenerate model maps onto the explicit family",
-        float(np.max(np.abs(x_img - euclid.evaluator(grid)))),
-        tol.tau_equivalence,
-    )
-    report.add(
-        "tau_normal_equivalence",
-        "the mapped normal matches the explicit family normal",
-        float(np.max(np.abs(xi_img - euclid.normal(grid)))),
-        tol.tau_equivalence,
-    )
-    return _finish(report, cfg, args)
+    return _finish(tau_suite(deg, _grid_for(deg.n, cfg), tol), cfg, args)
 
 
 def _add_common(parser, with_surface=True):
@@ -461,7 +369,7 @@ def main(argv=None) -> int:
     handlers = {
         "catalog": _cmd_catalog,
         "verify": _cmd_verify,
-        "invariants": _cmd_invariants,
+        "invariants": _cmd_verify,
         "construct": _cmd_construct,
         "tau": _cmd_tau,
     }

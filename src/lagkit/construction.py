@@ -66,6 +66,7 @@ __all__ = [
     "build_position",
     "build_normal_map",
     "build_immersion",
+    "FROBENIUS_RESIDUALS",
     "frobenius_report",
 ]
 
@@ -163,41 +164,27 @@ class ConstructionConstants:
 def validate_constants(c: ConstructionConstants) -> tuple:
     """The admissibility conditions that fail, as messages; empty when
     the constants are admissible."""
-    failures = []
-    b = c.b
-    n = c.n
+    b, n = c.b, c.n
+    if c.cmat.shape != (n, n):   # every other condition reads an n x n matrix
+        return (f"matrix shape {c.cmat.shape} != ({n}, {n})",)
     with np.errstate(invalid="ignore", over="ignore"):
-        values = {
-            "b_trace": float(abs(b.sum())),
-            "b_square": float(abs((b**2).sum() - 1.0)),
-            "orthogonality": float(np.max(np.abs(c.cmat.T @ c.cmat - np.eye(n)))),
-            "min_abs_b": float(np.min(np.abs(b))),
-            "min_b_gap": float(np.min(np.abs(np.subtract.outer(b, b))[~np.eye(n, dtype=bool)]))
-            if n > 1
-            else float("inf"),
-            "min_abs_diag": float(np.min(np.abs(c.diag))),
-        }
-    if not all(np.all(np.isfinite(v)) for v in (b, c.cmat, c.beta1, c.beta3, c.gamma1)):
-        failures.append("constants must be finite")
-    if c.cmat.shape != (n, n):
-        failures.append(f"matrix shape {c.cmat.shape} != ({n}, {n})")
-    if not all(v.shape == (n,) for v in (c.beta1, c.beta3, c.gamma1)):
-        failures.append("beta1/beta3/gamma1 must have length n")
-    if values["b_trace"] > 1e-12:
-        failures.append(f"sum b_i = {values['b_trace']:.3e} exceeds 1e-12")
-    if values["b_square"] > 1e-12:
-        failures.append(f"|sum b_i^2 - 1| = {values['b_square']:.3e} exceeds 1e-12")
-    if values["min_abs_b"] <= 1e-9:
-        failures.append("some b_i is (numerically) zero")
-    if values["min_b_gap"] <= 1e-9:
-        failures.append("b_i are not pairwise distinct")
-    if values["orthogonality"] > 1e-12:
-        failures.append(
-            f"matrix is not orthogonal: max |C'C - I| = {values['orthogonality']:.3e}"
+        trace, square = float(abs(b.sum())), float(abs((b**2).sum() - 1.0))
+        orthogonality = float(np.max(np.abs(c.cmat.T @ c.cmat - np.eye(n))))
+        gaps = np.abs(np.subtract.outer(b, b))[~np.eye(n, dtype=bool)]
+        conditions = (
+            (not all(np.all(np.isfinite(v)) for v in (b, c.cmat, c.beta1, c.beta3, c.gamma1)),
+             "constants must be finite"),
+            (not all(v.shape == (n,) for v in (c.beta1, c.beta3, c.gamma1)),
+             "beta1/beta3/gamma1 must have length n"),
+            (trace > 1e-12, f"sum b_i = {trace:.3e} exceeds 1e-12"),
+            (square > 1e-12, f"|sum b_i^2 - 1| = {square:.3e} exceeds 1e-12"),
+            (np.min(np.abs(b)) <= 1e-9, "some b_i is (numerically) zero"),
+            (n > 1 and np.min(gaps) <= 1e-9, "b_i are not pairwise distinct"),
+            (orthogonality > 1e-12,
+             f"matrix is not orthogonal: max |C'C - I| = {orthogonality:.3e}"),
+            (np.min(np.abs(c.diag)) <= 1e-12, "matrix has a vanishing diagonal entry"),
         )
-    if values["min_abs_diag"] <= 1e-12:
-        failures.append("matrix has a vanishing diagonal entry")
-    return tuple(failures)
+    return tuple(message for failed, message in conditions if failed)
 
 
 def _require_valid(c: ConstructionConstants) -> None:
@@ -341,6 +328,11 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
     )
 
 
+# The keys of ``frobenius_report``, in its order.
+FROBENIUS_RESIDUALS = ("mixed_partials", "second_equation", "eta_derivative",
+                       "tangent_diagonality", "pipeline_n_constancy", "pipeline_b_constancy")
+
+
 def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis) -> dict:
     """Numerical residuals of the integrability conditions on the output.
 
@@ -376,11 +368,11 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis) -> dict:
     N_const[[2, -1]] = 1.0
     rhs = N_const + c.b[:, None] * p_vector(space)
     b_sorted = np.sort(analysis.lift.b, axis=1)
-    return {
-        "mixed_partials": float(np.max(np.abs(ddY[:, off]))),
-        "second_equation": float(np.max(np.abs(lhs - rhs))),
-        "eta_derivative": float(np.max(np.abs(deta - c.b[None, :, None] * dY))),
-        "tangent_diagonality": float(np.max(np.abs(gram[:, off]))),
-        "pipeline_n_constancy": float(np.max(np.abs(analysis.N - analysis.N.mean(axis=0)))),
-        "pipeline_b_constancy": float(np.max(np.ptp(b_sorted, axis=0))) if len(grid) > 1 else 0.0,
-    }
+    return dict(zip(FROBENIUS_RESIDUALS, map(float, (
+        np.max(np.abs(ddY[:, off])),
+        np.max(np.abs(lhs - rhs)),
+        np.max(np.abs(deta - c.b[None, :, None] * dY)),
+        np.max(np.abs(gram[:, off])),
+        np.max(np.abs(analysis.N - analysis.N.mean(axis=0))),
+        np.max(np.ptp(b_sorted, axis=0)) if len(grid) > 1 else 0.0,
+    ))))

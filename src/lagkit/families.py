@@ -145,6 +145,10 @@ class DegenerateChart:
     normal_jet: Callable
     params: dict
 
+    # The keys of ``constraint_residuals``, in its order.
+    CONSTRAINTS = ("position_in_hyperplane", "normal_lightlike", "normal_nu_pairing",
+                   "normal_tangency")
+
     def constraint_residuals(self, U: np.ndarray):
         """Max residuals of <x,nu>=0, <xi,xi>=0, <xi,nu>=1, <xi,dx>=0."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -152,16 +156,12 @@ class DegenerateChart:
         xi = self.normal(U)
         nu = np.zeros(self.space.dimension)
         nu[0] = nu[-1] = 1.0
-        res_x_nu = np.max(np.abs(self.space.dot(x, nu)))
-        res_xi_null = np.max(np.abs(self.space.dot(xi, xi)))
-        res_xi_nu = np.max(np.abs(self.space.dot(xi, nu) - 1.0))
-        res_tangent = np.max(np.abs(self.space.dot(dx, xi[:, None, :])))
-        return {
-            "position_in_hyperplane": float(res_x_nu),
-            "normal_lightlike": float(res_xi_null),
-            "normal_nu_pairing": float(res_xi_nu),
-            "normal_tangency": float(res_tangent),
-        }
+        return dict(zip(self.CONSTRAINTS, map(float, (
+            np.max(np.abs(self.space.dot(x, nu))),
+            np.max(np.abs(self.space.dot(xi, xi))),
+            np.max(np.abs(self.space.dot(xi, nu) - 1.0)),
+            np.max(np.abs(self.space.dot(dx, xi[:, None, :]))),
+        ))))
 
     def fundamental_forms(self, U: np.ndarray):
         """Minkowski first and second fundamental forms I, -<dx, dxi>."""

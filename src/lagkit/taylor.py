@@ -78,6 +78,8 @@ from operator import and_
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = ["Taylor", "Grad", "variables", "einsum", "batch_inner", "inv"]
 
 
@@ -267,11 +269,10 @@ class Taylor:
     def __rtruediv__(self, other) -> "Taylor":
         return self.reciprocal() * other
 
-    def __pow__(self, k: int) -> "Taylor":   # k a positive integer
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+    def __pow__(self, k: int) -> "Taylor":
+        if not (isinstance(k, (int, np.integer)) and k >= 1):
+            raise InputError(f"a Taylor power takes a positive integer exponent, got {k!r}")
+        return reduce(Taylor.__mul__, [self] * k)
 
     def __matmul__(self, M) -> "Taylor":
         return self._new(self.c @ np.asarray(M, dtype=float))

@@ -1,14 +1,19 @@
-"""Full property suite over a chart, with a structured pass/fail report.
+"""Property suites over a chart, with a structured pass/fail report.
 
 Every check is a worst-case residual over the grid compared against a
-named tolerance.  The checks form one table, ``CHECKS``, that
-``run_suite`` walks in report order; each row names the check, its
-anchor in the theory, its ``Tolerances`` field, its hypotheses and its
-residual.  Conditional checks whose hypotheses fail on the given chart
-are reported as *skipped* with the hypothesis named, never as vacuous
-passes.  ``run_suite`` takes one ``analyze`` of the grid: each point it
-gives a ``reason`` becomes a per-point error entry, and the checks run on
-the remaining points.
+named tolerance, and a row of one table that its suite walks in report
+order: ``CHECKS`` (``run_suite``, the invariants of a chart),
+``CONSTRUCT_CHECKS`` (``construct_suite``, the integrated immersion),
+``MODEL_CHECKS`` (``degenerate_model_report``, the degenerate model) and
+``TAU_CHECKS`` (``tau_suite``, the model mapped onto the explicit
+family).  A row names the check, its anchor in the theory, its
+``Tolerances`` field, its hypotheses and its residual over the context
+its suite builds once; ``PropertyReport.run`` records it.  Conditional
+checks whose hypotheses fail on the given chart are reported as
+*skipped* with the hypothesis named, never as vacuous passes.
+``run_suite`` takes one ``analyze`` of the grid: each point it gives a
+``reason`` becomes a per-point error entry, and the checks run on the
+remaining points.
 """
 
 from __future__ import annotations
@@ -19,18 +24,29 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charts import IRREGULAR, Chart, radius_traces
+from .construction import (
+    FROBENIUS_RESIDUALS,
+    ConstructionConstants,
+    build_immersion,
+    frobenius_report,
+)
 from .errors import InputError
-from .families import DegenerateChart, HilfParams
+from .families import DegenerateChart, HilfParams, hilf_chart, laguerre_immersion_tau
 from .invariants import Analysis, analyze, classify_analysis
 
 __all__ = [
     "Tolerances",
     "Check",
     "CHECKS",
+    "CONSTRUCT_CHECKS",
+    "MODEL_CHECKS",
+    "TAU_CHECKS",
     "CheckRecord",
     "PropertyReport",
     "run_suite",
+    "construct_suite",
     "degenerate_model_report",
+    "tau_suite",
 ]
 
 
@@ -91,28 +107,23 @@ class PropertyReport:
     # carried for callers that sample further; never serialized
     analysis: Optional[Analysis] = field(default=None, repr=False, compare=False)
 
-    def add(self, name, anchor, residual, tolerance, note=""):
-        status = "pass" if residual <= tolerance else "fail"
-        self.checks.append(
-            CheckRecord(name, anchor, float(residual), float(tolerance), status, note)
-        )
-
-    def skip(self, name, anchor, reason):
-        self.checks.append(CheckRecord(name, anchor, None, None, "skip", reason))
-
-    def run(self, check: Check, a, cls, tol: Tolerances) -> None:
-        """Record one row of ``CHECKS`` on an analysis and its classification."""
-        skip = next((note for note, holds in check.requires if not holds(a, cls, tol)), None)
+    def run(self, check: Check, *context) -> None:
+        """Record one table row on its suite's context, whose last entry
+        is the ``Tolerances``."""
+        skip = next((note for note, holds in check.requires if not holds(*context)), None)
         if skip is None:
             try:
-                value = check.residual(a, cls, tol)
+                value = check.residual(*context)
             except InputError as exc:
                 skip = str(exc)
         if skip is not None:
-            self.skip(check.name, check.anchor, skip)
+            self.checks.append(CheckRecord(check.name, check.anchor, None, None, "skip", skip))
             return
         residual, note = value if isinstance(value, tuple) else (value, "")
-        self.add(check.name, check.anchor, residual, getattr(tol, check.tolerance), note)
+        tolerance = getattr(context[-1], check.tolerance)
+        status = "pass" if residual <= tolerance else "fail"
+        self.checks.append(CheckRecord(
+            check.name, check.anchor, float(residual), float(tolerance), status, note))
 
     @property
     def passed(self) -> bool:
@@ -275,14 +286,15 @@ def _l_closed_form(a, cls, tol):
 
 @dataclass(frozen=True)
 class Check:
-    """One row of the suite: a residual over the grid against a named tolerance.
+    """One row of a table: a residual over the grid against a named tolerance.
 
-    ``tolerance`` names a field of ``Tolerances``.  ``residual(analysis,
-    classification, tolerances)`` returns the worst residual, or a
-    ``(residual, note)`` pair; an ``InputError`` it raises skips the check
-    with its message.  ``requires`` holds ``(note, predicate)`` pairs
-    taking the same arguments: the first predicate that fails skips the
-    check with its note.
+    ``tolerance`` names a field of ``Tolerances``.  ``residual(*context)``
+    takes the context of the row's table (for ``CHECKS`` the analysis,
+    its classification and the tolerances) and returns the worst
+    residual, or a ``(residual, note)`` pair; an ``InputError`` it raises
+    skips the check with its message.  ``requires`` holds ``(note,
+    predicate)`` pairs taking the same arguments: the first predicate
+    that fails skips the check with its note.
     """
 
     name: str
@@ -401,11 +413,103 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
     return report
 
 
+def _keyed(keys, anchor, tolerance, prefix=""):
+    """One row per key of the residual dict that leads a table's context."""
+    return tuple(Check(prefix + key, anchor, tolerance, lambda res, *_, key=key: res[key])
+                 for key in keys)
+
+
+def _b_roundtrip(frob, maps, vbar, cls, tol):
+    b_in = np.sort(maps.constants.b)
+    return min(
+        float(np.max(np.abs(np.sort(cls.b_hat) - b_in))),
+        float(np.max(np.abs(np.sort(-cls.b_hat) - b_in))),
+    ), "compared up to a global orientation sign"
+
+
+def _identity_like(frob, maps, vbar, cls, tol):
+    c = maps.constants
+    return np.allclose(c.cmat, np.eye(c.n)) and np.allclose(c.shift, 0.0) and abs(c.phi) < 1e-14
+
+
+def _explicit_family_roundtrip(frob, maps, vbar, cls, tol):
+    reference = hilf_chart(HilfParams(a=tuple(1.0 / maps.constants.b)))
+    dx = np.max(np.abs(maps.chart.evaluator(vbar) - reference.evaluator(vbar)))
+    dxi = np.max(np.abs(maps.chart.normal(vbar) - reference.normal(vbar)))
+    return max(float(dx), float(dxi))
+
+
+# Context: frobenius_report's residuals, maps, vbar grid, classification, tolerances.
+CONSTRUCT_CHECKS = _keyed(
+    FROBENIUS_RESIDUALS, "integrability conditions of the curvature-line frame system",
+    "frobenius", prefix="frobenius_",
+) + (
+    Check("constructed_isotropic_lambda", "constructed immersion has vanishing tensor eigenvalue",
+          "classification", lambda frob, maps, vbar, cls, tol: abs(cls.lambda_estimate)),
+    Check("constructed_b_roundtrip",
+          "recovered Laguerre principal curvatures match the input constants",
+          "classification", _b_roundtrip),
+    Check("explicit_family_roundtrip", "identity-matrix constants reproduce the explicit family",
+          "construction_roundtrip", _explicit_family_roundtrip,
+          (("requires the identity matrix, cancelled shifts and phi = 0", _identity_like),)),
+)
+
+
+def construct_suite(constants: ConstructionConstants, grid: np.ndarray,
+                    tol: Tolerances = Tolerances(), half_width=None) -> PropertyReport:
+    """Run ``CONSTRUCT_CHECKS`` on the immersion built from ``constants``,
+    whose chart is analysed once, on the vbar grid sqrt(2) grid b of the
+    v-grid ``grid``; an irregular vbar point is an ``InputError``.  The
+    report echoes ``half_width``, the grid's configured half-width."""
+    maps = build_immersion(constants)
+    vbar = np.sqrt(2.0) * grid * constants.b
+    a = analyze(maps.chart, vbar)
+    irregular = np.flatnonzero(a.reason != "")
+    if len(irregular):
+        i = irregular[0]
+        raise InputError(f"irregular vbar point {vbar[i].tolist()}: {a.reason[i]}")
+    cls = classify_analysis(a, tol.classification)
+    report = PropertyReport(
+        chart={"name": "constructed", "params": constants.to_json_dict(), "n": constants.n},
+        grid={"points": len(grid), "half_width": half_width},
+        orientation=maps.chart.orientation,
+        classification=cls.to_dict(),
+    )
+    context = (frobenius_report(maps, grid, a), maps, vbar, cls, tol)
+    for check in CONSTRUCT_CHECKS:
+        report.run(check, *context)
+    return report
+
+
+def _rho_square_constant(res, I, II, coeffs, tol):
+    # rho^2 at each point from the radii of III^-1 II; its spread must vanish.
+    _, rho = radius_traces(II, II @ np.linalg.solve(I, II))
+    r_i = 1.0 / coeffs
+    rho2 = float(np.sum((float(np.mean(r_i)) - r_i) ** 2))
+    return float(np.ptp(rho**2)), f"rho^2 = {rho2!r} from constant radii"
+
+
+# Context: constraint residuals, first and second fundamental forms, constants a, tolerances.
+MODEL_CHECKS = _keyed(
+    DegenerateChart.CONSTRAINTS, "defining constraints of the lightlike normal",
+    "model_constraints",
+) + (
+    Check("first_form_euclidean", "first fundamental form is the flat Euclidean metric",
+          "model_constraints",
+          lambda res, I, II, coeffs, tol: np.max(np.abs(I - np.eye(I.shape[-1])))),
+    Check("second_form_diagonal", "second fundamental form is the constant diagonal of the model",
+          "model_constraints",
+          lambda res, I, II, coeffs, tol: np.max(np.abs(II - np.diag(coeffs)))),
+    Check("rho_square_constant", "constant squared deviation of the curvature radii",
+          "rho_constancy", _rho_square_constant),
+)
+
+
 def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
                             tol: Tolerances = Tolerances()) -> PropertyReport:
-    """Checks specific to the degenerate-hyperplane model chart.
+    """Run ``MODEL_CHECKS`` on the degenerate-hyperplane model chart.
 
-    The lightlike normal must satisfy its three defining constraints to
+    The lightlike normal must satisfy its defining constraints to
     machine precision, the fundamental forms are the Euclidean identity
     and diag(a), and the curvature radii (hence rho) are constant.
     """
@@ -415,40 +519,34 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
         grid=_grid_descriptor(grid),
         orientation="constraint-solved normal",
     )
-    res = deg.constraint_residuals(grid)
-    anchor = "defining constraints of the lightlike normal"
-    for name, value in res.items():
-        report.add(name, anchor, value, tol.model_constraints)
-
-    I, II = deg.fundamental_forms(grid)
-    n = deg.n
-    coeffs = HilfParams(**deg.params).coeffs
-    report.add(
-        "first_form_euclidean",
-        "first fundamental form is the flat Euclidean metric",
-        np.max(np.abs(I - np.eye(n))),
-        tol.model_constraints,
-    )
-    report.add(
-        "second_form_diagonal",
-        "second fundamental form is the constant diagonal of the model",
-        np.max(np.abs(II - np.diag(coeffs))),
-        tol.model_constraints,
-    )
-    # rho^2 at each point from the radii of III^-1 II; its spread must vanish.
-    _, rho = radius_traces(II, II @ np.linalg.solve(I, II))
-    r_i = 1.0 / coeffs
-    r = float(np.mean(r_i))
-    rho2 = float(np.sum((r - r_i) ** 2))
-    report.add(
-        "rho_square_constant",
-        "constant squared deviation of the curvature radii",
-        float(np.ptp(rho**2)),
-        tol.rho_constancy,
-        note=f"rho^2 = {rho2!r} from constant radii",
-    )
+    context = (deg.constraint_residuals(grid), *deg.fundamental_forms(grid),
+               HilfParams(**deg.params).coeffs, tol)
+    for check in MODEL_CHECKS:
+        report.run(check, *context)
     report.warnings.append(
         "normal field solved from its defining constraints; a printed "
         "variant failing them is not reproduced"
     )
+    return report
+
+
+# Context: the model's image (x, xi) under tau, the explicit family, grid, tolerances.
+TAU_CHECKS = (
+    Check("tau_position_equivalence", "the degenerate model maps onto the explicit family",
+          "tau_equivalence", lambda image, euclid, grid, tol: float(
+              np.max(np.abs(image[0] - euclid.evaluator(grid))))),
+    Check("tau_normal_equivalence", "the mapped normal matches the explicit family normal",
+          "tau_equivalence", lambda image, euclid, grid, tol: float(
+              np.max(np.abs(image[1] - euclid.normal(grid))))),
+)
+
+
+def tau_suite(deg: DegenerateChart, grid: np.ndarray,
+              tol: Tolerances = Tolerances()) -> PropertyReport:
+    """``MODEL_CHECKS``, then ``TAU_CHECKS`` on the model mapped once by tau."""
+    report = degenerate_model_report(deg, grid, tol)
+    image = laguerre_immersion_tau(deg.evaluator(grid), deg.normal(grid))
+    context = (image, hilf_chart(HilfParams(**deg.params)), grid, tol)
+    for check in TAU_CHECKS:
+        report.run(check, *context)
     return report

@@ -209,7 +209,7 @@ def test_list_flag_takes_a_negative_first_value(argv, tmp_path, capsys):
     assert not capsys.readouterr().err
 
 
-def test_construct_rejects_tampered_matrix(tmp_path):
+def test_construct_rejects_tampered_matrix(tmp_path, capsys):
     bad = tmp_path / "constants.json"
     cmat = np.eye(3)
     cmat[0, 0] = 2.0
@@ -223,6 +223,11 @@ def test_construct_rejects_tampered_matrix(tmp_path):
         "--no-timestamp", "--out", str(tmp_path / "r.json"),
     ])
     assert code == 2
+    # Inadmissible constants are bad input like any other: one error line.
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "matrix is not orthogonal" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_construct_requires_source():

@@ -17,7 +17,6 @@ from lagkit.errors import InputError, ParameterError
 from lagkit.families import HilfParams, hilf_chart
 from lagkit.invariants import analyze, classify_analysis
 from lagkit.spaces import laguerre_space
-from lagkit.verifier import Tolerances
 from tests import central
 from tests.conftest import mesh
 
@@ -42,6 +41,15 @@ def test_validate_scaled_row_fails():
     cmat[1] *= 2.0
     failures = validate_constants(ConstructionConstants.simple(B123, cmat=cmat))
     assert any("orthogonal" in msg for msg in failures)
+
+
+def test_validate_wrong_matrix_shape_is_listed():
+    # Every other condition reads an n x n matrix, so a 2 x 2 one for n = 3
+    # is the one failure listed, not a numpy broadcast error.
+    failures = validate_constants(ConstructionConstants.simple(B123, cmat=np.eye(2)))
+    assert failures == ("matrix shape (2, 2) != (3, 3)",)
+    with pytest.raises(ParameterError, match=r"matrix shape \(2, 2\)"):
+        build_immersion(ConstructionConstants.simple(B123, cmat=np.eye(2)))
 
 
 def test_validate_repeated_b_fails():
@@ -237,35 +245,6 @@ def test_frobenius_report_evaluates_each_map_once(seeded_constants):
         frobenius_report(maps, grid[:-1], analysis)
     with pytest.raises(InputError, match="vbar grid"):
         frobenius_report(maps, grid, analyze(maps.chart, grid))
-
-
-def _unit(k, dim=7):
-    e = np.zeros(dim)
-    e[k] = 1.0
-    return e
-
-
-# One mutant of the constructed maps per integrability residual: the map
-# it perturbs and the term it adds, of size 1e-5 on the grid.
-FROBENIUS_MUTANTS = {
-    "mixed_partials": ("position", lambda V: 1e-5 * (V[..., 0] * V[..., 1])[..., None] * _unit(3)),
-    "second_equation": ("position", lambda V: 1e-5 * (V[..., 0] ** 3)[..., None] * _unit(3)),
-    "eta_derivative": ("normal_map", lambda V: 1e-5 * V[..., :1] * _unit(3)),
-    "tangent_diagonality": ("position", lambda V: 1e-5 * V[..., 1:2] * _unit(3)),
-}
-
-
-@pytest.mark.parametrize("residual", FROBENIUS_MUTANTS)
-def test_frobenius_residual_can_fail(residual, seeded_constants):
-    maps = build_immersion(seeded_constants)
-    grid = mesh(3, 0.5, 3)
-    analysis = analyze(maps.chart, np.sqrt(2.0) * grid * seeded_constants.b)
-    tol = Tolerances().frobenius
-    assert all(v <= tol for v in frobenius_report(maps, grid, analysis).values())
-    name, term = FROBENIUS_MUTANTS[residual]
-    original = getattr(maps, name)
-    mutant = dataclasses.replace(maps, **{name: lambda V: original(V) + term(V)})
-    assert frobenius_report(mutant, grid, analysis)[residual] > tol
 
 
 def test_equivalence_across_orthogonal_choices():

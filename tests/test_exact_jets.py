@@ -188,6 +188,16 @@ def test_degrees_below_the_range_are_rejected(hilf3):
         jet_arrays(hilf3, np.array(POINTS), 1)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.0, 2.0])
+def test_powers_other_than_positive_integers_are_rejected(k):
+    # The float map gives 1 and 1/x for k = 0 and -1; a Taylor power that
+    # returned x itself would give a jet of another map than the evaluator.
+    V = taylor.variables(np.array(POINTS), 2)
+    with pytest.raises(InputError, match="positive integer"):
+        V ** k
+    assert np.array_equal((V ** 3).c, (V * V * V).c)
+
+
 # The lift oracle.
 
 STEP = mpmath.mpf(2) ** -27      # about 7.5e-9, exact in binary

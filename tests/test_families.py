@@ -16,6 +16,15 @@ from lagkit.verifier import run_suite
 from tests.conftest import mesh
 
 
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_catalog_jet_value_is_the_evaluator(kind):
+    # analyze reads the jet alone, so the jet must be of the map the
+    # evaluator gives.
+    chart = CATALOG[kind]({})
+    U = mesh(chart.n, 0.3, 3) + 0.1
+    assert np.allclose(chart.jet(U, 2).value, chart.evaluator(U), rtol=1e-15, atol=1e-15)
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         HilfParams(a=(1.0, 1.0))

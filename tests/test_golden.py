@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from lagkit.cli import main
+from lagkit.verifier import CHECKS, CONSTRUCT_CHECKS, MODEL_CHECKS, TAU_CHECKS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,3 +87,13 @@ def test_regen_diff_names_added_and_removed_keys():
     got = {"a": 1.0, "b": {"c": "y", "d": 2.0, "e": []}, "new": 1}
     assert list(moved(got, want)) == [
         "$.b.c", "$.b.e (added)", "$.gone (removed)", "$.new (added)"]
+
+
+def test_every_golden_check_is_one_table_row():
+    # Each command records its checks from the verifier's tables alone, and
+    # a golden covers every row.
+    rows = [row.name for table in (CHECKS, CONSTRUCT_CHECKS, MODEL_CHECKS, TAU_CHECKS)
+            for row in table]
+    names = {check["name"] for path in GOLDEN.glob("*.json")
+             for check in json.loads(path.read_text())["checks"]}
+    assert sorted(names) == sorted(rows)

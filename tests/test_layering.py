@@ -3,6 +3,8 @@
 Every import sits at module level, so a module's dependencies are all
 in its header, and no lagkit module imports a ``_``-prefixed name from
 another: a private helper stays private to the module that defines it.
+The CLI only parses and prints: every check is recorded by a suite of
+``verifier``.
 """
 
 import ast
@@ -44,3 +46,27 @@ def test_no_private_name_imported_from_another_module(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"private names imported from other lagkit modules: {private}"
+
+
+# The pipeline steps a suite of ``verifier`` runs, which the CLI reaches
+# only through the suites.
+PIPELINE = {"analyze", "classify_analysis", "build_immersion", "frobenius_report",
+            "hilf_chart", "laguerre_immersion_tau"}
+
+
+def test_cli_only_parses_and_prints():
+    tree = parse(next(p for p in SOURCES if p.name == "cli.py"))
+    recorded = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Attribute) and node.func.attr in ("add", "skip")
+             or isinstance(node.func, ast.Name) and node.func.id == "PropertyReport")
+    ]
+    imported = sorted(
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in PIPELINE
+    )
+    assert not recorded, f"checks recorded or reports built in the CLI: {recorded}"
+    assert not imported, f"pipeline steps imported by the CLI: {imported}"

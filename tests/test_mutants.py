@@ -1,9 +1,13 @@
-"""Mutants that the checks of the suite must kill.
+"""Mutants that the checks of the verifier's tables must kill.
 
 ``MUTANTS`` maps a check name to mutants of the pipeline, each with the
-input it runs on.  A mutant takes pytest's ``monkeypatch``, a chart and
-a grid, and returns the mutated ``Analysis``; the check must pass on the
-unmutated pipeline and fail on the mutant, at the default tolerances.
+runner of its input.  A runner ``run(name, monkeypatch, mutant=None)``
+gives the record of check ``name`` on its input, mutated by ``mutant``
+when one is given; the check must pass on the unmutated pipeline and
+fail on the mutant, at the default tolerances.  A mutant of a ``CHECKS``
+row takes ``monkeypatch``, a chart and a grid and returns the mutated
+``Analysis``; a mutant of another table's row maps that suite's input
+(the constructed maps, the degenerate model) to a mutated one.
 """
 
 import dataclasses
@@ -11,18 +15,64 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lagkit import invariants
-from lagkit.families import HilfParams, hilf_chart
+from lagkit import invariants, verifier
+from lagkit.construction import ConstructionConstants, b_from_curvatures, random_orthogonal
+from lagkit.families import HilfParams, degenerate_example, hilf_chart
 from lagkit.invariants import analyze, classify_analysis
-from lagkit.verifier import CHECKS, PropertyReport, Tolerances
+from lagkit.verifier import (
+    CHECKS,
+    CONSTRUCT_CHECKS,
+    MODEL_CHECKS,
+    TAU_CHECKS,
+    PropertyReport,
+    Tolerances,
+    construct_suite,
+    degenerate_model_report,
+)
 from tests.conftest import mesh
 
 TOL = Tolerances()
+ROWS = {row.name: row for table in (CHECKS, CONSTRUCT_CHECKS, MODEL_CHECKS, TAU_CHECKS)
+        for row in table}
 
 
-def hilf3():
+def record(name, *context):
+    """The record of check ``name``, a row of any table, on its table's context."""
+    report = PropertyReport(chart={}, grid={}, orientation="")
+    report.run(ROWS[name], *context)
+    return report.checks[-1]
+
+
+def by_name(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def hilf3(name, monkeypatch, mutant=None):
     """hilf (1,2,3) on 5^3 at half-width 0.4, the verify-hilf3 input."""
-    return hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)
+    chart, grid = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)
+    a = analyze(chart, grid) if mutant is None else mutant(monkeypatch, chart, grid)
+    return record(name, a, classify_analysis(a, TOL.classification), TOL)
+
+
+def constructed(name, monkeypatch, mutant=None):
+    """construct_suite on seeded constants (b of curvatures 1, 2, 3) over
+    3^3 at half-width 0.5, ``mutant`` applied to the built maps."""
+    if mutant is not None:
+        build = verifier.build_immersion
+        monkeypatch.setattr(verifier, "build_immersion", lambda c: mutant(build(c)))
+    constants = ConstructionConstants.simple(
+        b_from_curvatures([1, 2, 3]), cmat=random_orthogonal(3, seed=1),
+        beta1=np.array([0.3, -0.1, 0.2]), beta3=np.array([0.1, 0.05, -0.2]),
+        gamma1=np.array([0.01, 0.0, -0.02]),
+    )
+    return by_name(construct_suite(constants, mesh(3, 0.5, 3), TOL), name)
+
+
+def degenerate(name, monkeypatch, mutant=None):
+    """The degenerate model of hilf (1, 2) on 5^2 at half-width 0.4."""
+    deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
+    return by_name(degenerate_model_report(deg if mutant is None else mutant(deg),
+                                           mesh(2, 0.4, 5), TOL), name)
 
 
 def l_constant_term(monkeypatch, chart, grid):
@@ -77,6 +127,23 @@ def patched(name, mutate):
     return mutant
 
 
+def added(attr, term):
+    """The constructed maps with ``term`` of v added to the map ``attr``."""
+    def mutant(maps):
+        original = getattr(maps, attr)
+        return dataclasses.replace(maps, **{attr: lambda V: original(V) + term(V)})
+    return mutant
+
+
+E3 = np.eye(7)[3]   # the first spatial coordinate of R^(n+4), n = 3
+
+
+def bent_normal(deg):
+    # II scaled by (1 + u_1 / 2), so the radii and rho^2 vary.
+    return dataclasses.replace(deg, normal_jet=lambda U: deg.normal_jet(U) * (
+        1.0 + 0.5 * np.atleast_2d(U)[:, :1, None]))
+
+
 MUTANTS = {
     "n_vector_lightlike": (("n-plus-y", hilf3, n_plus_y),),
     # The frame scaled by 1 + 1e-5: E_Y . E_Y - I reads 2e-5 on hilf3.
@@ -102,23 +169,24 @@ MUTANTS = {
         ("pair-12", hilf3, riemann_pair_broken((1, 2))),
         ("pair-34", hilf3, riemann_pair_broken((3, 4))),
     ),
+    # One term of size 1e-5 on the grid per integrability residual.
+    "frobenius_mixed_partials": (("v1-v2-term", constructed, added(
+        "position", lambda V: 1e-5 * (V[..., 0] * V[..., 1])[..., None] * E3)),),
+    "frobenius_second_equation": (("v1-cubed-term", constructed, added(
+        "position", lambda V: 1e-5 * (V[..., 0] ** 3)[..., None] * E3)),),
+    "frobenius_eta_derivative": (("eta-v1-term", constructed, added(
+        "normal_map", lambda V: 1e-5 * V[..., :1] * E3)),),
+    "frobenius_tangent_diagonality": (("v2-term", constructed, added(
+        "position", lambda V: 1e-5 * V[..., 1:2] * E3)),),
+    "rho_square_constant": (("bent-normal", degenerate, bent_normal),),
 }
 
 
-def record(name, a):
-    """The suite's record of check ``name`` on the analysis ``a``."""
-    report = PropertyReport(chart={}, grid={}, orientation="")
-    check = next(c for c in CHECKS if c.name == name)
-    report.run(check, a, classify_analysis(a, TOL.classification), TOL)
-    return report.checks[-1]
-
-
-@pytest.mark.parametrize("name, inputs, mutant", [
-    pytest.param(name, inputs, mutant, id=f"{name}-{label}")
-    for name, rows in MUTANTS.items() for label, inputs, mutant in rows
+@pytest.mark.parametrize("name, run, mutant", [
+    pytest.param(name, run, mutant, id=f"{name}-{label}")
+    for name, rows in MUTANTS.items() for label, run, mutant in rows
 ])
-def test_mutant_fails_a_check_the_pipeline_passes(name, inputs, mutant, monkeypatch):
-    chart, grid = inputs()
-    assert record(name, analyze(chart, grid)).status == "pass"
-    mutated = record(name, mutant(monkeypatch, chart, grid))
+def test_mutant_fails_a_check_the_pipeline_passes(name, run, mutant, monkeypatch):
+    assert run(name, monkeypatch).status == "pass"
+    mutated = run(name, monkeypatch, mutant)
     assert mutated.status == "fail", mutated

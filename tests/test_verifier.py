@@ -225,20 +225,6 @@ def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
     assert sum(points) == len(grid)
 
 
-def test_degenerate_rho_square_constant_can_fail():
-    deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
-
-    def bent_normal_jet(U):
-        # scales II by (1 + u_1 / 2), so the radii and rho^2 vary
-        return deg.normal_jet(U) * (1.0 + 0.5 * np.atleast_2d(U)[:, :1, None])
-
-    broken = dataclasses.replace(deg, normal_jet=bent_normal_jet)
-    report = degenerate_model_report(broken, mesh(2, 0.4, 5))
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["rho_square_constant"].status == "fail"
-    assert not report.passed
-
-
 @pytest.mark.parametrize(
     "a, multiplicities",
     [((1.0, 2.0), (2, 1)), ((1.0, 2.0), (1, 2)), ((1.0, 2.0, 3.0), (1, 2, 1))],
