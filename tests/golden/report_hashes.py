@@ -4,8 +4,9 @@
 
 Runs every example of ``tests/test_golden.py`` and a few larger cases
 (hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, the
-benchmark's construct path at seeds 0, 7 and 1000, and construct with
-the identity matrix) in-process through ``lagkit.cli.main`` with
+benchmark's construct path at seeds 0, 7 and 1000, construct with the
+identity matrix, tau with multiplicities (2, 1) and the degenerate model
+at n = 4) in-process through ``lagkit.cli.main`` with
 ``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
 name, the hash taken over everything the call writes to stdout.
 ``--src`` imports ``lagkit`` from another source tree (for example a
@@ -42,6 +43,11 @@ EXTRA = {
     # The one construct input on which explicit_family_roundtrip runs, not skips.
     "construct-identity": ["construct", "--b-from-a", "1,2,3", "--identity", "--grid", "3",
                            "--half-width", "0.5"],
+    # The degenerate model and tau at n > 2.
+    "tau-mult": ["tau", "--params", '{"a":[1,-2],"multiplicities":[2,1]}', "--grid", "4",
+                 "--half-width", "0.7"],
+    "verify-degenerate-4": ["verify", "--surface", "degenerate-hilf", "--params",
+                            '{"a":[1,2,3,4]}', "--grid", "3", "--center", "0.1,0.2,-0.3,0.05"],
 }
 
 
