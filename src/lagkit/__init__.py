@@ -12,8 +12,6 @@ from .construction import (
     ConstructionConstants,
     b_from_curvatures,
     build_immersion,
-    build_normal_map,
-    build_position,
     frobenius_report,
     random_orthogonal,
     validate_constants,

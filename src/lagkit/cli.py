@@ -178,8 +178,11 @@ def _finish(report: PropertyReport, cfg: dict, args) -> int:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise LagkitError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     _print_summary(report)
@@ -217,16 +220,19 @@ def _write_samples(path, analysis) -> None:
         + [f"L_diag_{i+1}" for i in range(n)]
     )
     ldiag = np.diagonal(analysis.L_structural, axis1=-2, axis2=-1)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in range(m):
-            row = (
-                list(lift.u[p]) + list(lift.x[p]) + list(lift.k[p])
-                + [lift.rho[p], lift.r[p]]
-                + list(lift.b[p]) + list(analysis.C_closed[p]) + list(ldiag[p])
-            )
-            writer.writerow([repr(float(v)) for v in row])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for p in range(m):
+                row = (
+                    list(lift.u[p]) + list(lift.x[p]) + list(lift.k[p])
+                    + [lift.rho[p], lift.r[p]]
+                    + list(lift.b[p]) + list(analysis.C_closed[p]) + list(ldiag[p])
+                )
+                writer.writerow([repr(float(v)) for v in row])
+    except OSError as exc:
+        raise LagkitError(f"cannot write --samples {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_catalog(args) -> int:
@@ -263,7 +269,7 @@ def _load_constants(args, cfg) -> ConstructionConstants:
     b = b_from_curvatures(_parse_list(args.b_from_a))
     n = b.shape[0]
     cmat = np.eye(n) if args.identity else random_orthogonal(n, cfg["seed"])
-    return ConstructionConstants.simple(b, cmat=cmat)
+    return ConstructionConstants(b, cmat)
 
 
 def _cmd_construct(args) -> int:

@@ -63,8 +63,6 @@ __all__ = [
     "validate_constants",
     "random_orthogonal",
     "b_from_curvatures",
-    "build_position",
-    "build_normal_map",
     "build_immersion",
     "FROBENIUS_RESIDUALS",
     "frobenius_report",
@@ -72,22 +70,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstructionConstants:
-    """Free integration data: b, the orthogonal matrix, beta1/beta3/gamma1."""
+    """Free integration data: b, the orthogonal matrix (the identity by
+    default), beta1/beta3/gamma1 (zero by default)."""
 
     b: np.ndarray
-    cmat: np.ndarray
-    beta1: np.ndarray
-    beta3: np.ndarray
-    gamma1: np.ndarray
+    cmat: np.ndarray = None
+    beta1: np.ndarray = None
+    beta3: np.ndarray = None
+    gamma1: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("b", "beta1", "beta3", "gamma1"):
-            arr = np.array(getattr(self, name), dtype=float)
+        n = np.shape(self.b)[0]
+        defaults = {"cmat": np.eye(n), "beta1": np.zeros(n), "beta3": np.zeros(n),
+                    "gamma1": np.zeros(n)}
+        for name in ("b", *defaults):
+            value = getattr(self, name)
+            arr = np.array(defaults[name] if value is None else value, dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        cmat = np.array(self.cmat, dtype=float)
-        cmat.flags.writeable = False
-        object.__setattr__(self, "cmat", cmat)
 
     @property
     def n(self) -> int:
@@ -124,16 +124,15 @@ class ConstructionConstants:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionConstants":
-        """Constants from their JSON form: ``b`` and ``cmat`` (n*n entries,
-        nested or flat) are required, beta1/beta3/gamma1 default to zero.
-        Raises ParameterError on anything but finite numbers."""
+        """Constants from their JSON form: ``b`` (n >= 2 numbers) and
+        ``cmat`` (n*n entries, nested or flat) are required, beta1/beta3/
+        gamma1 default to zero.  Raises ParameterError on anything but
+        finite numbers."""
         try:
             b = np.asarray(data["b"], dtype=float)
             cmat = np.asarray(data["cmat"], dtype=float)
-            vectors = {
-                name: np.asarray(data.get(name, np.zeros(b.size)), dtype=float)
-                for name in ("beta1", "beta3", "gamma1")
-            }
+            vectors = {name: np.asarray(data[name], dtype=float)
+                       for name in ("beta1", "beta3", "gamma1") if name in data}
         except KeyError as exc:
             raise ParameterError(f"missing constant {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:
@@ -144,27 +143,19 @@ class ConstructionConstants:
                 f"need b as a list of n numbers and n*n cmat entries; got b of shape "
                 f"{b.shape} and {cmat.size} cmat entries"
             )
+        if n < 2:
+            raise ParameterError(f"need n >= 2 constants b_i, got {n}")
         if not all(np.all(np.isfinite(v)) for v in (b, cmat, *vectors.values())):
             raise ParameterError("constants must be finite")
         return cls(b=b, cmat=cmat.reshape(n, n), **vectors)
-
-    @classmethod
-    def simple(cls, b, cmat=None, beta1=None, beta3=None, gamma1=None):
-        b = np.asarray(b, dtype=float)
-        n = b.shape[0]
-        return cls(
-            b=b,
-            cmat=np.eye(n) if cmat is None else np.asarray(cmat, dtype=float),
-            beta1=np.zeros(n) if beta1 is None else np.asarray(beta1, dtype=float),
-            beta3=np.zeros(n) if beta3 is None else np.asarray(beta3, dtype=float),
-            gamma1=np.zeros(n) if gamma1 is None else np.asarray(gamma1, dtype=float),
-        )
 
 
 def validate_constants(c: ConstructionConstants) -> tuple:
     """The admissibility conditions that fail, as messages; empty when
     the constants are admissible."""
     b, n = c.b, c.n
+    if n < 2:   # every other condition reduces over the b_i
+        return (f"need n >= 2, got n = {n}",)
     if c.cmat.shape != (n, n):   # every other condition reads an n x n matrix
         return (f"matrix shape {c.cmat.shape} != ({n}, {n})",)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -179,18 +170,12 @@ def validate_constants(c: ConstructionConstants) -> tuple:
             (trace > 1e-12, f"sum b_i = {trace:.3e} exceeds 1e-12"),
             (square > 1e-12, f"|sum b_i^2 - 1| = {square:.3e} exceeds 1e-12"),
             (np.min(np.abs(b)) <= 1e-9, "some b_i is (numerically) zero"),
-            (n > 1 and np.min(gaps) <= 1e-9, "b_i are not pairwise distinct"),
+            (np.min(gaps) <= 1e-9, "b_i are not pairwise distinct"),
             (orthogonality > 1e-12,
              f"matrix is not orthogonal: max |C'C - I| = {orthogonality:.3e}"),
             (np.min(np.abs(c.diag)) <= 1e-12, "matrix has a vanishing diagonal entry"),
         )
     return tuple(message for failed, message in conditions if failed)
-
-
-def _require_valid(c: ConstructionConstants) -> None:
-    failures = validate_constants(c)
-    if failures:
-        raise ParameterError("; ".join(failures))
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
@@ -232,44 +217,15 @@ def b_from_curvatures(a) -> np.ndarray:
     return np.array([float(d) * scale for d in diffs])
 
 
-def build_position(c: ConstructionConstants) -> Callable:
-    """The map v -> Y(v) in R^(n+4) of point batches (..., n), float
-    arrays and Taylor seeds alike."""
-    _require_valid(c)
-    b, cmat, d, const1 = c.b, c.cmat, c.shift, -0.5 * c.phi
-
-    def position(V):
-        y1 = (np.sum(V**2 * b, axis=-1) + np.sqrt(2.0) * V @ d + const1)[..., None]
-        vsq = np.sum(V**2, axis=-1)[..., None]
-        return np.concatenate([y1, -y1, vsq - 0.5, np.sqrt(2.0) * V @ cmat, vsq + 0.5], axis=-1)
-
-    return position
-
-
-def build_normal_map(c: ConstructionConstants) -> Callable:
-    """The map v -> eta(v) in R^(n+4) of point batches (..., n), float
-    arrays and Taylor seeds alike."""
-    _require_valid(c)
-    b, cmat, d, const3 = c.b, c.cmat, c.shift, 0.5 * c.phi
-
-    def normal_map(V):
-        A = (np.sum(V**2 * b**2, axis=-1) + np.sqrt(2.0) * V @ (b * d)
-             + 0.5 * np.sum(d**2))[..., None]
-        r = (np.sum(V**2 * b, axis=-1) + const3)[..., None]
-        spatial = (np.sqrt(2.0) * V * b) @ cmat + d @ cmat
-        return np.concatenate([A + 0.5, -A + 0.5, r, spatial, r], axis=-1)
-
-    return normal_map
-
-
 @dataclass(frozen=True, eq=False)
 class ConstructedMaps:
     """Closed-form maps of one admissible constant set.
 
-    ``position``, ``normal_map``, ``rho`` and ``mean_radius`` take the
-    privileged coordinates v; the derived chart, whose ``evaluator`` and
-    ``normal`` are x and xi, takes the reparametrized curvature-line
-    coordinates vbar.
+    ``position`` (Y), ``normal_map`` (eta), ``rho`` and ``mean_radius``
+    take the privileged coordinates v, Y and eta in R^(n+4) of point
+    batches (..., n), float arrays and Taylor seeds alike; the derived
+    chart, whose ``evaluator`` and ``normal`` are x and xi, takes the
+    reparametrized curvature-line coordinates vbar.
     """
 
     constants: ConstructionConstants
@@ -282,12 +238,26 @@ class ConstructedMaps:
 
 def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
     """Assemble every closed-form map; the chart's jet is the Taylor
-    polynomial of its map."""
-    _require_valid(c)
-    b, cmat, dconst = c.b, c.cmat, c.shift
+    polynomial of its map.  ParameterError lists the conditions of
+    ``validate_constants`` that fail."""
+    failures = validate_constants(c)
+    if failures:
+        raise ParameterError("; ".join(failures))
+    b, cmat, d, phi, n = c.b, c.cmat, c.shift, c.phi, c.n
     bbar = 1.0 / b
-    phi = c.phi
-    n = c.n
+    const1, const3 = -0.5 * phi, 0.5 * phi
+
+    def position(V):
+        y1 = (np.sum(V**2 * b, axis=-1) + np.sqrt(2.0) * V @ d + const1)[..., None]
+        vsq = np.sum(V**2, axis=-1)[..., None]
+        return np.concatenate([y1, -y1, vsq - 0.5, np.sqrt(2.0) * V @ cmat, vsq + 0.5], axis=-1)
+
+    def normal_map(V):
+        A = (np.sum(V**2 * b**2, axis=-1) + np.sqrt(2.0) * V @ (b * d)
+             + 0.5 * np.sum(d**2))[..., None]
+        r = (np.sum(V**2 * b, axis=-1) + const3)[..., None]
+        spatial = (np.sqrt(2.0) * V * b) @ cmat + d @ cmat
+        return np.concatenate([A + 0.5, -A + 0.5, r, spatial, r], axis=-1)
 
     def rho_v(V):
         V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -300,7 +270,7 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
     def x_map(Vbar):
         rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=-1))
         q = (0.5 * np.sum(Vbar**2 * bbar, axis=-1) + 0.5 * phi) / rho
-        w = Vbar * (1.0 - q[..., None] * bbar) + dconst
+        w = Vbar * (1.0 - q[..., None] * bbar) + d
         return np.concatenate([q[..., None], w @ cmat], axis=-1)
 
     def xi_eval(Vbar):
@@ -320,8 +290,8 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
     )
     return ConstructedMaps(
         constants=c,
-        position=build_position(c),
-        normal_map=build_normal_map(c),
+        position=position,
+        normal_map=normal_map,
         rho=rho_v,
         mean_radius=r_v,
         chart=chart,

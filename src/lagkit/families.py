@@ -130,48 +130,14 @@ class DegenerateChart:
     """A spacelike hypersurface in the degenerate hyperplane <x, nu> = 0
     of Minkowski space, together with its lightlike normal field.
 
-    ``x_map`` and ``xi_map`` take float points and Taylor seeds alike;
-    ``jet(U, degree)`` is the Taylor polynomial of x, as on a ``Chart``;
-    ``normal_jet(U)`` gives the first partials of the normal (m, n, n+2).
+    ``x_map`` and ``xi_map`` take float points and Taylor seeds alike.
     """
 
     n: int
     space: SignatureSpace
     x_map: Callable
     xi_map: Callable
-    evaluator: Callable
-    normal: Callable
-    jet: Callable
-    normal_jet: Callable
     params: dict
-
-    # The keys of ``constraint_residuals``, in its order.
-    CONSTRAINTS = ("position_in_hyperplane", "normal_lightlike", "normal_nu_pairing",
-                   "normal_tangency")
-
-    def constraint_residuals(self, U: np.ndarray):
-        """Max residuals of <x,nu>=0, <xi,xi>=0, <xi,nu>=1, <xi,dx>=0."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        x, dx = self.jet(U, 1).partials()
-        xi = self.normal(U)
-        nu = np.zeros(self.space.dimension)
-        nu[0] = nu[-1] = 1.0
-        return dict(zip(self.CONSTRAINTS, map(float, (
-            np.max(np.abs(self.space.dot(x, nu))),
-            np.max(np.abs(self.space.dot(xi, xi))),
-            np.max(np.abs(self.space.dot(xi, nu) - 1.0)),
-            np.max(np.abs(self.space.dot(dx, xi[:, None, :]))),
-        ))))
-
-    def fundamental_forms(self, U: np.ndarray):
-        """Minkowski first and second fundamental forms I, -<dx, dxi>."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        dx = self.jet(U, 1).grad().value
-        dxi = self.normal_jet(U)
-        signs = self.space.signs
-        I = np.einsum("mia,a,mja->mij", dx, signs, dx)
-        II = -np.einsum("mia,a,mja->mij", dx, signs, dxi)
-        return I, II
 
 
 def degenerate_example(params: HilfParams) -> DegenerateChart:
@@ -183,8 +149,6 @@ def degenerate_example(params: HilfParams) -> DegenerateChart:
     machine precision and maps onto the explicit Euclidean family.
     """
     A = params.coeffs
-    n = params.n
-    space = minkowski_space(n)
 
     def x_map(U):
         T = 0.5 * np.sum(A * U**2, axis=-1)[..., None]
@@ -194,21 +158,11 @@ def degenerate_example(params: HilfParams) -> DegenerateChart:
         S = np.sum(A**2 * U**2, axis=-1)[..., None]
         return np.concatenate([0.5 * (1.0 - S), -A * U, -0.5 * (1.0 + S)], axis=-1)
 
-    evaluate, jet = closed_form(x_map)
-    normal, normal_taylor = closed_form(xi_map)
-
-    def normal_jet(U):
-        return normal_taylor(U, 1).grad().value
-
     return DegenerateChart(
-        n=n,
-        space=space,
+        n=params.n,
+        space=minkowski_space(params.n),
         x_map=x_map,
         xi_map=xi_map,
-        evaluator=evaluate,
-        normal=normal,
-        jet=jet,
-        normal_jet=normal_jet,
         params={"a": list(params.a), "multiplicities": list(params.multiplicities)},
     )
 
@@ -242,7 +196,8 @@ def tau_chart(deg: DegenerateChart) -> Chart:
         return laguerre_immersion_tau(deg.x_map(U), deg.xi_map(U))[0]
 
     def normal(U):
-        return laguerre_immersion_tau(deg.evaluator(U), deg.normal(U))[1]
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        return laguerre_immersion_tau(deg.x_map(U), deg.xi_map(U))[1]
 
     evaluate, jet = closed_form(x_map)
     return Chart(

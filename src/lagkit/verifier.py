@@ -19,10 +19,12 @@ remaining points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import taylor
 from .charts import IRREGULAR, Chart, radius_traces
 from .construction import (
     FROBENIUS_RESIDUALS,
@@ -413,12 +415,6 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
     return report
 
 
-def _keyed(keys, anchor, tolerance, prefix=""):
-    """One row per key of the residual dict that leads a table's context."""
-    return tuple(Check(prefix + key, anchor, tolerance, lambda res, *_, key=key: res[key])
-                 for key in keys)
-
-
 def _b_roundtrip(frob, maps, vbar, cls, tol):
     b_in = np.sort(maps.constants.b)
     return min(
@@ -440,9 +436,10 @@ def _explicit_family_roundtrip(frob, maps, vbar, cls, tol):
 
 
 # Context: frobenius_report's residuals, maps, vbar grid, classification, tolerances.
-CONSTRUCT_CHECKS = _keyed(
-    FROBENIUS_RESIDUALS, "integrability conditions of the curvature-line frame system",
-    "frobenius", prefix="frobenius_",
+CONSTRUCT_CHECKS = tuple(
+    Check("frobenius_" + key, "integrability conditions of the curvature-line frame system",
+          "frobenius", lambda frob, *_, key=key: frob[key])
+    for key in FROBENIUS_RESIDUALS
 ) + (
     Check("constructed_isotropic_lambda", "constructed immersion has vanishing tensor eigenvalue",
           "classification", lambda frob, maps, vbar, cls, tol: abs(cls.lambda_estimate)),
@@ -481,28 +478,67 @@ def construct_suite(constants: ConstructionConstants, grid: np.ndarray,
     return report
 
 
-def _rho_square_constant(res, I, II, coeffs, tol):
+def _model_context(deg: DegenerateChart, grid: np.ndarray) -> SimpleNamespace:
+    """x, dx and xi of the model, each map evaluated once on the degree-1
+    seeds of ``grid``, with I = <dx, dx> and II = -<dx, dxi>."""
+    U = taylor.variables(grid, 1)
+    (x, dx), (xi, dxi) = deg.x_map(U).partials(), deg.xi_map(U).partials()
+    signs = deg.space.signs
+    nu = np.zeros(deg.space.dimension)
+    nu[0] = nu[-1] = 1.0
+    return SimpleNamespace(
+        space=deg.space, nu=nu, x=x, dx=dx, xi=xi,
+        I=np.einsum("mia,a,mja->mij", dx, signs, dx),
+        II=-np.einsum("mia,a,mja->mij", dx, signs, dxi),
+        coeffs=HilfParams(**deg.params).coeffs,
+    )
+
+
+def _rho_square_constant(m, tol):
     # rho^2 at each point from the radii of III^-1 II; its spread must vanish.
-    _, rho = radius_traces(II, II @ np.linalg.solve(I, II))
-    r_i = 1.0 / coeffs
+    _, rho = radius_traces(m.II, m.II @ np.linalg.solve(m.I, m.II))
+    r_i = 1.0 / m.coeffs
     rho2 = float(np.sum((float(np.mean(r_i)) - r_i) ** 2))
     return float(np.ptp(rho**2)), f"rho^2 = {rho2!r} from constant radii"
 
 
-# Context: constraint residuals, first and second fundamental forms, constants a, tolerances.
-MODEL_CHECKS = _keyed(
-    DegenerateChart.CONSTRAINTS, "defining constraints of the lightlike normal",
-    "model_constraints",
-) + (
+_CONSTRAINT = "defining constraints of the lightlike normal"
+
+# Context: the model's ``_model_context``, tolerances.
+MODEL_CHECKS = (
+    Check("position_in_hyperplane", _CONSTRAINT, "model_constraints",
+          lambda m, tol: np.max(np.abs(m.space.dot(m.x, m.nu)))),
+    Check("normal_lightlike", _CONSTRAINT, "model_constraints",
+          lambda m, tol: np.max(np.abs(m.space.dot(m.xi, m.xi)))),
+    Check("normal_nu_pairing", _CONSTRAINT, "model_constraints",
+          lambda m, tol: np.max(np.abs(m.space.dot(m.xi, m.nu) - 1.0))),
+    Check("normal_tangency", _CONSTRAINT, "model_constraints",
+          lambda m, tol: np.max(np.abs(m.space.dot(m.dx, m.xi[:, None, :])))),
     Check("first_form_euclidean", "first fundamental form is the flat Euclidean metric",
-          "model_constraints",
-          lambda res, I, II, coeffs, tol: np.max(np.abs(I - np.eye(I.shape[-1])))),
+          "model_constraints", lambda m, tol: np.max(np.abs(m.I - np.eye(m.I.shape[-1])))),
     Check("second_form_diagonal", "second fundamental form is the constant diagonal of the model",
-          "model_constraints",
-          lambda res, I, II, coeffs, tol: np.max(np.abs(II - np.diag(coeffs)))),
+          "model_constraints", lambda m, tol: np.max(np.abs(m.II - np.diag(m.coeffs)))),
     Check("rho_square_constant", "constant squared deviation of the curvature radii",
           "rho_constancy", _rho_square_constant),
 )
+
+
+def _model_report(deg: DegenerateChart, grid: np.ndarray, tol: Tolerances):
+    """The ``MODEL_CHECKS`` report and the context it ran on."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    report = PropertyReport(
+        chart={"name": "degenerate-hilf", "params": deg.params, "n": deg.n},
+        grid=_grid_descriptor(grid),
+        orientation="constraint-solved normal",
+    )
+    m = _model_context(deg, grid)
+    for check in MODEL_CHECKS:
+        report.run(check, m, tol)
+    report.warnings.append(
+        "normal field solved from its defining constraints; a printed "
+        "variant failing them is not reproduced"
+    )
+    return report, m
 
 
 def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
@@ -513,21 +549,7 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
     machine precision, the fundamental forms are the Euclidean identity
     and diag(a), and the curvature radii (hence rho) are constant.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    report = PropertyReport(
-        chart={"name": "degenerate-hilf", "params": deg.params, "n": deg.n},
-        grid=_grid_descriptor(grid),
-        orientation="constraint-solved normal",
-    )
-    context = (deg.constraint_residuals(grid), *deg.fundamental_forms(grid),
-               HilfParams(**deg.params).coeffs, tol)
-    for check in MODEL_CHECKS:
-        report.run(check, *context)
-    report.warnings.append(
-        "normal field solved from its defining constraints; a printed "
-        "variant failing them is not reproduced"
-    )
-    return report
+    return _model_report(deg, grid, tol)[0]
 
 
 # Context: the model's image (x, xi) under tau, the explicit family, grid, tolerances.
@@ -543,10 +565,10 @@ TAU_CHECKS = (
 
 def tau_suite(deg: DegenerateChart, grid: np.ndarray,
               tol: Tolerances = Tolerances()) -> PropertyReport:
-    """``MODEL_CHECKS``, then ``TAU_CHECKS`` on the model mapped once by tau."""
-    report = degenerate_model_report(deg, grid, tol)
-    image = laguerre_immersion_tau(deg.evaluator(grid), deg.normal(grid))
-    context = (image, hilf_chart(HilfParams(**deg.params)), grid, tol)
+    """``MODEL_CHECKS``, then ``TAU_CHECKS`` on the model's x and xi
+    mapped once by tau."""
+    report, m = _model_report(deg, grid, tol)
+    context = (laguerre_immersion_tau(m.x, m.xi), hilf_chart(HilfParams(**deg.params)), grid, tol)
     for check in TAU_CHECKS:
         report.run(check, *context)
     return report

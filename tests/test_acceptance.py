@@ -145,7 +145,7 @@ def test_criterion_4_tau_equivalence():
         deg = degenerate_example(params)
         euclid = hilf_chart(params)
         grid = mesh(len(a), 0.4, 5)
-        x_img, xi_img = laguerre_immersion_tau(deg.evaluator(grid), deg.normal(grid))
+        x_img, xi_img = laguerre_immersion_tau(deg.x_map(grid), deg.xi_map(grid))
         worst = max(
             worst,
             float(np.max(np.abs(x_img - euclid.evaluator(grid)))),
@@ -159,7 +159,7 @@ def test_criterion_5_construction_roundtrip():
     b = b_from_curvatures([1, 2, 3])
 
     # identity matrix with the cancelling constants: exact reproduction
-    maps_id = build_immersion(ConstructionConstants.simple(b))
+    maps_id = build_immersion(ConstructionConstants(b))
     reference = hilf_chart(HilfParams(a=tuple(1.0 / b)))
     vbar = mesh(3, 0.6, 5)
     repro = max(
@@ -168,7 +168,7 @@ def test_criterion_5_construction_roundtrip():
     )
 
     # seeded orthogonal matrix: classify the output end to end
-    c_rand = ConstructionConstants.simple(b, cmat=random_orthogonal(3, seed=1))
+    c_rand = ConstructionConstants(b, cmat=random_orthogonal(3, seed=1))
     maps = build_immersion(c_rand)
     v_grid = mesh(3, 0.5, 5)[::5]
     analysis = analyze(maps.chart, np.sqrt(2.0) * v_grid * b)

@@ -340,6 +340,8 @@ BAD_INPUT = {
     "cmat-wrong-size": (
         ["construct", "--constants", "{file}"], {"b": B3, "cmat": [1, 0, 0, 1]},
         "4 cmat entries"),
+    "constants-b-empty": (
+        ["construct", "--constants", "{file}"], {"b": [], "cmat": []}, "need n >= 2"),
     "tau-a-not-number": (["tau", "--a", "1,x"], None, "--a"),
     "step-flag": (["verify", "--a", "1,2", "--step", "1e-3"], None, "--step"),
     # Flags are spelt out in full, a list flag with a negative value too.
@@ -373,6 +375,15 @@ def test_bad_input_exits_2_with_one_error_line(argv, data, fragment, tmp_path, c
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
     assert not (tmp_path / "r.json").exists()
+
+
+# A report or sample path that cannot be written is bad input, not a failed check.
+@pytest.mark.parametrize("command,flag", [("verify", "--out"), ("invariants", "--samples")])
+def test_unwritable_path_exits_2_naming_it(command, flag, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "file")
+    assert run([command, "--a", "1,2", "--grid", "3", "--no-timestamp", flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {flag} {path}") and err.count("\n") == 1, err
 
 
 # Each command runs the configuration its report echoes: a setting it

@@ -7,8 +7,6 @@ from lagkit.construction import (
     ConstructionConstants,
     b_from_curvatures,
     build_immersion,
-    build_normal_map,
-    build_position,
     frobenius_report,
     random_orthogonal,
     validate_constants,
@@ -33,29 +31,39 @@ def test_b_from_curvatures_exact():
 
 
 def test_validate_good_constants():
-    assert validate_constants(ConstructionConstants.simple(B123)) == ()
+    assert validate_constants(ConstructionConstants(B123)) == ()
 
 
 def test_validate_scaled_row_fails():
     cmat = np.eye(3)
     cmat[1] *= 2.0
-    failures = validate_constants(ConstructionConstants.simple(B123, cmat=cmat))
+    failures = validate_constants(ConstructionConstants(B123, cmat=cmat))
     assert any("orthogonal" in msg for msg in failures)
+
+
+@pytest.mark.parametrize("b", [[], [1.0]], ids=["empty", "one"])
+def test_fewer_than_two_constants_are_refused(b):
+    # The first condition, before any reduction over the b_i; the JSON form
+    # refuses them too, so ``construct --constants`` exits 2.
+    assert validate_constants(ConstructionConstants(np.array(b))) == (
+        f"need n >= 2, got n = {len(b)}",)
+    with pytest.raises(ParameterError, match="need n >= 2"):
+        ConstructionConstants.from_json_dict({"b": b, "cmat": np.eye(len(b)).tolist()})
 
 
 def test_validate_wrong_matrix_shape_is_listed():
     # Every other condition reads an n x n matrix, so a 2 x 2 one for n = 3
     # is the one failure listed, not a numpy broadcast error.
-    failures = validate_constants(ConstructionConstants.simple(B123, cmat=np.eye(2)))
+    failures = validate_constants(ConstructionConstants(B123, cmat=np.eye(2)))
     assert failures == ("matrix shape (2, 2) != (3, 3)",)
     with pytest.raises(ParameterError, match=r"matrix shape \(2, 2\)"):
-        build_immersion(ConstructionConstants.simple(B123, cmat=np.eye(2)))
+        build_immersion(ConstructionConstants(B123, cmat=np.eye(2)))
 
 
 def test_validate_repeated_b_fails():
     bad = np.array([0.5, 0.5, -1.0])
     bad = bad / np.sqrt(np.sum(bad**2))
-    failures = validate_constants(ConstructionConstants.simple(bad))
+    failures = validate_constants(ConstructionConstants(bad))
     assert any("distinct" in msg for msg in failures)
 
 
@@ -65,7 +73,7 @@ def test_validate_repeated_b_fails():
     ("beta1", [np.inf, 0.0, 0.0]),
 ])
 def test_validate_rejects_non_finite_constants(name, value):
-    constants = ConstructionConstants.simple(**{"b": B123, name: np.asarray(value)})
+    constants = ConstructionConstants(**{"b": B123, name: np.asarray(value)})
     assert "constants must be finite" in validate_constants(constants)
     with pytest.raises(ParameterError, match="constants must be finite"):
         build_immersion(constants)
@@ -86,12 +94,12 @@ def test_random_orthogonal_diagonal_floor():
 
 @pytest.fixture(scope="module")
 def identity_constants():
-    return ConstructionConstants.simple(B123)
+    return ConstructionConstants(B123)
 
 
 @pytest.fixture(scope="module")
 def seeded_constants():
-    return ConstructionConstants.simple(
+    return ConstructionConstants(
         B123,
         cmat=random_orthogonal(3, seed=1),
         beta1=np.array([0.3, -0.1, 0.2]),
@@ -101,14 +109,14 @@ def seeded_constants():
 
 
 def test_position_at_origin(identity_constants):
-    Y = build_position(identity_constants)(np.zeros((1, 3)))[0]
+    Y = build_immersion(identity_constants).position(np.zeros((1, 3)))[0]
     assert Y[2] == -0.5
     assert Y[-1] == 0.5
     assert np.allclose(Y[3:-1], 0.0)
 
 
 def test_position_lightlike_random(seeded_constants):
-    Y = build_position(seeded_constants)
+    Y = build_immersion(seeded_constants).position
     rng = np.random.default_rng(5)
     V = rng.uniform(-1.0, 1.0, size=(100, 3))
     sp = laguerre_space(3)
@@ -118,7 +126,7 @@ def test_position_lightlike_random(seeded_constants):
 
 
 def test_position_tangents_diagonal(seeded_constants):
-    Y = build_position(seeded_constants)
+    Y = build_immersion(seeded_constants).position
     sp = laguerre_space(3)
     grid = mesh(3, 0.5, 3)
     dY = central.grad(Y, grid, 1e-4)
@@ -132,8 +140,8 @@ def test_position_tangents_diagonal(seeded_constants):
 
 
 def test_normal_map_constraints(seeded_constants):
-    eta = build_normal_map(seeded_constants)
-    Y = build_position(seeded_constants)
+    maps = build_immersion(seeded_constants)
+    eta, Y = maps.normal_map, maps.position
     sp = laguerre_space(3)
     rng = np.random.default_rng(6)
     V = rng.uniform(-1.0, 1.0, size=(100, 3))
@@ -147,8 +155,8 @@ def test_normal_map_constraints(seeded_constants):
 
 
 def test_normal_map_derivative_relation(seeded_constants):
-    eta = build_normal_map(seeded_constants)
-    Y = build_position(seeded_constants)
+    maps = build_immersion(seeded_constants)
+    eta, Y = maps.normal_map, maps.position
     grid = mesh(3, 0.5, 3)
     dY = central.grad(Y, grid, 1e-4)
     deta = central.grad(eta, grid, 1e-4)
@@ -251,7 +259,7 @@ def test_equivalence_across_orthogonal_choices():
     """Different admissible matrices yield the same invariant fields."""
     sorted_hats = []
     for seed in (1, 2):
-        c = ConstructionConstants.simple(B123, cmat=random_orthogonal(3, seed))
+        c = ConstructionConstants(B123, cmat=random_orthogonal(3, seed))
         maps = build_immersion(c)
         vbar = np.sqrt(2.0) * mesh(3, 0.4, 3) * c.b
         cls = classify_analysis(analyze(maps.chart, vbar))
@@ -279,13 +287,16 @@ def test_phi_invariance_of_classification():
 
 
 def test_build_rejects_invalid_constants():
-    bad = ConstructionConstants.simple(np.array([0.5, 0.5, -1.0]))
+    bad = ConstructionConstants(np.array([0.5, 0.5, -1.0]))
     with pytest.raises(ParameterError):
-        build_position(bad)
+        build_immersion(bad)
 
 
 def test_constants_json_roundtrip(seeded_constants):
     data = seeded_constants.to_json_dict()
     back = ConstructionConstants.from_json_dict(data)
-    assert np.array_equal(back.b, seeded_constants.b)
-    assert np.array_equal(back.cmat, seeded_constants.cmat)
+    assert back.to_json_dict() == data
+    # Absent vectors take the defaults of the dataclass: zeros.
+    bare = ConstructionConstants.from_json_dict({"b": data["b"], "cmat": data["cmat"]})
+    assert bare.to_json_dict() == ConstructionConstants(B123, seeded_constants.cmat).to_json_dict()
+    assert not np.any(bare.beta1) and not np.any(bare.beta3) and not np.any(bare.gamma1)

@@ -70,7 +70,7 @@ def constructed_case(n):
     """The constructed chart with the rotation C folded into the oracle:
     x^1 = r/rho, x^(s+1) = sum_k w_k C[k, s] with
     w_k = vbar_k (1 - (r/rho) bbar_k) + d_k."""
-    c = ConstructionConstants.simple(
+    c = ConstructionConstants(
         b_from_curvatures(range(1, n + 1)),
         cmat=random_orthogonal(n, seed=1),
         beta1=np.linspace(0.3, -0.1, n),

@@ -8,6 +8,8 @@ import pytest
 
 import lagkit
 from lagkit.charts import Chart
+from lagkit.construction import ConstructionConstants
+from lagkit.families import DegenerateChart
 from lagkit.invariants import Analysis
 from lagkit.spaces import SignatureSpace
 
@@ -29,17 +31,23 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-# Names that served only tests: arrays and ``SignatureSpace.dot`` replace them.
+# Deleted names.  Arrays and ``SignatureSpace.dot`` replace those that
+# served only tests; nothing read ``ValidationReport`` (``validate_constants``
+# returns its failures) or ``_partial_table`` (``Taylor.partials`` reads the
+# grads' table); ``build_immersion`` holds the two map builders and validates
+# once; and ``CONSTRUCT_CHECKS``, the one table that read ``_keyed``, writes
+# its rows out.
 GONE = {
     "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
-               "MetricField", "frame_riemann", "frame_connection"),
+               "MetricField", "frame_riemann", "frame_connection",
+               "build_position", "build_normal_map"),
     "lagkit.spaces": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike",
                       "nu_vector"),
     "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection"),
-    # Nothing read these: ``validate_constants`` returns its failures, and
-    # ``Taylor.partials`` reads the grads' table.
-    "lagkit.construction": ("ValidationReport",),
+    "lagkit.construction": ("ValidationReport", "build_position", "build_normal_map",
+                            "_require_valid"),
     "lagkit.taylor": ("_partial_table",),
+    "lagkit.verifier": ("_keyed",),
 }
 
 
@@ -58,3 +66,11 @@ def test_analysis_holds_the_frame_curvature_as_an_array():
 def test_unread_fields_are_gone():
     assert "chart" not in {f.name for f in fields(Analysis)}
     assert "flip_normal" not in {f.name for f in fields(Chart)}
+
+
+def test_one_map_each_and_one_constructor():
+    # The model keeps its two maps; the suites read them on Taylor seeds.
+    assert [f.name for f in fields(DegenerateChart)] == ["n", "space", "x_map", "xi_map", "params"]
+    gone = ("constraint_residuals", "fundamental_forms", "CONSTRAINTS")
+    assert [name for name in gone if hasattr(DegenerateChart, name)] == []
+    assert not hasattr(ConstructionConstants, "simple")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from lagkit import taylor
 from lagkit.errors import ImmersionError, ParameterError
 from lagkit.families import (
     CATALOG,
+    DegenerateChart,
     HilfParams,
     degenerate_example,
     hilf_chart,
@@ -12,17 +14,21 @@ from lagkit.families import (
     tau_chart,
     torus_chart,
 )
-from lagkit.verifier import run_suite
+from lagkit.verifier import degenerate_model_report, run_suite
 from tests.conftest import mesh
 
 
 @pytest.mark.parametrize("kind", sorted(CATALOG))
 def test_catalog_jet_value_is_the_evaluator(kind):
     # analyze reads the jet alone, so the jet must be of the map the
-    # evaluator gives.
+    # evaluator gives; the degenerate model's suites read its maps on seeds.
     chart = CATALOG[kind]({})
     U = mesh(chart.n, 0.3, 3) + 0.1
-    assert np.allclose(chart.jet(U, 2).value, chart.evaluator(U), rtol=1e-15, atol=1e-15)
+    if isinstance(chart, DegenerateChart):
+        for f in (chart.x_map, chart.xi_map):
+            assert np.allclose(f(taylor.variables(U, 2)).value, f(U), rtol=1e-15, atol=1e-15)
+    else:
+        assert np.allclose(chart.jet(U, 2).value, chart.evaluator(U), rtol=1e-15, atol=1e-15)
 
 
 def test_params_validation():
@@ -81,8 +87,8 @@ def test_hilf_phi_keeps_normal_formula():
 
 def test_degenerate_at_origin():
     deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
-    x = deg.evaluator(np.zeros((1, 2)))[0]
-    xi = deg.normal(np.zeros((1, 2)))[0]
+    x = deg.x_map(np.zeros((1, 2)))[0]
+    xi = deg.xi_map(np.zeros((1, 2)))[0]
     assert np.allclose(x, 0.0)
     assert np.allclose(xi, [0.5, 0.0, 0.0, -0.5])
 
@@ -91,18 +97,21 @@ def test_degenerate_constraints_random():
     deg = degenerate_example(HilfParams(a=(1.0, 2.0, 3.0)))
     rng = np.random.default_rng(3)
     U = rng.uniform(-2.0, 2.0, size=(50, 3))
-    res = deg.constraint_residuals(U)
-    for value in res.values():
-        assert value <= 1e-12
+    residual = {c.name: c.residual for c in degenerate_model_report(deg, U).checks}
+    for name in ("position_in_hyperplane", "normal_lightlike", "normal_nu_pairing",
+                 "normal_tangency"):
+        assert residual[name] <= 1e-12
+
+
+def forms_residuals(deg, grid):
+    """Worst |I - 1| and |II - diag(a)| of the model's report on ``grid``."""
+    residual = {c.name: c.residual for c in degenerate_model_report(deg, grid).checks}
+    return residual["first_form_euclidean"], residual["second_form_diagonal"]
 
 
 def test_degenerate_fundamental_forms():
-    params = HilfParams(a=(1.0, 2.0))
-    deg = degenerate_example(params)
-    U = mesh(2, 0.7, 4)
-    I, II = deg.fundamental_forms(U)
-    assert np.max(np.abs(I - np.eye(2))) <= 1e-14
-    assert np.max(np.abs(II - np.diag([1.0, 2.0]))) <= 1e-14
+    deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
+    assert max(forms_residuals(deg, mesh(2, 0.7, 4))) <= 1e-14
 
 
 def test_tau_with_multiplicities():
@@ -110,12 +119,10 @@ def test_tau_with_multiplicities():
     deg = degenerate_example(params)
     euclid = hilf_chart(params)
     grid = mesh(3, 0.4, 4)
-    x_img, xi_img = laguerre_immersion_tau(deg.evaluator(grid), deg.normal(grid))
+    x_img, xi_img = laguerre_immersion_tau(deg.x_map(grid), deg.xi_map(grid))
     assert np.max(np.abs(x_img - euclid.evaluator(grid))) <= 1e-12
     assert np.max(np.abs(xi_img - euclid.normal(grid))) <= 1e-12
-    I, II = deg.fundamental_forms(grid[:5])
-    assert np.max(np.abs(I - np.eye(3))) <= 1e-14
-    assert np.max(np.abs(II - np.diag([1.0, 1.0, 2.0]))) <= 1e-14
+    assert max(forms_residuals(deg, grid[:5])) <= 1e-14
 
 
 @pytest.mark.parametrize("a", [(1.0, 2.0), (1.0, 2.0, 3.0)])
@@ -124,16 +131,14 @@ def test_tau_reproduces_explicit_family(a):
     deg = degenerate_example(params)
     euclid = hilf_chart(params)
     grid = mesh(len(a), 0.4, 5)
-    x_img, xi_img = laguerre_immersion_tau(deg.evaluator(grid), deg.normal(grid))
+    x_img, xi_img = laguerre_immersion_tau(deg.x_map(grid), deg.xi_map(grid))
     assert np.max(np.abs(x_img - euclid.evaluator(grid))) <= 1e-12
     assert np.max(np.abs(xi_img - euclid.normal(grid))) <= 1e-12
 
 
 def test_tau_at_origin():
     deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
-    x_img, _ = laguerre_immersion_tau(
-        deg.evaluator(np.zeros((1, 2))), deg.normal(np.zeros((1, 2)))
-    )
+    x_img, _ = laguerre_immersion_tau(deg.x_map(np.zeros((1, 2))), deg.xi_map(np.zeros((1, 2))))
     assert np.allclose(x_img, 0.0)
 
 

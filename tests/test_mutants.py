@@ -60,7 +60,7 @@ def constructed(name, monkeypatch, mutant=None):
     if mutant is not None:
         build = verifier.build_immersion
         monkeypatch.setattr(verifier, "build_immersion", lambda c: mutant(build(c)))
-    constants = ConstructionConstants.simple(
+    constants = ConstructionConstants(
         b_from_curvatures([1, 2, 3]), cmat=random_orthogonal(3, seed=1),
         beta1=np.array([0.3, -0.1, 0.2]), beta3=np.array([0.1, 0.05, -0.2]),
         gamma1=np.array([0.01, 0.0, -0.02]),
@@ -139,9 +139,9 @@ E3 = np.eye(7)[3]   # the first spatial coordinate of R^(n+4), n = 3
 
 
 def bent_normal(deg):
-    # II scaled by (1 + u_1 / 2), so the radii and rho^2 vary.
-    return dataclasses.replace(deg, normal_jet=lambda U: deg.normal_jet(U) * (
-        1.0 + 0.5 * np.atleast_2d(U)[:, :1, None]))
+    # xi, and so II = -<dx, dxi> (as <dx, xi> = 0), scaled by (1 + u_1 / 2),
+    # so the radii and rho^2 vary.
+    return dataclasses.replace(deg, xi_map=lambda U: deg.xi_map(U) * (1 + 0.5 * U[..., :1]))
 
 
 MUTANTS = {

@@ -428,7 +428,7 @@ def seeded_inverse():
 
 def constructed_case():
     b = b_from_curvatures([1, 2, 3])
-    c = ConstructionConstants.simple(b, cmat=random_orthogonal(3, seed=1),
+    c = ConstructionConstants(b, cmat=random_orthogonal(3, seed=1),
                                      beta1=np.array([0.3, -0.1, 0.2]))
     return build_immersion(c).chart, mesh(3, 0.3, 3) * b
 

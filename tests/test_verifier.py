@@ -4,7 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lagkit import construction
 from lagkit.charts import Chart, curvature_line_check
+from lagkit.construction import ConstructionConstants, b_from_curvatures
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart
 from lagkit.invariants import analyze
@@ -12,8 +14,10 @@ from lagkit.verifier import (
     CHECKS,
     PropertyReport,
     Tolerances,
+    construct_suite,
     degenerate_model_report,
     run_suite,
+    tau_suite,
 )
 from tests.conftest import graph_chart, mesh
 
@@ -182,6 +186,34 @@ def test_degenerate_model_report():
     names = [c.name for c in report.checks]
     assert "rho_square_constant" in names
     assert report.warnings
+
+
+def counted(calls, name, f):
+    def wrapper(*args):
+        calls.append(name)
+        return f(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("suite", [degenerate_model_report, tau_suite], ids=["model", "tau"])
+def test_model_suites_evaluate_each_map_once(suite):
+    # One context of x, dx, xi and the forms serves every row, and tau maps
+    # the same x and xi.
+    deg = degenerate_example(HilfParams(a=(1.0, -2.0), multiplicities=(2, 1)))
+    calls = []
+    counted_deg = dataclasses.replace(deg, x_map=counted(calls, "x_map", deg.x_map),
+                                      xi_map=counted(calls, "xi_map", deg.xi_map))
+    grid = mesh(3, 0.4, 3)
+    assert suite(counted_deg, grid).to_dict() == suite(deg, grid).to_dict()
+    assert sorted(calls) == ["x_map", "xi_map"]
+
+
+def test_construct_suite_validates_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(construction, "validate_constants",
+                        counted(calls, "validate", construction.validate_constants))
+    report = construct_suite(ConstructionConstants(b_from_curvatures([1, 2, 3])), mesh(3, 0.5, 3))
+    assert report.passed and calls == ["validate"]
 
 
 def test_reports_are_deterministic(hilf3, grid3):
