@@ -44,9 +44,10 @@ it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 from typing import Callable
 
 import numpy as np
@@ -213,8 +214,17 @@ def b_from_curvatures(a) -> np.ndarray:
     mean = sum(radii, Fraction(0)) / len(radii)
     diffs = [mean - r for r in radii]
     rho2 = sum(d * d for d in diffs)
-    scale = 1.0 / sqrt(float(rho2))
-    return np.array([float(d) * scale for d in diffs])
+    # Out of the float range, float() overflows or rounds towards zero.
+    try:
+        floats = [float(q) for q in (rho2, *diffs)]
+    except OverflowError:
+        floats = [inf]
+    if not all(q == 0 or sys.float_info.min <= abs(f) < inf
+               for q, f in zip((rho2, *diffs), floats)):
+        raise ParameterError("curvatures out of the float range: rho^2 and each deviation "
+                             "of the radii must be a finite normal float")
+    scale = 1.0 / sqrt(floats[0])
+    return np.array([f * scale for f in floats[1:]])
 
 
 @dataclass(frozen=True, eq=False)

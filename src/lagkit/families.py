@@ -105,7 +105,8 @@ def hilf_chart(params: HilfParams) -> Chart:
     n = params.n
 
     def x_map(U):
-        W = (np.sum(A * U**2, axis=-1) + phi) / (np.sum(A**2 * U**2, axis=-1) + 1.0)
+        U2 = U**2
+        W = (np.sum(A * U2, axis=-1) + phi) / (np.sum(A**2 * U2, axis=-1) + 1.0)
         return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
 
     def normal(U):

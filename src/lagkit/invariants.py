@@ -53,9 +53,15 @@ read: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g
 and log rho of degree 2, III, r and B of degree 1, each intermediate
 freed after its last read; a truncation that outlives its parent is a
 copy (``Taylor.copy``), as a view would keep the parent's buffer alive.
+I^-1 of degree 3 lives only until the tangential part of xi0 is taken,
+then is cut to degree 2, all III reads; III is formed right after M,
+from II cut to degree 2, and I^-1 is freed there; II is then cut to
+degree 1, all B reads.
 N is formed once, in the same Taylor arithmetic, as a polynomial of
 degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
 Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
+values and d_c N are read off at once, so no degree-1 Taylor of N,
+Delta_g Y, Gamma or Hess Y lives through the curvature projection.  The
 curvature tensor of g is assembled from the partials of g as soon as
 the frame is known.  The principal frame is read in the lift's C order,
 so the lift and b keep their bits; the frame coefficients and the lift
@@ -121,6 +127,8 @@ def _taylor_fields(jet):
     I = taylor.einsum("mia,mja->mij", dx, dx)
     I_inv = taylor.inv(I)
     tangential = taylor.einsum("mij,mj->mi", I_inv, taylor.einsum("mia,ma->mi", dx, xi0))
+    # III alone reads I^-1 from here, to degree k-1.
+    I_inv = I_inv.truncate(k - 1).copy()
     v = xi0 - taylor.einsum("mi,mia->ma", tangential, dx)
     del dx, tangential
     xi = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
@@ -130,6 +138,12 @@ def _taylor_fields(jet):
     II = taylor.einsum("mija,ma->mij", taylor.Grad(x, 2), xi)
     x = x.truncate(k).copy()
     M = taylor.einsum("mij,mjk->mik", taylor.inv(II), I)
+    # III reads II to degree k-1 and B to degree k-2: copies, so that each
+    # longer buffer is freed here.
+    II = II.truncate(k - 1).copy()
+    III = taylor.einsum("mij,mjk->mik", II, taylor.einsum("mij,mjk->mik", I_inv, II))
+    del I_inv
+    II = II.truncate(k - 2).copy()
     idx = np.arange(n)
     r = np.sum(M[:, idx, idx], axis=-1) / n
     M.c[:, :, idx, idx] -= r.c[..., None]     # M - r Id; r has M's zero blocks
@@ -138,9 +152,8 @@ def _taylor_fields(jet):
     rho = np.sqrt(rho2)
     Y = rho[..., None] * lift_vector(x, xi)
     del x, xi
-    # Copies, so that the degree-k buffers are freed here, not at the return.
-    II, I_inv, rho2 = (t.truncate(k - 1).copy() for t in (II, I_inv, rho2))
-    III = taylor.einsum("mij,mjk->mik", II, taylor.einsum("mij,mjk->mik", I_inv, II))
+    # A copy, so that the degree-k buffer is freed here, not at the return.
+    rho2 = rho2.truncate(k - 1).copy()
     low = [t.truncate(k - 2) for t in (r, rho, III, II)]
     # III and r outlive the degree-2 III and degree-3 r: copies, not views.
     return {"Y": Y, "g": rho2[..., None, None] * III, "logrho": 0.5 * np.log(rho2),
@@ -229,6 +242,11 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     fields = _taylor_fields(jet)
     dY = fields["Y"].truncate(1).partials()[1]        # (m, a, d)
     n_block = _n_taylor(fields.pop("Y"), fields["g"], lift.space)
+    dN = n_block[0].partials()[1]            # (m, c, n+4)
+    # Copies, so that the degree-1 Taylors are freed here, before the
+    # projection, and the returned Analysis keeps none alive.
+    N, delta_y, gamma_g, hess_y = (t.value.copy(order="K") for t in n_block)
+    del n_block
     # Popped, each field is freed once its partials are read.
     jets = {k: fields.pop(k).partials()[1:] for k in list(fields)}
     signs = lift.space.signs
@@ -248,11 +266,6 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     dlogrho, ddlogrho = jets["logrho"]       # (m, a), (m, a, b)
     dr = jets["r"][0]
     dB = jets["B"][0]                        # (m, c, a, b)
-
-    dN = n_block[0].partials()[1]            # (m, c, n+4)
-    # Copies, so that the returned Analysis keeps no degree-1 Taylor alive.
-    N, delta_y, gamma_g, hess_y = (t.value.copy(order="K") for t in n_block)
-    del n_block
 
     E_Y = np.einsum("mia,mal->mil", w, dY)
     E2_Y = np.einsum("mia,mjb,mabl->mijl", w, w, hess_y)

@@ -260,8 +260,12 @@ class Taylor:
             return self._new(a - b, other.zero)
         return self + (-other)
 
-    def __rsub__(self, other) -> "Taylor":
-        return -self + other
+    def __rsub__(self, other) -> "Taylor":   # -self + other, in one buffer
+        a, b = self._shaped(other)
+        c = np.negative(a, out=np.empty_like(a, shape=np.broadcast_shapes(a.shape, b.shape)))
+        np.add(c, 0.0, out=c)
+        c[0] += b
+        return self._new(c, ~1)
 
     def __truediv__(self, other) -> "Taylor":
         return self * (other.reciprocal() if isinstance(other, Taylor) else np.divide(1.0, other))
@@ -446,4 +450,5 @@ def inv(A: Taylor) -> Taylor:
         S = einsum("mij,mjk->mik", P.truncate(j), S)
         S.c[0] += eye
         S.zero &= ~1
+    del P
     return einsum("mij,mjk->mik", A0inv, S)

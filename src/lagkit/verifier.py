@@ -32,7 +32,7 @@ from .construction import (
     build_immersion,
     frobenius_report,
 )
-from .errors import InputError
+from .errors import ImmersionError, InputError
 from .families import DegenerateChart, HilfParams, hilf_chart, laguerre_immersion_tau
 from .invariants import Analysis, analyze, classify_analysis
 
@@ -480,18 +480,25 @@ def construct_suite(constants: ConstructionConstants, grid: np.ndarray,
 
 def _model_context(deg: DegenerateChart, grid: np.ndarray) -> SimpleNamespace:
     """x, dx and xi of the model, each map evaluated once on the degree-1
-    seeds of ``grid``, with I = <dx, dx> and II = -<dx, dxi>."""
+    seeds of ``grid``, with I = <dx, dx> and II = -<dx, dxi>; ImmersionError
+    where one of them, or dxi, is not finite."""
     U = taylor.variables(grid, 1)
     (x, dx), (xi, dxi) = deg.x_map(U).partials(), deg.xi_map(U).partials()
     signs = deg.space.signs
+    I = np.einsum("mia,a,mja->mij", dx, signs, dx)
+    II = -np.einsum("mia,a,mja->mij", dx, signs, dxi)
+    _require_finite("the degenerate model", x, dx, xi, dxi, I, II)
     nu = np.zeros(deg.space.dimension)
     nu[0] = nu[-1] = 1.0
-    return SimpleNamespace(
-        space=deg.space, nu=nu, x=x, dx=dx, xi=xi,
-        I=np.einsum("mia,a,mja->mij", dx, signs, dx),
-        II=-np.einsum("mia,a,mja->mij", dx, signs, dxi),
-        coeffs=HilfParams(**deg.params).coeffs,
-    )
+    return SimpleNamespace(space=deg.space, nu=nu, x=x, dx=dx, xi=xi, I=I, II=II,
+                           coeffs=HilfParams(**deg.params).coeffs)
+
+
+def _require_finite(what: str, *arrays) -> None:
+    """Raise ImmersionError, naming ``what``, unless every value of
+    ``arrays`` is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ImmersionError(f"{what} is not finite at a sampled point")
 
 
 def _rho_square_constant(m, tol):
@@ -568,7 +575,9 @@ def tau_suite(deg: DegenerateChart, grid: np.ndarray,
     """``MODEL_CHECKS``, then ``TAU_CHECKS`` on the model's x and xi
     mapped once by tau."""
     report, m = _model_report(deg, grid, tol)
-    context = (laguerre_immersion_tau(m.x, m.xi), hilf_chart(HilfParams(**deg.params)), grid, tol)
+    image = laguerre_immersion_tau(m.x, m.xi)
+    _require_finite("the image under tau", *image)
+    context = (image, hilf_chart(HilfParams(**deg.params)), grid, tol)
     for check in TAU_CHECKS:
         report.run(check, *context)
     return report

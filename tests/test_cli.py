@@ -337,12 +337,22 @@ BAD_INPUT = {
         "points per axis"),
     "b-from-a-not-number": (["construct", "--b-from-a", "1,x"], None, "curvatures"),
     "b-from-a-one-value": (["construct", "--b-from-a", "1"], None, "two curvatures"),
+    # rho^2 past the float range, then below it.
+    "b-from-a-rho2-overflow": (["construct", "--b-from-a", "1,1e-300"], None, "float range"),
+    "b-from-a-rho2-underflow": (["construct", "--b-from-a", "1e300,2e300"], None, "float range"),
     "cmat-wrong-size": (
         ["construct", "--constants", "{file}"], {"b": B3, "cmat": [1, 0, 0, 1]},
         "4 cmat entries"),
     "constants-b-empty": (
         ["construct", "--constants", "{file}"], {"b": [], "cmat": []}, "need n >= 2"),
     "tau-a-not-number": (["tau", "--a", "1,x"], None, "--a"),
+    # The degenerate model overflows on these grids, as a chart's Jacobian
+    # does on ``verify``'s.
+    "tau-model-overflow": (
+        ["tau", "--a", "1,2", "--grid", "3", "--half-width", "1e160"], None, "not finite"),
+    "degenerate-model-overflow": (
+        ["verify", "--surface", "degenerate-hilf", "--params", '{"a":[1,2]}', "--grid", "3",
+         "--half-width", "1e200"], None, "not finite"),
     "step-flag": (["verify", "--a", "1,2", "--step", "1e-3"], None, "--step"),
     # Flags are spelt out in full, a list flag with a negative value too.
     "abbreviated-flag": (["verify", "--surf", "hilf", "--a", "1,2"], None, "--surf"),

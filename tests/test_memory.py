@@ -5,8 +5,12 @@ Each bound on ``analyze`` is the tracemalloc figure measured when the
 degree-5 jet was kept as x alone, the products stopped gathering their
 operands, Hess Y took Gamma Y_k pair by pair and ``_taylor_fields``
 freed x, xi and the degree-3 buffers of II, I^-1 and rho^2 once Y was
-formed (the peaks, the n >= 3 ones once II read ddx one coefficient per
-step; the retained figures from before the fields were laid out
+formed, and each buffer was freed at its last read: I^-1 cut to degree
+2 once the tangential part of xi0 is taken, III formed right after M and
+II then cut to degree 1, the degree-1 Taylors of N, Delta_g Y, Gamma
+and Hess Y read off before the curvature projection, P freed before the
+last product of ``taylor.inv``, and value - Taylor built in one buffer
+(the peaks; the retained figures from before the fields were laid out
 batch-innermost, which retains about 9 KB more in small allocations on
 125 and on 1089 points alike), plus 5%.  A product that gathers an
 operand it could read as a view, a partials operand formed whole, a
@@ -56,15 +60,18 @@ def traced_analyze(chart, grid):
 
 
 @pytest.mark.parametrize("case,peak_mb,retained_mb", [
-    # 3.39 MB peak before x and xi were freed once Y is formed and the
-    # degree-2 II, I^-1 and rho^2 copied (3.46 MB before Hess Y took
+    # 2.900 MB peak since each buffer is freed at its last read (3.25 MB
+    # before; 3.39 MB before x and xi were freed once Y is formed and the
+    # degree-2 II, I^-1 and rho^2 copied, 3.46 MB before Hess Y took
     # Gamma Y_k pair by pair), 1.29 MB retained.
-    pytest.param("torus-33", 3.25 * 1.05, 1.29 * 1.05, id="torus-33"),
-    # 1.36 MB peak since II reads ddx one coefficient per step (1.62 MB
-    # before, 1.65 and 2.15 MB earlier), 0.356 MB retained.
-    pytest.param("hilf3-5", 1.36 * 1.05, 0.356 * 1.05, id="hilf3-5"),
-    # 18.1 MB peak (27.8 MB with ddx formed whole), 2.54 MB retained.
-    pytest.param("hilf5-3", 18.1 * 1.05, 2.54 * 1.05, id="hilf5-3"),
+    pytest.param("torus-33", 2.900 * 1.05, 1.29 * 1.05, id="torus-33"),
+    # 1.283 MB peak since each buffer is freed at its last read (1.36 MB
+    # since II reads ddx one coefficient per step, 1.62 MB before, 1.65
+    # and 2.15 MB earlier), 0.356 MB retained.
+    pytest.param("hilf3-5", 1.283 * 1.05, 0.356 * 1.05, id="hilf3-5"),
+    # 16.80 MB peak since each buffer is freed at its last read (18.1 MB
+    # before, 27.8 MB with ddx formed whole), 2.54 MB retained.
+    pytest.param("hilf5-3", 16.80 * 1.05, 2.54 * 1.05, id="hilf5-3"),
 ])
 def test_analyze_memory_is_bounded(case, peak_mb, retained_mb):
     peak, retained = traced_analyze(*CASES[case]())
