@@ -20,11 +20,12 @@ other points take the SVD.
 Those that fail it, and those whose factor meets a NaN or non-positive
 pivot, are masked; Cholesky is backward stable on every matrix it
 completes, so the factor serves every other point.  ``regularity``
-runs ``eigh`` of L^-1 II L^-T once on every other point, which gives
-the principal frame and, through ``irregular_masks``, each point one
-reason from ``IRREGULAR``, the last of them an invariant metric rho^2
-III that is not positive definite; the lift raises it, the suite
-reports it.
+takes the forms of a jet's values and runs ``eigh`` of L^-1 II L^-T
+once on every other point, which gives the principal frame and,
+through ``irregular_masks``, each point one reason from ``IRREGULAR``,
+the last of them an invariant metric rho^2 III that is not positive
+definite; ``invariants.analyze`` keeps the regular points, the suite
+reports the others.
 """
 
 from __future__ import annotations
@@ -233,19 +234,18 @@ def radius_traces(II: np.ndarray, III: np.ndarray):
     return r, rho
 
 
-def regularity(I: np.ndarray, II: np.ndarray, III: np.ndarray, deficient: np.ndarray,
-               factor: np.ndarray):
-    """(r, rho, k, e, reason): r and rho from ``radius_traces``, the
-    principal frame and one reason per point.
+def regularity(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
+    """(II, III, r, rho, k, e, reason): the forms of ``forms_arrays``, r and
+    rho from ``radius_traces``, the principal frame and one reason per point.
 
-    The arguments are those ``forms_arrays`` returns.  ``principal_arrays``
-    runs once on every point that is not ``deficient``; k and e are NaN
-    on the others.  ``reason`` is "" at a regular point, else the first
-    entry of ``IRREGULAR`` that holds there, ``irregular_masks`` deciding
-    the second and third; the invariant metric rho^2 III counts as
-    positive definite where its diagonal is positive and r and rho are
-    finite.
+    ``principal_arrays`` runs once on every point that is not
+    ``deficient``; k and e are NaN on the others.  ``reason`` is "" at a
+    regular point, else the first entry of ``IRREGULAR`` that holds there,
+    ``irregular_masks`` deciding the second and third; the invariant
+    metric rho^2 III counts as positive definite where its diagonal is
+    positive and r and rho are finite.
     """
+    I, II, III, deficient, factor = forms_arrays(dx, ddx, xi)
     r, rho = radius_traces(II, III)
     k, e = np.full(I.shape[:2], np.nan), np.full(I.shape, np.nan)
     rest = ~deficient
@@ -258,7 +258,7 @@ def regularity(I: np.ndarray, II: np.ndarray, III: np.ndarray, deficient: np.nda
         g_diagonal = rho[:, None] ** 2 * np.diagonal(III, axis1=-2, axis2=-1)
     positive = np.all(g_diagonal > 0.0, axis=-1) & np.isfinite(r) & np.isfinite(rho)
     reason[(reason == "") & ~positive] = IRREGULAR[3]
-    return r, rho, k, e, reason
+    return II, III, r, rho, k, e, reason
 
 
 def _fix_direction_signs(dirs: np.ndarray) -> np.ndarray:

@@ -161,7 +161,7 @@ def _tolerances(cfg) -> Tolerances:
 
 def _grid_for(chart_n: int, cfg) -> np.ndarray:
     grid_cfg = cfg["grid"]
-    center = grid_cfg.get("center") or [0.0] * chart_n
+    center = [0.0] * chart_n if grid_cfg.get("center") is None else grid_cfg["center"]
     if len(center) != chart_n:
         raise LagkitError(
             f"grid center has {len(center)} coordinates for an n={chart_n} surface"
@@ -206,10 +206,10 @@ def _print_summary(report: PropertyReport) -> None:
     print(f"suite: {'PASS' if report.passed else 'FAIL'}")
 
 
-def _write_samples(path, analysis) -> None:
-    """Per-point invariants, one row per grid point, full precision."""
-    lift = analysis.lift
-    m, n = lift.u.shape
+def _write_samples(path, a) -> None:
+    """Per-point invariants of the analysis ``a``, one row per regular grid
+    point, full precision."""
+    m, n = a.grid.shape
     header = (
         [f"u_{i+1}" for i in range(n)]
         + [f"x_{i+1}" for i in range(n + 1)]
@@ -219,16 +219,15 @@ def _write_samples(path, analysis) -> None:
         + [f"C_{i+1}" for i in range(n)]
         + [f"L_diag_{i+1}" for i in range(n)]
     )
-    ldiag = np.diagonal(analysis.L_structural, axis1=-2, axis2=-1)
+    ldiag = np.diagonal(a.L_structural, axis1=-2, axis2=-1)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for p in range(m):
                 row = (
-                    list(lift.u[p]) + list(lift.x[p]) + list(lift.k[p])
-                    + [lift.rho[p], lift.r[p]]
-                    + list(lift.b[p]) + list(analysis.C_closed[p]) + list(ldiag[p])
+                    list(a.grid[p]) + list(a.x[p]) + list(a.k[p]) + [a.rho[p], a.r[p]]
+                    + list(a.b[p]) + list(a.C_closed[p]) + list(ldiag[p])
                 )
                 writer.writerow([repr(float(v)) for v in row])
     except OSError as exc:
@@ -381,7 +380,10 @@ def main(argv=None) -> int:
     }
     try:
         args = build_parser().parse_args(_join_lists(sys.argv[1:] if argv is None else argv))
-        status = handlers[args.command](args)
+        # A grid on which a map overflows is refused with one error line;
+        # numpy's warnings on the way would only repeat it.
+        with np.errstate(all="ignore"):
+            status = handlers[args.command](args)
         sys.stdout.flush()
         return status
     except LagkitError as exc:

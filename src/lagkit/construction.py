@@ -347,7 +347,7 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray, analysis) -> dict:
     N_const = np.zeros(n + 4)
     N_const[[2, -1]] = 1.0
     rhs = N_const + c.b[:, None] * p_vector(space)
-    b_sorted = np.sort(analysis.lift.b, axis=1)
+    b_sorted = np.sort(analysis.b, axis=1)
     return dict(zip(FROBENIUS_RESIDUALS, map(float, (
         np.max(np.abs(ddY[:, off])),
         np.max(np.abs(lhs - rhs)),

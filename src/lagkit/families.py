@@ -264,13 +264,19 @@ def sphere_chart(radius: float = 1.0) -> Chart:
 
 
 def _accepted(params: dict, *keys: str) -> dict:
-    """``params`` itself; raises ParameterError naming any key not in ``keys``."""
+    """``params`` itself; raises ParameterError naming any key not in
+    ``keys``, and any key whose value is or lists a bool, a string or
+    null, which are no JSON numbers."""
     unknown = sorted(set(params) - set(keys))
     if unknown:
         raise ParameterError(
             f"unknown surface parameter(s) {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(keys)}"
         )
+    for key, v in params.items():
+        items = v if isinstance(v, list) else [v]
+        if any(item is None or isinstance(item, (bool, str)) for item in items):
+            raise ParameterError(f"surface parameter {key!r} takes JSON numbers, not {v!r}")
     return params
 
 

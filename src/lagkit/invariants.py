@@ -1,5 +1,18 @@
 """Invariants of the light-cone lift, computed two independent ways.
 
+For a hypersurface x with unit normal xi, curvature radii r_i, mean
+radius r and rho = sqrt(sum (r - r_i)^2), the lift into the light cone
+of the signature-(n+2,2) space (``spaces.laguerre_space``) is
+
+    Y   = rho y,   y = (x.xi, -x.xi, xi, 1)   (``lift_vector``),
+    eta = ((1+|x|^2)/2, (1-|x|^2)/2, x, 0) + r y,
+
+with invariant metric g = rho^2 III in chart coordinates.  The frame
+tangent vectors E_i(Y) use the orthonormal realisation E_i = rho^-1 r_i
+e_i (``frame_coefficients``), e_i the unit principal directions; on
+charts parametrized by curvature lines this is the diagonal frame E_i
+= g_ii^(-1/2) d/du_i.
+
 Closed forms, with b_i = (r - r_i)/rho, f = log rho, and Hess and grad
 those of III on the III-orthonormal frame E'_i = rho E_i:
 
@@ -38,10 +51,13 @@ eigenspace frame ``eigh`` picks arbitrarily, change nothing.
 
 ``analyze(chart, grid)`` is the one way in.  Every partial is exact: one
 jet of the grid gives x at each grid point as a Taylor polynomial of
-degree 5 (``taylor``).  The lift reads only the values of x, dx and ddx
-and decides the regularity of every point once; an irregular point
-gets its ``reason`` and no fields.  The regular rows of x and xi are
-then laid out once with the batch axis innermost in memory
+degree 5 (``taylor``).  ``charts.regularity`` reads only the values of
+x, dx and ddx and decides the regularity of every point once, with r
+and rho from traces and the principal frame k, e from one ``eigh``; an
+irregular point gets its ``reason`` and no fields.  ``analyze`` keeps
+the regular rows, copied only when a row is irregular, and forms Y and
+eta from the values of x and xi on them alone.  The rows of x and xi
+are then laid out once with the batch axis innermost in memory
 (``taylor.batch_inner``), which every field keeps, so each product step
 is one loop over the points.  x alone is kept, at degree 5, until II:
 dx of degree 3 is taken from it for I, I^-1 and xi, and II = ddx . xi
@@ -63,38 +79,61 @@ Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
 values and d_c N are read off at once, so no degree-1 Taylor of N,
 Delta_g Y, Gamma or Hess Y lives through the curvature projection.  The
 curvature tensor of g is assembled from the partials of g as soon as
-the frame is known.  The principal frame is read in the lift's C order,
-so the lift and b keep their bits; the frame coefficients and the lift
-arrays the projection reads are then laid out once as the partials
-are, so the layout carries through the projection and every array of
-the returned ``Analysis`` has the points innermost.  III is inverted
+the frame is known.  The principal frame is read in the jet's C order,
+so the lift and b keep their bits; the frame coefficients, g = rho^2
+III and the lift arrays the projection reads are then laid out once as
+the partials are, so the layout carries through the projection and
+every array of the returned ``Analysis`` but the lift's x, r, rho, Y,
+eta and k has the points innermost.  III is inverted
 once, for Gamma of III, the III Laplacian, |grad log rho|^2 and g^-1 =
 III^-1 / rho^2; nabla B and the curvature of g are projected on the
 frame one index at a time (``fields.frame_components``).  The returned
-``Analysis`` holds copies of the values it keeps, no view of a Taylor.
+``Analysis`` holds copies of the values it keeps, no view of a Taylor,
+and of the lift only what a check or the samples read; r_i = 1/k_i and
+b_i = (r - r_i)/rho are formed on first read.
 No chain rule is written by hand, and nothing is differentiated twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import taylor
-from .charts import Chart, jet_arrays
+from .charts import Chart, jet_arrays, regularity
 from .errors import InputError
 from .fields import christoffels, frame_components, laplacian, lowered_riemann
-from .frames import LiftBatch, frame_coefficients, lift_batch, lift_vector
-from .spaces import p_vector
+from .spaces import SignatureSpace, laguerre_space, p_vector
 
 __all__ = [
     "ClassificationResult",
     "Analysis",
     "analyze",
     "classify_analysis",
+    "lift_vector",
+    "frame_coefficients",
 ]
+
+
+def lift_vector(x, xi):
+    """y = (x.xi, -x.xi, xi, 1), so that Y = rho y and eta = eta_0 + r y;
+    ``x`` and ``xi`` (m, n+1) may be arrays or Taylor polynomials."""
+    dot = np.sum(x * xi, axis=-1)[..., None]
+    return np.concatenate([dot, -dot, xi, 0.0 * dot + 1.0], axis=-1)
+
+
+def frame_coefficients(r_i, rho, e):
+    """Coordinate coefficients w[m, i, :] of the orthonormal fields E_i.
+
+    E_i = rho^-1 r_i e_i with e_i (m, i, :) the unit principal directions
+    in the descending-curvature order and r_i (m, i) their radii.  It
+    projects tensors at a point only: where curvatures repeat, ``eigh``
+    picks the e_i of an eigenspace arbitrarily.
+    """
+    return (r_i / rho[:, None])[:, :, None] * e
 
 
 def _b_tensor(r, rho, III, II):
@@ -188,7 +227,12 @@ class Analysis:
 
     grid: np.ndarray
     reason: np.ndarray         # (M,) per input point: "" or its ``IRREGULAR`` reason
-    lift: LiftBatch
+    x: np.ndarray              # (m, n+1)
+    r: np.ndarray              # (m,): mean curvature radius
+    rho: np.ndarray            # (m,)
+    Y: np.ndarray              # (m, n+4)
+    eta: np.ndarray            # (m, n+4)
+    k: np.ndarray              # (m, n): principal curvatures, descending
     N: np.ndarray              # (m, n+4)
     delta_y: np.ndarray        # (m, n+4)
     E_Y: np.ndarray            # (m, i, n+4)
@@ -204,6 +248,20 @@ class Analysis:
     riemann_frame: np.ndarray  # (m, i, j, k, l): curvature of g on the frame
 
     @property
+    def space(self) -> SignatureSpace:
+        return laguerre_space(self.grid.shape[1])
+
+    @cached_property
+    def r_i(self) -> np.ndarray:
+        """(m, n) curvature radii 1/k_i."""
+        return 1.0 / self.k
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """(m, n) Laguerre principal curvatures (r - r_i)/rho."""
+        return (self.r[:, None] - self.r_i) / self.rho[:, None]
+
+    @property
     def lambda_estimate(self) -> float:
         m, n = self.grid.shape
         traces = np.trace(self.L_structural, axis1=-2, axis2=-1) / n
@@ -212,9 +270,9 @@ class Analysis:
     def structure_residual(self) -> float:
         """Max norm of Y_ab - Gamma^k_ab Y_k = L_ab Y + g_ab N + B_ab P on the frame."""
         m, n = self.grid.shape
-        P = p_vector(self.lift.space)
+        P = p_vector(self.space)
         rhs = (
-            np.einsum("mij,ml->mijl", self.L_structural, self.lift.Y)
+            np.einsum("mij,ml->mijl", self.L_structural, self.Y)
             + np.einsum("ij,ml->mijl", np.eye(n), self.N)
             + np.einsum("mij,l->mijl", self.B_structural, P)
         )
@@ -224,40 +282,51 @@ class Analysis:
 def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     """Every invariant field of the lift over the regular points of a grid.
 
-    One degree-5 jet of the grid gives the lift, which decides the
-    regularity of every point once, and the Taylor fields of its regular
-    rows; ``reason`` names what fails at each other point.
+    One degree-5 jet of the grid decides the regularity of every point
+    once (``charts.regularity``) and gives the lift and the Taylor fields
+    of its regular rows; ``reason`` names what fails at each other point.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     x, dx, ddx, xi0 = jet_arrays(chart, grid, 5)
-    lift = lift_batch(chart, grid, (x, dx, ddx, xi0))
+    II, III, r, rho, k, e, reason = regularity(dx, ddx, xi0)
     del dx, ddx
-    reason = lift.reason
-    # The regular rows of x in its own layout, copied only when a row is
-    # irregular; ``lift[rows]`` is a copy, as lift.x views x.
+    # The regular rows, copied only when a row is irregular; x in its own layout.
     rows = np.flatnonzero(reason == "")
-    jet = [x, xi0] if rows.size == len(grid) else [x.take(rows), xi0[rows]]
-    lift = lift[rows]
+    if rows.size < len(grid):
+        x = x.take(rows)
+        grid, xi0, II, III, r, rho, k, e = (t[rows] for t in (grid, xi0, II, III, r, rho, k, e))
+    # The lift, from the values of x and xi0 in the chart jet's C order; the
+    # value of x copied, so that it does not keep the jet alive.
+    x0 = x.value.copy()
+    y = lift_vector(x0, xi0)
+    sq = np.sum(x0 * x0, axis=-1)
+    eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x0,
+                          np.zeros((len(x0), 1))], axis=1) + r[:, None] * y
+    Y = rho[:, None] * y
+    del y, sq
+    jet = [x, xi0]
     del x, xi0
     fields = _taylor_fields(jet)
+    space = laguerre_space(chart.n)
     dY = fields["Y"].truncate(1).partials()[1]        # (m, a, d)
-    n_block = _n_taylor(fields.pop("Y"), fields["g"], lift.space)
+    n_block = _n_taylor(fields.pop("Y"), fields["g"], space)
     dN = n_block[0].partials()[1]            # (m, c, n+4)
     # Copies, so that the degree-1 Taylors are freed here, before the
     # projection, and the returned Analysis keeps none alive.
     N, delta_y, gamma_g, hess_y = (t.value.copy(order="K") for t in n_block)
     del n_block
     # Popped, each field is freed once its partials are read.
-    jets = {k: fields.pop(k).partials()[1:] for k in list(fields)}
-    signs = lift.space.signs
-    # The principal frame is read in the lift's own C order, so that lift.b
-    # keeps its bits; the frame and the lift arrays read below are then laid
-    # out once as the partials are, batch axis innermost, and III inverted
-    # once: g^-1 = III^-1 / rho^2.
-    w, eta, III, II, g, r_i = (taylor.batch_inner(t) for t in (
-        frame_coefficients(lift), lift.eta, lift.III, lift.II, lift.g, lift.r_i))
-    r, rho = lift.r, lift.rho
-    iii_inv = taylor.batch_inner(np.linalg.inv(lift.III))
+    jets = {name: fields.pop(name).partials()[1:] for name in list(fields)}
+    signs = space.signs
+    # The frame is formed in the jet's C order, as b is; the frame, g =
+    # rho^2 III and the lift arrays read below are then laid out once as
+    # the partials are, batch axis innermost, and III inverted once:
+    # g^-1 = III^-1 / rho^2.
+    r_i = 1.0 / k
+    iii_inv = taylor.batch_inner(np.linalg.inv(III))
+    w, eta_inner, III, II, g, r_i = (taylor.batch_inner(t) for t in (
+        frame_coefficients(r_i, rho, e), eta, III, II, rho[:, None, None] ** 2 * III, r_i))
+    del e
     inv_rho2 = rho**-2
     g_inv = inv_rho2[:, None, None] * iii_inv
     riemann_frame = frame_components(lowered_riemann(g, g_inv, *jets.pop("g")), w)
@@ -273,9 +342,9 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     del dY, hess_y, dN
 
     L_structural = np.einsum("mil,l,mjl->mij", E_N, signs, E_Y)
-    C_structural = -np.einsum("mil,l,ml->mi", E_N, signs, eta)
+    C_structural = -np.einsum("mil,l,ml->mi", E_N, signs, eta_inner)
     del E_N
-    B_structural = -np.einsum("mijl,l,ml->mij", E2_Y, signs, eta)
+    B_structural = -np.einsum("mijl,l,ml->mij", E2_Y, signs, eta_inner)
     # Directional derivatives along the III-orthonormal frame E'_i = rho E_i
     # and the unit principal directions e_i = E'_i / r_i.
     w_iii = rho[:, None, None] * w
@@ -300,7 +369,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     cov_B = frame_components(np.moveaxis(cov_coord, 1, -1), w)
 
     return Analysis(
-        grid=lift.u, reason=reason, lift=lift,
+        grid=grid, reason=reason, x=x0, r=r, rho=rho, Y=Y, eta=eta, k=k,
         N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y,
         L_structural=L_structural, C_structural=C_structural,
         B_structural=B_structural,
@@ -340,7 +409,7 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
     eye = np.eye(n)
     max_c = float(np.max(np.abs(a.C_closed)))
     l_dev = float(np.max(np.abs(a.L_structural - lam * eye)))
-    b_sorted = np.sort(a.lift.b, axis=1)
+    b_sorted = np.sort(a.b, axis=1)
     b_hat = np.mean(b_sorted, axis=0)
     b_spread = float(np.max(np.ptp(b_sorted, axis=0)))
 
@@ -352,7 +421,7 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
     prop2 = None
     prop7 = None
     if is_isotropic:
-        alpha_field = a.N - lam * a.lift.Y
+        alpha_field = a.N - lam * a.Y
         alpha = np.mean(alpha_field, axis=0)
         alpha_spread = float(np.max(np.abs(alpha_field - alpha)))
         prop2 = bool(lam >= -tol)

@@ -130,9 +130,7 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         executed = [c for c in self.checks if c.status != "skip"]
-        if not executed:
-            return False
-        return all(c.status == "pass" for c in executed)
+        return bool(executed) and all(c.status == "pass" for c in executed)
 
     def to_dict(self) -> dict:
         return {
@@ -180,9 +178,8 @@ def _two_curvature_constants(a, cls, tol):
     sqrt((n-m)/(mn)) and -sqrt(m/(n(n-m))), or their spread over the grid
     if larger; InputError unless every grid point has the same two
     clusters of principal curvatures."""
-    lift = a.lift
-    n = lift.b.shape[1]
-    breaks = _cluster_breaks(lift.k)
+    n = a.b.shape[1]
+    breaks = _cluster_breaks(a.k)
     clusters = int(np.sum(breaks[0])) + 1
     if clusters != 2:
         raise InputError(
@@ -191,16 +188,16 @@ def _two_curvature_constants(a, cls, tol):
     if np.any(breaks != breaks[0]):
         raise InputError("curvature multiplicities vary across the grid")
 
-    b_desc = -np.sort(-lift.b, axis=1)
+    b_desc = -np.sort(-a.b, axis=1)
     m1 = int(np.argmax(breaks[0])) + 1
     # b_i = (r - 1/k_i)/rho is positive on the cluster of the largest
     # curvatures when all share a sign, and on the other one when they do not.
-    m = m1 if abs(np.sum(np.sign(lift.k[0]))) == n else n - m1
+    m = m1 if abs(np.sum(np.sign(a.k[0]))) == n else n - m1
     b1 = np.sqrt((n - m) / (m * n))
     b2 = -np.sqrt(m / (n * (n - m)))
     targets = np.sort(np.concatenate([np.full(m, b1), np.full(n - m, b2)]))[::-1]
     residual = float(np.max(np.abs(b_desc - targets[None, :])))
-    spread = float(np.max(np.ptp(np.sort(lift.b, axis=1), axis=0)))
+    spread = float(np.max(np.ptp(np.sort(a.b, axis=1), axis=0)))
     return max(residual, spread), f"multiplicity m={m}"
 
 
@@ -211,7 +208,7 @@ def _log_rho_laplacian(a, cls, tol):
     # gauge alpha^(n+4) = 0 and grad rho = 0 it collapses to the bare
     # Delta_III log rho = 2 n lambda rho^2.
     n = a.grid.shape[1]
-    rho = a.lift.rho
+    rho = a.rho
     coord_res = (
         a.laplace_iii_logrho
         + (n - 1) * a.grad_iii_logrho_sq
@@ -228,7 +225,7 @@ def _log_rho_trace_identity(a, cls, tol):
         a.laplace_iii_logrho
         + 0.5 * (n - 2) * a.grad_iii_logrho_sq
         - 0.5 * n
-        - n * cls.lambda_estimate * a.lift.rho**2
+        - n * cls.lambda_estimate * a.rho**2
     )
     return float(np.max(np.abs(trace_res)))
 
@@ -247,8 +244,8 @@ def _isoparametric_curvature_sum(a, cls, tol):
     Cartan's identity sums over the other distinct curvature values, each
     as often as it repeats, so pairs inside a cluster drop out.
     """
-    b = a.lift.b
-    cluster = np.cumsum(np.pad(_cluster_breaks(a.lift.k), ((0, 0), (1, 0))), axis=1)
+    b = a.b
+    cluster = np.cumsum(np.pad(_cluster_breaks(a.k), ((0, 0), (1, 0))), axis=1)
     sectional = np.einsum("mijij->mij", a.riemann_frame)
     terms = np.divide(
         sectional, b[:, :, None] - b[:, None, :], out=np.zeros_like(sectional),
@@ -312,30 +309,30 @@ _FRAME = "lightlike lift pairings and tangent-frame orthonormality"
 
 CHECKS = (
     Check("position_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.Y, a.lift.Y)))),
+          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.Y, a.Y)))),
     Check("n_vector_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.N, a.N)))),
+          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.N, a.N)))),
     Check("position_n_pairing", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.Y, a.N) + 1.0))),
+          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.Y, a.N) + 1.0))),
     Check("normal_map_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.eta, a.lift.eta)))),
+          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.eta, a.eta)))),
     Check("normal_map_p_pairing", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.lift.eta[:, 0] + a.lift.eta[:, 1] - 1.0))),
+          lambda a, cls, tol: np.max(np.abs(a.eta[:, 0] + a.eta[:, 1] - 1.0))),
     Check("position_normal_orthogonal", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.lift.space.dot(a.lift.Y, a.lift.eta)))),
+          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.Y, a.eta)))),
     Check("tangent_orthonormality", _FRAME, "frame_relations",
           lambda a, cls, tol: np.max(np.abs(
-              np.einsum("mil,l,mjl->mij", a.E_Y, a.lift.space.signs, a.E_Y)
+              np.einsum("mil,l,mjl->mij", a.E_Y, a.space.signs, a.E_Y)
               - np.eye(a.grid.shape[1])))),
     Check("b_trace_zero", "trace-free second fundamental form", "b_identities",
-          lambda a, cls, tol: float(np.max(np.abs(a.lift.b.sum(axis=1))))),
+          lambda a, cls, tol: float(np.max(np.abs(a.b.sum(axis=1))))),
     Check("b_square_one", "unit square-norm of the second fundamental form", "b_identities",
-          lambda a, cls, tol: float(np.max(np.abs((a.lift.b**2).sum(axis=1) - 1.0)))),
+          lambda a, cls, tol: float(np.max(np.abs((a.b**2).sum(axis=1) - 1.0)))),
     Check("l_trace_laplacian", "trace of the tensor vs the squared Laplacian of the lift",
           "trace_identity",
           lambda a, cls, tol: float(np.max(np.abs(
               np.trace(a.L_structural, axis1=-2, axis2=-1)
-              + a.lift.space.dot(a.delta_y, a.delta_y) / (2.0 * a.grid.shape[1]))))),
+              + a.space.dot(a.delta_y, a.delta_y) / (2.0 * a.grid.shape[1]))))),
     Check("covariant_b_contraction", "contracted covariant derivative of B equals (n-1) C",
           "covariant_identity",
           lambda a, cls, tol: float(np.max(np.abs(
@@ -356,7 +353,7 @@ CHECKS = (
     Check("rho_square_bound", "upper bound rho^2 < 1/(2 lambda) for positive eigenvalue",
           "classification",
           lambda a, cls, tol: max(
-              float(np.max(a.lift.rho**2 - 1.0 / (2.0 * cls.lambda_estimate))), 0.0),
+              float(np.max(a.rho**2 - 1.0 / (2.0 * cls.lambda_estimate))), 0.0),
           (_ISOTROPIC, ("vacuous (lambda ~ 0)",
                         lambda a, cls, tol: cls.lambda_estimate > tol.classification))),
     Check("isoparametric_curvature_sum",
@@ -366,7 +363,7 @@ CHECKS = (
     Check("b_cross_agreement", "closed-form vs structure-equation second fundamental form",
           "b_cross_agreement",
           lambda a, cls, tol: np.max(np.abs(
-              a.B_structural - np.einsum("mi,ij->mij", a.lift.b, np.eye(a.grid.shape[1]))))),
+              a.B_structural - np.einsum("mi,ij->mij", a.b, np.eye(a.grid.shape[1]))))),
     Check("structure_equation", "second-derivative frame decomposition",
           "structure_equation", lambda a, cls, tol: a.structure_residual()),
     Check("curvature_antisymmetry", "index antisymmetries of the curvature tensor",

@@ -69,11 +69,10 @@ def family_suite(hilf3):
 def test_criterion_1_explicit_family_suite(family_suite):
     report, elapsed = family_suite
     a = report.analysis
-    lift = a.lift
     checks = {c.name: c for c in report.checks}
 
-    b_trace = float(np.max(np.abs(lift.b.sum(axis=1))))
-    b_square = float(np.max(np.abs((lift.b**2).sum(axis=1) - 1.0)))
+    b_trace = float(np.max(np.abs(a.b.sum(axis=1))))
+    b_square = float(np.max(np.abs((a.b**2).sum(axis=1) - 1.0)))
     b_dev = b_distance(report.classification["b_hat"], expected_b123())
     max_c = float(np.max(np.abs(a.C_closed)))
     max_l = float(np.max(np.abs(a.L_structural)))

@@ -1,10 +1,10 @@
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lagkit import taylor
 from lagkit.charts import (
     IRREGULAR,
     Chart,
@@ -20,7 +20,6 @@ from lagkit.charts import (
 )
 from lagkit.errors import ImmersionError, MarginError
 from lagkit.families import sphere_chart
-from lagkit.frames import lift_batch
 from tests import central
 from tests.conftest import graph_chart, mesh
 
@@ -37,9 +36,11 @@ def point(u):
     return np.asarray(u, dtype=float)[None, :]
 
 
-def lift(chart, U):
-    """The lift at U, with one ``regularity`` reason per point."""
-    return lift_batch(chart, U, jet_arrays(chart, U))
+def pointwise(chart, U):
+    """r, rho, k and one reason per point, by name, from ``regularity`` at U."""
+    _, dx, ddx, xi = jet_arrays(chart, U)
+    _, _, r, rho, k, _, reason = regularity(dx, ddx, xi)
+    return SimpleNamespace(r=r, rho=rho, k=k, reason=reason)
 
 
 def forms(chart, U):
@@ -86,7 +87,7 @@ def collapse_chart():
 
 
 def test_rank_deficient_jacobian_rejected():
-    assert lift(collapse_chart(), point([0.1, 0.2])).reason.tolist() == [IRREGULAR[0]]
+    assert pointwise(collapse_chart(), point([0.1, 0.2])).reason.tolist() == [IRREGULAR[0]]
 
 
 def test_curvature_line_check_rejects_rank_deficient_point():
@@ -122,19 +123,20 @@ def test_torus_principal_curvatures(torus21):
 def test_frame_radii_arithmetic():
     # curvatures {1, 2} at the origin of a quadric graph
     chart = quadric(0.5, 1.0)
-    batch = lift(chart, point([0.0, 0.0]))
+    batch = pointwise(chart, point([0.0, 0.0]))
     k = np.sort(np.abs(batch.k[0]))
     assert np.allclose(k, [1.0, 2.0], atol=1e-12)
-    r_i = np.sort(np.abs(batch.r_i[0]))
+    r_i = np.sort(np.abs(1.0 / batch.k[0]))
     assert np.allclose(r_i, [0.5, 1.0], atol=1e-12)
     assert abs(abs(batch.r[0]) - 0.75) <= 1e-12
     assert abs(batch.rho[0] - np.sqrt(0.125)) <= 1e-12
 
 
 def test_mean_radius_centers_radii(generic_chart, generic_points):
-    batch = lift(generic_chart, generic_points)
-    centered = np.abs(np.sum(batch.r[:, None] - batch.r_i, axis=1))
-    assert np.all(centered <= 1e-12 * np.sum(np.abs(batch.r_i), axis=1))
+    batch = pointwise(generic_chart, generic_points)
+    r_i = 1.0 / batch.k
+    centered = np.abs(np.sum(batch.r[:, None] - r_i, axis=1))
+    assert np.all(centered <= 1e-12 * np.sum(np.abs(r_i), axis=1))
 
 
 def test_directions_orthonormal_in_first_form(generic_chart, generic_points):
@@ -157,12 +159,12 @@ def test_principal_direction_derivative_relation(hilf3):
 
 
 def test_sphere_is_umbilic():
-    assert lift(sphere_chart(1.0), point([0.05, -0.03])).reason.tolist() == [IRREGULAR[1]]
+    assert pointwise(sphere_chart(1.0), point([0.05, -0.03])).reason.tolist() == [IRREGULAR[1]]
 
 
 def test_vanishing_curvature_rejected():
     cylinder_like = quadric(0.5, 0.0)
-    assert lift(cylinder_like, point([0.0, 0.0])).reason.tolist() == [IRREGULAR[2]]
+    assert pointwise(cylinder_like, point([0.0, 0.0])).reason.tolist() == [IRREGULAR[2]]
 
 
 def test_irregular_masks_thresholds():
@@ -402,27 +404,21 @@ def test_failed_factor_is_a_rank_deficient_point():
     # sigma ratios of 1e-9 pass the SVD test, yet I = dx dx^T has cond
     # 1e18 and its factor meets NaN pivots on about half the points: those
     # are masked, with no warning, and ``regularity`` gives them a reason
-    # instead of raising.  The lift of the whole batch holds NaN k and e
-    # on those points, again with no warning.
+    # instead of raising, with NaN k and e on those points.
     rng = np.random.default_rng(470)
     dx = jacobians(rng, 3, np.full(200, 1e-9))
     ddx = rng.standard_normal((200, 3, 3, 4))
     xi = rng.standard_normal((200, 4))
     xi = xi / np.linalg.norm(xi, axis=-1)[:, None]
-    chart = Chart(n=3, domain=((-1.0, 1.0),) * 3, evaluator=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        forms = forms_arrays(dx, ddx, xi)
-        reason = regularity(*forms)[4]
-        x = taylor.Taylor(rng.standard_normal((1, 200, 4)), 3, 0)     # constant polynomials
-        batch = lift_batch(chart, np.zeros((200, 3)), (x, dx, ddx, xi))
-    I, II, III, deficient, _ = forms
+        I, II, III, deficient, _ = forms_arrays(dx, ddx, xi)
+        _, _, _, _, k, e, reason = regularity(dx, ddx, xi)
     assert 0 < np.sum(deficient) < 200
     assert np.all(deficient == ~np.all(np.isfinite(III), axis=(-2, -1)))
     assert np.all(reason[deficient] == "rank-deficient Jacobian")
-    assert np.array_equal(batch.reason, reason)
-    assert np.all(np.isnan(batch.k[deficient])) and np.all(np.isnan(batch.e[deficient]))
-    assert np.all(np.isfinite(batch.k[~deficient])) and np.all(np.isfinite(batch.e[~deficient]))
+    assert np.all(np.isnan(k[deficient])) and np.all(np.isnan(e[deficient]))
+    assert np.all(np.isfinite(k[~deficient])) and np.all(np.isfinite(e[~deficient]))
 
 
 # The trace route: r and rho of the radii from S = L3^-1 II L3^-T, against
@@ -473,7 +469,7 @@ def test_radius_traces_match_eigh_near_umbilic(spread):
 def test_lift_reasons_match_irregular_masks():
     # Relative curvature spreads, and curvature ratios of either sign, from
     # 1e-9 to 1e-5 straddle UMBILIC_TOL and CURVATURE_FLOOR (both 1e-7).
-    # The lift gives a point a reason exactly where irregular_masks flags it.
+    # regularity gives a point a reason exactly where irregular_masks flags it.
     U = mesh(2, 1e-5, 3)
     flagged_total = 0
     for t in np.logspace(-9, -5, 17):
@@ -482,7 +478,7 @@ def test_lift_reasons_match_irregular_masks():
             I, II, _ = forms(chart, U)
             umbilic, vanishing = irregular_masks(principal_arrays(I, II)[0])
             flagged_total += int(np.sum(umbilic | vanishing))
-            reason = lift(chart, U).reason
+            reason = pointwise(chart, U).reason
             assert np.array_equal(reason == IRREGULAR[1], umbilic)
             assert np.array_equal(reason == IRREGULAR[2], vanishing & ~umbilic)
             assert np.array_equal(reason != "", umbilic | vanishing)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lagkit
-from lagkit import frames
+from lagkit import charts, invariants
 from lagkit.cli import build_parser, main
 from tests.conftest import count_rows
 
@@ -159,7 +159,7 @@ def test_construct_seeded(tmp_path):
 def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
     # frobenius_report and the classification share one analysis: one lift
     # of the 5^3 vbar grid points, whose partials come from one Taylor jet.
-    lift_rows = count_rows(monkeypatch, frames.lift_batch, 1)
+    lift_rows = count_rows(monkeypatch, charts.regularity, 0)
     code = run([
         "construct", "--b-from-a", "1,2,3", "--seed", "1",
         "--grid", "5", "--half-width", "0.5",
@@ -171,14 +171,14 @@ def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
 
 def test_construct_names_an_irregular_point(monkeypatch, tmp_path, capsys):
     # No constructed grid tried has an irregular point, so one is planted.
-    regularity = frames.regularity
+    regularity = invariants.regularity
 
-    def one_umbilic(*forms):
-        r, rho, k, e, reason = regularity(*forms)
+    def one_umbilic(*jet):
+        *forms, reason = regularity(*jet)
         reason[4] = "umbilic point"
-        return r, rho, k, e, reason
+        return (*forms, reason)
 
-    monkeypatch.setattr(frames, "regularity", one_umbilic)
+    monkeypatch.setattr(invariants, "regularity", one_umbilic)
     out = tmp_path / "con.json"
     code = run(["construct", "--b-from-a", "1,2,3", "--grid", "3", "--no-timestamp",
                 "--out", str(out)])
@@ -323,6 +323,22 @@ BAD_INPUT = {
     "a-inf": (["verify", "--a", "1,inf"], None, "finite"),
     "half-width-nan": (["verify", "--a", "1,2", "--half-width", "nan"], None, "half_width"),
     "center-nan": (["verify", "--a", "1,2", "--center", "0.1,nan"], None, "center"),
+    # An empty centre is no centre of an n = 2 grid, not the origin.
+    "center-empty": (["verify", "--a", "1,2", "--center", ","], None, "0 coordinates"),
+    "center-empty-config": (
+        ["verify", "--a", "1,2", "--config", "{file}"], {"grid": {"center": []}},
+        "0 coordinates"),
+    # Surface parameters are JSON numbers: a bool or a string is refused by key.
+    "a-bool": (["verify", "--params", '{"a":[true,2]}'], None, "'a'"),
+    "a-strings": (["verify", "--params", '{"a":["1","2"]}'], None, "'a'"),
+    "multiplicities-bool": (
+        ["verify", "--params", '{"a":[1,2],"multiplicities":[true,1]}'], None, "'multiplicities'"),
+    "phi-string": (["verify", "--params", '{"a":[1,2],"phi":"0.5"}'], None, "'phi'"),
+    "phi-null": (["verify", "--params", '{"a":[1,2],"phi":null}'], None, "'phi'"),
+    "torus-R-string": (["verify", "--surface", "torus", "--params", '{"R":"3"}'], None, "'R'"),
+    "torus-r-tube-bool": (
+        ["verify", "--surface", "torus", "--params", '{"r_tube":true}'], None, "'r_tube'"),
+    "tau-a-string": (["tau", "--params", '{"a":[1,"2"]}'], None, "'a'"),
     "tolerance-negative": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": -1}},
         "tolerance frobenius"),
@@ -353,6 +369,14 @@ BAD_INPUT = {
     "degenerate-model-overflow": (
         ["verify", "--surface", "degenerate-hilf", "--params", '{"a":[1,2]}', "--grid", "3",
          "--half-width", "1e200"], None, "not finite"),
+    # ... and so do a chart and the constructed chart: numpy's overflow
+    # warnings stay off stderr.
+    "hilf-chart-overflow": (
+        ["verify", "--surface", "hilf", "--a", "1,2", "--grid", "3", "--half-width", "1e200"],
+        None, "not finite"),
+    "construct-chart-overflow": (
+        ["construct", "--b-from-a", "1,2,3", "--grid", "3", "--half-width", "1e200"],
+        None, "not finite"),
     "step-flag": (["verify", "--a", "1,2", "--step", "1e-3"], None, "--step"),
     # Flags are spelt out in full, a list flag with a negative value too.
     "abbreviated-flag": (["verify", "--surf", "hilf", "--a", "1,2"], None, "--surf"),

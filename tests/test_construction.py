@@ -182,9 +182,9 @@ def test_closed_form_rho_and_mean_radius_match_the_pipeline(seeded_constants):
     # the lift reads rho and r off the traces of the derived chart at vbar.
     maps = build_immersion(seeded_constants)
     v = np.random.default_rng(12).uniform(-0.5, 0.5, size=(20, 3))
-    lift = analyze(maps.chart, np.sqrt(2.0) * v * seeded_constants.b).lift
-    assert np.max(np.abs(lift.rho - maps.rho(v))) <= 1e-12
-    assert np.max(np.abs(lift.r - maps.mean_radius(v))) <= 1e-12
+    a = analyze(maps.chart, np.sqrt(2.0) * v * seeded_constants.b)
+    assert np.max(np.abs(a.rho - maps.rho(v))) <= 1e-12
+    assert np.max(np.abs(a.r - maps.mean_radius(v))) <= 1e-12
 
 
 def test_constructed_chart_jets_exact(seeded_constants):

@@ -64,8 +64,11 @@ def test_analysis_holds_the_frame_curvature_as_an_array():
 
 
 def test_unread_fields_are_gone():
-    assert "chart" not in {f.name for f in fields(Analysis)}
+    assert {"chart", "lift"}.isdisjoint(f.name for f in fields(Analysis))
     assert "flip_normal" not in {f.name for f in fields(Chart)}
+    # analyze builds the lift of its regular rows itself: no second layer.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("lagkit.frames")
 
 
 def test_one_map_each_and_one_constructor():

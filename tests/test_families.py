@@ -202,6 +202,6 @@ def test_torus_parameter_error():
 def test_torus_curvatures_distinct_on_domain(torus21, torus_points):
     from lagkit.invariants import analyze
 
-    k = analyze(torus21, torus_points[:8]).lift.k
+    k = analyze(torus21, torus_points[:8]).k
     assert np.min(np.abs(k)) > 0.1
     assert np.min(k[:, 0] - k[:, 1]) > 0.1

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lagkit.charts import IRREGULAR
+from lagkit.charts import IRREGULAR, jet_arrays, regularity
 from lagkit.families import HilfParams, hilf_chart
 from lagkit.invariants import analyze
 from lagkit.spaces import p_vector
@@ -13,7 +13,7 @@ from tests.conftest import mesh
 
 @pytest.fixture(scope="module")
 def hilf2_lift(hilf2):
-    return analyze(hilf2, np.array([[0.1, -0.2]])).lift
+    return analyze(hilf2, np.array([[0.1, -0.2]]))
 
 
 def test_position_vector_lightlike(hilf2_lift):
@@ -40,14 +40,22 @@ def test_normal_map_relations(hilf2_lift):
 def test_rho_at_origin_two_curvature(hilf2):
     # a = (1, 2): curvatures +-(2, 4) at the origin, radii -+(1/2, 1/4),
     # so rho^2 = 2 (1/8)^2 = 1/32 -- independent arithmetic oracle.
-    lift = analyze(hilf2, np.zeros((1, 2))).lift
-    assert abs(lift.rho[0] ** 2 - 1.0 / 32.0) <= 1e-14
+    a = analyze(hilf2, np.zeros((1, 2)))
+    assert abs(a.rho[0] ** 2 - 1.0 / 32.0) <= 1e-14
+
+
+def invariant_metric(chart, U):
+    """g = rho^2 III at U, from the III and rho of ``charts.regularity``."""
+    _, dx, ddx, xi = jet_arrays(chart, U)
+    _, III, _, rho, _, _, _ = regularity(dx, ddx, xi)
+    return rho[:, None, None] ** 2 * III, III
 
 
 def test_metric_is_scaled_third_form(hilf2):
-    lift = analyze(hilf2, np.zeros((1, 2))).lift
-    III = lift.III[0]
-    assert np.allclose(lift.g[0], lift.rho[0] ** 2 * III, atol=1e-15)
+    g, III = invariant_metric(hilf2, np.zeros((1, 2)))
+    III = III[0]
+    # rho^2 = 1/32 at the origin (test_rho_at_origin_two_curvature)
+    assert np.allclose(g[0], III / 32.0, atol=1e-15)
     # oracle: III at the origin is the differential of the closed-form
     # normal, d xi . d xi = diag(4 a_i^2)
     dxi = central.grad(hilf2.normal, np.zeros((1, 2)), 1e-5)[0]
@@ -85,19 +93,18 @@ def test_metric_equals_lift_gram(hilf3):
     grid = mesh(3, 0.3, 2)
 
     def y_field(U):
-        return analyze(hilf3, U).lift.Y
+        return analyze(hilf3, U).Y
 
-    lift = analyze(hilf3, grid).lift
     dY = central.grad(y_field, grid, 1e-4)
-    gram = np.einsum("mal,l,mbl->mab", dY, lift.space.signs, dY)
-    assert np.max(np.abs(gram - lift.g)) <= 1e-8
+    gram = np.einsum("mal,l,mbl->mab", dY, analyze(hilf3, grid).space.signs, dY)
+    assert np.max(np.abs(gram - invariant_metric(hilf3, grid)[0])) <= 1e-8
 
 
 def test_n_vector_relations_on_grid(hilf3, grid3):
     a = analyze(hilf3, grid3)
-    sp = a.lift.space
+    sp = a.space
     assert np.max(np.abs(sp.dot(a.N, a.N))) <= 1e-6
-    assert np.max(np.abs(sp.dot(a.lift.Y, a.N) + 1.0)) <= 1e-6
+    assert np.max(np.abs(sp.dot(a.Y, a.N) + 1.0)) <= 1e-6
 
 
 def test_n_vector_constant_on_explicit_family(hilf3, grid3):
@@ -108,7 +115,7 @@ def test_n_vector_constant_on_explicit_family(hilf3, grid3):
 def test_n_minus_lambda_y_constant(hilf3, grid3):
     a = analyze(hilf3, grid3)
     lam = a.lambda_estimate
-    alpha = a.N - lam * a.lift.Y
+    alpha = a.N - lam * a.Y
     assert np.max(np.abs(alpha - alpha.mean(axis=0))) <= 1e-5
 
 
@@ -116,13 +123,13 @@ def test_single_point_n_vector(hilf3):
     a = analyze(hilf3, np.array([[0.1, 0.0, -0.1]]))
     N = a.N[0]
     assert N.shape == (7,)
-    assert abs(a.lift.space.dot(N, N)) <= 1e-6
+    assert abs(a.space.dot(N, N)) <= 1e-6
 
 
 def test_laguerre_frame_relations(hilf3):
     a = analyze(hilf3, np.array([[0.1, -0.15, 0.2]]))
-    sp = a.lift.space
-    Y, N, eta = a.lift.Y[0], a.N[0], a.lift.eta[0]
+    sp = a.space
+    Y, N, eta = a.Y[0], a.N[0], a.eta[0]
     P = p_vector(sp)
     EY = a.E_Y[0]
     gram = np.einsum("ia,a,ja->ij", EY, sp.signs, EY)
@@ -138,4 +145,4 @@ def test_laguerre_frame_relations(hilf3):
     assert max(residuals.values()) <= 1e-6
     assert EY.shape == (3, 7)
     # the scaled position Y / rho ends in 1
-    assert np.isclose(Y[-1] / a.lift.rho[0], 1.0)
+    assert np.isclose(Y[-1] / a.rho[0], 1.0)

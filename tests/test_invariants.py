@@ -4,13 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lagkit import charts, frames, taylor
-from lagkit.charts import IRREGULAR, jet_arrays
+from lagkit import charts, taylor
+from lagkit.charts import IRREGULAR, jet_arrays, regularity
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, hilf_chart, sphere_chart, torus_chart
 from lagkit.fields import christoffels, frame_components
-from lagkit.frames import frame_coefficients, lift_batch
-from lagkit.invariants import Analysis, _b_tensor, analyze, classify_analysis
+from lagkit.invariants import Analysis, _b_tensor, analyze, classify_analysis, frame_coefficients
 from lagkit.verifier import run_suite
 from tests import central
 from tests.conftest import count_rows, graph_chart, mesh
@@ -45,10 +44,10 @@ def hilf3_analysis(hilf3, grid3):
 
 
 def test_closed_form_b_values(hilf3_analysis):
-    for b_row in hilf3_analysis.lift.b:
+    for b_row in hilf3_analysis.b:
         assert_b_matches(b_row, B123, 1e-9)
-    sums = hilf3_analysis.lift.b.sum(axis=1)
-    squares = (hilf3_analysis.lift.b**2).sum(axis=1)
+    sums = hilf3_analysis.b.sum(axis=1)
+    squares = (hilf3_analysis.b**2).sum(axis=1)
     assert np.max(np.abs(sums)) <= 1e-12
     assert np.max(np.abs(squares - 1.0)) <= 1e-12
 
@@ -63,7 +62,7 @@ def test_structural_tensor_vanishes_on_family(hilf3_analysis):
 
 def test_structural_b_matches_diag_b(hilf3_analysis):
     n = 3
-    diag_b = np.einsum("mi,ij->mij", hilf3_analysis.lift.b, np.eye(n))
+    diag_b = np.einsum("mi,ij->mij", hilf3_analysis.b, np.eye(n))
     assert np.max(np.abs(hilf3_analysis.B_structural - diag_b)) <= 1e-5
 
 
@@ -76,7 +75,7 @@ def test_contracted_covariant_identity(hilf3_analysis):
 def test_torus_two_curvature_constants(torus21, torus_points):
     a = analyze(torus21, torus_points)
     target = np.sqrt(0.5)
-    for b_row in a.lift.b:
+    for b_row in a.b:
         assert_b_matches(b_row, np.array([-target, target]), 1e-6)
 
 
@@ -96,7 +95,7 @@ def test_cross_oracle_agreement_generic(generic_chart, generic_points):
     assert np.max(np.abs(a.L_closed - a.L_structural)) / scale_l <= 1e-3
     scale_c = max(1.0, np.max(np.abs(a.C_closed)))
     assert np.max(np.abs(a.C_closed - a.C_structural)) / scale_c <= 1e-3
-    diag_b = np.einsum("mi,ij->mij", a.lift.b, np.eye(2))
+    diag_b = np.einsum("mi,ij->mij", a.b, np.eye(2))
     assert np.max(np.abs(a.B_structural - diag_b)) <= 1e-5
 
 
@@ -119,33 +118,40 @@ def frame_connection(w, dw, gamma, g):
     return np.einsum("mkib,mbc,mlc->mkil", cov, g, w)
 
 
+def pointwise_lift(chart, U):
+    """(w, b, g, II, III, r, rho) at U from ``charts.regularity``: the frame
+    coefficients, the Laguerre curvatures, g = rho^2 III, the forms and
+    the radii r and rho, each from the values of one jet."""
+    _, dx, ddx, xi = jet_arrays(chart, U)
+    II, III, r, rho, k, e, _ = regularity(dx, ddx, xi)
+    r_i = 1.0 / k
+    b = (r[:, None] - r_i) / rho[:, None]
+    g = rho[:, None, None] ** 2 * III
+    return frame_coefficients(r_i, rho, e), b, g, II, III, r, rho
+
+
 def frame_route_cov_b(chart, points):
     """B_ij,k by differentiating the eigenvector frame and b, then
     ``frame_connection``: the reference route, valid where the principal
     curvatures are distinct."""
     m, n = points.shape
-    lift = lift_batch(chart, points, jet_arrays(chart, points))
-    w = frame_coefficients(lift)
+    w, b, g = pointwise_lift(chart, points)[:3]
 
     def pack(U):
-        cloud = lift_batch(chart, U, jet_arrays(chart, U))
-        k = len(cloud.u)
-        return np.concatenate(
-            [frame_coefficients(cloud).reshape(k, -1), cloud.b, cloud.g.reshape(k, -1)],
-            axis=1,
-        )
+        return np.concatenate([t.reshape(len(U), -1) for t in pointwise_lift(chart, U)[:3]],
+                              axis=1)
 
     d = central.grad(pack, points, 1e-4)
     dw = d[..., : n * n].reshape(m, n, n, n)
     db = d[..., n * n : n * n + n]
     dg = d[..., n * n + n :].reshape(m, n, n, n)
-    conn = frame_connection(w, dw, christoffels(np.linalg.inv(lift.g), dg), lift.g)
+    conn = frame_connection(w, dw, christoffels(np.linalg.inv(g), dg), g)
     E_b = np.einsum("mka,mai->mki", w, db)
     # B_ij,k = E_k(b_i) delta_ij - Gamma^j_ik b_j - Gamma^i_jk b_i
     return (
         np.einsum("mki,ij->mijk", E_b, np.eye(n))
-        - np.einsum("mkij,mj->mijk", conn, lift.b)
-        - np.einsum("mkji,mi->mijk", conn, lift.b)
+        - np.einsum("mkij,mj->mijk", conn, b)
+        - np.einsum("mkji,mi->mijk", conn, b)
     )
 
 
@@ -154,9 +160,9 @@ def test_covariant_b_matches_frame_route(case, hilf3, grid3, generic_chart, gene
     chart, points = (hilf3, grid3) if case == "hilf3" else (generic_chart, generic_points)
     a = analyze(chart, points)
     n = chart.n
-    w = frame_coefficients(a.lift)
-    on_frame = np.einsum("mia,mab,mjb->mij", w, _b_tensor(a.lift.r, a.lift.rho, a.lift.III, a.lift.II), w)
-    assert np.max(np.abs(on_frame - np.einsum("mi,ij->mij", a.lift.b, np.eye(n)))) <= 1e-12
+    w, b, _, II, III, r, rho = pointwise_lift(chart, points)
+    on_frame = np.einsum("mia,mab,mjb->mij", w, _b_tensor(r, rho, III, II), w)
+    assert np.max(np.abs(on_frame - np.einsum("mi,ij->mij", b, np.eye(n)))) <= 1e-12
     reference = frame_route_cov_b(chart, points)
     scale = max(1.0, np.max(np.abs(reference)))
     assert np.max(np.abs(a.cov_B - reference)) / scale <= 1e-6
@@ -247,19 +253,19 @@ def test_per_point_operations(hilf3):
     a = analyze(hilf3, np.array([[0.1, -0.2, 0.15]]))
     assert np.max(np.abs(a.C_closed[0])) <= 1e-6
     assert np.max(np.abs(a.L_structural[0])) <= 1e-4
-    assert np.max(np.abs(np.diag(a.lift.b[0]) - a.B_structural[0])) <= 1e-5
+    assert np.max(np.abs(np.diag(a.b[0]) - a.B_structural[0])) <= 1e-5
     assert abs(np.trace(a.L_structural[0]) / 3) <= 1e-4
     assert a.L_closed[0].shape == (3, 3)
 
 
 def test_eigh_runs_on_grid_rows_only(monkeypatch, hilf3):
     # The verify-hilf3 inputs: 5^3 grid points.  The partials come from one
-    # Taylor jet of the grid, so the lift runs on the grid rows only, and
-    # the principal decomposition once on each of them.
+    # Taylor jet of the grid, so the regularity pass and the lift run on
+    # the grid rows only, and the principal decomposition once on each.
     eigh_rows = count_rows(monkeypatch, charts.principal_arrays, 0)
-    lift_rows = count_rows(monkeypatch, frames.lift_batch, 1)
+    lift_rows = count_rows(monkeypatch, charts.regularity, 0)
     analyze(hilf3, mesh(3, 0.4, 5))
-    assert sum(lift_rows) == 125
+    assert lift_rows == [125]
     assert eigh_rows == [125]
 
 
@@ -297,13 +303,9 @@ def test_irregular_points_leave_the_regular_rows_unchanged():
     assert np.all(alone.reason == "") and np.array_equal(a.grid, grid[regular])
     for field in dataclasses.fields(Analysis):
         got, want = getattr(a, field.name), getattr(alone, field.name)
-        if field.name == "lift":
-            for name in [f.name for f in dataclasses.fields(got) if f.name != "space"]:
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        elif field.name == "metric":
-            assert np.array_equal(got.riemann_frame, want.riemann_frame)
-        elif field.name not in ("chart", "reason"):
+        if field.name != "reason":
             assert np.array_equal(got, want), field.name
+    assert np.array_equal(a.b, alone.b) and np.array_equal(a.r_i, alone.r_i)
 
 
 TAIL_CASES = {
@@ -314,11 +316,13 @@ TAIL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TAIL_CASES))
 def test_analysis_arrays_are_point_innermost(case):
-    # The frame and the lift arrays are laid out as the Taylor partials, so
-    # every field of the Analysis keeps the point axis innermost in memory.
+    # The frame and the lift arrays the projection reads are laid out as the
+    # Taylor partials, so every field of the Analysis but the lift, which
+    # keeps the chart jet's C order, has the point axis innermost in memory.
     a = analyze(*TAIL_CASES[case]())
+    lift = ("x", "r", "rho", "Y", "eta", "k")
     arrays = {f.name: getattr(a, f.name) for f in dataclasses.fields(Analysis)
-              if f.name not in ("chart", "grid", "reason", "lift")}
+              if f.name not in ("grid", "reason") + lift}
     for name, array in arrays.items():
         assert array.strides[0] == array.itemsize, name
 

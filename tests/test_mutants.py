@@ -80,7 +80,7 @@ def l_constant_term(monkeypatch, chart, grid):
     # |grad f|^2 / 2 instead of (|grad f|^2 - 1) / 2.  Relative deviation
     # 8.3 on hilf3.
     a = analyze(chart, grid)
-    shift = 0.5 * a.lift.rho[:, None, None] ** -2 * np.eye(a.grid.shape[1])
+    shift = 0.5 * a.rho[:, None, None] ** -2 * np.eye(a.grid.shape[1])
     return dataclasses.replace(a, L_closed=a.L_closed + shift)
 
 
@@ -88,7 +88,7 @@ def l_direction_weight(monkeypatch, chart, grid):
     # grad log rho taken along the unit principal directions e_i = E'_i / r_i
     # instead of E'_i = rho E_i in the outer-product term.  Relative
     # deviation 631 on hilf3.
-    r_i = analyze(chart, grid).lift.r_i
+    r_i = analyze(chart, grid).r_i
     closed = invariants._l_closed
     monkeypatch.setattr(invariants, "_l_closed", lambda inv_rho2, hess, Ep_f, grad_sq: closed(
         inv_rho2, hess, Ep_f / r_i, grad_sq))
@@ -115,7 +115,7 @@ def n_plus_y(monkeypatch, chart, grid):
     # 1e-5 Y added to N: <N, N> reads 2e-5 on hilf3.  position_n_pairing
     # does not see it, as Y is lightlike: <Y, N + e Y> = <Y, N>.
     a = analyze(chart, grid)
-    return dataclasses.replace(a, N=a.N + 1e-5 * a.lift.Y)
+    return dataclasses.replace(a, N=a.N + 1e-5 * a.Y)
 
 
 def patched(name, mutate):
@@ -149,7 +149,7 @@ MUTANTS = {
     # The frame scaled by 1 + 1e-5: E_Y . E_Y - I reads 2e-5 on hilf3.
     "tangent_orthonormality": (
         ("frame-scaled", hilf3, patched(
-            "frame_coefficients", lambda f: lambda lift: (1 + 1e-5) * f(lift))),),
+            "frame_coefficients", lambda f: lambda *args: (1 + 1e-5) * f(*args))),),
     # P read as 2P in the structure equation: 0.79 on hilf3.
     "structure_equation": (
         ("p-doubled", hilf3, patched("p_vector", lambda f: lambda space: 2.0 * f(space))),),

@@ -112,14 +112,14 @@ def test_group_elements_preserve_inner_products(a, b, seed):
 
 
 def test_transformed_lift_stays_lightlike(hilf3):
-    lift = analyze(hilf3, np.array([[0.1, -0.2, 0.05]])).lift
+    a = analyze(hilf3, np.array([[0.1, -0.2, 0.05]]))
     T = random_lg_rotation(3, np.random.default_rng(42))
-    image = lift.Y[0] @ T
-    assert abs(lift.space.dot(image, image)) <= 1e-12 * (1.0 + np.sum(image**2))
+    image = a.Y[0] @ T
+    assert abs(a.space.dot(image, image)) <= 1e-12 * (1.0 + np.sum(image**2))
 
 
 def test_pipeline_y_n_pairing(hilf3, grid3):
     # oracle: evaluate the lift and its Laplacian-based partner numerically
     a = analyze(hilf3, grid3[:5])
-    pairing = a.lift.space.dot(a.lift.Y, a.N)
+    pairing = a.space.dot(a.Y, a.N)
     assert np.max(np.abs(pairing + 1.0)) <= 1e-6

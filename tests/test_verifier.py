@@ -93,7 +93,7 @@ def test_run_suite_takes_one_jet_of_the_grid(a, center, half_width, points):
 
 def test_metric_not_positive_definite_is_a_point_error(hilf2):
     # A NaN second partial at the centre of the grid makes II, III, r and
-    # rho NaN there: the lift gives it a reason, the suite reports the
+    # rho NaN there: regularity gives it a reason, the suite reports the
     # point and runs the checks on the other eight.
     def jet(U, degree):
         x = hilf2.jet(U, degree)
@@ -167,7 +167,7 @@ def test_two_curvature_targets(torus21, torus_points):
     record = {c.name: c for c in report.checks}["two_curvature_constants"]
     assert record.status == "pass" and record.residual <= 1e-6
     assert record.note == "multiplicity m=1"
-    b = np.sort(report.analysis.lift.b, axis=1)
+    b = np.sort(report.analysis.b, axis=1)
     assert np.max(np.abs(b - [-np.sqrt(0.5), np.sqrt(0.5)])) <= 1e-6
 
 
@@ -312,7 +312,7 @@ def test_rho_square_bound_row(lam, rho_sq_max, status):
     # vacuous: drive the row on a synthetic analysis with lambda = 1/2, whose
     # bound is rho^2 < 1.
     row = next(check for check in CHECKS if check.name == "rho_square_bound")
-    a = SimpleNamespace(lift=SimpleNamespace(rho=np.sqrt([0.25, rho_sq_max, 0.5])))
+    a = SimpleNamespace(rho=np.sqrt([0.25, rho_sq_max, 0.5]))
     cls = SimpleNamespace(is_isotropic=True, lambda_estimate=lam)
     report = PropertyReport(chart={}, grid={}, orientation="")
     report.run(row, a, cls, Tolerances())
