@@ -8,7 +8,9 @@ benchmark's construct path at seeds 0, 7 and 1000, construct with the
 identity matrix, tau with multiplicities (2, 1) and the degenerate model
 at n = 4) in-process through ``lagkit.cli.main`` with
 ``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
-name, the hash taken over everything the call writes to stdout.
+name, the hash taken over everything the call writes to stdout.  The
+cases of ``SAMPLES`` also write ``--samples`` and print a line
+``NAME.csv SHA1`` of the CSV bytes after their own.
 ``--src`` imports ``lagkit`` from another source tree (for example a
 checkout of the base commit), so two runs of this script compare the
 bytes of two versions of the code on the same cases.  A refactor that
@@ -23,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -48,7 +51,17 @@ EXTRA = {
                  "--half-width", "0.7"],
     "verify-degenerate-4": ["verify", "--surface", "degenerate-hilf", "--params",
                             '{"a":[1,2,3,4]}', "--grid", "3", "--center", "0.1,0.2,-0.3,0.05"],
+    # Samples of a grid with irregular rows, which analyze drops.
+    "invariants-hilf-rank-deficient": ["invariants", "--surface", "hilf", "--a", "1,2",
+                                       "--grid", "7", "--half-width", "1.5"],
 }
+
+# The cases whose --samples CSV is hashed too.
+SAMPLES = ("invariants-hilf", "invariants-hilf-rank-deficient")
+
+
+def _sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
 
 
 def main_hashes(argv=None) -> int:
@@ -65,15 +78,23 @@ def main_hashes(argv=None) -> int:
         raise SystemExit(f"lagkit was imported from {lagkit.__file__}, not from {args.src}")
 
     cases = {**EXAMPLES, **EXTRA}
-    for name in sorted(cases):
-        out = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out):
-                status = main(cases[name] + ["--no-timestamp"])
-        except SystemExit as exc:   # an example this version's parser refuses
-            status = exc.code
-        digest = hashlib.sha1(out.getvalue().encode()).hexdigest()
-        print(f"{name} {digest}" + ("" if status == 0 else f" exit={status}"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(cases):
+            samples = Path(tmp) / f"{name}.csv"
+            argv = cases[name] + ["--no-timestamp"]
+            if name in SAMPLES:
+                argv += ["--samples", str(samples)]
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    status = main(argv)
+            except SystemExit as exc:   # an example this version's parser refuses
+                status = exc.code
+            print(f"{name} {_sha1(out.getvalue().encode())}"
+                  + ("" if status == 0 else f" exit={status}"))
+            if name in SAMPLES:
+                digest = _sha1(samples.read_bytes()) if samples.exists() else "missing"
+                print(f"{name}.csv {digest}")
     return 0
 
 
