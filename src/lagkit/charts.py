@@ -9,9 +9,10 @@ product of the Jacobian rows in parameter order unless the chart
 supplies a normal field, and curvature signs follow that orientation.
 
 ``forms_arrays`` factors I = dx dx^T = L L^T once per point in plain
-batched numpy (loops over the n columns) and returns the factor with
-the forms; ``principal_arrays`` reuses it.  III = B^T B with B = L^-1
-II, L^-1 by forward substitution.  ``radius_traces`` takes r and rho
+batched numpy (loops over the n columns) and inverts the factor once,
+by forward substitution: III = B^T B with B = W II, W = L^-1, and it
+returns W with the forms, for ``principal_arrays`` to read the frame
+off W II W^T.  ``radius_traces`` takes r and rho
 from traces of S = L3^-1 II L3^-T (III = L3 L3^T), independently of
 ``eigh``.  As lambda_min / lambda_max >= det(I) / tr(I)^n = prod L_jj^2
 / tr(I)^n, a point above ``SCREEN`` (1e-8) has sigma_min / sigma_max >
@@ -183,13 +184,14 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
 
 
 def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
-    """Batched fundamental forms, rank mask and factor (I, II, III, deficient, L).
+    """Batched fundamental forms, rank mask and inverse factor (I, II, III,
+    deficient, W).
 
     ``deficient`` marks sigma_min <= 1e-10 sigma_max, tested by SVD only
     where the screen prod L_jj^2 / tr(I)^n > SCREEN fails (a non-finite
     Jacobian there raises ImmersionError), and every point whose factor
-    of I meets a NaN or non-positive pivot.  I = L L^T with L lower;
-    III = B^T B with B = L^-1 II is exactly symmetric, and NaN on
+    of I meets a NaN or non-positive pivot.  I = L L^T with L lower and
+    W = L^-1; III = B^T B with B = W II is exactly symmetric, and NaN on
     deficient rows.
     """
     I = dx @ _transpose(dx)
@@ -198,9 +200,10 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     L = _cholesky(I)
     pivots = np.diagonal(L, axis1=-2, axis2=-1)
     tr = np.trace(I, axis1=-2, axis2=-1)
+    W = _lower_inverse(L)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.prod(pivots**2 / tr[:, None], axis=-1)
-        B = _lower_inverse(L) @ II
+        B = W @ II
         III = _transpose(B) @ B
     rest = ~(ratio > SCREEN)
     if not np.all(np.isfinite(dx[rest])):
@@ -209,7 +212,7 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     deficient = rest.copy()
     deficient[rest] = (sv[:, -1] <= 1e-10 * sv[:, 0]) | ~np.all(pivots[rest] > 0.0, axis=-1)
     III[deficient] = np.nan
-    return I, II, III, deficient, L
+    return I, II, III, deficient, W
 
 
 def radius_traces(II: np.ndarray, III: np.ndarray):
@@ -245,11 +248,11 @@ def regularity(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     metric rho^2 III counts as positive definite where its diagonal is
     positive and r and rho are finite.
     """
-    I, II, III, deficient, factor = forms_arrays(dx, ddx, xi)
+    _, II, III, deficient, W = forms_arrays(dx, ddx, xi)
     r, rho = radius_traces(II, III)
-    k, e = np.full(I.shape[:2], np.nan), np.full(I.shape, np.nan)
+    k, e = np.full(II.shape[:2], np.nan), np.full(II.shape, np.nan)
     rest = ~deficient
-    k[rest], e[rest] = principal_arrays(I[rest], II[rest], factor[rest])
+    k[rest], e[rest] = principal_arrays(W[rest], II[rest])
     umbilic, vanishing = irregular_masks(k)
     reason = np.where(deficient, IRREGULAR[0], "").astype(object)
     reason[vanishing] = IRREGULAR[2]
@@ -272,20 +275,15 @@ def _fix_direction_signs(dirs: np.ndarray) -> np.ndarray:
     return dirs * sign[..., None]
 
 
-def principal_arrays(I: np.ndarray, II: np.ndarray, factor=None):
-    """Batched principal decomposition II e = k I e.
+def principal_arrays(W: np.ndarray, II: np.ndarray):
+    """Batched principal decomposition II e = k I e, from the inverse
+    factor W = L^-1 of I = L L^T that ``forms_arrays`` returns.
 
     Returns (k, dirs) with curvatures sorted descending and dirs[m, i, :]
-    the I-orthonormal coefficient vector of the i-th direction.
-    ``factor`` is the lower factor of I from ``forms_arrays``; without it
-    I is factored here.  Raises ImmersionError where the factor meets a
-    non-positive or NaN pivot.  The umbilic / vanishing-curvature test is
+    the I-orthonormal coefficient vector of the i-th direction, from
+    ``eigh`` of W II W^T.  The umbilic / vanishing-curvature test is
     ``irregular_masks``.
     """
-    L = _cholesky(I) if factor is None else factor
-    if not np.all(np.diagonal(L, axis1=-2, axis2=-1) > 0.0):
-        raise ImmersionError("first fundamental form is not positive definite")
-    W = _lower_inverse(L)
     Wt = _transpose(W)
     A = W @ II @ Wt
     A = 0.5 * (A + np.swapaxes(A, -1, -2))

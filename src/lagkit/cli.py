@@ -22,7 +22,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import re
 import sys
@@ -33,7 +32,7 @@ import numpy as np
 
 from .construction import ConstructionConstants, b_from_curvatures, random_orthogonal
 from .errors import LagkitError
-from .families import CATALOG
+from .families import CATALOG, is_finite_number
 from .verifier import (
     PropertyReport,
     Tolerances,
@@ -55,11 +54,6 @@ def _parse_floats(text: str, flag: str):
         return [float(v) for v in _parse_list(text)]
     except ValueError as exc:
         raise LagkitError(f"{flag} takes comma-separated numbers: {exc}") from exc
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a finite JSON number (bool excluded)."""
-    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _mesh(center, half_width, points, n):
@@ -126,10 +120,11 @@ def _resolve(args) -> dict:
     if not (type(points) is int and points >= 3):
         raise LagkitError(f"grid needs an integer of at least 3 points per axis, got {points!r}")
     half_width = grid.setdefault("half_width", 0.4)
-    if not (_is_real(half_width) and half_width > 0):
+    if not (is_finite_number(half_width) and half_width > 0):
         raise LagkitError(f"half_width must be a positive finite number, got {half_width!r}")
     center = grid.get("center")
-    if center is not None and not (isinstance(center, list) and all(map(_is_real, center))):
+    if center is not None and not (
+            isinstance(center, list) and all(map(is_finite_number, center))):
         raise LagkitError(f"grid center must be a list of finite numbers, got {center!r}")
     seed = cfg["seed"]
     if not (type(seed) is int and seed >= 0):
@@ -154,7 +149,7 @@ def _tolerances(cfg) -> Tolerances:
     for name, value in overrides.items():
         if name not in names:
             raise LagkitError(f"unknown tolerance name {name!r}")
-        if not (_is_real(value) and value > 0):
+        if not (is_finite_number(value) and value > 0):
             raise LagkitError(f"tolerance {name} must be a positive finite number, got {value!r}")
     return Tolerances(**overrides)
 
@@ -176,7 +171,7 @@ def _finish(report: PropertyReport, cfg: dict, args) -> int:
     payload = {"schema_version": SCHEMA_VERSION, "config_echo": cfg, **report.to_dict()}
     if not args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -187,14 +182,6 @@ def _finish(report: PropertyReport, cfg: dict, args) -> int:
         sys.stdout.write(text)
     _print_summary(report)
     return 0 if report.passed else 1
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
 def _print_summary(report: PropertyReport) -> None:

@@ -16,8 +16,9 @@ vector are, in the privileged coordinates v,
 
 with c_k = C[k, k], the shift d_k = c_k (beta1_k - beta3_k b_k) and
 A = sum_k [ v_k^2 b_k^2 + sqrt2 v_k b_k d_k + d_k^2 / 2 ].  The scalar
-invariants are rho(v) = 1/2 + sum v_k^2 and r(v) = sum v_k^2 b_k + phi/2
-where
+invariants have the closed forms rho(v) = 1/2 + sum v_k^2 and r(v) =
+sum v_k^2 b_k + phi/2, which no map here evaluates (the ``Analysis`` of
+the derived chart holds rho and r), where
 
     phi = -2 sum_k [ c_k^2 beta3_k (beta3_k b_k / 2 - beta1_k) + gamma1_k ].
 
@@ -231,18 +232,16 @@ def b_from_curvatures(a) -> np.ndarray:
 class ConstructedMaps:
     """Closed-form maps of one admissible constant set.
 
-    ``position`` (Y), ``normal_map`` (eta), ``rho`` and ``mean_radius``
-    take the privileged coordinates v, Y and eta in R^(n+4) of point
-    batches (..., n), float arrays and Taylor seeds alike; the derived
-    chart, whose ``evaluator`` and ``normal`` are x and xi, takes the
-    reparametrized curvature-line coordinates vbar.
+    ``position`` (Y) and ``normal_map`` (eta) take the privileged
+    coordinates v of point batches (..., n), float arrays and Taylor
+    seeds alike, to R^(n+4); the derived chart, whose ``evaluator`` and
+    ``normal`` are x and xi, takes the reparametrized curvature-line
+    coordinates vbar.
     """
 
     constants: ConstructionConstants
     position: Callable
     normal_map: Callable
-    rho: Callable
-    mean_radius: Callable
     chart: Chart
 
 
@@ -269,14 +268,6 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
         spatial = (np.sqrt(2.0) * V * b) @ cmat + d @ cmat
         return np.concatenate([A + 0.5, -A + 0.5, r, spatial, r], axis=-1)
 
-    def rho_v(V):
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        return 0.5 + np.sum(V**2, axis=1)
-
-    def r_v(V):
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        return np.sum(V**2 * b, axis=1) + 0.5 * phi
-
     def x_map(Vbar):
         rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=-1))
         q = (0.5 * np.sum(Vbar**2 * bbar, axis=-1) + 0.5 * phi) / rho
@@ -302,8 +293,6 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
         constants=c,
         position=position,
         normal_map=normal_map,
-        rho=rho_v,
-        mean_radius=r_v,
         chart=chart,
     )
 

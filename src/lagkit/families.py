@@ -26,6 +26,7 @@ so every chart's jet is the exact Taylor polynomial of any degree.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -263,53 +264,48 @@ def sphere_chart(radius: float = 1.0) -> Chart:
     )
 
 
-def _accepted(params: dict, *keys: str) -> dict:
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite JSON number: an int or a float, not a
+    bool, within the float range (not NaN)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# The kinds of surface parameter, as an error line names them.
+_NUMBER, _NUMBERS = "a finite JSON number", "a flat list of finite JSON numbers"
+
+
+def _accepted(params: dict, **kinds: str) -> dict:
     """``params`` itself; raises ParameterError naming any key not in
-    ``keys``, and any key whose value is or lists a bool, a string or
-    null, which are no JSON numbers."""
-    unknown = sorted(set(params) - set(keys))
+    ``kinds``, and any key whose value is not of its kind, ``_NUMBER`` or
+    ``_NUMBERS``."""
+    unknown = sorted(set(params) - set(kinds))
     if unknown:
         raise ParameterError(
             f"unknown surface parameter(s) {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(keys)}"
+            f"accepted: {', '.join(kinds)}"
         )
-    for key, v in params.items():
-        items = v if isinstance(v, list) else [v]
-        if any(item is None or isinstance(item, (bool, str)) for item in items):
-            raise ParameterError(f"surface parameter {key!r} takes JSON numbers, not {v!r}")
+    for key, value in params.items():
+        flat = isinstance(value, list) and all(map(is_finite_number, value))
+        if not (flat if kinds[key] == _NUMBERS else is_finite_number(value)):
+            raise ParameterError(f"surface parameter {key!r} takes {kinds[key]}, not {value!r}")
     return params
 
 
-def _number(params: dict, key: str, default: float) -> float:
-    """``params[key]`` (or ``default``) as a float; ParameterError if it is not a number."""
-    value = params.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"surface parameter {key!r} must be a number, got {value!r}") from exc
-
-
+# The checked keys are keywords of ``HilfParams``, whose defaults hold;
+# a defaults to (1, 2).
 def _hilf_from_params(params: dict) -> Chart:
-    params = _accepted(params, "a", "multiplicities", "phi")
-    return hilf_chart(
-        HilfParams(
-            a=params.get("a", (1.0, 2.0)),
-            multiplicities=params.get("multiplicities", ()),
-            phi=params.get("phi", 0.0),
-        )
-    )
+    params = _accepted(params, a=_NUMBERS, multiplicities=_NUMBERS, phi=_NUMBER)
+    return hilf_chart(HilfParams(**{"a": (1.0, 2.0), **params}))
 
 
 def _degenerate_from_params(params: dict):
-    params = _accepted(params, "a", "multiplicities")
-    return degenerate_example(
-        HilfParams(a=params.get("a", (1.0, 2.0)), multiplicities=params.get("multiplicities", ()))
-    )
+    params = _accepted(params, a=_NUMBERS, multiplicities=_NUMBERS)
+    return degenerate_example(HilfParams(**{"a": (1.0, 2.0), **params}))
 
 
 def _torus_from_params(params: dict) -> Chart:
-    params = _accepted(params, "R", "r_tube")
-    return torus_chart(_number(params, "R", 2.0), _number(params, "r_tube", 1.0))
+    params = _accepted(params, R=_NUMBER, r_tube=_NUMBER)
+    return torus_chart(float(params.get("R", 2.0)), float(params.get("r_tube", 1.0)))
 
 
 CATALOG = {

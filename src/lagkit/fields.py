@@ -1,10 +1,12 @@
-"""Metric field geometry: Christoffel symbols, Laplacians, curvature.
+"""Metric field geometry: Christoffel symbols, curvature, frame components.
 
 These helpers are generic over any positive-definite coordinate metric
 supplied as arrays, and return plain arrays; chart-specific assembly
 lives in `invariants`.  They take the inverse metric from their caller
 and invert nothing, so a caller that knows g^-1 (``invariants`` has
-III^-1, and g = rho^2 III) inverts each metric once.
+III^-1, and g = rho^2 III) inverts each metric once.  There is no
+Laplace-Beltrami operator here: Delta f = g^ab Hess f_ab, and a caller
+that forms Hess f (``invariants`` does, for log rho) takes its trace.
 ``frame_components`` projects a tensor on a frame one index at a time,
 each step an einsum of two operands that keeps the memory layout of its
 inputs; the curvature on a frame w is ``frame_components(lowered_riemann(
@@ -26,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "christoffels",
-    "laplacian",
     "lowered_riemann",
     "frame_components",
 ]
@@ -44,17 +45,6 @@ def christoffels(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
         - dg
     )
     return 0.5 * np.einsum("mkl,mlij->mkij", g_inv, sym)
-
-
-def laplacian(g_inv: np.ndarray, gamma: np.ndarray, grad_f: np.ndarray, hess_f: np.ndarray):
-    """Laplace-Beltrami of a (possibly vector-valued) function.
-
-    g_inv: (m, a, b), the inverse metric; grad_f: (m, a, ...), hess_f:
-    (m, a, b, ...).  Implements g^ab (d_a d_b f - Gamma^k_ab d_k f), the
-    divergence-of-gradient sign.
-    """
-    correction = np.einsum("mkab,mk...->mab...", gamma, grad_f)
-    return np.einsum("mab,mab...->m...", g_inv, hess_f - correction)
 
 
 def lowered_riemann(g: np.ndarray, g_inv: np.ndarray, dg: np.ndarray,

@@ -55,7 +55,8 @@ degree 5 (``taylor``).  ``charts.regularity`` reads only the values of
 x, dx and ddx and decides the regularity of every point once, with r
 and rho from traces and the principal frame k, e from one ``eigh``; an
 irregular point gets its ``reason`` and no fields.  ``analyze`` keeps
-the regular rows, copied only when a row is irregular, and forms Y and
+the regular rows (``x[rows]`` for the jet), copied only when a row is
+irregular, and forms Y and
 eta from the values of x and xi on them alone.  The rows of x and xi
 are then laid out once with the batch axis innermost in memory
 (``taylor.batch_inner``), which every field keeps, so each product step
@@ -85,8 +86,11 @@ III and the lift arrays the projection reads are then laid out once as
 the partials are, so the layout carries through the projection and
 every array of the returned ``Analysis`` but the lift's x, r, rho, Y,
 eta and k has the points innermost.  III is inverted
-once, for Gamma of III, the III Laplacian, |grad log rho|^2 and g^-1 =
-III^-1 / rho^2; nabla B and the curvature of g are projected on the
+once, for Gamma of III, |grad log rho|^2 and g^-1 = III^-1 / rho^2.
+The coordinate Hessian of log rho under III is formed once: its frame
+components feed the closed form of L, and its trace against III^-1 is
+the III Laplacian, Delta_III log rho = tr(III^-1 Hess log rho).
+nabla B and the curvature of g are projected on the
 frame one index at a time (``fields.frame_components``).  The returned
 ``Analysis`` holds copies of the values it keeps, no view of a Taylor,
 and of the lift only what a check or the samples read; r_i = 1/k_i and
@@ -105,7 +109,7 @@ import numpy as np
 from . import taylor
 from .charts import Chart, jet_arrays, regularity
 from .errors import InputError
-from .fields import christoffels, frame_components, laplacian, lowered_riemann
+from .fields import christoffels, frame_components, lowered_riemann
 from .spaces import SignatureSpace, laguerre_space, p_vector
 
 __all__ = [
@@ -290,11 +294,11 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     x, dx, ddx, xi0 = jet_arrays(chart, grid, 5)
     II, III, r, rho, k, e, reason = regularity(dx, ddx, xi0)
     del dx, ddx
-    # The regular rows, copied only when a row is irregular; x in its own layout.
+    # The regular rows, copied only when a row is irregular.
     rows = np.flatnonzero(reason == "")
     if rows.size < len(grid):
-        x = x.take(rows)
-        grid, xi0, II, III, r, rho, k, e = (t[rows] for t in (grid, xi0, II, III, r, rho, k, e))
+        x, grid, xi0, II, III, r, rho, k, e = (
+            t[rows] for t in (x, grid, xi0, II, III, r, rho, k, e))
     # The lift, from the values of x and xi0 in the chart jet's C order; the
     # value of x copied, so that it does not keep the jet alive.
     x0 = x.value.copy()
@@ -359,7 +363,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     hess_coord = ddlogrho - np.einsum("mkab,mk->mab", gamma_iii, dlogrho)
     hess_frame = np.einsum("mia,mjb,mab->mij", w_iii, w_iii, hess_coord)
     grad_sq = np.einsum("mab,ma,mb->m", iii_inv, dlogrho, dlogrho)
-    lap_iii = laplacian(iii_inv, gamma_iii, dlogrho, ddlogrho)
+    lap_iii = np.einsum("mab,mab->m", iii_inv, hess_coord)
 
     L_closed = _l_closed(inv_rho2, hess_frame, Ep_logrho, grad_sq)
 
@@ -396,8 +400,8 @@ class ClassificationResult:
     prop7_consistent: Optional[bool]
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "alpha": None if self.alpha is None else list(self.alpha),
-                "b_hat": list(self.b_hat)}
+        return {**asdict(self), "alpha": None if self.alpha is None else self.alpha.tolist(),
+                "b_hat": self.b_hat.tolist()}
 
 
 def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:

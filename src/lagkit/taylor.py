@@ -66,7 +66,9 @@ the operands are, so the layout carries through products, ``inv``,
 ``grad``, ``copy`` and elementwise arithmetic.  Where the operands'
 layouts disagree numpy falls back to C order, so a value array that
 meets such a Taylor (A_0^-1 in ``inv``, an identity) is laid out the
-same way.
+same way.  Indexing the batch (``t[rows]``) is numpy's indexing of
+``c`` and keeps no layout: a caller that reads the layout sets it with
+``batch_inner`` afterwards, as ``invariants`` does.
 """
 
 from __future__ import annotations
@@ -186,18 +188,8 @@ class Taylor:
         return self.c.reshape(self.c.shape[:1] + (1,) * (ndim - self.ndim) + self.shape)
 
     def __getitem__(self, key) -> "Taylor":
-        """Indexing of the batch; a 1-D integer or boolean array is ``take``."""
-        if isinstance(key, np.ndarray) and key.ndim == 1:
-            return self.take(np.flatnonzero(key) if key.dtype == bool else key)
+        """Indexing of the batch, as numpy indexes ``c`` past its first axis."""
         return self._new(self.c[(slice(None),) + (key if isinstance(key, tuple) else (key,))])
-
-    def take(self, rows) -> "Taylor":
-        """The points ``rows`` of the first batch axis, laid out in memory as
-        ``c`` is, so that a later sum over a strided axis runs in the order it
-        would on the jet of those points alone."""
-        perm = np.argsort([-s for s in self.c.strides], kind="stable")
-        c = np.take(self.c.transpose(perm), rows, axis=int(np.flatnonzero(perm == 1)[0]))
-        return self._new(c.transpose(np.argsort(perm)))
 
     def swapaxes(self, a: int, b: int) -> "Taylor":
         """Two batch axes swapped, each counted from the end (a, b < 0)."""

@@ -477,17 +477,23 @@ def construct_suite(constants: ConstructionConstants, grid: np.ndarray,
 
 def _model_context(deg: DegenerateChart, grid: np.ndarray) -> SimpleNamespace:
     """x, dx and xi of the model, each map evaluated once on the degree-1
-    seeds of ``grid``, with I = <dx, dx> and II = -<dx, dxi>; ImmersionError
-    where one of them, or dxi, is not finite."""
+    seeds of ``grid``, with I = <dx, dx>, II = -<dx, dxi> and III = II
+    I^-1 II; ImmersionError where one of x, dx, xi, dxi, I and II is not
+    finite, or I is singular (on a wide grid, (a u)^2 + 1 - (a u)^2
+    rounds to 0)."""
     U = taylor.variables(grid, 1)
     (x, dx), (xi, dxi) = deg.x_map(U).partials(), deg.xi_map(U).partials()
     signs = deg.space.signs
     I = np.einsum("mia,a,mja->mij", dx, signs, dx)
     II = -np.einsum("mia,a,mja->mij", dx, signs, dxi)
     _require_finite("the degenerate model", x, dx, xi, dxi, I, II)
+    try:
+        III = II @ np.linalg.solve(I, II)
+    except np.linalg.LinAlgError as exc:
+        raise ImmersionError("the degenerate model's first fundamental form is singular") from exc
     nu = np.zeros(deg.space.dimension)
     nu[0] = nu[-1] = 1.0
-    return SimpleNamespace(space=deg.space, nu=nu, x=x, dx=dx, xi=xi, I=I, II=II,
+    return SimpleNamespace(space=deg.space, nu=nu, x=x, dx=dx, xi=xi, I=I, II=II, III=III,
                            coeffs=HilfParams(**deg.params).coeffs)
 
 
@@ -500,7 +506,7 @@ def _require_finite(what: str, *arrays) -> None:
 
 def _rho_square_constant(m, tol):
     # rho^2 at each point from the radii of III^-1 II; its spread must vanish.
-    _, rho = radius_traces(m.II, m.II @ np.linalg.solve(m.I, m.II))
+    _, rho = radius_traces(m.II, m.III)
     r_i = 1.0 / m.coeffs
     rho2 = float(np.sum((float(np.mean(r_i)) - r_i) ** 2))
     return float(np.ptp(rho**2)), f"rho^2 = {rho2!r} from constant radii"

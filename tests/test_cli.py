@@ -339,6 +339,17 @@ BAD_INPUT = {
     "torus-r-tube-bool": (
         ["verify", "--surface", "torus", "--params", '{"r_tube":true}'], None, "'r_tube'"),
     "tau-a-string": (["tau", "--params", '{"a":[1,"2"]}'], None, "'a'"),
+    # ... and a list takes a flat list, a number one number.
+    "a-object": (["verify", "--params", '{"a":{"x":1}}'], None, "'a'"),
+    "multiplicities-number": (
+        ["verify", "--params", '{"a":[1,2],"multiplicities":2}'], None, "'multiplicities'"),
+    "a-nested": (["verify", "--params", '{"a":[1,[2]]}'], None, "'a'"),
+    "phi-list": (["verify", "--params", '{"a":[1,2],"phi":[0.5]}'], None, "'phi'"),
+    # An integer past the float range is no finite number.
+    "torus-R-huge-integer": (
+        ["verify", "--surface", "torus", "--params", '{"R":1' + "0" * 400 + "}"], None, "'R'"),
+    "half-width-huge-integer": (
+        ["verify", "--config", "{file}"], {"grid": {"half_width": 10**400}}, "half_width"),
     "tolerance-negative": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": -1}},
         "tolerance frobenius"),
@@ -369,6 +380,13 @@ BAD_INPUT = {
     "degenerate-model-overflow": (
         ["verify", "--surface", "degenerate-hilf", "--params", '{"a":[1,2]}', "--grid", "3",
          "--half-width", "1e200"], None, "not finite"),
+    # Before it overflows, its first form I = (a u)^2 + 1 - (a u)^2 rounds to 0.
+    "degenerate-model-singular": (
+        ["verify", "--surface", "degenerate-hilf", "--a", "1,2", "--grid", "3",
+         "--half-width", "1e8"], None, "first fundamental form"),
+    "tau-model-singular": (
+        ["tau", "--a", "1,2", "--grid", "3", "--half-width", "1e8"], None,
+        "first fundamental form"),
     # ... and so do a chart and the constructed chart: numpy's overflow
     # warnings stay off stderr.
     "hilf-chart-overflow": (

@@ -165,8 +165,9 @@ def test_normal_map_derivative_relation(seeded_constants):
 
 
 def test_rho_at_origin(identity_constants):
+    # rho(v) = 1/2 + |v|^2: 1/2 at v = 0, where vbar = 0 too.
     maps = build_immersion(identity_constants)
-    assert maps.rho(np.zeros((1, 3)))[0] == 0.5
+    assert abs(analyze(maps.chart, np.zeros((1, 3))).rho[0] - 0.5) <= 1e-15
 
 
 def test_identity_constants_reproduce_family(identity_constants):
@@ -180,11 +181,12 @@ def test_identity_constants_reproduce_family(identity_constants):
 def test_closed_form_rho_and_mean_radius_match_the_pipeline(seeded_constants):
     # rho(v) = 1/2 + |v|^2 and r(v) = sum v_k^2 b_k + phi/2 are closed forms;
     # the lift reads rho and r off the traces of the derived chart at vbar.
-    maps = build_immersion(seeded_constants)
+    c = seeded_constants
+    maps = build_immersion(c)
     v = np.random.default_rng(12).uniform(-0.5, 0.5, size=(20, 3))
-    a = analyze(maps.chart, np.sqrt(2.0) * v * seeded_constants.b)
-    assert np.max(np.abs(a.rho - maps.rho(v))) <= 1e-12
-    assert np.max(np.abs(a.r - maps.mean_radius(v))) <= 1e-12
+    a = analyze(maps.chart, np.sqrt(2.0) * v * c.b)
+    assert np.max(np.abs(a.rho - (0.5 + np.sum(v**2, axis=1)))) <= 1e-12
+    assert np.max(np.abs(a.r - (np.sum(v**2 * c.b, axis=1) + 0.5 * c.phi))) <= 1e-12
 
 
 def test_constructed_chart_jets_exact(seeded_constants):

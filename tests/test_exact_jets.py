@@ -293,10 +293,9 @@ def test_lift_taylor_coefficients_match_oracle(name):
 
 
 @pytest.mark.parametrize("route", [
-    lambda t, rows: t.take(rows),
     lambda t, rows: t[rows],
     lambda t, rows: t[np.isin(np.arange(len(t.value)), rows)],
-], ids=["take", "index", "mask"])
+], ids=["index", "mask"])
 def test_rows_of_a_jet_give_the_fields_of_their_own_jet(route):
     # analyze keeps the regular rows of the grid's jet: their
     # fields must be those of a jet of those rows alone, bit for bit.

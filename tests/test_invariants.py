@@ -200,6 +200,13 @@ def test_classify_explicit_family(hilf3, grid3):
     assert cls.alpha is not None and cls.alpha_spread <= 1e-5
 
 
+def test_classification_dict_holds_python_floats(hilf3, grid3):
+    # The report is written as JSON with no fallback for numpy scalars.
+    d = classify_analysis(analyze(hilf3, grid3)).to_dict()
+    assert (len(d["alpha"]), len(d["b_hat"])) == (7, 3)
+    assert all(type(v) is float for v in d["alpha"] + d["b_hat"])
+
+
 def test_classify_torus(torus21, torus_points):
     cls = classify_analysis(analyze(torus21, torus_points))
     assert not cls.is_isotropic          # L has eigenvalues +-1/4

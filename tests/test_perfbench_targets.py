@@ -33,13 +33,14 @@ TARGETS = traced_targets()
 # became closed-form, and the raising lift and the wrappers of ``analyze``
 # went when ``analyze`` became the one way into the pipeline, and the
 # frame-curvature alias and the frame connection left ``fields`` (the
-# connection is now a helper of the tests).  The benchmark's list
-# changes with the benchmark.
+# connection is now a helper of the tests), as did the Laplace-Beltrami
+# operator, whose one use is the trace of a Hessian ``analyze`` forms.
+# The benchmark's list changes with the benchmark.
 REMOVED = (
     ("fd", "grad_field"), ("fd", "hess_field"),
     ("frames", "lift_arrays"), ("invariants", "classify"),
     ("invariants", "metric_geometry"), ("verifier", "two_curvature_check"),
-    ("fields", "frame_riemann"), ("fields", "frame_connection"),
+    ("fields", "frame_riemann"), ("fields", "frame_connection"), ("fields", "laplacian"),
 )
 
 
