@@ -56,7 +56,7 @@ import numpy as np
 from . import taylor
 from .charts import Chart, closed_form
 from .errors import InputError, ParameterError
-from .families import UNBOUNDED
+from .families import UNBOUNDED, is_finite_number
 from .spaces import laguerre_space, p_vector
 
 __all__ = [
@@ -69,6 +69,14 @@ __all__ = [
     "FROBENIUS_RESIDUALS",
     "frobenius_report",
 ]
+
+
+def _numbers(value, depth: int = 2) -> bool:
+    """Whether ``value`` is a list of finite JSON numbers, or of such lists
+    (the rows of ``cmat``): ``depth`` lists deep at most."""
+    return depth > 0 and isinstance(value, list) and all(
+        is_finite_number(v) or _numbers(v, depth - 1) for v in value)
+
 
 @dataclass(frozen=True)
 class ConstructionConstants:
@@ -128,8 +136,15 @@ class ConstructionConstants:
     def from_json_dict(cls, data: dict) -> "ConstructionConstants":
         """Constants from their JSON form: ``b`` (n >= 2 numbers) and
         ``cmat`` (n*n entries, nested or flat) are required, beta1/beta3/
-        gamma1 default to zero.  Raises ParameterError on anything but
-        finite numbers."""
+        gamma1 default to zero.  Raises ParameterError naming the key of
+        anything but a list of finite JSON numbers
+        (``families.is_finite_number``), flat or in rows."""
+        if not isinstance(data, dict):
+            raise ParameterError(f"constants must be a JSON object, not {data!r}")
+        for key in ("b", "cmat", "beta1", "beta3", "gamma1"):
+            if not _numbers(data.get(key, [])):
+                raise ParameterError(
+                    f"constant {key!r} takes a list of finite JSON numbers, not {data[key]!r}")
         try:
             b = np.asarray(data["b"], dtype=float)
             cmat = np.asarray(data["cmat"], dtype=float)
@@ -137,7 +152,7 @@ class ConstructionConstants:
                        for name in ("beta1", "beta3", "gamma1") if name in data}
         except KeyError as exc:
             raise ParameterError(f"missing constant {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:   # rows of unequal length
             raise ParameterError(f"constants must be arrays of numbers: {exc}") from exc
         n = b.size
         if b.ndim != 1 or cmat.size != n * n:
@@ -147,8 +162,6 @@ class ConstructionConstants:
             )
         if n < 2:
             raise ParameterError(f"need n >= 2 constants b_i, got {n}")
-        if not all(np.all(np.isfinite(v)) for v in (b, cmat, *vectors.values())):
-            raise ParameterError("constants must be finite")
         return cls(b=b, cmat=cmat.reshape(n, n), **vectors)
 
 

@@ -60,11 +60,17 @@ irregular, and forms Y and
 eta from the values of x and xi on them alone.  The rows of x and xi
 are then laid out once with the batch axis innermost in memory
 (``taylor.batch_inner``), which every field keeps, so each product step
-is one loop over the points.  x alone is kept, at degree 5, until II:
-dx of degree 3 is taken from it for I, I^-1 and xi, and II = ddx . xi
-reads the degree-3 ddx one coefficient per product step
-(``taylor.Grad``), so ddx is never formed; x is then cut to a degree-3
-copy.
+is one loop over the points.  Each step holds only what its next step
+reads, and a cheap intermediate is formed again rather than held (A.
+Griewank and A. Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch.
+12).  x alone is kept, at degree 5, until II: dx of degree 3 is taken
+from it for I and dx . xi0 and freed before I^-1 is formed, then
+gathered from x again, with the same bits, for the tangential part of
+xi0; II = ddx . xi reads the degree-3 ddx one coefficient per product
+step (``taylor.Grad``), so ddx is never formed.  The lift sees x only
+through the support function x.xi, as the envelope of its tangent
+hyperplanes (T. Li and C. Wang, Manuscripta Math. 122, 2007), so x.xi
+of degree 3 is formed right after II and x is freed there.
 Each field is a polynomial of the degree to which its partials are
 read: Y of degree 3 (through I, II, r and rho, traces of II^-1 I), g
 and log rho of degree 2, III, r and B of degree 1, each intermediate
@@ -77,8 +83,10 @@ degree 1, all B reads.
 N is formed once, in the same Taylor arithmetic, as a polynomial of
 degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
 Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
-values and d_c N are read off at once, so no degree-1 Taylor of N,
-Delta_g Y, Gamma or Hess Y lives through the curvature projection.  The
+partials of III, r, B and log rho are read off before, so that Y and g
+alone live through it, and dY is the value of its own dY.  The values
+and d_c N are read off at once, so no degree-1 Taylor of N, Delta_g Y,
+Gamma or Hess Y lives through the curvature projection.  The
 curvature tensor of g is assembled from the partials of g as soon as
 the frame is known.  The principal frame is read in the jet's C order,
 so the lift and b keep their bits; the frame coefficients, g = rho^2
@@ -122,10 +130,12 @@ __all__ = [
 ]
 
 
-def lift_vector(x, xi):
-    """y = (x.xi, -x.xi, xi, 1), so that Y = rho y and eta = eta_0 + r y;
-    ``x`` and ``xi`` (m, n+1) may be arrays or Taylor polynomials."""
-    dot = np.sum(x * xi, axis=-1)[..., None]
+def lift_vector(dot, xi):
+    """y = (x.xi, -x.xi, xi, 1), so that Y = rho y and eta = eta_0 + r y,
+    from the support function ``dot`` = x.xi (m,) and the normal ``xi``
+    (m, n+1), arrays or Taylor polynomials: the lift sees x only through
+    x.xi."""
+    dot = dot[..., None]
     return np.concatenate([dot, -dot, xi, 0.0 * dot + 1.0], axis=-1)
 
 
@@ -155,7 +165,7 @@ def _l_closed(inv_rho2, hess, Ep_f, grad_sq):
 def _taylor_fields(jet):
     """Y of degree k, g and log rho of degree k-1, III, r and B of degree
     k-2, from ``jet`` = [x, xi0] (x of degree k+2, xi0 the unit normal),
-    which is emptied so that x is freed once dx and II are taken from
+    which is emptied so that x is freed once II and x.xi are taken from
     it.  xi is xi0 less its tangential part, normalised; III = II I^-1
     II; the radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
     rho^2 = tr (M - r Id)^2."""
@@ -168,18 +178,24 @@ def _taylor_fields(jet):
     x, xi0 = taylor.Taylor(taylor.batch_inner(x.c, 1), n, x.d, x.zero), taylor.batch_inner(xi0)
     dx = x.truncate(k + 1).grad()
     I = taylor.einsum("mia,mja->mij", dx, dx)
+    # The tangential part of xi0 has coefficients I^-1 (dx . xi0); dx is
+    # gathered again from x for v rather than held through I^-1: the same
+    # bits, from a buffer that is alive anyway.
+    tangential = taylor.einsum("mia,ma->mi", dx, xi0)
+    del dx
     I_inv = taylor.inv(I)
-    tangential = taylor.einsum("mij,mj->mi", I_inv, taylor.einsum("mia,ma->mi", dx, xi0))
+    tangential = taylor.einsum("mij,mj->mi", I_inv, tangential)
     # III alone reads I^-1 from here, to degree k-1.
     I_inv = I_inv.truncate(k - 1).copy()
-    v = xi0 - taylor.einsum("mi,mia->ma", tangential, dx)
-    del dx, tangential
+    v = xi0 - taylor.einsum("mi,mia->ma", tangential, x.truncate(k + 1).grad())
+    del tangential
     xi = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
     del v
     # II reads ddx one coefficient per product step, so ddx is never
-    # formed; then x is kept to degree k alone.
+    # formed; then Y reads x only through x.xi, of degree k.
     II = taylor.einsum("mija,ma->mij", taylor.Grad(x, 2), xi)
-    x = x.truncate(k).copy()
+    dot = np.sum(x.truncate(k) * xi, axis=-1)
+    del x
     M = taylor.einsum("mij,mjk->mik", taylor.inv(II), I)
     # III reads II to degree k-1 and B to degree k-2: copies, so that each
     # longer buffer is freed here.
@@ -193,8 +209,8 @@ def _taylor_fields(jet):
     rho2 = taylor.einsum("mij,mji->m", M, M)
     del I, M
     rho = np.sqrt(rho2)
-    Y = rho[..., None] * lift_vector(x, xi)
-    del x, xi
+    Y = rho[..., None] * lift_vector(dot, xi)
+    del dot, xi
     # A copy, so that the degree-k buffer is freed here, not at the return.
     rho2 = rho2.truncate(k - 1).copy()
     low = [t.truncate(k - 2) for t in (r, rho, III, II)]
@@ -205,8 +221,9 @@ def _taylor_fields(jet):
 
 def _n_taylor(Y, g, space):
     """(N, Delta_g Y, Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k) as
-    Taylor polynomials of degree 1, from Y of degree 3 and g of degree 2;
-    Gamma^k_ab Y_k is subtracted from Y_ab pair by pair, never built."""
+    Taylor polynomials of degree 1, from Y of degree 3 and g of degree 2,
+    and the value of dY, a copy in its layout; Gamma^k_ab Y_k is
+    subtracted from Y_ab pair by pair, never built."""
     n = g.n
     g_inv, dg = taylor.inv(g.truncate(1)), g.grad()
     # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, A_lij = d_i g_jl
@@ -217,11 +234,11 @@ def _n_taylor(Y, g, space):
     # partials are taken.
     hess_y, dY, Y = Y.grad(2), Y.truncate(2).grad(), Y.truncate(1).copy()
     taylor.einsum("mkab,mkl->mabl", gamma, dY, subtract_from=hess_y)
-    del dY
+    dY = dY.value.copy(order="K")
     delta_y = taylor.einsum("mab,mabl->ml", g_inv, hess_y)
     nsq = np.sum(space.signs * delta_y * delta_y, axis=-1)
     N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * Y
-    return N, delta_y, gamma, hess_y
+    return N, delta_y, gamma, hess_y, dY
 
 
 @dataclass(frozen=True)
@@ -302,7 +319,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     # The lift, from the values of x and xi0 in the chart jet's C order; the
     # value of x copied, so that it does not keep the jet alive.
     x0 = x.value.copy()
-    y = lift_vector(x0, xi0)
+    y = lift_vector(np.sum(x0 * xi0, axis=-1), xi0)
     sq = np.sum(x0 * x0, axis=-1)
     eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x0,
                           np.zeros((len(x0), 1))], axis=1) + r[:, None] * y
@@ -312,15 +329,16 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     del x, xi0
     fields = _taylor_fields(jet)
     space = laguerre_space(chart.n)
-    dY = fields["Y"].truncate(1).partials()[1]        # (m, a, d)
-    n_block = _n_taylor(fields.pop("Y"), fields["g"], space)
+    # Popped, each field is freed once its partials are read: those that
+    # _n_taylor does not read, before it runs.
+    jets = {name: fields.pop(name).partials()[1:] for name in ("III", "r", "B", "logrho")}
+    *n_block, dY = _n_taylor(fields.pop("Y"), fields["g"], space)      # dY (m, a, n+4)
+    jets["g"] = fields.pop("g").partials()[1:]
     dN = n_block[0].partials()[1]            # (m, c, n+4)
     # Copies, so that the degree-1 Taylors are freed here, before the
     # projection, and the returned Analysis keeps none alive.
     N, delta_y, gamma_g, hess_y = (t.value.copy(order="K") for t in n_block)
     del n_block
-    # Popped, each field is freed once its partials are read.
-    jets = {name: fields.pop(name).partials()[1:] for name in list(fields)}
     signs = space.signs
     # The frame is formed in the jet's C order, as b is; the frame, g =
     # rho^2 III and the lift arrays read below are then laid out once as

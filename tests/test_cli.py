@@ -372,6 +372,18 @@ BAD_INPUT = {
         "4 cmat entries"),
     "constants-b-empty": (
         ["construct", "--constants", "{file}"], {"b": [], "cmat": []}, "need n >= 2"),
+    # Constants are finite JSON numbers, checked by key as surface parameters
+    # are: numpy would read an integer past the float range as an
+    # OverflowError, and a string or a bool as a number.
+    "constants-b-huge-int": (
+        ["construct", "--constants", "{file}"], {"b": [10**400, -1], "cmat": [1, 0, 0, 1]},
+        "'b'"),
+    "constants-b-string": (
+        ["construct", "--constants", "{file}"],
+        {"b": ["0.7071067811865476", "-0.7071067811865476"], "cmat": [1, 0, 0, 1]}, "'b'"),
+    "constants-cmat-bool": (
+        ["construct", "--constants", "{file}"],
+        {"b": [0.7071067811865476, -0.7071067811865476], "cmat": [True, 0, 0, 1]}, "'cmat'"),
     "tau-a-not-number": (["tau", "--a", "1,x"], None, "--a"),
     # The degenerate model overflows on these grids, as a chart's Jacobian
     # does on ``verify``'s.

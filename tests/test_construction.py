@@ -294,6 +294,19 @@ def test_build_rejects_invalid_constants():
         build_immersion(bad)
 
 
+@pytest.mark.parametrize("data,match", [
+    ([0.6, -0.8], "JSON object"),
+    ({"b": [0.6, -0.8], "cmat": [1, 0, 0, 1], "beta1": [[1, 2], [3]]}, "arrays of numbers"),
+    ({"b": [0.6, -0.8], "cmat": [[[1, 0], [0, 1]]]}, "'cmat'"),
+    ({"b": [0.6, -0.8], "cmat": [1, 0, 0, 1], "gamma1": [None, 0]}, "'gamma1'"),
+], ids=["not-object", "ragged-rows", "too-deep", "null-entry"])
+def test_constants_json_refuses_what_is_not_numbers(data, match):
+    # Each exits ``construct --constants`` with one error line, never a
+    # numpy traceback.
+    with pytest.raises(ParameterError, match=match):
+        ConstructionConstants.from_json_dict(data)
+
+
 def test_constants_json_roundtrip(seeded_constants):
     data = seeded_constants.to_json_dict()
     back = ConstructionConstants.from_json_dict(data)

@@ -1,22 +1,27 @@
 """Peak and retained memory of ``invariants.analyze``, and the transient
 of each Taylor product inside it.
 
-Each bound on ``analyze`` is the tracemalloc figure measured when the
-degree-5 jet was kept as x alone, the products stopped gathering their
-operands, Hess Y took Gamma Y_k pair by pair and ``_taylor_fields``
-freed x, xi and the degree-3 buffers of II, I^-1 and rho^2 once Y was
-formed, and each buffer was freed at its last read: I^-1 cut to degree
-2 once the tangential part of xi0 is taken, III formed right after M and
-II then cut to degree 1, the degree-1 Taylors of N, Delta_g Y, Gamma
-and Hess Y read off before the curvature projection, P freed before the
-last product of ``taylor.inv``, and value - Taylor built in one buffer
-(the peaks), and when ``analyze`` came to build the lift of its regular
-rows itself and the ``Analysis`` to keep of the lift only x, r, rho, Y,
-eta and k (the retained figures), plus 5%.  A product that gathers an
-operand it could read as a view, a partials operand formed whole, a
-truncation that keeps its parent's buffer alive, a jet kept past its
-last read, or a lift array kept that no check reads shows here first.  The product tables are built by a first
-call outside the trace.
+Each peak bound on ``analyze`` is the tracemalloc figure measured when
+the degree-5 jet was kept as x alone, the products stopped gathering
+their operands, Hess Y took Gamma Y_k pair by pair and
+``_taylor_fields`` freed x, xi and the degree-3 buffers of II, I^-1 and
+rho^2 once Y was formed, each buffer was freed at its last read (I^-1
+cut to degree 2 once the tangential part of xi0 is taken, III formed
+right after M and II then cut to degree 1, the degree-1 Taylors of N,
+Delta_g Y, Gamma and Hess Y read off before the curvature projection, P
+freed before the last product of ``taylor.inv``, and value - Taylor
+built in one buffer), and each step came to hold only what its next
+step reads (dx gathered again from x after I^-1 rather than held
+through it, x.xi kept in place of x once II is formed, the partials of
+III, r, B and log rho read off before N is formed, and dY taken from
+N's own).  Each retained bound is the figure measured when ``analyze``
+came to build the lift of its regular rows itself and the ``Analysis``
+to keep of the lift only x, r, rho, Y, eta and k.  Both are those
+figures plus 5%.  A product that gathers an operand it could
+read as a view, a partials operand formed whole, a truncation that
+keeps its parent's buffer alive, a jet or an intermediate kept past its
+last read, or a lift array kept that no check reads shows here first.
+The product tables are built by a first call outside the trace.
 """
 
 import gc
@@ -60,22 +65,25 @@ def traced_analyze(chart, grid):
 
 
 @pytest.mark.parametrize("case,peak_mb,retained_mb", [
-    # 2.900 MB peak since each buffer is freed at its last read (3.25 MB
-    # before; 3.39 MB before x and xi were freed once Y is formed and the
-    # degree-2 II, I^-1 and rho^2 copied, 3.46 MB before Hess Y took
-    # Gamma Y_k pair by pair; 2.838 MB since analyze builds the lift of its
-    # regular rows), 0.976 MB retained (1.161 MB with the lift's II, III,
-    # g, e and grid copy).
-    pytest.param("torus-33", 2.900 * 1.05, 0.976 * 1.05, id="torus-33"),
-    # 1.283 MB peak since each buffer is freed at its last read (1.36 MB
-    # since II reads ddx one coefficient per step, 1.62 MB before, 1.65
-    # and 2.15 MB earlier; 1.269 MB since analyze builds the lift), 0.283 MB
+    # 2.664 MB peak since each step holds only what its next step reads
+    # (2.838 MB since analyze builds the lift of its regular rows, 2.900 MB
+    # since each buffer is freed at its last read, 3.25 MB before; 3.39 MB
+    # before x and xi were freed once Y is formed and the degree-2 II, I^-1
+    # and rho^2 copied, 3.46 MB before Hess Y took Gamma Y_k pair by pair),
+    # 0.976 MB retained (1.161 MB with the lift's II, III, g, e and grid
+    # copy).
+    pytest.param("torus-33", 2.664 * 1.05, 0.976 * 1.05, id="torus-33"),
+    # 1.179 MB peak since each step holds only what its next step reads
+    # (1.269 MB since analyze builds the lift, 1.283 MB since each buffer is
+    # freed at its last read, 1.36 MB since II reads ddx one coefficient
+    # per step, 1.62 MB before, 1.65 and 2.15 MB earlier), 0.283 MB
     # retained (0.328 MB before).
-    pytest.param("hilf3-5", 1.283 * 1.05, 0.283 * 1.05, id="hilf3-5"),
-    # 16.80 MB peak since each buffer is freed at its last read (18.1 MB
-    # before, 27.8 MB with ddx formed whole; 16.74 MB since analyze builds
-    # the lift), 2.270 MB retained (2.488 MB before).
-    pytest.param("hilf5-3", 16.80 * 1.05, 2.270 * 1.05, id="hilf5-3"),
+    pytest.param("hilf3-5", 1.179 * 1.05, 0.283 * 1.05, id="hilf3-5"),
+    # 15.048 MB peak since each step holds only what its next step reads
+    # (16.74 MB since analyze builds the lift, 16.80 MB since each buffer is
+    # freed at its last read, 18.1 MB before, 27.8 MB with ddx formed
+    # whole), 2.270 MB retained (2.488 MB before).
+    pytest.param("hilf5-3", 15.048 * 1.05, 2.270 * 1.05, id="hilf5-3"),
 ])
 def test_analyze_memory_is_bounded(case, peak_mb, retained_mb):
     peak, retained = traced_analyze(*CASES[case]())
