@@ -32,7 +32,7 @@ import numpy as np
 
 from .construction import ConstructionConstants, b_from_curvatures, random_orthogonal
 from .errors import LagkitError
-from .families import CATALOG, is_finite_number
+from .families import CATALOG, is_finite_number, json_text
 from .verifier import (
     PropertyReport,
     Tolerances,
@@ -118,17 +118,19 @@ def _resolve(args) -> dict:
     grid = cfg["grid"]
     points = grid.setdefault("points_per_axis", 5)
     if not (type(points) is int and points >= 3):
-        raise LagkitError(f"grid needs an integer of at least 3 points per axis, got {points!r}")
+        raise LagkitError(
+            f"grid needs an integer of at least 3 points per axis, got {json_text(points)}")
     half_width = grid.setdefault("half_width", 0.4)
     if not (is_finite_number(half_width) and half_width > 0):
-        raise LagkitError(f"half_width must be a positive finite number, got {half_width!r}")
+        raise LagkitError(
+            f"half_width must be a positive finite number, got {json_text(half_width)}")
     center = grid.get("center")
     if center is not None and not (
             isinstance(center, list) and all(map(is_finite_number, center))):
-        raise LagkitError(f"grid center must be a list of finite numbers, got {center!r}")
+        raise LagkitError(f"grid center must be a list of finite numbers, got {json_text(center)}")
     seed = cfg["seed"]
     if not (type(seed) is int and seed >= 0):
-        raise LagkitError(f"seed must be a non-negative integer, got {seed!r}")
+        raise LagkitError(f"seed must be a non-negative integer, got {json_text(seed)}")
     return cfg
 
 
@@ -150,7 +152,8 @@ def _tolerances(cfg) -> Tolerances:
         if name not in names:
             raise LagkitError(f"unknown tolerance name {name!r}")
         if not (is_finite_number(value) and value > 0):
-            raise LagkitError(f"tolerance {name} must be a positive finite number, got {value!r}")
+            raise LagkitError(
+                f"tolerance {name} must be a positive finite number, got {json_text(value)}")
     return Tolerances(**overrides)
 
 

@@ -26,6 +26,7 @@ so every chart's jet is the exact Taylor polynomial of any degree.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -270,6 +271,13 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def json_text(value) -> str:
+    """``value`` as an error line quotes it: its JSON text, cut after 40
+    characters."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 # The kinds of surface parameter, as an error line names them.
 _NUMBER, _NUMBERS = "a finite JSON number", "a flat list of finite JSON numbers"
 
@@ -287,7 +295,8 @@ def _accepted(params: dict, **kinds: str) -> dict:
     for key, value in params.items():
         flat = isinstance(value, list) and all(map(is_finite_number, value))
         if not (flat if kinds[key] == _NUMBERS else is_finite_number(value)):
-            raise ParameterError(f"surface parameter {key!r} takes {kinds[key]}, not {value!r}")
+            raise ParameterError(
+                f"surface parameter {key!r} takes {kinds[key]}, not {json_text(value)}")
     return params
 
 

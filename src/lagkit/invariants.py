@@ -118,7 +118,7 @@ from . import taylor
 from .charts import Chart, jet_arrays, regularity
 from .errors import InputError
 from .fields import christoffels, frame_components, lowered_riemann
-from .spaces import SignatureSpace, laguerre_space, p_vector
+from .spaces import SignatureSpace, laguerre_space
 
 __all__ = [
     "ClassificationResult",
@@ -287,17 +287,6 @@ class Analysis:
         m, n = self.grid.shape
         traces = np.trace(self.L_structural, axis1=-2, axis2=-1) / n
         return float(np.median(traces))
-
-    def structure_residual(self) -> float:
-        """Max norm of Y_ab - Gamma^k_ab Y_k = L_ab Y + g_ab N + B_ab P on the frame."""
-        m, n = self.grid.shape
-        P = p_vector(self.space)
-        rhs = (
-            np.einsum("mij,ml->mijl", self.L_structural, self.Y)
-            + np.einsum("ij,ml->mijl", np.eye(n), self.N)
-            + np.einsum("mij,l->mijl", self.B_structural, P)
-        )
-        return float(np.max(np.abs(self.E2_Y - rhs)))
 
 
 def analyze(chart: Chart, grid: np.ndarray) -> Analysis:

@@ -1,16 +1,19 @@
 """Property suites over a chart, with a structured pass/fail report.
 
-Every check is a worst-case residual over the grid compared against a
-named tolerance, and a row of one table that its suite walks in report
-order: ``CHECKS`` (``run_suite``, the invariants of a chart),
-``CONSTRUCT_CHECKS`` (``construct_suite``, the integrated immersion),
-``MODEL_CHECKS`` (``degenerate_model_report``, the degenerate model) and
-``TAU_CHECKS`` (``tau_suite``, the model mapped onto the explicit
-family).  A row names the check, its anchor in the theory, its
-``Tolerances`` field, its hypotheses and its residual over the context
-its suite builds once; ``PropertyReport.run`` records it.  Conditional
-checks whose hypotheses fail on the given chart are reported as
-*skipped* with the hypothesis named, never as vacuous passes.
+Every check is a residual r_p at each grid point, whose worst |r_p|
+over the grid is compared against a named tolerance, and a row of one
+table that its suite walks in report order: ``CHECKS`` (``run_suite``,
+the invariants of a chart), ``CONSTRUCT_CHECKS`` (``construct_suite``,
+the integrated immersion), ``MODEL_CHECKS`` (``degenerate_model_report``,
+the degenerate model) and ``TAU_CHECKS`` (``tau_suite``, the model
+mapped onto the explicit family).  A row names the check, its anchor in
+the theory, its ``Tolerances`` field, its hypotheses and its residual
+over the context its suite builds once.  A row returns r_p with the
+points on axis 0, or a scalar >= 0 where the residual is a statistic of
+the whole grid; ``PropertyReport.run`` records it, and is the one place
+that takes the worst |r_p|.  Conditional checks whose hypotheses fail
+on the given chart are reported as *skipped* with the hypothesis named,
+never as vacuous passes.
 ``run_suite`` takes one ``analyze`` of the grid: each point it gives a
 ``reason`` becomes a per-point error entry, and the checks run on the
 remaining points.
@@ -35,6 +38,7 @@ from .construction import (
 from .errors import ImmersionError, InputError
 from .families import DegenerateChart, HilfParams, hilf_chart, laguerre_immersion_tau
 from .invariants import Analysis, analyze, classify_analysis
+from .spaces import p_vector
 
 __all__ = [
     "Tolerances",
@@ -111,7 +115,8 @@ class PropertyReport:
 
     def run(self, check: Check, *context) -> None:
         """Record one table row on its suite's context, whose last entry
-        is the ``Tolerances``."""
+        is the ``Tolerances``: its residual is the worst |r_p| of what the
+        row returns."""
         skip = next((note for note, holds in check.requires if not holds(*context)), None)
         if skip is None:
             try:
@@ -122,10 +127,10 @@ class PropertyReport:
             self.checks.append(CheckRecord(check.name, check.anchor, None, None, "skip", skip))
             return
         residual, note = value if isinstance(value, tuple) else (value, "")
-        tolerance = getattr(context[-1], check.tolerance)
+        residual = float(np.max(np.abs(residual)))
+        tolerance = float(getattr(context[-1], check.tolerance))
         status = "pass" if residual <= tolerance else "fail"
-        self.checks.append(CheckRecord(
-            check.name, check.anchor, float(residual), float(tolerance), status, note))
+        self.checks.append(CheckRecord(check.name, check.anchor, residual, tolerance, status, note))
 
     @property
     def passed(self) -> bool:
@@ -208,26 +213,23 @@ def _log_rho_laplacian(a, cls, tol):
     # gauge alpha^(n+4) = 0 and grad rho = 0 it collapses to the bare
     # Delta_III log rho = 2 n lambda rho^2.
     n = a.grid.shape[1]
-    rho = a.rho
-    coord_res = (
+    return (
         a.laplace_iii_logrho
         + (n - 1) * a.grad_iii_logrho_sq
-        - 2.0 * n * cls.lambda_estimate * rho**2
-        - n * rho * cls.alpha[-1]
+        - 2.0 * n * cls.lambda_estimate * a.rho**2
+        - n * a.rho * cls.alpha[-1]
     )
-    return float(np.max(np.abs(coord_res)))
 
 
 def _log_rho_trace_identity(a, cls, tol):
     # Trace of the closed form of L with L = lambda I (gauge-free).
     n = a.grid.shape[1]
-    trace_res = (
+    return (
         a.laplace_iii_logrho
         + 0.5 * (n - 2) * a.grad_iii_logrho_sq
         - 0.5 * n
         - n * cls.lambda_estimate * a.rho**2
     )
-    return float(np.max(np.abs(trace_res)))
 
 
 def _parallel_b_iff_lambda_zero(a, cls, tol):
@@ -239,7 +241,7 @@ def _parallel_b_iff_lambda_zero(a, cls, tol):
 
 
 def _isoparametric_curvature_sum(a, cls, tol):
-    """max_i |sum_j R_ijij / (b_i - b_j)| over the j in other curvature clusters.
+    """sum_j R_ijij / (b_i - b_j) over the j in other curvature clusters, for each i.
 
     Cartan's identity sums over the other distinct curvature values, each
     as often as it repeats, so pairs inside a cluster drop out.
@@ -254,7 +256,7 @@ def _isoparametric_curvature_sum(a, cls, tol):
     total = np.zeros_like(b)
     for j in range(b.shape[1]):  # in j order, not numpy's pairwise summation order
         total += terms[:, :, j]
-    return float(np.max(np.abs(total)))
+    return total
 
 
 def _curvature_relation(a, cls, tol):
@@ -266,7 +268,7 @@ def _curvature_relation(a, cls, tol):
         - np.einsum("mik,jl->mijkl", L, eye)
         - np.einsum("mjl,ik->mijkl", L, eye)
     )
-    return np.max(np.abs(a.riemann_frame - rhs))
+    return a.riemann_frame - rhs
 
 
 def _isotropic_curvature_form(a, cls, tol):
@@ -274,24 +276,37 @@ def _isotropic_curvature_form(a, cls, tol):
     iso_form = 2.0 * cls.lambda_estimate * (
         np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
     )
-    return np.max(np.abs(a.riemann_frame - iso_form[None]))
+    return a.riemann_frame - iso_form[None]
 
 
 def _l_closed_form(a, cls, tol):
-    """max|L_closed - L_structural| relative to max(1, max|L_structural|)."""
+    """L_closed - L_structural relative to max(1, max|L_structural|)."""
     L = a.L_structural
-    return float(np.max(np.abs(a.L_closed - L))) / max(1.0, float(np.max(np.abs(L))))
+    return (a.L_closed - L) / max(1.0, float(np.max(np.abs(L))))
+
+
+def _structure_equation(a, cls, tol):
+    """Y_ab - Gamma^k_ab Y_k - (L_ab Y + g_ab N + B_ab P) on the frame."""
+    rhs = (
+        np.einsum("mij,ml->mijl", a.L_structural, a.Y)
+        + np.einsum("ij,ml->mijl", np.eye(a.grid.shape[1]), a.N)
+        + np.einsum("mij,l->mijl", a.B_structural, p_vector(a.space))
+    )
+    return a.E2_Y - rhs
 
 
 @dataclass(frozen=True)
 class Check:
-    """One row of a table: a residual over the grid against a named tolerance.
+    """One row of a table: a residual at each grid point against a named
+    tolerance.
 
     ``tolerance`` names a field of ``Tolerances``.  ``residual(*context)``
     takes the context of the row's table (for ``CHECKS`` the analysis,
-    its classification and the tolerances) and returns the worst
-    residual, or a ``(residual, note)`` pair; an ``InputError`` it raises
-    skips the check with its message.  ``requires`` holds ``(note,
+    its classification and the tolerances) and returns the residual r_p
+    at each point, the points on axis 0, or a scalar >= 0 where the
+    residual is a statistic of the whole grid, or a ``(residual, note)``
+    pair; ``PropertyReport.run`` records the worst |r_p|.  An
+    ``InputError`` it raises skips the check with its message.  ``requires`` holds ``(note,
     predicate)`` pairs taking the same arguments: the first predicate
     that fails skips the check with its note.
     """
@@ -309,39 +324,35 @@ _FRAME = "lightlike lift pairings and tangent-frame orthonormality"
 
 CHECKS = (
     Check("position_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.Y, a.Y)))),
+          lambda a, cls, tol: a.space.dot(a.Y, a.Y)),
     Check("n_vector_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.N, a.N)))),
+          lambda a, cls, tol: a.space.dot(a.N, a.N)),
     Check("position_n_pairing", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.Y, a.N) + 1.0))),
+          lambda a, cls, tol: a.space.dot(a.Y, a.N) + 1.0),
     Check("normal_map_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.eta, a.eta)))),
+          lambda a, cls, tol: a.space.dot(a.eta, a.eta)),
     Check("normal_map_p_pairing", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.eta[:, 0] + a.eta[:, 1] - 1.0))),
+          lambda a, cls, tol: a.eta[:, 0] + a.eta[:, 1] - 1.0),
     Check("position_normal_orthogonal", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(a.space.dot(a.Y, a.eta)))),
+          lambda a, cls, tol: a.space.dot(a.Y, a.eta)),
     Check("tangent_orthonormality", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.max(np.abs(
-              np.einsum("mil,l,mjl->mij", a.E_Y, a.space.signs, a.E_Y)
-              - np.eye(a.grid.shape[1])))),
+          lambda a, cls, tol: np.einsum("mil,l,mjl->mij", a.E_Y, a.space.signs, a.E_Y)
+          - np.eye(a.grid.shape[1])),
     Check("b_trace_zero", "trace-free second fundamental form", "b_identities",
-          lambda a, cls, tol: float(np.max(np.abs(a.b.sum(axis=1))))),
+          lambda a, cls, tol: a.b.sum(axis=1)),
     Check("b_square_one", "unit square-norm of the second fundamental form", "b_identities",
-          lambda a, cls, tol: float(np.max(np.abs((a.b**2).sum(axis=1) - 1.0)))),
+          lambda a, cls, tol: (a.b**2).sum(axis=1) - 1.0),
     Check("l_trace_laplacian", "trace of the tensor vs the squared Laplacian of the lift",
           "trace_identity",
-          lambda a, cls, tol: float(np.max(np.abs(
-              np.trace(a.L_structural, axis1=-2, axis2=-1)
-              + a.space.dot(a.delta_y, a.delta_y) / (2.0 * a.grid.shape[1]))))),
+          lambda a, cls, tol: np.trace(a.L_structural, axis1=-2, axis2=-1)
+          + a.space.dot(a.delta_y, a.delta_y) / (2.0 * a.grid.shape[1])),
     Check("covariant_b_contraction", "contracted covariant derivative of B equals (n-1) C",
           "covariant_identity",
-          lambda a, cls, tol: float(np.max(np.abs(
-              np.einsum("miji->mj", a.cov_B) - (a.grid.shape[1] - 1) * a.C_closed)))),
+          lambda a, cls, tol: np.einsum("miji->mj", a.cov_B) - (a.grid.shape[1] - 1) * a.C_closed),
     Check("covariant_b_square", "squared covariant derivative of B equals 2 n lambda",
           "covariant_b_square",
-          lambda a, cls, tol: float(np.max(np.abs(
-              np.sum(a.cov_B**2, axis=(1, 2, 3))
-              - 2.0 * a.grid.shape[1] * cls.lambda_estimate))),
+          lambda a, cls, tol: np.sum(a.cov_B**2, axis=(1, 2, 3))
+          - 2.0 * a.grid.shape[1] * cls.lambda_estimate,
           (_ISOTROPIC,)),
     Check("log_rho_laplacian", "conformal-coordinate identity for the Laplacian of log rho",
           "log_rho_identity", _log_rho_laplacian, (_ISOTROPIC,)),
@@ -352,8 +363,7 @@ CHECKS = (
           "classification", _parallel_b_iff_lambda_zero, (_ISOTROPIC,)),
     Check("rho_square_bound", "upper bound rho^2 < 1/(2 lambda) for positive eigenvalue",
           "classification",
-          lambda a, cls, tol: max(
-              float(np.max(a.rho**2 - 1.0 / (2.0 * cls.lambda_estimate))), 0.0),
+          lambda a, cls, tol: np.maximum(a.rho**2 - 1.0 / (2.0 * cls.lambda_estimate), 0.0),
           (_ISOTROPIC, ("vacuous (lambda ~ 0)",
                         lambda a, cls, tol: cls.lambda_estimate > tol.classification))),
     Check("isoparametric_curvature_sum",
@@ -362,14 +372,14 @@ CHECKS = (
           (("requires n >= 3", lambda a, cls, tol: a.grid.shape[1] >= 3), _ISOPARAMETRIC)),
     Check("b_cross_agreement", "closed-form vs structure-equation second fundamental form",
           "b_cross_agreement",
-          lambda a, cls, tol: np.max(np.abs(
-              a.B_structural - np.einsum("mi,ij->mij", a.b, np.eye(a.grid.shape[1]))))),
+          lambda a, cls, tol:
+          a.B_structural - np.einsum("mi,ij->mij", a.b, np.eye(a.grid.shape[1]))),
     Check("structure_equation", "second-derivative frame decomposition",
-          "structure_equation", lambda a, cls, tol: a.structure_residual()),
+          "structure_equation", _structure_equation),
     Check("curvature_antisymmetry", "index antisymmetries of the curvature tensor",
-          "curvature_antisymmetry", lambda a, cls, tol: float(max(
-              np.max(np.abs(a.riemann_frame + np.swapaxes(a.riemann_frame, 1, 2))),
-              np.max(np.abs(a.riemann_frame + np.swapaxes(a.riemann_frame, 3, 4)))))),
+          "curvature_antisymmetry", lambda a, cls, tol: np.maximum(
+              np.abs(a.riemann_frame + np.swapaxes(a.riemann_frame, 1, 2)),
+              np.abs(a.riemann_frame + np.swapaxes(a.riemann_frame, 3, 4)))),
     Check("curvature_relation", "curvature tensor expressed through the Laguerre tensor",
           "curvature_relation", _curvature_relation),
     Check("isotropic_curvature_form", "constant-curvature form of the invariant metric",
@@ -412,7 +422,7 @@ def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) ->
     return report
 
 
-def _b_roundtrip(frob, maps, vbar, cls, tol):
+def _b_roundtrip(frob, a, maps, vbar, cls, tol):
     b_in = np.sort(maps.constants.b)
     return min(
         float(np.max(np.abs(np.sort(cls.b_hat) - b_in))),
@@ -420,26 +430,31 @@ def _b_roundtrip(frob, maps, vbar, cls, tol):
     ), "compared up to a global orientation sign"
 
 
-def _identity_like(frob, maps, vbar, cls, tol):
+def _identity_like(frob, a, maps, vbar, cls, tol):
     c = maps.constants
     return np.allclose(c.cmat, np.eye(c.n)) and np.allclose(c.shift, 0.0) and abs(c.phi) < 1e-14
 
 
-def _explicit_family_roundtrip(frob, maps, vbar, cls, tol):
+def _explicit_family_roundtrip(frob, a, maps, vbar, cls, tol):
     reference = hilf_chart(HilfParams(a=tuple(1.0 / maps.constants.b)))
-    dx = np.max(np.abs(maps.chart.evaluator(vbar) - reference.evaluator(vbar)))
-    dxi = np.max(np.abs(maps.chart.normal(vbar) - reference.normal(vbar)))
-    return max(float(dx), float(dxi))
+    return np.concatenate([maps.chart.evaluator(vbar) - reference.evaluator(vbar),
+                           maps.chart.normal(vbar) - reference.normal(vbar)], axis=1)
 
 
-# Context: frobenius_report's residuals, maps, vbar grid, classification, tolerances.
+_FROBENIUS = "integrability conditions of the curvature-line frame system"
+
+# Context: frobenius_report's residuals, the analysis of the vbar grid, maps,
+# vbar grid, classification, tolerances.
 CONSTRUCT_CHECKS = tuple(
-    Check("frobenius_" + key, "integrability conditions of the curvature-line frame system",
-          "frobenius", lambda frob, *_, key=key: frob[key])
+    Check("frobenius_" + key, _FROBENIUS, "frobenius", lambda frob, *_, key=key: frob[key])
     for key in FROBENIUS_RESIDUALS
 ) + (
+    Check("frobenius_pipeline_n_constancy", _FROBENIUS, "frobenius",
+          lambda frob, a, *_: a.N - a.N.mean(axis=0)),
+    Check("frobenius_pipeline_b_constancy", _FROBENIUS, "frobenius",
+          lambda frob, a, *_: float(np.max(np.ptp(np.sort(a.b, axis=1), axis=0)))),
     Check("constructed_isotropic_lambda", "constructed immersion has vanishing tensor eigenvalue",
-          "classification", lambda frob, maps, vbar, cls, tol: abs(cls.lambda_estimate)),
+          "classification", lambda frob, a, maps, vbar, cls, tol: abs(cls.lambda_estimate)),
     Check("constructed_b_roundtrip",
           "recovered Laguerre principal curvatures match the input constants",
           "classification", _b_roundtrip),
@@ -469,7 +484,7 @@ def construct_suite(constants: ConstructionConstants, grid: np.ndarray,
         orientation=maps.chart.orientation,
         classification=cls.to_dict(),
     )
-    context = (frobenius_report(maps, grid, a), maps, vbar, cls, tol)
+    context = (frobenius_report(maps, grid), a, maps, vbar, cls, tol)
     for check in CONSTRUCT_CHECKS:
         report.run(check, *context)
     return report
@@ -517,17 +532,17 @@ _CONSTRAINT = "defining constraints of the lightlike normal"
 # Context: the model's ``_model_context``, tolerances.
 MODEL_CHECKS = (
     Check("position_in_hyperplane", _CONSTRAINT, "model_constraints",
-          lambda m, tol: np.max(np.abs(m.space.dot(m.x, m.nu)))),
+          lambda m, tol: m.space.dot(m.x, m.nu)),
     Check("normal_lightlike", _CONSTRAINT, "model_constraints",
-          lambda m, tol: np.max(np.abs(m.space.dot(m.xi, m.xi)))),
+          lambda m, tol: m.space.dot(m.xi, m.xi)),
     Check("normal_nu_pairing", _CONSTRAINT, "model_constraints",
-          lambda m, tol: np.max(np.abs(m.space.dot(m.xi, m.nu) - 1.0))),
+          lambda m, tol: m.space.dot(m.xi, m.nu) - 1.0),
     Check("normal_tangency", _CONSTRAINT, "model_constraints",
-          lambda m, tol: np.max(np.abs(m.space.dot(m.dx, m.xi[:, None, :])))),
+          lambda m, tol: m.space.dot(m.dx, m.xi[:, None, :])),
     Check("first_form_euclidean", "first fundamental form is the flat Euclidean metric",
-          "model_constraints", lambda m, tol: np.max(np.abs(m.I - np.eye(m.I.shape[-1])))),
+          "model_constraints", lambda m, tol: m.I - np.eye(m.I.shape[-1])),
     Check("second_form_diagonal", "second fundamental form is the constant diagonal of the model",
-          "model_constraints", lambda m, tol: np.max(np.abs(m.II - np.diag(m.coeffs)))),
+          "model_constraints", lambda m, tol: m.II - np.diag(m.coeffs)),
     Check("rho_square_constant", "constant squared deviation of the curvature radii",
           "rho_constancy", _rho_square_constant),
 )
@@ -565,11 +580,9 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray,
 # Context: the model's image (x, xi) under tau, the explicit family, grid, tolerances.
 TAU_CHECKS = (
     Check("tau_position_equivalence", "the degenerate model maps onto the explicit family",
-          "tau_equivalence", lambda image, euclid, grid, tol: float(
-              np.max(np.abs(image[0] - euclid.evaluator(grid))))),
+          "tau_equivalence", lambda image, euclid, grid, tol: image[0] - euclid.evaluator(grid)),
     Check("tau_normal_equivalence", "the mapped normal matches the explicit family normal",
-          "tau_equivalence", lambda image, euclid, grid, tol: float(
-              np.max(np.abs(image[1] - euclid.normal(grid))))),
+          "tau_equivalence", lambda image, euclid, grid, tol: image[1] - euclid.normal(grid)),
 )
 
 

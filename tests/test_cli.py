@@ -157,7 +157,7 @@ def test_construct_seeded(tmp_path):
 
 
 def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
-    # frobenius_report and the classification share one analysis: one lift
+    # The pipeline rows and the classification share one analysis: one lift
     # of the 5^3 vbar grid points, whose partials come from one Taylor jet.
     lift_rows = count_rows(monkeypatch, charts.regularity, 0)
     code = run([
@@ -425,20 +425,57 @@ BAD_INPUT = {
     "construct-samples": (
         ["construct", "--b-from-a", "1,2,3", "--samples", "s.csv"], None, "--samples"),
     "tau-samples": (["tau", "--a", "1,2", "--samples", "s.csv"], None, "--samples"),
+    # An error line quotes a bad value as its JSON text.
+    "a-bool-json-text": (["verify", "--params", '{"a":[true,-1]}'], None, "not [true, -1]"),
+    "r-tube-null-json-text": (
+        ["verify", "--surface", "torus", "--params", '{"r_tube":null}'], None, "not null"),
+    "constants-not-object-json-text": (
+        ["construct", "--constants", "{file}"], [1, 2], "not [1, 2]"),
+    "constants-b-bool-json-text": (
+        ["construct", "--constants", "{file}"], {"b": [True, -1], "cmat": [1, 0, 0, 1]},
+        "not [true, -1]"),
+    "points-bool-json-text": (
+        ["verify", "--config", "{file}"], {"grid": {"points_per_axis": True}}, "got true"),
+    "half-width-list-json-text": (
+        ["verify", "--config", "{file}"], {"grid": {"half_width": [0.4]}}, "got [0.4]"),
+    "half-width-infinity-json-text": (
+        ["verify", "--config", "{file}"], {"grid": {"half_width": float("inf")}},
+        "got Infinity"),
+    "center-null-json-text": (
+        ["verify", "--a", "1,2", "--config", "{file}"], {"grid": {"center": [0.1, None]}},
+        "got [0.1, null]"),
+    "seed-bool-json-text": (["verify", "--config", "{file}"], {"seed": False}, "got false"),
+    "tolerance-null-json-text": (
+        ["verify", "--config", "{file}"], {"tolerances": {"frobenius": None}}, "got null"),
 }
 
 
-@pytest.mark.parametrize("argv,data,fragment", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_bad_input_exits_2_with_one_error_line(argv, data, fragment, tmp_path, capsys):
+def bad_input_error(argv, data, tmp_path, capsys):
+    """What a call on bad input writes to stderr; it must exit 2 and
+    write no report."""
     path = tmp_path / "input.json"
     if data is not None:
         path.write_text(json.dumps(data))
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
     assert run(argv + ["--no-timestamp", "--out", str(tmp_path / "r.json")]) == 2
-    err = capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,data,fragment", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exits_2_with_one_error_line(argv, data, fragment, tmp_path, capsys):
+    err = bad_input_error(argv, data, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
-    assert not (tmp_path / "r.json").exists()
+
+
+# A value is quoted cut to about 40 characters, not as all 401 digits.
+@pytest.mark.parametrize("name", (
+    "torus-R-huge-integer", "half-width-huge-integer", "constants-b-huge-int"))
+def test_a_huge_integer_gives_a_short_error_line(name, tmp_path, capsys):
+    argv, data, _ = BAD_INPUT[name]
+    err = bad_input_error(argv, data, tmp_path, capsys)
+    assert "0" * 38 + "..." in err and "0" * 40 not in err, err
 
 
 # A report or sample path that cannot be written is bad input, not a failed check.

@@ -11,10 +11,11 @@ from lagkit.construction import (
     random_orthogonal,
     validate_constants,
 )
-from lagkit.errors import InputError, ParameterError
+from lagkit.errors import ParameterError
 from lagkit.families import HilfParams, hilf_chart
 from lagkit.invariants import analyze, classify_analysis
 from lagkit.spaces import laguerre_space
+from lagkit.verifier import construct_suite
 from tests import central
 from tests.conftest import mesh
 
@@ -219,21 +220,21 @@ def test_full_pipeline_roundtrip(seeded_constants):
 def test_frobenius_report(seeded_constants):
     maps = build_immersion(seeded_constants)
     grid = mesh(3, 0.5, 3)
-    analysis = analyze(maps.chart, np.sqrt(2.0) * grid * seeded_constants.b)
-    res = frobenius_report(maps, grid, analysis)
+    res = {key: np.max(np.abs(r)) for key, r in frobenius_report(maps, grid).items()}
     # exact partials: Y has no mixed terms, and the rest is roundoff
     assert res["mixed_partials"] == 0.0
     assert res["second_equation"] <= 1e-12
     assert res["eta_derivative"] <= 1e-12
     assert res["tangent_diagonality"] <= 1e-12
-    assert res["pipeline_n_constancy"] <= 1e-6
-    assert res["pipeline_b_constancy"] <= 1e-6
+    # the constancy of the pipeline's N and b, rows of the construct suite
+    report = construct_suite(seeded_constants, grid)
+    for name in ("frobenius_pipeline_n_constancy", "frobenius_pipeline_b_constancy"):
+        assert next(c for c in report.checks if c.name == name).residual <= 1e-6
 
 
 def test_frobenius_report_evaluates_each_map_once(seeded_constants):
     maps = build_immersion(seeded_constants)
     grid = mesh(3, 0.5, 3)
-    analysis = analyze(maps.chart, np.sqrt(2.0) * grid * seeded_constants.b)
     calls = []
 
     def counted(name, f):
@@ -247,14 +248,11 @@ def test_frobenius_report_evaluates_each_map_once(seeded_constants):
         position=counted("position", maps.position),
         normal_map=counted("normal_map", maps.normal_map),
     )
-    assert frobenius_report(counted_maps, grid, analysis) == frobenius_report(maps, grid, analysis)
+    counted, plain = frobenius_report(counted_maps, grid), frobenius_report(maps, grid)
+    assert counted.keys() == plain.keys()
+    assert all(np.array_equal(counted[key], plain[key]) for key in plain)
     # once each, on the Taylor seeds of the grid points
     assert calls == [("position", len(grid)), ("normal_map", len(grid))]
-    # an analysis of any other grid than sqrt(2) grid b is refused
-    with pytest.raises(InputError, match="vbar grid"):
-        frobenius_report(maps, grid[:-1], analysis)
-    with pytest.raises(InputError, match="vbar grid"):
-        frobenius_report(maps, grid, analyze(maps.chart, grid))
 
 
 def test_equivalence_across_orthogonal_choices():

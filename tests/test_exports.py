@@ -8,8 +8,9 @@ from dataclasses import fields
 import pytest
 
 import lagkit
+from lagkit import construction
 from lagkit.charts import Chart, principal_arrays
-from lagkit.construction import ConstructedMaps, ConstructionConstants
+from lagkit.construction import ConstructedMaps, ConstructionConstants, frobenius_report
 from lagkit.families import DegenerateChart
 from lagkit.invariants import Analysis
 from lagkit.spaces import SignatureSpace
@@ -93,3 +94,11 @@ def test_one_map_each_and_one_constructor():
     gone = ("constraint_residuals", "fundamental_forms", "CONSTRAINTS")
     assert [name for name in gone if hasattr(DegenerateChart, name)] == []
     assert not hasattr(ConstructionConstants, "simple")
+
+
+def test_verifier_holds_every_residual():
+    # Analysis holds fields; frobenius_report reads no Analysis and needs
+    # no check that one belongs to its grid.
+    assert not hasattr(Analysis, "structure_residual")
+    assert list(inspect.signature(frobenius_report).parameters) == ["maps", "grid"]
+    assert not hasattr(construction, "InputError")

@@ -10,7 +10,7 @@ from lagkit.errors import InputError
 from lagkit.families import HilfParams, hilf_chart, sphere_chart, torus_chart
 from lagkit.fields import christoffels, frame_components
 from lagkit.invariants import Analysis, _b_tensor, analyze, classify_analysis, frame_coefficients
-from lagkit.verifier import run_suite
+from lagkit.verifier import CHECKS, run_suite
 from tests import central
 from tests.conftest import count_rows, graph_chart, mesh
 
@@ -100,7 +100,8 @@ def test_cross_oracle_agreement_generic(generic_chart, generic_points):
 
 
 def test_structure_equation_residual(hilf3_analysis):
-    assert hilf3_analysis.structure_residual() <= 1e-3
+    row = next(check for check in CHECKS if check.name == "structure_equation")
+    assert np.max(np.abs(row.residual(hilf3_analysis, None, None))) <= 1e-3
 
 
 def frame_connection(w, dw, gamma, g):

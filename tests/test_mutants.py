@@ -28,6 +28,7 @@ from lagkit.verifier import (
     Tolerances,
     construct_suite,
     degenerate_model_report,
+    tau_suite,
 )
 from tests.conftest import mesh
 
@@ -54,25 +55,32 @@ def hilf3(name, monkeypatch, mutant=None):
     return record(name, a, classify_analysis(a, TOL.classification), TOL)
 
 
+# Seeded constants, b of curvatures 1, 2, 3, with every free vector set.
+CONSTANTS = ConstructionConstants(
+    b_from_curvatures([1, 2, 3]), cmat=random_orthogonal(3, seed=1),
+    beta1=np.array([0.3, -0.1, 0.2]), beta3=np.array([0.1, 0.05, -0.2]),
+    gamma1=np.array([0.01, 0.0, -0.02]),
+)
+
+
 def constructed(name, monkeypatch, mutant=None):
-    """construct_suite on seeded constants (b of curvatures 1, 2, 3) over
-    3^3 at half-width 0.5, ``mutant`` applied to the built maps."""
+    """construct_suite on ``CONSTANTS`` over 3^3 at half-width 0.5,
+    ``mutant`` applied to the built maps."""
     if mutant is not None:
         build = verifier.build_immersion
         monkeypatch.setattr(verifier, "build_immersion", lambda c: mutant(build(c)))
-    constants = ConstructionConstants(
-        b_from_curvatures([1, 2, 3]), cmat=random_orthogonal(3, seed=1),
-        beta1=np.array([0.3, -0.1, 0.2]), beta3=np.array([0.1, 0.05, -0.2]),
-        gamma1=np.array([0.01, 0.0, -0.02]),
-    )
-    return by_name(construct_suite(constants, mesh(3, 0.5, 3), TOL), name)
+    return by_name(construct_suite(CONSTANTS, mesh(3, 0.5, 3), TOL), name)
 
 
-def degenerate(name, monkeypatch, mutant=None):
+def degenerate(name, monkeypatch, mutant=None, suite=degenerate_model_report):
     """The degenerate model of hilf (1, 2) on 5^2 at half-width 0.4."""
     deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
-    return by_name(degenerate_model_report(deg if mutant is None else mutant(deg),
-                                           mesh(2, 0.4, 5), TOL), name)
+    return by_name(suite(deg if mutant is None else mutant(deg), mesh(2, 0.4, 5), TOL), name)
+
+
+def tau(name, monkeypatch, mutant=None):
+    """tau_suite on the input of ``degenerate``."""
+    return degenerate(name, monkeypatch, mutant, tau_suite)
 
 
 def l_constant_term(monkeypatch, chart, grid):
@@ -118,11 +126,11 @@ def n_plus_y(monkeypatch, chart, grid):
     return dataclasses.replace(a, N=a.N + 1e-5 * a.Y)
 
 
-def patched(name, mutate):
-    """A mutant that runs ``analyze`` with ``invariants.<name>`` replaced
-    by ``mutate`` of the original; the patch holds while the check runs."""
+def patched(name, mutate, module=invariants):
+    """A mutant that runs ``analyze`` with ``module.<name>`` replaced by
+    ``mutate`` of the original; the patch holds while the check runs."""
     def mutant(monkeypatch, chart, grid):
-        monkeypatch.setattr(invariants, name, mutate(getattr(invariants, name)))
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
         return analyze(chart, grid)
     return mutant
 
@@ -144,6 +152,24 @@ def bent_normal(deg):
     return dataclasses.replace(deg, xi_map=lambda U: deg.xi_map(U) * (1 + 0.5 * U[..., :1]))
 
 
+def remapped(attr, f):
+    """The degenerate model with its map ``attr`` read as ``f(value, U)``."""
+    def mutant(deg):
+        original = getattr(deg, attr)
+        return dataclasses.replace(deg, **{attr: lambda U: f(original(U), U)})
+    return mutant
+
+
+# Terms of size 1e-9 in the model's maps, against model_constraints and
+# tau_equivalence of 1e-12; each mutant kills two checks.  R^(n+2) of the
+# model, n = 2, holds (x_1, u_1, u_2, x_4).
+EPS = 1e-9
+X1_PLUS_U1 = remapped("x_map", lambda x, U: x + EPS * U[..., :1] * np.eye(4)[0])
+XI_ALONG_U1 = remapped("xi_map", lambda xi, U: xi + EPS * np.eye(4)[1])
+XI_SCALED = remapped("xi_map", lambda xi, U: xi * (1.0 + EPS))
+U_BLOCK_SCALED = remapped("x_map", lambda x, U: x * np.array([1.0, 1.0 + EPS, 1.0 + EPS, 1.0]))
+
+
 MUTANTS = {
     "n_vector_lightlike": (("n-plus-y", hilf3, n_plus_y),),
     # The frame scaled by 1 + 1e-5: E_Y . E_Y - I reads 2e-5 on hilf3.
@@ -152,7 +178,8 @@ MUTANTS = {
             "frame_coefficients", lambda f: lambda *args: (1 + 1e-5) * f(*args))),),
     # P read as 2P in the structure equation: 0.79 on hilf3.
     "structure_equation": (
-        ("p-doubled", hilf3, patched("p_vector", lambda f: lambda space: 2.0 * f(space))),),
+        ("p-doubled", hilf3, patched(
+            "p_vector", lambda f: lambda space: 2.0 * f(space), verifier)),),
     # rho dropped from B_ab = rho (r III_ab - II_ab): 3.9 on hilf3.
     "covariant_b_contraction": (
         ("b-without-rho", hilf3, patched(
@@ -179,6 +206,18 @@ MUTANTS = {
     "frobenius_tangent_diagonality": (("v2-term", constructed, added(
         "position", lambda V: 1e-5 * V[..., 1:2] * E3)),),
     "rho_square_constant": (("bent-normal", degenerate, bent_normal),),
+    # x_1 + 1e-9 u_1: 4.0e-10 and 5.0e-10.
+    "position_in_hyperplane": (("x1-plus-u1", degenerate, X1_PLUS_U1),),
+    "normal_tangency": (("x1-plus-u1", degenerate, X1_PLUS_U1),),
+    # xi + 1e-9 on the u_1 axis: 8.0e-10 and 2.0e-9.
+    "normal_lightlike": (("xi-along-u1", degenerate, XI_ALONG_U1),),
+    "tau_normal_equivalence": (("xi-along-u1", tau, XI_ALONG_U1),),
+    # xi (1 + 1e-9): 1.0e-9 and 2.0e-9.
+    "normal_nu_pairing": (("xi-scaled", degenerate, XI_SCALED),),
+    "second_form_diagonal": (("xi-scaled", degenerate, XI_SCALED),),
+    # the u block of x scaled by 1 + 1e-9: 2.0e-9 and 4.0e-10.
+    "first_form_euclidean": (("u-block-scaled", degenerate, U_BLOCK_SCALED),),
+    "tau_position_equivalence": (("u-block-scaled", tau, U_BLOCK_SCALED),),
 }
 
 

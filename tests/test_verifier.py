@@ -8,10 +8,14 @@ from lagkit import construction
 from lagkit.charts import Chart, curvature_line_check
 from lagkit.construction import ConstructionConstants, b_from_curvatures
 from lagkit.errors import InputError
-from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart
+from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart, torus_chart
 from lagkit.invariants import analyze
 from lagkit.verifier import (
     CHECKS,
+    CONSTRUCT_CHECKS,
+    MODEL_CHECKS,
+    TAU_CHECKS,
+    Check,
     PropertyReport,
     Tolerances,
     construct_suite,
@@ -20,6 +24,7 @@ from lagkit.verifier import (
     tau_suite,
 )
 from tests.conftest import graph_chart, mesh
+from tests.test_mutants import CONSTANTS
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +327,74 @@ def test_rho_square_bound_row(lam, rho_sq_max, status):
         assert record.note == "vacuous (lambda ~ 0)"
     else:
         assert record.residual == pytest.approx(max(rho_sq_max - 1.0, 0.0), abs=1e-15)
+
+
+# The rows whose residual is a statistic of the whole grid: a scalar.
+GRID_LEVEL = {
+    "two_curvature_constants", "parallel_b_iff_lambda_zero", "eigenvalue_sign",
+    "isotropic_isoparametric_lambda_zero", "frobenius_pipeline_b_constancy",
+    "constructed_isotropic_lambda", "constructed_b_roundtrip", "rho_square_constant",
+}
+
+# (suite call, point count): together they run every row but rho_square_bound.
+POINT_INPUTS = {
+    "hilf3": (lambda: run_suite(hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)), 125),
+    "torus": (lambda: run_suite(torus_chart(2.0, 1.0), mesh(2, 0.9, 9)), 81),
+    "construct": (lambda: construct_suite(CONSTANTS, mesh(3, 0.5, 3)), 27),
+    "construct-identity": (
+        lambda: construct_suite(ConstructionConstants(b_from_curvatures([1, 2, 3])),
+                                mesh(3, 0.5, 3)), 27),
+    "tau": (lambda: tau_suite(degenerate_example(HilfParams(a=(1.0, 2.0))), mesh(2, 0.4, 5)), 25),
+}
+
+
+def residual_kind(value, points):
+    """"scalar", "points" for an array with ``points`` rows, else its shape."""
+    r = value[0] if isinstance(value, tuple) else value
+    if np.ndim(r) == 0:
+        return "scalar"
+    return "points" if isinstance(r, np.ndarray) and r.shape[0] == points else np.shape(r)
+
+
+def test_every_row_returns_its_residual_at_each_point(monkeypatch):
+    # Each row that runs returns r_p with the points on axis 0, or, in
+    # GRID_LEVEL, a scalar; PropertyReport.run alone takes the worst |r_p|.
+    calls, run = [], PropertyReport.run
+
+    def recording(report, check, *context):
+        calls.append((check, context))
+        run(report, check, *context)
+
+    monkeypatch.setattr(PropertyReport, "run", recording)
+    kinds = {}
+    for suite, points in POINT_INPUTS.values():
+        calls.clear()
+        ran = {c.name for c in suite().checks if c.status != "skip"}
+        for check, context in calls:
+            if check.name in ran:
+                kinds.setdefault(check.name, set()).add(
+                    residual_kind(check.residual(*context), points))
+    # the synthetic input of test_rho_square_bound_row, with lambda = 1/2
+    row = next(check for check in CHECKS if check.name == "rho_square_bound")
+    value = row.residual(SimpleNamespace(rho=np.sqrt([0.25, 0.9, 0.5])),
+                         SimpleNamespace(lambda_estimate=0.5), Tolerances())
+    kinds[row.name] = {residual_kind(value, 3)}
+    rows = [check.name for table in (CHECKS, CONSTRUCT_CHECKS, MODEL_CHECKS, TAU_CHECKS)
+            for check in table]
+    assert kinds == {name: {"scalar" if name in GRID_LEVEL else "points"} for name in rows}
+
+
+def test_run_records_the_worst_absolute_residual():
+    rows = (
+        Check("array", "", "frobenius", lambda tol: np.array([[1e-7, -3e-6], [2e-6, 0.0]])),
+        Check("noted", "", "frobenius", lambda tol: (np.array([-4e-7, 1e-7]), "a note")),
+        Check("scalar", "", "frobenius", lambda tol: 5e-7),
+    )
+    report = PropertyReport(chart={}, grid={}, orientation="")
+    for row in rows:
+        report.run(row, Tolerances())
+    assert [(c.residual, c.status, c.note) for c in report.checks] == [
+        (3e-6, "fail", ""), (4e-7, "pass", "a note"), (5e-7, "pass", "")]
 
 
 def d11_height(U):
