@@ -32,7 +32,7 @@ import numpy as np
 
 from .construction import ConstructionConstants, b_from_curvatures, random_orthogonal
 from .errors import LagkitError
-from .families import CATALOG, is_finite_number, json_text
+from .families import CATALOG, NUMBERS, OBJECT, accepted, is_finite_number
 from .verifier import (
     PropertyReport,
     Tolerances,
@@ -64,32 +64,43 @@ def _mesh(center, half_width, points, n):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
 
-def _load_config(path):
+def _load_json(path, name, parse):
+    """``parse`` of the JSON value in file ``path``; an error line names
+    the file as ``name``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LagkitError(f"config file {path}: {exc}") from exc
+            return parse(json.load(fh))
+    except (OSError, ValueError, LagkitError) as exc:
+        raise LagkitError(f"{name} {path}: {exc}") from exc
+
+
+# The keys of each object of a config, and their kinds.
+_POSITIVE = (lambda v: is_finite_number(v) and v > 0, "a positive finite number")
+_SECTIONS = {"surface": OBJECT, "grid": OBJECT, "tolerances": OBJECT,
+             "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer")}
+_SURFACE = {"kind": (lambda v: isinstance(v, str) and v in CATALOG,
+                     "one of " + ", ".join(sorted(CATALOG))),
+            "params": OBJECT}
+_GRID = {"points_per_axis": (lambda v: type(v) is int and v >= 3, "an integer of at least 3"),
+         "half_width": _POSITIVE, "center": NUMBERS}
+_TOLERANCES = {f.name: _POSITIVE for f in dataclasses.fields(Tolerances)}
+
+
+def _checked(cfg: dict) -> dict:
+    """``cfg`` itself, each of its objects checked by ``families.accepted``."""
+    accepted(cfg, "section", **_SECTIONS)
+    accepted(cfg.get("surface", {}), "surface key", **_SURFACE)
+    accepted(cfg.get("grid", {}), "grid key", **_GRID)
+    accepted(cfg.get("tolerances", {}), "tolerance", **_TOLERANCES)
+    return cfg
 
 
 def _resolve(args) -> dict:
-    """Merge the config file (if any) with flag overrides."""
+    """Merge the config file (if any) with flag overrides.  The file is
+    checked before a flag writes into it, and the merge after."""
     cfg = {"surface": {}, "grid": {}, "seed": 0}
     if getattr(args, "config", None):
-        file_cfg = _load_config(args.config)
-        if not isinstance(file_cfg, dict):
-            raise LagkitError(f"config file {args.config}: not a JSON object")
-        known = list(cfg) + ["tolerances"]
-        unknown = sorted(set(file_cfg) - set(known))
-        if unknown:
-            raise LagkitError(
-                f"config file {args.config}: unknown section(s) "
-                f"{', '.join(map(repr, unknown))}; known: {', '.join(known)}"
-            )
-        cfg.update(file_cfg)
-    for key in ("surface", "grid"):
-        if not isinstance(cfg[key], dict):
-            raise LagkitError(f"config section {key!r} must be a JSON object")
+        cfg.update(_load_json(args.config, "config file", _checked))
     if getattr(args, "surface", None):
         cfg["surface"]["kind"] = args.surface
     if getattr(args, "a", None):
@@ -100,13 +111,11 @@ def _resolve(args) -> dict:
     if getattr(args, "params", None):
         try:
             params = json.loads(args.params)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise LagkitError(f"--params is not valid JSON: {exc}") from exc
         if not isinstance(params, dict):
             raise LagkitError("--params must be a JSON object")
         cfg["surface"].setdefault("params", {}).update(params)
-    if not isinstance(cfg["surface"].get("params", {}), dict):
-        raise LagkitError("surface params must be a JSON object")
     if getattr(args, "grid", None) is not None:
         cfg["grid"]["points_per_axis"] = args.grid
     if getattr(args, "half_width", None) is not None:
@@ -115,46 +124,9 @@ def _resolve(args) -> dict:
         cfg["grid"]["center"] = _parse_floats(args.center, "--center")
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    grid = cfg["grid"]
-    points = grid.setdefault("points_per_axis", 5)
-    if not (type(points) is int and points >= 3):
-        raise LagkitError(
-            f"grid needs an integer of at least 3 points per axis, got {json_text(points)}")
-    half_width = grid.setdefault("half_width", 0.4)
-    if not (is_finite_number(half_width) and half_width > 0):
-        raise LagkitError(
-            f"half_width must be a positive finite number, got {json_text(half_width)}")
-    center = grid.get("center")
-    if center is not None and not (
-            isinstance(center, list) and all(map(is_finite_number, center))):
-        raise LagkitError(f"grid center must be a list of finite numbers, got {json_text(center)}")
-    seed = cfg["seed"]
-    if not (type(seed) is int and seed >= 0):
-        raise LagkitError(f"seed must be a non-negative integer, got {json_text(seed)}")
-    return cfg
-
-
-def _build_surface(cfg):
-    surface = cfg.get("surface", {})
-    kind = surface.get("kind", "hilf")
-    params = dict(surface.get("params", {}))
-    if not isinstance(kind, str) or kind not in CATALOG:
-        raise LagkitError(f"unknown surface {kind!r}; see `lagkit catalog`")
-    return kind, CATALOG[kind](params)
-
-
-def _tolerances(cfg) -> Tolerances:
-    overrides = cfg.get("tolerances", {})
-    if not isinstance(overrides, dict):
-        raise LagkitError("tolerances must be a JSON object")
-    names = {f.name for f in dataclasses.fields(Tolerances)}
-    for name, value in overrides.items():
-        if name not in names:
-            raise LagkitError(f"unknown tolerance name {name!r}")
-        if not (is_finite_number(value) and value > 0):
-            raise LagkitError(
-                f"tolerance {name} must be a positive finite number, got {json_text(value)}")
-    return Tolerances(**overrides)
+    cfg["grid"].setdefault("points_per_axis", 5)
+    cfg["grid"].setdefault("half_width", 0.4)
+    return _checked(cfg)
 
 
 def _grid_for(chart_n: int, cfg) -> np.ndarray:
@@ -233,8 +205,9 @@ def _cmd_catalog(args) -> int:
 def _cmd_verify(args) -> int:
     """``verify``, and ``invariants``, the one command with ``--samples``."""
     cfg = _resolve(args)
-    kind, chart = _build_surface(cfg)
-    tol = _tolerances(cfg)
+    kind = cfg["surface"].get("kind", "hilf")
+    chart = CATALOG[kind](cfg["surface"].get("params", {}))
+    tol = Tolerances(**cfg.get("tolerances", {}))
     grid = _grid_for(chart.n, cfg)
     suite = degenerate_model_report if kind == "degenerate-hilf" else run_suite
     report = suite(chart, grid, tol)
@@ -248,11 +221,7 @@ def _cmd_verify(args) -> int:
 
 def _load_constants(args, cfg) -> ConstructionConstants:
     if args.constants:
-        try:
-            with open(args.constants, "r", encoding="utf-8") as fh:
-                return ConstructionConstants.from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, LagkitError) as exc:
-            raise LagkitError(f"constants file {args.constants}: {exc}") from exc
+        return _load_json(args.constants, "constants file", ConstructionConstants.from_json_dict)
     if not args.b_from_a:
         raise LagkitError("construct needs --constants or --b-from-a")
     b = b_from_curvatures(_parse_list(args.b_from_a))
@@ -263,7 +232,7 @@ def _load_constants(args, cfg) -> ConstructionConstants:
 
 def _cmd_construct(args) -> int:
     cfg = _resolve(args)
-    tol = _tolerances(cfg)
+    tol = Tolerances(**cfg.get("tolerances", {}))
     constants = _load_constants(args, cfg)
     grid = _grid_for(constants.n, cfg)
     return _finish(construct_suite(constants, grid, tol, cfg["grid"]["half_width"]), cfg, args)
@@ -271,7 +240,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_tau(args) -> int:
     cfg = _resolve(args)
-    tol = _tolerances(cfg)
+    tol = Tolerances(**cfg.get("tolerances", {}))
     kind = cfg["surface"].get("kind", "hilf")
     if kind != "hilf":
         raise LagkitError(f"tau maps the degenerate model onto hilf, not {kind!r}")

@@ -55,7 +55,7 @@ import numpy as np
 from . import taylor
 from .charts import Chart, closed_form
 from .errors import ParameterError
-from .families import UNBOUNDED, is_finite_number, json_text
+from .families import NUMBERS, UNBOUNDED, accepted, is_number_list
 from .spaces import laguerre_space, p_vector
 
 __all__ = [
@@ -70,11 +70,11 @@ __all__ = [
 ]
 
 
-def _numbers(value, depth: int = 2) -> bool:
-    """Whether ``value`` is a list of finite JSON numbers, or of such lists
-    (the rows of ``cmat``): ``depth`` lists deep at most."""
-    return depth > 0 and isinstance(value, list) and all(
-        is_finite_number(v) or _numbers(v, depth - 1) for v in value)
+# The kind of ``cmat``: its n*n entries, flat or in rows of one length.
+_MATRIX = (lambda value: is_number_list(value) or (
+               isinstance(value, list) and all(map(is_number_list, value))
+               and len(set(map(len, value))) == 1),
+           "a list of finite JSON numbers, flat or in rows of one length")
 
 
 @dataclass(frozen=True)
@@ -132,37 +132,24 @@ class ConstructionConstants:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ConstructionConstants":
+    def from_json_dict(cls, data) -> "ConstructionConstants":
         """Constants from their JSON form: ``b`` (n >= 2 numbers) and
-        ``cmat`` (n*n entries, nested or flat) are required, beta1/beta3/
-        gamma1 default to zero.  Raises ParameterError naming the key of
-        anything but a list of finite JSON numbers
-        (``families.is_finite_number``), flat or in rows."""
-        if not isinstance(data, dict):
-            raise ParameterError(f"constants must be a JSON object, not {json_text(data)}")
-        for key in ("b", "cmat", "beta1", "beta3", "gamma1"):
-            if not _numbers(data.get(key, [])):
-                raise ParameterError(
-                    f"constant {key!r} takes a list of finite JSON numbers, "
-                    f"not {json_text(data[key])}")
+        ``cmat`` (n*n entries, flat or in rows) are required, beta1/beta3/
+        gamma1 default to zero.  Raises ParameterError naming a missing
+        key, or, by ``families.accepted``, an unknown one or one whose
+        value is not of its kind."""
+        data = accepted(data, "constant", b=NUMBERS, cmat=_MATRIX,
+                        beta1=NUMBERS, beta3=NUMBERS, gamma1=NUMBERS)
         try:
-            b = np.asarray(data["b"], dtype=float)
-            cmat = np.asarray(data["cmat"], dtype=float)
-            vectors = {name: np.asarray(data[name], dtype=float)
-                       for name in ("beta1", "beta3", "gamma1") if name in data}
+            n, cmat = len(data["b"]), np.array(data["cmat"], dtype=float)
         except KeyError as exc:
             raise ParameterError(f"missing constant {exc.args[0]!r}") from exc
-        except ValueError as exc:   # rows of unequal length
-            raise ParameterError(f"constants must be arrays of numbers: {exc}") from exc
-        n = b.size
-        if b.ndim != 1 or cmat.size != n * n:
-            raise ParameterError(
-                f"need b as a list of n numbers and n*n cmat entries; got b of shape "
-                f"{b.shape} and {cmat.size} cmat entries"
-            )
+        if cmat.size != n * n:
+            raise ParameterError(f"need n*n cmat entries for n = {n} constants b, "
+                                 f"got {cmat.size} cmat entries")
         if n < 2:
             raise ParameterError(f"need n >= 2 constants b_i, got {n}")
-        return cls(b=b, cmat=cmat.reshape(n, n), **vectors)
+        return cls(**{**data, "cmat": cmat.reshape(n, n)})
 
 
 def validate_constants(c: ConstructionConstants) -> tuple:

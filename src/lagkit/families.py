@@ -18,6 +18,8 @@
   degenerate model onto the Euclidean unit tangent bundle.
 * ``torus_chart`` -- a torus of revolution restricted to |v| < pi/3,
   the standard two-curvature sanity surface.
+* ``accepted`` -- the one check of the keys of a JSON object and the
+  kinds of their values, which every object lagkit reads passes.
 
 All evaluators are vectorised over point batches.  Every map is written
 once, for float points and Taylor seeds alike (``charts.closed_form``),
@@ -271,6 +273,11 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def is_number_list(value) -> bool:
+    """Whether ``value`` is a flat list of finite JSON numbers."""
+    return isinstance(value, list) and all(map(is_finite_number, value))
+
+
 def json_text(value) -> str:
     """``value`` as an error line quotes it: its JSON text, cut after 40
     characters."""
@@ -278,42 +285,45 @@ def json_text(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-# The kinds of surface parameter, as an error line names them.
-_NUMBER, _NUMBERS = "a finite JSON number", "a flat list of finite JSON numbers"
+# Kinds of JSON value: a test, which returns False and never raises on
+# any JSON value, and the kind's name in an error line.
+NUMBER = (is_finite_number, "a finite JSON number")
+NUMBERS = (is_number_list, "a flat list of finite JSON numbers")
+OBJECT = (lambda value: isinstance(value, dict), "a JSON object")
 
 
-def _accepted(params: dict, **kinds: str) -> dict:
-    """``params`` itself; raises ParameterError naming any key not in
-    ``kinds``, and any key whose value is not of its kind, ``_NUMBER`` or
-    ``_NUMBERS``."""
-    unknown = sorted(set(params) - set(kinds))
+def accepted(obj, what: str, **kinds: tuple) -> dict:
+    """``obj`` itself if it is a JSON object of ``what``s whose every key
+    is in ``kinds`` and whose every value passes its key's kind; else a
+    ParameterError that names the unknown keys and the accepted ones, or
+    the first key whose value is of another kind, quoting the value."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what}s take a JSON object, not {json_text(obj)}")
+    unknown = sorted(set(obj) - set(kinds))
     if unknown:
         raise ParameterError(
-            f"unknown surface parameter(s) {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(kinds)}"
-        )
-    for key, value in params.items():
-        flat = isinstance(value, list) and all(map(is_finite_number, value))
-        if not (flat if kinds[key] == _NUMBERS else is_finite_number(value)):
-            raise ParameterError(
-                f"surface parameter {key!r} takes {kinds[key]}, not {json_text(value)}")
-    return params
+            f"unknown {what}(s) {', '.join(map(repr, unknown))}; accepted: {', '.join(kinds)}")
+    for key, value in obj.items():
+        test, kind = kinds[key]
+        if not test(value):
+            raise ParameterError(f"{what} {key!r} takes {kind}, not {json_text(value)}")
+    return obj
 
 
 # The checked keys are keywords of ``HilfParams``, whose defaults hold;
 # a defaults to (1, 2).
 def _hilf_from_params(params: dict) -> Chart:
-    params = _accepted(params, a=_NUMBERS, multiplicities=_NUMBERS, phi=_NUMBER)
+    params = accepted(params, "surface parameter", a=NUMBERS, multiplicities=NUMBERS, phi=NUMBER)
     return hilf_chart(HilfParams(**{"a": (1.0, 2.0), **params}))
 
 
 def _degenerate_from_params(params: dict):
-    params = _accepted(params, a=_NUMBERS, multiplicities=_NUMBERS)
+    params = accepted(params, "surface parameter", a=NUMBERS, multiplicities=NUMBERS)
     return degenerate_example(HilfParams(**{"a": (1.0, 2.0), **params}))
 
 
 def _torus_from_params(params: dict) -> Chart:
-    params = _accepted(params, R=_NUMBER, r_tube=_NUMBER)
+    params = accepted(params, "surface parameter", R=NUMBER, r_tube=NUMBER)
     return torus_chart(float(params.get("R", 2.0)), float(params.get("r_tube", 1.0)))
 
 

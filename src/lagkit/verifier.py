@@ -202,8 +202,7 @@ def _two_curvature_constants(a, cls, tol):
     b2 = -np.sqrt(m / (n * (n - m)))
     targets = np.sort(np.concatenate([np.full(m, b1), np.full(n - m, b2)]))[::-1]
     residual = float(np.max(np.abs(b_desc - targets[None, :])))
-    spread = float(np.max(np.ptp(np.sort(a.b, axis=1), axis=0)))
-    return max(residual, spread), f"multiplicity m={m}"
+    return max(residual, cls.b_spread), f"multiplicity m={m}"
 
 
 def _log_rho_laplacian(a, cls, tol):
@@ -452,7 +451,7 @@ CONSTRUCT_CHECKS = tuple(
     Check("frobenius_pipeline_n_constancy", _FROBENIUS, "frobenius",
           lambda frob, a, *_: a.N - a.N.mean(axis=0)),
     Check("frobenius_pipeline_b_constancy", _FROBENIUS, "frobenius",
-          lambda frob, a, *_: float(np.max(np.ptp(np.sort(a.b, axis=1), axis=0)))),
+          lambda frob, a, maps, vbar, cls, tol: cls.b_spread),
     Check("constructed_isotropic_lambda", "constructed immersion has vanishing tensor eigenvalue",
           "classification", lambda frob, a, maps, vbar, cls, tol: abs(cls.lambda_estimate)),
     Check("constructed_b_roundtrip",

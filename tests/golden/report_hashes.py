@@ -6,7 +6,8 @@ Runs every example of ``tests/test_golden.py`` and a few larger cases
 (hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, the
 benchmark's construct path at seeds 0, 7 and 1000, construct with the
 identity matrix, tau with multiplicities (2, 1) and the degenerate model
-at n = 4) in-process through ``lagkit.cli.main`` with
+at n = 4, and a ``--config`` file of every section with one flag over
+it) in-process through ``lagkit.cli.main`` with
 ``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
 name, the hash taken over everything the call writes to stdout.  The
 cases of ``SAMPLES`` also write ``--samples`` and print a line
@@ -24,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -54,6 +56,16 @@ EXTRA = {
     # Samples of a grid with irregular rows, which analyze drops.
     "invariants-hilf-rank-deficient": ["invariants", "--surface", "hilf", "--a", "1,2",
                                        "--grid", "7", "--half-width", "1.5"],
+    # The config route, whose echo each version of the CLI rewrites: a file
+    # of every section, CONFIG, and one flag over a field of it.
+    "verify-config": ["verify", "--config", "{config}", "--half-width", "0.25"],
+}
+
+CONFIG = {
+    "surface": {"kind": "hilf", "params": {"a": [1, 2, 3], "phi": 0.1}},
+    "grid": {"center": [0.05, -0.05, 0.1], "half_width": 0.3, "points_per_axis": 3},
+    "seed": 3,
+    "tolerances": {"classification": 2e-5, "frame_relations": 1e-7},
 }
 
 # The cases whose --samples CSV is hashed too.
@@ -79,9 +91,12 @@ def main_hashes(argv=None) -> int:
 
     cases = {**EXAMPLES, **EXTRA}
     with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(CONFIG))
         for name in sorted(cases):
             samples = Path(tmp) / f"{name}.csv"
-            argv = cases[name] + ["--no-timestamp"]
+            argv = [str(config) if arg == "{config}" else arg for arg in cases[name]]
+            argv += ["--no-timestamp"]
             if name in SAMPLES:
                 argv += ["--samples", str(samples)]
             out = io.StringIO()

@@ -304,8 +304,9 @@ def test_closed_stdout_exits_quietly():
 
 # Bad input of every kind the CLI reads: each exits 2 with one ``error:``
 # line naming the input.  "{file}" is replaced by the path of a JSON file
-# holding the probe's data.
+# holding the probe's data, or the probe's bytes as they are.
 B3 = [-0.79, 0.22, 0.56]
+CONSTANTS = {"b": [0.7071067811865476, -0.7071067811865476], "cmat": [1, 0, 0, 1]}
 BAD_INPUT = {
     "a-not-number": (["verify", "--surface", "hilf", "--a", "1,x"], None, "--a"),
     "params-not-object": (["verify", "--params", "[1,2]"], None, "--params"),
@@ -352,16 +353,16 @@ BAD_INPUT = {
         ["verify", "--config", "{file}"], {"grid": {"half_width": 10**400}}, "half_width"),
     "tolerance-negative": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": -1}},
-        "tolerance frobenius"),
+        "tolerance 'frobenius'"),
     "tolerance-old-name": (
         ["verify", "--config", "{file}"], {"tolerances": {"l_variant": 1e-3}},
-        "unknown tolerance name 'l_variant'"),
+        "unknown tolerance(s) 'l_variant'"),
     "tolerance-not-number": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": "abc"}},
-        "tolerance frobenius"),
+        "tolerance 'frobenius'"),
     "points-not-integer": (
         ["verify", "--config", "{file}"], {"grid": {"points_per_axis": "5"}},
-        "points per axis"),
+        "'points_per_axis'"),
     "b-from-a-not-number": (["construct", "--b-from-a", "1,x"], None, "curvatures"),
     "b-from-a-one-value": (["construct", "--b-from-a", "1"], None, "two curvatures"),
     # rho^2 past the float range, then below it.
@@ -435,18 +436,43 @@ BAD_INPUT = {
         ["construct", "--constants", "{file}"], {"b": [True, -1], "cmat": [1, 0, 0, 1]},
         "not [true, -1]"),
     "points-bool-json-text": (
-        ["verify", "--config", "{file}"], {"grid": {"points_per_axis": True}}, "got true"),
+        ["verify", "--config", "{file}"], {"grid": {"points_per_axis": True}}, "not true"),
     "half-width-list-json-text": (
-        ["verify", "--config", "{file}"], {"grid": {"half_width": [0.4]}}, "got [0.4]"),
+        ["verify", "--config", "{file}"], {"grid": {"half_width": [0.4]}}, "not [0.4]"),
     "half-width-infinity-json-text": (
         ["verify", "--config", "{file}"], {"grid": {"half_width": float("inf")}},
-        "got Infinity"),
+        "not Infinity"),
     "center-null-json-text": (
         ["verify", "--a", "1,2", "--config", "{file}"], {"grid": {"center": [0.1, None]}},
-        "got [0.1, null]"),
-    "seed-bool-json-text": (["verify", "--config", "{file}"], {"seed": False}, "got false"),
+        "not [0.1, null]"),
+    "seed-bool-json-text": (["verify", "--config", "{file}"], {"seed": False}, "not false"),
     "tolerance-null-json-text": (
-        ["verify", "--config", "{file}"], {"tolerances": {"frobenius": None}}, "got null"),
+        ["verify", "--config", "{file}"], {"tolerances": {"frobenius": None}}, "not null"),
+    # Every JSON object takes only its own keys: a misspelt one is refused,
+    # not ignored in favour of a default.
+    "grid-misspelt-key": (
+        ["verify", "--config", "{file}"], {"grid": {"point_per_axis": 3}}, "'point_per_axis'"),
+    "surface-misspelt-key": (
+        ["verify", "--config", "{file}"], {"surface": {"kind": "torus", "param": {"R": 5}}},
+        "'param'"),
+    "constants-misspelt-key": (
+        ["construct", "--constants", "{file}"], {**CONSTANTS, "beta_1": [1, 0]}, "'beta_1'"),
+    # A kind's test never raises: a list kind is refused by kind, never
+    # looked up in the catalog, where it is unhashable.
+    "surface-kind-list": (["verify", "--config", "{file}"], {"surface": {"kind": [1]}}, "not [1]"),
+    # An integer of 5,000 digits, past Python's limit on the digits it
+    # parses (where there is one) and past the float range.
+    "half-width-5000-digits": (
+        ["verify", "--config", "{file}"], b'{"grid": {"half_width": 1' + b"0" * 5000 + b"}}",
+        "config file"),
+    "torus-R-5000-digits": (
+        ["verify", "--surface", "torus", "--params", '{"R": 1' + "0" * 5000 + "}"], None,
+        "--params" if 0 < getattr(sys, "get_int_max_str_digits", int)() <= 5000 else "'R'"),
+    "constants-b-5000-digits": (
+        ["construct", "--constants", "{file}"],
+        b'{"b": [1' + b"0" * 5000 + b', -1], "cmat": [1, 0, 0, 1]}', "constants file"),
+    # A file that is no UTF-8 text.
+    "config-not-utf8": (["verify", "--config", "{file}"], b"\xff\xfe{}", "utf-8"),
 }
 
 
@@ -455,7 +481,7 @@ def bad_input_error(argv, data, tmp_path, capsys):
     write no report."""
     path = tmp_path / "input.json"
     if data is not None:
-        path.write_text(json.dumps(data))
+        path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
     assert run(argv + ["--no-timestamp", "--out", str(tmp_path / "r.json")]) == 2
     assert not (tmp_path / "r.json").exists()
@@ -467,6 +493,29 @@ def test_bad_input_exits_2_with_one_error_line(argv, data, fragment, tmp_path, c
     err = bad_input_error(argv, data, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
+
+
+# Every key of every JSON object the CLI reads refuses a value of another
+# kind in one wording, naming the key and quoting the value: no kind's test
+# raises on a JSON value.  Entries: the command, the file's other content
+# and the path of the key in it.
+KEYS = [(["verify", "--config", "{file}"], {}, path) for path in (
+    ("surface",), ("grid",), ("seed",), ("tolerances",), ("surface", "kind"),
+    ("surface", "params"), ("grid", "points_per_axis"), ("grid", "half_width"),
+    ("grid", "center"), ("tolerances", "frobenius"))] + [
+    (["construct", "--constants", "{file}"], CONSTANTS, (key,))
+    for key in ("b", "cmat", "beta1", "beta3", "gamma1")]
+
+
+@pytest.mark.parametrize("argv,doc,path", KEYS, ids=[".".join(k[2]) for k in KEYS])
+def test_every_key_refuses_another_kind_in_one_wording(argv, doc, path, tmp_path, capsys):
+    for value in (None, True, "x", [None], float("inf")):
+        data = json.loads(json.dumps(doc))
+        *outer, key = path
+        (data.setdefault(outer[0], {}) if outer else data)[key] = value
+        err = bad_input_error(argv, data, tmp_path, capsys)
+        assert err.count("\n") == 1, err
+        assert f"{key!r} takes " in err and err.endswith(f", not {json.dumps(value)}\n"), err
 
 
 # A value is quoted cut to about 40 characters, not as all 401 digits.

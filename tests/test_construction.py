@@ -294,10 +294,14 @@ def test_build_rejects_invalid_constants():
 
 @pytest.mark.parametrize("data,match", [
     ([0.6, -0.8], "JSON object"),
-    ({"b": [0.6, -0.8], "cmat": [1, 0, 0, 1], "beta1": [[1, 2], [3]]}, "arrays of numbers"),
+    ({"b": [0.6, -0.8], "cmat": [1, 0, 0, 1], "beta1": [[1, 2], [3]]}, "'beta1'"),
+    ({"b": [0.6, -0.8], "cmat": [[1, 0, 0], [1]]}, "'cmat'"),
     ({"b": [0.6, -0.8], "cmat": [[[1, 0], [0, 1]]]}, "'cmat'"),
     ({"b": [0.6, -0.8], "cmat": [1, 0, 0, 1], "gamma1": [None, 0]}, "'gamma1'"),
-], ids=["not-object", "ragged-rows", "too-deep", "null-entry"])
+    ({"b": [0.6, -0.8], "cmat": [1, 0, 0, 1], "beta_1": [0, 0]}, r"unknown constant\(s\) 'beta_1'"),
+    ({"cmat": [1, 0, 0, 1]}, "missing constant 'b'"),
+], ids=["not-object", "ragged-rows", "ragged-cmat-rows", "too-deep", "null-entry", "unknown-key",
+        "missing-b"])
 def test_constants_json_refuses_what_is_not_numbers(data, match):
     # Each exits ``construct --constants`` with one error line, never a
     # numpy traceback.

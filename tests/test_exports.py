@@ -43,6 +43,9 @@ def test_all_names_resolve(name):
 # forms, so ``laplacian`` went; the report holds no numpy scalar, so
 # ``_json_default`` went; and ``is_finite_number`` checks a parameter
 # before the torus reads it, so ``_number`` and ``_is_real`` went.
+# ``families.accepted`` checks the keys and kinds of every JSON object the
+# CLI reads, so ``_accepted``, ``_numbers``, ``_tolerances`` and
+# ``_build_surface`` went, and ``_load_json`` reads both kinds of file.
 GONE = {
     "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
                "MetricField", "frame_riemann", "frame_connection",
@@ -50,10 +53,11 @@ GONE = {
     "lagkit.spaces": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike",
                       "nu_vector"),
     "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection", "laplacian"),
-    "lagkit.cli": ("_json_default", "_is_real"),
-    "lagkit.families": ("_number",),
+    "lagkit.cli": ("_json_default", "_is_real", "_build_surface", "_tolerances",
+                   "_load_config"),
+    "lagkit.families": ("_number", "_accepted"),
     "lagkit.construction": ("ValidationReport", "build_position", "build_normal_map",
-                            "_require_valid"),
+                            "_require_valid", "_numbers"),
     "lagkit.taylor": ("_partial_table",),
     "lagkit.verifier": ("_keyed",),
 }
