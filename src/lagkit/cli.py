@@ -64,12 +64,23 @@ def _mesh(center, half_width, points, n):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
 
+def _int(digits: str) -> int:
+    """A JSON integer.  One past Python's limit on the digits it converts,
+    where there is one, is refused by naming that limit: Python's own
+    message ends with advice that a CLI user cannot follow."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    count = len(digits.lstrip("-"))
+    if 0 < limit < count:
+        raise ValueError(f"an integer of {count} digits is past Python's limit of {limit} digits")
+    return int(digits)
+
+
 def _load_json(path, name, parse):
     """``parse`` of the JSON value in file ``path``; an error line names
     the file as ``name``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_int=_int))
     except (OSError, ValueError, LagkitError) as exc:
         raise LagkitError(f"{name} {path}: {exc}") from exc
 
@@ -84,11 +95,15 @@ _SURFACE = {"kind": (lambda v: isinstance(v, str) and v in CATALOG,
 _GRID = {"points_per_axis": (lambda v: type(v) is int and v >= 3, "an integer of at least 3"),
          "half_width": _POSITIVE, "center": NUMBERS}
 _TOLERANCES = {f.name: _POSITIVE for f in dataclasses.fields(Tolerances)}
+# The sections of a config file that a command reads, where it reads
+# fewer than all: ``construct`` builds its immersion from constants.
+_READS = {"construct": ("grid", "seed", "tolerances")}
 
 
-def _checked(cfg: dict) -> dict:
-    """``cfg`` itself, each of its objects checked by ``families.accepted``."""
-    accepted(cfg, "section", **_SECTIONS)
+def _checked(cfg: dict, sections=tuple(_SECTIONS)) -> dict:
+    """``cfg`` itself, each of its objects checked by ``families.accepted``;
+    its sections are those named by ``sections``."""
+    accepted(cfg, "section", **{name: _SECTIONS[name] for name in sections})
     accepted(cfg.get("surface", {}), "surface key", **_SURFACE)
     accepted(cfg.get("grid", {}), "grid key", **_GRID)
     accepted(cfg.get("tolerances", {}), "tolerance", **_TOLERANCES)
@@ -97,10 +112,12 @@ def _checked(cfg: dict) -> dict:
 
 def _resolve(args) -> dict:
     """Merge the config file (if any) with flag overrides.  The file is
-    checked before a flag writes into it, and the merge after."""
+    checked before a flag writes into it, with only the sections its
+    command reads, and the merge after."""
     cfg = {"surface": {}, "grid": {}, "seed": 0}
     if getattr(args, "config", None):
-        cfg.update(_load_json(args.config, "config file", _checked))
+        sections = _READS.get(args.command, tuple(_SECTIONS))
+        cfg.update(_load_json(args.config, "config file", lambda c: _checked(c, sections)))
     if getattr(args, "surface", None):
         cfg["surface"]["kind"] = args.surface
     if getattr(args, "a", None):
@@ -110,9 +127,9 @@ def _resolve(args) -> dict:
         cfg["surface"].setdefault("params", {})["phi"] = args.phi
     if getattr(args, "params", None):
         try:
-            params = json.loads(args.params)
+            params = json.loads(args.params, parse_int=_int)
         except ValueError as exc:
-            raise LagkitError(f"--params is not valid JSON: {exc}") from exc
+            raise LagkitError(f"--params cannot be parsed as JSON: {exc}") from exc
         if not isinstance(params, dict):
             raise LagkitError("--params must be a JSON object")
         cfg["surface"].setdefault("params", {}).update(params)

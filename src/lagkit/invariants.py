@@ -77,9 +77,11 @@ and log rho of degree 2, III, r and B of degree 1, each intermediate
 freed after its last read; a truncation that outlives its parent is a
 copy (``Taylor.copy``), as a view would keep the parent's buffer alive.
 I^-1 of degree 3 lives only until the tangential part of xi0 is taken,
-then is cut to degree 2, all III reads; III is formed right after M,
-from II cut to degree 2, and I^-1 is freed there; II is then cut to
-degree 1, all B reads.
+then is cut to degree 2, all III reads.  II is cut to degree 2, all III
+and B read, before it is inverted, and the degree-3 II is handed to
+``taylor.inv`` as its only reference, which frees it once A_0^-1 and
+P = -N A_0^-1 are formed; III is formed right after M, and I^-1 is
+freed there; II is then cut to degree 1, all B reads.
 N is formed once, in the same Taylor arithmetic, as a polynomial of
 degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
 Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
@@ -104,12 +106,26 @@ frame one index at a time (``fields.frame_components``).  The returned
 and of the lift only what a check or the samples read; r_i = 1/k_i and
 b_i = (r - r_i)/rho are formed on first read.
 No chain rule is written by hand, and nothing is differentiated twice.
+
+The memory of ``analyze`` is bounded by the budget ``BLOCK_BYTES`` (20
+MB).  A point holds at most six times the bytes of its degree-5 jet of
+x at the peak (4.7 to 4.9 times, measured at n = 2 to 6), and a grid
+whose points would hold more than the budget runs in blocks of rows, as
+even as may be, one after another.  One block holds the jet of its rows
+and every intermediate above, and what the blocks before it returned;
+so the peak is at most what the call returns plus the budget.  Each
+block is a call of its own, and a point's bits do not depend on its
+batch (but in a batch of one regular row, whose batch axis has no
+memory layout).  Each field is joined from its blocks in their memory
+layout, and the blocks of a field are freed once it is joined.  The
+three benchmark grids and hilf n = 5 on 3^5 run in one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -196,10 +212,11 @@ def _taylor_fields(jet):
     II = taylor.einsum("mija,ma->mij", taylor.Grad(x, 2), xi)
     dot = np.sum(x.truncate(k) * xi, axis=-1)
     del x
-    M = taylor.einsum("mij,mjk->mik", taylor.inv(II), I)
     # III reads II to degree k-1 and B to degree k-2: copies, so that each
-    # longer buffer is freed here.
-    II = II.truncate(k - 1).copy()
+    # longer buffer is freed.  The degree-k II goes to inv as its only
+    # reference, which frees it once A_0^-1 and P are formed.
+    full, II = [II], II.truncate(k - 1).copy()
+    M = taylor.einsum("mij,mjk->mik", taylor.inv(full), I)
     III = taylor.einsum("mij,mjk->mik", II, taylor.einsum("mij,mjk->mik", I_inv, II))
     del I_inv
     II = II.truncate(k - 2).copy()
@@ -289,14 +306,51 @@ class Analysis:
         return float(np.median(traces))
 
 
+# The bytes one block of rows may hold at the peak of ``analyze``, beyond
+# what the blocks before it return; a grid past it runs in row blocks.
+BLOCK_BYTES = 20 * 10**6
+
+
+def _point_bytes(n: int) -> int:
+    """The bytes a point of an n-dimensional chart holds at the peak of
+    ``analyze``, bounded by six times its degree-5 jet of x."""
+    return 6 * 8 * (n + 1) * comb(n + 5, 5)
+
+
+def _row_blocks(n: int, points: int) -> int:
+    """The number of row blocks ``analyze`` runs ``points`` points in."""
+    return -(-points * _point_bytes(n) // BLOCK_BYTES)
+
+
+def _joined(pieces: list) -> np.ndarray:
+    """The blocks of one field, joined along the points in the memory
+    layout of the largest (a block of no row has no layout)."""
+    largest = max(pieces, key=len)
+    out = np.empty_like(largest, shape=(sum(map(len, pieces)),) + largest.shape[1:])
+    return np.concatenate(pieces, out=out)
+
+
 def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     """Every invariant field of the lift over the regular points of a grid.
 
     One degree-5 jet of the grid decides the regularity of every point
     once (``charts.regularity``) and gives the lift and the Taylor fields
     of its regular rows; ``reason`` names what fails at each other point.
+    A grid whose points would hold more than ``BLOCK_BYTES`` at the peak
+    runs in ``_row_blocks`` blocks of rows, each a call of its own, and
+    each field is joined from its blocks (module docstring).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    blocks = _row_blocks(chart.n, len(grid))
+    if blocks <= 1:
+        return Analysis(**_analysis_fields(chart, grid))
+    parts = [_analysis_fields(chart, rows) for rows in np.array_split(grid, blocks)]
+    return Analysis(**{name: _joined([part.pop(name) for part in parts])
+                       for name in list(parts[0])})
+
+
+def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
+    """The fields of ``Analysis`` over the rows ``grid``, from one jet."""
     x, dx, ddx, xi0 = jet_arrays(chart, grid, 5)
     II, III, r, rho, k, e, reason = regularity(dx, ddx, xi0)
     del dx, ddx
@@ -379,7 +433,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     cov_coord = dB - gamma_b - np.swapaxes(gamma_b, -1, -2)
     cov_B = frame_components(np.moveaxis(cov_coord, 1, -1), w)
 
-    return Analysis(
+    return dict(
         grid=grid, reason=reason, x=x0, r=r, rho=rho, Y=Y, eta=eta, k=k,
         N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y,
         L_structural=L_structural, C_structural=C_structural,

@@ -428,17 +428,24 @@ def batch_inner(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.moveaxis(np.moveaxis(a, axis, -1).copy(), -1, axis)
 
 
-def inv(A: Taylor) -> Taylor:
+def inv(A) -> Taylor:
     """Inverse of a batch of Taylor matrices (m, k, k):
-    A^-1 = A_0^-1 sum_j (-N A_0^-1)^j with N = A - A_0 nilpotent."""
+    A^-1 = A_0^-1 sum_j (-N A_0^-1)^j with N = A - A_0 nilpotent.  ``A``
+    is a Taylor, or a list holding one, which is emptied: where the list
+    held its only reference, A is freed once A_0^-1 and P are formed, so
+    that it does not live through the series (``invariants`` hands it
+    the degree-3 II so)."""
+    if isinstance(A, list):
+        A = A.pop()
     A0inv = batch_inner(np.linalg.inv(A.value))
     P = einsum("mij,mjk->mik", A, A0inv)     # P = -N A_0^-1, formed in place
+    del A
     P.c[0] = 0.0
     P.zero |= 1
     np.negative(P.c, out=P.c)
-    eye = np.eye(A.shape[-1])
-    S = batch_inner(np.broadcast_to(eye, A.shape))
-    for j in range(1, A.d + 1):       # P has no constant term: S_j to degree j
+    eye = np.eye(P.shape[-1])
+    S = batch_inner(np.broadcast_to(eye, P.shape))
+    for j in range(1, P.d + 1):       # P has no constant term: S_j to degree j
         S = einsum("mij,mjk->mik", P.truncate(j), S)
         S.c[0] += eye
         S.zero &= ~1

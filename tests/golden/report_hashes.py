@@ -3,12 +3,12 @@
     python tests/golden/report_hashes.py [--src DIR]
 
 Runs every example of ``tests/test_golden.py`` and a few larger cases
-(hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, the
-benchmark's construct path at seeds 0, 7 and 1000, construct with the
-identity matrix, tau with multiplicities (2, 1) and the degenerate model
-at n = 4, and a ``--config`` file of every section with one flag over
-it) in-process through ``lagkit.cli.main`` with
-``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
+(hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, hilf n = 3 on
+15^3, which ``analyze`` runs in row blocks, the benchmark's construct
+path at seeds 0, 7 and 1000, construct with the identity matrix, tau
+with multiplicities (2, 1) and the degenerate model at n = 4, and a
+``--config`` file of every section with one flag over it) in-process
+through ``lagkit.cli.main`` with ``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
 name, the hash taken over everything the call writes to stdout.  The
 cases of ``SAMPLES`` also write ``--samples`` and print a line
 ``NAME.csv SHA1`` of the CSV bytes after their own.
@@ -37,6 +37,9 @@ EXTRA = {
                        "--grid", "5", "--half-width", "0.3"],
     "verify-hilf5-3": ["verify", "--surface", "hilf", "--a", "1,2,3,4,5",
                        "--grid", "3", "--half-width", "0.3"],
+    # A grid past invariants.BLOCK_BYTES: analyze runs it in row blocks.
+    "verify-hilf3-15": ["verify", "--surface", "hilf", "--a", "1,2,3", "--grid", "15",
+                        "--half-width", "0.4"],
     "verify-torus-wide": ["verify", "--surface", "torus",
                           "--params", '{"R": 2, "r_tube": 1}',
                           "--grid", "33", "--half-width", "0.9"],

@@ -306,6 +306,10 @@ def test_closed_stdout_exits_quietly():
 # line naming the input.  "{file}" is replaced by the path of a JSON file
 # holding the probe's data, or the probe's bytes as they are.
 B3 = [-0.79, 0.22, 0.56]
+# Python's limit on the digits of an integer it parses, where one applies
+# to 5,000 digits, as an error line names it.
+_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+DIGIT_LIMIT = f"past Python's limit of {_LIMIT} digits" if 0 < _LIMIT <= 5000 else None
 CONSTANTS = {"b": [0.7071067811865476, -0.7071067811865476], "cmat": [1, 0, 0, 1]}
 BAD_INPUT = {
     "a-not-number": (["verify", "--surface", "hilf", "--a", "1,x"], None, "--a"),
@@ -471,6 +475,21 @@ BAD_INPUT = {
     "constants-b-5000-digits": (
         ["construct", "--constants", "{file}"],
         b'{"b": [1' + b"0" * 5000 + b', -1], "cmat": [1, 0, 0, 1]}', "constants file"),
+    # ... which an error line names, for each kind of JSON input.
+    "params-digit-limit": (
+        ["verify", "--surface", "torus", "--params", '{"R": -1' + "0" * 5000 + "}"], None,
+        DIGIT_LIMIT or "'R'"),
+    "config-digit-limit": (
+        ["verify", "--config", "{file}"], b'{"seed": 1' + b"0" * 5000 + b"}",
+        DIGIT_LIMIT or "'seed'"),
+    "constants-digit-limit": (
+        ["construct", "--constants", "{file}"],
+        b'{"b": [-1' + b"0" * 5000 + b', 1], "cmat": [1, 0, 0, 1]}', DIGIT_LIMIT or "'b'"),
+    # construct builds its immersion from constants: a config surface is
+    # refused, not echoed unread.
+    "construct-config-surface": (
+        ["construct", "--b-from-a", "1,2,3", "--grid", "3", "--config", "{file}"],
+        {"surface": {"kind": "torus", "params": {"R": 5}}}, "unknown section(s) 'surface'"),
     # A file that is no UTF-8 text.
     "config-not-utf8": (["verify", "--config", "{file}"], b"\xff\xfe{}", "utf-8"),
 }
@@ -525,6 +544,16 @@ def test_a_huge_integer_gives_a_short_error_line(name, tmp_path, capsys):
     argv, data, _ = BAD_INPUT[name]
     err = bad_input_error(argv, data, tmp_path, capsys)
     assert "0" * 38 + "..." in err and "0" * 40 not in err, err
+
+
+# An integer past Python's digit limit is refused by that limit, without
+# Python's advice to raise it.
+@pytest.mark.parametrize("name", ("params-digit-limit", "config-digit-limit",
+                                  "constants-digit-limit"))
+def test_the_digit_limit_is_named_not_raised(name, tmp_path, capsys):
+    argv, data, _ = BAD_INPUT[name]
+    err = bad_input_error(argv, data, tmp_path, capsys)
+    assert "set_int_max_str_digits" not in err, err
 
 
 # A report or sample path that cannot be written is bad input, not a failed check.

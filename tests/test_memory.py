@@ -1,5 +1,5 @@
-"""Peak and retained memory of ``invariants.analyze``, and the transient
-of each Taylor product inside it.
+"""Peak and retained memory of ``invariants.analyze``, the transient of
+each Taylor product inside it, and its row blocks.
 
 Each peak bound on ``analyze`` is the tracemalloc figure measured when
 the degree-5 jet was kept as x alone, the products stopped gathering
@@ -10,18 +10,24 @@ cut to degree 2 once the tangential part of xi0 is taken, III formed
 right after M and II then cut to degree 1, the degree-1 Taylors of N,
 Delta_g Y, Gamma and Hess Y read off before the curvature projection, P
 freed before the last product of ``taylor.inv``, and value - Taylor
-built in one buffer), and each step came to hold only what its next
-step reads (dx gathered again from x after I^-1 rather than held
-through it, x.xi kept in place of x once II is formed, the partials of
-III, r, B and log rho read off before N is formed, and dY taken from
-N's own).  Each retained bound is the figure measured when ``analyze``
-came to build the lift of its regular rows itself and the ``Analysis``
-to keep of the lift only x, r, rho, Y, eta and k.  Both are those
-figures plus 5%.  A product that gathers an operand it could
-read as a view, a partials operand formed whole, a truncation that
-keeps its parent's buffer alive, a jet or an intermediate kept past its
-last read, or a lift array kept that no check reads shows here first.
+built in one buffer), each step came to hold only what its next step
+reads (dx gathered again from x after I^-1 rather than held through it,
+x.xi kept in place of x once II is formed, the partials of III, r, B
+and log rho read off before N is formed, and dY taken from N's own),
+and the degree-3 II came to be handed to ``taylor.inv`` as its only
+reference, freed once A_0^-1 and P are formed.  Each retained bound is
+the figure measured when ``analyze`` came to build the lift of its
+regular rows itself and the ``Analysis`` to keep of the lift only x, r,
+rho, Y, eta and k.  Both are those figures plus 5%.  A product that
+gathers an operand it could read as a view, a partials operand formed
+whole, a truncation that keeps its parent's buffer alive, a jet or an
+intermediate kept past its last read, or a lift array kept that no
+check reads shows here first.
 The product tables are built by a first call outside the trace.
+
+A grid past ``invariants.BLOCK_BYTES`` runs in row blocks: its peak is
+bounded by what the call returns and one block's budget, and its fields
+are those of one call, bit for bit and in the same memory layout.
 """
 
 import gc
@@ -31,7 +37,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from lagkit import taylor
+from lagkit import invariants, taylor
+from lagkit.errors import MarginError
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 from lagkit.invariants import analyze
 from tests.conftest import mesh
@@ -65,30 +72,93 @@ def traced_analyze(chart, grid):
 
 
 @pytest.mark.parametrize("case,peak_mb,retained_mb", [
-    # 2.664 MB peak since each step holds only what its next step reads
-    # (2.838 MB since analyze builds the lift of its regular rows, 2.900 MB
-    # since each buffer is freed at its last read, 3.25 MB before; 3.39 MB
-    # before x and xi were freed once Y is formed and the degree-2 II, I^-1
-    # and rho^2 copied, 3.46 MB before Hess Y took Gamma Y_k pair by pair),
-    # 0.976 MB retained (1.161 MB with the lift's II, III, g, e and grid
-    # copy).
-    pytest.param("torus-33", 2.664 * 1.05, 0.976 * 1.05, id="torus-33"),
-    # 1.179 MB peak since each step holds only what its next step reads
-    # (1.269 MB since analyze builds the lift, 1.283 MB since each buffer is
-    # freed at its last read, 1.36 MB since II reads ddx one coefficient
-    # per step, 1.62 MB before, 1.65 and 2.15 MB earlier), 0.283 MB
-    # retained (0.328 MB before).
-    pytest.param("hilf3-5", 1.179 * 1.05, 0.283 * 1.05, id="hilf3-5"),
-    # 15.048 MB peak since each step holds only what its next step reads
-    # (16.74 MB since analyze builds the lift, 16.80 MB since each buffer is
-    # freed at its last read, 18.1 MB before, 27.8 MB with ddx formed
-    # whole), 2.270 MB retained (2.488 MB before).
-    pytest.param("hilf5-3", 15.048 * 1.05, 2.270 * 1.05, id="hilf5-3"),
+    # 2.656 MB peak since II is freed inside its inverse (2.664 MB since
+    # each step holds only what its next step reads, 2.838 MB since analyze
+    # builds the lift of its regular rows, 2.900 MB since each buffer is
+    # freed at its last read, 3.25 MB before; 3.39 MB before x and xi were
+    # freed once Y is formed and the degree-2 II, I^-1 and rho^2 copied,
+    # 3.46 MB before Hess Y took Gamma Y_k pair by pair), 0.976 MB retained
+    # (1.161 MB with the lift's II, III, g, e and grid copy).
+    pytest.param("torus-33", 2.656 * 1.05, 0.976 * 1.05, id="torus-33"),
+    # 1.089 MB peak since II is freed inside its inverse (1.179 MB since
+    # each step holds only what its next step reads, 1.269 MB since analyze
+    # builds the lift, 1.283 MB since each buffer is freed at its last
+    # read, 1.36 MB since II reads ddx one coefficient per step, 1.62 MB
+    # before, 1.65 and 2.15 MB earlier), 0.283 MB retained (0.328 MB
+    # before).
+    pytest.param("hilf3-5", 1.089 * 1.05, 0.283 * 1.05, id="hilf3-5"),
+    # 14.019 MB peak since II is freed inside its inverse (15.048 MB since
+    # each step holds only what its next step reads, 16.74 MB since analyze
+    # builds the lift, 16.80 MB since each buffer is freed at its last
+    # read, 18.1 MB before, 27.8 MB with ddx formed whole), 2.270 MB
+    # retained (2.488 MB before).
+    pytest.param("hilf5-3", 14.019 * 1.05, 2.270 * 1.05, id="hilf5-3"),
 ])
 def test_analyze_memory_is_bounded(case, peak_mb, retained_mb):
     peak, retained = traced_analyze(*CASES[case]())
     assert peak <= peak_mb * MB, f"peak {peak / MB:.3f} MB"
     assert retained <= retained_mb * MB, f"retained {retained / MB:.3f} MB"
+
+
+def test_a_large_grid_peaks_at_what_it_returns_and_one_block():
+    # hilf3 on 15^3 peaked at 31.25 MB in one call, 7.17 MB of it
+    # retained; in row blocks its transient is one block's budget at most.
+    chart, grid = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 15)
+    assert invariants._row_blocks(chart.n, len(grid)) >= 2
+    peak, retained = traced_analyze(chart, grid)
+    assert peak <= retained + invariants.BLOCK_BYTES + NUMPY_BUFFERS, \
+        f"peak {peak / MB:.3f} MB, retained {retained / MB:.3f} MB"
+
+
+def axis_order(a):
+    """The axes of ``a`` from innermost in memory out (None without an element)."""
+    return tuple(np.argsort(a.strides, kind="stable")) if a.size else None
+
+
+# Grids run in one block and in at least 3: a torus, hilf (1, 2, 3) and
+# hilf (1, 2) at half-width 1.5, whose rows 7-13 and 35-41 are irregular.
+BLOCKED = {
+    "torus-33": CASES["torus-33"],
+    "hilf3-7": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 7)),
+    "hilf2-7-irregular": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0))), mesh(2, 1.5, 7)),
+}
+
+
+def analyze_in(blocks, chart, grid, monkeypatch):
+    """``analyze(chart, grid)`` with the budget set to run it in ``blocks`` row blocks."""
+    budget = -(-len(grid) * invariants._point_bytes(chart.n) // blocks)
+    monkeypatch.setattr(invariants, "BLOCK_BYTES", budget)
+    assert invariants._row_blocks(chart.n, len(grid)) == blocks
+    return analyze(chart, grid)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED))
+def test_row_blocks_give_the_fields_of_one_call(case, monkeypatch):
+    chart, grid = BLOCKED[case]()
+    whole = analyze_in(1, chart, grid, monkeypatch)
+    assert case != "hilf2-7-irregular" or 0 < len(whole.grid) < len(grid)
+    for blocks in (3, 5):
+        blocked = analyze_in(blocks, chart, grid, monkeypatch)
+        for name, want in vars(whole).items():
+            got = getattr(blocked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (blocks, name)
+            assert axis_order(got) == axis_order(want), (blocks, name)
+            assert axis_order(want)[0] == 0 or name in LIFT, name
+
+
+# The lift's arrays keep the chart jet's C order: their points are outermost.
+LIFT = ("grid", "x", "r", "rho", "Y", "eta", "k")
+
+
+def test_row_blocks_refuse_a_point_outside_the_domain_as_one_call(monkeypatch):
+    chart, grid = CASES["torus-33"]()
+    grid[-40] = [0.0, 1.2]          # |v| < pi/3 on the torus
+    errors = []
+    for blocks in (1, 4):
+        with pytest.raises(MarginError) as caught:
+            analyze_in(blocks, chart, grid, monkeypatch)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] == "point [0.0, 1.2] lies outside the chart domain"
 
 
 def product_transients(monkeypatch, call):

@@ -428,6 +428,9 @@ def test_graded_neumann_inverse_equals_full_degree(k, n, d):
     got, want = taylor.inv(A), full_inv(A)
     assert got.d == want.d == d
     assert np.array_equal(got.c, want.c)
+    # A list holding A is emptied, so that A is freed inside inv.
+    held = [A]
+    assert np.array_equal(taylor.inv(held).c, got.c) and held == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
