@@ -116,12 +116,16 @@ def axis_order(a):
 
 
 # Grids run in one block and in at least 3: a torus, hilf (1, 2, 3) and
-# hilf (1, 2) at half-width 1.5, whose rows 7-13 and 35-41 are irregular.
+# hilf (1, 2) at half-width 1.5, whose rows 7-13 and 35-41 are irregular:
+# in 7 blocks of 7 rows, two blocks have no regular row, and so no layout.
 BLOCKED = {
     "torus-33": CASES["torus-33"],
     "hilf3-7": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 7)),
     "hilf2-7-irregular": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0))), mesh(2, 1.5, 7)),
 }
+
+# The lift's arrays keep the chart jet's C order: their points are outermost.
+LIFT = ("grid", "x", "r", "rho", "Y", "eta", "k")
 
 
 def analyze_in(blocks, chart, grid, monkeypatch):
@@ -137,17 +141,13 @@ def test_row_blocks_give_the_fields_of_one_call(case, monkeypatch):
     chart, grid = BLOCKED[case]()
     whole = analyze_in(1, chart, grid, monkeypatch)
     assert case != "hilf2-7-irregular" or 0 < len(whole.grid) < len(grid)
-    for blocks in (3, 5):
+    for blocks in (3, 7):
         blocked = analyze_in(blocks, chart, grid, monkeypatch)
         for name, want in vars(whole).items():
             got = getattr(blocked, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (blocks, name)
             assert axis_order(got) == axis_order(want), (blocks, name)
             assert axis_order(want)[0] == 0 or name in LIFT, name
-
-
-# The lift's arrays keep the chart jet's C order: their points are outermost.
-LIFT = ("grid", "x", "r", "rho", "Y", "eta", "k")
 
 
 def test_row_blocks_refuse_a_point_outside_the_domain_as_one_call(monkeypatch):
