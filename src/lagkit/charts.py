@@ -2,11 +2,12 @@
 
 A ``Chart`` evaluates a hypersurface x: U in R^n -> R^(n+1) on batches of
 parameter points.  A closed-form chart writes its map once, for float
-points and ``taylor.Taylor`` seeds alike (``closed_form``), so its jet
-is the map's exact Taylor polynomial; ``jet_arrays`` refuses a chart
-without a jet.  The unit normal is the normalised generalized cross
-product of the Jacobian rows in parameter order unless the chart
-supplies a normal field, and curvature signs follow that orientation.
+points and ``taylor.Taylor`` seeds alike, and ``closed_form`` builds
+the chart from it, so its jet is the map's exact Taylor polynomial;
+``jet_arrays`` refuses a chart without a jet.  The unit normal is the
+normalised generalized cross product of the Jacobian rows in parameter
+order unless the chart supplies a normal field, and curvature signs
+follow that orientation.
 
 ``forms_arrays`` factors I = dx dx^T = L L^T once per point in plain
 batched numpy (loops over the n columns) and inverts the factor once,
@@ -73,9 +74,9 @@ class Chart:
     ``evaluator`` maps parameter batches (m, n) to points (m, n+1).
     ``jet(U, degree)`` returns the Taylor polynomial of x about the points
     U to total degree ``degree`` (a ``taylor.Taylor`` of value shape
-    (m, n+1)); ``closed_form`` makes both, and ``jet_arrays`` refuses a
-    chart without a jet.  ``normal`` if present returns the unit normal
-    field (m, n+1).
+    (m, n+1)); ``closed_form`` builds both from one map, and
+    ``jet_arrays`` refuses a chart without a jet.  ``normal`` if present
+    returns the unit normal field (m, n+1).
     """
 
     n: int
@@ -91,11 +92,19 @@ class Chart:
         return "analytic-normal" if self.normal is not None else "cross-product"
 
 
-def closed_form(x_map: Callable):
-    """(evaluator, jet) of a chart whose map ``x_map`` takes float points
-    (m, n) and Taylor seeds alike; the jet is the map of ``taylor.variables``."""
-    return (lambda U: x_map(np.atleast_2d(np.asarray(U, dtype=float))),
-            lambda U, degree: x_map(taylor.variables(U, degree)))
+def closed_form(x_map: Callable, normal: Optional[Callable] = None, **fields) -> Chart:
+    """The chart of a map ``x_map`` that takes float points (m, n) and
+    Taylor seeds alike: its evaluator, and ``normal`` if given, run on the
+    points normalised once; its jet is the map of ``taylor.variables``.
+    ``fields`` are the other fields of ``Chart``; the domain is unbounded
+    on every axis unless one is given."""
+    def points(U):
+        return np.atleast_2d(np.asarray(U, dtype=float))
+
+    return Chart(**{"domain": ((-np.inf, np.inf),) * fields["n"], **fields},
+                 evaluator=lambda U: x_map(points(U)),
+                 jet=lambda U, degree: x_map(taylor.variables(U, degree)),
+                 normal=None if normal is None else lambda U: normal(points(U)))
 
 
 def cross_normal(dx: np.ndarray) -> np.ndarray:

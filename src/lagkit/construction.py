@@ -55,7 +55,7 @@ import numpy as np
 from . import taylor
 from .charts import Chart, closed_form
 from .errors import ParameterError
-from .families import NUMBERS, UNBOUNDED, accepted, is_number_list
+from .families import NUMBERS, accepted, is_number_list
 from .spaces import laguerre_space, p_vector
 
 __all__ = [
@@ -275,26 +275,12 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
         return np.concatenate([q[..., None], w @ cmat], axis=-1)
 
     def xi_eval(Vbar):
-        Vbar = np.atleast_2d(np.asarray(Vbar, dtype=float))
         rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=1))
         return np.concatenate([(rho - 1.0)[:, None], (Vbar * bbar) @ cmat], axis=1) / rho[:, None]
 
-    x_eval, x_jet = closed_form(x_map)
-    chart = Chart(
-        n=n,
-        domain=tuple(UNBOUNDED for _ in range(n)),
-        evaluator=x_eval,
-        jet=x_jet,
-        normal=xi_eval,
-        name="constructed",
-        params={"b": b.tolist(), "phi": phi},
-    )
-    return ConstructedMaps(
-        constants=c,
-        position=position,
-        normal_map=normal_map,
-        chart=chart,
-    )
+    chart = closed_form(x_map, xi_eval, n=n, name="constructed",
+                        params={"b": b.tolist(), "phi": phi})
+    return ConstructedMaps(constants=c, position=position, normal_map=normal_map, chart=chart)
 
 
 # The keys of ``frobenius_report``, in its order.

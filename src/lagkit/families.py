@@ -22,8 +22,9 @@
   kinds of their values, which every object lagkit reads passes.
 
 All evaluators are vectorised over point batches.  Every map is written
-once, for float points and Taylor seeds alike (``charts.closed_form``),
-so every chart's jet is the exact Taylor polynomial of any degree.
+once, for float points and Taylor seeds alike, and ``charts.closed_form``
+builds its chart, so every chart's jet is the exact Taylor polynomial of
+any degree.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ __all__ = [
     "sphere_chart",
     "CATALOG",
 ]
-
-UNBOUNDED = (-np.inf, np.inf)
-
 
 @dataclass(frozen=True)
 class HilfParams:
@@ -106,7 +104,6 @@ def hilf_chart(params: HilfParams) -> Chart:
     """Chart of the explicit family, with Taylor jets and analytic normal."""
     A = params.coeffs
     phi = float(params.phi)
-    n = params.n
 
     def x_map(U):
         U2 = U**2
@@ -114,20 +111,12 @@ def hilf_chart(params: HilfParams) -> Chart:
         return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
 
     def normal(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         S = np.sum(A**2 * U**2, axis=-1)
         return np.concatenate([(S - 1.0)[:, None], 2.0 * A * U], axis=1) / (S + 1.0)[:, None]
 
-    evaluate, jet = closed_form(x_map)
-    return Chart(
-        n=n,
-        domain=tuple(UNBOUNDED for _ in range(n)),
-        evaluator=evaluate,
-        jet=jet,
-        normal=normal,
-        name="hilf",
-        params={"a": list(params.a), "multiplicities": list(params.multiplicities), "phi": phi},
-    )
+    return closed_form(
+        x_map, normal, n=params.n, name="hilf",
+        params={"a": list(params.a), "multiplicities": list(params.multiplicities), "phi": phi})
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,19 +190,9 @@ def tau_chart(deg: DegenerateChart) -> Chart:
         return laguerre_immersion_tau(deg.x_map(U), deg.xi_map(U))[0]
 
     def normal(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         return laguerre_immersion_tau(deg.x_map(U), deg.xi_map(U))[1]
 
-    evaluate, jet = closed_form(x_map)
-    return Chart(
-        n=deg.n,
-        domain=tuple(UNBOUNDED for _ in range(deg.n)),
-        evaluator=evaluate,
-        jet=jet,
-        normal=normal,
-        name="tau-image",
-        params=dict(deg.params),
-    )
+    return closed_form(x_map, normal, n=deg.n, name="tau-image", params=dict(deg.params))
 
 
 def torus_chart(R: float, r_tube: float) -> Chart:
@@ -232,20 +211,11 @@ def torus_chart(R: float, r_tube: float) -> Chart:
         return np.stack([w * np.cos(u), w * np.sin(u), r_tube * np.sin(v)], axis=-1)
 
     def normal(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         u, v = U[:, 0], U[:, 1]
         return -np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=-1)
 
-    evaluate, jet = closed_form(x_map)
-    return Chart(
-        n=2,
-        domain=((-np.pi, np.pi), (-np.pi / 3.0, np.pi / 3.0)),
-        evaluator=evaluate,
-        jet=jet,
-        normal=normal,
-        name="torus",
-        params={"R": float(R), "r_tube": float(r_tube)},
-    )
+    return closed_form(x_map, normal, n=2, domain=((-np.pi, np.pi), (-np.pi / 3.0, np.pi / 3.0)),
+                       name="torus", params={"R": float(R), "r_tube": float(r_tube)})
 
 
 def sphere_chart(radius: float = 1.0) -> Chart:
@@ -256,15 +226,8 @@ def sphere_chart(radius: float = 1.0) -> Chart:
         return np.concatenate([U, h[..., None]], axis=-1)
 
     half = radius / 2.0
-    evaluate, jet = closed_form(x_map)
-    return Chart(
-        n=2,
-        domain=((-half, half), (-half, half)),
-        evaluator=evaluate,
-        jet=jet,
-        name="sphere",
-        params={"radius": float(radius)},
-    )
+    return closed_form(x_map, n=2, domain=((-half, half), (-half, half)), name="sphere",
+                       params={"radius": float(radius)})
 
 
 def is_finite_number(value) -> bool:

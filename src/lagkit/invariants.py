@@ -111,14 +111,16 @@ The memory of ``analyze`` is bounded by the budget ``BLOCK_BYTES`` (20
 MB).  A point holds at most six times the bytes of its degree-5 jet of
 x at the peak (4.7 to 4.9 times, measured at n = 2 to 6), and a grid
 whose points would hold more than the budget runs in blocks of rows, as
-even as may be, one after another.  One block holds the jet of its rows
-and every intermediate above, and what the blocks before it returned;
-so the peak is at most what the call returns plus the budget.  Each
-block is a call of its own, and a point's bits do not depend on its
-batch (but in a batch of one regular row, whose batch axis has no
-memory layout).  Each field is joined from its blocks in their memory
-layout, and the blocks of a field are freed once it is joined.  The
-three benchmark grids and hilf n = 5 on 3^5 run in one block.
+even as may be, one after another; every other grid, an empty one too,
+runs as one block.  One block holds the jet of its rows and every
+intermediate above, and what the blocks before it returned; so the peak
+is at most what the call returns plus the budget.  Each block is a call
+of its own, and a point's bits do not depend on its batch: a lone
+regular row, whose batch axis would have no memory layout, is taken
+twice.  Each field is joined from its blocks in their memory layout
+into an array of its own, the grid too, after the peak; the blocks of a
+field are freed once it is joined.  The three benchmark grids and hilf
+n = 5 on 3^5 run in one block.
 """
 
 from __future__ import annotations
@@ -318,8 +320,9 @@ def _point_bytes(n: int) -> int:
 
 
 def _row_blocks(n: int, points: int) -> int:
-    """The number of row blocks ``analyze`` runs ``points`` points in."""
-    return -(-points * _point_bytes(n) // BLOCK_BYTES)
+    """The number of row blocks ``analyze`` runs ``points`` points in, at
+    least one."""
+    return max(1, -(-points * _point_bytes(n) // BLOCK_BYTES))
 
 
 def _joined(pieces: list) -> np.ndarray:
@@ -336,15 +339,14 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
     One degree-5 jet of the grid decides the regularity of every point
     once (``charts.regularity``) and gives the lift and the Taylor fields
     of its regular rows; ``reason`` names what fails at each other point.
-    A grid whose points would hold more than ``BLOCK_BYTES`` at the peak
-    runs in ``_row_blocks`` blocks of rows, each a call of its own, and
-    each field is joined from its blocks (module docstring).
+    Every grid runs in ``_row_blocks`` blocks of rows, more than one only
+    if its points would hold more than ``BLOCK_BYTES`` at the peak; each
+    block is a call of its own, and each field is joined from its blocks
+    into an array of its own (module docstring).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    blocks = _row_blocks(chart.n, len(grid))
-    if blocks <= 1:
-        return Analysis(**_analysis_fields(chart, grid))
-    parts = [_analysis_fields(chart, rows) for rows in np.array_split(grid, blocks)]
+    parts = [_analysis_fields(chart, rows)
+             for rows in np.array_split(grid, _row_blocks(chart.n, len(grid)))]
     return Analysis(**{name: _joined([part.pop(name) for part in parts])
                        for name in list(parts[0])})
 
@@ -354,9 +356,13 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
     x, dx, ddx, xi0 = jet_arrays(chart, grid, 5)
     II, III, r, rho, k, e, reason = regularity(dx, ddx, xi0)
     del dx, ddx
-    # The regular rows, copied only when a row is irregular.
+    # The regular rows, copied only when a row is irregular.  A lone one is
+    # taken twice and its first row returned: a batch of one row has no
+    # memory layout, so einsum would sum its products in another order.
     rows = np.flatnonzero(reason == "")
-    if rows.size < len(grid):
+    kept = rows.size
+    if kept < len(grid) or kept == 1:
+        rows = np.repeat(rows, 2) if kept == 1 else rows
         x, grid, xi0, II, III, r, rho, k, e = (
             t[rows] for t in (x, grid, xi0, II, III, r, rho, k, e))
     # The lift, from the values of x and xi0 in the chart jet's C order; the
@@ -433,8 +439,8 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
     cov_coord = dB - gamma_b - np.swapaxes(gamma_b, -1, -2)
     cov_B = frame_components(np.moveaxis(cov_coord, 1, -1), w)
 
-    return dict(
-        grid=grid, reason=reason, x=x0, r=r, rho=rho, Y=Y, eta=eta, k=k,
+    fields = dict(
+        grid=grid, x=x0, r=r, rho=rho, Y=Y, eta=eta, k=k,
         N=N, delta_y=delta_y, E_Y=E_Y, E2_Y=E2_Y,
         L_structural=L_structural, C_structural=C_structural,
         B_structural=B_structural,
@@ -442,6 +448,7 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
         laplace_iii_logrho=lap_iii, grad_iii_logrho_sq=grad_sq,
         riemann_frame=riemann_frame,
     )
+    return {"reason": reason, **{name: t[:kept] for name, t in fields.items()}}
 
 
 @dataclass(frozen=True)

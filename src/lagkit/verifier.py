@@ -151,6 +151,9 @@ class PropertyReport:
 
 
 def _grid_descriptor(grid: np.ndarray) -> dict:
+    """Size, dimension and bounds of a grid; InputError if it has no point."""
+    if not len(grid):
+        raise InputError("the grid has no point")
     return {
         "points": int(grid.shape[0]),
         "dimension": int(grid.shape[1]),

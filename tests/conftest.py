@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from lagkit.charts import Chart, closed_form
+from lagkit.charts import closed_form
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 
 
@@ -64,14 +64,9 @@ def torus_points():
 def graph_chart(height, domain_half=1.0):
     """Graph chart u -> (u, h(u)) over R^2; ``height`` takes float points
     and Taylor seeds alike, so the jet is exact."""
-    evaluate, jet = closed_form(lambda U: np.concatenate([U, height(U)[..., None]], axis=-1))
-    return Chart(
-        n=2,
-        domain=((-domain_half, domain_half), (-domain_half, domain_half)),
-        evaluator=evaluate,
-        jet=jet,
-        name="graph",
-    )
+    return closed_form(lambda U: np.concatenate([U, height(U)[..., None]], axis=-1), n=2,
+                       domain=((-domain_half, domain_half), (-domain_half, domain_half)),
+                       name="graph")
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import pytest
 
 from lagkit.charts import (
     IRREGULAR,
-    Chart,
     closed_form,
     cross_normal,
     curvature_line_check,
@@ -83,8 +82,7 @@ def collapse_chart():
         s = U[..., 0] + U[..., 1]
         return np.stack([s, s, s**2], axis=-1)
 
-    evaluate, jet = closed_form(collapse)
-    return Chart(n=2, domain=((-1, 1), (-1, 1)), evaluator=evaluate, jet=jet)
+    return closed_form(collapse, n=2, domain=((-1, 1), (-1, 1)))
 
 
 def test_rank_deficient_jacobian_rejected():
@@ -207,10 +205,9 @@ def test_rotated_chart_fails_curvature_lines(hilf3):
         W = np.sum(A * U**2, axis=-1) / (np.sum(A**2 * U**2, axis=-1) + 1.0)
         return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
 
-    evaluate, jet = closed_form(hilf_map)
+    rotated = closed_form(hilf_map, n=3, name="rotated")
     grid = mesh(3, 0.2, 3)
-    assert np.max(np.abs(evaluate(grid) - hilf3.evaluator(grid @ R.T))) <= 1e-15
-    rotated = Chart(n=3, domain=hilf3.domain, evaluator=evaluate, jet=jet, name="rotated")
+    assert np.max(np.abs(rotated.evaluator(grid) - hilf3.evaluator(grid @ R.T))) <= 1e-15
     assert not curvature_line_check(rotated, mesh(3, 0.2, 3), 1e-8)
 
 

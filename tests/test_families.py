@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lagkit import taylor
+from lagkit.construction import ConstructionConstants, b_from_curvatures, build_immersion
 from lagkit.errors import ImmersionError, ParameterError
 from lagkit.families import (
     CATALOG,
@@ -29,6 +30,20 @@ def test_catalog_jet_value_is_the_evaluator(kind):
             assert np.allclose(f(taylor.variables(U, 2)).value, f(U), rtol=1e-15, atol=1e-15)
     else:
         assert np.allclose(chart.jet(U, 2).value, chart.evaluator(U), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG) + ["constructed"])
+def test_a_flat_point_is_a_batch_of_one(kind):
+    # The degenerate model's Euclidean chart is its image under tau.
+    if kind == "constructed":
+        chart = build_immersion(ConstructionConstants(b_from_curvatures([1, 2, 3]))).chart
+    else:
+        chart = CATALOG[kind]({})
+        chart = tau_chart(chart) if isinstance(chart, DegenerateChart) else chart
+    U = mesh(chart.n, 0.3, 2) + 0.1
+    for f in (chart.evaluator, chart.normal):
+        got = f(U[-1].tolist())
+        assert got.shape == (1, chart.n + 1) and np.array_equal(got, f(U[-1:]))
 
 
 def test_params_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lagkit import charts, taylor
+from lagkit import charts, invariants, taylor
 from lagkit.charts import IRREGULAR, jet_arrays, regularity
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, hilf_chart, sphere_chart, torus_chart
@@ -314,6 +314,44 @@ def test_irregular_points_leave_the_regular_rows_unchanged():
         if field.name != "reason":
             assert np.array_equal(got, want), field.name
     assert np.array_equal(a.b, alone.b) and np.array_equal(a.r_i, alone.r_i)
+
+
+ALONE = {
+    "hilf2-7-irregular": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0))), mesh(2, 1.5, 7)),
+    "hilf3-5": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)),
+    "torus-9": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALONE))
+def test_a_point_alone_has_the_bits_of_its_row(case):
+    # A batch of one regular row has no memory layout, in which einsum would
+    # sum its products in another order; every third row, regular or not.
+    chart, grid = ALONE[case]()
+    whole = analyze(chart, grid)
+    regular = np.flatnonzero(whole.reason == "")
+    for row in range(0, len(grid), 3):
+        alone = analyze(chart, grid[[row]])
+        assert alone.reason.tolist() == [whole.reason[row]]
+        for field in dataclasses.fields(Analysis):
+            got, want = getattr(alone, field.name), getattr(whole, field.name)
+            if field.name != "reason":
+                want = want[regular == row]
+                assert got.dtype == want.dtype and np.array_equal(got, want), (row, field.name)
+
+
+def test_an_empty_grid_is_an_empty_analysis(hilf2):
+    a = analyze(hilf2, np.empty((0, 2)))
+    assert a.grid.shape == (0, 2)
+    for field in dataclasses.fields(Analysis):
+        assert len(getattr(a, field.name)) == 0, field.name
+
+
+def test_the_analysis_holds_its_own_grid(hilf3):
+    grid = mesh(3, 0.4, 5)
+    assert invariants._row_blocks(3, len(grid)) == 1
+    a = analyze(hilf3, grid)
+    assert np.all(a.reason == "") and not np.shares_memory(a.grid, grid)
 
 
 TAIL_CASES = {

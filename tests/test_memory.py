@@ -117,7 +117,8 @@ def axis_order(a):
 
 # Grids run in one block and in at least 3: a torus, hilf (1, 2, 3) and
 # hilf (1, 2) at half-width 1.5, whose rows 7-13 and 35-41 are irregular:
-# in 7 blocks of 7 rows, two blocks have no regular row, and so no layout.
+# in 7 blocks of 7 rows, two blocks have no regular row, and so no layout;
+# in 9 or 17 blocks, two blocks have exactly one regular row.
 BLOCKED = {
     "torus-33": CASES["torus-33"],
     "hilf3-7": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 7)),
@@ -141,7 +142,7 @@ def test_row_blocks_give_the_fields_of_one_call(case, monkeypatch):
     chart, grid = BLOCKED[case]()
     whole = analyze_in(1, chart, grid, monkeypatch)
     assert case != "hilf2-7-irregular" or 0 < len(whole.grid) < len(grid)
-    for blocks in (3, 7):
+    for blocks in (3, 7, 9, 17) if case == "hilf2-7-irregular" else (3, 7):
         blocked = analyze_in(blocks, chart, grid, monkeypatch)
         for name, want in vars(whole).items():
             got = getattr(blocked, name)

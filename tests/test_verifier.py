@@ -193,6 +193,15 @@ def test_degenerate_model_report():
     assert report.warnings
 
 
+@pytest.mark.parametrize("suite", [run_suite, degenerate_model_report, tau_suite],
+                         ids=["run", "model", "tau"])
+def test_an_empty_grid_is_an_input_error(suite):
+    params = HilfParams(a=(1.0, 2.0))
+    chart = hilf_chart(params) if suite is run_suite else degenerate_example(params)
+    with pytest.raises(InputError, match="^the grid has no point$"):
+        suite(chart, np.empty((0, 2)))
+
+
 def counted(calls, name, f):
     def wrapper(*args):
         calls.append(name)
