@@ -35,10 +35,10 @@ from .families import (
 )
 from .invariants import ClassificationResult, analyze, classify_analysis
 from .spaces import (
-    SignatureSpace,
+    dot,
     is_laguerre_transform,
-    laguerre_space,
-    minkowski_space,
+    laguerre_signs,
+    minkowski_signs,
     p_vector,
 )
 from .verifier import (

@@ -56,7 +56,7 @@ from . import taylor
 from .charts import Chart, closed_form
 from .errors import ParameterError
 from .families import NUMBERS, accepted, is_number_list
-from .spaces import laguerre_space, p_vector
+from .spaces import laguerre_signs, p_vector
 
 __all__ = [
     "ConstructionConstants",
@@ -300,7 +300,7 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray) -> dict:
     """
     c = maps.constants
     n = c.n
-    space = laguerre_space(n)
+    signs = laguerre_signs(n)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
 
     V = taylor.variables(grid, 2)
@@ -309,13 +309,13 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray) -> dict:
 
     off = ~np.eye(n, dtype=bool)
     idx = np.arange(n)
-    gram = np.einsum("mal,l,mbl->mab", dY, space.signs, dY)
+    gram = np.einsum("mal,l,mbl->mab", dY, signs, dY)
     gdiag = gram[:, idx, idx, None]                        # (m, i, 1)
     # d_i g_ii = 2 <Y_,ii, Y_,i>
-    dgdiag = 2.0 * np.einsum("mil,l,mil->mi", ddY[:, idx, idx], space.signs, dY)[..., None]
+    dgdiag = 2.0 * np.einsum("mil,l,mil->mi", ddY[:, idx, idx], signs, dY)[..., None]
     lhs = ddY[:, idx, idx] / gdiag - dgdiag * dY / (2.0 * gdiag**2)
     N_const = np.zeros(n + 4)
     N_const[[2, -1]] = 1.0
-    rhs = N_const + c.b[:, None] * p_vector(space)
+    rhs = N_const + c.b[:, None] * p_vector(n + 4)
     return dict(zip(FROBENIUS_RESIDUALS, (
         ddY[:, off], lhs - rhs, deta - c.b[None, :, None] * dY, gram[:, off])))

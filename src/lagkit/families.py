@@ -38,7 +38,6 @@ import numpy as np
 
 from .charts import Chart, closed_form
 from .errors import ImmersionError, ParameterError
-from .spaces import SignatureSpace, minkowski_space
 
 __all__ = [
     "HilfParams",
@@ -78,6 +77,11 @@ class HilfParams:
         if np.any((mult < 1) | (mult != np.floor(mult))):
             raise ParameterError("multiplicities must be positive integers")
         a, mult = tuple(a.tolist()), tuple(int(m) for m in mult)
+        try:  # numpy's refusal of a dimension it cannot hold, as bad input
+            np.repeat(a, mult)
+        except (OverflowError, MemoryError) as exc:
+            raise ParameterError(f"multiplicities {list(mult)} give n = {sum(mult)}, "
+                                 f"which numpy cannot repeat: {exc}") from exc
         if any(v == 0.0 for v in a):
             raise ParameterError("constants a_i must be nonzero")
         if len(set(a)) != len(a):
@@ -124,11 +128,11 @@ class DegenerateChart:
     """A spacelike hypersurface in the degenerate hyperplane <x, nu> = 0
     of Minkowski space, together with its lightlike normal field.
 
-    ``x_map`` and ``xi_map`` take float points and Taylor seeds alike.
+    ``x_map`` and ``xi_map`` take float points and Taylor seeds alike;
+    their values pair under ``spaces.minkowski_signs(n)``.
     """
 
     n: int
-    space: SignatureSpace
     x_map: Callable
     xi_map: Callable
     params: dict
@@ -154,7 +158,6 @@ def degenerate_example(params: HilfParams) -> DegenerateChart:
 
     return DegenerateChart(
         n=params.n,
-        space=minkowski_space(params.n),
         x_map=x_map,
         xi_map=xi_map,
         params={"a": list(params.a), "multiplicities": list(params.multiplicities)},

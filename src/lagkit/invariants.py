@@ -2,7 +2,7 @@
 
 For a hypersurface x with unit normal xi, curvature radii r_i, mean
 radius r and rho = sqrt(sum (r - r_i)^2), the lift into the light cone
-of the signature-(n+2,2) space (``spaces.laguerre_space``) is
+of the signature-(n+2,2) space (``spaces.laguerre_signs``) is
 
     Y   = rho y,   y = (x.xi, -x.xi, xi, 1)   (``lift_vector``),
     eta = ((1+|x|^2)/2, (1-|x|^2)/2, x, 0) + r y,
@@ -136,7 +136,7 @@ from . import taylor
 from .charts import Chart, jet_arrays, regularity
 from .errors import InputError
 from .fields import christoffels, frame_components, lowered_riemann
-from .spaces import SignatureSpace, laguerre_space
+from .spaces import laguerre_signs
 
 __all__ = [
     "ClassificationResult",
@@ -238,7 +238,7 @@ def _taylor_fields(jet):
             "III": low[2].copy(), "r": low[0].copy(), "B": _b_tensor(*low)}
 
 
-def _n_taylor(Y, g, space):
+def _n_taylor(Y, g, signs):
     """(N, Delta_g Y, Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k) as
     Taylor polynomials of degree 1, from Y of degree 3 and g of degree 2,
     and the value of dY, a copy in its layout; Gamma^k_ab Y_k is
@@ -255,7 +255,7 @@ def _n_taylor(Y, g, space):
     taylor.einsum("mkab,mkl->mabl", gamma, dY, subtract_from=hess_y)
     dY = dY.value.copy(order="K")
     delta_y = taylor.einsum("mab,mabl->ml", g_inv, hess_y)
-    nsq = np.sum(space.signs * delta_y * delta_y, axis=-1)
+    nsq = np.sum(signs * delta_y * delta_y, axis=-1)
     N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * Y
     return N, delta_y, gamma, hess_y, dY
 
@@ -288,8 +288,9 @@ class Analysis:
     riemann_frame: np.ndarray  # (m, i, j, k, l): curvature of g on the frame
 
     @property
-    def space(self) -> SignatureSpace:
-        return laguerre_space(self.grid.shape[1])
+    def signs(self) -> np.ndarray:
+        """(n+4,) the signature of the lift's space (``spaces.dot``)."""
+        return laguerre_signs(self.grid.shape[1])
 
     @cached_property
     def r_i(self) -> np.ndarray:
@@ -377,18 +378,17 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
     jet = [x, xi0]
     del x, xi0
     fields = _taylor_fields(jet)
-    space = laguerre_space(chart.n)
+    signs = laguerre_signs(chart.n)
     # Popped, each field is freed once its partials are read: those that
     # _n_taylor does not read, before it runs.
     jets = {name: fields.pop(name).partials()[1:] for name in ("III", "r", "B", "logrho")}
-    *n_block, dY = _n_taylor(fields.pop("Y"), fields["g"], space)      # dY (m, a, n+4)
+    *n_block, dY = _n_taylor(fields.pop("Y"), fields["g"], signs)      # dY (m, a, n+4)
     jets["g"] = fields.pop("g").partials()[1:]
     dN = n_block[0].partials()[1]            # (m, c, n+4)
     # Copies, so that the degree-1 Taylors are freed here, before the
     # projection, and the returned Analysis keeps none alive.
     N, delta_y, gamma_g, hess_y = (t.value.copy(order="K") for t in n_block)
     del n_block
-    signs = space.signs
     # The frame is formed in the jet's C order, as b is; the frame, g =
     # rho^2 III and the lift arrays read below are then laid out once as
     # the partials are, batch axis innermost, and III inverted once:

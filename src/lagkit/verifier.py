@@ -38,7 +38,7 @@ from .construction import (
 from .errors import ImmersionError, InputError
 from .families import DegenerateChart, HilfParams, hilf_chart, laguerre_immersion_tau
 from .invariants import Analysis, analyze, classify_analysis
-from .spaces import p_vector
+from .spaces import dot, minkowski_signs, p_vector
 
 __all__ = [
     "Tolerances",
@@ -292,7 +292,7 @@ def _structure_equation(a, cls, tol):
     rhs = (
         np.einsum("mij,ml->mijl", a.L_structural, a.Y)
         + np.einsum("ij,ml->mijl", np.eye(a.grid.shape[1]), a.N)
-        + np.einsum("mij,l->mijl", a.B_structural, p_vector(a.space))
+        + np.einsum("mij,l->mijl", a.B_structural, p_vector(a.Y.shape[1]))
     )
     return a.E2_Y - rhs
 
@@ -326,19 +326,19 @@ _FRAME = "lightlike lift pairings and tangent-frame orthonormality"
 
 CHECKS = (
     Check("position_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: a.space.dot(a.Y, a.Y)),
+          lambda a, cls, tol: dot(a.signs, a.Y, a.Y)),
     Check("n_vector_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: a.space.dot(a.N, a.N)),
+          lambda a, cls, tol: dot(a.signs, a.N, a.N)),
     Check("position_n_pairing", _FRAME, "frame_relations",
-          lambda a, cls, tol: a.space.dot(a.Y, a.N) + 1.0),
+          lambda a, cls, tol: dot(a.signs, a.Y, a.N) + 1.0),
     Check("normal_map_lightlike", _FRAME, "frame_relations",
-          lambda a, cls, tol: a.space.dot(a.eta, a.eta)),
+          lambda a, cls, tol: dot(a.signs, a.eta, a.eta)),
     Check("normal_map_p_pairing", _FRAME, "frame_relations",
           lambda a, cls, tol: a.eta[:, 0] + a.eta[:, 1] - 1.0),
     Check("position_normal_orthogonal", _FRAME, "frame_relations",
-          lambda a, cls, tol: a.space.dot(a.Y, a.eta)),
+          lambda a, cls, tol: dot(a.signs, a.Y, a.eta)),
     Check("tangent_orthonormality", _FRAME, "frame_relations",
-          lambda a, cls, tol: np.einsum("mil,l,mjl->mij", a.E_Y, a.space.signs, a.E_Y)
+          lambda a, cls, tol: np.einsum("mil,l,mjl->mij", a.E_Y, a.signs, a.E_Y)
           - np.eye(a.grid.shape[1])),
     Check("b_trace_zero", "trace-free second fundamental form", "b_identities",
           lambda a, cls, tol: a.b.sum(axis=1)),
@@ -347,7 +347,7 @@ CHECKS = (
     Check("l_trace_laplacian", "trace of the tensor vs the squared Laplacian of the lift",
           "trace_identity",
           lambda a, cls, tol: np.trace(a.L_structural, axis1=-2, axis2=-1)
-          + a.space.dot(a.delta_y, a.delta_y) / (2.0 * a.grid.shape[1])),
+          + dot(a.signs, a.delta_y, a.delta_y) / (2.0 * a.grid.shape[1])),
     Check("covariant_b_contraction", "contracted covariant derivative of B equals (n-1) C",
           "covariant_identity",
           lambda a, cls, tol: np.einsum("miji->mj", a.cov_B) - (a.grid.shape[1] - 1) * a.C_closed),
@@ -500,7 +500,7 @@ def _model_context(deg: DegenerateChart, grid: np.ndarray) -> SimpleNamespace:
     rounds to 0)."""
     U = taylor.variables(grid, 1)
     (x, dx), (xi, dxi) = deg.x_map(U).partials(), deg.xi_map(U).partials()
-    signs = deg.space.signs
+    signs = minkowski_signs(deg.n)
     I = np.einsum("mia,a,mja->mij", dx, signs, dx)
     II = -np.einsum("mia,a,mja->mij", dx, signs, dxi)
     _require_finite("the degenerate model", x, dx, xi, dxi, I, II)
@@ -508,9 +508,9 @@ def _model_context(deg: DegenerateChart, grid: np.ndarray) -> SimpleNamespace:
         III = II @ np.linalg.solve(I, II)
     except np.linalg.LinAlgError as exc:
         raise ImmersionError("the degenerate model's first fundamental form is singular") from exc
-    nu = np.zeros(deg.space.dimension)
+    nu = np.zeros(signs.size)
     nu[0] = nu[-1] = 1.0
-    return SimpleNamespace(space=deg.space, nu=nu, x=x, dx=dx, xi=xi, I=I, II=II, III=III,
+    return SimpleNamespace(signs=signs, nu=nu, x=x, dx=dx, xi=xi, I=I, II=II, III=III,
                            coeffs=HilfParams(**deg.params).coeffs)
 
 
@@ -534,13 +534,13 @@ _CONSTRAINT = "defining constraints of the lightlike normal"
 # Context: the model's ``_model_context``, tolerances.
 MODEL_CHECKS = (
     Check("position_in_hyperplane", _CONSTRAINT, "model_constraints",
-          lambda m, tol: m.space.dot(m.x, m.nu)),
+          lambda m, tol: dot(m.signs, m.x, m.nu)),
     Check("normal_lightlike", _CONSTRAINT, "model_constraints",
-          lambda m, tol: m.space.dot(m.xi, m.xi)),
+          lambda m, tol: dot(m.signs, m.xi, m.xi)),
     Check("normal_nu_pairing", _CONSTRAINT, "model_constraints",
-          lambda m, tol: m.space.dot(m.xi, m.nu) - 1.0),
+          lambda m, tol: dot(m.signs, m.xi, m.nu) - 1.0),
     Check("normal_tangency", _CONSTRAINT, "model_constraints",
-          lambda m, tol: m.space.dot(m.dx, m.xi[:, None, :])),
+          lambda m, tol: dot(m.signs, m.dx, m.xi[:, None, :])),
     Check("first_form_euclidean", "first fundamental form is the flat Euclidean metric",
           "model_constraints", lambda m, tol: m.I - np.eye(m.I.shape[-1])),
     Check("second_form_diagonal", "second fundamental form is the constant diagonal of the model",

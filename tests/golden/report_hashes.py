@@ -5,8 +5,9 @@
 Runs every example of ``tests/test_golden.py`` and a few larger cases
 (hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, hilf n = 3 on
 15^3, which ``analyze`` runs in row blocks, the benchmark's construct
-path at seeds 0, 7 and 1000, construct with the identity matrix, tau
-with multiplicities (2, 1) and the degenerate model at n = 4, and a
+path at seeds 0, 7 and 1000, construct with the identity matrix and
+from a constants file of nonzero beta and gamma, tau with
+multiplicities (2, 1) and the degenerate model at n = 4, and a
 ``--config`` file of every section with one flag over it) in-process
 through ``lagkit.cli.main`` with ``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
 name, the hash taken over everything the call writes to stdout.  The
@@ -48,6 +49,10 @@ EXTRA = {
     **{f"construct-hilf3-{seed}": ["construct", "--b-from-a", "1,2,3", "--grid", "5",
                                    "--half-width", "0.5", "--seed", str(seed)]
        for seed in (0, 7, 1000)},
+    # Every other construct case takes b from a, so its beta, gamma, shift d
+    # and phi are zero: a constants file, CONSTANTS, with none of them zero.
+    "construct-constants": ["construct", "--constants", "{constants}", "--grid", "3",
+                            "--half-width", "0.5"],
     # The one construct input on which explicit_family_roundtrip runs, not skips.
     "construct-identity": ["construct", "--b-from-a", "1,2,3", "--identity", "--grid", "3",
                            "--half-width", "0.5"],
@@ -69,6 +74,14 @@ CONFIG = {
     "grid": {"center": [0.05, -0.05, 0.1], "half_width": 0.3, "points_per_axis": 3},
     "seed": 3,
     "tolerances": {"classification": 2e-5, "frame_relations": 1e-7},
+}
+
+# b of the curvatures 1, 2, 3, an orthogonal matrix with no zero on its
+# diagonal, and the beta1, beta3 and gamma1 of tests/test_mutants.py.
+CONSTANTS = {
+    "b": [-0.7925939239012171, 0.22645540682891915, 0.5661385170722979],
+    "cmat": [[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0], [0.0, 0.0, 1.0]],
+    "beta1": [0.3, -0.1, 0.2], "beta3": [0.1, 0.05, -0.2], "gamma1": [0.01, 0.0, -0.02],
 }
 
 # The cases whose --samples CSV is hashed too.
@@ -94,11 +107,13 @@ def main_hashes(argv=None) -> int:
 
     cases = {**EXAMPLES, **EXTRA}
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(CONFIG))
+        files = {}   # a case's placeholder argument: the file written for it
+        for arg, data in (("{config}", CONFIG), ("{constants}", CONSTANTS)):
+            files[arg] = Path(tmp) / f"{arg.strip('{}')}.json"
+            files[arg].write_text(json.dumps(data))
         for name in sorted(cases):
             samples = Path(tmp) / f"{name}.csv"
-            argv = [str(config) if arg == "{config}" else arg for arg in cases[name]]
+            argv = [str(files.get(arg, arg)) for arg in cases[name]]
             argv += ["--no-timestamp"]
             if name in SAMPLES:
                 argv += ["--samples", str(samples)]

@@ -492,6 +492,14 @@ BAD_INPUT = {
         {"surface": {"kind": "torus", "params": {"R": 5}}}, "unknown section(s) 'surface'"),
     # A file that is no UTF-8 text.
     "config-not-utf8": (["verify", "--config", "{file}"], b"\xff\xfe{}", "utf-8"),
+    # A dimension numpy cannot repeat the constants to: past a C long at
+    # 1e20, past any allocation at 1e18.
+    **{f"{name}-multiplicity-{m}": (
+        [*command, "--params", f'{{"a":[1,2],"multiplicities":[{m},1]}}', "--grid", "3"], None,
+        f"multiplicities [{int(float(m))}, 1] give n = {int(float(m)) + 1}")
+       for m in ("1e18", "1e20")
+       for name, command in (("verify", ["verify", "--surface", "hilf"]), ("tau", ["tau"]),
+                             ("degenerate", ["verify", "--surface", "degenerate-hilf"]))},
 }
 
 

@@ -14,7 +14,7 @@ from lagkit.construction import (
 from lagkit.errors import ParameterError
 from lagkit.families import HilfParams, hilf_chart
 from lagkit.invariants import analyze, classify_analysis
-from lagkit.spaces import laguerre_space
+from lagkit.spaces import dot, laguerre_signs
 from lagkit.verifier import construct_suite
 from tests import central
 from tests.conftest import mesh
@@ -120,18 +120,18 @@ def test_position_lightlike_random(seeded_constants):
     Y = build_immersion(seeded_constants).position
     rng = np.random.default_rng(5)
     V = rng.uniform(-1.0, 1.0, size=(100, 3))
-    sp = laguerre_space(3)
+    signs = laguerre_signs(3)
     vals = Y(V)
-    assert np.max(np.abs(sp.dot(vals, vals))) <= 1e-12
+    assert np.max(np.abs(dot(signs, vals, vals))) <= 1e-12
     assert np.max(np.abs(vals[:, -1] - vals[:, 2] - 1.0)) <= 1e-12
 
 
 def test_position_tangents_diagonal(seeded_constants):
     Y = build_immersion(seeded_constants).position
-    sp = laguerre_space(3)
+    signs = laguerre_signs(3)
     grid = mesh(3, 0.5, 3)
     dY = central.grad(Y, grid, 1e-4)
-    gram = np.einsum("mal,l,mbl->mab", dY, sp.signs, dY)
+    gram = np.einsum("mal,l,mbl->mab", dY, signs, dY)
     off = gram.copy()
     idx = np.arange(3)
     off[:, idx, idx] = 0.0
@@ -143,16 +143,16 @@ def test_position_tangents_diagonal(seeded_constants):
 def test_normal_map_constraints(seeded_constants):
     maps = build_immersion(seeded_constants)
     eta, Y = maps.normal_map, maps.position
-    sp = laguerre_space(3)
+    signs = laguerre_signs(3)
     rng = np.random.default_rng(6)
     V = rng.uniform(-1.0, 1.0, size=(100, 3))
     e = eta(V)
     assert np.max(np.abs(e[:, 0] + e[:, 1] - 1.0)) <= 1e-15
-    assert np.max(np.abs(sp.dot(e, e))) <= 1e-12
-    assert np.max(np.abs(sp.dot(e, Y(V)))) <= 1e-10
+    assert np.max(np.abs(dot(signs, e, e))) <= 1e-12
+    assert np.max(np.abs(dot(signs, e, Y(V)))) <= 1e-10
     N = np.zeros(7)
     N[2] = N[-1] = 1.0
-    assert np.max(np.abs(sp.dot(e, np.broadcast_to(N, e.shape)))) <= 1e-12
+    assert np.max(np.abs(dot(signs, e, np.broadcast_to(N, e.shape)))) <= 1e-12
 
 
 def test_normal_map_derivative_relation(seeded_constants):

@@ -13,7 +13,6 @@ from lagkit.charts import Chart, principal_arrays
 from lagkit.construction import ConstructedMaps, ConstructionConstants, frobenius_report
 from lagkit.families import DegenerateChart
 from lagkit.invariants import Analysis
-from lagkit.spaces import SignatureSpace
 from lagkit.taylor import Taylor
 
 MODULES = sorted(
@@ -34,8 +33,9 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-# Deleted names.  Arrays and ``SignatureSpace.dot`` replace those that
-# served only tests; nothing read ``ValidationReport`` (``validate_constants``
+# Deleted names.  Arrays and ``spaces.dot`` replace those that served only
+# tests, and a signature is its +-1 vector, so ``SignatureSpace`` and its two
+# constructors went; nothing read ``ValidationReport`` (``validate_constants``
 # returns its failures) or ``_partial_table`` (``Taylor.partials`` reads the
 # grads' table); ``build_immersion`` holds the two map builders and validates
 # once; and ``CONSTRUCT_CHECKS``, the one table that read ``_keyed``, writes
@@ -49,9 +49,10 @@ def test_all_names_resolve(name):
 GONE = {
     "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
                "MetricField", "frame_riemann", "frame_connection",
-               "build_position", "build_normal_map"),
+               "build_position", "build_normal_map", "SignatureSpace", "laguerre_space",
+               "minkowski_space"),
     "lagkit.spaces": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike",
-                      "nu_vector"),
+                      "nu_vector", "SignatureSpace", "laguerre_space", "minkowski_space"),
     "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection", "laplacian"),
     "lagkit.cli": ("_json_default", "_is_real", "_build_surface", "_tolerances",
                    "_load_config"),
@@ -81,7 +82,9 @@ def test_each_value_is_formed_once():
 def test_analysis_holds_the_frame_curvature_as_an_array():
     names = {f.name for f in fields(Analysis)}
     assert "riemann_frame" in names and "metric" not in names
-    assert not hasattr(SignatureSpace, "vector") and not hasattr(SignatureSpace, "signature_matrix")
+    # The signature is read off the grid on demand, as r_i and b are.
+    assert "space" not in names and not hasattr(Analysis, "space")
+    assert isinstance(Analysis.__dict__["signs"], property)
 
 
 def test_unread_fields_are_gone():
@@ -94,7 +97,7 @@ def test_unread_fields_are_gone():
 
 def test_one_map_each_and_one_constructor():
     # The model keeps its two maps; the suites read them on Taylor seeds.
-    assert [f.name for f in fields(DegenerateChart)] == ["n", "space", "x_map", "xi_map", "params"]
+    assert [f.name for f in fields(DegenerateChart)] == ["n", "x_map", "xi_map", "params"]
     gone = ("constraint_residuals", "fundamental_forms", "CONSTRAINTS")
     assert [name for name in gone if hasattr(DegenerateChart, name)] == []
     assert not hasattr(ConstructionConstants, "simple")

@@ -16,7 +16,7 @@ import numpy as np
 from lagkit.charts import jet_arrays
 from lagkit.families import torus_chart
 from lagkit.invariants import _n_taylor, _taylor_fields, analyze
-from lagkit.spaces import laguerre_space
+from lagkit.spaces import laguerre_signs
 from tests import central
 
 # Degree-4 polynomial field on R^3 with two components: every 4th-order
@@ -41,7 +41,7 @@ def n_taylor(chart, U):
     ``analyze`` forms it from the degree-5 jet of U."""
     x, _, _, xi = jet_arrays(chart, U, 5)
     fields = _taylor_fields([x, xi])
-    return _n_taylor(fields["Y"], fields["g"].truncate(2), laguerre_space(chart.n))[0]
+    return _n_taylor(fields["Y"], fields["g"].truncate(2), laguerre_signs(chart.n))[0]
 
 
 def test_central_partials_exact_on_quartic():

@@ -6,7 +6,7 @@ import pytest
 from lagkit.charts import IRREGULAR, jet_arrays, regularity
 from lagkit.families import HilfParams, hilf_chart
 from lagkit.invariants import analyze
-from lagkit.spaces import p_vector
+from lagkit.spaces import dot, p_vector
 from tests import central
 from tests.conftest import mesh
 
@@ -18,7 +18,7 @@ def hilf2_lift(hilf2):
 
 def test_position_vector_lightlike(hilf2_lift):
     Y = hilf2_lift.Y[0]
-    assert abs(hilf2_lift.space.dot(Y, Y)) <= 1e-14
+    assert abs(dot(hilf2_lift.signs, Y, Y)) <= 1e-14
 
 
 def test_position_vector_last_coordinate_is_rho(hilf2_lift):
@@ -26,15 +26,15 @@ def test_position_vector_last_coordinate_is_rho(hilf2_lift):
 
 
 def test_position_vector_orthogonal_to_p(hilf2_lift):
-    sp = hilf2_lift.space
-    assert abs(sp.dot(hilf2_lift.Y[0], p_vector(sp))) <= 1e-14
+    signs = hilf2_lift.signs
+    assert abs(dot(signs, hilf2_lift.Y[0], p_vector(signs.size))) <= 1e-14
 
 
 def test_normal_map_relations(hilf2_lift):
-    sp, Y, eta = hilf2_lift.space, hilf2_lift.Y[0], hilf2_lift.eta[0]
-    assert abs(sp.dot(eta, eta)) <= 1e-10
-    assert abs(sp.dot(eta, p_vector(sp)) + 1.0) <= 1e-14
-    assert abs(sp.dot(Y, eta)) <= 1e-10
+    signs, Y, eta = hilf2_lift.signs, hilf2_lift.Y[0], hilf2_lift.eta[0]
+    assert abs(dot(signs, eta, eta)) <= 1e-10
+    assert abs(dot(signs, eta, p_vector(signs.size)) + 1.0) <= 1e-14
+    assert abs(dot(signs, Y, eta)) <= 1e-10
 
 
 def test_rho_at_origin_two_curvature(hilf2):
@@ -96,15 +96,15 @@ def test_metric_equals_lift_gram(hilf3):
         return analyze(hilf3, U).Y
 
     dY = central.grad(y_field, grid, 1e-4)
-    gram = np.einsum("mal,l,mbl->mab", dY, analyze(hilf3, grid).space.signs, dY)
+    gram = np.einsum("mal,l,mbl->mab", dY, analyze(hilf3, grid).signs, dY)
     assert np.max(np.abs(gram - invariant_metric(hilf3, grid)[0])) <= 1e-8
 
 
 def test_n_vector_relations_on_grid(hilf3, grid3):
     a = analyze(hilf3, grid3)
-    sp = a.space
-    assert np.max(np.abs(sp.dot(a.N, a.N))) <= 1e-6
-    assert np.max(np.abs(sp.dot(a.Y, a.N) + 1.0)) <= 1e-6
+    signs = a.signs
+    assert np.max(np.abs(dot(signs, a.N, a.N))) <= 1e-6
+    assert np.max(np.abs(dot(signs, a.Y, a.N) + 1.0)) <= 1e-6
 
 
 def test_n_vector_constant_on_explicit_family(hilf3, grid3):
@@ -123,23 +123,23 @@ def test_single_point_n_vector(hilf3):
     a = analyze(hilf3, np.array([[0.1, 0.0, -0.1]]))
     N = a.N[0]
     assert N.shape == (7,)
-    assert abs(a.space.dot(N, N)) <= 1e-6
+    assert abs(dot(a.signs, N, N)) <= 1e-6
 
 
 def test_laguerre_frame_relations(hilf3):
     a = analyze(hilf3, np.array([[0.1, -0.15, 0.2]]))
-    sp = a.space
+    signs = a.signs
     Y, N, eta = a.Y[0], a.N[0], a.eta[0]
-    P = p_vector(sp)
+    P = p_vector(signs.size)
     EY = a.E_Y[0]
-    gram = np.einsum("ia,a,ja->ij", EY, sp.signs, EY)
+    gram = np.einsum("ia,a,ja->ij", EY, signs, EY)
     residuals = {
-        "position_lightlike": abs(sp.dot(Y, Y)),
-        "n_vector_lightlike": abs(sp.dot(N, N)),
-        "position_n_pairing": abs(sp.dot(Y, N) + 1.0),
-        "normal_map_lightlike": abs(sp.dot(eta, eta)),
-        "normal_map_p_pairing": abs(sp.dot(eta, P) + 1.0),
-        "position_normal_orthogonal": abs(sp.dot(Y, eta)),
+        "position_lightlike": abs(dot(signs, Y, Y)),
+        "n_vector_lightlike": abs(dot(signs, N, N)),
+        "position_n_pairing": abs(dot(signs, Y, N) + 1.0),
+        "normal_map_lightlike": abs(dot(signs, eta, eta)),
+        "normal_map_p_pairing": abs(dot(signs, eta, P) + 1.0),
+        "position_normal_orthogonal": abs(dot(signs, Y, eta)),
         "tangent_orthonormal": np.max(np.abs(gram - np.eye(3))),
     }
     assert max(residuals.values()) <= 1e-6

@@ -179,7 +179,7 @@ MUTANTS = {
     # P read as 2P in the structure equation: 0.79 on hilf3.
     "structure_equation": (
         ("p-doubled", hilf3, patched(
-            "p_vector", lambda f: lambda space: 2.0 * f(space), verifier)),),
+            "p_vector", lambda f: lambda dimension: 2.0 * f(dimension), verifier)),),
     # rho dropped from B_ab = rho (r III_ab - II_ab): 3.9 on hilf3.
     "covariant_b_contraction": (
         ("b-without-rho", hilf3, patched(
