@@ -1,21 +1,24 @@
 """Print the sha1 of each example's ``--no-timestamp`` report bytes.
 
-    python tests/golden/report_hashes.py [--src DIR]
+    python tests/golden/report_hashes.py [--src DIR] [--dump DIR]
 
 Runs every example of ``tests/test_golden.py`` and a few larger cases
 (hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, hilf n = 3 on
 15^3, which ``analyze`` runs in row blocks, the benchmark's construct
 path at seeds 0, 7 and 1000, construct with the identity matrix and
 from a constants file of nonzero beta and gamma, tau with
-multiplicities (2, 1) and the degenerate model at n = 4, and a
-``--config`` file of every section with one flag over it) in-process
+multiplicities (2, 1), the degenerate model at n = 4 and on a wide
+grid, hilf of mixed signs at n = 4, and a ``--config`` file of every
+section with one flag over it) in-process
 through ``lagkit.cli.main`` with ``--no-timestamp`` and prints one line ``NAME SHA1`` per case, sorted by
 name, the hash taken over everything the call writes to stdout.  The
 cases of ``SAMPLES`` also write ``--samples`` and print a line
 ``NAME.csv SHA1`` of the CSV bytes after their own.
 ``--src`` imports ``lagkit`` from another source tree (for example a
 checkout of the base commit), so two runs of this script compare the
-bytes of two versions of the code on the same cases.  A refactor that
+bytes of two versions of the code on the same cases.  ``--dump`` also
+writes each case's stdout to ``NAME.out`` and its CSV to ``NAME.csv`` in
+another directory, so that two such runs show what moved.  A refactor that
 keeps every hash is byte-identical; the golden tests only hold floats
 to 1e-9.
 """
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +65,14 @@ EXTRA = {
                  "--half-width", "0.7"],
     "verify-degenerate-4": ["verify", "--surface", "degenerate-hilf", "--params",
                             '{"a":[1,2,3,4]}', "--grid", "3", "--center", "0.1,0.2,-0.3,0.05"],
+    # The degenerate model on a wide grid, where it fails on rounding (the
+    # one failing case, ROADMAP D23; its hash changes when D23 is mended).
+    "verify-degenerate-wide": ["verify", "--surface", "degenerate-hilf", "--a", "1,2",
+                               "--grid", "3", "--half-width", "1e7"],
+    # Mixed signs at n = 4, and two clusters of two curvatures each.
+    "verify-hilf-mixed-4": ["verify", "--surface", "hilf", "--params",
+                            '{"a":[1,-2],"multiplicities":[2,2],"phi":0.3}', "--grid", "3",
+                            "--half-width", "0.3", "--center", "0.3,0.3,0.3,0.3"],
     # Samples of a grid with irregular rows, which analyze drops.
     "invariants-hilf-rank-deficient": ["invariants", "--surface", "hilf", "--a", "1,2",
                                        "--grid", "7", "--half-width", "1.5"],
@@ -96,6 +108,8 @@ def main_hashes(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory that holds the lagkit package (default: this tree's src)")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write each case's stdout and CSV to DIR")
     args = parser.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT)]
     import lagkit
@@ -106,6 +120,8 @@ def main_hashes(argv=None) -> int:
         raise SystemExit(f"lagkit was imported from {lagkit.__file__}, not from {args.src}")
 
     cases = {**EXAMPLES, **EXTRA}
+    if args.dump:
+        Path(args.dump).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         files = {}   # a case's placeholder argument: the file written for it
         for arg, data in (("{config}", CONFIG), ("{constants}", CONSTANTS)):
@@ -125,6 +141,10 @@ def main_hashes(argv=None) -> int:
                 status = exc.code
             print(f"{name} {_sha1(out.getvalue().encode())}"
                   + ("" if status == 0 else f" exit={status}"))
+            if args.dump:
+                (Path(args.dump) / f"{name}.out").write_bytes(out.getvalue().encode())
+                if samples.exists():
+                    shutil.copyfile(samples, Path(args.dump) / samples.name)
             if name in SAMPLES:
                 digest = _sha1(samples.read_bytes()) if samples.exists() else "missing"
                 print(f"{name}.csv {digest}")

@@ -7,8 +7,11 @@ catching any change in the computation.
 """
 
 import csv
+import hashlib
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,18 @@ def test_every_golden_check_is_one_table_row():
     names = {check["name"] for path in GOLDEN.glob("*.json")
              for check in json.loads(path.read_text())["checks"]}
     assert sorted(names) == sorted(rows)
+
+
+def test_each_dumped_report_hashes_to_its_line(tmp_path):
+    # report_hashes.py --dump writes NAME.out (stdout) and NAME.csv for each
+    # printed line NAME SHA1, so that two runs show what moved.
+    script = GOLDEN / "report_hashes.py"
+    lines = subprocess.run([sys.executable, str(script), "--dump", str(tmp_path)],
+                           capture_output=True, text=True, check=True).stdout.splitlines()
+    files = {}
+    for line in lines:
+        name, digest = line.split()[:2]
+        files[name if name.endswith(".csv") else f"{name}.out"] = digest
+    assert sorted(files) == sorted(p.name for p in tmp_path.iterdir())
+    for fname, digest in files.items():
+        assert hashlib.sha1((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
