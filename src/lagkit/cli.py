@@ -42,7 +42,7 @@ from .verifier import (
     tau_suite,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _parse_list(text: str):
@@ -252,7 +252,7 @@ def _cmd_construct(args) -> int:
     tol = Tolerances(**cfg.get("tolerances", {}))
     constants = _load_constants(args, cfg)
     grid = _grid_for(constants.n, cfg)
-    return _finish(construct_suite(constants, grid, tol, cfg["grid"]["half_width"]), cfg, args)
+    return _finish(construct_suite(constants, grid, tol), cfg, args)
 
 
 def _cmd_tau(args) -> int:

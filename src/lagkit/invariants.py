@@ -453,7 +453,10 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Grid-level classification of a chart by its invariants."""
+    """Grid-level classification of a chart by its invariants.  It states
+    no result of the theory: the check rows ``eigenvalue_sign`` and
+    ``isotropic_isoparametric_lambda_zero`` give the verdicts lambda >= 0
+    and lambda = 0."""
 
     is_isotropic: bool
     lambda_estimate: float
@@ -464,8 +467,6 @@ class ClassificationResult:
     l_identity_deviation: float
     b_spread: float
     alpha_spread: Optional[float]
-    prop2_sign_ok: Optional[bool]
-    prop7_consistent: Optional[bool]
 
     def to_dict(self) -> dict:
         return {**asdict(self), "alpha": None if self.alpha is None else self.alpha.tolist(),
@@ -490,15 +491,10 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
 
     alpha = None
     alpha_spread = None
-    prop2 = None
-    prop7 = None
     if is_isotropic:
         alpha_field = a.N - lam * a.Y
         alpha = np.mean(alpha_field, axis=0)
         alpha_spread = float(np.max(np.abs(alpha_field - alpha)))
-        prop2 = bool(lam >= -tol)
-        if is_isoparametric:
-            prop7 = bool(abs(lam) <= tol)
     return ClassificationResult(
         is_isotropic=is_isotropic,
         lambda_estimate=lam,
@@ -509,7 +505,5 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
         l_identity_deviation=l_dev,
         b_spread=b_spread,
         alpha_spread=alpha_spread,
-        prop2_sign_ok=prop2,
-        prop7_consistent=prop7,
     )
 

@@ -14,9 +14,9 @@ the whole grid; ``PropertyReport.run`` records it, and is the one place
 that takes the worst |r_p|.  Conditional checks whose hypotheses fail
 on the given chart are reported as *skipped* with the hypothesis named,
 never as vacuous passes.
-``run_suite`` takes one ``analyze`` of the grid: each point it gives a
-``reason`` becomes a per-point error entry, and the checks run on the
-remaining points.
+``run_suite``, and ``construct_suite`` on its vbar grid, take one
+``analyze`` of the grid: each point it gives a ``reason`` becomes a
+per-point error entry, and the checks run on the remaining points.
 """
 
 from __future__ import annotations
@@ -400,27 +400,34 @@ CHECKS = (
 )
 
 
-def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) -> PropertyReport:
-    """Run every check of ``CHECKS`` on one chart, skipping those whose hypotheses fail."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    report = PropertyReport(
-        chart={"name": chart.name or "custom", "params": chart.params, "n": chart.n},
-        grid=_grid_descriptor(grid),
-        orientation=chart.orientation,
-    )
-
+def _analysed(chart: Chart, grid: np.ndarray, tol: Tolerances, **descriptor):
+    """The report of one ``analyze`` of ``grid`` on ``chart``, each point it
+    gives a ``reason`` an error entry, with the analysis and classification
+    of the regular points; (report, None) after a warning if fewer than two
+    are regular.  ``descriptor`` gives the report's ``chart``."""
+    report = PropertyReport(chart=descriptor, grid=_grid_descriptor(grid),
+                            orientation=chart.orientation)
     a = analyze(chart, grid)
     report.errors.extend(_point_errors(grid, a.reason))
     if len(a.grid) < 2:
         report.warnings.append(
             "fewer than two curvature-regular grid points; no checks executed"
         )
-        return report
+        return report, None
     cls = classify_analysis(a, tol.classification)
     report.classification = cls.to_dict()
     report.analysis = a
-    for check in CHECKS:
-        report.run(check, a, cls, tol)
+    return report, (a, cls)
+
+
+def run_suite(chart: Chart, grid: np.ndarray, tol: Tolerances = Tolerances()) -> PropertyReport:
+    """Run every check of ``CHECKS`` on one chart, skipping those whose hypotheses fail."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    report, analysed = _analysed(chart, grid, tol, name=chart.name or "custom",
+                                 params=chart.params, n=chart.n)
+    if analysed:
+        for check in CHECKS:
+            report.run(check, *analysed, tol)
     return report
 
 
@@ -467,28 +474,20 @@ CONSTRUCT_CHECKS = tuple(
 
 
 def construct_suite(constants: ConstructionConstants, grid: np.ndarray,
-                    tol: Tolerances = Tolerances(), half_width=None) -> PropertyReport:
+                    tol: Tolerances = Tolerances()) -> PropertyReport:
     """Run ``CONSTRUCT_CHECKS`` on the immersion built from ``constants``,
     whose chart is analysed once, on the vbar grid sqrt(2) grid b of the
-    v-grid ``grid``; an irregular vbar point is an ``InputError``.  The
-    report echoes ``half_width``, the grid's configured half-width."""
+    v-grid ``grid``, as ``run_suite`` analyses its grid: the report's grid
+    is the vbar grid, each irregular vbar point is an error entry, and the
+    checks run on the other points."""
     maps = build_immersion(constants)
     vbar = np.sqrt(2.0) * grid * constants.b
-    a = analyze(maps.chart, vbar)
-    irregular = np.flatnonzero(a.reason != "")
-    if len(irregular):
-        i = irregular[0]
-        raise InputError(f"irregular vbar point {vbar[i].tolist()}: {a.reason[i]}")
-    cls = classify_analysis(a, tol.classification)
-    report = PropertyReport(
-        chart={"name": "constructed", "params": constants.to_json_dict(), "n": constants.n},
-        grid={"points": len(grid), "half_width": half_width},
-        orientation=maps.chart.orientation,
-        classification=cls.to_dict(),
-    )
-    context = (frobenius_report(maps, grid), a, maps, vbar, cls, tol)
-    for check in CONSTRUCT_CHECKS:
-        report.run(check, *context)
+    report, analysed = _analysed(maps.chart, vbar, tol, name="constructed",
+                                 params=constants.to_json_dict(), n=constants.n)
+    if analysed:
+        context = (frobenius_report(maps, grid), analysed[0], maps, vbar, analysed[1], tol)
+        for check in CONSTRUCT_CHECKS:
+            report.run(check, *context)
     return report
 
 

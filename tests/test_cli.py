@@ -11,7 +11,8 @@ import pytest
 import lagkit
 from lagkit import charts, invariants
 from lagkit.cli import build_parser, main
-from tests.conftest import count_rows
+from lagkit.construction import b_from_curvatures
+from tests.conftest import count_rows, mesh
 
 
 def run(args):
@@ -33,7 +34,7 @@ def test_verify_writes_report(tmp_path):
     ])
     assert code == 0
     payload = json.loads(report.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["passed"] is True
     assert payload["classification"]["is_isotropic"] is True
     names = {c["name"] for c in payload["checks"]}
@@ -170,7 +171,9 @@ def test_construct_lifts_the_grid_once(monkeypatch, tmp_path):
 
 
 def test_construct_names_an_irregular_point(monkeypatch, tmp_path, capsys):
-    # No constructed grid tried has an irregular point, so one is planted.
+    # No constructed grid tried has an irregular point, so one is planted.  It
+    # is an error entry, as in verify, and the checks run on the other points
+    # of the vbar grid, which the report describes.
     regularity = invariants.regularity
 
     def one_umbilic(*jet):
@@ -182,10 +185,14 @@ def test_construct_names_an_irregular_point(monkeypatch, tmp_path, capsys):
     out = tmp_path / "con.json"
     code = run(["construct", "--b-from-a", "1,2,3", "--grid", "3", "--no-timestamp",
                 "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
-    assert err.rstrip().endswith(": umbilic point")
-    assert not out.exists()
+    assert code == 0 and not capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    vbar = np.sqrt(2.0) * mesh(3, 0.4, 3) * b_from_curvatures([1, 2, 3])
+    assert payload["errors"] == [
+        {"index": 4, "point": vbar[4].tolist(), "reason": "umbilic point"}]
+    assert payload["grid"] == {"points": 27, "dimension": 3, "min": vbar.min(axis=0).tolist(),
+                               "max": vbar.max(axis=0).tolist()}
+    assert payload["passed"] is True and payload["checks"]
 
 
 # A comma list may start with a negative number also when its value is a

@@ -12,8 +12,9 @@ from lagkit import construction
 from lagkit.charts import Chart, principal_arrays
 from lagkit.construction import ConstructedMaps, ConstructionConstants, frobenius_report
 from lagkit.families import DegenerateChart
-from lagkit.invariants import Analysis
+from lagkit.invariants import Analysis, ClassificationResult
 from lagkit.taylor import Taylor
+from lagkit.verifier import construct_suite
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(lagkit.__path__, "lagkit.")
@@ -109,3 +110,12 @@ def test_verifier_holds_every_residual():
     assert not hasattr(Analysis, "structure_residual")
     assert list(inspect.signature(frobenius_report).parameters) == ["maps", "grid"]
     assert not hasattr(construction, "InputError")
+
+
+def test_each_result_is_stated_once():
+    # The check rows eigenvalue_sign and isotropic_isoparametric_lambda_zero
+    # are the verdicts of lambda >= 0 and lambda = 0; construct reports the
+    # vbar grid it analyses, and config_echo carries the half-width.
+    assert {"prop2_sign_ok", "prop7_consistent"}.isdisjoint(
+        f.name for f in fields(ClassificationResult))
+    assert list(inspect.signature(construct_suite).parameters) == ["constants", "grid", "tol"]

@@ -195,8 +195,6 @@ def test_classify_explicit_family(hilf3, grid3):
     assert cls.is_isotropic
     assert cls.is_isoparametric
     assert abs(cls.lambda_estimate) <= 1e-5
-    assert cls.prop2_sign_ok
-    assert cls.prop7_consistent
     assert_b_matches(cls.b_hat, B123, 1e-6)
     assert cls.alpha is not None and cls.alpha_spread <= 1e-5
 
