@@ -456,15 +456,21 @@ class ClassificationResult:
     """Grid-level classification of a chart by its invariants.  It states
     no result of the theory: the check rows ``eigenvalue_sign`` and
     ``isotropic_isoparametric_lambda_zero`` give the verdicts lambda >= 0
-    and lambda = 0."""
+    and lambda = 0.
+
+    A dilation x -> s x sends L and lambda to L / s^2, C to C / s and rho
+    to s rho, so the deviations are read as max_p rho_p^2 |L_p - lambda I|
+    and max_p rho_p |C_p|, and lambda max_p rho_p^2 is the units-free form
+    of the bound rho^2 < 1/(2 lambda): no verdict depends on the units."""
 
     is_isotropic: bool
     lambda_estimate: float
     is_isoparametric: bool
     alpha: Optional[np.ndarray]
     b_hat: np.ndarray
-    max_abs_c: float
-    l_identity_deviation: float
+    max_abs_rho_c: float
+    rho2_l_identity_deviation: float
+    lambda_rho2_max: float
     b_spread: float
     alpha_spread: Optional[float]
 
@@ -479,9 +485,9 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
     if m < 2:
         raise InputError("classification needs at least two grid points")
     lam = a.lambda_estimate
-    eye = np.eye(n)
-    max_c = float(np.max(np.abs(a.C_closed)))
-    l_dev = float(np.max(np.abs(a.L_structural - lam * eye)))
+    rho2 = a.rho**2
+    max_c = float(np.max(np.abs(a.rho[:, None] * a.C_closed)))
+    l_dev = float(np.max(np.abs(rho2[:, None, None] * (a.L_structural - lam * np.eye(n)))))
     b_sorted = np.sort(a.b, axis=1)
     b_hat = np.mean(b_sorted, axis=0)
     b_spread = float(np.max(np.ptp(b_sorted, axis=0)))
@@ -501,8 +507,9 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
         is_isoparametric=is_isoparametric,
         alpha=alpha,
         b_hat=b_hat,
-        max_abs_c=max_c,
-        l_identity_deviation=l_dev,
+        max_abs_rho_c=max_c,
+        rho2_l_identity_deviation=l_dev,
+        lambda_rho2_max=lam * float(np.max(rho2)),
         b_spread=b_spread,
         alpha_spread=alpha_spread,
     )

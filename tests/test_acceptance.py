@@ -211,7 +211,7 @@ def test_criterion_7_phi_invariance():
         results.append(cls)
     b_dev = b_distance(results[0].b_hat, np.sort(np.asarray(results[1].b_hat)))
     l_dev = abs(results[0].lambda_estimate - results[1].lambda_estimate)
-    c_dev = abs(results[0].max_abs_c - results[1].max_abs_c)
+    c_dev = abs(results[0].max_abs_rho_c - results[1].max_abs_rho_c)
     ok = b_dev <= 1e-5 and l_dev <= 1e-5 and c_dev <= 1e-5
     report_line(
         7, "phi-shift invariance", ok,

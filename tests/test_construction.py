@@ -279,7 +279,7 @@ def test_phi_invariance_of_classification():
         b_hat = np.sort(cls.b_hat)
         if b_hat[0] > 0:
             b_hat = np.sort(-b_hat)
-        outputs.append((b_hat, cls.lambda_estimate, cls.max_abs_c))
+        outputs.append((b_hat, cls.lambda_estimate, cls.max_abs_rho_c))
     (b0, l0, c0), (b1, l1, c1) = outputs
     assert np.max(np.abs(b0 - b1)) <= 1e-5
     assert abs(l0 - l1) <= 1e-5

@@ -211,7 +211,7 @@ def test_classify_torus(torus21, torus_points):
     assert not cls.is_isotropic          # L has eigenvalues +-1/4
     assert cls.is_isoparametric          # C = 0 and constant b
     assert cls.b_spread <= 1e-9
-    assert cls.max_abs_c <= 1e-9
+    assert cls.max_abs_rho_c <= 1e-9
 
 
 def test_classify_generic_chart_negative(generic_chart, generic_points):

@@ -125,9 +125,21 @@ def test_family_is_isotropic_away_from_the_origin(a, center, half_width, points)
     # max|L - lambda I| past the classification tolerance.
     report = run_suite(hilf_chart(HilfParams(a=a)), mesh(len(a), half_width, points, center))
     cls = report.classification
-    assert cls["is_isotropic"] and cls["l_identity_deviation"] <= 1e-9
+    assert cls["is_isotropic"] and cls["rho2_l_identity_deviation"] <= 1e-9
     assert report.passed and not report.errors
     assert not [c.name for c in report.checks if c.note == "requires isotropic input"]
+
+
+@pytest.mark.parametrize("s", [1, 100, 200, 1000])
+def test_a_dilated_torus_is_not_isotropic(s):
+    # x -> s x sends L - lambda I to (L - lambda I) / s^2 and rho to s rho:
+    # rho^2 |L - lambda I| reads 1.294 at every s, where max|L - lambda I|
+    # fell below the classification tolerance from s = 200 on.
+    report = run_suite(torus_chart(2.0 * s, 1.0 * s), mesh(2, 0.9, 9))
+    cls = report.classification
+    assert not cls["is_isotropic"]
+    assert abs(cls["rho2_l_identity_deviation"] - 1.294) <= 1e-3
+    assert next(c for c in report.checks if c.name == "log_rho_laplacian").status == "skip"
 
 
 def test_every_check_has_anchor(hilf_report):
