@@ -146,6 +146,13 @@ def added(attr, term):
 E3 = np.eye(7)[3]   # the first spatial coordinate of R^(n+4), n = 3
 
 
+def flipped_normal(maps):
+    # The derived chart's normal negated: b_hat reads exactly -b.
+    normal = maps.chart.normal
+    return dataclasses.replace(
+        maps, chart=dataclasses.replace(maps.chart, normal=lambda V: -normal(V)))
+
+
 def bent_normal(deg):
     # xi, and so II = -<dx, dxi> (as <dx, xi> = 0), scaled by (1 + u_1 / 2),
     # so the radii and rho^2 vary.
@@ -205,6 +212,7 @@ MUTANTS = {
         "normal_map", lambda V: 1e-5 * V[..., :1] * E3)),),
     "frobenius_tangent_diagonality": (("v2-term", constructed, added(
         "position", lambda V: 1e-5 * V[..., 1:2] * E3)),),
+    "constructed_b_roundtrip": (("flipped-normal", constructed, flipped_normal),),
     "rho_square_constant": (("bent-normal", degenerate, bent_normal),),
     # x_1 + 1e-9 u_1: 4.0e-10 and 5.0e-10.
     "position_in_hyperplane": (("x1-plus-u1", degenerate, X1_PLUS_U1),),
