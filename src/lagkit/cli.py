@@ -153,7 +153,14 @@ def _grid_for(chart_n: int, cfg) -> np.ndarray:
         raise LagkitError(
             f"grid center has {len(center)} coordinates for an n={chart_n} surface"
         )
-    return _mesh(center, grid_cfg["half_width"], grid_cfg["points_per_axis"], chart_n)
+    points = grid_cfg["points_per_axis"]
+    try:
+        return _mesh(center, grid_cfg["half_width"], points, chart_n)
+    except (MemoryError, RuntimeError) as exc:
+        # numpy refuses more than 32 axes, or an allocation past memory.
+        raise LagkitError(
+            f"a grid of {points} points per axis in n = {chart_n} dimensions cannot be "
+            f"built: {exc}") from exc
 
 
 def _finish(report: PropertyReport, cfg: dict, args) -> int:

@@ -318,6 +318,9 @@ B3 = [-0.79, 0.22, 0.56]
 _LIMIT = getattr(sys, "get_int_max_str_digits", int)()
 DIGIT_LIMIT = f"past Python's limit of {_LIMIT} digits" if 0 < _LIMIT <= 5000 else None
 CONSTANTS = {"b": [0.7071067811865476, -0.7071067811865476], "cmat": [1, 0, 0, 1]}
+MULTIPLICITY_COMMANDS = (("verify", ["verify", "--surface", "hilf"]), ("tau", ["tau"]),
+                         ("degenerate", ["verify", "--surface", "degenerate-hilf"]))
+
 BAD_INPUT = {
     "a-not-number": (["verify", "--surface", "hilf", "--a", "1,x"], None, "--a"),
     "params-not-object": (["verify", "--params", "[1,2]"], None, "--params"),
@@ -505,8 +508,13 @@ BAD_INPUT = {
         [*command, "--params", f'{{"a":[1,2],"multiplicities":[{m},1]}}', "--grid", "3"], None,
         f"multiplicities [{int(float(m))}, 1] give n = {int(float(m)) + 1}")
        for m in ("1e18", "1e20")
-       for name, command in (("verify", ["verify", "--surface", "hilf"]), ("tau", ["tau"]),
-                             ("degenerate", ["verify", "--surface", "degenerate-hilf"]))},
+       for name, command in MULTIPLICITY_COMMANDS},
+    # A dimension numpy repeats the constants to but cannot build a grid in:
+    # np.meshgrid refuses more than 32 axes before it allocates anything.
+    **{f"{name}-grid-n40": (
+        [*command, "--params", '{"a":[1,2],"multiplicities":[39,1]}', "--grid", "3"], None,
+        "a grid of 3 points per axis in n = 40 dimensions cannot be built")
+       for name, command in MULTIPLICITY_COMMANDS},
 }
 
 
@@ -527,6 +535,25 @@ def test_bad_input_exits_2_with_one_error_line(argv, data, fragment, tmp_path, c
     err = bad_input_error(argv, data, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
+
+
+def test_a_grid_past_memory_exits_2():
+    # n = 20 on 3 points per axis: np.meshgrid asks for 26 GiB per axis.  Run
+    # under a 3 GiB address-space cap, so that the allocation fails at once
+    # and never fills the machine's memory.
+    pytest.importorskip("resource")
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30,) * 2); "
+              "from lagkit.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(lagkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, "verify", "--surface", "hilf", "--params",
+         '{"a":[1,2],"multiplicities":[19,1]}', "--grid", "3", "--no-timestamp"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    err = proc.stderr
+    assert err.startswith("error: a grid of 3 points per axis in n = 20 dimensions cannot be "
+                          "built: ") and err.count("\n") == 1, err
 
 
 # Every key of every JSON object the CLI reads refuses a value of another
