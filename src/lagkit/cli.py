@@ -153,14 +153,11 @@ def _grid_for(chart_n: int, cfg) -> np.ndarray:
         raise LagkitError(
             f"grid center has {len(center)} coordinates for an n={chart_n} surface"
         )
-    points = grid_cfg["points_per_axis"]
     try:
-        return _mesh(center, grid_cfg["half_width"], points, chart_n)
-    except (MemoryError, RuntimeError) as exc:
-        # numpy refuses more than 32 axes, or an allocation past memory.
-        raise LagkitError(
-            f"a grid of {points} points per axis in n = {chart_n} dimensions cannot be "
-            f"built: {exc}") from exc
+        return _mesh(center, grid_cfg["half_width"], grid_cfg["points_per_axis"], chart_n)
+    except (MemoryError, RuntimeError) as exc:   # past 32 axes, or past memory
+        raise LagkitError(f"a grid of {grid_cfg['points_per_axis']} points per axis in "
+                          f"n = {chart_n} dimensions cannot be built: {exc}") from exc
 
 
 def _finish(report: PropertyReport, cfg: dict, args) -> int:

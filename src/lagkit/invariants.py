@@ -453,15 +453,11 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Grid-level classification of a chart by its invariants.  It states
-    no result of the theory: the check rows ``eigenvalue_sign`` and
-    ``isotropic_isoparametric_lambda_zero`` give the verdicts lambda >= 0
-    and lambda = 0.
-
-    A dilation x -> s x sends L and lambda to L / s^2, C to C / s and rho
-    to s rho, so the deviations are read as max_p rho_p^2 |L_p - lambda I|
-    and max_p rho_p |C_p|, and lambda max_p rho_p^2 is the units-free form
-    of the bound rho^2 < 1/(2 lambda): no verdict depends on the units."""
+    """Grid-level classification of a chart by its invariants, on scales
+    that a dilation x -> s x keeps: max rho^2 |L - lambda I|, max rho |C| and
+    lambda max rho^2, of the bound rho^2 < 1/(2 lambda).  The check rows
+    ``eigenvalue_sign`` and ``isotropic_isoparametric_lambda_zero`` give the
+    verdicts lambda >= 0 and lambda = 0."""
 
     is_isotropic: bool
     lambda_estimate: float
