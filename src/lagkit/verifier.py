@@ -480,7 +480,8 @@ def construct_suite(constants: ConstructionConstants, grid: np.ndarray,
     report, analysed = _analysed(maps.chart, vbar, tol, name="constructed",
                                  params=constants.to_json_dict(), n=constants.n)
     if analysed:
-        context = (frobenius_report(maps, grid), analysed[0], maps, vbar, analysed[1], tol)
+        a, cls = analysed
+        context = (frobenius_report(maps, grid), a, maps, vbar, cls, tol)
         for check in CONSTRUCT_CHECKS:
             report.run(check, *context)
     return report

@@ -130,7 +130,7 @@ def test_family_is_isotropic_away_from_the_origin(a, center, half_width, points)
     assert not [c.name for c in report.checks if c.note == "requires isotropic input"]
 
 
-@pytest.mark.parametrize("s", [1, 100, 200, 1000])
+@pytest.mark.parametrize("s", [1e-3, 1, 100, 200, 1000])
 def test_a_dilated_torus_is_not_isotropic(s):
     # x -> s x sends L - lambda I to (L - lambda I) / s^2 and rho to s rho:
     # rho^2 |L - lambda I| reads 1.294 at every s, where max|L - lambda I|
