@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -35,7 +34,6 @@ from .errors import LagkitError
 from .families import CATALOG, NUMBERS, OBJECT, accepted, is_finite_number
 from .verifier import (
     PropertyReport,
-    Tolerances,
     construct_suite,
     degenerate_model_report,
     run_suite,
@@ -87,17 +85,16 @@ def _load_json(path, name, parse):
 
 # The keys of each object of a config, and their kinds.
 _POSITIVE = (lambda v: is_finite_number(v) and v > 0, "a positive finite number")
-_SECTIONS = {"surface": OBJECT, "grid": OBJECT, "tolerances": OBJECT,
+_SECTIONS = {"surface": OBJECT, "grid": OBJECT,
              "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer")}
 _SURFACE = {"kind": (lambda v: isinstance(v, str) and v in CATALOG,
                      "one of " + ", ".join(sorted(CATALOG))),
             "params": OBJECT}
 _GRID = {"points_per_axis": (lambda v: type(v) is int and v >= 3, "an integer of at least 3"),
          "half_width": _POSITIVE, "center": NUMBERS}
-_TOLERANCES = {f.name: _POSITIVE for f in dataclasses.fields(Tolerances)}
 # The sections of a config file that a command reads, where it reads
 # fewer than all: ``construct`` builds its immersion from constants.
-_READS = {"construct": ("grid", "seed", "tolerances")}
+_READS = {"construct": ("grid", "seed")}
 
 
 def _checked(cfg: dict, sections=tuple(_SECTIONS)) -> dict:
@@ -106,7 +103,6 @@ def _checked(cfg: dict, sections=tuple(_SECTIONS)) -> dict:
     accepted(cfg, "section", **{name: _SECTIONS[name] for name in sections})
     accepted(cfg.get("surface", {}), "surface key", **_SURFACE)
     accepted(cfg.get("grid", {}), "grid key", **_GRID)
-    accepted(cfg.get("tolerances", {}), "tolerance", **_TOLERANCES)
     return cfg
 
 
@@ -228,10 +224,9 @@ def _cmd_verify(args) -> int:
     cfg = _resolve(args)
     kind = cfg["surface"].get("kind", "hilf")
     chart = CATALOG[kind](cfg["surface"].get("params", {}))
-    tol = Tolerances(**cfg.get("tolerances", {}))
     grid = _grid_for(chart.n, cfg)
     suite = degenerate_model_report if kind == "degenerate-hilf" else run_suite
-    report = suite(chart, grid, tol)
+    report = suite(chart, grid)
     samples = getattr(args, "samples", None)
     if samples:
         if report.analysis is None:
@@ -253,20 +248,18 @@ def _load_constants(args, cfg) -> ConstructionConstants:
 
 def _cmd_construct(args) -> int:
     cfg = _resolve(args)
-    tol = Tolerances(**cfg.get("tolerances", {}))
     constants = _load_constants(args, cfg)
     grid = _grid_for(constants.n, cfg)
-    return _finish(construct_suite(constants, grid, tol), cfg, args)
+    return _finish(construct_suite(constants, grid), cfg, args)
 
 
 def _cmd_tau(args) -> int:
     cfg = _resolve(args)
-    tol = Tolerances(**cfg.get("tolerances", {}))
     kind = cfg["surface"].get("kind", "hilf")
     if kind != "hilf":
         raise LagkitError(f"tau maps the degenerate model onto hilf, not {kind!r}")
     deg = CATALOG["degenerate-hilf"](cfg["surface"].get("params", {}))
-    return _finish(tau_suite(deg, _grid_for(deg.n, cfg), tol), cfg, args)
+    return _finish(tau_suite(deg, _grid_for(deg.n, cfg)), cfg, args)
 
 
 def _add_common(parser, with_surface=True):

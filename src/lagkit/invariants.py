@@ -451,6 +451,12 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
     return {"reason": reason, **{name: t[:kept] for name, t in fields.items()}}
 
 
+# The bound on max rho |C| with max rho^2 |L - lambda I| (isotropic) or
+# with the spread of b (isoparametric), also the tolerance of the checks
+# that read the classification.
+CLASSIFICATION_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     """Grid-level classification of a chart by its invariants, on scales
@@ -475,7 +481,7 @@ class ClassificationResult:
                 "b_hat": self.b_hat.tolist()}
 
 
-def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
+def classify_analysis(a: Analysis) -> ClassificationResult:
     """Classification from a completed analysis (>= 2 grid points)."""
     m, n = a.grid.shape
     if m < 2:
@@ -488,8 +494,8 @@ def classify_analysis(a: Analysis, tol: float = 1e-5) -> ClassificationResult:
     b_hat = np.mean(b_sorted, axis=0)
     b_spread = float(np.max(np.ptp(b_sorted, axis=0)))
 
-    is_isotropic = max_c <= tol and l_dev <= tol
-    is_isoparametric = max_c <= tol and b_spread <= tol
+    is_isotropic = max_c <= CLASSIFICATION_TOL and l_dev <= CLASSIFICATION_TOL
+    is_isoparametric = max_c <= CLASSIFICATION_TOL and b_spread <= CLASSIFICATION_TOL
 
     alpha = None
     alpha_spread = None

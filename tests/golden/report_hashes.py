@@ -85,7 +85,6 @@ CONFIG = {
     "surface": {"kind": "hilf", "params": {"a": [1, 2, 3], "phi": 0.1}},
     "grid": {"center": [0.05, -0.05, 0.1], "half_width": 0.3, "points_per_axis": 3},
     "seed": 3,
-    "tolerances": {"classification": 2e-5, "frame_relations": 1e-7},
 }
 
 # b of the curvatures 1, 2, 3, an orthogonal matrix with no zero on its

@@ -106,13 +106,16 @@ def test_criterion_2_two_curvature_constants(torus21):
         [rng.uniform(-np.pi, np.pi, 20), rng.uniform(-0.95, 0.95, 20) * np.pi / 3],
         axis=-1,
     )
-    checks = {c.name: c for c in run_suite(torus21, pts).checks}
-    record = checks["two_curvature_constants"]
-    # the residual is the larger of the distance from the constants and their spread
-    ok = record.status == "pass" and record.residual <= 1e-6
+    report = run_suite(torus21, pts)
+    # n = 2, m = 1: sum b = 0 and sum b^2 = 1 fix b_1 = sqrt((n-m)/(mn)) and
+    # b_2 = -sqrt(m/(n(n-m))), +-sqrt(1/2), at every point.
+    n, m = 2, 1
+    targets = [-np.sqrt(m / (n * (n - m))), np.sqrt((n - m) / (m * n))]
+    deviation = float(np.max(np.abs(np.sort(report.analysis.b, axis=1) - targets)))
+    ok = report.passed and deviation <= 1e-6
     report_line(
         2, "torus two-curvature constants", ok,
-        f"(residual {record.residual:.1e}, {record.note})",
+        f"(max |b - constants| {deviation:.1e}, multiplicity m={m})",
     )
 
 

@@ -365,15 +365,23 @@ BAD_INPUT = {
         ["verify", "--surface", "torus", "--params", '{"R":1' + "0" * 400 + "}"], None, "'R'"),
     "half-width-huge-integer": (
         ["verify", "--config", "{file}"], {"grid": {"half_width": 10**400}}, "half_width"),
+    # The tolerances are fixed: a config file sets none, of any value.
     "tolerance-negative": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": -1}},
-        "tolerance 'frobenius'"),
+        ": unknown section(s) 'tolerances'; accepted: surface, grid, seed\n"),
     "tolerance-old-name": (
         ["verify", "--config", "{file}"], {"tolerances": {"l_variant": 1e-3}},
-        "unknown tolerance(s) 'l_variant'"),
+        "unknown section(s) 'tolerances'"),
     "tolerance-not-number": (
         ["verify", "--config", "{file}"], {"tolerances": {"frobenius": "abc"}},
-        "tolerance 'frobenius'"),
+        "unknown section(s) 'tolerances'"),
+    "tolerance-null-json-text": (
+        ["verify", "--config", "{file}"], {"tolerances": {"frobenius": None}},
+        "unknown section(s) 'tolerances'"),
+    "construct-config-tolerances": (
+        ["construct", "--b-from-a", "1,2,3", "--grid", "3", "--config", "{file}"],
+        {"tolerances": {"frobenius": 1e-3}},
+        ": unknown section(s) 'tolerances'; accepted: grid, seed\n"),
     "points-not-integer": (
         ["verify", "--config", "{file}"], {"grid": {"points_per_axis": "5"}},
         "'points_per_axis'"),
@@ -460,8 +468,6 @@ BAD_INPUT = {
         ["verify", "--a", "1,2", "--config", "{file}"], {"grid": {"center": [0.1, None]}},
         "not [0.1, null]"),
     "seed-bool-json-text": (["verify", "--config", "{file}"], {"seed": False}, "not false"),
-    "tolerance-null-json-text": (
-        ["verify", "--config", "{file}"], {"tolerances": {"frobenius": None}}, "not null"),
     # Every JSON object takes only its own keys: a misspelt one is refused,
     # not ignored in favour of a default.
     "grid-misspelt-key": (
@@ -561,9 +567,9 @@ def test_a_grid_past_memory_exits_2():
 # raises on a JSON value.  Entries: the command, the file's other content
 # and the path of the key in it.
 KEYS = [(["verify", "--config", "{file}"], {}, path) for path in (
-    ("surface",), ("grid",), ("seed",), ("tolerances",), ("surface", "kind"),
+    ("surface",), ("grid",), ("seed",), ("surface", "kind"),
     ("surface", "params"), ("grid", "points_per_axis"), ("grid", "half_width"),
-    ("grid", "center"), ("tolerances", "frobenius"))] + [
+    ("grid", "center"))] + [
     (["construct", "--constants", "{file}"], CONSTANTS, (key,))
     for key in ("b", "cmat", "beta1", "beta3", "gamma1")]
 

@@ -12,9 +12,15 @@ from lagkit import construction
 from lagkit.charts import Chart, principal_arrays
 from lagkit.construction import ConstructedMaps, ConstructionConstants, frobenius_report
 from lagkit.families import DegenerateChart
-from lagkit.invariants import Analysis, ClassificationResult
+from lagkit.invariants import Analysis, ClassificationResult, classify_analysis
 from lagkit.taylor import Taylor
-from lagkit.verifier import construct_suite
+from lagkit.verifier import (
+    Tolerances,
+    construct_suite,
+    degenerate_model_report,
+    run_suite,
+    tau_suite,
+)
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(lagkit.__path__, "lagkit.")
@@ -47,6 +53,9 @@ def test_all_names_resolve(name):
 # ``families.accepted`` checks the keys and kinds of every JSON object the
 # CLI reads, so ``_accepted``, ``_numbers``, ``_tolerances`` and
 # ``_build_surface`` went, and ``_load_json`` reads both kinds of file.
+# The tolerances are fixed, so the CLI checks no ``_TOLERANCES``; and
+# sum b = 0 and sum b^2 = 1 fix the two-curvature constants, so their row's
+# ``_two_curvature_constants`` went.
 GONE = {
     "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
                "MetricField", "frame_riemann", "frame_connection",
@@ -56,12 +65,12 @@ GONE = {
                       "nu_vector", "SignatureSpace", "laguerre_space", "minkowski_space"),
     "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection", "laplacian"),
     "lagkit.cli": ("_json_default", "_is_real", "_build_surface", "_tolerances",
-                   "_load_config"),
+                   "_load_config", "_TOLERANCES"),
     "lagkit.families": ("_number", "_accepted"),
     "lagkit.construction": ("ValidationReport", "build_position", "build_normal_map",
                             "_require_valid", "_numbers"),
     "lagkit.taylor": ("_partial_table",),
-    "lagkit.verifier": ("_keyed",),
+    "lagkit.verifier": ("_keyed", "_two_curvature_constants"),
 }
 
 
@@ -115,7 +124,21 @@ def test_verifier_holds_every_residual():
 def test_each_result_is_stated_once():
     # The check rows eigenvalue_sign and isotropic_isoparametric_lambda_zero
     # are the verdicts of lambda >= 0 and lambda = 0; construct reports the
-    # vbar grid it analyses, and config_echo carries the half-width.
+    # vbar grid it analyses, and config_echo carries the half-width.  The
+    # b_trace_zero and b_square_one rows fix the two-curvature constants.
     assert {"prop2_sign_ok", "prop7_consistent"}.isdisjoint(
         f.name for f in fields(ClassificationResult))
-    assert list(inspect.signature(construct_suite).parameters) == ["constants", "grid", "tol"]
+    assert list(inspect.signature(construct_suite).parameters) == ["constants", "grid"]
+    assert not hasattr(Tolerances, "two_curvature")
+
+
+@pytest.mark.parametrize("entry, parameters", [
+    (run_suite, ["chart", "grid"]),
+    (construct_suite, ["constants", "grid"]),
+    (degenerate_model_report, ["deg", "grid"]),
+    (tau_suite, ["deg", "grid"]),
+    (classify_analysis, ["a"]),
+], ids=lambda entry: getattr(entry, "__name__", ""))
+def test_no_entry_takes_a_tolerance(entry, parameters):
+    # Tolerances is the one source of every verdict: no caller passes one.
+    assert list(inspect.signature(entry).parameters) == parameters

@@ -101,7 +101,7 @@ def test_cross_oracle_agreement_generic(generic_chart, generic_points):
 
 def test_structure_equation_residual(hilf3_analysis):
     row = next(check for check in CHECKS if check.name == "structure_equation")
-    assert np.max(np.abs(row.residual(hilf3_analysis, None, None))) <= 1e-3
+    assert np.max(np.abs(row.residual(hilf3_analysis, None))) <= 1e-3
 
 
 def frame_connection(w, dw, gamma, g):

@@ -4,7 +4,7 @@
 runner of its input.  A runner ``run(name, monkeypatch, mutant=None)``
 gives the record of check ``name`` on its input, mutated by ``mutant``
 when one is given; the check must pass on the unmutated pipeline and
-fail on the mutant, at the default tolerances.  A mutant of a ``CHECKS``
+fail on the mutant, at the tolerances of ``Tolerances``.  A mutant of a ``CHECKS``
 row takes ``monkeypatch``, a chart and a grid and returns the mutated
 ``Analysis``; a mutant of another table's row maps that suite's input
 (the constructed maps, the degenerate model) to a mutated one.
@@ -25,14 +25,12 @@ from lagkit.verifier import (
     MODEL_CHECKS,
     TAU_CHECKS,
     PropertyReport,
-    Tolerances,
     construct_suite,
     degenerate_model_report,
     tau_suite,
 )
 from tests.conftest import mesh
 
-TOL = Tolerances()
 ROWS = {row.name: row for table in (CHECKS, CONSTRUCT_CHECKS, MODEL_CHECKS, TAU_CHECKS)
         for row in table}
 
@@ -52,7 +50,7 @@ def hilf3(name, monkeypatch, mutant=None):
     """hilf (1,2,3) on 5^3 at half-width 0.4, the verify-hilf3 input."""
     chart, grid = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 5)
     a = analyze(chart, grid) if mutant is None else mutant(monkeypatch, chart, grid)
-    return record(name, a, classify_analysis(a, TOL.classification), TOL)
+    return record(name, a, classify_analysis(a))
 
 
 # Seeded constants, b of curvatures 1, 2, 3, with every free vector set.
@@ -69,13 +67,13 @@ def constructed(name, monkeypatch, mutant=None):
     if mutant is not None:
         build = verifier.build_immersion
         monkeypatch.setattr(verifier, "build_immersion", lambda c: mutant(build(c)))
-    return by_name(construct_suite(CONSTANTS, mesh(3, 0.5, 3), TOL), name)
+    return by_name(construct_suite(CONSTANTS, mesh(3, 0.5, 3)), name)
 
 
 def degenerate(name, monkeypatch, mutant=None, suite=degenerate_model_report):
     """The degenerate model of hilf (1, 2) on 5^2 at half-width 0.4."""
     deg = degenerate_example(HilfParams(a=(1.0, 2.0)))
-    return by_name(suite(deg if mutant is None else mutant(deg), mesh(2, 0.4, 5), TOL), name)
+    return by_name(suite(deg if mutant is None else mutant(deg), mesh(2, 0.4, 5)), name)
 
 
 def tau(name, monkeypatch, mutant=None):

@@ -151,7 +151,6 @@ def test_torus_suite(torus21, torus_points):
     report = run_suite(torus21, torus_points)
     assert report.passed
     by_name = {c.name: c for c in report.checks}
-    assert by_name["two_curvature_constants"].status == "pass"
     assert by_name["covariant_b_square"].status == "skip"
     assert not report.classification["is_isotropic"]
     # the closed-form Laguerre form cancels identically on a torus of
@@ -178,22 +177,18 @@ def test_sphere_reports_only_umbilic_errors():
     assert not report.passed
 
 
+def two_curvature_constants(n, m):
+    """b on a cluster of m curvatures and on the other n - m: sum b = 0 and
+    sum b^2 = 1 fix them."""
+    return np.sqrt((n - m) / (m * n)), -np.sqrt(m / (n * (n - m)))
+
+
 def test_two_curvature_targets(torus21, torus_points):
     # n = 2, m = 1: the constants are +-sqrt(1/2), the b_i of every point.
     report = run_suite(torus21, torus_points)
-    record = {c.name: c for c in report.checks}["two_curvature_constants"]
-    assert record.status == "pass" and record.residual <= 1e-6
-    assert record.note == "multiplicity m=1"
+    b1, b2 = two_curvature_constants(2, 1)
     b = np.sort(report.analysis.b, axis=1)
-    assert np.max(np.abs(b - [-np.sqrt(0.5), np.sqrt(0.5)])) <= 1e-6
-
-
-def test_two_curvature_precondition(hilf3, grid3):
-    # Three distinct curvatures: the check's InputError skips it with its message.
-    report = run_suite(hilf3, grid3[:4])
-    record = {c.name: c for c in report.checks}["two_curvature_constants"]
-    assert record.status == "skip"
-    assert record.note == "expected exactly two distinct principal curvatures, found 3"
+    assert np.max(np.abs(b - [b2, b1])) <= 1e-6 and b1 == -b2 == np.sqrt(0.5)
 
 
 def test_degenerate_model_report():
@@ -248,9 +243,14 @@ def test_reports_are_deterministic(hilf3, grid3):
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_tolerances_must_be_positive():
-    with pytest.raises(ValueError):
-        Tolerances(frame_relations=0.0)
+def test_every_tolerance_is_positive_and_named_by_a_row():
+    # Tolerances is the one table of the verdicts: each of its values is
+    # read by some row, and each row reads one of them.
+    table = {name: value for name, value in vars(Tolerances).items() if not name.startswith("_")}
+    named = {row.tolerance for rows in (CHECKS, CONSTRUCT_CHECKS, MODEL_CHECKS, TAU_CHECKS)
+             for row in rows}
+    assert all(isinstance(value, float) and value > 0 for value in table.values()), table
+    assert named == set(table)
 
 
 def test_skipped_checks_are_not_failures(torus21, torus_points):
@@ -262,7 +262,7 @@ def test_skipped_checks_are_not_failures(torus21, torus_points):
 
 def test_run_suite_computes_metric_curvature_once(hilf3, monkeypatch):
     # One degree-5 Taylor jet per grid point feeds the regularity pass, the
-    # invariants, the metric curvature and the two-curvature check.
+    # invariants and the metric curvature.
     import lagkit.charts
     import lagkit.invariants
 
@@ -305,8 +305,8 @@ def test_isotropic_non_isoparametric_skips_name_the_hypothesis(hilf3, grid3, mon
 
     classify_analysis = lagkit.verifier.classify_analysis
 
-    def not_isoparametric(a, tol):
-        return dataclasses.replace(classify_analysis(a, tol), is_isoparametric=False)
+    def not_isoparametric(a):
+        return dataclasses.replace(classify_analysis(a), is_isoparametric=False)
 
     monkeypatch.setattr(lagkit.verifier, "classify_analysis", not_isoparametric)
     report = run_suite(hilf3, grid3)
@@ -319,19 +319,21 @@ def test_isotropic_non_isoparametric_skips_name_the_hypothesis(hilf3, grid3, mon
 
 def test_two_curvature_constants_with_curvatures_of_both_signs():
     # a = (-1, 1) gives one principal curvature of each sign, so the cluster
-    # of the largest curvature holds the negative b_i, not the positive.
+    # of the largest curvature holds the negative b_i, not the positive: the
+    # positive one sits on the other cluster, of m = 2 curvatures.
     report = run_suite(hilf_chart(HilfParams(a=(-1.0, 1.0), multiplicities=(1, 2))),
                        mesh(3, 0.5, 3))
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["two_curvature_constants"].status == "pass"
-    assert by_name["two_curvature_constants"].note == "multiplicity m=2"
+    k, b = report.analysis.k, report.analysis.b     # k descends; b_i of k_i
+    assert np.all(k[:, 0] > 0) and np.all(k[:, 1:] < 0)
+    b1, b2 = two_curvature_constants(3, 2)
+    assert np.max(np.abs(b - [b2, b1, b1])) <= 1e-6
     assert report.passed and not report.errors
 
 
 @pytest.mark.parametrize("lam, rho_sq_max, status", [
     (0.5, 1.0 - 1e-6, "pass"),
-    (0.5, 1.0 + 2 * Tolerances().classification, "fail"),
-    (Tolerances().classification, 1.0 - 1e-6, "skip"),
+    (0.5, 1.0 + 2 * Tolerances.classification, "fail"),
+    (Tolerances.classification, 1.0 - 1e-6, "skip"),
 ], ids=["below", "above", "vacuous"])
 def test_rho_square_bound_row(lam, rho_sq_max, status):
     # Every golden has lambda ~ 0, where the bound rho^2 < 1/(2 lambda) is
@@ -341,7 +343,7 @@ def test_rho_square_bound_row(lam, rho_sq_max, status):
     a = SimpleNamespace(rho=np.sqrt([0.25, rho_sq_max, 0.5]))
     cls = SimpleNamespace(is_isotropic=True, lambda_estimate=lam)
     report = PropertyReport(chart={}, grid={}, orientation="")
-    report.run(row, a, cls, Tolerances())
+    report.run(row, a, cls)
     (record,) = report.checks
     assert record.status == status
     if status == "skip":
@@ -352,7 +354,7 @@ def test_rho_square_bound_row(lam, rho_sq_max, status):
 
 # The rows whose residual is a statistic of the whole grid: a scalar.
 GRID_LEVEL = {
-    "two_curvature_constants", "parallel_b_iff_lambda_zero", "eigenvalue_sign",
+    "parallel_b_iff_lambda_zero", "eigenvalue_sign",
     "isotropic_isoparametric_lambda_zero", "frobenius_pipeline_b_constancy",
     "constructed_isotropic_lambda", "constructed_b_roundtrip", "rho_square_constant",
 }
@@ -398,7 +400,7 @@ def test_every_row_returns_its_residual_at_each_point(monkeypatch):
     # the synthetic input of test_rho_square_bound_row, with lambda = 1/2
     row = next(check for check in CHECKS if check.name == "rho_square_bound")
     value = row.residual(SimpleNamespace(rho=np.sqrt([0.25, 0.9, 0.5])),
-                         SimpleNamespace(lambda_estimate=0.5), Tolerances())
+                         SimpleNamespace(lambda_estimate=0.5))
     kinds[row.name] = {residual_kind(value, 3)}
     rows = [check.name for table in (CHECKS, CONSTRUCT_CHECKS, MODEL_CHECKS, TAU_CHECKS)
             for check in table]
@@ -407,13 +409,13 @@ def test_every_row_returns_its_residual_at_each_point(monkeypatch):
 
 def test_run_records_the_worst_absolute_residual():
     rows = (
-        Check("array", "", "frobenius", lambda tol: np.array([[1e-7, -3e-6], [2e-6, 0.0]])),
-        Check("noted", "", "frobenius", lambda tol: (np.array([-4e-7, 1e-7]), "a note")),
-        Check("scalar", "", "frobenius", lambda tol: 5e-7),
+        Check("array", "", "frobenius", lambda: np.array([[1e-7, -3e-6], [2e-6, 0.0]])),
+        Check("noted", "", "frobenius", lambda: (np.array([-4e-7, 1e-7]), "a note")),
+        Check("scalar", "", "frobenius", lambda: 5e-7),
     )
     report = PropertyReport(chart={}, grid={}, orientation="")
     for row in rows:
-        report.run(row, Tolerances())
+        report.run(row)
     assert [(c.residual, c.status, c.note) for c in report.checks] == [
         (3e-6, "fail", ""), (4e-7, "pass", "a note"), (5e-7, "pass", "")]
 
