@@ -64,6 +64,7 @@ class Tolerances:
     trace_identity = 1e-4
     covariant_identity = 1e-4
     b_cross_agreement = 1e-5
+    c_cross_agreement = 1e-5
     structure_equation = 1e-3
     curvature_antisymmetry = 1e-10
     curvature_relation = 1e-3
@@ -355,6 +356,8 @@ CHECKS = (
           (_ISOTROPIC, _ISOPARAMETRIC)),
     Check("l_closed_form", "closed form of the tensor vs the structural one",
           "l_closed_form", _l_closed_form),
+    Check("c_cross_agreement", "closed-form vs structure-equation Laguerre form",
+          "c_cross_agreement", lambda a, cls: a.C_structural - a.C_closed),
 )
 
 

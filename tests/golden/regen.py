@@ -6,7 +6,8 @@ Runs each example of ``tests/test_golden.py`` (all of them when no NAME
 is given) in-process through ``lagkit.cli.main`` with ``--no-timestamp``
 and prints every JSON or CSV path whose value moved beyond the golden
 tolerance of ``test_golden.assert_close``, every key a report gained or
-lost (``path.key (added)``, ``path.key (removed)``), or the file name
+lost (``path.key (added)``, ``path.key (removed)``) and every check it
+gained or lost (``path.checks[name] (added)``), or the file name
 for an example that has no golden yet.  Without ``--diff`` the
 named golden files are rewritten with the new output; with ``--diff``
 nothing is written and the exit status is 1 when anything moved.
@@ -31,22 +32,36 @@ from lagkit.cli import main  # noqa: E402
 from tests.test_golden import EXAMPLES, GOLDEN, assert_close  # noqa: E402
 
 
+def _named(items):
+    """{name: item} of a list of dicts that each have a ``name``, else None."""
+    if isinstance(items, list) and all(isinstance(i, dict) and "name" in i for i in items):
+        return {item["name"]: item for item in items}
+    return None
+
+
 def moved(got, want, path="$"):
     """Yield every path where ``got`` leaves the golden tolerance of ``want``,
-    and each key of a dict on one side only, marked added or removed."""
+    and each key of a dict, or name of a list of named dicts (the checks),
+    on one side only, marked added or removed; a list of named dicts whose
+    common names change order is marked reordered."""
+    key = "{}.{}"
+    named = _named(got), _named(want)
+    if None not in named:
+        (got, want), key = named, "{}[{}]"
+        if [k for k in got if k in want] != [k for k in want if k in got]:
+            yield f"{path} (reordered)"
     if isinstance(want, dict) and isinstance(got, dict):
-        for key in want:
-            if key in got:
-                yield from moved(got[key], want[key], f"{path}.{key}")
+        for k in want:
+            if k in got:
+                yield from moved(got[k], want[k], key.format(path, k))
             else:
-                yield f"{path}.{key} (removed)"
-        for key in got:
-            if key not in want:
-                yield f"{path}.{key} (added)"
+                yield key.format(path, k) + " (removed)"
+        for k in got:
+            if k not in want:
+                yield key.format(path, k) + " (added)"
     elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         for i, (g, w) in enumerate(zip(got, want)):
-            label = w["name"] if isinstance(w, dict) and "name" in w else i
-            yield from moved(g, w, f"{path}[{label}]")
+            yield from moved(g, w, f"{path}[{i}]")
     else:
         try:
             assert_close(got, want, path)

@@ -18,6 +18,7 @@ from lagkit.spaces import dot, laguerre_signs
 from lagkit.verifier import construct_suite
 from tests import central
 from tests.conftest import mesh
+from tests.test_mutants import CONSTANTS
 
 B123 = b_from_curvatures([1, 2, 3])
 
@@ -188,6 +189,20 @@ def test_closed_form_rho_and_mean_radius_match_the_pipeline(seeded_constants):
     a = analyze(maps.chart, np.sqrt(2.0) * v * c.b)
     assert np.max(np.abs(a.rho - (0.5 + np.sum(v**2, axis=1)))) <= 1e-12
     assert np.max(np.abs(a.r - (np.sum(v**2 * c.b, axis=1) + 0.5 * c.phi))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [None, 0, 7], ids=["CONSTANTS", "seed-0", "seed-7"])
+def test_constructed_maps_are_the_lift_of_their_chart(seed):
+    # Y and eta of the pipeline on the vbar grid sqrt(2) v b are the
+    # constructed position and normal map at v, constant terms included: no
+    # check row reads those, as frobenius_report reads only derivatives.
+    c = CONSTANTS if seed is None else ConstructionConstants(
+        b_from_curvatures([1, 2, 3]), cmat=random_orthogonal(3, seed))
+    maps, v = build_immersion(c), mesh(3, 0.5, 3)
+    a = analyze(maps.chart, np.sqrt(2.0) * v * c.b)
+    assert len(a.grid) == len(v)
+    assert np.max(np.abs(maps.position(v) - a.Y)) <= 1e-13
+    assert np.max(np.abs(maps.normal_map(v) - a.eta)) <= 1e-13
 
 
 def test_constructed_chart_jets_exact(seeded_constants):

@@ -90,6 +90,19 @@ def test_regen_diff_names_added_and_removed_keys():
     got = {"a": 1.0, "b": {"c": "y", "d": 2.0, "e": []}, "new": 1}
     assert list(moved(got, want)) == [
         "$.b.c", "$.b.e (added)", "$.gone (removed)", "$.new (added)"]
+    # Checks are matched by name: a row added or removed is named, and the
+    # rows on both sides are compared with each other wherever they sit.
+    rows = [{"name": "b_trace_zero", "residual": 1e-16},
+            {"name": "two_curvature_constants", "residual": 2e-15}]
+    got = {"checks": [rows[0], {"name": "c_cross_agreement", "residual": 5e-15}],
+           "errors": [{"index": 0, "reason": "umbilic point"}]}
+    want = {"checks": rows, "errors": [{"index": 1, "reason": "umbilic point"}]}
+    assert list(moved(got, want)) == [
+        "$.checks[two_curvature_constants] (removed)", "$.checks[c_cross_agreement] (added)",
+        "$.errors[0].index"]
+    swapped = {"checks": [{**rows[1], "residual": 1.0}, rows[0]]}
+    assert list(moved(swapped, {"checks": rows})) == [
+        "$.checks (reordered)", "$.checks[two_curvature_constants].residual"]
 
 
 def test_every_golden_check_is_one_table_row():

@@ -124,6 +124,19 @@ def n_plus_y(monkeypatch, chart, grid):
     return dataclasses.replace(a, N=a.N + 1e-5 * a.Y)
 
 
+def r_over_n_minus_1(monkeypatch, chart, grid):
+    # The Taylor polynomial of r read as tr M / (n - 1), not tr M / n, where
+    # only C_closed reads its derivative: C = 0 on hilf3, so a mutant that
+    # only scales C would read 0, and this one reads 0.57.
+    fields, n = invariants._taylor_fields, chart.n
+
+    def mutated(jet):
+        out = fields(jet)
+        return {**out, "r": out["r"] * (n / (n - 1))}
+    monkeypatch.setattr(invariants, "_taylor_fields", mutated)
+    return analyze(chart, grid)
+
+
 def patched(name, mutate, module=invariants):
     """A mutant that runs ``analyze`` with ``module.<name>`` replaced by
     ``mutate`` of the original; the patch holds while the check runs."""
@@ -197,6 +210,7 @@ MUTANTS = {
         ("constant-term", hilf3, l_constant_term),
         ("direction-weight", hilf3, l_direction_weight),
     ),
+    "c_cross_agreement": (("r-over-n-minus-1", hilf3, r_over_n_minus_1),),
     "curvature_antisymmetry": (
         ("pair-12", hilf3, riemann_pair_broken((1, 2))),
         ("pair-34", hilf3, riemann_pair_broken((3, 4))),

@@ -352,6 +352,25 @@ def test_rho_square_bound_row(lam, rho_sq_max, status):
         assert record.residual == pytest.approx(max(rho_sq_max - 1.0, 0.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("grad_b, lam, status", [
+    (0.0, 0.0, "pass"),
+    (0.0, 0.5, "fail"),
+    (1e-3, 0.0, "fail"),
+    (1e-3, 0.5, "pass"),
+], ids=["parallel-zero", "parallel-positive", "curved-zero", "curved-positive"])
+def test_parallel_b_iff_lambda_zero_row(grad_b, lam, status):
+    # Every isotropic golden has nabla B = 0 and lambda = 0: drive the row on
+    # a synthetic analysis, where either side of the equivalence alone fails.
+    row = next(check for check in CHECKS if check.name == "parallel_b_iff_lambda_zero")
+    a = SimpleNamespace(cov_B=np.full((3, 2, 2, 2), grad_b))
+    cls = SimpleNamespace(is_isotropic=True, lambda_estimate=lam)
+    report = PropertyReport(chart={}, grid={}, orientation="")
+    report.run(row, a, cls)
+    (record,) = report.checks
+    assert record.status == status
+    assert record.residual == (0.0 if status == "pass" else max(grad_b, lam))
+
+
 # The rows whose residual is a statistic of the whole grid: a scalar.
 GRID_LEVEL = {
     "parallel_b_iff_lambda_zero", "eigenvalue_sign",
