@@ -7,20 +7,27 @@ order, so a lower degree's basis is a prefix: the truncated power series
 algebra of M. Berz, *Modern Map Methods in Particle Beam Physics*
 (1999).  Through ``__array_ufunc__`` and ``__array_function__`` a map
 written for float points runs unchanged on the seeds of ``variables``.
-A product of two Taylors runs one step per coefficient i of a and run of
-degree blocks of b (a table built on first use per (n, da, db)):
-a.c[i:i+1] times that run of b.c, both views (or a's coefficient i
-gathered, for a ``Grad``), into one buffer no larger than the output's
-top degree block.  The steps run in ascending i, so
-each product monomial sums its pairs in ascending I, the order of the
-double loop over the monomials: its first pair is copied from a step's
-buffer, and each later one added in place.  The targets of a step rise
-with j, as multiplication keeps the monomial order, so each run of
-consecutive targets is a slice and nothing is gathered: a product holds
-its output and one degree block.  (Writing the first pairs with
-``out=`` would save the buffer, but an einsum into a C-ordered output
-takes a loop order several times slower.)  In ``einsum``, a broadcast
-a.c[i:i+1] gives the bits of the gathered pairs for every contraction
+A product of two Taylors runs one step per run of coefficients (a table
+built on first use per degrees and masks): one coefficient of one factor
+times consecutive coefficients of the other, both views, into one
+buffer no larger than the output's top degree block.  The table walks
+a's coefficients in ascending order, each times a run of b's degree
+blocks, or b's in descending order, each times a run of a's, merges the
+steps that meet one coefficient of the other factor in turn (a's top
+block times b's constant term is one step), and keeps the walk of fewer
+steps plus runs.  Multiplication keeps the monomial order (I < I' gives
+I + J < I' + J), so among the pairs of one product monomial ascending I
+is descending J: either walk sums each monomial's pairs in ascending I,
+the order of the double loop over the monomials.  Its first pair is
+copied from a step's buffer, and each later one added in place.  The
+targets of a step rise along its run, so each run of consecutive
+targets is a slice and nothing is gathered: a product holds its output
+and one degree block.  (Writing the first pairs with ``out=`` would
+save the buffer, but an einsum into a C-ordered output takes a loop
+order several times slower.)  A ``Grad`` first operand is walked in
+ascending order and unmerged, one coefficient gathered per step, so no
+more of the partials than that is formed.  In ``einsum``, a broadcast
+coefficient gives the bits of the gathered pairs for every contraction
 that keeps an axis; a full contraction (as tr D^2) sums in another
 order, so there each pair is its own call.  Each coefficient sums the
 same pairs in the same order as when every pair is gathered, so the
@@ -45,8 +52,8 @@ n = 5).
 ``zero`` masks the degree blocks known to be exactly zero (bit k for
 block k; 0 knows nothing): ``variables`` flags the seeds' blocks >= 2,
 ``_compose`` the constant block of h and ``inv`` that of P.  A product's
-table skips each step whose coefficient of a, and each block of b, is
-flagged, and fills with 0.0 the blocks no kept pair reaches, which form
+table skips each walked coefficient, and each block of the other
+factor, that is flagged, and fills with 0.0 the blocks no kept pair reaches, which form
 the product's mask.  A sum of Taylors, ``np.stack`` and
 ``np.concatenate`` keep the blocks flagged in all operands, adding a
 value clears block 0, ``truncate`` and ``grad(k)`` cut and shift the
@@ -101,50 +108,77 @@ def _index(n: int, d: int, exps: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_table(n: int, da: int, db: int, za: int = 0, zb: int = 0):
+def _product_table(n: int, da: int, db: int, za: int = 0, zb: int = 0, grad: bool = False):
     """The product of a degree-da and a degree-db Taylor, to degree d =
     max(da, db), whose degree blocks flagged in the masks za and zb are
-    zero, as (steps, fill, zero).  steps (i, j, runs), in ascending i:
-    coefficient i of a, outside a's zero blocks, times b.c[j], a run of
-    whole nonzero degree blocks of b that spans no more than the output's
-    top degree block.  The targets of a step rise with j (a monomial
-    order is kept by multiplication) and are cut into runs (s, t, opens)
-    of consecutive targets, s and t slices.  A product monomial is opened
-    at the first step that reaches it, so each one sums its pairs c_I c_J
-    in ascending I.  Whether a pair is kept depends on its degrees alone,
-    so the targets no pair opens are whole blocks: fill holds their
-    slices, to be written 0.0, and zero their mask.  A table with no step
-    would leave nothing to lay the output out by; there the masks are
-    dropped."""
+    zero, as (steps, fill, zero).  A step (a_rows, b_rows, runs) pairs
+    a.c[a_rows] with b.c[b_rows], slices of which one is one coefficient.
+    The table walks a's coefficients in ascending order, or b's in
+    descending order, outside their zero blocks, each times a run of whole
+    nonzero degree blocks of the other factor; consecutive steps that pair
+    the next walked coefficient with the same one coefficient merge.  No
+    run spans more than the output's top degree block.  Of the two walks
+    the one with fewer steps plus runs is kept; a ``Grad`` first operand
+    (``grad``) walks a unmerged, one coefficient per step.  The targets of
+    a step rise along its run (a monomial order is kept by
+    multiplication) and are cut into runs (s, t, opens) of consecutive
+    targets, s and t slices.  As I < I' gives I + J < I' + J, the pairs of
+    one target in descending J are in ascending I: either walk opens a
+    product monomial at its pair of least I and sums its pairs c_I c_J in
+    ascending I.  Whether a pair is kept depends on its degrees alone, so
+    the targets no pair opens are whole blocks: fill holds their slices,
+    to be written 0.0, and zero their mask.  A table with no step would
+    leave nothing to lay the output out by; there the masks are dropped."""
     d = max(da, db)
     exps = _basis(n, d)
     deg = exps.sum(1)
     start = np.searchsorted(deg, np.arange(d + 2))
     limit = start[d + 1] - start[d]
-    opened = np.zeros(len(exps), dtype=bool)
-    steps = []
-    for i in range(comb(n + da, da)):
-        if za >> deg[i] & 1:
-            continue
-        top = min(db, d - deg[i]) + 1          # b's degree blocks 0 .. top - 1
-        lo = 0
-        while lo < top:
-            if zb >> lo & 1:
-                lo += 1
+
+    def walk(order, dy, zx, zy, a_walked):
+        """(steps, opened) of the walk over the coefficients ``order`` of
+        one factor (a if ``a_walked``), masked by zx, each times runs of
+        the other's degree blocks 0 .. dy, masked by zy."""
+        pairs = []                              # [walked coefficients], run of the other
+        for x in order:
+            if zx >> deg[x] & 1:
                 continue
-            hi = lo + 1
-            while hi < top and not zb >> hi & 1 and start[hi + 1] - start[lo] <= limit:
-                hi += 1
-            j = slice(start[lo], start[hi])
-            t = _index(n, d, exps[i] + exps[j])
+            top = min(dy, d - deg[x]) + 1       # the other's degree blocks 0 .. top - 1
+            lo = 0
+            while lo < top:
+                if zy >> lo & 1:
+                    lo += 1
+                    continue
+                hi = lo + 1
+                while hi < top and not zy >> hi & 1 and start[hi + 1] - start[lo] <= limit:
+                    hi += 1
+                y = slice(start[lo], start[hi])
+                last = pairs[-1] if pairs else ([], None)
+                if (not grad and y.stop - y.start == 1 and last[1] == y
+                        and abs(x - last[0][-1]) == 1 and len(last[0]) < limit):
+                    last[0].append(x)
+                else:
+                    pairs.append(([x], y))
+                lo = hi
+        opened = np.zeros(len(exps), dtype=bool)
+        steps = []
+        for xs, y in pairs:
+            x = slice(min(xs), max(xs) + 1)
+            a_rows, b_rows = (x, y) if a_walked else (y, x)
+            t = _index(n, d, exps[a_rows] + exps[b_rows])
             new = ~opened[t]
             opened[t] = True
             cuts = np.flatnonzero((np.diff(t) != 1) | (np.diff(new) != 0)) + 1
-            steps.append((i, j, [(slice(a, b), slice(t[a], t[b - 1] + 1), bool(new[a]))
-                                 for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(t)])]))
-            lo = hi
+            steps.append((a_rows, b_rows, [(slice(a, b), slice(t[a], t[b - 1] + 1), bool(new[a]))
+                                           for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(t)])]))
+        return steps, opened
+
+    walks = [walk(range(comb(n + da, da)), db, za, zb, True)]
+    if not grad:
+        walks.append(walk(range(comb(n + db, db) - 1, -1, -1), da, zb, za, False))
+    steps, opened = min(walks, key=lambda w: len(w[0]) + sum(len(runs) for *_, runs in w[0]))
     if not steps:
-        return _product_table(n, da, db)
+        return _product_table(n, da, db, grad=grad)
     empty = [k for k in range(d + 1) if not opened[start[k]]]
     return steps, [slice(start[k], start[k + 1]) for k in empty], sum(1 << k for k in empty)
 
@@ -350,7 +384,7 @@ class Grad:
         for factor in factors:
             factor = factor[rows]
             c *= factor.reshape(factor.shape + (1,) * self.t.ndim)
-        return np.moveaxis(c, self.k + 1, 1)
+        return c.transpose(0, self.k + 1, *range(1, self.k + 1), *range(self.k + 2, c.ndim))
 
 
 def variables(U: np.ndarray, d: int) -> Taylor:
@@ -381,9 +415,9 @@ def _product(op, a, b, subtract_from=None) -> Taylor:
     d = max(a.d, b.d)
     out = None if subtract_from is None else subtract_from.c
     bc = b.c
-    steps, fill, zero = _product_table(a.n, a.d, b.d, a.zero, b.zero)
-    for i, j, runs in steps:
-        part = op(a.coefficients(slice(i, i + 1)), bc[j])
+    steps, fill, zero = _product_table(a.n, a.d, b.d, a.zero, b.zero, isinstance(a, Grad))
+    for a_rows, b_rows, runs in steps:
+        part = op(a.coefficients(a_rows), bc[b_rows])
         if out is None:             # part's axes, outermost first in memory
             axes = [0] + sorted(range(1, part.ndim), key=lambda k: -part.strides[k])
             out = np.empty((comb(a.n + d, d),) + tuple(part.shape[k] for k in axes[1:]))
@@ -408,16 +442,18 @@ def _product(op, a, b, subtract_from=None) -> Taylor:
 def einsum(spec: str, a, b, subtract_from=None) -> Taylor:
     """``np.einsum(spec, a, b)``; ``spec`` names its output and no axis Z.
     A full contraction (an output of one axis) sums in another order when
-    a coefficient of ``a`` broadcasts over a block of ``b``, so there each
-    pair is its own call.  With ``subtract_from`` the product is
+    one coefficient of either factor broadcasts over a run of the other,
+    so there each pair is its own call.  With ``subtract_from`` the product is
     subtracted from that Taylor pair by pair, and is never built."""
     (left, right), keep = spec.split("->")[0].split(","), spec.split("->")[1]
     full = f"Z{left},Z{right}->Z{keep}"
 
     def op(A, B):
-        if len(keep) > 1 or len(A) >= len(B):
+        if len(keep) > 1 or len(A) == len(B):
             return np.einsum(full, A, B)
-        return np.concatenate([np.einsum(full, A, B[k:k + 1]) for k in range(len(B))])
+        return np.concatenate([np.einsum(full, A[k:k + 1] if len(A) > 1 else A,
+                                         B[k:k + 1] if len(B) > 1 else B)
+                               for k in range(max(len(A), len(B)))])
 
     return _product(op, a, b, subtract_from)
 
@@ -425,7 +461,8 @@ def einsum(spec: str, a, b, subtract_from=None) -> Taylor:
 def batch_inner(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """A copy of ``a`` with the batch ``axis`` innermost in memory, its
     shape unchanged: each product step then runs one loop over the batch."""
-    return np.moveaxis(np.moveaxis(a, axis, -1).copy(), -1, axis)
+    axes = [k for k in range(a.ndim) if k != axis] + [axis]
+    return a.transpose(axes).copy().transpose(np.argsort(axes))
 
 
 def inv(A) -> Taylor:

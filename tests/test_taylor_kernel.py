@@ -84,39 +84,63 @@ def double_loop_pairs(n: int, da: int, db: int) -> dict:
     return pairs
 
 
-def table_pairs(n: int, da: int, db: int, za: int = 0, zb: int = 0):
-    """({target: [(i, j), ...]}, filled targets, zero mask) of the masked
-    product table, asserting that each step multiplies coefficient i of a
-    by whole degree blocks of b, no more than the output's top block, and
-    that a run opens its targets exactly when it holds their first pairs."""
+def table_pairs(n: int, da: int, db: int, za: int = 0, zb: int = 0, grad: bool = False):
+    """({target: [(i, j), ...]}, filled targets, zero mask, walks) of the
+    masked product table, asserting that each step pairs one coefficient
+    of a factor with at most the output's top block of the other, one of
+    its sides whole degree blocks, and a ``Grad`` operand one coefficient
+    per step; and that a run opens its targets exactly when it holds
+    their first pairs.  walks holds the orders the steps are consistent
+    with: "ascending" over a's coefficients, "descending" over b's."""
     d = max(da, db)
     exps = _basis(n, d)
     deg, top = exps.sum(1), comb(n + d - 1, d)
     blocks = set(np.searchsorted(deg, np.arange(d + 2)).tolist())
-    steps, fill, zero = _product_table(n, da, db, za, zb)
+    steps, fill, zero = _product_table(n, da, db, za, zb, grad)
     seen = {}
-    for i, j, runs in steps:
-        assert {j.start, j.stop} <= blocks and j.stop - j.start <= top
+    for a_rows, b_rows, runs in steps:
+        I, J = np.arange(len(exps))[a_rows], np.arange(len(exps))[b_rows]
+        assert any({rows.start, rows.stop} <= blocks for rows in (a_rows, b_rows))
+        assert min(len(I), len(J)) == 1 and max(len(I), len(J)) <= top
+        assert not grad or len(I) == 1
+        rows = max(len(I), len(J))
         for s, t, opens in runs:
-            js, ts = np.arange(len(exps))[j][s], np.arange(len(exps))[t]
-            assert len(js) == len(ts) > 0
-            assert np.array_equal(_index(n, d, exps[i] + exps[js]), ts)
-            for k, jk in zip(ts.tolist(), js.tolist()):
-                assert (k not in seen) == opens, (da, db, i, k)
-                seen.setdefault(k, []).append((i, jk))
+            Is, Js = np.broadcast_to(I, rows)[s], np.broadcast_to(J, rows)[s]
+            ts = np.arange(len(exps))[t]
+            assert len(Is) == len(ts) > 0
+            assert np.array_equal(_index(n, d, exps[Is] + exps[Js]), ts)
+            for k, i, j in zip(ts.tolist(), Is.tolist(), Js.tolist()):
+                assert (k not in seen) == opens, (da, db, i, j, k)
+                seen.setdefault(k, []).append((i, j))
+    pairs = list(zip(steps, steps[1:]))
+    walks = {name for name, ordered in (
+        ("ascending", all((p[0].start, p[1].start) < (q[0].start, q[1].start) for p, q in pairs)),
+        ("descending", all(p[1].start >= q[1].start for p, q in pairs))) if ordered}
+    assert walks and (not grad or "ascending" in walks)
     filled = [k for t in fill for k in range(len(exps))[t]]
-    return seen, filled, zero
+    return seen, filled, zero, walks
 
 
 @pytest.mark.parametrize("n,d", CASES)
 def test_product_table_sums_in_double_loop_order(n, d):
     # Each monomial sums its pairs in ascending I, the order of the double
-    # loop.  Factors of degree d and of any lower degree, no block known
-    # zero: every target is opened by a pair, none is filled.
+    # loop, whichever factor the table walks and however it merges; and so
+    # does the table of a ``Grad`` operand, one coefficient of a per step.
+    # Factors of degree d and of any lower degree, no block known zero:
+    # every target is opened by a pair, none is filled.
+    walks = []
     for da, db in {(d, k) for k in range(d + 1)} | {(k, d) for k in range(d + 1)}:
-        seen, filled, zero = table_pairs(n, da, db)
-        assert seen == double_loop_pairs(n, da, db), (da, db)
-        assert filled == [] and zero == 0
+        for grad in (False, True):
+            seen, filled, zero, walk = table_pairs(n, da, db, grad=grad)
+            assert seen == double_loop_pairs(n, da, db), (da, db, grad)
+            assert filled == [] and zero == 0
+            walks += [] if grad else [walk]
+    # At n >= 2 the (d, d) table walks a and merges its top block against
+    # b's constant term, and from degree 3 on some table walks b.
+    if n > 1:
+        assert table_pairs(n, d, d)[3] == {"ascending"}
+        assert max(a.stop - a.start for a, _, _ in _product_table(n, d, d)[0]) > 1
+        assert d < 3 or {"descending"} in walks, walks
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -228,7 +252,8 @@ def test_masked_product_equals_unmasked_where_nonzero(seed, name, layout):
         da, db = da - int(rng.integers(0, 2)), db - int(rng.integers(0, 2))
         a, b = masked_operands(rng, n, da, db, shapes(n), layout)
         deg = _basis(n, max(da, db)).sum(1)
-        seen, filled, zero = table_pairs(n, da, db, a.zero, b.zero)
+        seen, filled, zero, _ = table_pairs(n, da, db, a.zero, b.zero)
+        assert table_pairs(n, da, db, a.zero, b.zero, grad=True)[:3] == (seen, filled, zero)
         kept = {k: [(i, j) for i, j in pairs
                     if not (a.zero >> deg[i] & 1 or b.zero >> deg[j] & 1)]
                 for k, pairs in double_loop_pairs(n, da, db).items()}
@@ -244,6 +269,38 @@ def test_masked_product_equals_unmasked_where_nonzero(seed, name, layout):
         assert np.array_equal(got.c[nonzero], want[nonzero]), (n, da, db, a.zero, b.zero)
         assert np.all(got.c[~nonzero] == 0.0)
         assert np.all(got.c[zero >> deg & 1 == 1] == 0.0)
+
+
+# Horner steps (out + c_k) h of ``analyze`` whose h is sparse, as (n, da,
+# db, zb): hilf's quadratic denominator at n = 3 (h's blocks 1 and 2) in
+# the last two steps of degree 5, and a seed of the torus (block 1 alone).
+HORNER_STEPS = [(3, 4, 5, 0b111001), (3, 3, 4, 0b11001), (2, 4, 5, 0b111101)]
+
+
+@pytest.mark.parametrize("n,da,db,zb", HORNER_STEPS)
+def test_horner_step_walks_h_in_descending_order(n, da, db, zb):
+    # Walked over a, each coefficient of a is one step against h's few
+    # nonzero blocks; walked over h in descending order, each of h's few
+    # nonzero coefficients meets runs of a's blocks.  That walk is kept,
+    # sums each target's pairs in ascending I as the double loop does, and
+    # gives the bits of the gathered pairs wherever they are nonzero.
+    seen, filled, zero, walks = table_pairs(n, da, db, 0, zb)
+    assert walks == {"descending"}
+    deg = _basis(n, db).sum(1)
+    kept = {k: [(i, j) for i, j in pairs if not zb >> deg[j] & 1]
+            for k, pairs in double_loop_pairs(n, da, db).items()}
+    assert seen == {k: p for k, p in kept.items() if p} and (filled, zero) == ([0], 1)
+    rng = np.random.default_rng(n + da + zb)
+    for name, layout in [("multiply", "contiguous"), ("matmul", "batch-inner"),
+                         ("mij,mji->m", "batch-inner")]:
+        kernel, op, shapes = KERNELS[name]
+        a, b = (LAYOUTS[layout](rng, (len(_basis(n, k)), 3) + shape)
+                for k, shape in zip((da, db), shapes(n)))
+        b[zb >> deg & 1 == 1] = 0.0
+        a, b = Taylor(a, n, da), Taylor(b, n, db, zb)
+        got, want = kernel(a, b).c, gathered_product(op, a, b)
+        nonzero = want != 0.0
+        assert np.array_equal(got[nonzero], want[nonzero]) and np.all(got[~nonzero] == 0.0)
 
 
 # Products whose first operand is the k-th partials of x, as II is formed
@@ -551,14 +608,17 @@ def product_counts(chart, grid) -> tuple:
 
 
 @pytest.mark.parametrize("case,steps,runs", [
-    # 489 steps and 1,115 runs before x_map of hilf squared U once, 716
-    # and 1,967 before blocks known zero were skipped.
-    ("hilf3-5", 485, 1105),
-    # 571 steps and 870 runs before.
-    ("torus-33", 465, 667),
+    # 485 steps and 1,105 runs before steps ran over runs of either factor,
+    # 489 and 1,115 before x_map of hilf squared U once, 716 and 1,967
+    # before blocks known zero were skipped.
+    pytest.param("hilf3-5", 318, 939, id="hilf3-5"),
+    # 465 steps and 667 runs before steps ran over runs of either factor,
+    # 571 and 870 before blocks known zero were skipped.
+    pytest.param("torus-33", 345, 539, id="torus-33"),
 ])
 def test_analyze_runs_bounded_product_steps(case, steps, runs):
     # Machine-independent cost of the Taylor products of one analyze: the
-    # seeds' blocks >= 2, h's and P's constant blocks are skipped.
+    # seeds' blocks >= 2, h's and P's constant blocks are skipped, and each
+    # table walks the factor that costs fewer steps plus runs.
     got = product_counts(*MEMORY_CASES[case]())
     assert got[0] <= steps and got[1] <= runs, got
