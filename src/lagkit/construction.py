@@ -294,9 +294,11 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray) -> dict:
     Over the v-grid and from the degree-2 Taylor polynomials of
     ``position`` and ``normal_map`` about it, with the points on axis 0:
     the mixed partials of Y, the diagonal second-order equation
-    Y_,ii/g_ii - g_ii,i Y_,i/(2 g_ii^2) = N + b_i P with the constant
-    N = (0,0,1,0...,1), the first-order equation eta_,i = b_i Y_,i and
-    the off-diagonal entries of <Y_,i, Y_,j>.
+    Y_,ii/g_ii = N + b_i P with the constant N = (0,0,1,0...,1), the
+    first-order equation eta_,i = b_i Y_,i and the off-diagonal entries
+    of <Y_,i, Y_,j>.  The general equation has the term
+    g_ii,i Y_,i/(2 g_ii^2) too, but g_ii = 2 |C row i|^2 = 2 in v
+    coordinates, so g_ii,i = 2 <Y_,ii, Y_,i> is 0 and the term is left out.
     """
     c = maps.constants
     n = c.n
@@ -310,10 +312,7 @@ def frobenius_report(maps: ConstructedMaps, grid: np.ndarray) -> dict:
     off = ~np.eye(n, dtype=bool)
     idx = np.arange(n)
     gram = np.einsum("mal,l,mbl->mab", dY, signs, dY)
-    gdiag = gram[:, idx, idx, None]                        # (m, i, 1)
-    # d_i g_ii = 2 <Y_,ii, Y_,i>
-    dgdiag = 2.0 * np.einsum("mil,l,mil->mi", ddY[:, idx, idx], signs, dY)[..., None]
-    lhs = ddY[:, idx, idx] / gdiag - dgdiag * dY / (2.0 * gdiag**2)
+    lhs = ddY[:, idx, idx] / gram[:, idx, idx, None]
     N_const = np.zeros(n + 4)
     N_const[[2, -1]] = 1.0
     rhs = N_const + c.b[:, None] * p_vector(n + 4)

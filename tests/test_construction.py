@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lagkit import taylor
 from lagkit.construction import (
     ConstructionConstants,
     b_from_curvatures,
@@ -245,6 +246,26 @@ def test_frobenius_report(seeded_constants):
     report = construct_suite(seeded_constants, grid)
     for name in ("frobenius_pipeline_n_constancy", "frobenius_pipeline_b_constancy"):
         assert next(c for c in report.checks if c.name == name).residual <= 1e-6
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_diagonal_metric_has_no_derivative_along_its_axis(n):
+    # g_ii = 2 |cmat row i|^2 = 2 in v coordinates, so d_i g_ii = 2 <Y_,ii,
+    # Y_,i> is exactly 0.0 on every admissible constant set, and
+    # frobenius_report leaves out the term g_ii,i Y_,i / (2 g_ii^2).
+    signs = laguerre_signs(n)
+    for seed in range(10):
+        rng = np.random.default_rng(100 * n + seed)
+        curvatures = rng.permutation(np.arange(1, n + 1)) * rng.choice([-1.0, 1.0], n)
+        c = ConstructionConstants(b_from_curvatures(curvatures + rng.uniform(-0.3, 0.3, n)),
+                                  cmat=random_orthogonal(n, seed),
+                                  **{key: rng.uniform(-1.0, 1.0, n)
+                                     for key in ("beta1", "beta3", "gamma1")})
+        assert validate_constants(c) == ()
+        V = taylor.variables(rng.uniform(-0.5, 0.5, (7, n)), 2)
+        _, dY, ddY = build_immersion(c).position(V).partials()
+        idx = np.arange(n)
+        assert np.all(2.0 * np.einsum("mil,l,mil->mi", ddY[:, idx, idx], signs, dY) == 0.0)
 
 
 def test_frobenius_report_evaluates_each_map_once(seeded_constants):
