@@ -472,3 +472,17 @@ def test_d11_graph_passes_every_check(points, half_width):
     assert not report.errors
     failed = {c.name: c.residual for c in report.checks if c.status == "fail"}
     assert report.passed and not failed, failed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "curvature_antisymmetry reads 1.16e-10 against its absolute 1e-10 on rounding alone; "
+    "residuals on their own scale are ROADMAP item 13"))
+def test_generic_fixture_passes_every_check(generic_chart, generic_points):
+    # conftest's generic graph on its own 12 random points: no point error,
+    # and every check should pass.  curvature_antisymmetry fails on
+    # rounding, as on the D11 grids: a bit canary for any change that moves
+    # the curvature of g or of N.
+    report = run_suite(generic_chart, generic_points)
+    assert not report.errors
+    failed = {c.name: c.residual for c in report.checks if c.status == "fail"}
+    assert report.passed and not failed, failed
