@@ -168,9 +168,9 @@ def _product_table(n: int, da: int, db: int, za: int = 0, zb: int = 0, grad: boo
             t = _index(n, d, exps[a_rows] + exps[b_rows])
             new = ~opened[t]
             opened[t] = True
-            cuts = np.flatnonzero((np.diff(t) != 1) | (np.diff(new) != 0)) + 1
+            cuts = [0, *np.flatnonzero((np.diff(t) != 1) | (np.diff(new) != 0)) + 1, len(t)]
             steps.append((a_rows, b_rows, [(slice(a, b), slice(t[a], t[b - 1] + 1), bool(new[a]))
-                                           for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(t)])]))
+                                           for a, b in zip(cuts, cuts[1:])]))
         return steps, opened
 
     walks = [walk(range(comb(n + da, da)), db, za, zb, True)]
