@@ -134,7 +134,8 @@ def test_product_table_sums_in_double_loop_order(n, d):
             seen, filled, zero, walk = table_pairs(n, da, db, grad=grad)
             assert seen == double_loop_pairs(n, da, db), (da, db, grad)
             assert filled == [] and zero == 0
-            walks += [] if grad else [walk]
+            if not grad:
+                walks.append(walk)
     # At n >= 2 the (d, d) table walks a and merges its top block against
     # b's constant term, and from degree 3 on some table walks b.
     if n > 1:
