@@ -47,7 +47,6 @@ __all__ = [
     "laguerre_immersion_tau",
     "tau_chart",
     "torus_chart",
-    "sphere_chart",
     "CATALOG",
 ]
 
@@ -219,18 +218,6 @@ def torus_chart(R: float, r_tube: float) -> Chart:
 
     return closed_form(x_map, normal, n=2, domain=((-np.pi, np.pi), (-np.pi / 3.0, np.pi / 3.0)),
                        name="torus", params={"R": float(R), "r_tube": float(r_tube)})
-
-
-def sphere_chart(radius: float = 1.0) -> Chart:
-    """Round sphere in graph coordinates; umbilic everywhere (for tests)."""
-
-    def x_map(U):
-        h = np.sqrt(radius**2 - np.sum(U**2, axis=-1))
-        return np.concatenate([U, h[..., None]], axis=-1)
-
-    half = radius / 2.0
-    return closed_form(x_map, n=2, domain=((-half, half), (-half, half)), name="sphere",
-                       params={"radius": float(radius)})
 
 
 def is_finite_number(value) -> bool:

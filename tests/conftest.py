@@ -69,6 +69,11 @@ def graph_chart(height, domain_half=1.0):
                        name="graph")
 
 
+def unit_sphere():
+    """Upper unit hemisphere as a graph over |u|, |v| <= 1/2; umbilic everywhere."""
+    return graph_chart(lambda U: np.sqrt(1.0 - np.sum(U**2, axis=-1)), 0.5)
+
+
 @pytest.fixture(scope="session")
 def generic_chart():
     """Quadric-plus-cubic graph; distinct curvatures, curved lift metric."""

@@ -18,9 +18,8 @@ from lagkit.charts import (
     regularity,
 )
 from lagkit.errors import ImmersionError, MarginError
-from lagkit.families import sphere_chart
 from tests import central
-from tests.conftest import graph_chart, mesh
+from tests.conftest import graph_chart, mesh, unit_sphere
 
 
 def quadric(a1, a2, cross=0.0):
@@ -159,7 +158,7 @@ def test_principal_direction_derivative_relation(hilf3):
 
 
 def test_sphere_is_umbilic():
-    assert pointwise(sphere_chart(1.0), point([0.05, -0.03])).reason.tolist() == [IRREGULAR[1]]
+    assert pointwise(unit_sphere(), point([0.05, -0.03])).reason.tolist() == [IRREGULAR[1]]
 
 
 def test_vanishing_curvature_rejected():

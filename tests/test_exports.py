@@ -66,7 +66,7 @@ GONE = {
     "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection", "laplacian"),
     "lagkit.cli": ("_json_default", "_is_real", "_build_surface", "_tolerances",
                    "_load_config", "_TOLERANCES"),
-    "lagkit.families": ("_number", "_accepted"),
+    "lagkit.families": ("_number", "_accepted", "sphere_chart"),
     "lagkit.construction": ("ValidationReport", "build_position", "build_normal_map",
                             "_require_valid", "_numbers"),
     "lagkit.taylor": ("_partial_table",),

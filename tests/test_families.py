@@ -11,12 +11,11 @@ from lagkit.families import (
     degenerate_example,
     hilf_chart,
     laguerre_immersion_tau,
-    sphere_chart,
     tau_chart,
     torus_chart,
 )
 from lagkit.verifier import degenerate_model_report, run_suite
-from tests.conftest import mesh
+from tests.conftest import mesh, unit_sphere
 
 
 @pytest.mark.parametrize("kind", sorted(CATALOG))
@@ -198,7 +197,7 @@ def test_tau_chart_jet_is_the_family_jet(a):
 @pytest.mark.parametrize("kind", ["sphere", "tau"])
 def test_order_zero_jet_is_the_evaluator(kind):
     if kind == "sphere":
-        chart = sphere_chart(1.0)
+        chart = unit_sphere()
     else:
         chart = tau_chart(degenerate_example(HilfParams(a=(1.0, 2.0))))
     grid = mesh(2, 0.3, 5, center=[0.1, -0.05])

@@ -128,3 +128,33 @@ def test_each_dumped_report_hashes_to_its_line(tmp_path):
     assert sorted(files) == sorted(p.name for p in tmp_path.iterdir())
     for fname, digest in files.items():
         assert hashlib.sha1((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+def test_against_base_lists_what_moved(tmp_path, capsys):
+    # Two report_hashes.py --dump directories: one identical case, a moved
+    # float, an added key and a CSV with a moved value; each line NAME SHA1
+    # as report_hashes.py prints it.
+    from tests.golden.against_base import report_bytes
+
+    sides = {
+        "same.out": ('{"a": 1.0}\nsummary\n', '{"a": 1.0}\nsummary\n'),
+        "float.out": ('{"a": 1.0, "b": [2.0]}\n', '{"a": 1.0, "b": [2.5]}\n'),
+        "key.out": ('{"a": 1.0}\n', '{"a": 1.0, "k": 0}\n'),
+        "rows.csv": ("x,y\n1.0,2.0\n", "x,y\n1.0,2.5\n"),
+    }
+    lines = {}
+    for i, side in enumerate(("base", "head")):
+        (tmp_path / side).mkdir()
+        for fname, texts in sides.items():
+            (tmp_path / side / fname).write_text(texts[i])
+        lines[side] = sorted(f"{fname.removesuffix('.out')} "
+                             f"{hashlib.sha1(texts[i].encode()).hexdigest()}"
+                             for fname, texts in sides.items())
+    report_bytes(tmp_path / "base", tmp_path / "head", lines["base"], lines["head"])
+    assert capsys.readouterr().out.splitlines() == [
+        "- differs: float", "  - $.b[0]",
+        "- differs: key", "  - $.k (added)",
+        "- differs: rows.csv", "  - rows.csv[1][1]",
+    ]
+    report_bytes(tmp_path / "base", tmp_path / "base", lines["base"], lines["base"])
+    assert capsys.readouterr().out.splitlines() == ["all 4 examples byte-identical"]

@@ -7,12 +7,12 @@ import pytest
 from lagkit import charts, invariants, taylor
 from lagkit.charts import IRREGULAR, jet_arrays, regularity
 from lagkit.errors import InputError
-from lagkit.families import HilfParams, hilf_chart, sphere_chart, torus_chart
+from lagkit.families import HilfParams, hilf_chart, torus_chart
 from lagkit.fields import christoffels, frame_components
 from lagkit.invariants import Analysis, _b_tensor, analyze, classify_analysis, frame_coefficients
 from lagkit.verifier import CHECKS, run_suite
 from tests import central
-from tests.conftest import count_rows, graph_chart, mesh
+from tests.conftest import count_rows, graph_chart, mesh, unit_sphere
 
 
 def expected_b(curvatures):
@@ -226,7 +226,7 @@ def test_classify_needs_two_points(hilf3):
 
 
 def test_classify_sphere_umbilic():
-    a = analyze(sphere_chart(1.0), mesh(2, 0.1, 3))
+    a = analyze(unit_sphere(), mesh(2, 0.1, 3))
     assert a.reason.tolist() == [IRREGULAR[1]] * 9 and len(a.grid) == 0
     with pytest.raises(InputError, match="two grid points"):
         classify_analysis(a)

@@ -8,7 +8,7 @@ from lagkit import construction
 from lagkit.charts import Chart, curvature_line_check
 from lagkit.construction import ConstructionConstants, b_from_curvatures
 from lagkit.errors import InputError
-from lagkit.families import HilfParams, degenerate_example, hilf_chart, sphere_chart, torus_chart
+from lagkit.families import HilfParams, degenerate_example, hilf_chart, torus_chart
 from lagkit.invariants import analyze
 from lagkit.verifier import (
     CHECKS,
@@ -23,7 +23,7 @@ from lagkit.verifier import (
     run_suite,
     tau_suite,
 )
-from tests.conftest import graph_chart, mesh
+from tests.conftest import graph_chart, mesh, unit_sphere
 from tests.test_mutants import CONSTANTS
 
 
@@ -170,7 +170,7 @@ def test_chart_without_jet_is_refused(entry, hilf2):
 
 
 def test_sphere_reports_only_umbilic_errors():
-    report = run_suite(sphere_chart(1.0), mesh(2, 0.15, 3))
+    report = run_suite(unit_sphere(), mesh(2, 0.15, 3))
     assert len(report.errors) == 9
     assert all(err["reason"] == "umbilic point" for err in report.errors)
     assert not report.checks
