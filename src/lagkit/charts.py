@@ -1,13 +1,10 @@
 """Parametrized hypersurfaces, derivative jets and the curvature frame.
 
-A ``Chart`` evaluates a hypersurface x: U in R^n -> R^(n+1) on batches of
-parameter points.  A closed-form chart writes its map once, for float
-points and ``taylor.Taylor`` seeds alike, and ``closed_form`` builds
-the chart from it, so its jet is the map's exact Taylor polynomial;
-``jet_arrays`` refuses a chart without a jet.  The unit normal is the
-normalised generalized cross product of the Jacobian rows in parameter
-order unless the chart supplies a normal field, and curvature signs
-follow that orientation.
+A ``Chart`` evaluates a hypersurface x: U in R^n -> R^(n+1) and its
+analytic normal on batches of parameter points.  ``closed_form`` builds
+it from a map written once for float points and ``taylor.Taylor`` seeds
+alike, so its jet is the map's exact Taylor polynomial; curvature signs
+follow the orientation of the normal.
 
 ``forms_arrays`` factors I = dx dx^T = L L^T once per point in plain
 batched numpy (loops over the n columns) and inverts the factor once,
@@ -33,7 +30,7 @@ reports the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +48,6 @@ __all__ = [
     "principal_arrays",
     "irregular_masks",
     "curvature_line_check",
-    "cross_normal",
 ]
 
 # Relative thresholds flagging the regimes the theory excludes: umbilic
@@ -74,53 +70,33 @@ class Chart:
     ``evaluator`` maps parameter batches (m, n) to points (m, n+1).
     ``jet(U, degree)`` returns the Taylor polynomial of x about the points
     U to total degree ``degree`` (a ``taylor.Taylor`` of value shape
-    (m, n+1)); ``closed_form`` builds both from one map, and
-    ``jet_arrays`` refuses a chart without a jet.  ``normal`` if present
-    returns the unit normal field (m, n+1).
+    (m, n+1)), and ``normal(U)`` a normal field (m, n+1), which
+    ``jet_arrays`` normalises; ``closed_form`` builds all three from the
+    two maps.
     """
 
     n: int
     domain: tuple
     evaluator: Callable
-    jet: Optional[Callable] = None
-    normal: Optional[Callable] = None
+    jet: Callable
+    normal: Callable
     name: str = ""
     params: dict = field(default_factory=dict)
 
-    @property
-    def orientation(self) -> str:
-        return "analytic-normal" if self.normal is not None else "cross-product"
 
-
-def closed_form(x_map: Callable, normal: Optional[Callable] = None, **fields) -> Chart:
+def closed_form(x_map: Callable, normal: Callable, **fields) -> Chart:
     """The chart of a map ``x_map`` that takes float points (m, n) and
-    Taylor seeds alike: its evaluator, and ``normal`` if given, run on the
-    points normalised once; its jet is the map of ``taylor.variables``.
-    ``fields`` are the other fields of ``Chart``; the domain is unbounded
-    on every axis unless one is given."""
+    Taylor seeds alike, with the normal field ``normal``: its evaluator
+    and normal run on the points normalised once; its jet is the map of
+    ``taylor.variables``.  ``fields`` are the other fields of ``Chart``;
+    the domain is unbounded on every axis unless one is given."""
     def points(U):
         return np.atleast_2d(np.asarray(U, dtype=float))
 
     return Chart(**{"domain": ((-np.inf, np.inf),) * fields["n"], **fields},
                  evaluator=lambda U: x_map(points(U)),
                  jet=lambda U, degree: x_map(taylor.variables(U, degree)),
-                 normal=None if normal is None else lambda U: normal(points(U)))
-
-
-def cross_normal(dx: np.ndarray) -> np.ndarray:
-    """Generalized cross product of Jacobian rows, batched.
-
-    For dx of shape (m, n, n+1) returns the (unnormalised) normal with
-    components nu_a = (-1)^(n+a) det(dx with column a removed), the usual
-    cofactor-expansion convention in parameter order.
-    """
-    m, n, d = dx.shape
-    out = np.empty((m, d))
-    cols = np.arange(d)
-    for a in range(d):
-        minor = dx[:, :, cols != a]
-        out[:, a] = (-1) ** (n + a) * np.linalg.det(minor)
-    return out
+                 normal=lambda U: normal(points(U)))
 
 
 def _cholesky(I: np.ndarray) -> np.ndarray:
@@ -160,15 +136,9 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x the Taylor
     polynomial of degree ``degree`` (at least 2) about U, of value shape
     (m, n+1); its partials dx (m, n, n+1) and ddx (m, n, n, n+1) as
-    values, the only ones the lift reads; the unit normal xi (m, n+1).
-    Raises InputError on a chart without a jet and MarginError at a point
-    outside ``chart.domain``; ``forms_arrays`` tests the rank of the Jacobian.
-    """
-    if chart.jet is None:
-        raise InputError(
-            f"chart {chart.name or 'custom'!r} has no jet: write its map once for float "
-            "points and Taylor seeds and build it with charts.closed_form"
-        )
+    values, the only ones the lift reads; the chart's normal normalised,
+    xi (m, n+1).  Raises MarginError at a point outside ``chart.domain``;
+    ``forms_arrays`` tests the rank of the Jacobian."""
     if degree < 2:
         raise InputError(f"jets have degree 2 or more, not {degree}")
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -182,11 +152,7 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
         raise MarginError(f"point {U[outside][0].tolist()} lies outside the chart domain")
     x = chart.jet(U, degree)
     _, dx, ddx = x.truncate(2).partials()
-
-    if chart.normal is not None:
-        xi = np.asarray(chart.normal(U))
-    else:
-        xi = cross_normal(dx)
+    xi = np.asarray(chart.normal(U))
     with np.errstate(invalid="ignore", divide="ignore"):
         xi = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
     return x, dx, ddx, xi

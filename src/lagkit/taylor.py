@@ -28,15 +28,15 @@ order several times slower.)  A ``Grad`` first operand is walked in
 ascending order and unmerged, one coefficient gathered per step, so no
 more of the partials than that is formed.  In ``einsum``, a broadcast
 coefficient gives the bits of the gathered pairs for every contraction
-that keeps an axis; a full contraction (as tr D^2) sums in another
-order, so there each pair is its own call.  Each coefficient sums the
-same pairs in the same order as when every pair is gathered, so the
-bits do not change (A. Griewank and A. Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008, ch. 13).  sqrt, log, sin, cos and 1/x
-are f(a) = sum_k f^(k)(a_0) h^k / k!, d products as h = a - a_0 is
-nilpotent (R. D. Neidinger, SIAM Review 52, 2010).  As h has no
-constant term, step k of Horner's rule is formed to degree d - k + 1
-only, and step k of the Neumann series of ``inv`` to degree k: each
+that keeps an axis, and for a full contraction (as tr D^2) of operands
+with the batch axis innermost in memory, the one layout it accepts.
+Each coefficient sums the same pairs in the same order as when every
+pair is gathered, so the bits do not change (A. Griewank and A.
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  sqrt,
+log, sin, cos and 1/x are f(a) = sum_k f^(k)(a_0) h^k / k!, d products
+as h = a - a_0 is nilpotent (R. D. Neidinger, SIAM Review 52, 2010).
+As h has no constant term, step k of Horner's rule is formed to degree
+d - k + 1 only, and step k of the Neumann series of ``inv`` to degree k: each
 coefficient sums the pairs of full degree, in their order, less those
 that meet h_0 = 0.  ``grad(k)`` gives the k-th partials as a Taylor,
 by one gather scaled in place, and ``partials`` reads the order-k
@@ -439,23 +439,23 @@ def _product(op, a, b, subtract_from=None) -> Taylor:
     return Taylor(out, a.n, d, zero)
 
 
+def _batch_innermost(c: np.ndarray) -> bool:
+    """Whether the batch axis 1 of ``c`` is innermost in memory, or one point long."""
+    return c.shape[1] == 1 or c.strides[1] == min(s for s, k in zip(c.strides, c.shape) if k > 1)
+
+
 def einsum(spec: str, a, b, subtract_from=None) -> Taylor:
     """``np.einsum(spec, a, b)``; ``spec`` names its output and no axis Z.
-    A full contraction (an output of one axis) sums in another order when
-    one coefficient of either factor broadcasts over a run of the other,
-    so there each pair is its own call.  With ``subtract_from`` the product is
-    subtracted from that Taylor pair by pair, and is never built."""
+    A full contraction (one output axis) of more than one point raises
+    InputError unless each Taylor operand's batch axis is innermost in memory,
+    where its sums keep the gathered pairs' order.  With ``subtract_from`` the
+    product is subtracted from that Taylor pair by pair and never built."""
     (left, right), keep = spec.split("->")[0].split(","), spec.split("->")[1]
     full = f"Z{left},Z{right}->Z{keep}"
-
-    def op(A, B):
-        if len(keep) > 1 or len(A) == len(B):
-            return np.einsum(full, A, B)
-        return np.concatenate([np.einsum(full, A[k:k + 1] if len(A) > 1 else A,
-                                         B[k:k + 1] if len(B) > 1 else B)
-                               for k in range(max(len(A), len(B)))])
-
-    return _product(op, a, b, subtract_from)
+    if len(keep) == 1 and not all(_batch_innermost(t.c) for t in (a, b) if isinstance(t, Taylor)):
+        raise InputError("a full contraction needs its Taylor operands with the batch axis "
+                         "innermost in memory (taylor.batch_inner)")
+    return _product(lambda A, B: np.einsum(full, A, B), a, b, subtract_from)
 
 
 def batch_inner(a: np.ndarray, axis: int = 0) -> np.ndarray:

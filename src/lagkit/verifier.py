@@ -367,7 +367,7 @@ def _analysed(chart: Chart, grid: np.ndarray, **descriptor):
     of the regular points; (report, None) after a warning if fewer than two
     are regular.  ``descriptor`` gives the report's ``chart``."""
     report = PropertyReport(chart=descriptor, grid=_grid_descriptor(grid),
-                            orientation=chart.orientation)
+                            orientation="analytic-normal")
     a = analyze(chart, grid)
     report.errors.extend(_point_errors(grid, a.reason))
     if len(a.grid) < 2:

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from lagkit import taylor
 from lagkit.charts import closed_form
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 
@@ -62,10 +63,15 @@ def torus_points():
 
 
 def graph_chart(height, domain_half=1.0):
-    """Graph chart u -> (u, h(u)) over R^2; ``height`` takes float points
-    and Taylor seeds alike, so the jet is exact."""
-    return closed_form(lambda U: np.concatenate([U, height(U)[..., None]], axis=-1), n=2,
-                       domain=((-domain_half, domain_half), (-domain_half, domain_half)),
+    """Graph chart u -> (u, h(u)) over R^2 with the normal (-grad h, 1);
+    ``height`` takes float points and Taylor seeds alike, so the jet is
+    exact and grad h is read off its degree-1 jet."""
+    def normal(U):
+        grad = height(taylor.variables(U, 1)).partials()[1]
+        return np.concatenate([-grad, np.ones((len(U), 1))], axis=-1)
+
+    return closed_form(lambda U: np.concatenate([U, height(U)[..., None]], axis=-1), normal,
+                       n=2, domain=((-domain_half, domain_half), (-domain_half, domain_half)),
                        name="graph")
 
 

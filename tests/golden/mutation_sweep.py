@@ -14,15 +14,17 @@ its output is compared with the unmutated tree's:
 
 * killed -- some report or CSV hash, or some exit status, changed;
 * raised -- the run raised past the CLI (an exception ``lagkit`` does
-  not turn into an error line), or took ten times the unmutated run and
-  was stopped; each run is capped at 4 GiB of address space, so that a
-  mutant asking numpy for a huge array raises instead of filling the
-  machine's memory;
+  not turn into an error line); each run is capped at 4 GiB of address
+  space, so that a mutant asking numpy for a huge array raises instead
+  of filling the machine's memory;
+* timed out -- the run took ten times the unmutated run and was stopped;
+  on a loaded host a slow kill can land here, so these sites are listed;
 * identical -- every hash is unchanged.
 
-Prints a Markdown table of the three counts per module, then each
-identical site as ``module:line operator source``.  The sweep over the
-default modules takes several minutes; it gates nothing.
+Prints a Markdown table of the four counts per module, then each
+identical and each timed-out site as ``module:line (op -> op) source``.
+The sweep over the default modules takes several minutes; it gates
+nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 HASHES = Path(__file__).resolve().parent / "report_hashes.py"
+OUTCOMES = ("killed", "raised", "timed out", "identical")
 # Runs the script named by its first argument under the address-space cap.
 CAPPED = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30,) * 2); "
           "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
@@ -85,15 +88,15 @@ def mutant(source: str, k: int) -> str:
 
 
 def run_hashes(src: Path, timeout=None):
-    """The output of report_hashes.py on the lagkit under ``src``, or None
-    where it raised or ran past ``timeout`` seconds."""
+    """The output of report_hashes.py on the lagkit under ``src``: None
+    where it raised, "timed out" where it ran past ``timeout`` seconds."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "1",
            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     try:
         done = subprocess.run([sys.executable, "-c", CAPPED, str(HASHES), "--src", str(src)],
                               env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return None
+        return "timed out"
     return done.stdout if done.returncode == 0 else None
 
 
@@ -124,27 +127,30 @@ def main(argv=None) -> int:
             shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
             (copy / f"{name}.py").write_text(mutant(sources[name], k), encoding="utf-8")
             out = run_hashes(Path(tmp), timeout)
-        return "raised" if out is None else "identical" if out == baseline else "killed"
+        if out is None:
+            return "raised"
+        return out if out == "timed out" else "identical" if out == baseline else "killed"
 
     with ThreadPoolExecutor(2) as pool:
         results = dict(zip(jobs, pool.map(outcome, jobs)))
 
-    print("| module | sites | killed | raised | identical |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| module | sites | " + " | ".join(OUTCOMES) + " |")
+    print("| --- " * (len(OUTCOMES) + 2) + "|")
     for name in sources:
         counts = [sum(1 for (m, _), r in results.items() if m == name and r == kind)
-                  for kind in ("killed", "raised", "identical")]
+                  for kind in OUTCOMES]
         print(f"| `{name}` | {sum(counts)} | " + " | ".join(map(str, counts)) + " |")
-    print(f"\n{len(jobs)} mutants in {time.perf_counter() - start:.0f} s.  Identical:")
-    print("```")
-    for name, source in sources.items():
-        lines = source.splitlines()
-        identical = [(operand_line(node, index), op) for k, (node, index, op)
-                     in enumerate(sites(ast.parse(source))) if results[name, k] == "identical"]
-        for line, op in sorted(identical, key=lambda site: site[0]):
-            swap = f"({SYMBOLS[op]} -> {SYMBOLS[SWAPS[op]]})"
-            print(f"{name}:{line} {swap} {lines[line - 1].strip()}")
-    print("```")
+    print(f"\n{len(jobs)} mutants in {time.perf_counter() - start:.0f} s.")
+    for kind in ("identical", "timed out"):
+        print(f"\n{kind.capitalize()}:\n```")
+        for name, source in sources.items():
+            lines = source.splitlines()
+            listed = [(operand_line(node, index), op) for k, (node, index, op)
+                      in enumerate(sites(ast.parse(source))) if results[name, k] == kind]
+            for line, op in sorted(listed, key=lambda site: site[0]):
+                swap = f"({SYMBOLS[op]} -> {SYMBOLS[SWAPS[op]]})"
+                print(f"{name}:{line} {swap} {lines[line - 1].strip()}")
+        print("```")
     return 0
 
 

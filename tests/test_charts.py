@@ -8,7 +8,6 @@ import pytest
 from lagkit.charts import (
     IRREGULAR,
     closed_form,
-    cross_normal,
     curvature_line_check,
     forms_arrays,
     irregular_masks,
@@ -20,6 +19,7 @@ from lagkit.charts import (
 from lagkit.errors import ImmersionError, MarginError
 from tests import central
 from tests.conftest import graph_chart, mesh, unit_sphere
+from tests.test_symmetries import hilf_map
 
 
 def quadric(a1, a2, cross=0.0):
@@ -76,12 +76,14 @@ def test_margin_error(torus21):
 
 
 def collapse_chart():
-    """A chart whose Jacobian has rank 1 everywhere."""
+    """A chart whose Jacobian has rank 1 everywhere; the rank test reads
+    only dx, so any constant normal serves."""
     def collapse(U):
         s = U[..., 0] + U[..., 1]
         return np.stack([s, s, s**2], axis=-1)
 
-    return closed_form(collapse, n=2, domain=((-1, 1), (-1, 1)))
+    return closed_form(collapse, lambda U: np.tile([1.0, -1.0, 0.0], (len(U), 1)), n=2,
+                       domain=((-1, 1), (-1, 1)))
 
 
 def test_rank_deficient_jacobian_rejected():
@@ -197,14 +199,9 @@ def test_rotated_chart_fails_curvature_lines(hilf3):
          [np.sin(theta), np.cos(theta), 0.0],
          [0.0, 0.0, 1.0]]
     )
-    A = np.array([1.0, 2.0, 3.0])
-
-    def hilf_map(U):   # hilf (1,2,3) in the rotated coordinates U R^T
-        U = U @ R.T
-        W = np.sum(A * U**2, axis=-1) / (np.sum(A**2 * U**2, axis=-1) + 1.0)
-        return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
-
-    rotated = closed_form(hilf_map, n=3, name="rotated")
+    # hilf (1,2,3) in the rotated coordinates U R^T
+    rotated = closed_form(lambda U: hilf_map(U @ R.T), lambda U: hilf3.normal(U @ R.T), n=3,
+                          name="rotated")
     grid = mesh(3, 0.2, 3)
     assert np.max(np.abs(rotated.evaluator(grid) - hilf3.evaluator(grid @ R.T))) <= 1e-15
     assert not curvature_line_check(rotated, mesh(3, 0.2, 3), 1e-8)
@@ -217,9 +214,7 @@ def test_fd_jets_match_exact_jets(hilf3):
     dx_fd = central.grad(hilf3.evaluator, U, 1e-4)
     assert np.max(np.abs(dx - dx_fd)) <= 1e-10
     assert np.max(np.abs(ddx - central.hess(hilf3.evaluator, U, 1e-3))) <= 1e-6
-    xi_fd = cross_normal(dx_fd)
-    xi_fd /= np.linalg.norm(xi_fd, axis=1, keepdims=True)
-    assert np.max(np.abs(np.abs(np.sum(xi * xi_fd, axis=1)) - 1.0)) <= 1e-10
+    assert np.max(np.abs(np.einsum("mia,ma->mi", dx_fd, xi))) <= 1e-10
 
 
 def test_unit_normal(hilf3):

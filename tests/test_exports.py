@@ -55,7 +55,8 @@ def test_all_names_resolve(name):
 # ``_build_surface`` went, and ``_load_json`` reads both kinds of file.
 # The tolerances are fixed, so the CLI checks no ``_TOLERANCES``; and
 # sum b = 0 and sum b^2 = 1 fix the two-curvature constants, so their row's
-# ``_two_curvature_constants`` went.
+# ``_two_curvature_constants`` went.  Every chart brings its analytic
+# normal, so ``cross_normal`` went.
 GONE = {
     "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
                "MetricField", "frame_riemann", "frame_connection",
@@ -70,6 +71,7 @@ GONE = {
     "lagkit.construction": ("ValidationReport", "build_position", "build_normal_map",
                             "_require_valid", "_numbers"),
     "lagkit.taylor": ("_partial_table",),
+    "lagkit.charts": ("cross_normal",),
     "lagkit.verifier": ("_keyed", "_two_curvature_constants"),
 }
 

@@ -31,6 +31,7 @@ from lagkit.construction import (
     build_immersion,
     random_orthogonal,
 )
+from lagkit.errors import InputError
 from lagkit.families import HilfParams, degenerate_example, hilf_chart, tau_chart, torus_chart
 from lagkit.invariants import analyze
 from lagkit.taylor import Taylor, _basis, _index, _product_table
@@ -207,16 +208,21 @@ LAYOUTS = {
 @pytest.mark.parametrize("n", range(2, 6))
 def test_view_path_equals_gathered_product(n, name, layout):
     # The kernel reads each pair as views, a.c[i:i+1] against a block of
-    # b.c (one pair at a time in a full contraction); the bits, signed
-    # zeros included, must be those of the gathered pairs, for factors of
-    # equal and unequal degree and for operands whose batch axis m is
-    # innermost in memory, laid out by hand or by ``taylor.batch_inner``,
-    # whose products keep that layout.
+    # b.c; the bits, signed zeros included, must be those of the gathered
+    # pairs, for factors of equal and unequal degree and for operands
+    # whose batch axis m is innermost in memory, laid out by hand or by
+    # ``taylor.batch_inner``, whose products keep that layout.  A full
+    # contraction of C-ordered operands would sum in another order, so it
+    # is refused.
     kernel, op, shapes = KERNELS[name]
     rng = np.random.default_rng(5000 * n + len(layout) + len(name))
     for da, db in product(range(6), repeat=2):
         a, b = (Taylor(LAYOUTS[layout](rng, (len(_basis(n, k)), 3) + shape), n, k)
                 for k, shape in zip((da, db), shapes(n)))
+        if name.endswith("->m") and layout == "contiguous":
+            with pytest.raises(InputError, match=r"taylor\.batch_inner"):
+                kernel(a, b)
+            continue
         got = kernel(a, b)
         assert got.d == max(da, db)
         assert got.c.tobytes() == gathered_product(op, a, b).tobytes(), (da, db)
