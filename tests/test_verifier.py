@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from lagkit import construction
-from lagkit.charts import Chart
+from lagkit.charts import Chart, curvature_line_check
 from lagkit.construction import ConstructionConstants, b_from_curvatures
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, degenerate_example, hilf_chart, torus_chart
+from lagkit.invariants import analyze
 from lagkit.verifier import (
     CHECKS,
     CONSTRUCT_CHECKS,
@@ -157,14 +158,19 @@ def test_torus_suite(torus21, torus_points):
     assert report.classification["is_isoparametric"]
 
 
-def test_chart_without_jet_is_refused(hilf2):
+@pytest.mark.parametrize("entry", [
+    analyze, run_suite, curvature_line_check,
+], ids=lambda f: f.__name__)
+def test_chart_without_jet_is_refused(entry, hilf2):
     # A chart carries its jet and its normal, so no entry point meets one
-    # that has only an evaluator.
+    # that has only an evaluator: the type refuses it, and the same chart
+    # with both maps runs through the entry point.
+    maps = {"evaluator": hilf2.evaluator, "jet": hilf2.jet, "normal": hilf2.normal}
     for missing in ("jet", "normal"):
-        maps = {"evaluator": hilf2.evaluator, "jet": hilf2.jet, "normal": hilf2.normal}
-        del maps[missing]
         with pytest.raises(TypeError, match=missing):
-            Chart(n=2, domain=hilf2.domain, name="black-box", **maps)
+            Chart(n=2, domain=hilf2.domain, name="black-box",
+                  **{k: v for k, v in maps.items() if k != missing})
+    entry(Chart(n=2, domain=hilf2.domain, name="black-box", **maps), mesh(2, 0.3, 3))
 
 
 def test_sphere_reports_only_umbilic_errors():
