@@ -6,7 +6,7 @@ projection), classifies isotropic / isoparametric inputs, and integrates
 the curvature-line frame system back to an explicit immersion.
 """
 
-from .charts import Chart, curvature_line_check
+from .charts import Chart
 from .construction import (
     ConstructedMaps,
     ConstructionConstants,

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import taylor
-from .errors import ImmersionError, InputError, MarginError
+from .errors import ImmersionError, MarginError
 
 __all__ = [
     "Chart",
@@ -47,7 +47,6 @@ __all__ = [
     "IRREGULAR",
     "principal_arrays",
     "irregular_masks",
-    "curvature_line_check",
 ]
 
 # Relative thresholds flagging the regimes the theory excludes: umbilic
@@ -57,6 +56,9 @@ CURVATURE_FLOOR = 1e-7
 
 # Lower bound on det(I) / tr(I)^n above which a point skips the SVD rank test.
 SCREEN = 1e-8
+
+# The degree of the jet of x that ``jet_arrays`` returns, the one ``analyze`` reads.
+JET_DEGREE = 5
 
 # The reasons ``regularity`` gives an irregular point, the first that holds.
 IRREGULAR = ("rank-deficient Jacobian", "umbilic point", "vanishing principal curvature",
@@ -132,15 +134,13 @@ def _transpose(M: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(M, -1, -2))
 
 
-def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
+def jet_arrays(chart: Chart, U: np.ndarray):
     """Batched jets (x, dx, ddx, xi) at U of shape (m, n): x the Taylor
-    polynomial of degree ``degree`` (at least 2) about U, of value shape
-    (m, n+1); its partials dx (m, n, n+1) and ddx (m, n, n, n+1) as
-    values, the only ones the lift reads; the chart's normal normalised,
-    xi (m, n+1).  Raises MarginError at a point outside ``chart.domain``;
+    polynomial of degree ``JET_DEGREE`` about U, of value shape (m, n+1);
+    its partials dx (m, n, n+1) and ddx (m, n, n, n+1) as values, the only
+    ones the lift reads; the chart's normal normalised, xi (m, n+1).
+    Raises MarginError at a point outside ``chart.domain``;
     ``forms_arrays`` tests the rank of the Jacobian."""
-    if degree < 2:
-        raise InputError(f"jets have degree 2 or more, not {degree}")
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != chart.n:
         raise ImmersionError(
@@ -150,7 +150,7 @@ def jet_arrays(chart: Chart, U: np.ndarray, degree: int = 2):
     outside = np.any((U < lo) | (U > hi), axis=1)
     if np.any(outside):
         raise MarginError(f"point {U[outside][0].tolist()} lies outside the chart domain")
-    x = chart.jet(U, degree)
+    x = chart.jet(U, JET_DEGREE)
     _, dx, ddx = x.truncate(2).partials()
     xi = np.asarray(chart.normal(U))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -280,24 +280,3 @@ def irregular_masks(k: np.ndarray):
     umbilic = (k[..., 0] - k[..., -1]) < UMBILIC_TOL * kmax
     vanishing = np.min(np.abs(k), axis=-1) <= CURVATURE_FLOOR * kmax
     return umbilic, vanishing
-
-
-def curvature_line_check(chart: Chart, grid: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether the coordinate directions are principal on the whole grid.
-
-    True iff I and II are simultaneously diagonal (relative to their
-    diagonal scale) at every grid point.  Raises ImmersionError at a
-    rank-deficient Jacobian.
-    """
-    _, dx, ddx, xi = jet_arrays(chart, grid)
-    I, II, _, deficient, _ = forms_arrays(dx, ddx, xi)
-    if np.any(deficient):
-        raise ImmersionError("Jacobian is rank deficient at a sampled point")
-    idx = np.arange(chart.n)
-    for M in (I, II):
-        diag_scale = np.max(np.abs(np.diagonal(M, axis1=-2, axis2=-1)))
-        off = M.copy()
-        off[:, idx, idx] = 0.0
-        if np.max(np.abs(off)) > tol * diag_scale:
-            return False
-    return True

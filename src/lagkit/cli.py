@@ -149,9 +149,10 @@ def _grid_for(chart_n: int, cfg) -> np.ndarray:
         raise LagkitError(
             f"grid center has {len(center)} coordinates for an n={chart_n} surface"
         )
+    # numpy refuses past 32 axes (RuntimeError) or 64 (ValueError), or past memory.
     try:
         return _mesh(center, grid_cfg["half_width"], grid_cfg["points_per_axis"], chart_n)
-    except (MemoryError, RuntimeError) as exc:   # past 32 axes, or past memory
+    except (MemoryError, RuntimeError, ValueError) as exc:
         raise LagkitError(f"a grid of {grid_cfg['points_per_axis']} points per axis in "
                           f"n = {chart_n} dimensions cannot be built: {exc}") from exc
 
@@ -235,22 +236,26 @@ def _cmd_verify(args) -> int:
     return _finish(report, cfg, args)
 
 
-def _load_constants(args, cfg) -> ConstructionConstants:
+def _constants_and_grid(args, cfg):
+    """The constants ``construct`` reads and its grid.  The grid of
+    ``--b-from-a`` is built before C is drawn: ``random_orthogonal``
+    resamples more often the larger n is."""
     if args.constants:
-        return _load_json(args.constants, "constants file", ConstructionConstants.from_json_dict)
+        constants = _load_json(args.constants, "constants file",
+                               ConstructionConstants.from_json_dict)
+        return constants, _grid_for(constants.n, cfg)
     if not args.b_from_a:
         raise LagkitError("construct needs --constants or --b-from-a")
     b = b_from_curvatures(_parse_list(args.b_from_a))
     n = b.shape[0]
+    grid = _grid_for(n, cfg)
     cmat = np.eye(n) if args.identity else random_orthogonal(n, cfg["seed"])
-    return ConstructionConstants(b, cmat)
+    return ConstructionConstants(b, cmat), grid
 
 
 def _cmd_construct(args) -> int:
     cfg = _resolve(args)
-    constants = _load_constants(args, cfg)
-    grid = _grid_for(constants.n, cfg)
-    return _finish(construct_suite(constants, grid), cfg, args)
+    return _finish(construct_suite(*_constants_and_grid(args, cfg)), cfg, args)
 
 
 def _cmd_tau(args) -> int:

@@ -133,7 +133,7 @@ from typing import Optional
 import numpy as np
 
 from . import taylor
-from .charts import Chart, jet_arrays, regularity
+from .charts import JET_DEGREE, Chart, jet_arrays, regularity
 from .errors import InputError
 from .fields import christoffels, frame_components, lowered_riemann
 from .spaces import laguerre_signs
@@ -316,8 +316,8 @@ BLOCK_BYTES = 20 * 10**6
 
 def _point_bytes(n: int) -> int:
     """The bytes a point of an n-dimensional chart holds at the peak of
-    ``analyze``, bounded by six times its degree-5 jet of x."""
-    return 6 * 8 * (n + 1) * comb(n + 5, 5)
+    ``analyze``, bounded by six times its jet of x."""
+    return 6 * 8 * (n + 1) * comb(n + JET_DEGREE, JET_DEGREE)
 
 
 def _row_blocks(n: int, points: int) -> int:
@@ -354,7 +354,7 @@ def analyze(chart: Chart, grid: np.ndarray) -> Analysis:
 
 def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
     """The fields of ``Analysis`` over the rows ``grid``, from one jet."""
-    x, dx, ddx, xi0 = jet_arrays(chart, grid, 5)
+    x, dx, ddx, xi0 = jet_arrays(chart, grid)
     II, III, r, rho, k, e, reason = regularity(dx, ddx, xi0)
     del dx, ddx
     # The regular rows, copied only when a row is irregular.  A lone one is

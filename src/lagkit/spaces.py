@@ -24,7 +24,6 @@ __all__ = [
     "dot",
     "p_vector",
     "is_laguerre_transform",
-    "random_lg_rotation",
 ]
 
 
@@ -79,20 +78,3 @@ def is_laguerre_transform(T: np.ndarray, tol: float = 1e-10) -> bool:
         return False
     P = p_vector(dim)
     return bool(np.all(np.abs(P @ T - P) <= tol))
-
-
-def random_lg_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A seeded Laguerre-group element rotating the positive axes 3..n+3.
-
-    The rotation block is Haar-distributed in SO(n+1); axes 1, 2 and n+4
-    are fixed, so P is preserved and the signature form is untouched.
-    """
-    m = n + 1
-    A = rng.standard_normal((m, m))
-    Q, R = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    T = np.eye(n + 4)
-    T[2 : n + 3, 2 : n + 3] = Q
-    return T

@@ -5,6 +5,7 @@ import pytest
 
 from lagkit import taylor
 from lagkit.charts import closed_form
+from lagkit.construction import random_orthogonal
 from lagkit.families import HilfParams, hilf_chart, torus_chart
 
 
@@ -12,6 +13,15 @@ def mesh(n, half_width, points, center=None):
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     axes = [np.linspace(c - half_width, c + half_width, points) for c in center]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def laguerre_rotation(n, seed):
+    """A seeded Laguerre-group element: ``random_orthogonal(n + 1, seed)``
+    on the positive axes 3..n+3.  Axes 1, 2 and n+4 are fixed, so P is
+    preserved and the signature form is untouched."""
+    T = np.eye(n + 4)
+    T[2:n + 3, 2:n + 3] = random_orthogonal(n + 1, seed)
+    return T
 
 
 def count_rows(monkeypatch, fn, position):

@@ -22,7 +22,8 @@ its output is compared with the unmutated tree's:
 * identical -- every hash is unchanged.
 
 Prints a Markdown table of the four counts per module, then each
-identical and each timed-out site as ``module:line (op -> op) source``.
+identical, each raised and each timed-out site as ``module:line (op ->
+op) source``, so that a site that moves between outcomes can be named.
 The sweep over the default modules takes several minutes; it gates
 nothing.
 """
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
                   for kind in OUTCOMES]
         print(f"| `{name}` | {sum(counts)} | " + " | ".join(map(str, counts)) + " |")
     print(f"\n{len(jobs)} mutants in {time.perf_counter() - start:.0f} s.")
-    for kind in ("identical", "timed out"):
+    for kind in ("identical", "raised", "timed out"):
         print(f"\n{kind.capitalize()}:\n```")
         for name, source in sources.items():
             lines = source.splitlines()

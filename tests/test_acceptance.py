@@ -26,9 +26,9 @@ from lagkit.families import (
     laguerre_immersion_tau,
 )
 from lagkit.invariants import analyze, classify_analysis
-from lagkit.spaces import is_laguerre_transform, random_lg_rotation
+from lagkit.spaces import is_laguerre_transform
 from lagkit.verifier import construct_suite, run_suite
-from tests.conftest import mesh
+from tests.conftest import laguerre_rotation, mesh
 
 
 def report_line(number, name, ok, detail=""):
@@ -226,8 +226,8 @@ def test_criterion_8_group_membership():
     rng = np.random.default_rng(8)
     all_pass = True
     all_perturbed_fail = True
-    for _ in range(100):
-        T = random_lg_rotation(3, rng)
+    for seed in range(100):
+        T = laguerre_rotation(3, seed)
         all_pass &= is_laguerre_transform(T)
         T_bad = T.copy()
         i, j = rng.integers(0, 7, size=2)

@@ -8,7 +8,6 @@ import pytest
 from lagkit.charts import (
     IRREGULAR,
     closed_form,
-    curvature_line_check,
     forms_arrays,
     irregular_masks,
     jet_arrays,
@@ -19,7 +18,6 @@ from lagkit.charts import (
 from lagkit.errors import ImmersionError, MarginError
 from tests import central
 from tests.conftest import graph_chart, mesh, unit_sphere
-from tests.test_symmetries import hilf_map
 
 
 def quadric(a1, a2, cross=0.0):
@@ -88,11 +86,6 @@ def collapse_chart():
 
 def test_rank_deficient_jacobian_rejected():
     assert pointwise(collapse_chart(), point([0.1, 0.2])).reason.tolist() == [IRREGULAR[0]]
-
-
-def test_curvature_line_check_rejects_rank_deficient_point():
-    with pytest.raises(ImmersionError, match="rank deficient"):
-        curvature_line_check(collapse_chart(), point([0.1, 0.2]))
 
 
 def test_paraboloid_forms_identity():
@@ -182,29 +175,6 @@ def test_irregular_masks_thresholds():
     umbilic, vanishing = irregular_masks(k)
     assert umbilic.tolist() == [False, True, False, False, False, False]
     assert vanishing.tolist() == [False, False, False, True, False, False]
-
-
-def test_curvature_lines_hilf(hilf3):
-    assert curvature_line_check(hilf3, mesh(3, 0.4, 3), 1e-8)
-
-
-def test_curvature_lines_torus(torus21, torus_points):
-    assert curvature_line_check(torus21, torus_points, 1e-8)
-
-
-def test_rotated_chart_fails_curvature_lines(hilf3):
-    theta = np.pi / 6
-    R = np.array(
-        [[np.cos(theta), -np.sin(theta), 0.0],
-         [np.sin(theta), np.cos(theta), 0.0],
-         [0.0, 0.0, 1.0]]
-    )
-    # hilf (1,2,3) in the rotated coordinates U R^T
-    rotated = closed_form(lambda U: hilf_map(U @ R.T), lambda U: hilf3.normal(U @ R.T), n=3,
-                          name="rotated")
-    grid = mesh(3, 0.2, 3)
-    assert np.max(np.abs(rotated.evaluator(grid) - hilf3.evaluator(grid @ R.T))) <= 1e-15
-    assert not curvature_line_check(rotated, mesh(3, 0.2, 3), 1e-8)
 
 
 def test_fd_jets_match_exact_jets(hilf3):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lagkit
-from lagkit import charts, invariants
+from lagkit import charts, cli, invariants
 from lagkit.cli import build_parser, main
 from lagkit.construction import b_from_curvatures
 from tests.conftest import count_rows, mesh
@@ -515,12 +515,17 @@ BAD_INPUT = {
         f"multiplicities [{int(float(m))}, 1] give n = {int(float(m)) + 1}")
        for m in ("1e18", "1e20")
        for name, command in MULTIPLICITY_COMMANDS},
-    # A dimension numpy repeats the constants to but cannot build a grid in:
-    # np.meshgrid refuses more than 32 axes before it allocates anything.
-    **{f"{name}-grid-n40": (
-        [*command, "--params", '{"a":[1,2],"multiplicities":[39,1]}', "--grid", "3"], None,
-        "a grid of 3 points per axis in n = 40 dimensions cannot be built")
+    # A dimension numpy repeats the constants to but cannot build a grid in,
+    # refused before anything is allocated: np.meshgrid refuses more than 32
+    # axes, and an array of more than 64 axes cannot be made.
+    **{f"{name}-grid-n{n}": (
+        [*command, "--params", f'{{"a":[1,2],"multiplicities":[{n - 1},1]}}', "--grid", "3"],
+        None, f"a grid of 3 points per axis in n = {n} dimensions cannot be built")
+       for n in (40, 70)
        for name, command in MULTIPLICITY_COMMANDS},
+    "construct-grid-n70": (
+        ["construct", "--b-from-a", ",".join(map(str, range(1, 71))), "--grid", "3"], None,
+        "a grid of 3 points per axis in n = 70 dimensions cannot be built"),
 }
 
 
@@ -560,6 +565,18 @@ def test_a_grid_past_memory_exits_2():
     err = proc.stderr
     assert err.startswith("error: a grid of 3 points per axis in n = 20 dimensions cannot be "
                           "built: ") and err.count("\n") == 1, err
+
+
+def test_construct_refuses_its_grid_before_it_draws_c(monkeypatch, tmp_path, capsys):
+    # random_orthogonal resamples until every |C_kk| >= 1e-3, which a Haar
+    # matrix of n = 1000 almost never meets: the grid is refused first.
+    def drawn(n, seed):
+        raise AssertionError(f"C of n = {n} drawn before the grid was refused")
+
+    monkeypatch.setattr(cli, "random_orthogonal", drawn)
+    argv, data, fragment = BAD_INPUT["construct-grid-n70"]
+    err = bad_input_error(argv, data, tmp_path, capsys)
+    assert err.startswith(f"error: {fragment}: ") and err.count("\n") == 1, err
 
 
 # Every key of every JSON object the CLI reads refuses a value of another

@@ -9,7 +9,7 @@ import pytest
 
 import lagkit
 from lagkit import construction
-from lagkit.charts import Chart, principal_arrays
+from lagkit.charts import Chart, jet_arrays, principal_arrays
 from lagkit.construction import ConstructedMaps, ConstructionConstants, frobenius_report
 from lagkit.families import DegenerateChart
 from lagkit.invariants import Analysis, ClassificationResult, classify_analysis
@@ -61,9 +61,10 @@ GONE = {
     "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
                "MetricField", "frame_riemann", "frame_connection",
                "build_position", "build_normal_map", "SignatureSpace", "laguerre_space",
-               "minkowski_space"),
+               "minkowski_space", "curvature_line_check"),
     "lagkit.spaces": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike",
-                      "nu_vector", "SignatureSpace", "laguerre_space", "minkowski_space"),
+                      "nu_vector", "SignatureSpace", "laguerre_space", "minkowski_space",
+                      "random_lg_rotation"),
     "lagkit.fields": ("MetricField", "frame_riemann", "frame_connection", "laplacian"),
     "lagkit.cli": ("_json_default", "_is_real", "_build_surface", "_tolerances",
                    "_load_config", "_TOLERANCES"),
@@ -71,7 +72,7 @@ GONE = {
     "lagkit.construction": ("ValidationReport", "build_position", "build_normal_map",
                             "_require_valid", "_numbers"),
     "lagkit.taylor": ("_partial_table",),
-    "lagkit.charts": ("cross_normal",),
+    "lagkit.charts": ("cross_normal", "curvature_line_check"),
     "lagkit.verifier": ("_keyed", "_two_curvature_constants"),
 }
 
@@ -85,8 +86,9 @@ def test_test_only_names_are_gone(name):
 def test_each_value_is_formed_once():
     # principal_arrays reads the inverse factor of forms_arrays and factors
     # nothing; a jet's rows are plain indexing; the closed forms of rho(v)
-    # and r(v) are no maps.
+    # and r(v) are no maps; the jet has the one degree analyze reads.
     assert list(inspect.signature(principal_arrays).parameters) == ["W", "II"]
+    assert list(inspect.signature(jet_arrays).parameters) == ["chart", "U"]
     assert not hasattr(Taylor, "take")
     assert {"rho", "mean_radius"}.isdisjoint(f.name for f in fields(ConstructedMaps))
 

@@ -39,7 +39,7 @@ def quartic(U, alpha=(0, 0, 0)):
 def n_taylor(chart, U):
     """N at the points U as a Taylor polynomial of degree 1, formed as
     ``analyze`` forms it from the degree-5 jet of U."""
-    x, _, _, xi = jet_arrays(chart, U, 5)
+    x, _, _, xi = jet_arrays(chart, U)
     fields = _taylor_fields([x, xi])
     return _n_taylor(fields["Y"], fields["g"].truncate(2), laguerre_signs(chart.n))[0]
 

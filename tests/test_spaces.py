@@ -11,8 +11,8 @@ from lagkit.spaces import (
     laguerre_signs,
     minkowski_signs,
     p_vector,
-    random_lg_rotation,
 )
+from tests.conftest import laguerre_rotation
 
 SIGNS2 = laguerre_signs(2)  # R^6 with minus signs on axes 1 and 6
 G2 = np.diag(SIGNS2)
@@ -118,7 +118,7 @@ def test_non_square_rejected():
 @given(coord_lists, coord_lists, st.integers(min_value=0, max_value=1000))
 @settings(max_examples=30, deadline=None)
 def test_group_elements_preserve_inner_products(a, b, seed):
-    T = random_lg_rotation(2, np.random.default_rng(seed))
+    T = laguerre_rotation(2, seed)
     assert is_laguerre_transform(T)
     u, w = np.asarray(a), np.asarray(b)
     before = dot(SIGNS2, u, w)
@@ -129,7 +129,7 @@ def test_group_elements_preserve_inner_products(a, b, seed):
 
 def test_transformed_lift_stays_lightlike(hilf3):
     a = analyze(hilf3, np.array([[0.1, -0.2, 0.05]]))
-    T = random_lg_rotation(3, np.random.default_rng(42))
+    T = laguerre_rotation(3, 42)
     image = a.Y[0] @ T
     assert abs(dot(a.signs, image, image)) <= 1e-12 * (1.0 + np.sum(image**2))
 

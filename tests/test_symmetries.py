@@ -16,11 +16,16 @@ from lagkit.verifier import run_suite
 from tests.conftest import mesh
 
 
-def hilf_map(U):
-    """x of hilf (1,2,3), as ``families.hilf_chart`` writes it."""
-    A = np.array([1.0, 2.0, 3.0])
-    W = np.sum(A * U**2, axis=-1) / (np.sum(A**2 * U**2, axis=-1) + 1.0)
-    return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
+def hilf(a, phi=0.0):
+    """The chart of hilf ``a`` with shift ``phi``, and its x as
+    ``families.hilf_chart`` writes it."""
+    A = np.array(a, dtype=float)
+
+    def x_map(U):
+        W = (np.sum(A * U**2, axis=-1) + phi) / (np.sum(A**2 * U**2, axis=-1) + 1.0)
+        return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
+
+    return hilf_chart(HilfParams(a=tuple(a), phi=phi)), x_map
 
 
 def torus_map(U):
@@ -32,8 +37,10 @@ def torus_map(U):
 
 # name: (chart, its map, grid of the original parameters)
 CASES = {
-    "hilf3": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), hilf_map,
-                      mesh(3, 0.3, 4, center=[0.3] * 3)),
+    "hilf3": lambda: (*hilf((1.0, 2.0, 3.0)), mesh(3, 0.3, 4, center=[0.3] * 3)),
+    # mixed signs with a shift
+    "hilf-mixed2": lambda: (*hilf((1.0, -2.0), 0.3), mesh(2, 0.3, 5, center=[0.2] * 2)),
+    "hilf-mixed3": lambda: (*hilf((1.0, -2.0, 3.0), 0.3), mesh(3, 0.3, 4, center=[0.3] * 3)),
     "torus21": lambda: (torus_chart(2.0, 1.0), torus_map, mesh(2, 0.5, 7)),
 }
 

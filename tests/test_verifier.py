@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lagkit import construction
-from lagkit.charts import Chart, curvature_line_check
+from lagkit.charts import Chart
 from lagkit.construction import ConstructionConstants, b_from_curvatures
 from lagkit.errors import InputError
 from lagkit.families import HilfParams, degenerate_example, hilf_chart, torus_chart
@@ -158,9 +158,7 @@ def test_torus_suite(torus21, torus_points):
     assert report.classification["is_isoparametric"]
 
 
-@pytest.mark.parametrize("entry", [
-    analyze, run_suite, curvature_line_check,
-], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [analyze, run_suite], ids=lambda f: f.__name__)
 def test_chart_without_jet_is_refused(entry, hilf2):
     # A chart carries its jet and its normal, so no entry point meets one
     # that has only an evaluator: the type refuses it, and the same chart
