@@ -1,9 +1,10 @@
 """Parametrized hypersurfaces, derivative jets and the curvature frame.
 
-A ``Chart`` evaluates a hypersurface x: U in R^n -> R^(n+1) and its
-analytic normal on batches of parameter points.  ``closed_form`` builds
-it from a map written once for float points and ``taylor.Taylor`` seeds
-alike, so its jet is the map's exact Taylor polynomial; curvature signs
+A ``Chart`` holds two maps, a hypersurface x: U in R^n -> R^(n+1) and
+its analytic normal, each written once for float points (..., n) and
+``taylor.Taylor`` seeds alike and casting nothing.  ``closed_form``
+builds it from them, so its jet is the map's exact Taylor polynomial and
+a symmetry of the chart is one composition of its maps; curvature signs
 follow the orientation of the normal.
 
 ``forms_arrays`` factors I = dx dx^T = L L^T once per point in plain
@@ -69,12 +70,12 @@ IRREGULAR = ("rank-deficient Jacobian", "umbilic point", "vanishing principal cu
 class Chart:
     """A parametrized hypersurface and its exact derivative data.
 
-    ``evaluator`` maps parameter batches (m, n) to points (m, n+1).
-    ``jet(U, degree)`` returns the Taylor polynomial of x about the points
-    U to total degree ``degree`` (a ``taylor.Taylor`` of value shape
-    (m, n+1)), and ``normal(U)`` a normal field (m, n+1), which
-    ``jet_arrays`` normalises; ``closed_form`` builds all three from the
-    two maps.
+    ``evaluator`` maps parameter points (..., n) to points (..., n+1)
+    and ``normal`` to a normal field (..., n+1), which ``jet_arrays``
+    normalises; both take float arrays and Taylor seeds alike and cast
+    nothing.  ``jet(U, degree)`` returns the Taylor polynomial of x about
+    the points U (m, n) to total degree ``degree`` (a ``taylor.Taylor`` of
+    value shape (m, n+1)); ``closed_form`` builds a chart from its two maps.
     """
 
     n: int
@@ -87,18 +88,14 @@ class Chart:
 
 
 def closed_form(x_map: Callable, normal: Callable, **fields) -> Chart:
-    """The chart of a map ``x_map`` that takes float points (m, n) and
-    Taylor seeds alike, with the normal field ``normal``: its evaluator
-    and normal run on the points normalised once; its jet is the map of
-    ``taylor.variables``.  ``fields`` are the other fields of ``Chart``;
-    the domain is unbounded on every axis unless one is given."""
-    def points(U):
-        return np.atleast_2d(np.asarray(U, dtype=float))
-
+    """The chart whose evaluator is ``x_map`` and whose normal is
+    ``normal``, two maps that take float points (..., n) and Taylor seeds
+    alike; its jet is ``x_map`` of ``taylor.variables``.  ``fields`` are
+    the other fields of ``Chart``; the domain is unbounded on every axis
+    unless one is given."""
     return Chart(**{"domain": ((-np.inf, np.inf),) * fields["n"], **fields},
-                 evaluator=lambda U: x_map(points(U)),
-                 jet=lambda U, degree: x_map(taylor.variables(U, degree)),
-                 normal=lambda U: normal(points(U)))
+                 evaluator=x_map, normal=normal,
+                 jet=lambda U, degree: x_map(taylor.variables(U, degree)))
 
 
 def _cholesky(I: np.ndarray) -> np.ndarray:

@@ -275,8 +275,8 @@ def build_immersion(c: ConstructionConstants) -> ConstructedMaps:
         return np.concatenate([q[..., None], w @ cmat], axis=-1)
 
     def xi_eval(Vbar):
-        rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=1))
-        return np.concatenate([(rho - 1.0)[:, None], (Vbar * bbar) @ cmat], axis=1) / rho[:, None]
+        rho = 0.5 * (1.0 + np.sum((Vbar * bbar) ** 2, axis=-1))[..., None]
+        return np.concatenate([rho - 1.0, (Vbar * bbar) @ cmat], axis=-1) / rho
 
     chart = closed_form(x_map, xi_eval, n=n, name="constructed",
                         params={"b": b.tolist(), "phi": phi})

@@ -21,10 +21,10 @@
 * ``accepted`` -- the one check of the keys of a JSON object and the
   kinds of their values, which every object lagkit reads passes.
 
-All evaluators are vectorised over point batches.  Every map is written
-once, for float points and Taylor seeds alike, and ``charts.closed_form``
-builds its chart, so every chart's jet is the exact Taylor polynomial of
-any degree.
+Every map, normals included, is written once for float points (..., n)
+and Taylor seeds alike, and ``charts.closed_form`` holds a chart's two
+maps as its evaluator and normal, so every chart's jet is the exact
+Taylor polynomial of any degree.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def hilf_chart(params: HilfParams) -> Chart:
         return np.concatenate([W[..., None], U * (1.0 - W[..., None] * A)], axis=-1)
 
     def normal(U):
-        S = np.sum(A**2 * U**2, axis=-1)
-        return np.concatenate([(S - 1.0)[:, None], 2.0 * A * U], axis=1) / (S + 1.0)[:, None]
+        S = np.sum(A**2 * U**2, axis=-1)[..., None]
+        return np.concatenate([S - 1.0, 2.0 * A * U], axis=-1) / (S + 1.0)
 
     return closed_form(
         x_map, normal, n=params.n, name="hilf",
@@ -213,7 +213,7 @@ def torus_chart(R: float, r_tube: float) -> Chart:
         return np.stack([w * np.cos(u), w * np.sin(u), r_tube * np.sin(v)], axis=-1)
 
     def normal(U):
-        u, v = U[:, 0], U[:, 1]
+        u, v = U[..., 0], U[..., 1]
         return -np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=-1)
 
     return closed_form(x_map, normal, n=2, domain=((-np.pi, np.pi), (-np.pi / 3.0, np.pi / 3.0)),

@@ -435,6 +435,7 @@ def construct_suite(constants: ConstructionConstants, grid: np.ndarray) -> Prope
     v-grid ``grid``, as ``run_suite`` analyses its grid: the report's grid
     is the vbar grid, each irregular vbar point is an error entry, and the
     checks run on the other points."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     maps = build_immersion(constants)
     vbar = np.sqrt(2.0) * grid * constants.b
     report, analysed = _analysed(maps.chart, vbar, name="constructed",
@@ -507,7 +508,6 @@ MODEL_CHECKS = (
 
 def _model_report(deg: DegenerateChart, grid: np.ndarray):
     """The ``MODEL_CHECKS`` report and the context it ran on."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     report = PropertyReport(
         chart={"name": "degenerate-hilf", "params": deg.params, "n": deg.n},
         grid=_grid_descriptor(grid),
@@ -530,6 +530,7 @@ def degenerate_model_report(deg: DegenerateChart, grid: np.ndarray) -> PropertyR
     machine precision, the fundamental forms are the Euclidean identity
     and diag(a), and the curvature radii (hence rho) are constant.
     """
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     return _model_report(deg, grid)[0]
 
 
@@ -545,6 +546,7 @@ TAU_CHECKS = (
 def tau_suite(deg: DegenerateChart, grid: np.ndarray) -> PropertyReport:
     """``MODEL_CHECKS``, then ``TAU_CHECKS`` on the model's x and xi
     mapped once by tau."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
     report, m = _model_report(deg, grid)
     image = laguerre_immersion_tau(m.x, m.xi)
     _require_finite("the image under tau", *image)

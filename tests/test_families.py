@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from lagkit import taylor
-from lagkit.construction import ConstructionConstants, b_from_curvatures, build_immersion
+from lagkit.charts import closed_form
+from lagkit.construction import (
+    ConstructionConstants,
+    b_from_curvatures,
+    build_immersion,
+    random_orthogonal,
+)
 from lagkit.errors import ImmersionError, ParameterError
 from lagkit.families import (
     CATALOG,
@@ -33,7 +39,9 @@ def test_catalog_jet_value_is_the_evaluator(kind):
 
 @pytest.mark.parametrize("kind", sorted(CATALOG) + ["constructed"])
 def test_a_flat_point_is_a_batch_of_one(kind):
-    # The degenerate model's Euclidean chart is its image under tau.
+    # A chart's maps cast nothing: a flat array point (n,) gives a point
+    # (n+1,), the row of the batch of one.  The degenerate model's
+    # Euclidean chart is its image under tau.
     if kind == "constructed":
         chart = build_immersion(ConstructionConstants(b_from_curvatures([1, 2, 3]))).chart
     else:
@@ -41,8 +49,33 @@ def test_a_flat_point_is_a_batch_of_one(kind):
         chart = tau_chart(chart) if isinstance(chart, DegenerateChart) else chart
     U = mesh(chart.n, 0.3, 2) + 0.1
     for f in (chart.evaluator, chart.normal):
-        got = f(U[-1].tolist())
-        assert got.shape == (1, chart.n + 1) and np.array_equal(got, f(U[-1:]))
+        got = f(U[-1])
+        assert got.shape == (chart.n + 1,) and np.array_equal(got, f(U[-1:])[0])
+
+
+SEEDED_CHARTS = {
+    "hilf": lambda: hilf_chart(HilfParams(a=(1.0, -2.0), multiplicities=(2, 1), phi=0.3)),
+    "torus": lambda: torus_chart(2.0, 1.0),
+    "tau": lambda: tau_chart(degenerate_example(HilfParams(a=(1.0, 2.0)))),
+    "constructed": lambda: build_immersion(ConstructionConstants(
+        b_from_curvatures([1, 2, 3]), cmat=random_orthogonal(3, 7))).chart,
+}
+
+
+@pytest.mark.parametrize("kind", list(SEEDED_CHARTS))
+def test_chart_maps_run_on_taylor_seeds(kind):
+    # A chart holds its two maps themselves, each written once for float
+    # points and Taylor seeds: the evaluator's polynomial is the jet, and
+    # the normal's is a unit field to degree 5 whose value is the float one.
+    chart = SEEDED_CHARTS[kind]()
+    rebuilt = closed_form(chart.evaluator, chart.normal, n=chart.n)
+    assert rebuilt.evaluator is chart.evaluator and rebuilt.normal is chart.normal
+    U = mesh(chart.n, 0.3, 3) + 0.1
+    V = taylor.variables(U, 5)
+    assert np.array_equal(chart.evaluator(V).c, chart.jet(U, 5).c)
+    xi = chart.normal(V)
+    assert np.max(np.abs(xi.value - chart.normal(U))) <= 1e-15
+    assert np.max(np.abs((np.sum(xi * xi, axis=-1) - 1.0).c)) <= 1e-11
 
 
 def test_params_validation():

@@ -211,6 +211,23 @@ def test_an_empty_grid_is_an_input_error(suite):
         suite(chart, np.empty((0, 2)))
 
 
+# suite: its first argument, on a grid of three axes
+LIST_GRID_SUITES = {
+    "run": (run_suite, lambda: hilf_chart(HilfParams(a=(1.0, 2.0, 3.0)))),
+    "construct": (construct_suite, lambda: ConstructionConstants(b_from_curvatures([1, 2, 3]))),
+    "model": (degenerate_model_report, lambda: degenerate_example(HilfParams(a=(1.0, 2.0, 3.0)))),
+    "tau": (tau_suite, lambda: degenerate_example(HilfParams(a=(1.0, 2.0, 3.0)))),
+}
+
+
+@pytest.mark.parametrize("name", list(LIST_GRID_SUITES))
+def test_a_list_grid_is_the_array_grid(name):
+    # Each suite casts its grid once at its entry, as no chart map casts.
+    suite, make = LIST_GRID_SUITES[name]
+    first, grid = make(), mesh(3, 0.3, 3, center=[0.3] * 3)
+    assert suite(first, grid.tolist()).to_dict() == suite(first, grid).to_dict()
+
+
 def counted(calls, name, f):
     def wrapper(*args):
         calls.append(name)
