@@ -21,7 +21,6 @@ from .errors import (
     ImmersionError,
     InputError,
     LagkitError,
-    MarginError,
     ParameterError,
 )
 from .families import (

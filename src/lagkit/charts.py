@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import taylor
-from .errors import ImmersionError, MarginError
+from .errors import ImmersionError
 
 __all__ = [
     "Chart",
@@ -79,7 +79,6 @@ class Chart:
     """
 
     n: int
-    domain: tuple
     evaluator: Callable
     jet: Callable
     normal: Callable
@@ -91,10 +90,9 @@ def closed_form(x_map: Callable, normal: Callable, **fields) -> Chart:
     """The chart whose evaluator is ``x_map`` and whose normal is
     ``normal``, two maps that take float points (..., n) and Taylor seeds
     alike; its jet is ``x_map`` of ``taylor.variables``.  ``fields`` are
-    the other fields of ``Chart``; the domain is unbounded on every axis
-    unless one is given."""
-    return Chart(**{"domain": ((-np.inf, np.inf),) * fields["n"], **fields},
-                 evaluator=x_map, normal=normal,
+    the other fields of ``Chart``.  Every parameter point is admitted:
+    ``regularity`` reports the points the theory excludes one by one."""
+    return Chart(**fields, evaluator=x_map, normal=normal,
                  jet=lambda U, degree: x_map(taylor.variables(U, degree)))
 
 
@@ -136,17 +134,12 @@ def jet_arrays(chart: Chart, U: np.ndarray):
     polynomial of degree ``JET_DEGREE`` about U, of value shape (m, n+1);
     its partials dx (m, n, n+1) and ddx (m, n, n, n+1) as values, the only
     ones the lift reads; the chart's normal normalised, xi (m, n+1).
-    Raises MarginError at a point outside ``chart.domain``;
     ``forms_arrays`` tests the rank of the Jacobian."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != chart.n:
         raise ImmersionError(
             f"parameter points of dimension {U.shape[1]} on an n={chart.n} chart"
         )
-    lo, hi = np.array(chart.domain, dtype=float).T
-    outside = np.any((U < lo) | (U > hi), axis=1)
-    if np.any(outside):
-        raise MarginError(f"point {U[outside][0].tolist()} lies outside the chart domain")
     x = chart.jet(U, JET_DEGREE)
     _, dx, ddx = x.truncate(2).partials()
     xi = np.asarray(chart.normal(U))

@@ -13,10 +13,6 @@ class ParameterError(LagkitError):
     """Invalid family or construction parameters."""
 
 
-class MarginError(LagkitError):
-    """A parameter point lies outside the chart domain."""
-
-
 class ImmersionError(LagkitError):
     """Rank-deficient Jacobian or singular first fundamental form."""
 

@@ -16,8 +16,9 @@
   constraints <xi, dx> = 0, <xi, xi> = 0, <xi, nu> = 1.
 * ``laguerre_immersion_tau`` -- the pointwise map carrying the
   degenerate model onto the Euclidean unit tangent bundle.
-* ``torus_chart`` -- a torus of revolution restricted to |v| < pi/3,
-  the standard two-curvature sanity surface.
+* ``torus_chart`` -- a torus of revolution, the standard two-curvature
+  sanity surface, whose circles v = +-pi/2 of vanishing curvature are
+  point errors.
 * ``accepted`` -- the one check of the keys of a JSON object and the
   kinds of their values, which every object lagkit reads passes.
 
@@ -198,11 +199,13 @@ def tau_chart(deg: DegenerateChart) -> Chart:
 
 
 def torus_chart(R: float, r_tube: float) -> Chart:
-    """Torus of revolution with Taylor jets; domain restricted to |v| < pi/3.
+    """Torus of revolution with Taylor jets, at every parameter point.
 
-    The analytic normal points into the tube, which makes both principal
-    curvatures positive on the restricted domain: 1/r_tube along the tube
-    and cos v / (R + r_tube cos v) along the axis of revolution.
+    The analytic normal points into the tube, which makes the principal
+    curvatures 1/r_tube along the tube and k2 = cos v / (R + r_tube cos v)
+    along the axis of revolution: both positive where |v| < pi/2, of
+    mixed signs where |v| > pi/2.  k2 vanishes on the circles v = +-pi/2,
+    which ``charts.regularity`` reports point by point.
     """
     if not (np.isfinite(R) and R > r_tube > 0):
         raise ParameterError(f"need R > r_tube > 0, got R={R}, r_tube={r_tube}")
@@ -216,8 +219,8 @@ def torus_chart(R: float, r_tube: float) -> Chart:
         u, v = U[..., 0], U[..., 1]
         return -np.stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)], axis=-1)
 
-    return closed_form(x_map, normal, n=2, domain=((-np.pi, np.pi), (-np.pi / 3.0, np.pi / 3.0)),
-                       name="torus", params={"R": float(R), "r_tube": float(r_tube)})
+    return closed_form(x_map, normal, n=2, name="torus",
+                       params={"R": float(R), "r_tube": float(r_tube)})
 
 
 def is_finite_number(value) -> bool:

@@ -72,7 +72,7 @@ def torus_points():
     )
 
 
-def graph_chart(height, domain_half=1.0):
+def graph_chart(height):
     """Graph chart u -> (u, h(u)) over R^2 with the normal (-grad h, 1);
     ``height`` takes float points and Taylor seeds alike, so the jet is
     exact and grad h is read off its degree-1 jet."""
@@ -81,13 +81,12 @@ def graph_chart(height, domain_half=1.0):
         return np.concatenate([-grad, np.ones((len(U), 1))], axis=-1)
 
     return closed_form(lambda U: np.concatenate([U, height(U)[..., None]], axis=-1), normal,
-                       n=2, domain=((-domain_half, domain_half), (-domain_half, domain_half)),
-                       name="graph")
+                       n=2, name="graph")
 
 
 def unit_sphere():
-    """Upper unit hemisphere as a graph over |u|, |v| <= 1/2; umbilic everywhere."""
-    return graph_chart(lambda U: np.sqrt(1.0 - np.sum(U**2, axis=-1)), 0.5)
+    """Upper unit hemisphere as a graph over the unit disc; umbilic everywhere."""
+    return graph_chart(lambda U: np.sqrt(1.0 - np.sum(U**2, axis=-1)))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@
 
 Runs every example of ``tests/test_golden.py`` and a few larger cases
 (hilf n = 4 on 5^4, hilf n = 5 on 3^5, the torus on 33^2, hilf n = 3 on
-15^3, which ``analyze`` runs in row blocks, the benchmark's construct
+15^3, which ``analyze`` runs in row blocks, the torus on 9^2 across
+the circle v = pi/2 of vanishing curvature, the benchmark's construct
 path at seeds 0, 7 and 1000, construct with the identity matrix and
 from a constants file of nonzero beta and gamma, tau with
 multiplicities (2, 1), the degenerate model at n = 4 and on a wide
@@ -48,6 +49,10 @@ EXTRA = {
     "verify-torus-wide": ["verify", "--surface", "torus",
                           "--params", '{"R": 2, "r_tube": 1}',
                           "--grid", "33", "--half-width", "0.9"],
+    # The torus across the circle v = pi/2, where k2 vanishes: one row of
+    # point errors, the rest of the grid checked.
+    "verify-torus-circle": ["verify", "--surface", "torus", "--grid", "9",
+                            "--center", "0,1.5707963267948966", "--half-width", "0.5"],
     # construct-hilf3 of perfbench, whose worst margin reads the Taylor N:
     # seed s * 1000 + call is the matrix of call ``call`` at seed s.
     **{f"construct-hilf3-{seed}": ["construct", "--b-from-a", "1,2,3", "--grid", "5",

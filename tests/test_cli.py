@@ -143,6 +143,34 @@ def test_verify_next_to_the_singular_line(tmp_path):
     assert payload["classification"]["is_isotropic"] is True
 
 
+@pytest.mark.parametrize("center,half_width,errors", [
+    pytest.param("0,1.2", 0.5, [], id="past-pi/3"),
+    pytest.param("0,2.5", 0.5, [], id="mixed-signs"),
+    # k2 = cos v / (R + r cos v) vanishes on the middle row of each u column.
+    pytest.param(f"0,{np.pi / 2!r}", 0.5, [3, 10, 17, 24, 31, 38, 45], id="circle"),
+    pytest.param(f"0,{np.pi / 2 + 1e-5!r}", 0.05, [], id="near-circle", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=(
+            "D13: 1e-5 from the circle v = pi/2, where rho reaches 1.4e5, "
+            "position_n_pairing, normal_map_lightlike and tangent_orthonormality read "
+            "1.9e-6 and structure_equation 0.10 against absolute tolerances; residuals "
+            "on their own scale are ROADMAP item 13, the singular set from measured "
+            "conditioning item 26"))),
+])
+def test_every_torus_point_passes_or_is_a_point_error(center, half_width, errors, tmp_path):
+    # The torus admits every parameter point: one that the theory excludes
+    # is a point error of the regularity screen, and the rest of its grid runs.
+    report = tmp_path / "torus.json"
+    code = run([
+        "verify", "--surface", "torus", "--params", '{"R": 2, "r_tube": 1}', "--grid", "7",
+        f"--center={center}", "--half-width", str(half_width),
+        "--no-timestamp", "--out", str(report),
+    ])
+    payload = json.loads(report.read_text())
+    assert code == 0 and payload["passed"] is True
+    assert [e["index"] for e in payload["errors"]] == errors
+    assert {e["reason"] for e in payload["errors"]} <= {"vanishing principal curvature"}
+
+
 def test_construct_seeded(tmp_path):
     report = tmp_path / "con.json"
     code = run([

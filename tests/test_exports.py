@@ -56,12 +56,13 @@ def test_all_names_resolve(name):
 # The tolerances are fixed, so the CLI checks no ``_TOLERANCES``; and
 # sum b = 0 and sum b^2 = 1 fix the two-curvature constants, so their row's
 # ``_two_curvature_constants`` went.  Every chart brings its analytic
-# normal, so ``cross_normal`` went.
+# normal, so ``cross_normal`` went.  The regularity screen decides every
+# point of a chart, which has no domain, so ``MarginError`` went.
 GONE = {
     "lagkit": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike", "nu_vector",
                "MetricField", "frame_riemann", "frame_connection",
                "build_position", "build_normal_map", "SignatureSpace", "laguerre_space",
-               "minkowski_space", "curvature_line_check"),
+               "minkowski_space", "curvature_line_check", "MarginError"),
     "lagkit.spaces": ("SpaceVector", "apply_transform", "inner_product", "is_lightlike",
                       "nu_vector", "SignatureSpace", "laguerre_space", "minkowski_space",
                       "random_lg_rotation"),
@@ -74,6 +75,7 @@ GONE = {
     "lagkit.taylor": ("_partial_table",),
     "lagkit.charts": ("cross_normal", "curvature_line_check"),
     "lagkit.verifier": ("_keyed", "_two_curvature_constants"),
+    "lagkit.errors": ("MarginError",),
 }
 
 
@@ -103,7 +105,7 @@ def test_analysis_holds_the_frame_curvature_as_an_array():
 
 def test_unread_fields_are_gone():
     assert {"chart", "lift"}.isdisjoint(f.name for f in fields(Analysis))
-    assert "flip_normal" not in {f.name for f in fields(Chart)}
+    assert {"flip_normal", "domain"}.isdisjoint(f.name for f in fields(Chart))
     # analyze builds the lift of its regular rows itself: no second layer.
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("lagkit.frames")

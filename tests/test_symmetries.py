@@ -63,17 +63,23 @@ def boosted(chart, s):
         x = chart.evaluator(U)
         return np.concatenate([ch * x[..., :1], x[..., 1:]], axis=-1) - sh * x[..., :1] * normal(U)
 
-    return closed_form(x_map, normal, n=chart.n, domain=chart.domain, name="boosted")
+    return closed_form(x_map, normal, n=chart.n, name="boosted")
 
 
 def assert_same_verdicts(original, image):
-    """Both pass, with the same statuses, point errors and classification verdicts."""
+    """Both pass, with the same statuses, point errors and classification
+    verdicts, and the Laguerre tensor L has the same spectrum at each point."""
     assert image.passed and original.passed
     assert [c.status for c in image.checks] == [c.status for c in original.checks]
     assert ([(e["index"], e["reason"]) for e in image.errors]
             == [(e["index"], e["reason"]) for e in original.errors])
     for key in ("is_isotropic", "is_isoparametric"):
         assert image.classification[key] == original.classification[key]
+    # The spectrum, as the frame is ordered by k; the widest passing gap is
+    # 1.2e-8, on the rotated hilf-mixed3.
+    L, image_L = original.analysis.L_structural, image.analysis.L_structural
+    gap = np.max(np.abs(np.linalg.eigvalsh(image_L) - np.linalg.eigvalsh(L)))
+    assert gap <= 1e-7 * max(1.0, np.max(np.abs(L)))
 
 
 def sorted_b_gap(a, b):
@@ -112,7 +118,7 @@ def test_a_nonlinear_reparametrization_keeps_every_invariant(name):
 def test_an_offset_moves_r_by_t_and_keeps_rho_and_b(name, t):
     chart, grid = CASES[name]()
     offset = closed_form(lambda U: chart.evaluator(U) - t * chart.normal(U), chart.normal,
-                         n=chart.n, domain=chart.domain)
+                         n=chart.n)
     original, image = run_suite(chart, grid), run_suite(offset, grid)
     assert_same_verdicts(original, image)
     a, b = original.analysis, image.analysis
@@ -127,6 +133,11 @@ def test_an_offset_moves_r_by_t_and_keeps_rho_and_b(name, t):
         "D28: at rapidity 6 hilf's image fails tangent_orthonormality (1.3e-5) and "
         "structure_equation (1.1e-2), and rho^2|L - lambda I| reads 4.69, so it is not "
         "isotropic; residuals on their own scale are ROADMAP item 13"))),
+    pytest.param("torus21", 6.0, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "D28: at rapidity 6 the torus's image keeps every verdict, but the spectrum of L "
+        "is off by 0.038 against max|L| = 0.25, sorted b by 1.6e-11, the lift fit's "
+        "relative residual is 5.1e-10 and T is no Laguerre transformation to 1e-8; "
+        "residuals on their own scale are ROADMAP item 13"))),
 ])
 def test_a_boost_keeps_every_verdict_and_moves_the_lift_by_one_matrix(name, s):
     chart, grid = CASES[name]()
@@ -149,8 +160,7 @@ def test_a_boost_keeps_every_verdict_and_moves_the_lift_by_one_matrix(name, s):
 @pytest.mark.parametrize("name", ["hilf3", "torus21"])
 def test_a_translation_keeps_every_verdict(name, t):
     chart, grid = CASES[name]()
-    moved = closed_form(lambda U: chart.evaluator(U) + t, chart.normal,
-                        n=chart.n, domain=chart.domain)
+    moved = closed_form(lambda U: chart.evaluator(U) + t, chart.normal, n=chart.n)
     original, image = run_suite(chart, grid), run_suite(moved, grid)
     assert_same_verdicts(original, image)
     assert sorted_b_gap(original.analysis, image.analysis) <= 1e-12

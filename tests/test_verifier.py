@@ -166,9 +166,9 @@ def test_chart_without_jet_is_refused(entry, hilf2):
     maps = {"evaluator": hilf2.evaluator, "jet": hilf2.jet, "normal": hilf2.normal}
     for missing in ("jet", "normal"):
         with pytest.raises(TypeError, match=missing):
-            Chart(n=2, domain=hilf2.domain, name="black-box",
+            Chart(n=2, name="black-box",
                   **{k: v for k, v in maps.items() if k != missing})
-    entry(Chart(n=2, domain=hilf2.domain, name="black-box", **maps), mesh(2, 0.3, 3))
+    entry(Chart(n=2, name="black-box", **maps), mesh(2, 0.3, 3))
 
 
 def test_sphere_reports_only_umbilic_errors():
