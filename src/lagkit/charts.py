@@ -156,12 +156,12 @@ def forms_arrays(dx: np.ndarray, ddx: np.ndarray, xi: np.ndarray):
     where the screen prod L_jj^2 / tr(I)^n > SCREEN fails (a non-finite
     Jacobian there raises ImmersionError), and every point whose factor
     of I meets a NaN or non-positive pivot.  I = L L^T with L lower and
-    W = L^-1; III = B^T B with B = W II is exactly symmetric, and NaN on
-    deficient rows.
+    W = L^-1; II = ddx . xi is exactly symmetric, as ``Taylor.partials``
+    reads d_i d_j x and d_j d_i x off one coefficient; III = B^T B with B =
+    W II is exactly symmetric, and NaN on deficient rows.
     """
     I = dx @ _transpose(dx)
     II = np.einsum("mija,ma->mij", ddx, xi)
-    II = 0.5 * (II + np.swapaxes(II, -1, -2))
     L = _cholesky(I)
     pivots = np.diagonal(L, axis1=-2, axis2=-1)
     tr = np.trace(I, axis1=-2, axis2=-1)

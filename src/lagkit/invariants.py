@@ -86,9 +86,13 @@ N is formed once, in the same Taylor arithmetic, as a polynomial of
 degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
 Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
 partials of III, r, B and log rho are read off before, so that Y and g
-alone live through it, and dY is the value of its own dY.  The values
-and d_c N are read off at once, so no degree-1 Taylor of N, Delta_g Y,
-Gamma or Hess Y lives through the curvature projection.  The
+alone live through it, and dY is the value of its own dY.  Hess Y is
+gathered from the degree-3 Y before Y is cut to a degree-2 copy, which
+frees the degree-3 Y, and dY and the degree-1 Y are taken from that
+copy; g^-1 is freed once Delta_g Y is formed.  Hess Y, Gamma and (after
+N) Delta_g Y come back as values, each cut at its last read, and the
+value of N and d_c N are read off at once, so no degree-1 Taylor lives
+through the curvature projection.  The
 curvature tensor of g is assembled from the partials of g as soon as
 the frame is known.  The principal frame is read in the jet's C order,
 so the lift and b keep their bits; the frame coefficients, g = rho^2
@@ -239,25 +243,29 @@ def _taylor_fields(jet):
 
 
 def _n_taylor(Y, g, signs):
-    """(N, Delta_g Y, Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k) as
-    Taylor polynomials of degree 1, from Y of degree 3 and g of degree 2,
-    and the value of dY, a copy in its layout; Gamma^k_ab Y_k is
-    subtracted from Y_ab pair by pair, never built."""
+    """N as a Taylor polynomial of degree 1, then the values of Delta_g Y,
+    Gamma^k_ab of g, Hess Y_ab = Y_ab - Gamma^k_ab Y_k and dY, copies in
+    their layout, from Y of degree 3 (freed here if the caller keeps no
+    reference) and g of degree 2; Gamma^k_ab Y_k is subtracted from Y_ab
+    pair by pair, never built."""
     n = g.n
     g_inv, dg = taylor.inv(g.truncate(1)), g.grad()
     # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, A_lij = d_i g_jl
     A = dg.swapaxes(-3, -2)
     gamma = 0.5 * taylor.einsum("mkl,mlij->mkij", g_inv, A + A.swapaxes(-2, -1) - dg)
     del A, dg
-    # Y to degree 1 as a copy, so that the degree-3 Y is freed once its
-    # partials are taken.
-    hess_y, dY, Y = Y.grad(2), Y.truncate(2).grad(), Y.truncate(1).copy()
+    # Hess Y first, then Y cut to a degree-2 copy, which frees the degree-3
+    # Y, and dY and the degree-1 Y taken from it: the same bits.
+    hess_y, Y = Y.grad(2), Y.truncate(2).copy()
+    dY, Y = Y.grad(), Y.truncate(1).copy()
     taylor.einsum("mkab,mkl->mabl", gamma, dY, subtract_from=hess_y)
-    dY = dY.value.copy(order="K")
+    dY, gamma = (t.value.copy(order="K") for t in (dY, gamma))
     delta_y = taylor.einsum("mab,mabl->ml", g_inv, hess_y)
+    del g_inv
+    hess_y = hess_y.value.copy(order="K")
     nsq = np.sum(signs * delta_y * delta_y, axis=-1)
     N = delta_y / n + (nsq / (2.0 * n * n))[:, None] * Y
-    return N, delta_y, gamma, hess_y, dY
+    return N, delta_y.value.copy(order="K"), gamma, hess_y, dY
 
 
 @dataclass(frozen=True)
@@ -382,13 +390,13 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
     # Popped, each field is freed once its partials are read: those that
     # _n_taylor does not read, before it runs.
     jets = {name: fields.pop(name).partials()[1:] for name in ("III", "r", "B", "logrho")}
-    *n_block, dY = _n_taylor(fields.pop("Y"), fields["g"], signs)      # dY (m, a, n+4)
+    # dY (m, a, n+4); Delta_g Y, Gamma and Hess Y come back as values.
+    N, delta_y, gamma_g, hess_y, dY = _n_taylor(fields.pop("Y"), fields["g"], signs)
     jets["g"] = fields.pop("g").partials()[1:]
-    dN = n_block[0].partials()[1]            # (m, c, n+4)
-    # Copies, so that the degree-1 Taylors are freed here, before the
-    # projection, and the returned Analysis keeps none alive.
-    N, delta_y, gamma_g, hess_y = (t.value.copy(order="K") for t in n_block)
-    del n_block
+    dN = N.partials()[1]                     # (m, c, n+4)
+    # A copy, so that the degree-1 N is freed here, before the projection,
+    # and the returned Analysis keeps no Taylor alive.
+    N = N.value.copy(order="K")
     # The frame is formed in the jet's C order, as b is; the frame, g =
     # rho^2 III and the lift arrays read below are then laid out once as
     # the partials are, batch axis innermost, and III inverted once:

@@ -4,12 +4,14 @@
 
 Measures this tree's ``src`` and, when given, the source tree BASE_SRC
 that holds another version's ``lagkit`` (for example ``src`` of a
-worktree of the base commit), each once in a subprocess run with
-``PYTHONPATH=<src>:.`` from this tree: the lines and dumps of
-``report_hashes.py``, and on each case of ``cases()`` the peak and
-retained memory of ``analyze`` (``test_memory.traced_analyze``), its row
-blocks, its Taylor product steps and runs
-(``test_taylor_kernel.product_counts``) and its best-of-5 wall time;
+worktree of the base commit), each in a subprocess run with
+``PYTHONPATH=<src>:.`` from this tree, ``ROUNDS`` times with the trees
+taken in turn, so that a drift of the host's speed falls on both: the
+lines and dumps of ``report_hashes.py`` (first round only), and on each
+case of ``cases()`` the peak and retained memory of ``analyze``
+(``test_memory.traced_analyze``), its row blocks, its Taylor product
+steps and runs (``test_taylor_kernel.product_counts``) and its best-of-5
+wall time, of which the median over the rounds is printed with its range;
 ``tests/test_memory.py`` and ``tests/test_taylor_kernel.py`` bound those
 figures, and this script records them.  Prints Markdown in three
 sections:
@@ -33,6 +35,7 @@ import contextlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -41,12 +44,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 
+# Each tree is measured this many times, alternating with the other.
+ROUNDS = 3
+
 # Each section's title, the figures of a case on either side, and those of the head alone.
 SECTIONS = {
     "tracemalloc of `analyze`": ("peak {peak:.3f} MB in {blocks} row block(s), retained "
                                  "{retained:.3f} MB", ", transient {transient:.2f} KB per point"),
-    "wall of `analyze`, in-process, best of 5, and its Taylor product steps and runs":
-        ("{wall:.1f} ms, {steps} steps, {runs} runs", ""),
+    f"wall of `analyze`, in-process, the median of {ROUNDS} alternating rounds' best of 5 "
+    "with its range, and its Taylor product steps and runs":
+        ("{wall:.1f} ms ({wall_lo:.1f}-{wall_hi:.1f}), {steps} steps, {runs} runs", ""),
 }
 
 
@@ -64,9 +71,10 @@ def cases() -> dict:
 
 
 def measure(src: str, dump: str) -> None:
-    """Print the JSON of the tree ``src``'s figures: the lines of
-    ``report_hashes.py``, whose reports it dumps to ``dump``, and the
-    ``analyze`` figures of each case.  Imports ``lagkit`` from sys.path."""
+    """Print the JSON of the tree ``src``'s figures: the ``analyze``
+    figures of each case and, if ``dump`` is not empty, the lines of
+    ``report_hashes.py``, whose reports it dumps there.  Imports
+    ``lagkit`` from sys.path."""
     from lagkit.invariants import _row_blocks, analyze
     from tests.golden.report_hashes import main_hashes
     from tests.test_memory import traced_analyze
@@ -88,8 +96,35 @@ def measure(src: str, dump: str) -> None:
                              blocks=_row_blocks(chart.n, len(grid)), steps=steps, runs=runs,
                              wall=min(walls) * 1e3)
     with contextlib.redirect_stdout(io.StringIO()) as hashes:
-        main_hashes(["--src", src, "--dump", dump])
+        if dump:
+            main_hashes(["--src", src, "--dump", dump])
     print(json.dumps({"hashes": hashes.getvalue().splitlines(), "analyze": figures}))
+
+
+def run_tree(src: Path, dump: str) -> dict:
+    """The figures ``measure`` prints for the tree ``src``, run in a
+    subprocess with ``PYTHONPATH=<src>:.`` from this tree."""
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", "import sys; from tests.golden.against_base import measure; "
+         "measure(*sys.argv[1:])", str(src), dump],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": f"{src}:."}, stdout=subprocess.PIPE,
+        text=True, check=True).stdout)
+
+
+def alternate(trees: dict, tmp: str) -> dict:
+    """Each tree's figures from ``ROUNDS`` rounds of ``run_tree``, the trees
+    taken in turn in each: the first round's, with its reports dumped to
+    ``tmp``/side, and of each case's wall the median over the rounds and
+    its range."""
+    runs = {side: [] for side in trees}
+    for k in range(ROUNDS):
+        for side, src in trees.items():
+            runs[side].append(run_tree(src, f"{tmp}/{side}" if k == 0 else ""))
+    for first, *rest in runs.values():
+        for name, fig in first["analyze"].items():
+            walls = [run["analyze"][name]["wall"] for run in (first, *rest)]
+            fig.update(wall=statistics.median(walls), wall_lo=min(walls), wall_hi=max(walls))
+    return {side: rounds[0] for side, rounds in runs.items()}
 
 
 def _report(path: Path):
@@ -146,11 +181,7 @@ def main(argv=None) -> int:
     if (base := parser.parse_args(argv).base) is not None:
         trees["base"] = Path(base).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        figures = {side: json.loads(subprocess.run(
-            [sys.executable, "-c", "import sys; from tests.golden.against_base import measure; "
-             "measure(*sys.argv[1:])", str(src), f"{tmp}/{side}"],
-            cwd=ROOT, env={**os.environ, "PYTHONPATH": f"{src}:."}, stdout=subprocess.PIPE,
-            text=True, check=True).stdout) for side, src in trees.items()}
+        figures = alternate(trees, tmp)
         if "base" in trees:
             print("Report bytes against the base commit:")
             report_bytes(Path(tmp, "base"), Path(tmp, "head"), figures["base"]["hashes"],

@@ -15,9 +15,17 @@ from lagkit.charts import (
     radius_traces,
     regularity,
 )
+from lagkit.construction import (
+    ConstructionConstants,
+    b_from_curvatures,
+    build_immersion,
+    random_orthogonal,
+)
 from lagkit.errors import ImmersionError
+from lagkit.families import HilfParams, hilf_chart, torus_chart
 from tests import central
 from tests.conftest import graph_chart, mesh, unit_sphere
+from tests.test_symmetries import reparametrized
 
 
 def quadric(a1, a2, cross=0.0):
@@ -94,9 +102,41 @@ def test_torus_first_form(torus21):
     assert np.allclose(II[0], II[0].T, atol=1e-12)
 
 
+def constructed():
+    """The constructed chart of b from a = (1, 2, 3) on its grid sqrt(2) v b."""
+    c = ConstructionConstants(b_from_curvatures([1, 2, 3]), cmat=random_orthogonal(3, 7))
+    return build_immersion(c).chart, np.sqrt(2.0) * mesh(3, 0.5, 3) * c.b
+
+
+def rotated():
+    """hilf (1, 2, 3) reparametrized by a rotation u = Q w."""
+    chart, Q = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), random_orthogonal(3, 31)
+    return (reparametrized(chart, lambda W: W @ Q.T, "rotated"),
+            mesh(3, 0.3, 3, center=[0.3] * 3) @ Q)
+
+
+# II = ddx . xi is exactly symmetric, unsymmetrized: the jet's partials
+# read d_i d_j x and d_j d_i x off one coefficient with the same scalings.
+SECOND_FORMS = {
+    "hilf3": lambda: (hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))),
+                      mesh(3, 0.3, 3, center=[0.3] * 3)),
+    "hilf-mixed3": lambda: (hilf_chart(HilfParams(a=(1.0, -2.0, 3.0), phi=0.3)),
+                            mesh(3, 0.3, 3, center=[0.3] * 3)),
+    "torus": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 9)),
+    "constructed": constructed,
+    "rotated": rotated,
+}
+
+
+@pytest.mark.parametrize("name", list(SECOND_FORMS))
+def test_second_form_is_exactly_symmetric(name):
+    _, II, _, _ = forms(*SECOND_FORMS[name]())
+    assert np.array_equal(II, np.swapaxes(II, -1, -2))
+
+
 def test_second_form_symmetric_generic(generic_chart, generic_points):
     _, II, _, _ = forms(generic_chart, generic_points)
-    assert np.max(np.abs(II - np.swapaxes(II, -1, -2))) <= 1e-10
+    assert np.array_equal(II, np.swapaxes(II, -1, -2))
 
 
 def test_torus_principal_curvatures(torus21):
@@ -264,9 +304,11 @@ def test_non_finite_jacobian_raises_immersion_error(n):
 
 
 def spd_batch(rng, n, m=500):
-    """dx with singular values in [0.3, 3], ddx and unit normals xi."""
+    """dx with singular values in [0.3, 3], ddx symmetric in its two partial
+    axes, as second partials are, and unit normals xi."""
     dx = jacobians(rng, n, rng.uniform(0.1, 1.0, m), scale=3.0)
     ddx = rng.standard_normal((m, n, n, n + 1))
+    ddx = ddx + np.swapaxes(ddx, 1, 2)
     xi = rng.standard_normal((m, n + 1))
     return dx, ddx, xi / np.linalg.norm(xi, axis=-1, keepdims=True)
 
@@ -283,7 +325,6 @@ def test_forms_match_inverse_reference(n):
     assert not np.any(deficient)
     I_ref = np.einsum("mia,mja->mij", dx, dx)
     II_ref = np.einsum("mija,ma->mij", ddx, xi)
-    II_ref = 0.5 * (II_ref + np.swapaxes(II_ref, -1, -2))
     III_ref = np.einsum("mij,mjk,mkl->mil", II_ref, np.linalg.inv(I_ref), II_ref)
     assert relative_error(I, I_ref) <= 1e-12
     assert relative_error(II, II_ref) <= 1e-12

@@ -158,3 +158,25 @@ def test_against_base_lists_what_moved(tmp_path, capsys):
     ]
     report_bytes(tmp_path / "base", tmp_path / "base", lines["base"], lines["base"])
     assert capsys.readouterr().out.splitlines() == ["all 4 examples byte-identical"]
+
+
+def test_against_base_alternates_the_trees(monkeypatch):
+    # Each tree is measured once per round, the two in turn, and only the
+    # first round dumps reports; a case's wall is the median of its rounds.
+    from tests.golden import against_base
+
+    assert against_base.ROUNDS >= 3
+    monkeypatch.setattr(against_base, "ROUNDS", 3)
+    walls = {"head": iter([3.0, 1.0, 2.0]), "base": iter([5.0, 4.0, 9.0])}
+    calls = []
+
+    def run_tree(src, dump):
+        calls.append((src, dump))
+        return {"hashes": [], "analyze": {"case": {"wall": next(walls[src]), "peak": 1.0}}}
+
+    monkeypatch.setattr(against_base, "run_tree", run_tree)
+    figures = against_base.alternate({"head": "head", "base": "base"}, "tmp")
+    assert calls == [("head", "tmp/head"), ("base", "tmp/base"), ("head", ""), ("base", ""),
+                     ("head", ""), ("base", "")]
+    assert figures["head"]["analyze"]["case"] == dict(wall=2.0, wall_lo=1.0, wall_hi=3.0, peak=1.0)
+    assert figures["base"]["analyze"]["case"] == dict(wall=5.0, wall_lo=4.0, wall_hi=9.0, peak=1.0)

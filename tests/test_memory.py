@@ -14,8 +14,12 @@ built in one buffer), each step came to hold only what its next step
 reads (dx gathered again from x after I^-1 rather than held through it,
 x.xi kept in place of x once II is formed, the partials of III, r, B
 and log rho read off before N is formed, and dY taken from N's own),
-and the degree-3 II came to be handed to ``taylor.inv`` as its only
-reference, freed once A_0^-1 and P are formed.  Each retained bound is
+the degree-3 II came to be handed to ``taylor.inv`` as its only
+reference, freed once A_0^-1 and P are formed, and the N phase came to
+free each Taylor at its last read (Hess Y gathered before Y is cut to a
+degree-2 copy, which frees the degree-3 Y, and dY and the degree-1 Y
+taken from that copy; g^-1 freed once Delta_g Y is formed; Gamma, Hess
+Y and Delta_g Y cut to their values once read).  Each retained bound is
 the figure measured when ``analyze`` came to build the lift of its
 regular rows itself and the ``Analysis`` to keep of the lift only x, r,
 rho, Y, eta and k.  Both are those figures plus 5%.  A product that
@@ -71,14 +75,16 @@ def traced_analyze(chart, grid):
 
 
 @pytest.mark.parametrize("case,peak_mb,retained_mb", [
-    # 2.656 MB peak since II is freed inside its inverse (2.664 MB since
-    # each step holds only what its next step reads, 2.838 MB since analyze
-    # builds the lift of its regular rows, 2.900 MB since each buffer is
-    # freed at its last read, 3.25 MB before; 3.39 MB before x and xi were
-    # freed once Y is formed and the degree-2 II, I^-1 and rho^2 copied,
-    # 3.46 MB before Hess Y took Gamma Y_k pair by pair), 0.976 MB retained
-    # (1.161 MB with the lift's II, III, g, e and grid copy).
-    pytest.param("torus-33", 2.656 * 1.05, 0.976 * 1.05, id="torus-33"),
+    # 2.604 MB peak since the N phase frees each Taylor at its last read
+    # (2.654 MB before, 2.656 MB since II is freed inside its inverse,
+    # 2.664 MB since each step holds only what its next step reads, 2.838
+    # MB since analyze builds the lift of its regular rows, 2.900 MB since
+    # each buffer is freed at its last read, 3.25 MB before; 3.39 MB before
+    # x and xi were freed once Y is formed and the degree-2 II, I^-1 and
+    # rho^2 copied, 3.46 MB before Hess Y took Gamma Y_k pair by pair),
+    # 0.976 MB retained (1.161 MB with the lift's II, III, g, e and grid
+    # copy).
+    pytest.param("torus-33", 2.604 * 1.05, 0.976 * 1.05, id="torus-33"),
     # 1.089 MB peak since II is freed inside its inverse (1.179 MB since
     # each step holds only what its next step reads, 1.269 MB since analyze
     # builds the lift, 1.283 MB since each buffer is freed at its last
@@ -86,10 +92,12 @@ def traced_analyze(chart, grid):
     # before, 1.65 and 2.15 MB earlier), 0.283 MB retained (0.328 MB
     # before).
     pytest.param("hilf3-5", 1.089 * 1.05, 0.283 * 1.05, id="hilf3-5"),
-    # 14.019 MB peak since II is freed inside its inverse (15.048 MB since
-    # each step holds only what its next step reads, 16.74 MB since analyze
-    # builds the lift, 16.80 MB since each buffer is freed at its last
-    # read, 18.1 MB before, 27.8 MB with ddx formed whole), 2.270 MB
+    # 14.700 MB peak since a product step runs over a run of whole degree
+    # blocks, up to the output's top one, in the last Neumann step of
+    # taylor.inv (14.019 MB since II is freed inside its inverse, 15.048 MB
+    # since each step holds only what its next step reads, 16.74 MB since
+    # analyze builds the lift, 16.80 MB since each buffer is freed at its
+    # last read, 18.1 MB before, 27.8 MB with ddx formed whole), 2.270 MB
     # retained (2.488 MB before).
     pytest.param("hilf5-3", 14.019 * 1.05, 2.270 * 1.05, id="hilf5-3"),
 ])
