@@ -56,18 +56,19 @@ x, dx and ddx and decides the regularity of every point once, with r
 and rho from traces and the principal frame k, e from one ``eigh``; an
 irregular point gets its ``reason`` and no fields.  ``analyze`` keeps
 the regular rows (``x[rows]`` for the jet), copied only when a row is
-irregular, and forms Y and
-eta from the values of x and xi on them alone.  The rows of x and xi
-are then laid out once with the batch axis innermost in memory
-(``taylor.batch_inner``), which every field keeps, so each product step
-is one loop over the points.  Each step holds only what its next step
-reads, and a cheap intermediate is formed again rather than held (A.
-Griewank and A. Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch.
-12).  x alone is kept, at degree 5, until II: dx of degree 3 is taken
-from it for I and dx . xi0 and freed before I^-1 is formed, then
-gathered from x again, with the same bits, for the tangential part of
-xi0; II = ddx . xi reads the degree-3 ddx one coefficient per product
-step (``taylor.Grad``), so ddx is never formed.  The lift sees x only
+irregular, and of them the values of x and xi0 in the chart jet's C
+order, from which Y and eta are formed once N is read off.  The rows of
+x and xi0 are then laid out once with the batch axis innermost in
+memory (``taylor.batch_inner``), which every field keeps, so each
+product step is one loop over the points.  Each step holds only what
+its next step reads, and a cheap intermediate is formed again rather
+than held (A. Griewank and A. Walther, *Evaluating Derivatives*, 2nd
+ed., 2008, ch. 12).  x alone is kept, at degree 5, until II: dx of
+degree 3 is gathered from it for I and freed before I^-1 is formed,
+then gathered again, with the same bits, for dx . xi0 and again for the
+tangential part of xi0, which is I^-1 (dx . xi0) . dx; II = ddx . xi
+reads the degree-3 ddx one coefficient per product step
+(``taylor.Grad``), so ddx is never formed.  The lift sees x only
 through the support function x.xi, as the envelope of its tangent
 hyperplanes (T. Li and C. Wang, Manuscripta Math. 122, 2007), so x.xi
 of degree 3 is formed right after II and x is freed there.
@@ -77,11 +78,12 @@ and log rho of degree 2, III, r and B of degree 1, each intermediate
 freed after its last read; a truncation that outlives its parent is a
 copy (``Taylor.copy``), as a view would keep the parent's buffer alive.
 I^-1 of degree 3 lives only until the tangential part of xi0 is taken,
-then is cut to degree 2, all III reads.  II is cut to degree 2, all III
-and B read, before it is inverted, and the degree-3 II is handed to
+then is cut to degree 2, all III reads.  III is formed from a view of
+II's degree-2 part before II is inverted, and I^-1 is freed there; II
+is then cut to degree 1, all B reads, and the degree-3 II is handed to
 ``taylor.inv`` as its only reference, which frees it once A_0^-1 and
-P = -N A_0^-1 are formed; III is formed right after M, and I^-1 is
-freed there; II is then cut to degree 1, all B reads.
+P = -N A_0^-1 are formed.  x.xi and xi are freed once y = (x.xi, -x.xi,
+xi, 1) is formed, before Y = rho y.
 N is formed once, in the same Taylor arithmetic, as a polynomial of
 degree 1 from Y of degree 3 and g of degree 2 (Gamma, Hess Y and
 Delta_g Y on the way), so its coefficients of degree 1 are d_c N; the
@@ -113,7 +115,9 @@ No chain rule is written by hand, and nothing is differentiated twice.
 
 The memory of ``analyze`` is bounded by the budget ``BLOCK_BYTES`` (20
 MB).  A point holds at most six times the bytes of its degree-5 jet of
-x at the peak (4.7 to 4.9 times, measured at n = 2 to 6), and a grid
+x at the peak: the peak less what the call returns, per point, is 2.8
+(the torus on 33^2) to 4.5 (hilf n = 3) jets, measured by tracemalloc
+on hilf n = 2 to 5 on 3^n and the torus on 9^2 and 33^2.  A grid
 whose points would hold more than the budget runs in blocks of rows, as
 even as may be, one after another; every other grid, an empty one too,
 runs as one block.  One block holds the jet of its rows and every
@@ -189,23 +193,25 @@ def _taylor_fields(jet):
     k-2, from ``jet`` = [x, xi0] (x of degree k+2, xi0 the unit normal),
     which is emptied so that x is freed once II and x.xi are taken from
     it.  xi is xi0 less its tangential part, normalised; III = II I^-1
-    II; the radii are the eigenvalues of M = II^-1 I, so r = tr M / n and
-    rho^2 = tr (M - r Id)^2."""
+    II, formed before II is inverted so that I^-1 is freed first; the
+    radii are the eigenvalues of M = II^-1 I, so r = tr M / n and rho^2 =
+    tr (M - r Id)^2."""
     x, xi0 = jet
     jet.clear()
     n, k = x.n, x.d - 2
     # Laid out once with the batch axis innermost in memory, which every
     # field then keeps, so that each product step is one loop over the
-    # points; the lift has read x and xi0 in the chart jet's C order.
+    # points; the caller keeps the values of x and xi0 in the chart jet's
+    # C order for the lift.
     x, xi0 = taylor.Taylor(taylor.batch_inner(x.c, 1), n, x.d, x.zero), taylor.batch_inner(xi0)
     dx = x.truncate(k + 1).grad()
     I = taylor.einsum("mia,mja->mij", dx, dx)
-    # The tangential part of xi0 has coefficients I^-1 (dx . xi0); dx is
-    # gathered again from x for v rather than held through I^-1: the same
-    # bits, from a buffer that is alive anyway.
-    tangential = taylor.einsum("mia,ma->mi", dx, xi0)
     del dx
     I_inv = taylor.inv(I)
+    # The tangential part of xi0 has coefficients I^-1 (dx . xi0).  dx is
+    # gathered from x again for dx . xi0, once I is inverted, and again for
+    # v, not held: the same bits, from a buffer that is alive anyway.
+    tangential = taylor.einsum("mia,ma->mi", x.truncate(k + 1).grad(), xi0)
     tangential = taylor.einsum("mij,mj->mi", I_inv, tangential)
     # III alone reads I^-1 from here, to degree k-1.
     I_inv = I_inv.truncate(k - 1).copy()
@@ -218,22 +224,26 @@ def _taylor_fields(jet):
     II = taylor.einsum("mija,ma->mij", taylor.Grad(x, 2), xi)
     dot = np.sum(x.truncate(k) * xi, axis=-1)
     del x
-    # III reads II to degree k-1 and B to degree k-2: copies, so that each
-    # longer buffer is freed.  The degree-k II goes to inv as its only
-    # reference, which frees it once A_0^-1 and P are formed.
-    full, II = [II], II.truncate(k - 1).copy()
+    # III reads II to degree k-1, a view, and I^-1 is freed once it is
+    # formed; B reads II to degree k-2, a copy, so that the degree-k II
+    # goes to inv as its only reference, which frees it once A_0^-1 and P
+    # are formed.
+    II2 = II.truncate(k - 1)
+    III = taylor.einsum("mij,mjk->mik", II2, taylor.einsum("mij,mjk->mik", I_inv, II2))
+    del I_inv, II2
+    full, II = [II], II.truncate(k - 2).copy()
     M = taylor.einsum("mij,mjk->mik", taylor.inv(full), I)
-    III = taylor.einsum("mij,mjk->mik", II, taylor.einsum("mij,mjk->mik", I_inv, II))
-    del I_inv
-    II = II.truncate(k - 2).copy()
     idx = np.arange(n)
     r = np.sum(M[:, idx, idx], axis=-1) / n
     M.c[:, :, idx, idx] -= r.c[..., None]     # M - r Id; r has M's zero blocks
     rho2 = taylor.einsum("mij,mji->m", M, M)
     del I, M
     rho = np.sqrt(rho2)
-    Y = rho[..., None] * lift_vector(dot, xi)
+    # x.xi and xi are freed before the product rho y.
+    y = lift_vector(dot, xi)
     del dot, xi
+    Y = rho[..., None] * y
+    del y
     # A copy, so that the degree-k buffer is freed here, not at the return.
     rho2 = rho2.truncate(k - 1).copy()
     low = [t.truncate(k - 2) for t in (r, rho, III, II)]
@@ -374,17 +384,11 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
         rows = np.repeat(rows, 2) if kept == 1 else rows
         x, grid, xi0, II, III, r, rho, k, e = (
             t[rows] for t in (x, grid, xi0, II, III, r, rho, k, e))
-    # The lift, from the values of x and xi0 in the chart jet's C order; the
-    # value of x copied, so that it does not keep the jet alive.
+    # The value of x copied, so that it does not keep the jet alive; it and
+    # xi0 are kept in the chart jet's C order for the lift.
     x0 = x.value.copy()
-    y = lift_vector(np.sum(x0 * xi0, axis=-1), xi0)
-    sq = np.sum(x0 * x0, axis=-1)
-    eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x0,
-                          np.zeros((len(x0), 1))], axis=1) + r[:, None] * y
-    Y = rho[:, None] * y
-    del y, sq
     jet = [x, xi0]
-    del x, xi0
+    del x
     fields = _taylor_fields(jet)
     signs = laguerre_signs(chart.n)
     # Popped, each field is freed once its partials are read: those that
@@ -397,6 +401,13 @@ def _analysis_fields(chart: Chart, grid: np.ndarray) -> dict:
     # A copy, so that the degree-1 N is freed here, before the projection,
     # and the returned Analysis keeps no Taylor alive.
     N = N.value.copy(order="K")
+    # The lift, from the values of x and xi0 in the chart jet's C order.
+    y = lift_vector(np.sum(x0 * xi0, axis=-1), xi0)
+    sq = np.sum(x0 * x0, axis=-1)
+    eta = np.concatenate([0.5 * (1.0 + sq)[:, None], 0.5 * (1.0 - sq)[:, None], x0,
+                          np.zeros((len(x0), 1))], axis=1) + r[:, None] * y
+    Y = rho[:, None] * y
+    del y, sq, xi0
     # The frame is formed in the jet's C order, as b is; the frame, g =
     # rho^2 III and the lift arrays read below are then laid out once as
     # the partials are, batch axis innermost, and III inverted once:

@@ -13,8 +13,10 @@ case of ``cases()`` the peak and retained memory of ``analyze``
 steps and runs (``test_taylor_kernel.product_counts``) and its best-of-5
 wall time, of which the median over the rounds is printed with its range;
 ``tests/test_memory.py`` and ``tests/test_taylor_kernel.py`` bound those
-figures, and this script records them.  Prints Markdown in three
-sections:
+figures, and this script records them.  On the cases of ``PROBED`` it
+also takes the peak of each statement of ``lagkit/invariants.py``
+(``statement_peaks``), so that a change to ``analyze`` names the
+statement its peak moved to.  Prints Markdown in three sections:
 
 * with BASE_SRC only, "Report bytes against the base commit": every
   example whose ``--no-timestamp`` report or CSV is not byte-identical
@@ -22,7 +24,9 @@ sections:
   tolerance and the keys added or removed (``regen.moved``);
 * ``wc -l`` of each module and in total, then ``tests/line_count.py``;
   the base's counts follow after "At the base commit:";
-* the ``analyze`` figures of each case, the base's after ``base:``.
+* the ``analyze`` figures of each case, the base's after ``base:``;
+  after the memory figures, the three statements of highest peak of
+  each case of ``PROBED`` on either tree.
 
 It gates nothing: a change that regenerates goldens changes bits on
 purpose, and wall times depend on the host.
@@ -32,14 +36,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
+import linecache
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -57,6 +64,10 @@ SECTIONS = {
 }
 
 
+# The cases whose statements ``statement_peaks`` ranks, and how many it prints.
+PROBED, TOP = ("torus-33", "hilf3-5"), 3
+
+
 def cases() -> dict:
     """``test_memory.CASES``; hilf n = 4 on 3^4, a small batch, where a
     slowdown shows beside the benchmark's larger ones; and hilf n = 3 on
@@ -70,9 +81,52 @@ def cases() -> dict:
             "torus-99": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 99))}
 
 
+def statement_peaks(chart, grid) -> list:
+    """[(line, source, bytes)] for each line of ``lagkit/invariants.py``
+    that one ``analyze(chart, grid)`` runs, the highest first: the peak of
+    traced memory from its line event to the next line event of that file,
+    so a line that calls into another module holds the peak of the call.
+    ``tracemalloc.reset_peak`` runs at each line event under
+    ``sys.settrace``; the probe's own memory (the trace's frames and
+    records) is subtracted, as the traced top less the peak of an untraced
+    call (``test_memory.traced_analyze``)."""
+    from lagkit import invariants
+    from tests.test_memory import traced_analyze
+    path, peaks, last = invariants.__file__, {}, [None]
+
+    def close():
+        """The peak since the last line event, to that line."""
+        if last[0] is not None:
+            peaks[last[0]] = max(peaks.get(last[0], 0), tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        if event == "line":
+            close()
+            last[0] = frame.f_lineno
+        return trace
+
+    untraced = traced_analyze(chart, grid)[0]
+    gc.collect()
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        invariants.analyze(chart, grid)
+    finally:
+        sys.settrace(None)
+        close()
+        tracemalloc.stop()
+    overhead = max(peaks.values()) - untraced
+    return sorted(((line, linecache.getline(path, line).strip(), peak - overhead)
+                   for line, peak in peaks.items()), key=lambda s: (-s[2], s[0]))
+
+
 def measure(src: str, dump: str) -> None:
     """Print the JSON of the tree ``src``'s figures: the ``analyze``
-    figures of each case and, if ``dump`` is not empty, the lines of
+    figures of each case, the top statements of each case of ``PROBED``
+    (``statement_peaks``) and, if ``dump`` is not empty, the lines of
     ``report_hashes.py``, whose reports it dumps there.  Imports
     ``lagkit`` from sys.path."""
     from lagkit.invariants import _row_blocks, analyze
@@ -81,11 +135,13 @@ def measure(src: str, dump: str) -> None:
     from tests.test_taylor_kernel import product_counts
     # The figures come first: each case then runs after the cases before it
     # alone, as in a process that measures analyze and nothing else.
-    figures = {}
+    figures, statements = {}, {}
     for name, case in cases().items():
         chart, grid = case()
         peak, retained = traced_analyze(chart, grid)
         steps, runs = product_counts(chart, grid)
+        if name in PROBED:
+            statements[name] = statement_peaks(chart, grid)[:TOP]
         walls = []
         for _ in range(5):
             start = time.perf_counter()
@@ -98,7 +154,8 @@ def measure(src: str, dump: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()) as hashes:
         if dump:
             main_hashes(["--src", src, "--dump", dump])
-    print(json.dumps({"hashes": hashes.getvalue().splitlines(), "analyze": figures}))
+    print(json.dumps({"hashes": hashes.getvalue().splitlines(), "analyze": figures,
+                      "statements": statements}))
 
 
 def run_tree(src: Path, dump: str) -> dict:
@@ -173,6 +230,20 @@ def line_counts(src: Path, base: bool) -> None:
     code_lines(["--src", str(src)])
 
 
+def print_statements(figures: dict) -> None:
+    """Print the statements of highest peak of each case of ``PROBED``,
+    each tree's in turn."""
+    print(f"the {TOP} statements of `invariants.py` of highest peak, by tracemalloc less the "
+          "probe's overhead (`statement_peaks`):")
+    print("```")
+    for name in PROBED:
+        for side, fig in figures.items():
+            print(f"  {name}{'' if side == 'head' else ' base'}:")
+            for line, source, peak in fig["statements"][name]:
+                print(f"    {peak / 1e6:.3f} MB  line {line}: {source}")
+    print("```")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", nargs="?", metavar="BASE_SRC",
@@ -189,7 +260,7 @@ def main(argv=None) -> int:
     for side, src in trees.items():
         line_counts(src, side == "base")
     base_figures = figures.get("base", {}).get("analyze", {})
-    for title, (form, head_only) in SECTIONS.items():
+    for k, (title, (form, head_only)) in enumerate(SECTIONS.items()):
         print(title + (", the base commit's after `base:`" if base_figures else "") + ":")
         print("```")
         for name, fig in figures["head"]["analyze"].items():
@@ -198,6 +269,8 @@ def main(argv=None) -> int:
                 line += f"; base: {form.format(**base_figures[name])}"
             print(line)
         print("```")
+        if k == 0:
+            print_statements(figures)
     return 0
 
 

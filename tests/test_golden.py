@@ -180,3 +180,21 @@ def test_against_base_alternates_the_trees(monkeypatch):
                      ("head", ""), ("base", "")]
     assert figures["head"]["analyze"]["case"] == dict(wall=2.0, wall_lo=1.0, wall_hi=3.0, peak=1.0)
     assert figures["base"]["analyze"]["case"] == dict(wall=5.0, wall_lo=4.0, wall_hi=9.0, peak=1.0)
+
+
+def test_statement_peaks_names_lines_of_invariants_by_peak():
+    # The probe against_base.py prints: each line it names is a statement
+    # of invariants.py, as the file holds it, and the highest comes first.
+    from lagkit import invariants
+    from lagkit.families import HilfParams, hilf_chart
+    from tests.conftest import mesh
+    from tests.golden.against_base import statement_peaks
+
+    chart, grid = hilf_chart(HilfParams(a=(1.0, 2.0, 3.0))), mesh(3, 0.4, 3)
+    statements = statement_peaks(chart, grid)
+    lines = Path(invariants.__file__).read_text().splitlines()
+    assert len(statements) > 50
+    for line, source, _ in statements:
+        assert source and source == lines[line - 1].strip() and not source.startswith("#")
+    peaks = [peak for *_, peak in statements]
+    assert peaks == sorted(peaks, reverse=True)

@@ -1,28 +1,34 @@
 """Peak and retained memory of ``invariants.analyze``, the transient of
 each Taylor product inside it, and its row blocks.
 
-Each peak bound on ``analyze`` is the tracemalloc figure measured when
-the degree-5 jet was kept as x alone, the products stopped gathering
-their operands, Hess Y took Gamma Y_k pair by pair and
-``_taylor_fields`` freed x, xi and the degree-3 buffers of II, I^-1 and
-rho^2 once Y was formed, each buffer was freed at its last read (I^-1
-cut to degree 2 once the tangential part of xi0 is taken, III formed
-right after M and II then cut to degree 1, the degree-1 Taylors of N,
-Delta_g Y, Gamma and Hess Y read off before the curvature projection, P
-freed before the last product of ``taylor.inv``, and value - Taylor
-built in one buffer), each step came to hold only what its next step
-reads (dx gathered again from x after I^-1 rather than held through it,
-x.xi kept in place of x once II is formed, the partials of III, r, B
-and log rho read off before N is formed, and dY taken from N's own),
-the degree-3 II came to be handed to ``taylor.inv`` as its only
-reference, freed once A_0^-1 and P are formed, and the N phase came to
-free each Taylor at its last read (Hess Y gathered before Y is cut to a
-degree-2 copy, which frees the degree-3 Y, and dY and the degree-1 Y
-taken from that copy; g^-1 freed once Delta_g Y is formed; Gamma, Hess
-Y and Delta_g Y cut to their values once read).  Each retained bound is
-the figure measured when ``analyze`` came to build the lift of its
-regular rows itself and the ``Analysis`` to keep of the lift only x, r,
-rho, Y, eta and k.  Both are those figures plus 5%.  A product that
+Each peak bound on ``analyze`` is the tracemalloc figure measured once
+every buffer lived from its first to its last read, as listed here,
+plus 5% (hilf5-3 keeps the lower figure of an earlier layout; see its
+comment):
+
+* the degree-5 jet is kept as x alone, with the C-order values of x and
+  xi0, from which the lift's Y and eta are formed once N is read off;
+* dx is gathered from x for I, for dx . xi0 once I is inverted, and for
+  v, never held through I^-1; ddx is read one coefficient per product
+  step, and x is freed once II and x.xi are formed;
+* III is formed from a view of the degree-2 II before II is inverted,
+  and I^-1 is freed there; II is cut to degree 1, all B reads, and the
+  degree-3 II is handed to ``taylor.inv`` as its only reference, freed
+  once A_0^-1 and P are formed, and P before the last product;
+* x.xi and xi are freed before rho y is formed, and the partials of
+  III, r, B and log rho are read off before N, so that Y and g alone
+  live through it;
+* in the N phase Hess Y is gathered before Y is cut to a degree-2 copy,
+  which frees the degree-3 Y, dY and the degree-1 Y are taken from that
+  copy, Gamma Y_k is subtracted from Hess Y pair by pair, g^-1 is freed
+  once Delta_g Y is formed, and Gamma, Hess Y and Delta_g Y are cut to
+  their values once read;
+* a product reads its operands as views and holds one degree block of
+  its output, and value - Taylor is built in one buffer.
+
+Each retained bound is the figure measured when ``analyze`` came to
+build the lift of its regular rows itself and the ``Analysis`` to keep
+of the lift only x, r, rho, Y, eta and k, plus 5%.  A product that
 gathers an operand it could read as a view, a partials operand formed
 whole, a truncation that keeps its parent's buffer alive, a jet or an
 intermediate kept past its last read, or a lift array kept that no
@@ -75,36 +81,62 @@ def traced_analyze(chart, grid):
 
 
 @pytest.mark.parametrize("case,peak_mb,retained_mb", [
-    # 2.604 MB peak since the N phase frees each Taylor at its last read
-    # (2.654 MB before, 2.656 MB since II is freed inside its inverse,
-    # 2.664 MB since each step holds only what its next step reads, 2.838
-    # MB since analyze builds the lift of its regular rows, 2.900 MB since
-    # each buffer is freed at its last read, 3.25 MB before; 3.39 MB before
-    # x and xi were freed once Y is formed and the degree-2 II, I^-1 and
-    # rho^2 copied, 3.46 MB before Hess Y took Gamma Y_k pair by pair),
-    # 0.976 MB retained (1.161 MB with the lift's II, III, g, e and grid
-    # copy).
-    pytest.param("torus-33", 2.604 * 1.05, 0.976 * 1.05, id="torus-33"),
-    # 1.089 MB peak since II is freed inside its inverse (1.179 MB since
-    # each step holds only what its next step reads, 1.269 MB since analyze
-    # builds the lift, 1.283 MB since each buffer is freed at its last
-    # read, 1.36 MB since II reads ddx one coefficient per step, 1.62 MB
-    # before, 1.65 and 2.15 MB earlier), 0.283 MB retained (0.328 MB
-    # before).
-    pytest.param("hilf3-5", 1.089 * 1.05, 0.283 * 1.05, id="hilf3-5"),
-    # 14.700 MB peak since a product step runs over a run of whole degree
-    # blocks, up to the output's top one, in the last Neumann step of
-    # taylor.inv (14.019 MB since II is freed inside its inverse, 15.048 MB
-    # since each step holds only what its next step reads, 16.74 MB since
-    # analyze builds the lift, 16.80 MB since each buffer is freed at its
-    # last read, 18.1 MB before, 27.8 MB with ddx formed whole), 2.270 MB
-    # retained (2.488 MB before).
+    # 2.526 MB peak since the lift's Y and eta are formed after N and III
+    # before II is inverted (2.604 MB since the N phase frees each Taylor
+    # at its last read, 2.654 MB before, 2.656 MB since II is freed inside
+    # its inverse, 2.664 MB since each step holds only what its next step
+    # reads, 2.838 MB since analyze builds the lift of its regular rows,
+    # 2.900 MB since each buffer is freed at its last read, 3.25 MB before;
+    # 3.39 MB before x and xi were freed once Y is formed and the degree-2
+    # II, I^-1 and rho^2 copied, 3.46 MB before Hess Y took Gamma Y_k pair
+    # by pair), 0.976 MB retained (1.161 MB with the lift's II, III, g, e
+    # and grid copy).
+    pytest.param("torus-33", 2.526 * 1.05, 0.976 * 1.05, id="torus-33"),
+    # 1.040 MB peak since I is inverted before dx . xi0 is formed and III
+    # before II is inverted (1.089 MB since II is freed inside its inverse,
+    # 1.179 MB since each step holds only what its next step reads, 1.269
+    # MB since analyze builds the lift, 1.283 MB since each buffer is freed
+    # at its last read, 1.36 MB since II reads ddx one coefficient per
+    # step, 1.62 MB before, 1.65 and 2.15 MB earlier), 0.283 MB retained
+    # (0.328 MB before).
+    pytest.param("hilf3-5", 1.040 * 1.05, 0.283 * 1.05, id="hilf3-5"),
+    # 14.132 MB peak since I is inverted before dx . xi0 is formed (14.700
+    # MB since a product step runs over a run of whole degree blocks, up to
+    # the output's top one, in the last Neumann step of taylor.inv; 14.019
+    # MB since II is freed inside its inverse, 15.048 MB since each step
+    # holds only what its next step reads, 16.74 MB since analyze builds
+    # the lift, 16.80 MB since each buffer is freed at its last read, 18.1
+    # MB before, 27.8 MB with ddx formed whole), 2.270 MB retained (2.488
+    # MB before).  The bound keeps the lower 14.019 MB.
     pytest.param("hilf5-3", 14.019 * 1.05, 2.270 * 1.05, id="hilf5-3"),
 ])
 def test_analyze_memory_is_bounded(case, peak_mb, retained_mb):
     peak, retained = traced_analyze(*CASES[case]())
     assert peak <= peak_mb * MB, f"peak {peak / MB:.3f} MB"
     assert retained <= retained_mb * MB, f"retained {retained / MB:.3f} MB"
+
+
+# hilf (1, ..., n) on 3^n and the torus on 9^2 and 33^2, each run in one block.
+POINT_CASES = {
+    **{f"hilf{n}-3": (lambda n=n: (hilf_chart(HilfParams(a=tuple(map(float, range(1, n + 1))))),
+                                    mesh(n, 0.3, 3, center=[0.3] * n)))
+       for n in range(2, 6)},
+    "torus-9": lambda: (torus_chart(2.0, 1.0), mesh(2, 0.9, 9)),
+    "torus-33": CASES["torus-33"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_CASES))
+def test_a_point_holds_at_most_its_budget_at_the_peak(case):
+    # The premise of the row blocks: beyond what analyze returns, a point
+    # holds at most invariants._point_bytes(n), six degree-5 jets of x, at
+    # the peak.  Measured: 2.8 (torus 33^2) to 4.5 (hilf n = 3) jets.
+    chart, grid = POINT_CASES[case]()
+    assert invariants._row_blocks(chart.n, len(grid)) == 1
+    peak, retained = traced_analyze(chart, grid)
+    budget = len(grid) * invariants._point_bytes(chart.n)
+    assert peak - retained <= budget + NUMPY_BUFFERS, \
+        f"transient {peak - retained} bytes against {budget} + {NUMPY_BUFFERS}"
 
 
 def test_a_large_grid_peaks_at_what_it_returns_and_one_block():
